@@ -166,8 +166,9 @@ class PackedMatrix:
         ``subsets`` is boolean with shape ``(n_subsets, n_rows)``; the result
         has shape ``(n_subsets, n_words)`` where row ``s`` is the word-wise
         AND of the packed rows selected by ``subsets[s]`` (all-ones for an
-        empty selection).  One pass per matrix row, regardless of how many
-        subsets are asked for.
+        empty selection).  One pass per matrix row that some subset selects,
+        regardless of how many subsets are asked for: a correlation cluster
+        names a handful of sources, and the others are never read.
         """
         subsets = np.asarray(subsets, dtype=bool)
         if subsets.ndim != 2 or subsets.shape[1] != self.n_rows:
@@ -177,10 +178,8 @@ class PackedMatrix:
         out = np.broadcast_to(
             self.full_row(), (subsets.shape[0], self.n_words)
         ).copy()
-        for i in range(self.n_rows):
-            selected = subsets[:, i]
-            if selected.any():
-                out[selected] &= self._words[i]
+        for i in np.flatnonzero(subsets.any(axis=0)):
+            out[subsets[:, i]] &= self._words[i]
         return out
 
     def __repr__(self) -> str:

@@ -735,7 +735,8 @@ class EmpiricalJointModel(JointQualityModel):
         """Vectorized ``(r_{S*}, q_{S*})`` for many subsets in bulk.
 
         The intersection words of *all* requested subsets are computed with
-        one pass per source row (:meth:`PackedMatrix.and_reduce_batch`), the
+        one pass per selected source row
+        (:meth:`PackedMatrix.and_reduce_batch`), the
         counts with vectorized popcounts, and the Theorem 3.5 derivation
         element-wise in the same operation order as the scalar path -- so
         every returned value is bit-identical to the corresponding

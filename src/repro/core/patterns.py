@@ -7,12 +7,12 @@ The legacy scoring loop exploits this only through memoisation: it still
 walks every column, builds two frozensets per triple, and hashes them.
 
 This module extracts the distinct ``(providers, silent)`` patterns of an
-:class:`~repro.core.observations.ObservationMatrix` **once**, by hashing the
-bit-packed columns, and returns pattern ids plus the inverse index mapping
-every triple to its pattern.  A fuser then evaluates each distinct pattern
-exactly once and scatters the results back -- turning ``O(n_triples)`` model
-walks into ``O(n_unique_patterns)``, with the remaining per-triple work a
-single vectorized gather.
+:class:`~repro.core.observations.ObservationMatrix` **once**, by sorting the
+bit-packed columns (:func:`unique_rows`), and returns pattern ids plus the
+inverse index mapping every triple to its pattern.  A fuser then evaluates
+each distinct pattern exactly once and scatters the results back -- turning
+``O(n_triples)`` model walks into ``O(n_unique_patterns)``, with the
+remaining per-triple work a single vectorized gather.
 """
 
 from __future__ import annotations
@@ -119,6 +119,32 @@ def packed_pattern_rows(
     )
 
 
+def unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D ``uint64`` word array: ``(first_index, inverse)``.
+
+    The pattern layer's one row-dedup kernel.  A stable ``np.lexsort`` over
+    the word columns (first word most significant) groups equal rows while
+    keeping them in input order, one adjacent-row compare marks where each
+    group starts, and a ``cumsum`` scattered through the sort order numbers
+    the groups.  The result equals ``np.unique(words, axis=0,
+    return_index=True, return_inverse=True)`` exactly -- distinct rows in
+    lexicographic word order, ``first_index`` the first occurrence of each,
+    ``inverse`` flattened -- without the structured-void view and sort that
+    make ``np.unique(axis=0)`` slow on the many small per-cluster inputs.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    if words.ndim != 2 or words.shape[1] == 0:
+        raise ValueError(f"expected a 2-D word array, got shape {words.shape}")
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    starts = np.empty(order.shape[0], dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(order.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def extract_patterns(
     provides: np.ndarray, coverage: np.ndarray
 ) -> PatternSet:
@@ -127,7 +153,8 @@ def extract_patterns(
     ``provides`` and ``coverage`` are the boolean ``(n_sources, n_triples)``
     arrays of an observation matrix.  Columns are bit-packed (so a pattern is
     a short tuple of ``uint64`` words rather than an ``n_sources``-long
-    vector) and deduplicated with one ``np.unique`` pass.
+    vector) and deduplicated with one :func:`unique_rows` sort, so patterns
+    come out in lexicographic word order.
     """
     provides = np.asarray(provides, dtype=bool)
     coverage = np.asarray(coverage, dtype=bool)
@@ -136,24 +163,17 @@ def extract_patterns(
             f"provides {provides.shape} and coverage {coverage.shape} must be "
             "equal-shape 2-D arrays"
         )
-    n_triples = provides.shape[1]
     silent = coverage & ~provides
 
     # One packed row per *triple*: [provider words | silent words].
     combined = packed_pattern_rows(provides.T, silent.T)
-    _, first_index, inverse = np.unique(
-        combined, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
+    first_index, inverse = unique_rows(combined)
 
     provider_matrix = provides.T[first_index].copy()
     silent_matrix = silent.T[first_index].copy()
     provider_matrix.setflags(write=False)
     silent_matrix.setflags(write=False)
     counts = np.bincount(inverse, minlength=first_index.shape[0])
-
-    if n_triples == 0:
-        inverse = np.zeros(0, dtype=np.int64)
     return PatternSet(
         provider_matrix=provider_matrix,
         silent_matrix=silent_matrix,
@@ -173,9 +193,10 @@ def restricted_unique_patterns(
     patterns to one correlation cluster (``providers & cluster``,
     ``silent & cluster``) collapses many global patterns onto the same
     cluster-local sub-pattern, so each cluster's evaluator only needs to
-    score the distinct restrictions.  Deduplication hashes the bit-packed
-    member columns (one ``np.unique`` pass, same technique as
-    :func:`extract_patterns`).
+    score the distinct restrictions.  Deduplication packs only the member
+    columns and sorts them with :func:`unique_rows`, the same kernel as
+    :func:`extract_patterns`; this runs once per cluster per request, so
+    its per-call overhead matters more than its asymptotics.
 
     Returns ``(sub_providers, sub_silent, inverse)``: read-only boolean
     matrices of shape ``(n_subpatterns, n_sources)`` -- full source width,
@@ -213,18 +234,13 @@ def restricted_unique_patterns(
             sub_silent,
             np.zeros(n_patterns, dtype=np.int64),
         )
-    packed = np.concatenate(
-        [
-            pack_bool_rows(sub_providers[:, member_list]),
-            pack_bool_rows(sub_silent[:, member_list]),
-        ],
-        axis=1,
-    )
-    _, first_index, inverse = np.unique(
-        packed, axis=0, return_index=True, return_inverse=True
+    first_index, inverse = unique_rows(
+        packed_pattern_rows(
+            sub_providers[:, member_list], sub_silent[:, member_list]
+        )
     )
     unique_providers = sub_providers[first_index]
     unique_silent = sub_silent[first_index]
     unique_providers.setflags(write=False)
     unique_silent.setflags(write=False)
-    return unique_providers, unique_silent, inverse.reshape(-1)
+    return unique_providers, unique_silent, inverse

@@ -5,7 +5,9 @@ Three layers are exercised:
 - :mod:`repro.core.bitset` -- bit-packed rows must agree bit-for-bit with
   plain boolean reductions (popcounts, subset intersections, masked counts);
 - :mod:`repro.core.patterns` -- extracted unique patterns must reconstruct
-  the matrix exactly and cover every triple;
+  the matrix exactly and cover every triple, and the row-dedup kernel must
+  reproduce ``np.unique(axis=0)`` exactly (row order, first indices,
+  inverse), also for matrices wider than one 64-bit word;
 - the engines themselves -- property-based tests assert that the vectorized
   engine's scores match the legacy per-triple path within 1e-9 across full-
   and partial-coverage matrices for PrecRec, exact, aggressive, and elastic
@@ -37,6 +39,11 @@ from repro.core import (
     popcount,
 )
 from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES
+from repro.core.patterns import (
+    packed_pattern_rows,
+    restricted_unique_patterns,
+    unique_rows,
+)
 from repro.util.probability import probability_from_mu, probability_from_mu_array
 
 ENGINE_TOLERANCE = 1e-9
@@ -147,6 +154,68 @@ class TestBitset:
             pack_bool_vector(np.ones((2, 2), dtype=bool))
 
 
+class _ReadRecorder(np.ndarray):
+    """Word array that records which rows are read by integer index."""
+
+    rows_read: set
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            self.rows_read.add(int(key))
+        return super().__getitem__(key)
+
+
+def _assert_batch_matches_brute_force(packed, subsets):
+    batched = packed.and_reduce_batch(subsets)
+    assert batched.shape == (subsets.shape[0], packed.n_words)
+    for row in range(subsets.shape[0]):
+        ids = np.flatnonzero(subsets[row]).tolist()
+        assert np.array_equal(batched[row], packed.and_reduce(ids))
+    return batched
+
+
+class TestAndReduceBatchEdges:
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+    def test_all_empty_subsets_give_full_row_with_clean_tail(self, width):
+        rng = np.random.default_rng(width)
+        packed = PackedMatrix.from_bool(rng.random((5, width)) < 0.5)
+        batched = _assert_batch_matches_brute_force(
+            packed, np.zeros((3, 5), dtype=bool)
+        )
+        full = pack_bool_vector(np.ones(width, dtype=bool))
+        for row in batched:
+            assert np.array_equal(row, full)
+            assert popcount(row) == width
+
+    def test_subsets_selecting_only_the_last_row(self):
+        rng = np.random.default_rng(7)
+        matrix = rng.random((6, 130)) < 0.6
+        packed = PackedMatrix.from_bool(matrix)
+        subsets = np.zeros((4, 6), dtype=bool)
+        subsets[[0, 2], 5] = True
+        batched = _assert_batch_matches_brute_force(packed, subsets)
+        assert np.array_equal(batched[0], pack_bool_vector(matrix[5]))
+        assert np.array_equal(batched[1], packed.full_row())
+
+    def test_sources_never_selected_are_never_read(self):
+        rng = np.random.default_rng(11)
+        packed = PackedMatrix.from_bool(rng.random((32, 100)) < 0.7)
+        subsets = np.zeros((5, 32), dtype=bool)
+        subsets[0, [3, 17]] = True
+        subsets[1, [17, 31]] = True
+        subsets[3, 3] = True
+        expected = [
+            packed.and_reduce(np.flatnonzero(row).tolist()) for row in subsets
+        ]
+        recorder = packed.words.view(_ReadRecorder)
+        recorder.rows_read = set()
+        packed._words = recorder
+        batched = packed.and_reduce_batch(subsets)
+        assert recorder.rows_read == {3, 17, 31}
+        for row, want in zip(batched, expected):
+            assert np.array_equal(row, want)
+
+
 # ----------------------------------------------------------------------
 # Pattern layer
 # ----------------------------------------------------------------------
@@ -200,6 +269,169 @@ class TestPatterns:
         patterns = matrix.patterns()
         with pytest.raises(ValueError):
             patterns.scatter(np.zeros(patterns.n_patterns + 1))
+
+
+# ----------------------------------------------------------------------
+# Row-dedup kernel == np.unique(axis=0)
+# ----------------------------------------------------------------------
+
+#: Word values at and above 2**63 catch a signed comparison in the sort.
+_EDGE_WORDS = (0, 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
+
+
+@st.composite
+def word_rows(draw):
+    """A ``(n_rows, n_words)`` uint64 array drawn from a few distinct rows,
+    so duplicates are common; ``n_rows`` may be 0."""
+    n_words = draw(st.integers(1, 3))
+    n_distinct = draw(st.integers(1, 5))
+    word = st.one_of(st.sampled_from(_EDGE_WORDS), st.integers(0, 2**64 - 1))
+    pool = draw(
+        arrays(dtype=np.uint64, shape=(n_distinct, n_words), elements=word)
+    )
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), max_size=40))
+    return pool[np.asarray(picks, dtype=np.intp)]
+
+
+def _assert_matches_np_unique(words):
+    expected_rows, expected_first, expected_inverse = np.unique(
+        words, axis=0, return_index=True, return_inverse=True
+    )
+    first_index, inverse = unique_rows(words)
+    assert np.array_equal(first_index, expected_first)
+    assert np.array_equal(inverse, expected_inverse.reshape(-1))
+    assert np.array_equal(words[first_index], expected_rows)
+
+
+class TestUniqueRows:
+    @given(words=word_rows())
+    @settings(max_examples=200)
+    def test_matches_np_unique(self, words):
+        _assert_matches_np_unique(words)
+
+    @pytest.mark.parametrize("n_words", [1, 2, 3])
+    def test_zero_rows(self, n_words):
+        words = np.zeros((0, n_words), dtype=np.uint64)
+        _assert_matches_np_unique(words)
+        first_index, inverse = unique_rows(words)
+        assert first_index.shape == inverse.shape == (0,)
+
+    @pytest.mark.parametrize("n_words", [1, 2, 3])
+    def test_one_row(self, n_words):
+        words = np.full((1, n_words), 2**63, dtype=np.uint64)
+        _assert_matches_np_unique(words)
+
+    @pytest.mark.parametrize("n_words", [1, 2, 3])
+    def test_all_duplicate_rows(self, n_words):
+        words = np.full((9, n_words), 2**64 - 1, dtype=np.uint64)
+        first_index, inverse = unique_rows(words)
+        assert first_index.tolist() == [0]
+        assert inverse.tolist() == [0] * 9
+        _assert_matches_np_unique(words)
+
+    def test_high_bit_sorts_as_unsigned(self):
+        words = np.array([[2**63, 0], [1, 5], [2**63, 0], [1, 2**63]],
+                         dtype=np.uint64)
+        first_index, inverse = unique_rows(words)
+        assert first_index.tolist() == [1, 3, 0]
+        assert inverse.tolist() == [2, 0, 2, 1]
+        _assert_matches_np_unique(words)
+
+    def test_rejects_non_matrix_input(self):
+        with pytest.raises(ValueError):
+            unique_rows(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            unique_rows(np.zeros((4, 0), dtype=np.uint64))
+
+
+# ----------------------------------------------------------------------
+# Pattern layer on matrices wider than one 64-bit word
+# ----------------------------------------------------------------------
+
+
+def _wide_case(seed, n_sources=130, n_triples=600):
+    """Provides/coverage with many repeated columns over several words."""
+    rng = np.random.default_rng(seed)
+    templates = rng.random((n_sources, 40)) < 0.3
+    provides = templates[:, rng.integers(0, 40, n_triples)]
+    flips = rng.random((n_sources, n_triples)) < 0.002
+    provides = provides ^ flips
+    provides[:, ~provides.any(axis=0)] = True
+    coverage = provides | (rng.random((n_sources, 1)) < 0.8)
+    return provides, coverage
+
+
+def _restricted_by_np_unique(provider_matrix, silent_matrix, members):
+    """The ``np.unique(axis=0)`` formulation of restricted dedup."""
+    mask = np.zeros(provider_matrix.shape[1], dtype=bool)
+    mask[members] = True
+    sub_providers = provider_matrix & mask
+    sub_silent = silent_matrix & mask
+    packed = np.concatenate(
+        [
+            pack_bool_rows(sub_providers[:, members]),
+            pack_bool_rows(sub_silent[:, members]),
+        ],
+        axis=1,
+    )
+    _, first_index, inverse = np.unique(
+        packed, axis=0, return_index=True, return_inverse=True
+    )
+    return (
+        sub_providers[first_index],
+        sub_silent[first_index],
+        inverse.reshape(-1),
+    )
+
+
+class TestWidePatterns:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_extract_rebuilds_matrix_in_first_occurrence_order(self, seed):
+        provides, coverage = _wide_case(seed)
+        silent = coverage & ~provides
+        patterns = extract_patterns(provides, coverage)
+        combined = packed_pattern_rows(provides.T, silent.T)
+        assert combined.shape[1] == 6  # three words per side
+        assert 1 < patterns.n_patterns < provides.shape[1]
+        assert np.array_equal(
+            patterns.provider_matrix[patterns.inverse].T, provides
+        )
+        assert np.array_equal(patterns.silent_matrix[patterns.inverse].T, silent)
+        # Each pattern row is its first triple's column, and patterns are
+        # numbered exactly as np.unique(axis=0) numbers them.
+        first = np.array(
+            [np.flatnonzero(patterns.inverse == k)[0]
+             for k in range(patterns.n_patterns)]
+        )
+        assert np.array_equal(patterns.provider_matrix, provides.T[first])
+        assert np.array_equal(patterns.silent_matrix, silent.T[first])
+        _, expected_first, expected_inverse = np.unique(
+            combined, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(first, expected_first)
+        assert np.array_equal(patterns.inverse, expected_inverse.reshape(-1))
+
+    @pytest.mark.parametrize(
+        "members",
+        [[3, 63, 64, 70], [0, 64, 128, 129], list(range(0, 130, 2))],
+    )
+    def test_restricted_matches_np_unique_across_word_boundary(self, members):
+        provides, coverage = _wide_case(5)
+        patterns = extract_patterns(provides, coverage)
+        got = restricted_unique_patterns(
+            patterns.provider_matrix, patterns.silent_matrix, members
+        )
+        want = _restricted_by_np_unique(
+            patterns.provider_matrix, patterns.silent_matrix, members
+        )
+        assert got[0].shape[0] < patterns.n_patterns
+        for got_part, want_part in zip(got, want):
+            assert np.array_equal(got_part, want_part)
+        assert np.array_equal(
+            got[0][got[2]], patterns.provider_matrix & np.isin(
+                np.arange(provides.shape[0]), members
+            )
+        )
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ def test_applicable_rules_by_location():
     assert "REP004" not in applicable_rules("src/repro/eval/harness.py")
     assert "REP005" in applicable_rules("benchmarks/bench_serving.py")
     assert "REP005" not in applicable_rules("src/repro/core/plans.py")
+    assert "REP008" in applicable_rules("src/repro/core/plans.py")
     # Lock discipline is repo-wide.
     for path in ("src/repro/core/api.py", "tests/test_api.py", "x.py"):
         assert {"REP002", "REP003"} <= applicable_rules(path)
@@ -475,6 +476,56 @@ def test_rep007_allow_comment_suppresses():
         open(path, "wb")  # reprolint: allow[REP007]
     """
     assert _codes(src, PERSIST, rules=["REP007"]) == []
+
+
+# ----------------------------------------------------------------------
+# REP008 -- row dedup has one path
+# ----------------------------------------------------------------------
+
+PATTERNS = "src/repro/core/patterns.py"
+
+
+def test_rep008_scoped_to_core():
+    assert "REP008" in applicable_rules(PATTERNS)
+    assert "REP008" in applicable_rules("src/repro/core/api.py")
+    assert "REP008" not in applicable_rules("src/repro/eval/harness.py")
+    assert "REP008" not in applicable_rules("tests/test_pattern_engine.py")
+
+
+def test_rep008_flags_row_unique():
+    src = """
+    import numpy
+    import numpy as np
+
+    def f(words):
+        np.unique(words, axis=0)
+        np.unique(words, axis=0, return_index=True, return_inverse=True)
+        numpy.unique(words, return_inverse=True, axis=-1)
+        np.unique(words, True, True, False, 0)
+    """
+    assert _codes(src, PATTERNS, rules=["REP008"]) == ["REP008"] * 4
+
+
+def test_rep008_quiet_on_flat_unique_and_unique_rows():
+    src = """
+    import numpy as np
+    from repro.core.patterns import unique_rows
+
+    def f(words, columns):
+        np.unique(columns)
+        np.unique(columns, return_index=True, return_inverse=True)
+        np.unique(columns, axis=None)
+        first_index, inverse = unique_rows(words)
+    """
+    assert _codes(src, PATTERNS, rules=["REP008"]) == []
+
+
+def test_rep008_allow_comment_suppresses():
+    src = """
+    def f(words):
+        np.unique(words, axis=0)  # reprolint: allow[REP008]
+    """
+    assert _codes(src, PATTERNS, rules=["REP008"]) == []
 
 
 # ----------------------------------------------------------------------

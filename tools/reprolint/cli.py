@@ -28,7 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "Repo-specific invariant lint: deterministic accumulation "
             "(REP001), pickle-safe lock owners (REP002), guarded-by "
             "discipline (REP003), no module-global mutable state "
-            "(REP004), seeded benchmarks (REP005).  See "
+            "(REP004), seeded benchmarks (REP005), deliberate fault "
+            "barriers (REP006), atomic durable writes (REP007), one "
+            "row-dedup path (REP008).  See "
             "docs/static-analysis.md."
         ),
     )

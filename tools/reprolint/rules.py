@@ -16,6 +16,8 @@ REP006  broad ``except`` handlers in ``repro.core``/``repro.serve`` must
 REP007  no ad-hoc file writes in ``repro.persist`` outside the atomic
         module -- every durable byte goes through ``atomic_write`` /
         ``durable_write`` (fsync + temp-file + rename discipline)
+REP008  no ``np.unique(..., axis=...)`` in ``repro.core`` -- row dedup has
+        one path, :func:`repro.core.patterns.unique_rows`
 
 Suppression: a finding is silenced by ``# reprolint: allow`` (all rules)
 or ``# reprolint: allow[REP004]`` (listed rules) on the finding's line or
@@ -854,6 +856,49 @@ def check_rep007(module: _Module) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# REP008 -- row dedup has one path
+# ---------------------------------------------------------------------------
+
+#: Position of ``axis`` in ``np.unique(ar, return_index, return_inverse,
+#: return_counts, axis)``.
+_UNIQUE_AXIS_POSITION = 4
+
+
+def _is_none(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def check_rep008(module: _Module) -> list[Finding]:
+    """No ``np.unique(..., axis=...)`` row dedup in ``repro.core``.
+
+    ``np.unique(axis=0)`` sorts a structured-void view of the rows; on the
+    many small per-cluster inputs of the clustered route its per-call
+    overhead dominated the pattern layer.  Row dedup has one path,
+    ``repro.core.patterns.unique_rows`` (a lexsort over packed words with
+    the same output), so a ``unique`` call with a non-``None`` ``axis``
+    -- by keyword or in its fifth positional slot -- is a finding.
+    Flat ``np.unique(values)`` is fine.
+    """
+    findings = []
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call) or _call_name(node.func) != "unique":
+            continue
+        axes = [kw.value for kw in node.keywords if kw.arg == "axis"]
+        axes.extend(node.args[_UNIQUE_AXIS_POSITION : _UNIQUE_AXIS_POSITION + 1])
+        if any(not _is_none(axis) for axis in axes):
+            findings.append(
+                module.finding(
+                    node,
+                    "REP008",
+                    "`unique(..., axis=...)` row dedup; use "
+                    "repro.core.patterns.unique_rows, the one row-dedup "
+                    "kernel",
+                )
+            )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
 
@@ -866,6 +911,7 @@ RULE_CHECKERS: dict[str, Callable[[_Module], list[Finding]]] = {
     "REP005": check_rep005,
     "REP006": check_rep006,
     "REP007": check_rep007,
+    "REP008": check_rep008,
 }
 
 ALL_RULES = tuple(sorted(RULE_CHECKERS))
@@ -879,7 +925,7 @@ def applicable_rules(path: Union[str, Path]) -> frozenset[str]:
     REP005 to benchmark scripts; REP006 to the fault-tolerant layers
     (``repro/core``, ``repro/serve``, and ``repro/persist``); REP007 to
     ``repro/persist`` outside its atomic module (the only place allowed
-    to open files for writing).
+    to open files for writing); REP008 to ``repro/core``.
     """
     posix = str(path).replace("\\", "/")
     name = posix.rsplit("/", 1)[-1]
@@ -887,6 +933,7 @@ def applicable_rules(path: Union[str, Path]) -> frozenset[str]:
     if "repro/core/" in posix:
         rules.add("REP004")
         rules.add("REP006")
+        rules.add("REP008")
         if name in BIT_IDENTITY_MODULES:
             rules.add("REP001")
     if "repro/serve/" in posix:
