@@ -7,9 +7,11 @@ sharded execution subsystem (``repro/core/parallel.py``) end to end:
 - **exact / elastic** -- ``pattern_likelihoods_batch`` partitions the
   pattern matrices into word-aligned blocks and fans each block's
   collect/compile/evaluate/accumulate pipeline across the worker pool;
-- **clustered** -- the per-cluster batch evaluations (restriction,
-  union-plan build, model evaluation, log transform) fan out across the
-  pool, with the recombination kept serial in partition order.
+- **clustered** -- each per-cluster evaluator's stacked sub-pattern
+  batch (all its clusters, deduplicated together) is split into
+  word-aligned row blocks whose union-plan build, model evaluation and
+  accumulation fan out across the pool, with restriction, log transform
+  and recombination kept serial in partition order.
 
 Both pool backends are measured: **threads** (the default; the numpy
 popcount/gather/sweep kernels release the GIL) and **processes** (the

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Mapping, Optional, Sequence
+from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
 
 from repro.core.locktrace import make_lock
 
@@ -50,6 +50,9 @@ from repro.util.validation import check_accumulate
 
 Side = Literal["true", "false"]
 
+#: A per-cluster evaluator: exact for small clusters, elastic otherwise.
+ClusterEvaluator = Union[ExactCorrelationFuser, ElasticFuser]
+
 
 @lru_cache(maxsize=64)
 def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -61,40 +64,6 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     ii.setflags(write=False)
     jj.setflags(write=False)
     return ii, jj
-
-
-def _cluster_job(item: tuple) -> tuple:
-    """Worker-pool job: one (evaluator, cluster) decomposition + log tables.
-
-    A module-level function (not a closure) so the process backend can
-    pickle it.  ``item`` is ``(key, evaluator, cluster, patterns)``;
-    returns ``(key, (logs_true, logs_false, inverse))``.  Both sides' log
-    tables are built here (the batch entry points compute the true- and
-    false-side arrays together), with the same ``math.log`` element walk
-    as the serial path, so values are bit-identical.
-    """
-    key, evaluator, cluster, patterns = item
-    sub_providers, sub_silent, inverse = restricted_unique_patterns(
-        patterns.provider_matrix, patterns.silent_matrix, cluster
-    )
-    numerators, denominators = evaluator.pattern_likelihoods_batch(
-        sub_providers, sub_silent
-    )
-    logs_true = np.array(
-        [
-            math.log(max(value, PROBABILITY_FLOOR))
-            for value in numerators.tolist()
-        ],
-        dtype=float,
-    )
-    logs_false = np.array(
-        [
-            math.log(max(value, PROBABILITY_FLOOR))
-            for value in denominators.tolist()
-        ],
-        dtype=float,
-    )
-    return key, (logs_true, logs_false, inverse)
 
 
 @dataclass(frozen=True)
@@ -841,8 +810,9 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         forwarded to the per-cluster evaluators, bounding their joint and
         mu caches the same way.  On the vectorized
         engine every distinct global pattern is decomposed into per-cluster
-        sub-patterns, deduplicated within each cluster, and scored through
-        the evaluators' batched union plans (:meth:`pattern_mu_batch`); the
+        sub-patterns, deduplicated across all clusters of each evaluator,
+        and scored through one batched union plan per evaluator
+        (:meth:`pattern_mu_batch`); the
         legacy engine walks triples and consults the evaluators through the
         scalar pattern interface.
     accumulate:
@@ -860,14 +830,16 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         the log transform entirely.  ``0`` disables both layers.
     workers, shard_size, parallel_backend:
         Sharded execution -- see :class:`~repro.core.fusion.ModelBasedFuser`.
-        This fuser fans its per-cluster batch evaluations (restriction,
-        union-plan build, model evaluation, log transform) across the
-        worker pool; the per-pattern recombination then runs serially in
-        partition order, so scores stay bit-identical to the serial path.
-        The per-cluster evaluators themselves stay serial (no nested
-        sharding); the quality model may hold its own pool for batch
-        chunks, which is distinct from this fuser's and cannot deadlock
-        it.
+        Each per-cluster evaluator scores all its clusters as one stacked
+        sub-pattern batch (see :meth:`_compile_side_terms`); this fuser
+        splits that batch into word-aligned row blocks and runs them
+        across the worker pool (union-plan build, model evaluation,
+        accumulation per block), then concatenates the blocks and
+        recombines per-pattern scores serially in partition order, so
+        scores stay bit-identical to the serial path.  The per-cluster
+        evaluators themselves stay serial (no nested sharding); the
+        quality model may hold its own pool for batch chunks, which is
+        distinct from this fuser's and cannot deadlock it.
     significance_memo:
         Optional :class:`SignificanceMemo` consulted (and extended) by the
         partition discovery when partitions are not supplied -- the
@@ -967,7 +939,7 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
 
     def _make_evaluator(
         self, cluster: frozenset[int], exact_limit: int, level: int
-    ) -> ModelBasedFuser:
+    ) -> ClusterEvaluator:
         if len(cluster) <= exact_limit:
             # One exact evaluator serves every small cluster on both sides:
             # it is a pure function of the full model, so per-cluster
@@ -976,9 +948,10 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             # evaluator (its aggressive factors depend on the universe).
             if self._shared_exact is None:
                 # workers=1 pins the evaluator serial: this fuser already
-                # fans per-cluster jobs, and an ambient
-                # REPRO_DEFAULT_WORKERS must not nest a second sharding
-                # layer inside them (documented: evaluators stay serial).
+                # shards the evaluator's batches on its own pool, and an
+                # ambient REPRO_DEFAULT_WORKERS must not nest a second
+                # sharding layer inside them (documented: evaluators stay
+                # serial).
                 self._shared_exact = ExactCorrelationFuser(
                     self.model,
                     max_silent_sources=exact_limit,
@@ -990,8 +963,8 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             return self._shared_exact
         # An oversized cluster appearing in both partitions reuses one
         # elastic evaluator (its aggressive factors depend only on the
-        # cluster universe), so the per-(evaluator, cluster) batch memo in
-        # pattern_mu_batch also hits across sides.
+        # cluster universe), so _compile_side_terms scores the cluster once
+        # for both sides.
         evaluator = self._elastic_by_cluster.get(cluster)
         if evaluator is None:
             evaluator = ElasticFuser(
@@ -1001,7 +974,7 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                 max_cache_entries=self._max_cache,
                 accumulate=self._accumulate,
                 max_plan_cache_entries=self._max_plan_cache,
-                workers=1,  # serial: no nested sharding inside cluster jobs
+                workers=1,  # serial: no nested sharding inside its blocks
             )
             self._elastic_by_cluster[cluster] = evaluator
         return evaluator
@@ -1111,68 +1084,100 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         """Per-side ``(log-likelihood table, inverse index)`` term lists.
 
         Each distinct global pattern is decomposed into per-cluster
-        sub-patterns (``providers & cluster``, ``silent & cluster``); the
-        sub-patterns are deduplicated *within each cluster* (many global
-        patterns collapse onto the same cluster-local restriction), each
-        cluster's distinct sub-patterns are evaluated in one shot through
-        its evaluator's :meth:`pattern_likelihoods_batch` (the shared
-        :mod:`repro.core.plans` machinery), and the deduplicated
-        likelihoods are turned into ``math.log`` tables -- one
-        ``(logs, inverse)`` term per cluster, in partition order, the
-        true-side partition first.
+        sub-patterns (``providers & cluster``, ``silent & cluster``), and
+        the work is grouped by evaluator: all clusters one evaluator serves,
+        on either side, go through one :func:`restricted_unique_patterns`
+        pass that deduplicates their restrictions together into one shared
+        sub-pattern table; one :meth:`pattern_likelihoods_batch` call
+        evaluates that table (the shared :mod:`repro.core.plans`
+        machinery); and one ``math.log`` walk turns both sides'
+        likelihoods into log tables (:meth:`_evaluate_clusters`).  The
+        shared exact evaluator, which serves every cluster of at most
+        ``exact_cluster_limit`` sources, thus builds one union plan per
+        request; each oversized cluster's elastic evaluator serves its own
+        cluster.  Every cluster contributes one ``(logs, inverse)`` term --
+        its evaluator's table for the side, gathered through the cluster's
+        inverse -- in partition order, the true-side partition first.  The
+        evaluators are ``pattern_batch_invariant`` (each row's value
+        depends only on its own terms), so sharing a table changes no
+        value.
 
-        With a configured executor the per-(evaluator, cluster) jobs --
-        restriction, union-plan evaluation, and both log transforms -- run
-        across the worker pool; the assembly below then walks the
-        partitions in their original serial order, so the term lists (and
-        therefore the scores) are bit-identical to the serial walk.
+        With a configured executor each evaluator's stacked table is split
+        into word-aligned row blocks on this fuser's pool
+        (:meth:`_fan_pattern_blocks`); the evaluators themselves stay
+        serial, so sharding is single-level, and the concatenated blocks
+        equal the serial sweep bit for bit.
         """
-        # A cluster often appears in both partitions (sources correlated on
-        # both sides); the batch entry points compute the true- and
-        # false-side arrays together, so deduplicate per (evaluator,
-        # cluster) and evaluate each shared cluster once.
-        jobs: dict[
-            tuple[int, frozenset[int]],
-            tuple[ModelBasedFuser, frozenset[int]],
-        ] = {}
-        order: list[list[tuple[int, frozenset[int]]]] = [[], []]
         sides = (
-            (self._true_partition, self._true_evaluators, 0),
-            (self._false_partition, self._false_evaluators, 1),
+            (self._true_partition, self._true_evaluators),
+            (self._false_partition, self._false_evaluators),
         )
-        for partition, evaluators, side in sides:
+        # Evaluator id -> (evaluator, its clusters in first-seen order).  A
+        # cluster in both partitions is listed once: the batch entry points
+        # compute the true- and false-side arrays together.
+        groups: dict[
+            int, tuple[ClusterEvaluator, dict[frozenset[int], None]]
+        ] = {}
+        for partition, evaluators in sides:
             for cluster, evaluator in zip(partition.clusters, evaluators):
-                key = (id(evaluator), cluster)
-                jobs.setdefault(key, (evaluator, cluster))
-                order[side].append(key)
-        executor = self.executor
-        job_items = [
-            (key, evaluator, cluster, patterns)
-            for key, (evaluator, cluster) in jobs.items()
-        ]
-        if executor is not None:
-            results = dict(executor.map(_cluster_job, job_items))
-        else:
-            results = dict(_cluster_job(item) for item in job_items)
+                listed = groups.setdefault(id(evaluator), (evaluator, {}))[1]
+                listed[cluster] = None
+        tables = {
+            key: self._evaluate_clusters(evaluator, list(clusters), patterns)
+            for key, (evaluator, clusters) in groups.items()
+        }
         side_terms: tuple[
             list[tuple[np.ndarray, np.ndarray]],
             list[tuple[np.ndarray, np.ndarray]],
         ] = ([], [])
-        for side in (0, 1):
-            for key in order[side]:
-                logs_true, logs_false, inverse = results[key]
-                side_terms[side].append(
-                    (logs_true if side == 0 else logs_false, inverse)
-                )
+        for side, (partition, evaluators) in enumerate(sides):
+            for cluster, evaluator in zip(partition.clusters, evaluators):
+                logs, inverse_of = tables[id(evaluator)]
+                side_terms[side].append((logs[side], inverse_of[cluster]))
         return side_terms
+
+    def _evaluate_clusters(
+        self,
+        evaluator: ClusterEvaluator,
+        clusters: list[frozenset[int]],
+        patterns: PatternSet,
+    ) -> tuple[
+        tuple[np.ndarray, np.ndarray], dict[frozenset[int], np.ndarray]
+    ]:
+        """One evaluator's ``((logs_true, logs_false), inverse by cluster)``.
+
+        One restriction pass, one likelihood evaluation of the shared
+        sub-pattern table, and one ``math.log`` walk over both sides'
+        values.
+        """
+        sub_providers, sub_silent, inverses = restricted_unique_patterns(
+            patterns.provider_matrix, patterns.silent_matrix, clusters
+        )
+        likelihoods = self._fan_pattern_blocks(
+            sub_providers, sub_silent, evaluator
+        )
+        if likelihoods is None:
+            likelihoods = evaluator.pattern_likelihoods_batch(
+                sub_providers, sub_silent
+            )
+        logs = np.array(
+            [
+                math.log(max(value, PROBABILITY_FLOOR))
+                for value in np.concatenate(likelihoods).tolist()
+            ],
+            dtype=float,
+        )
+        n_rows = sub_providers.shape[0]
+        return (logs[:n_rows], logs[n_rows:]), dict(zip(clusters, inverses))
 
     def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
         """Every distinct pattern's ``mu`` through the batched union plans.
 
         The compile step (:meth:`_compile_side_terms`) decomposes the
-        global patterns per cluster, runs the per-cluster batched union
-        plans, and freezes the results into per-cluster log-likelihood
-        tables; it is memoised in the digest-keyed plan cache, so repeated
+        global patterns per cluster, runs one batched union plan per
+        evaluator over all its clusters, and freezes the results into
+        per-evaluator log-likelihood tables with per-cluster inverses; it
+        is memoised in the digest-keyed plan cache, so repeated
         ``score`` calls over the same pattern set -- the serving case --
         skip restriction, collection, compilation, model evaluation, and
         the log transform.  The execute step recombines per-pattern ``mu``

@@ -250,8 +250,8 @@ class ElasticFuser(ModelBasedFuser):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Floored ``(R, Q)`` of Algorithm 1 for many patterns at once.
 
-        The batch entry point the clustered fuser drives once per oversized
-        correlation cluster: rows of ``provider_matrix`` / ``silent_matrix``
+        The batch entry point the clustered fuser drives once per request
+        for its oversized correlation cluster: rows of ``provider_matrix`` / ``silent_matrix``
         (boolean, ``(n_patterns, n_sources)``; set only on this fuser's
         universe) are evaluated through the shared
         :class:`~repro.core.plans.ElasticUnionPlan` -- base sets and every

@@ -221,19 +221,25 @@ class ModelBasedFuser(TruthFuser):
         return self._executor
 
     def _fan_pattern_blocks(
-        self, provider_matrix: np.ndarray, silent_matrix: np.ndarray
+        self,
+        provider_matrix: np.ndarray,
+        silent_matrix: np.ndarray,
+        evaluator: Optional["ModelBasedFuser"] = None,
     ) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Sharded ``(numerators, denominators)``, or ``None`` to run serial.
 
         The shared fan-out of the exact and elastic batch entry points:
         partition the pattern matrices into word-aligned blocks, run each
-        block's ``_likelihoods_block`` pipeline on the pool, and merge the
+        block through ``evaluator``'s ``_likelihoods_block`` pipeline
+        (default: this fuser's own) on this fuser's pool, and merge the
         per-block results by concatenation -- bit-identical to the serial
         sweep, since every pattern's likelihoods depend only on its own
-        terms.  ``None`` when no executor is configured or the plan is a
-        single shard (callers then run their unsharded path, keeping the
-        one-shard case free of dispatch overhead and byte-identical in
-        cache keying to the serial configuration).
+        terms.  The clustered fuser passes its serial per-cluster
+        evaluators, so their batches shard on its pool.  ``None`` when no
+        executor is configured or the plan is a single shard (callers then
+        run their unsharded path, keeping the one-shard case free of
+        dispatch overhead and byte-identical in cache keying to the serial
+        configuration).
         """
         executor = self._executor
         if executor is None:
@@ -245,7 +251,7 @@ class ModelBasedFuser(TruthFuser):
             _likelihoods_block_job,
             [
                 (
-                    self,
+                    self if evaluator is None else evaluator,
                     provider_matrix[shard.start : shard.stop],
                     silent_matrix[shard.start : shard.stop],
                 )

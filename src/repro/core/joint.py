@@ -553,7 +553,7 @@ class EmpiricalJointModel(JointQualityModel):
         results stay bit-identical to the serial sweep.  ``None`` consults
         ``REPRO_DEFAULT_WORKERS`` (library default: 1, serial).  The model
         owns its own pool, distinct from any fuser's, so nested dispatch
-        (a cluster job requesting a batch) cannot deadlock.
+        (a fuser's block job requesting a batch) cannot deadlock.
     """
 
     def __init__(

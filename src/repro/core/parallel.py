@@ -35,8 +35,8 @@ calls (the serving loop dispatches thousands of times through one pool).
 ``workers=1`` never creates a pool -- every map runs inline, which is also
 the deterministic reference the equivalence tests compare against.  Pools
 are owned per component (a fuser's executor and a quality model's executor
-are distinct), so a cluster job blocking on a model batch call can never
-deadlock the pool it runs on.
+are distinct), so a fuser's block job blocking on a model batch call can
+never deadlock the pool it runs on.
 
 ``close()`` shuts a pool down explicitly (pools are context managers, and
 ``ScoringSession.refit`` closes the retired fuser's and model's pools).
@@ -579,8 +579,9 @@ class ShardedExecutor:
 
     The dispatch object every parallel component holds: the fusers shard
     their pattern matrices through :meth:`shards` and fan per-shard jobs
-    with :meth:`map`; the clustered fuser fans its per-cluster batch calls;
-    the empirical joint model fans its batch-evaluation chunks.  Results
+    with :meth:`map`; the clustered fuser shards each per-cluster
+    evaluator's stacked sub-pattern batch the same way; the empirical
+    joint model fans its batch-evaluation chunks.  Results
     always come back in submission order, so merging is a concatenation
     and scores stay bit-identical to the serial path.
     """

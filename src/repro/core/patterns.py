@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -182,27 +182,41 @@ def extract_patterns(
     )
 
 
+#: Upper bound on the ``uint64`` words :func:`restricted_unique_patterns`
+#: stacks before it deduplicates (32 MiB).  Wide inputs with many clusters
+#: are restricted in cluster blocks of at most this size and the blocks'
+#: distinct rows merged by a second sort, so memory stays bounded without
+#: changing the result.
+RESTRICT_BLOCK_WORDS = 1 << 22
+
+
 def restricted_unique_patterns(
     provider_matrix: np.ndarray,
     silent_matrix: np.ndarray,
-    member_ids: Iterable[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct sub-patterns after restricting patterns to ``member_ids``.
+    clusters: Sequence[Iterable[int]],
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Distinct sub-patterns after restricting patterns to each cluster.
 
     The clustered fuser's decomposition step: restricting global observation
-    patterns to one correlation cluster (``providers & cluster``,
+    patterns to a correlation cluster (``providers & cluster``,
     ``silent & cluster``) collapses many global patterns onto the same
-    cluster-local sub-pattern, so each cluster's evaluator only needs to
-    score the distinct restrictions.  Deduplication packs only the member
-    columns and sorts them with :func:`unique_rows`, the same kernel as
-    :func:`extract_patterns`; this runs once per cluster per request, so
-    its per-call overhead matters more than its asymptotics.
+    cluster-local sub-pattern, so an evaluator only needs to score the
+    distinct restrictions.  All clusters one evaluator serves are handled in
+    one pass: each cluster's restriction is a bitwise AND of the packed
+    ``[provider | silent]`` pattern words (:func:`packed_pattern_rows`) with
+    the cluster's packed mask, and one :func:`unique_rows` sort over every
+    cluster's restricted rows, stacked in cluster order, deduplicates them
+    together -- equal to ``np.unique(stacked, axis=0, return_index=True,
+    return_inverse=True)`` exactly.  (Above :data:`RESTRICT_BLOCK_WORDS`
+    the stack is sorted in cluster blocks whose distinct rows are merged by
+    a second sort, which yields the same result.)
 
-    Returns ``(sub_providers, sub_silent, inverse)``: read-only boolean
-    matrices of shape ``(n_subpatterns, n_sources)`` -- full source width,
-    zero outside ``member_ids`` -- plus the inverse index mapping every
-    input pattern to its sub-pattern (``values[inverse]`` scatters
-    per-sub-pattern results back to patterns).
+    Returns ``(sub_providers, sub_silent, inverses)``: one shared table of
+    read-only boolean matrices of shape ``(n_subpatterns, n_sources)`` --
+    full source width, each row zero outside the cluster it came from --
+    plus one inverse index per cluster, in cluster order, mapping every
+    input pattern to its restriction's row (``values[inverses[c]]``
+    scatters per-sub-pattern results back to patterns for cluster ``c``).
     """
     provider_matrix = np.asarray(provider_matrix, dtype=bool)
     silent_matrix = np.asarray(silent_matrix, dtype=bool)
@@ -212,35 +226,66 @@ def restricted_unique_patterns(
             "must be equal-shape 2-D arrays"
         )
     n_patterns, n_sources = provider_matrix.shape
-    member_list = sorted({int(i) for i in member_ids})
-    if member_list and not 0 <= member_list[0] <= member_list[-1] < n_sources:
-        raise ValueError(
-            f"member ids {member_list} out of range for {n_sources} sources"
-        )
-    mask = np.zeros(n_sources, dtype=bool)
-    mask[member_list] = True
-    sub_providers = provider_matrix & mask
-    sub_silent = silent_matrix & mask
-    if n_patterns == 0 or not member_list:
-        # No patterns, or an empty restriction: every pattern collapses onto
-        # the all-silent-empty sub-pattern (at most one distinct row).
-        keep = min(n_patterns, 1)
-        sub_providers = sub_providers[:keep]
-        sub_silent = sub_silent[:keep]
-        sub_providers.setflags(write=False)
-        sub_silent.setflags(write=False)
-        return (
-            sub_providers,
-            sub_silent,
-            np.zeros(n_patterns, dtype=np.int64),
-        )
-    first_index, inverse = unique_rows(
-        packed_pattern_rows(
-            sub_providers[:, member_list], sub_silent[:, member_list]
-        )
+    masks = np.zeros((len(clusters), n_sources), dtype=bool)
+    for mask, cluster in zip(masks, clusters):
+        members = np.fromiter((int(i) for i in cluster), dtype=np.intp)
+        if members.size and not (
+            0 <= members.min() and members.max() < n_sources
+        ):
+            raise ValueError(
+                f"member ids {sorted(members.tolist())} out of range for "
+                f"{n_sources} sources"
+            )
+        mask[members] = True
+    words = packed_pattern_rows(provider_matrix, silent_matrix)
+    mask_words = packed_pattern_rows(masks, masks)
+    if n_patterns == 0 or not len(clusters):
+        first_index = np.zeros(0, dtype=np.intp)
+        inverse = np.zeros(len(clusters) * n_patterns, dtype=np.intp)
+    else:
+        first_index, inverse = _stacked_unique_rows(words, mask_words)
+    cluster_of, pattern_of = np.divmod(first_index, max(n_patterns, 1))
+    sub_providers = provider_matrix[pattern_of] & masks[cluster_of]
+    sub_silent = silent_matrix[pattern_of] & masks[cluster_of]
+    sub_providers.setflags(write=False)
+    sub_silent.setflags(write=False)
+    return (
+        sub_providers,
+        sub_silent,
+        list(inverse.reshape(len(clusters), n_patterns)),
     )
-    unique_providers = sub_providers[first_index]
-    unique_silent = sub_silent[first_index]
-    unique_providers.setflags(write=False)
-    unique_silent.setflags(write=False)
-    return unique_providers, unique_silent, inverse
+
+
+def _stacked_unique_rows(
+    words: np.ndarray, mask_words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`unique_rows` of ``words & mask`` stacked over every mask row.
+
+    Clusters are restricted and sorted in blocks of at most
+    :data:`RESTRICT_BLOCK_WORDS` words.  With more than one block, a second
+    sort over the blocks' distinct rows merges them: it keeps rows in
+    lexicographic order, and since each block reports a row's first
+    occurrence within it and blocks come in cluster order, the merged first
+    indices are the first occurrences in the whole stack.
+    """
+    n_patterns = words.shape[0]
+    per_block = max(1, RESTRICT_BLOCK_WORDS // words.size)
+    firsts: list[np.ndarray] = []
+    inverses: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    n_distinct = 0
+    for start in range(0, mask_words.shape[0], per_block):
+        block = mask_words[start : start + per_block, None, :] & words
+        block = block.reshape(-1, words.shape[1])
+        first, inverse = unique_rows(block)
+        firsts.append(first + start * n_patterns)
+        inverses.append(inverse + n_distinct)
+        rows.append(block[first])
+        n_distinct += first.shape[0]
+    if len(firsts) == 1:
+        return firsts[0], inverses[0]
+    merged_first, merged_inverse = unique_rows(np.concatenate(rows))
+    return (
+        np.concatenate(firsts)[merged_first],
+        merged_inverse[np.concatenate(inverses)],
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core import (
     ClusteredCorrelationFuser,
     ExactCorrelationFuser,
     IndependentJointModel,
+    ObservationMatrix,
     SourcePartition,
     SourceQuality,
     correlation_clusters,
@@ -17,7 +20,12 @@ from repro.core import (
     pairwise_correlations,
     pairwise_phi,
 )
+from repro.core import fusion as fusion_module
+from repro.core.api import ScoringSession
+from repro.core.elastic import ElasticFuser
+from repro.core.plans import ElasticUnionPlan, ExactUnionPlan
 from repro.data import CorrelationGroup, SyntheticConfig, generate, uniform_sources
+from repro.util.probability import PROBABILITY_FLOOR
 
 
 def correlated_dataset(seed=0, strength=0.95):
@@ -259,3 +267,171 @@ class TestClusteredFuser:
             vectorized.score(dataset.observations),
             legacy.score(dataset.observations),
         )
+
+
+def _random_partition(rng, sources):
+    """Shuffle ``sources`` and cut them into clusters of 1-4 sources."""
+    order = rng.permutation(sources).tolist()
+    clusters = []
+    while order:
+        size = int(rng.integers(1, 5))
+        clusters.append(frozenset(order[:size]))
+        order = order[size:]
+    return clusters
+
+
+def _per_cluster_mu(fuser, patterns):
+    """Reference ``mu``: one evaluator call per cluster and side.
+
+    Restricts the global patterns to each cluster on its own, dedups them
+    with ``np.unique``, evaluates them with one ``pattern_likelihoods_batch``
+    call, and adds the per-cluster ``math.log`` terms in partition order.
+    """
+    sources = np.arange(patterns.n_sources)
+
+    def side_logs(partition, evaluators, side):
+        total = np.zeros(patterns.n_patterns)
+        for cluster, evaluator in zip(partition.clusters, evaluators):
+            mask = np.isin(sources, sorted(cluster))
+            sub_providers = patterns.provider_matrix & mask
+            sub_silent = patterns.silent_matrix & mask
+            _, first, inverse = np.unique(
+                np.concatenate([sub_providers, sub_silent], axis=1),
+                axis=0, return_index=True, return_inverse=True,
+            )
+            values = evaluator.pattern_likelihoods_batch(
+                sub_providers[first], sub_silent[first]
+            )[side]
+            logs = np.array(
+                [math.log(max(v, PROBABILITY_FLOOR)) for v in values.tolist()]
+            )
+            total += logs[inverse.reshape(-1)]
+        return total
+
+    numerator = side_logs(fuser.true_partition, fuser._true_evaluators, 0)
+    denominator = side_logs(fuser.false_partition, fuser._false_evaluators, 1)
+    return np.array([math.exp(v) for v in (numerator - denominator).tolist()])
+
+
+class TestEvaluatorGroupedScoring:
+    """One stacked batch per evaluator equals one call per cluster."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("exact_cluster_limit", [2, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_per_cluster_reference(
+        self, seed, exact_cluster_limit, workers, monkeypatch
+    ):
+        rng = np.random.default_rng(seed)
+        n_sources = 14
+        config = SyntheticConfig(
+            sources=uniform_sources(n_sources, precision=0.7, recall=0.45),
+            n_triples=900,
+            true_fraction=0.5,
+            groups=(
+                CorrelationGroup(members=(0, 1, 2), mode="overlap_true"),
+                CorrelationGroup(members=(5, 6, 7, 8), mode="overlap_false"),
+            ),
+        )
+        generated = generate(config, seed=seed)
+        # Partial coverage: silent and not-covering are distinct states.
+        provides = generated.observations.provides
+        observations = ObservationMatrix(
+            provides,
+            generated.observations.source_names,
+            coverage=provides | (rng.random(provides.shape) < 0.7),
+        )
+        model = fit_model(observations, generated.labels)
+        # The partitions differ, but share one five-source cluster, so an
+        # elastic evaluator serves a cluster on both sides.
+        shared = frozenset(rng.choice(n_sources, 5, replace=False).tolist())
+        rest = sorted(set(range(n_sources)) - shared)
+        true_partition = SourcePartition(
+            clusters=(shared, *_random_partition(rng, rest))
+        )
+        false_partition = SourcePartition(
+            clusters=(*_random_partition(rng, rest), shared)
+        )
+        assert true_partition != false_partition
+        kwargs = dict(
+            true_partition=true_partition,
+            false_partition=false_partition,
+            exact_cluster_limit=exact_cluster_limit,
+        )
+        block_jobs = []
+        real_block_job = fusion_module._likelihoods_block_job
+        monkeypatch.setattr(
+            fusion_module,
+            "_likelihoods_block_job",
+            lambda job: block_jobs.append(1) or real_block_job(job),
+        )
+        fuser = ClusteredCorrelationFuser(model, workers=workers, **kwargs)
+        reference = ClusteredCorrelationFuser(model, workers=1, **kwargs)
+        if exact_cluster_limit == 2:
+            assert any(
+                isinstance(e, ElasticFuser) for e in fuser._true_evaluators
+            )
+        try:
+            patterns = observations.patterns()
+            mu = fuser.pattern_mu_batch(patterns)
+            assert np.array_equal(mu, _per_cluster_mu(reference, patterns))
+            np.testing.assert_array_equal(
+                fuser.score(observations),
+                ClusteredCorrelationFuser(
+                    model, engine="legacy", workers=1, **kwargs
+                ).score(observations),
+            )
+        finally:
+            fuser.close()
+        # workers=2 really shards the stacked batches on the fuser's pool.
+        assert (len(block_jobs) > 1) == (workers == 2)
+
+    @pytest.mark.parametrize("exact_cluster_limit", [2, 12])
+    def test_one_plan_build_per_evaluator(
+        self, exact_cluster_limit, monkeypatch
+    ):
+        config = SyntheticConfig(
+            sources=uniform_sources(32, precision=0.7, recall=0.5),
+            n_triples=600,
+            true_fraction=0.5,
+            groups=(
+                CorrelationGroup(members=(0, 1, 2, 3), mode="overlap_true"),
+                CorrelationGroup(members=(6, 7, 8), mode="overlap_false"),
+                CorrelationGroup(
+                    members=(12, 13, 14, 15, 16), mode="overlap_true"
+                ),
+            ),
+        )
+        dataset = generate(config, seed=4)
+        session = ScoringSession(
+            dataset.observations,
+            dataset.labels,
+            method="precreccorr",
+            workers=1,
+            exact_cluster_limit=exact_cluster_limit,
+        )
+        builds = {"exact": 0, "elastic": 0}
+        plans = (("exact", ExactUnionPlan), ("elastic", ElasticUnionPlan))
+        for kind, plan in plans:
+            real_build = plan.build.__func__
+
+            def counted(cls, *args, _kind=kind, _build=real_build, **kw):
+                builds[_kind] += 1
+                return _build(cls, *args, **kw)
+
+            monkeypatch.setattr(plan, "build", classmethod(counted))
+        try:
+            fuser = session.fuser
+            assert isinstance(fuser, ClusteredCorrelationFuser)
+            n_clusters = len(fuser.true_partition.clusters) + len(
+                fuser.false_partition.clusters
+            )
+            n_elastic = len(fuser.elastic_evaluators())
+            assert n_clusters > 2 + n_elastic
+            session.score(dataset.observations)
+        finally:
+            session.close()
+        assert builds["exact"] == 1
+        assert builds["elastic"] <= n_elastic
+        if exact_cluster_limit == 2:
+            assert n_elastic >= 1 and builds["elastic"] >= 1

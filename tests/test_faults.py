@@ -280,9 +280,11 @@ class TestWorkerPoolSupervision:
             session.close()
         assert stats["pool"]["workers"] == 2
         assert stats["pool"]["restarts"] == 0
+        # Pinned: an ambient REPRO_DEFAULT_WORKERS must not give the serial
+        # session a pool.
         serial = ScoringSession(
             dataset.observations, dataset.labels, method="exact",
-            micro_batch="off",
+            workers=1, micro_batch="off",
         )
         try:
             assert "pool" not in serial.cache_stats()

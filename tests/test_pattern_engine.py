@@ -16,6 +16,8 @@ Three layers are exercised:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,6 +40,7 @@ from repro.core import (
     pack_bool_vector,
     popcount,
 )
+from repro.core import patterns as patterns_module
 from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES
 from repro.core.patterns import (
     packed_pattern_rows,
@@ -361,26 +364,32 @@ def _wide_case(seed, n_sources=130, n_triples=600):
     return provides, coverage
 
 
-def _restricted_by_np_unique(provider_matrix, silent_matrix, members):
-    """The ``np.unique(axis=0)`` formulation of restricted dedup."""
-    mask = np.zeros(provider_matrix.shape[1], dtype=bool)
-    mask[members] = True
-    sub_providers = provider_matrix & mask
-    sub_silent = silent_matrix & mask
-    packed = np.concatenate(
+def _cluster_masks(n_sources, clusters):
+    masks = np.zeros((len(clusters), n_sources), dtype=bool)
+    for mask, members in zip(masks, clusters):
+        mask[list(members)] = True
+    return masks
+
+
+def _restricted_by_np_unique(provider_matrix, silent_matrix, clusters):
+    """The ``np.unique(axis=0)`` formulation of restricted dedup: every
+    cluster's restricted rows, packed and stacked in cluster order."""
+    n_patterns, n_sources = provider_matrix.shape
+    masks = _cluster_masks(n_sources, clusters)
+    stacked = np.concatenate(
         [
-            pack_bool_rows(sub_providers[:, members]),
-            pack_bool_rows(sub_silent[:, members]),
-        ],
-        axis=1,
+            packed_pattern_rows(provider_matrix & mask, silent_matrix & mask)
+            for mask in masks
+        ]
     )
     _, first_index, inverse = np.unique(
-        packed, axis=0, return_index=True, return_inverse=True
+        stacked, axis=0, return_index=True, return_inverse=True
     )
+    cluster_of, pattern_of = np.divmod(first_index, n_patterns)
     return (
-        sub_providers[first_index],
-        sub_silent[first_index],
-        inverse.reshape(-1),
+        provider_matrix[pattern_of] & masks[cluster_of],
+        silent_matrix[pattern_of] & masks[cluster_of],
+        list(inverse.reshape(len(clusters), n_patterns)),
     )
 
 
@@ -418,20 +427,109 @@ class TestWidePatterns:
     def test_restricted_matches_np_unique_across_word_boundary(self, members):
         provides, coverage = _wide_case(5)
         patterns = extract_patterns(provides, coverage)
-        got = restricted_unique_patterns(
-            patterns.provider_matrix, patterns.silent_matrix, members
+        single = restricted_unique_patterns(
+            patterns.provider_matrix, patterns.silent_matrix, [members]
         )
-        want = _restricted_by_np_unique(
-            patterns.provider_matrix, patterns.silent_matrix, members
-        )
-        assert got[0].shape[0] < patterns.n_patterns
-        for got_part, want_part in zip(got, want):
-            assert np.array_equal(got_part, want_part)
-        assert np.array_equal(
-            got[0][got[2]], patterns.provider_matrix & np.isin(
-                np.arange(provides.shape[0]), members
+        assert single[0].shape[0] < patterns.n_patterns
+        # Alone, and stacked with clusters that overlap it and each other.
+        for clusters in ([members], [[1, 64], members, [64, 65, 129], [3]]):
+            got = restricted_unique_patterns(
+                patterns.provider_matrix, patterns.silent_matrix, clusters
             )
+            want = _restricted_by_np_unique(
+                patterns.provider_matrix, patterns.silent_matrix, clusters
+            )
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert len(got[2]) == len(want[2]) == len(clusters)
+            for got_inverse, want_inverse in zip(got[2], want[2]):
+                assert np.array_equal(got_inverse, want_inverse)
+            slot = clusters.index(members)
+            assert np.array_equal(
+                got[0][got[2][slot]], patterns.provider_matrix & np.isin(
+                    np.arange(provides.shape[0]), members
+                )
+            )
+
+
+@st.composite
+def restriction_cases(draw):
+    """(provider, silent, clusters): repeated patterns up to 140 sources,
+    0-40 patterns, 1-6 clusters that may overlap, be empty or repeat."""
+    n_sources = draw(st.sampled_from([1, 5, 63, 64, 65, 140]))
+    n_patterns = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.5]))
+    templates = rng.random((4, 2, n_sources)) < density
+    rows = templates[rng.integers(0, 4, n_patterns)]
+    rows ^= rng.random(rows.shape) < 0.02
+    provider_matrix = rows[:, 0]
+    silent_matrix = rows[:, 1] & ~provider_matrix
+    source = st.integers(0, n_sources - 1)
+    clusters = draw(
+        st.lists(
+            st.lists(source, unique=True, max_size=70), min_size=1, max_size=6
         )
+    )
+    return provider_matrix, silent_matrix, clusters
+
+
+class TestRestrictedUniquePatterns:
+    @given(
+        case=restriction_cases(), block_words=st.sampled_from([None, 1, 9, 200])
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cluster_restriction_and_np_unique(
+        self, case, block_words
+    ):
+        provider_matrix, silent_matrix, clusters = case
+        limit = (
+            patterns_module.RESTRICT_BLOCK_WORDS
+            if block_words is None
+            else block_words
+        )
+        with mock.patch.object(patterns_module, "RESTRICT_BLOCK_WORDS", limit):
+            sub_providers, sub_silent, inverses = restricted_unique_patterns(
+                provider_matrix, silent_matrix, clusters
+            )
+            words = packed_pattern_rows(provider_matrix, silent_matrix)
+            masks = _cluster_masks(provider_matrix.shape[1], clusters)
+            stacked_first = stacked_inverse = None
+            if provider_matrix.shape[0]:
+                stacked_first, stacked_inverse = (
+                    patterns_module._stacked_unique_rows(
+                        words, packed_pattern_rows(masks, masks)
+                    )
+                )
+        assert len(inverses) == len(clusters)
+        for mask, inverse in zip(masks, inverses):
+            assert np.array_equal(
+                sub_providers[inverse], provider_matrix & mask
+            )
+            assert np.array_equal(sub_silent[inverse], silent_matrix & mask)
+        table = packed_pattern_rows(sub_providers, sub_silent)
+        assert len(np.unique(table, axis=0)) == table.shape[0]
+        if provider_matrix.shape[0] == 0:
+            assert table.shape[0] == 0
+            assert all(inverse.shape == (0,) for inverse in inverses)
+            return
+        mask_words = packed_pattern_rows(masks, masks)
+        stacked = np.concatenate([words & mask_row for mask_row in mask_words])
+        _, first_index, inverse = np.unique(
+            stacked, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(stacked_first, first_index)
+        assert np.array_equal(stacked_inverse, inverse.reshape(-1))
+        assert np.array_equal(np.concatenate(inverses), inverse.reshape(-1))
+        assert np.array_equal(table, stacked[first_index])
+
+    def test_no_clusters(self):
+        patterns = np.zeros((3, 4), dtype=bool)
+        sub_providers, sub_silent, inverses = restricted_unique_patterns(
+            patterns, patterns, []
+        )
+        assert sub_providers.shape == sub_silent.shape == (0, 4)
+        assert inverses == []
 
 
 # ----------------------------------------------------------------------

@@ -204,41 +204,52 @@ class TestRestrictedUniquePatterns:
     def test_restriction_reconstructs_through_inverse(self):
         dataset = _dataset(seed=26)
         patterns = dataset.observations.patterns()
-        members = [0, 2, 3]
-        sub_providers, sub_silent, inverse = restricted_unique_patterns(
-            patterns.provider_matrix, patterns.silent_matrix, members
+        clusters = [[0, 2, 3], [1, 4], [2]]
+        sub_providers, sub_silent, inverses = restricted_unique_patterns(
+            patterns.provider_matrix, patterns.silent_matrix, clusters
         )
-        mask = np.zeros(patterns.n_sources, dtype=bool)
-        mask[members] = True
-        assert np.array_equal(
-            sub_providers[inverse], patterns.provider_matrix & mask
-        )
-        assert np.array_equal(
-            sub_silent[inverse], patterns.silent_matrix & mask
-        )
+        assert len(inverses) == len(clusters)
+        for members, inverse in zip(clusters, inverses):
+            mask = np.zeros(patterns.n_sources, dtype=bool)
+            mask[members] = True
+            assert np.array_equal(
+                sub_providers[inverse], patterns.provider_matrix & mask
+            )
+            assert np.array_equal(
+                sub_silent[inverse], patterns.silent_matrix & mask
+            )
         # Deduplication: sub-pattern rows must be pairwise distinct.
         combined = np.concatenate([sub_providers, sub_silent], axis=1)
         assert len(np.unique(combined, axis=0)) == combined.shape[0]
         # Restriction collapses patterns, never multiplies them.
-        assert sub_providers.shape[0] <= patterns.n_patterns
+        assert sub_providers.shape[0] <= len(clusters) * patterns.n_patterns
+        single = restricted_unique_patterns(
+            patterns.provider_matrix, patterns.silent_matrix, clusters[:1]
+        )
+        assert single[0].shape[0] <= patterns.n_patterns
 
     def test_empty_member_set_collapses_to_one_subpattern(self):
         dataset = _dataset(seed=27, n_triples=15)
         patterns = dataset.observations.patterns()
-        sub_providers, sub_silent, inverse = restricted_unique_patterns(
-            patterns.provider_matrix, patterns.silent_matrix, []
+        sub_providers, sub_silent, inverses = restricted_unique_patterns(
+            patterns.provider_matrix, patterns.silent_matrix, [[], []]
         )
         assert sub_providers.shape == (1, patterns.n_sources)
         assert not sub_providers.any() and not sub_silent.any()
-        assert np.array_equal(inverse, np.zeros(patterns.n_patterns))
+        for inverse in inverses:
+            assert np.array_equal(inverse, np.zeros(patterns.n_patterns))
 
     def test_out_of_range_members_rejected(self):
         patterns = np.zeros((2, 3), dtype=bool)
         with pytest.raises(ValueError, match="out of range"):
-            restricted_unique_patterns(patterns, patterns, [5])
+            restricted_unique_patterns(patterns, patterns, [[0], [5]])
+        with pytest.raises(ValueError, match="out of range"):
+            restricted_unique_patterns(patterns, patterns, [[-1]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-shape"):
             restricted_unique_patterns(
-                np.zeros((2, 3), dtype=bool), np.zeros((2, 4), dtype=bool), [0]
+                np.zeros((2, 3), dtype=bool),
+                np.zeros((2, 4), dtype=bool),
+                [[0]],
             )
