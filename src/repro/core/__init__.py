@@ -61,7 +61,6 @@ from repro.core.plans import (
     ElasticUnionPlan,
     ExactUnionPlan,
     PatternValueMemo,
-    UnionCollector,
     pattern_digest,
     pattern_row_keys,
 )
@@ -171,7 +170,6 @@ __all__ = [
     "Triple",
     "TripleIndex",
     "TruthFuser",
-    "UnionCollector",
     "correlation_clusters",
     "default_workers",
     "derive_false_positive_rate",

@@ -59,6 +59,15 @@ def pack_bool_rows(matrix: np.ndarray) -> np.ndarray:
     return padded.view(np.uint64)
 
 
+def unpack_bool_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """Inverse of :func:`pack_bool_rows`: the ``(n_rows, n_bits)`` booleans."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    as_bytes = words.view(np.uint8).reshape(words.shape[0], -1)
+    return np.unpackbits(
+        as_bytes, axis=1, count=n_bits, bitorder="little"
+    ).view(bool)
+
+
 def pack_bool_vector(vector: np.ndarray) -> np.ndarray:
     """Pack a 1-D boolean array into ``uint64`` words (shape ``(n_words,)``)."""
     vector = np.asarray(vector, dtype=bool)

@@ -39,7 +39,11 @@ from repro.core.elastic import ElasticFuser
 from repro.core.exact import ExactCorrelationFuser
 from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
 from repro.core.joint import JointQualityModel
-from repro.core.patterns import PatternSet, restricted_unique_patterns
+from repro.core.patterns import (
+    PatternSet,
+    RestrictionTable,
+    restricted_unique_patterns,
+)
 from repro.core.plans import (
     DEFAULT_PLAN_CACHE_ENTRIES,
     CompiledPlanCache,
@@ -52,6 +56,10 @@ Side = Literal["true", "false"]
 
 #: A per-cluster evaluator: exact for small clusters, elastic otherwise.
 ClusterEvaluator = Union[ExactCorrelationFuser, ElasticFuser]
+#: One evaluator, the clusters it serves, and their restriction table.
+_EvaluatorGroup = tuple[
+    ClusterEvaluator, list[frozenset[int]], RestrictionTable
+]
 
 
 @lru_cache(maxsize=64)
@@ -928,6 +936,7 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             self._make_evaluator(cluster, exact_cluster_limit, elastic_level)
             for cluster in false_partition.clusters
         ]
+        self._evaluator_groups = self._group_clusters(model.n_sources)
 
     @property
     def true_partition(self) -> SourcePartition:
@@ -1075,6 +1084,34 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         merged["max_entries"] = max_entries
         return merged
 
+    def _group_clusters(self, n_sources: int) -> list[_EvaluatorGroup]:
+        """Clusters grouped by evaluator, each with its restriction table.
+
+        A cluster in both partitions is listed once (the batch entry points
+        compute the true- and false-side arrays together), clusters keep
+        first-seen order, and the :class:`RestrictionTable` is built here,
+        once per fuser, so requests neither revalidate member ids nor
+        rebuild masks.
+        """
+        groups: dict[
+            int, tuple[ClusterEvaluator, dict[frozenset[int], None]]
+        ] = {}
+        for partition, evaluators in (
+            (self._true_partition, self._true_evaluators),
+            (self._false_partition, self._false_evaluators),
+        ):
+            for cluster, evaluator in zip(partition.clusters, evaluators):
+                listed = groups.setdefault(id(evaluator), (evaluator, {}))[1]
+                listed[cluster] = None
+        return [
+            (
+                evaluator,
+                list(clusters),
+                RestrictionTable(list(clusters), n_sources),
+            )
+            for evaluator, clusters in groups.values()
+        ]
+
     def _compile_side_terms(
         self, patterns: PatternSet
     ) -> tuple[
@@ -1087,7 +1124,8 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         sub-patterns (``providers & cluster``, ``silent & cluster``), and
         the work is grouped by evaluator: all clusters one evaluator serves,
         on either side, go through one :func:`restricted_unique_patterns`
-        pass that deduplicates their restrictions together into one shared
+        pass over the group's prebuilt :class:`RestrictionTable`, which
+        deduplicates their restrictions together into one shared
         sub-pattern table; one :meth:`pattern_likelihoods_batch` call
         evaluates that table (the shared :mod:`repro.core.plans`
         machinery); and one ``math.log`` walk turns both sides'
@@ -1108,28 +1146,20 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         serial, so sharding is single-level, and the concatenated blocks
         equal the serial sweep bit for bit.
         """
-        sides = (
-            (self._true_partition, self._true_evaluators),
-            (self._false_partition, self._false_evaluators),
-        )
-        # Evaluator id -> (evaluator, its clusters in first-seen order).  A
-        # cluster in both partitions is listed once: the batch entry points
-        # compute the true- and false-side arrays together.
-        groups: dict[
-            int, tuple[ClusterEvaluator, dict[frozenset[int], None]]
-        ] = {}
-        for partition, evaluators in sides:
-            for cluster, evaluator in zip(partition.clusters, evaluators):
-                listed = groups.setdefault(id(evaluator), (evaluator, {}))[1]
-                listed[cluster] = None
         tables = {
-            key: self._evaluate_clusters(evaluator, list(clusters), patterns)
-            for key, (evaluator, clusters) in groups.items()
+            id(evaluator): self._evaluate_clusters(
+                evaluator, clusters, table, patterns
+            )
+            for evaluator, clusters, table in self._evaluator_groups
         }
         side_terms: tuple[
             list[tuple[np.ndarray, np.ndarray]],
             list[tuple[np.ndarray, np.ndarray]],
         ] = ([], [])
+        sides = (
+            (self._true_partition, self._true_evaluators),
+            (self._false_partition, self._false_evaluators),
+        )
         for side, (partition, evaluators) in enumerate(sides):
             for cluster, evaluator in zip(partition.clusters, evaluators):
                 logs, inverse_of = tables[id(evaluator)]
@@ -1140,18 +1170,19 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         self,
         evaluator: ClusterEvaluator,
         clusters: list[frozenset[int]],
+        table: RestrictionTable,
         patterns: PatternSet,
     ) -> tuple[
         tuple[np.ndarray, np.ndarray], dict[frozenset[int], np.ndarray]
     ]:
         """One evaluator's ``((logs_true, logs_false), inverse by cluster)``.
 
-        One restriction pass, one likelihood evaluation of the shared
-        sub-pattern table, and one ``math.log`` walk over both sides'
-        values.
+        One restriction pass over the group's table, one likelihood
+        evaluation of the shared sub-pattern table, and one ``math.log``
+        walk over both sides' values.
         """
         sub_providers, sub_silent, inverses = restricted_unique_patterns(
-            patterns.provider_matrix, patterns.silent_matrix, clusters
+            patterns.provider_matrix, patterns.silent_matrix, table
         )
         likelihoods = self._fan_pattern_blocks(
             sub_providers, sub_silent, evaluator

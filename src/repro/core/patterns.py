@@ -17,10 +17,11 @@ remaining per-triple work a single vectorized gather.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -182,18 +183,132 @@ def extract_patterns(
     )
 
 
-#: Upper bound on the ``uint64`` words :func:`restricted_unique_patterns`
-#: stacks before it deduplicates (32 MiB).  Wide inputs with many clusters
-#: are restricted in cluster blocks of at most this size and the blocks'
-#: distinct rows merged by a second sort, so memory stays bounded without
-#: changing the result.
+#: Upper bound on the ``uint64`` words the masked-word path of
+#: :func:`restricted_unique_patterns` stacks before it deduplicates
+#: (32 MiB).  Wide inputs with many clusters are restricted in cluster
+#: blocks of at most this size and the blocks' distinct rows merged by a
+#: second sort, so memory stays bounded without changing the result.
 RESTRICT_BLOCK_WORDS = 1 << 22
+
+#: Widest cluster whose restriction fits one 64-bit integer code: a
+#: ``k``-member cluster's code takes ``2k`` bits (a provider and a silent
+#: bit per member) above the cluster's offset in the shared key space.
+CODE_MAX_MEMBERS = 31
+
+#: Key spaces up to this size are deduplicated through a dense table
+#: indexed by key; larger ones with one ``np.unique`` sort.
+DENSE_KEY_SPACE = 1 << 16
+
+
+class RestrictionTable:
+    """The per-cluster tables :func:`restricted_unique_patterns` runs on.
+
+    Built once per group of clusters (the clustered fuser builds one per
+    evaluator at construction), so a request neither re-validates member
+    ids nor rebuilds masks.  ``masks`` / ``mask_words`` are the clusters'
+    boolean and packed ``[provider | silent]`` masks.  When every cluster
+    has at most :data:`CODE_MAX_MEMBERS` members and the clusters' key
+    ranges fit ``int64``, the table also holds the integer-code layout:
+    cluster ``c``'s restriction of a pattern is the key ``offset_c +
+    provider_bits + (silent_bits << k_c)``, where bit ``j`` of each half is
+    the cluster's ``j``-th smallest member.  :meth:`keys` builds them with
+    one gather and one shift of every member's provider and silent rows,
+    then two adds per member slot; clusters are sorted by size, so every
+    slot's clusters form a prefix.  Codes use the narrowest unsigned type
+    that holds ``2k`` bits, and ``key_space`` is the size of the shared
+    key range.  Wider groups take the masked-word path (``coded`` is
+    ``False``).
+    """
+
+    __slots__ = (
+        "n_sources", "masks", "mask_words", "coded", "key_space",
+        "_rows", "_shifts", "_slot_counts", "_unsort", "_offsets",
+    )
+
+    def __init__(
+        self, clusters: Sequence[Iterable[int]], n_sources: int
+    ) -> None:
+        self.n_sources = int(n_sources)
+        member_lists = [[int(i) for i in cluster] for cluster in clusters]
+        ids = np.fromiter(
+            itertools.chain.from_iterable(member_lists), dtype=np.intp
+        )
+        if ids.size and not (0 <= ids.min() and ids.max() < n_sources):
+            for members in member_lists:
+                if not all(0 <= i < n_sources for i in members):
+                    raise ValueError(
+                        f"member ids {sorted(members)} out of range for "
+                        f"{n_sources} sources"
+                    )
+        masks = np.zeros((len(member_lists), n_sources), dtype=bool)
+        owner = np.repeat(
+            np.arange(len(member_lists)), [len(m) for m in member_lists]
+        )
+        masks[owner, ids] = True
+        masks.setflags(write=False)
+        self.masks = masks
+        self.mask_words = packed_pattern_rows(masks, masks)
+        sizes = masks.sum(axis=1)
+        spans = [4 ** size for size in sizes.tolist()]
+        offsets = [0, *itertools.accumulate(spans)]
+        widest = int(sizes.max(initial=0))
+        self.coded = widest <= CODE_MAX_MEMBERS and offsets[-1] < 2**63
+        if not self.coded:
+            return
+        # Members slot by slot: slot j lists the j-th smallest member of
+        # every cluster with more than j members, clusters by size
+        # (descending, stable), so each slot's clusters are a prefix.
+        # Provider rows come first, then the same ids as silent rows.
+        order = np.argsort(-sizes, kind="stable")
+        cluster_pos, member = np.nonzero(masks[order])
+        slot = np.arange(member.size) - np.repeat(
+            np.cumsum(sizes[order]) - sizes[order], sizes[order]
+        )
+        by_slot = np.lexsort((cluster_pos, slot))
+        member = member[by_slot]
+        slot = slot[by_slot]
+        width = sizes[order][cluster_pos[by_slot]]
+        code_type = np.min_scalar_type((1 << 2 * widest) - 1)
+        self._rows = np.concatenate([member, member + n_sources])
+        self._shifts = np.concatenate([slot, width + slot]).astype(code_type)
+        self._slot_counts = np.bincount(slot, minlength=widest).tolist()
+        self._unsort = np.argsort(order)
+        self._offsets = np.array(offsets[:-1], dtype=np.int64)[:, None]
+        self.key_space = offsets[-1]
+
+    @property
+    def n_clusters(self) -> int:
+        return self.masks.shape[0]
+
+    def keys(
+        self, provider_matrix: np.ndarray, silent_matrix: np.ndarray
+    ) -> np.ndarray:
+        """``(n_clusters, n_patterns)`` int64 restriction keys (coded only).
+
+        Two patterns restrict to the same sub-pattern of cluster ``c`` iff
+        their keys in row ``c`` are equal, and keys of different clusters
+        never collide.
+        """
+        both = np.concatenate([provider_matrix.T, silent_matrix.T])
+        code_type = self._shifts.dtype
+        bits = np.left_shift(
+            both[self._rows], self._shifts[:, None], dtype=code_type
+        )
+        provider_bits, silent_bits = np.split(bits, 2)
+        codes = np.zeros((len(self._unsort), both.shape[1]), dtype=code_type)
+        position = 0
+        for count in self._slot_counts:
+            end = position + count
+            codes[:count] += provider_bits[position:end]
+            codes[:count] += silent_bits[position:end]
+            position = end
+        return codes[self._unsort].astype(np.int64) + self._offsets
 
 
 def restricted_unique_patterns(
     provider_matrix: np.ndarray,
     silent_matrix: np.ndarray,
-    clusters: Sequence[Iterable[int]],
+    clusters: Union[RestrictionTable, Sequence[Iterable[int]]],
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Distinct sub-patterns after restricting patterns to each cluster.
 
@@ -202,14 +317,22 @@ def restricted_unique_patterns(
     ``silent & cluster``) collapses many global patterns onto the same
     cluster-local sub-pattern, so an evaluator only needs to score the
     distinct restrictions.  All clusters one evaluator serves are handled in
-    one pass: each cluster's restriction is a bitwise AND of the packed
-    ``[provider | silent]`` pattern words (:func:`packed_pattern_rows`) with
-    the cluster's packed mask, and one :func:`unique_rows` sort over every
-    cluster's restricted rows, stacked in cluster order, deduplicates them
-    together -- equal to ``np.unique(stacked, axis=0, return_index=True,
-    return_inverse=True)`` exactly.  (Above :data:`RESTRICT_BLOCK_WORDS`
-    the stack is sorted in cluster blocks whose distinct rows are merged by
-    a second sort, which yields the same result.)
+    one pass whose result equals one :func:`unique_rows` sort of every
+    cluster's restricted ``[provider | silent]`` words, stacked in cluster
+    order -- i.e. ``np.unique(stacked, axis=0, return_index=True,
+    return_inverse=True)``.  ``clusters`` is a :class:`RestrictionTable`
+    (built once and reused) or a sequence of member-id collections.
+
+    On a coded table every (cluster, pattern) restriction becomes one
+    integer key (:meth:`RestrictionTable.keys`); the keys are deduplicated
+    in one 1-D pass (a dense seen-table for key spaces up to
+    :data:`DENSE_KEY_SPACE`, else ``np.unique``), and one small
+    :func:`unique_rows` over the distinct restricted rows merges equal rows
+    of different clusters into lexicographic word order.  Otherwise each
+    cluster's restriction is a word-AND of the packed pattern words with
+    its mask, and the stack is sorted in blocks of at most
+    :data:`RESTRICT_BLOCK_WORDS` words whose distinct rows a second sort
+    merges.  Both paths give the same result.
 
     Returns ``(sub_providers, sub_silent, inverses)``: one shared table of
     read-only boolean matrices of shape ``(n_subpatterns, n_sources)`` --
@@ -226,34 +349,74 @@ def restricted_unique_patterns(
             "must be equal-shape 2-D arrays"
         )
     n_patterns, n_sources = provider_matrix.shape
-    masks = np.zeros((len(clusters), n_sources), dtype=bool)
-    for mask, cluster in zip(masks, clusters):
-        members = np.fromiter((int(i) for i in cluster), dtype=np.intp)
-        if members.size and not (
-            0 <= members.min() and members.max() < n_sources
-        ):
+    if isinstance(clusters, RestrictionTable):
+        table = clusters
+        if table.n_sources != n_sources:
             raise ValueError(
-                f"member ids {sorted(members.tolist())} out of range for "
-                f"{n_sources} sources"
+                f"restriction table for {table.n_sources} sources applied to "
+                f"{n_sources}-source patterns"
             )
-        mask[members] = True
-    words = packed_pattern_rows(provider_matrix, silent_matrix)
-    mask_words = packed_pattern_rows(masks, masks)
-    if n_patterns == 0 or not len(clusters):
-        first_index = np.zeros(0, dtype=np.intp)
-        inverse = np.zeros(len(clusters) * n_patterns, dtype=np.intp)
     else:
-        first_index, inverse = _stacked_unique_rows(words, mask_words)
+        table = RestrictionTable(clusters, n_sources)
+    n_clusters = table.n_clusters
+    if n_patterns == 0 or n_clusters == 0:
+        first_index = np.zeros(0, dtype=np.intp)
+        inverse = np.zeros(n_clusters * n_patterns, dtype=np.intp)
+    elif table.coded:
+        first_index, inverse = _coded_unique_rows(
+            table, provider_matrix, silent_matrix
+        )
+    else:
+        first_index, inverse = _stacked_unique_rows(
+            packed_pattern_rows(provider_matrix, silent_matrix),
+            table.mask_words,
+        )
     cluster_of, pattern_of = np.divmod(first_index, max(n_patterns, 1))
-    sub_providers = provider_matrix[pattern_of] & masks[cluster_of]
-    sub_silent = silent_matrix[pattern_of] & masks[cluster_of]
+    sub_providers = provider_matrix[pattern_of] & table.masks[cluster_of]
+    sub_silent = silent_matrix[pattern_of] & table.masks[cluster_of]
     sub_providers.setflags(write=False)
     sub_silent.setflags(write=False)
     return (
         sub_providers,
         sub_silent,
-        list(inverse.reshape(len(clusters), n_patterns)),
+        list(inverse.reshape(n_clusters, n_patterns)),
     )
+
+
+def _coded_unique_rows(
+    table: RestrictionTable,
+    provider_matrix: np.ndarray,
+    silent_matrix: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(representative, inverse)`` of the stacked restrictions, by key.
+
+    ``representative[d]`` is a stacked index (``cluster * n_patterns +
+    pattern``) of some occurrence of distinct row ``d``; rows are numbered
+    in lexicographic word order like :func:`_stacked_unique_rows`, which
+    fixes the row *contents* and ``inverse`` (not which occurrence
+    represents a row).
+    """
+    n_patterns = provider_matrix.shape[0]
+    keys = table.keys(provider_matrix, silent_matrix).reshape(-1)
+    if table.key_space <= DENSE_KEY_SPACE:
+        slot_of = np.full(table.key_space, -1, dtype=np.intp)
+        slot_of[keys] = np.arange(keys.size, dtype=np.intp)
+        seen = slot_of >= 0
+        key_rank = np.cumsum(seen, dtype=np.intp) - 1
+        key_inverse = key_rank[keys]
+        representative = slot_of[seen]
+    else:
+        _, representative, key_inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        key_inverse = key_inverse.reshape(-1)
+    cluster_of, pattern_of = np.divmod(representative, n_patterns)
+    words = packed_pattern_rows(
+        provider_matrix[pattern_of], silent_matrix[pattern_of]
+    )
+    words &= table.mask_words[cluster_of]
+    first, row_inverse = unique_rows(words)
+    return representative[first], row_inverse[key_inverse]
 
 
 def _stacked_unique_rows(

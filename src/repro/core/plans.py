@@ -5,9 +5,12 @@ and the clustered fuser built on top of both all evaluate sums whose terms
 are joint-model look-ups ``r_{S}`` / ``q_{S}`` over subset unions
 ``providers + S*``.  Their batched execution paths share one pipeline:
 
-1. **collect** -- enumerate each pattern's unions exactly once,
-   deduplicated by int bitmask (:class:`UnionCollector`; most unions repeat
-   across patterns);
+1. **collect** -- enumerate each pattern's unions exactly once, as array
+   kernels: patterns are grouped by silent-set size, every group's unions
+   come from one memoised subset table (:func:`subset_table`, in
+   :func:`~repro.util.subsets.iter_subsets` order) as packed words, and one
+   :func:`~repro.core.patterns.unique_rows` sort deduplicates them, re-ranked
+   to first-sighting order (most unions repeat across patterns);
 2. **evaluate** -- hand the distinct union rows to
    :meth:`~repro.core.joint.JointQualityModel.joint_params_batch` in one
    vectorized call;
@@ -18,7 +21,8 @@ are joint-model look-ups ``r_{S}`` / ``q_{S}`` over subset unions
 This module holds the pipeline; :mod:`repro.core.exact` and
 :mod:`repro.core.elastic` wrap it behind ``pattern_likelihoods_batch`` /
 ``pattern_mu_batch``, and :mod:`repro.core.clustering` drives those batch
-entry points once per correlation cluster.
+entry points once per evaluator, over the sub-patterns of all the clusters
+that evaluator serves.
 
 Compile-once, execute-many
 --------------------------
@@ -51,19 +55,19 @@ the reference walk.
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from repro.core import faults
 from repro.core.locktrace import make_lock
 
 import numpy as np
 
+from repro.core.bitset import pack_bool_rows, unpack_bool_rows
+from repro.core.patterns import packed_pattern_rows, unique_rows
 from repro.util.probability import PROBABILITY_FLOOR
 from repro.util.subsets import (
-    count_subsets,
     iter_subsets,
     iter_subsets_of_size,
     subset_parity,
@@ -75,104 +79,6 @@ from repro.util.subsets import (
 #: memo policy -- the cache is bounded and long-lived serving processes
 #: cannot grow without limit.  Eviction is least-recently-used.
 DEFAULT_PLAN_CACHE_ENTRIES = 64
-
-
-class UnionCollector:
-    """Deduplicating collector of subset-union rows for batched evaluation.
-
-    The inclusion-exclusion fusers enumerate unions ``providers + subset``
-    per pattern; most unions repeat across patterns.  The collector keys
-    each union by an int bitmask (cheap to build and hash), materialises a
-    boolean source row only on first sighting, and hands the distinct rows
-    to :meth:`JointQualityModel.joint_params_batch` in one call.
-    """
-
-    __slots__ = ("_bits", "_index", "_rows", "_n_sources")
-
-    def __init__(self, n_sources: int) -> None:
-        self._bits = [1 << i for i in range(n_sources)]
-        self._index: dict[int, int] = {}
-        self._rows: list[np.ndarray] = []
-        self._n_sources = n_sources
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def mask_of(self, source_ids: Iterable[int]) -> int:
-        """Bitmask of a collection of source ids.
-
-        Raises ``ValueError`` on ids outside ``[0, n_sources)`` (an
-        ``IndexError`` -- or, for negative ids, a silently wrapped bit --
-        would mislabel the union) and on duplicate ids (a duplicate is a
-        caller bug that the OR would silently swallow, leaving the mask
-        inconsistent with the id list the caller evaluates).
-        """
-        mask = 0
-        n = self._n_sources
-        for i in source_ids:
-            if not 0 <= i < n:
-                raise ValueError(
-                    f"source id {i} out of range for {n} sources"
-                )
-            bit = 1 << i
-            if mask & bit:
-                raise ValueError(
-                    f"duplicate source id {i} in union; ids must be distinct"
-                )
-            mask |= bit
-        return mask
-
-    def bit(self, source_id: int) -> int:
-        """The single-source bitmask; raises ``ValueError`` out of range."""
-        if not 0 <= source_id < self._n_sources:
-            raise ValueError(
-                f"source id {source_id} out of range for "
-                f"{self._n_sources} sources"
-            )
-        return self._bits[source_id]
-
-    def add(
-        self, mask: int, base_row: np.ndarray, extra_ids: Iterable[int]
-    ) -> int:
-        """Index of the union ``base_row | extra_ids`` identified by ``mask``.
-
-        ``mask`` must equal the bitmask of the union; ``base_row`` (a boolean
-        source row) and ``extra_ids`` are only consulted when the mask is new.
-        A writable ``base_row`` is copied before it is stored: keeping a live
-        view would let a later in-place mutation of the source row silently
-        corrupt the collected plan.  Read-only rows (pattern matrices are
-        frozen with ``setflags(write=False)``) are stored as-is.
-        """
-        index = self._index.get(mask)
-        if index is None:
-            index = len(self._rows)
-            self._index[mask] = index
-            if extra_ids:
-                row = base_row.copy()
-                row[list(extra_ids)] = True
-            elif base_row.flags.writeable:
-                row = base_row.copy()
-            else:
-                row = base_row
-            self._rows.append(row)
-        return index
-
-    def rows(self) -> np.ndarray:
-        """All distinct union rows, shape ``(n_distinct, n_sources)``."""
-        if not self._rows:
-            return np.zeros((0, self._n_sources), dtype=bool)
-        return np.array(self._rows, dtype=bool)
-
-
-def pattern_source_lists(
-    provider_matrix: np.ndarray, silent_matrix: np.ndarray
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Sorted provider / silent id lists for each pattern row."""
-    provider_lists = [
-        np.flatnonzero(row).tolist() for row in provider_matrix
-    ]
-    silent_lists = [np.flatnonzero(row).tolist() for row in silent_matrix]
-    return provider_lists, silent_lists
 
 
 def model_supports_batch(model: Any, n_sources: int) -> bool:
@@ -192,41 +98,227 @@ def scalar_likelihoods(
     receives each pattern's sorted provider and silent id lists (the
     fusers pass their bitmask-keyed ``_masked_likelihoods``).
     """
-    provider_lists, silent_lists = pattern_source_lists(
-        provider_matrix, silent_matrix
-    )
     n_patterns = provider_matrix.shape[0]
     numerators = np.empty(n_patterns, dtype=float)
     denominators = np.empty(n_patterns, dtype=float)
     for k in range(n_patterns):
         numerators[k], denominators[k] = likelihood_fn(
-            provider_lists[k], silent_lists[k]
+            np.flatnonzero(provider_matrix[k]).tolist(),
+            np.flatnonzero(silent_matrix[k]).tolist(),
         )
     return numerators, denominators
+
+
+class SubsetTable(NamedTuple):
+    """Subsets of ``range(n_items)`` with at most ``max_size`` members.
+
+    Rows follow :func:`~repro.util.subsets.iter_subsets` order (by size,
+    then lexicographically); rows ``size_starts[s]:size_starts[s + 1]``
+    are the subsets of size ``s``.  Each non-empty subset is its
+    ``parents`` row (itself without its largest member, one size down)
+    plus member ``lasts``, so a plan builds every size's unions from the
+    size below in one vectorized step.
+    """
+
+    #: ``(n_subsets,)`` row of each subset minus its largest member.
+    parents: np.ndarray
+    #: ``(n_subsets,)`` position of each subset's largest member.
+    lasts: np.ndarray
+    #: ``(max_size + 2,)`` first row of each subset size, then ``n_subsets``.
+    size_starts: np.ndarray
+    #: ``(n_subsets,)`` inclusion-exclusion signs ``(-1)^{|subset|}``.
+    signs: np.ndarray
+
+    @property
+    def n_subsets(self) -> int:
+        return self.signs.shape[0]
+
+    @property
+    def max_size(self) -> int:
+        return self.size_starts.shape[0] - 2
+
+    def rows_of_size(self, size: int) -> slice:
+        return slice(self.size_starts[size], self.size_starts[size + 1])
+
+
+#: Memoised subset tables, keyed by ``(n_items, max_size)``.  Module-global
+#: mutable state is banned in repro.core (REP004) because caches that
+#: outlive a model generation corrupt delta-vs-cold comparisons; this memo
+#: is exempt because each value is a pure deterministic function of its
+#: integer key alone -- no model state.  The exact plans ask for
+#: ``(size, size)`` and the elastic ones for ``(size, min(lambda, size))``
+#: per silent-set size, so it holds at most ``n_sources + 1`` entries per
+#: plan kind and level.
+# reprolint: allow[REP004]
+_SUBSET_TABLES: dict[tuple[int, int], SubsetTable] = {}
+
+
+def subset_table(n_items: int, max_size: Optional[int] = None) -> SubsetTable:
+    """The (memoised) subsets of ``range(n_items)`` of at most ``max_size``."""
+    cap = n_items if max_size is None else min(max_size, n_items)
+    key = (n_items, cap)
+    table = _SUBSET_TABLES.get(key)
+    if table is None:
+        parents = [0]
+        lasts = [0]
+        counts = [1]
+        previous: dict[tuple[int, ...], int] = {(): 0}
+        for size in range(1, cap + 1):
+            current: dict[tuple[int, ...], int] = {}
+            for subset in iter_subsets_of_size(range(n_items), size):
+                current[subset] = len(parents)
+                parents.append(previous[subset[:-1]])
+                lasts.append(subset[-1])
+            counts.append(len(current))
+            previous = current
+        size_starts = np.zeros(cap + 2, dtype=np.intp)
+        np.cumsum(counts, out=size_starts[1:])
+        signs = np.empty(len(parents), dtype=float)
+        for size in range(cap + 1):
+            signs[size_starts[size] : size_starts[size + 1]] = subset_parity(
+                size
+            )
+        table = SubsetTable(
+            np.array(parents, dtype=np.intp),
+            np.array(lasts, dtype=np.intp),
+            size_starts,
+            signs,
+        )
+        for array in table:
+            array.setflags(write=False)
+        _SUBSET_TABLES[key] = table
+    return table
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each segment of ``lengths`` begins."""
+    starts = np.zeros(lengths.shape[0], dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
+
+
+def _size_groups(
+    silent_matrix: np.ndarray, max_size: Optional[int]
+) -> list[tuple[np.ndarray, np.ndarray, SubsetTable]]:
+    """Patterns grouped by silent-set size: ``(indices, silent ids, table)``.
+
+    ``silent ids[i]`` lists pattern ``indices[i]``'s silent sources in
+    ascending order, and ``table`` is the group's subset table (subsets of
+    at most ``max_size`` members; all of them when ``None``).
+    """
+    sizes = np.count_nonzero(silent_matrix, axis=1)
+    order = np.argsort(sizes, kind="stable")
+    sorted_sizes = sizes[order]
+    ids = np.nonzero(silent_matrix[order])[1]
+    changes = (np.flatnonzero(np.diff(sorted_sizes)) + 1).tolist()
+    bounds = [0, *changes, len(order)]
+    groups: list[tuple[np.ndarray, np.ndarray, SubsetTable]] = []
+    offset = 0
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        if begin == end:
+            continue
+        size = int(sorted_sizes[begin])
+        count = end - begin
+        groups.append(
+            (
+                order[begin:end],
+                ids[offset : offset + count * size].reshape(count, size),
+                subset_table(size, max_size),
+            )
+        )
+        offset += count * size
+    return groups
+
+
+def _enumerate_unions(
+    provider_matrix: np.ndarray,
+    silent_matrix: np.ndarray,
+    max_size: Optional[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pattern's subset unions, deduplicated in first-sighting order.
+
+    Pattern ``k``'s terms are its providers joined with each subset of its
+    silent set of at most ``max_size`` members, in ``iter_subsets`` order;
+    terms run pattern by pattern.  Each silent-size group builds its
+    unions as packed words, one OR per subset size (a subset's union is
+    its parent's union plus one source bit), and one :func:`unique_rows`
+    sort over all terms deduplicates them; the distinct rows are then
+    renumbered by first occurrence.  Returns
+    ``(rows, term_index, starts)``: the distinct boolean union rows, each
+    term's row, and each pattern's first term.
+    """
+    n_patterns, n_sources = provider_matrix.shape
+    # Unions only set columns that some pattern provides or leaves silent
+    # (a cluster's members, on the clustered route), so the terms are
+    # packed over those columns alone.
+    columns = np.flatnonzero(
+        provider_matrix.any(axis=0) | silent_matrix.any(axis=0)
+    )
+    groups = _size_groups(silent_matrix[:, columns], max_size)
+    lengths = np.zeros(n_patterns, dtype=np.intp)
+    for indices, _, table in groups:
+        lengths[indices] = table.n_subsets
+    starts = _starts(lengths)
+    base = pack_bool_rows(provider_matrix[:, columns])
+    n_words = base.shape[1]
+    words = np.empty((int(lengths.sum()), n_words), dtype=np.uint64)
+    if not words.shape[0]:
+        no_rows = np.zeros((0, n_sources), dtype=bool)
+        return no_rows, np.zeros(0, dtype=np.intp), starts
+    for indices, ids, table in groups:
+        n_group, size = ids.shape
+        unions = np.empty((n_group, table.n_subsets, n_words), dtype=np.uint64)
+        unions[:, 0] = base[indices]
+        if size:
+            # bits[p, j]: the packed single-source row of silent id j.
+            bits = np.zeros((n_group, size, n_words), dtype=np.uint64)
+            bits[np.arange(n_group)[:, None], np.arange(size), ids >> 6] = (
+                np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+            )
+            for subset_size in range(1, table.max_size + 1):
+                block = table.rows_of_size(subset_size)
+                np.bitwise_or(
+                    unions[:, table.parents[block]],
+                    bits[:, table.lasts[block]],
+                    out=unions[:, block],
+                )
+        words[starts[indices, None] + np.arange(table.n_subsets)] = unions
+    first, inverse = unique_rows(words)
+    sighting = np.argsort(first)
+    rank = np.empty_like(sighting)
+    rank[sighting] = np.arange(sighting.size)
+    rows = np.zeros((sighting.size, n_sources), dtype=bool)
+    rows[:, columns] = unpack_bool_rows(words[first[sighting]], columns.size)
+    return rows, rank[inverse], starts
 
 
 class ExactUnionPlan:
     """Batched Eq. 10-11 plan over a set of ``(providers, silent)`` patterns.
 
     :meth:`build` performs the collect step (every subset union of every
-    pattern, deduplicated by bitmask); :meth:`accumulate` re-runs the
+    pattern, deduplicated); :meth:`accumulate` re-runs the
     inclusion-exclusion sums per pattern in the legacy term order over the
     batch-evaluated ``(r, q)`` values, flooring both sides at
     ``PROBABILITY_FLOOR`` exactly like the scalar
     :meth:`~repro.core.exact.ExactCorrelationFuser.pattern_likelihoods`.
     """
 
-    __slots__ = ("rows", "silent_lists", "term_index")
+    __slots__ = ("rows", "silent_matrix", "term_index")
 
     def __init__(
         self,
         rows: np.ndarray,
-        silent_lists: list[list[int]],
-        term_index: list[int],
+        silent_matrix: np.ndarray,
+        term_index: np.ndarray,
     ) -> None:
         self.rows = rows
-        self.silent_lists = silent_lists
+        self.silent_matrix = silent_matrix
         self.term_index = term_index
+
+    @property
+    def silent_lists(self) -> list[list[int]]:
+        """Each pattern's silent source ids, ascending."""
+        return [np.flatnonzero(row).tolist() for row in self.silent_matrix]
 
     @classmethod
     def build(
@@ -237,26 +329,25 @@ class ExactUnionPlan:
     ) -> "ExactUnionPlan":
         """Collect every subset union of every pattern, once each.
 
-        ``width_check`` (when given) receives each pattern's silent-set size
-        before its ``2^{|silent|}`` unions are enumerated -- the exact fuser
-        passes its ``max_silent_sources`` guard.
+        ``rows`` holds the distinct unions in order of first appearance
+        and ``term_index`` each term's row, terms running pattern by
+        pattern in ``iter_subsets`` order.  ``width_check`` (when given)
+        receives silent-set sizes before any union is enumerated -- the
+        exact fuser passes its ``max_silent_sources`` guard -- in pattern
+        order of first appearance, so it raises for the first offending
+        pattern.
         """
-        provider_lists, silent_lists = pattern_source_lists(
-            provider_matrix, silent_matrix
+        provider_matrix = np.asarray(provider_matrix, dtype=bool)
+        silent_matrix = np.asarray(silent_matrix, dtype=bool)
+        if width_check is not None:
+            sizes = np.count_nonzero(silent_matrix, axis=1)
+            distinct, first = np.unique(sizes, return_index=True)
+            for size in distinct[np.argsort(first)].tolist():
+                width_check(size)
+        rows, term_index, _ = _enumerate_unions(
+            provider_matrix, silent_matrix, None
         )
-        collector = UnionCollector(provider_matrix.shape[1])
-        term_index: list[int] = []
-        for k, silent in enumerate(silent_lists):
-            if width_check is not None:
-                width_check(len(silent))
-            base_row = provider_matrix[k]
-            base_mask = collector.mask_of(provider_lists[k])
-            for subset in iter_subsets(silent):
-                mask = base_mask
-                for i in subset:
-                    mask |= collector.bit(i)
-                term_index.append(collector.add(mask, base_row, subset))
-        return cls(collector.rows(), silent_lists, term_index)
+        return cls(rows, silent_matrix, term_index)
 
     def accumulate(
         self, recalls: np.ndarray, fprs: np.ndarray
@@ -264,16 +355,18 @@ class ExactUnionPlan:
         """Per-pattern floored ``(Pr(Ot | t), Pr(Ot | not t))`` arrays."""
         recall_list = recalls.tolist()
         fpr_list = fprs.tolist()
-        n_patterns = len(self.silent_lists)
+        term_index = self.term_index.tolist()
+        silent_lists = self.silent_lists
+        n_patterns = len(silent_lists)
         numerators = np.empty(n_patterns, dtype=float)
         denominators = np.empty(n_patterns, dtype=float)
         position = 0
-        for k, silent in enumerate(self.silent_lists):
+        for k, silent in enumerate(silent_lists):
             numerator = 0.0
             denominator = 0.0
             for subset in iter_subsets(silent):
                 sign = subset_parity(len(subset))
-                index = self.term_index[position]
+                index = term_index[position]
                 position += 1
                 numerator += sign * recall_list[index]
                 denominator += sign * fpr_list[index]
@@ -295,21 +388,26 @@ class ElasticUnionPlan:
     swap-ins level by level) over the batch-evaluated values.
     """
 
-    __slots__ = ("rows", "silent_lists", "base_index", "term_index", "level")
+    __slots__ = ("rows", "silent_matrix", "base_index", "term_index", "level")
 
     def __init__(
         self,
         rows: np.ndarray,
-        silent_lists: list[list[int]],
-        base_index: list[int],
-        term_index: list[int],
+        silent_matrix: np.ndarray,
+        base_index: np.ndarray,
+        term_index: np.ndarray,
         level: int,
     ) -> None:
         self.rows = rows
-        self.silent_lists = silent_lists
+        self.silent_matrix = silent_matrix
         self.base_index = base_index
         self.term_index = term_index
         self.level = level
+
+    @property
+    def silent_lists(self) -> list[list[int]]:
+        """Each pattern's silent source ids, ascending."""
+        return [np.flatnonzero(row).tolist() for row in self.silent_matrix]
 
     @classmethod
     def build(
@@ -318,24 +416,21 @@ class ElasticUnionPlan:
         silent_matrix: np.ndarray,
         level: int,
     ) -> "ElasticUnionPlan":
-        provider_lists, silent_lists = pattern_source_lists(
-            provider_matrix, silent_matrix
+        """Collect each pattern's base set and level-``1..lambda`` unions.
+
+        A pattern's terms are the size-``0..lambda`` prefix of its subset
+        table: the empty subset (its base provider set, ``base_index``)
+        followed by the swap-in unions (``term_index``), numbered like
+        :meth:`ExactUnionPlan.build`.
+        """
+        provider_matrix = np.asarray(provider_matrix, dtype=bool)
+        silent_matrix = np.asarray(silent_matrix, dtype=bool)
+        rows, index, starts = _enumerate_unions(
+            provider_matrix, silent_matrix, level
         )
-        collector = UnionCollector(provider_matrix.shape[1])
-        base_index: list[int] = []
-        term_index: list[int] = []
-        for k, silent in enumerate(silent_lists):
-            base_row = provider_matrix[k]
-            base_mask = collector.mask_of(provider_lists[k])
-            base_index.append(collector.add(base_mask, base_row, ()))
-            max_level = min(level, len(silent))
-            for l in range(1, max_level + 1):
-                for subset in iter_subsets_of_size(silent, l):
-                    mask = base_mask
-                    for i in subset:
-                        mask |= collector.bit(i)
-                    term_index.append(collector.add(mask, base_row, subset))
-        return cls(collector.rows(), silent_lists, base_index, term_index, level)
+        swap_in = np.ones(index.shape[0], dtype=bool)
+        swap_in[starts] = False
+        return cls(rows, silent_matrix, index[starts], index[swap_in], level)
 
     def accumulate(
         self,
@@ -347,13 +442,16 @@ class ElasticUnionPlan:
         """Per-pattern floored ``(R, Q)`` of Algorithm 1."""
         recall_list = recalls.tolist()
         fpr_list = fprs.tolist()
-        n_patterns = len(self.silent_lists)
+        base_index = self.base_index.tolist()
+        term_index = self.term_index.tolist()
+        silent_lists = self.silent_lists
+        n_patterns = len(silent_lists)
         numerators = np.empty(n_patterns, dtype=float)
         denominators = np.empty(n_patterns, dtype=float)
         position = 0
-        for k, silent in enumerate(self.silent_lists):
-            r_st = recall_list[self.base_index[k]]
-            q_st = fpr_list[self.base_index[k]]
+        for k, silent in enumerate(silent_lists):
+            r_st = recall_list[base_index[k]]
+            q_st = fpr_list[base_index[k]]
             numerator = r_st
             denominator = q_st
             for i in silent:
@@ -368,7 +466,7 @@ class ElasticUnionPlan:
                     for i in subset:
                         approx_r *= eff_recall[i]
                         approx_q *= eff_fpr[i]
-                    index = self.term_index[position]
+                    index = term_index[position]
                     position += 1
                     numerator += sign * (recall_list[index] - approx_r)
                     denominator += sign * (fpr_list[index] - approx_q)
@@ -387,39 +485,14 @@ class ElasticUnionPlan:
 # Compiled plans: the execute-many half of the pipeline
 # ----------------------------------------------------------------------
 
-#: Memoised exact-plan sign sequences, keyed by silent-set size.  The
-#: sequence depends only on the size, and at most ``n_sources + 1`` distinct
-#: sizes ever occur.  (The elastic plan writes its signs while enumerating
-#: subsets for the factor matrices, so it needs no memo.)  Module-global
-#: mutable state is banned in repro.core (REP004) because caches that
-#: outlive a model generation corrupt delta-vs-cold comparisons; this memo
-#: is exempt because each value is a pure deterministic function of its
-#: integer key alone -- no model state, bounded by n_sources + 1 entries.
-_EXACT_SIGN_SEQS: dict[int, np.ndarray] = {}  # reprolint: allow[REP004]
-
-
-def _exact_sign_sequence(n_silent: int) -> np.ndarray:
-    """``(-1)^{|subset|}`` over ``iter_subsets`` enumeration order."""
-    seq = _EXACT_SIGN_SEQS.get(n_silent)
-    if seq is None:
-        seq = np.concatenate(
-            [
-                np.full(math.comb(n_silent, size), float(subset_parity(size)))
-                for size in range(n_silent + 1)
-            ]
-        )
-        seq.setflags(write=False)
-        _EXACT_SIGN_SEQS[n_silent] = seq
-    return seq
-
 
 def _column_major_layout(
     lengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Step-major term layout over patterns sorted by term count.
 
     ``lengths[k]`` is pattern ``k``'s term count in the row-major term
-    arrays.  Returns ``(order, step_counts, positions)``:
+    arrays.  Returns ``(order, step_counts, positions, lanes)``:
 
     - ``order``: pattern permutation, descending term count (stable);
     - ``step_counts``: for step ``c``, how many sorted patterns still have
@@ -427,28 +500,26 @@ def _column_major_layout(
     - ``positions``: indices into the row-major term arrays, laid out
       step-major -- step ``c`` holds the ``c``-th term of each active
       pattern, so a sweep of ``acc[:k] += column`` adds every pattern's
-      terms strictly left-to-right in the legacy order.
+      terms strictly left-to-right in the legacy order;
+    - ``lanes``: each step-major term's pattern position in ``order``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     n = lengths.shape[0]
     order = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[order]
-    row_starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        np.cumsum(lengths[:-1], out=row_starts[1:])
-    sorted_starts = row_starts[order]
     max_len = int(sorted_lengths[0]) if n else 0
     if max_len == 0:
-        return order, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        return order, empty, empty, empty
     # Active-prefix length per step: how many sorted lengths exceed c.
-    ascending = -sorted_lengths
     step_counts = np.searchsorted(
-        ascending, -np.arange(max_len, dtype=np.int64), side="left"
+        -sorted_lengths, -np.arange(max_len, dtype=np.int64), side="left"
     )
-    positions = np.concatenate(
-        [sorted_starts[:k] + c for c, k in enumerate(step_counts.tolist())]
-    )
-    return order, step_counts, positions
+    lanes = np.arange(int(step_counts.sum()), dtype=np.int64)
+    lanes -= np.repeat(_starts(step_counts), step_counts)
+    steps = np.repeat(np.arange(max_len, dtype=np.int64), step_counts)
+    positions = _starts(lengths)[order][lanes] + steps
+    return order, step_counts, positions, lanes
 
 
 class CompiledExactPlan:
@@ -486,21 +557,23 @@ class CompiledExactPlan:
 
     @classmethod
     def from_plan(cls, plan: ExactUnionPlan) -> "CompiledExactPlan":
-        silent_sizes = [len(silent) for silent in plan.silent_lists]
-        lengths = np.array([1 << s for s in silent_sizes], dtype=np.int64)
-        term_index = np.asarray(plan.term_index, dtype=np.int64)
-        order, step_counts, positions = _column_major_layout(lengths)
-        if silent_sizes:
-            signs = np.concatenate(
-                [_exact_sign_sequence(s) for s in silent_sizes]
+        groups = _size_groups(plan.silent_matrix, None)
+        lengths = np.zeros(plan.silent_matrix.shape[0], dtype=np.int64)
+        for indices, _, table in groups:
+            lengths[indices] = table.n_subsets
+        order, step_counts, positions, _ = _column_major_layout(lengths)
+        # Row-major signs: each silent-size group's table signs, per pattern.
+        signs = np.empty(int(lengths.sum()), dtype=float)
+        starts = _starts(lengths)
+        for indices, _, table in groups:
+            signs[starts[indices, None] + np.arange(table.n_subsets)] = (
+                table.signs
             )
-        else:
-            signs = np.zeros(0, dtype=float)
         return cls(
             rows=plan.rows,
-            n_patterns=len(silent_sizes),
+            n_patterns=lengths.shape[0],
             order=order,
-            term_gather=term_index[positions],
+            term_gather=np.asarray(plan.term_index, dtype=np.int64)[positions],
             term_signs=signs[positions],
             step_counts=step_counts,
         )
@@ -531,6 +604,24 @@ class CompiledExactPlan:
         numerators[self.order] = acc_r
         denominators[self.order] = acc_q
         return numerators, denominators
+
+
+def _dense_factors(
+    factors: Mapping[int, float], silent_matrix: np.ndarray
+) -> np.ndarray:
+    """Per-source array of ``factors``; ``KeyError`` for a silent source
+    without one."""
+    n_sources = silent_matrix.shape[1]
+    dense = np.ones(n_sources, dtype=float)
+    known = np.zeros(n_sources, dtype=bool)
+    for source, value in factors.items():
+        if 0 <= source < n_sources:
+            dense[source] = value
+            known[source] = True
+    missing = np.flatnonzero(silent_matrix.any(axis=0) & ~known)
+    if missing.size:
+        raise KeyError(int(missing[0]))
+    return dense
 
 
 class CompiledElasticPlan:
@@ -591,61 +682,57 @@ class CompiledElasticPlan:
         eff_recall: Mapping[int, float],
         eff_fpr: Mapping[int, float],
     ) -> "CompiledElasticPlan":
-        silent_lists = plan.silent_lists
-        n_patterns = len(silent_lists)
+        silent = plan.silent_matrix
+        n_patterns = silent.shape[0]
         level = plan.level
-        lengths = np.array(
-            [
-                count_subsets(len(silent), min(level, len(silent))) - 1
-                for silent in silent_lists
-            ],
-            dtype=np.int64,
-        )
-        order, step_counts, positions = _column_major_layout(lengths)
+        recall_of = _dense_factors(eff_recall, silent)
+        fpr_of = _dense_factors(eff_fpr, silent)
+        groups = _size_groups(silent, level)
+        lengths = np.zeros(n_patterns, dtype=np.int64)
+        for indices, _, table in groups:
+            lengths[indices] = table.n_subsets - 1
+        order, step_counts, positions, lanes = _column_major_layout(lengths)
 
-        base_gather = np.asarray(plan.base_index, dtype=np.int64)[order]
-        max_silent = max((len(s) for s in silent_lists), default=0)
-        silent_r = np.ones((n_patterns, max_silent), dtype=float)
-        silent_q = np.ones((n_patterns, max_silent), dtype=float)
-        for sorted_pos, original in enumerate(order.tolist()):
-            for column, i in enumerate(silent_lists[original]):
-                silent_r[sorted_pos, column] = 1.0 - eff_recall[i]
-                silent_q[sorted_pos, column] = 1.0 - eff_fpr[i]
+        # Level-0 factors: row j lists sorted pattern j's silent sources.
+        sizes = np.count_nonzero(silent, axis=1)[order]
+        silent_r = np.ones((n_patterns, int(sizes.max(initial=0))))
+        silent_q = np.ones_like(silent_r)
+        pattern, source = np.nonzero(silent[order])
+        column = np.arange(pattern.shape[0]) - np.repeat(_starts(sizes), sizes)
+        silent_r[pattern, column] = 1.0 - recall_of[source]
+        silent_q[pattern, column] = 1.0 - fpr_of[source]
 
+        # Swap-in terms, row-major: each group's table rows after the
+        # empty subset.  Row t of `chain` lists subset t's member factors
+        # in ascending order, 1.0-padded: its parent's row plus one factor.
         n_terms = int(lengths.sum())
         signs = np.empty(n_terms, dtype=float)
         eff_r = np.ones((n_terms, level), dtype=float)
         eff_q = np.ones((n_terms, level), dtype=float)
-        term = 0
-        for silent in silent_lists:
-            max_level = min(level, len(silent))
-            for size in range(1, max_level + 1):
-                sign = float(subset_parity(size))
-                for subset in iter_subsets_of_size(silent, size):
-                    signs[term] = sign
-                    for column, i in enumerate(subset):
-                        eff_r[term, column] = eff_recall[i]
-                        eff_q[term, column] = eff_fpr[i]
-                    term += 1
+        starts = _starts(lengths)
+        for indices, ids, table in groups:
+            terms = starts[indices, None] + np.arange(table.n_subsets - 1)
+            signs[terms] = table.signs[1:]
+            for factors, out in ((recall_of, eff_r), (fpr_of, eff_q)):
+                chain = np.ones((indices.shape[0], table.n_subsets, level))
+                for size in range(1, table.max_size + 1):
+                    block = table.rows_of_size(size)
+                    chain[:, block] = chain[:, table.parents[block]]
+                    last = ids[:, table.lasts[block]]
+                    chain[:, block, size - 1] = factors[last]
+                out[terms] = chain[:, 1:]
 
-        term_index = np.asarray(plan.term_index, dtype=np.int64)
-        if len(step_counts):
-            term_pattern_pos = np.concatenate(
-                [np.arange(k, dtype=np.int64) for k in step_counts.tolist()]
-            )
-        else:
-            term_pattern_pos = np.zeros(0, dtype=np.int64)
         return cls(
             rows=plan.rows,
             n_patterns=n_patterns,
             level=level,
             order=order,
-            base_gather=base_gather,
+            base_gather=np.asarray(plan.base_index, dtype=np.int64)[order],
             silent_r_factors=silent_r,
             silent_q_factors=silent_q,
-            term_gather=term_index[positions],
+            term_gather=np.asarray(plan.term_index, dtype=np.int64)[positions],
             term_signs=signs[positions],
-            term_pattern_pos=term_pattern_pos,
+            term_pattern_pos=lanes,
             term_eff_r=eff_r[positions],
             term_eff_q=eff_q[positions],
             step_counts=step_counts,
@@ -732,8 +819,6 @@ def pattern_row_keys(
     :func:`repro.core.patterns.packed_pattern_rows` row -- identical to
     hashing the full-width boolean row pair, at a fraction of the cost.
     """
-    from repro.core.patterns import packed_pattern_rows
-
     return [
         row.tobytes()
         for row in packed_pattern_rows(provider_matrix, silent_matrix)

@@ -435,3 +435,69 @@ class TestEvaluatorGroupedScoring:
         assert builds["elastic"] <= n_elastic
         if exact_cluster_limit == 2:
             assert n_elastic >= 1 and builds["elastic"] >= 1
+
+
+class TestRestrictionTables:
+    def _copy_source(self, observations, source, into, columns):
+        provides = observations.provides.copy()
+        coverage = observations.coverage.copy()
+        provides[into, columns] = provides[source, columns]
+        coverage[into, columns] |= provides[into, columns]
+        return ObservationMatrix(
+            provides, observations.source_names, coverage=coverage
+        )
+
+    def test_tables_cover_each_evaluators_clusters(self):
+        dataset = correlated_dataset(seed=2)
+        model = fit_model(dataset.observations, dataset.labels)
+        fuser = ClusteredCorrelationFuser(model, exact_cluster_limit=2)
+        listed = set()
+        for evaluator, clusters, table in fuser._evaluator_groups:
+            assert table.n_clusters == len(clusters)
+            for mask, cluster in zip(table.masks, clusters):
+                assert set(np.flatnonzero(mask).tolist()) == set(cluster)
+            listed.update(clusters)
+        assert listed == set(fuser.true_partition.clusters) | set(
+            fuser.false_partition.clusters
+        )
+
+    def test_partition_changing_refit_delta_rebuilds_tables(self):
+        config = SyntheticConfig(
+            sources=uniform_sources(10, precision=0.65, recall=0.45),
+            n_triples=1500,
+            true_fraction=0.5,
+            groups=(
+                CorrelationGroup(
+                    members=(0, 1, 2), mode="overlap_true", strength=0.85
+                ),
+            ),
+        )
+        dataset = generate(config, seed=7)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="clustered",
+            workers=1,
+        )
+        before = session.fuser
+        # Source 7 copies source 6 on a third of the triples: a new
+        # correlated pair, within the delta refit's churn budget.
+        mutated = self._copy_source(
+            dataset.observations, 6, 7, np.arange(0, 700)
+        )
+        session.refit_delta(mutated, dataset.labels)
+        assert session.last_refit_stats.mode == "delta"
+        after = session.fuser
+        assert frozenset({6, 7}) in after.true_partition.clusters
+        assert frozenset({6, 7}) not in before.true_partition.clusters
+        grouped = [
+            set(np.flatnonzero(mask).tolist())
+            for _, _, table in after._evaluator_groups
+            for mask in table.masks
+        ]
+        assert {6, 7} in grouped
+        cold = ScoringSession(
+            mutated, dataset.labels, method="clustered", workers=1,
+            delta="off",
+        )
+        assert float(
+            np.abs(session.score(mutated) - cold.score(mutated)).max()
+        ) == 0.0

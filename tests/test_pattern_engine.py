@@ -43,6 +43,7 @@ from repro.core import (
 from repro.core import patterns as patterns_module
 from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES
 from repro.core.patterns import (
+    RestrictionTable,
     packed_pattern_rows,
     restricted_unique_patterns,
     unique_rows,
@@ -530,6 +531,89 @@ class TestRestrictedUniquePatterns:
         )
         assert sub_providers.shape == sub_silent.shape == (0, 4)
         assert inverses == []
+
+    @staticmethod
+    def _assert_matches_np_unique(provider_matrix, silent_matrix, clusters):
+        table = RestrictionTable(clusters, provider_matrix.shape[1])
+        want = _restricted_by_np_unique(provider_matrix, silent_matrix, clusters)
+        for given_clusters in (clusters, table):
+            got = restricted_unique_patterns(
+                provider_matrix, silent_matrix, given_clusters
+            )
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert len(got[2]) == len(clusters)
+            for got_inverse, want_inverse in zip(got[2], want[2]):
+                assert np.array_equal(got_inverse, want_inverse)
+        return table
+
+    def test_repeated_member_ids(self):
+        provides, coverage = _wide_case(11, n_sources=70, n_triples=400)
+        patterns = extract_patterns(provides, coverage)
+        clusters = [[3, 3, 1], [1, 3], [0, 0, 0], [64, 2, 64, 2], [5, 5]]
+        table = self._assert_matches_np_unique(
+            patterns.provider_matrix, patterns.silent_matrix, clusters
+        )
+        assert table.coded
+        assert table.masks.sum(axis=1).tolist() == [2, 2, 1, 2, 1]
+
+    @pytest.mark.parametrize(
+        "sizes, coded, dense",
+        [
+            ([1, 2, 3, 4, 5, 6] * 5, True, True),
+            ([1, 2, 3, 10, 12, 14] * 5, True, False),
+            ([1, 2, 3, 4, 5, 40] * 5, False, False),
+        ],
+    )
+    def test_many_patterns_many_clusters(self, sizes, coded, dense):
+        # >= 2000 patterns x 30 overlapping clusters: the coded path with
+        # its dense and sorted key dedup, and the masked-word path for a
+        # group holding a cluster too wide for a 64-bit code.
+        rng = np.random.default_rng(sum(sizes))
+        provides, coverage = _wide_case(12, n_sources=70, n_triples=6000)
+        provides ^= rng.random(provides.shape) < 0.05
+        provides[:, ~provides.any(axis=0)] = True
+        patterns = extract_patterns(provides, coverage | provides)
+        assert patterns.n_patterns >= 2000
+        clusters = [
+            rng.choice(70, size=size, replace=False).tolist() for size in sizes
+        ]
+        table = self._assert_matches_np_unique(
+            patterns.provider_matrix, patterns.silent_matrix, clusters
+        )
+        assert table.coded is coded
+        if coded:
+            assert (table.key_space <= patterns_module.DENSE_KEY_SPACE) is dense
+
+    def test_widest_coded_cluster(self):
+        provides, coverage = _wide_case(13, n_sources=70, n_triples=500)
+        patterns = extract_patterns(provides, coverage)
+        widest = list(range(5, 5 + patterns_module.CODE_MAX_MEMBERS))
+        for clusters, coded in (
+            ([widest, [0, 1]], True),
+            ([widest + [69], [0, 1]], False),
+        ):
+            table = self._assert_matches_np_unique(
+                patterns.provider_matrix, patterns.silent_matrix, clusters
+            )
+            assert table.coded is coded
+
+    def test_out_of_range_ids_raise_on_table_construction(self):
+        for clusters, ids in (([[0], [5, 1, 5]], "[1, 5, 5]"), ([[-1]], "[-1]")):
+            message = f"member ids {ids} out of range for 3 sources"
+            with pytest.raises(ValueError) as info:
+                RestrictionTable(clusters, 3)
+            assert str(info.value) == message
+            patterns = np.zeros((2, 3), dtype=bool)
+            with pytest.raises(ValueError) as info:
+                restricted_unique_patterns(patterns, patterns, clusters)
+            assert str(info.value) == message
+
+    def test_table_width_must_match_patterns(self):
+        table = RestrictionTable([[0, 1]], 3)
+        patterns = np.zeros((2, 4), dtype=bool)
+        with pytest.raises(ValueError, match="3 sources"):
+            restricted_unique_patterns(patterns, patterns, table)
 
 
 # ----------------------------------------------------------------------

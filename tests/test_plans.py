@@ -1,26 +1,34 @@
 """The shared union-plan layer (repro.core.plans).
 
 Covers the :class:`UnionCollector` aliasing regression (collected rows must
-not be live views into mutable pattern storage), the exact / elastic union
-plans' bit-identity with the scalar ``pattern_likelihoods`` reference, and
-the ``pattern_likelihoods_batch`` entry points the clustered fuser drives.
+not be live views into mutable pattern storage; the collector now lives in
+``tests/reference.py`` as the per-term oracle), the array-built exact /
+elastic union plans against that oracle and against the scalar
+``pattern_likelihoods`` reference, the ``pattern_likelihoods_batch`` entry
+points the clustered fuser drives, and the cluster restriction step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ElasticFuser,
     ElasticUnionPlan,
     ExactCorrelationFuser,
     ExactUnionPlan,
-    UnionCollector,
     fit_model,
     restricted_unique_patterns,
 )
+from repro.core.plans import _column_major_layout, subset_table
 from repro.data import SyntheticConfig, generate, uniform_sources
+from repro.util.subsets import iter_subsets
+
+import reference
+from reference import UnionCollector
 
 
 def _dataset(seed=21, n_sources=5, n_triples=80):
@@ -156,6 +164,155 @@ class TestUnionPlans:
                 patterns.silent_matrix,
                 width_check=fuser._check_silent_width,
             )
+
+
+@st.composite
+def plan_cases(draw):
+    """(provider, silent, level, factors): 1-140 sources, 0-24 patterns
+    (some repeated), silent sets of 0-6 sources, lambda from 0 to 7."""
+    n_sources = draw(
+        st.one_of(st.sampled_from([1, 63, 64, 65, 140]), st.integers(1, 140))
+    )
+    n_patterns = draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    provider = rng.random((n_patterns, n_sources)) < draw(
+        st.sampled_from([0.05, 0.3])
+    )
+    silent = np.zeros_like(provider)
+    for k in range(n_patterns):
+        free = np.flatnonzero(~provider[k])
+        size = int(rng.integers(0, min(6, free.size) + 1))
+        silent[k, rng.choice(free, size=size, replace=False)] = True
+    if n_patterns > 1:
+        repeats = rng.integers(0, n_patterns, n_patterns // 3)
+        provider[: repeats.size] = provider[repeats]
+        silent[: repeats.size] = silent[repeats]
+    level = draw(st.integers(0, 7))
+    recall = dict(enumerate(rng.random(n_sources).tolist()))
+    fpr = dict(enumerate(rng.random(n_sources).tolist()))
+    return provider, silent, level, recall, fpr
+
+
+def _assert_arrays_equal(got, want):
+    for name, expected in want.items():
+        actual = getattr(got, name)
+        assert actual.shape == expected.shape, name
+        assert np.array_equal(actual, expected), name
+
+
+class TestArrayPlansMatchOracle:
+    """Array-built plans equal the per-term union walk in tests/reference.py."""
+
+    @given(case=plan_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_exact_plan(self, case):
+        provider, silent, _, _, _ = case
+        rows, silent_lists, term_index = reference.exact_union_plan(
+            provider, silent
+        )
+        plan = ExactUnionPlan.build(provider, silent)
+        assert plan.rows.shape == rows.shape
+        assert np.array_equal(plan.rows, rows)
+        assert plan.term_index.tolist() == term_index
+        assert plan.silent_lists == silent_lists
+        _assert_arrays_equal(
+            plan.compile(),
+            reference.compiled_exact_arrays(silent_lists, term_index),
+        )
+
+    @given(case=plan_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_elastic_plan(self, case):
+        provider, silent, level, recall, fpr = case
+        rows, silent_lists, base_index, term_index = (
+            reference.elastic_union_plan(provider, silent, level)
+        )
+        plan = ElasticUnionPlan.build(provider, silent, level)
+        assert plan.rows.shape == rows.shape
+        assert np.array_equal(plan.rows, rows)
+        assert plan.base_index.tolist() == base_index
+        assert plan.term_index.tolist() == term_index
+        _assert_arrays_equal(
+            plan.compile(recall, fpr),
+            reference.compiled_elastic_arrays(
+                silent_lists, base_index, term_index, level, recall, fpr
+            ),
+        )
+
+    def test_no_patterns(self):
+        empty = np.zeros((0, 65), dtype=bool)
+        exact = ExactUnionPlan.build(empty, empty)
+        assert exact.rows.shape == (0, 65) and exact.term_index.size == 0
+        compiled = exact.compile()
+        assert compiled.n_patterns == 0 and compiled.term_gather.size == 0
+        elastic = ElasticUnionPlan.build(empty, empty, 3)
+        assert elastic.rows.shape == (0, 65)
+        assert elastic.base_index.size == elastic.term_index.size == 0
+        assert elastic.compile({}, {}).n_patterns == 0
+
+    def test_empty_silent_sets_give_one_term_each(self):
+        provider = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]], dtype=bool)
+        silent = np.zeros_like(provider)
+        plan = ExactUnionPlan.build(provider, silent)
+        assert np.array_equal(plan.rows, provider[:2])
+        assert plan.term_index.tolist() == [0, 1, 0]
+        elastic = ElasticUnionPlan.build(provider, silent, 2)
+        assert elastic.base_index.tolist() == [0, 1, 0]
+        assert elastic.term_index.size == 0
+
+    def test_width_check_raises_for_the_first_offending_pattern(self):
+        dataset = _dataset()
+        fuser = ExactCorrelationFuser(
+            fit_model(dataset.observations, dataset.labels),
+            max_silent_sources=2,
+        )
+        provider = np.zeros((4, 8), dtype=bool)
+        silent = np.zeros((4, 8), dtype=bool)
+        for k, size in enumerate([1, 4, 3, 5]):
+            silent[k, :size] = True
+        with pytest.raises(ValueError) as oracle:
+            reference.exact_union_plan(
+                provider, silent, width_check=fuser._check_silent_width
+            )
+        with pytest.raises(ValueError) as built:
+            ExactUnionPlan.build(
+                provider, silent, width_check=fuser._check_silent_width
+            )
+        assert str(built.value) == str(oracle.value)
+        assert "over 4 silent sources" in str(built.value)
+
+    def test_subset_tables_follow_iter_subsets_order(self):
+        for n_items in range(6):
+            for max_size in range(n_items + 2):
+                table = subset_table(n_items, max_size)
+                subsets: list[tuple[int, ...]] = [()]
+                for row in range(1, table.n_subsets):
+                    subsets.append(
+                        subsets[table.parents[row]] + (table.lasts[row],)
+                    )
+                want = [
+                    s for s in iter_subsets(range(n_items)) if len(s) <= max_size
+                ]
+                assert subsets == want
+                assert table.signs.tolist() == [
+                    (-1.0) ** len(s) for s in want
+                ]
+        assert subset_table(4) is subset_table(4, 9)
+
+    @given(lengths=st.lists(st.integers(0, 9), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_column_major_layout(self, lengths):
+        got = _column_major_layout(np.array(lengths, dtype=np.int64))
+        want = reference.column_major_layout(lengths)
+        for got_array, want_array in zip(got, want):
+            assert np.array_equal(got_array, want_array)
+
+    def test_missing_aggressive_factor_is_a_key_error(self):
+        provider = np.zeros((1, 4), dtype=bool)
+        silent = np.array([[False, True, False, True]])
+        plan = ElasticUnionPlan.build(provider, silent, 1)
+        with pytest.raises(KeyError):
+            plan.compile({1: 0.5}, {1: 0.5, 3: 0.5})
 
 
 class TestPatternLikelihoodsBatch:
