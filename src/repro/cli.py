@@ -183,17 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--budget", type=float, default=0.05, metavar="SECONDS",
-        help="per-request latency budget; batches flush once the oldest "
-             "request's budget is half-spent (default: 0.05)",
-    )
-    serve_cmd.add_argument(
-        "--cutoff", choices=("deadline", "fixed"), default="deadline",
-        help="batch cut-off policy: deadline-aware (default) or the "
-             "fixed coalescing window baseline",
-    )
-    serve_cmd.add_argument(
-        "--fixed-window", type=float, default=0.04, metavar="SECONDS",
-        help="coalescing window for --cutoff fixed (default: 0.04)",
+        help="per-request latency SLO: requests are never held for it "
+             "(an idle lane ships at once, arrivals during a batch ship "
+             "together next); served requests that exceed it are "
+             "counted as deadline misses (default: 0.05)",
     )
     serve_cmd.add_argument(
         "--max-queue-depth", type=int, default=256, metavar="N",
@@ -572,8 +565,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         requests=args.requests,
         request_triples=args.request_triples,
         latency_budget=args.budget,
-        batch_cutoff=args.cutoff,
-        fixed_window_seconds=args.fixed_window,
         max_queue_depth=args.max_queue_depth,
         max_inflight_bytes=args.max_inflight_bytes,
         mutate_frac=args.mutate_frac,
@@ -585,7 +576,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     print(dataset.summary())
     rows = [
-        ["cutoff", report.batch_cutoff],
         ["offered rate (qps)", f"{report.rate_qps:.1f}"],
         ["requests", str(report.requests)],
         ["completed", str(report.completed)],
@@ -594,6 +584,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         ["p50 latency (ms)", f"{report.p50_latency_seconds * 1e3:.2f}"],
         ["p99 latency (ms)", f"{report.p99_latency_seconds * 1e3:.2f}"],
         ["max latency (ms)", f"{report.max_latency_seconds * 1e3:.2f}"],
+        ["deadline misses", str(report.frontend_stats["deadline_misses"])],
         ["refits", str(report.refits)],
         ["max |served - direct|", f"{report.max_abs_diff:.1e}"],
     ]
@@ -628,8 +619,6 @@ def _serve_chaos(args: argparse.Namespace, dataset) -> int:
             requests=args.requests,
             request_triples=args.request_triples,
             latency_budget=args.budget,
-            batch_cutoff=args.cutoff,
-            fixed_window_seconds=args.fixed_window,
             max_queue_depth=args.max_queue_depth,
             max_inflight_bytes=args.max_inflight_bytes,
             mutate_frac=args.mutate_frac,

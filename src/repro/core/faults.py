@@ -26,10 +26,11 @@ the injection substrate:
   :func:`install`.
 
 Actions are ``raise`` (a typed, retry-safe :class:`InjectedFault`),
-``delay`` (sleep, to trip watchdogs and deadline cut-offs), and ``kill``
-(hard ``os._exit`` -- but only when the tripping code runs in a *child*
-process, i.e. a process-pool worker; in the parent it degrades to
-``raise`` so a plan can never take the test process down).  Process-pool
+``delay`` (sleep, to trip watchdogs, overrun latency budgets and hold a
+batch in flight), and ``kill`` (hard ``os._exit`` -- but only when the
+tripping code runs in a *child* process, i.e. a process-pool worker; in
+the parent it degrades to ``raise`` so a plan can never take the test
+process down).  Process-pool
 workers cannot share the parent's injector state, so worker faults
 travel as picklable *tokens*: the parent-side injector decides per job
 whether the fault fires and ships ``(action, ...)`` with the job; the

@@ -632,11 +632,12 @@ class AsyncServingReport:
     delta-off twin session of the generation that served it -- exactly
     0.0 is the contract, including for requests served across a
     mid-traffic refit.  Shed requests (typed ``Overloaded`` rejections)
-    are counted, never silently retried.
+    are counted, never silently retried.  ``latency_budget`` is each
+    request's SLO; ``frontend_stats["deadline_misses"]`` counts served
+    requests that exceeded it.
     """
 
     method: str
-    batch_cutoff: str
     rate_qps: float
     requests: int
     completed: int
@@ -674,8 +675,6 @@ def run_serving_load(
     requests: int = 200,
     request_triples: int = 96,
     latency_budget: float = 0.05,
-    batch_cutoff: str = "deadline",
-    fixed_window_seconds: float = 0.04,
     max_batch_requests: int = 32,
     max_queue_depth: int = 256,
     max_inflight_bytes: Optional[int] = None,
@@ -773,8 +772,6 @@ def run_serving_load(
         max_inflight_bytes=max_inflight_bytes,
         max_batch_requests=max_batch_requests,
         default_latency_budget=latency_budget,
-        batch_cutoff=batch_cutoff,
-        fixed_window_seconds=fixed_window_seconds,
         checkpointer=checkpointer,
     )
     results: list[Optional[Any]] = [None] * requests
@@ -862,7 +859,6 @@ def run_serving_load(
     completed = sum(1 for result in results if result is not None)
     return AsyncServingReport(
         method=method,
-        batch_cutoff=batch_cutoff,
         rate_qps=float(rate_qps),
         requests=requests,
         completed=completed,
@@ -887,7 +883,7 @@ def run_serving_load(
             "lanes": stats["lanes"],
             "fused_requests": stats["fused_requests"],
             "largest_batch": stats["largest_batch"],
-            "batch_cutoff": stats["batch_cutoff"],
+            "deadline_misses": stats["deadline_misses"],
         },
         checkpoint_stats=checkpoint_stats,
     )
@@ -950,8 +946,6 @@ def run_serving_chaos(
     requests: int = 120,
     request_triples: int = 96,
     latency_budget: float = 0.05,
-    batch_cutoff: str = "deadline",
-    fixed_window_seconds: float = 0.04,
     max_batch_requests: int = 32,
     max_queue_depth: int = 256,
     max_inflight_bytes: Optional[int] = None,
@@ -1075,8 +1069,6 @@ def run_serving_chaos(
         max_inflight_bytes=max_inflight_bytes,
         max_batch_requests=max_batch_requests,
         default_latency_budget=latency_budget,
-        batch_cutoff=batch_cutoff,
-        fixed_window_seconds=fixed_window_seconds,
         checkpointer=checkpointer,
         retry_policy=RetryPolicy(max_retries=max_retries, jitter_seed=seed),
         scoring_timeout=scoring_timeout,

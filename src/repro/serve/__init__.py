@@ -1,14 +1,15 @@
-"""Async serving front end: admission control, lanes, SLO-aware batching.
+"""Async serving front end: admission control, lanes, group-commit batching.
 
 The serving leg of the reproduction (see ``docs/architecture.md``,
 "Serving front end"): an ``asyncio`` layer over
 :class:`~repro.core.api.ScoringSession` that sheds overload instead of
 queueing it, routes delta-friendly traffic into its own batching lane,
-flushes micro-batches on latency-budget deadlines, swaps model
-generations under live traffic without ever scoring a request against a
-mixed generation, and survives faults (dead workers, injected failures,
-hung scoring) through bounded retries, per-lane circuit breakers, and a
-bit-identical degradation ladder (:mod:`repro.serve.resilience`).
+ships each lane's queued requests as one batch the moment the lane is
+idle (group commit), swaps model generations under live traffic without
+ever scoring a request against a mixed generation, and survives faults
+(dead workers, injected failures, hung scoring) through bounded retries,
+per-lane circuit breakers, and a bit-identical degradation ladder
+(:mod:`repro.serve.resilience`).
 """
 
 from repro.serve.admission import (
@@ -19,11 +20,7 @@ from repro.serve.admission import (
     AdmissionController,
     Overloaded,
 )
-from repro.serve.frontend import (
-    BATCH_CUTOFFS,
-    AsyncServingFrontend,
-    ServeResult,
-)
+from repro.serve.frontend import AsyncServingFrontend, ServeResult
 from repro.serve.lanes import (
     COLD_LANE,
     DEFAULT_SMALL_CHURN_FRACTION,
@@ -45,7 +42,6 @@ from repro.serve.resilience import (
 __all__ = [
     "AdmissionController",
     "AsyncServingFrontend",
-    "BATCH_CUTOFFS",
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",

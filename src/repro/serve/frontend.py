@@ -1,4 +1,4 @@
-"""The async serving front end: admission -> lanes -> deadline batcher.
+"""The async serving front end: admission -> lanes -> group-commit batcher.
 
 :class:`AsyncServingFrontend` turns a :class:`~repro.core.api.ScoringSession`
 into an ``asyncio`` service.  Each ``await frontend.submit(matrix)`` travels
@@ -11,12 +11,12 @@ through three stages:
 2. **Lanes** (:mod:`repro.serve.lanes`): delta-friendly requests (same
    width as the model, small churn) batch separately from cold traffic,
    so odd matrices never dilute the delta stream's fused batches.
-3. **Deadline batching**: each lane's dispatcher coalesces pending
-   requests and flushes when the *oldest request's latency budget is
-   half-spent* (not after a fixed window), when the batch is full, or at
-   shutdown -- the SLO-aware replacement for the fixed ``wait_seconds``
-   sleep.  ``batch_cutoff="fixed"`` restores the fixed-window behaviour
-   as a benchmark baseline.
+3. **Group-commit dispatch**: a lane with pending work and no batch in
+   flight ships up to ``max_batch_requests`` of it at once; requests
+   arriving while that batch scores queue up and ship together as the
+   next one.  Batch size follows load and no timer holds a request back.
+   A request's ``latency_budget`` is its SLO, not a wait:
+   ``stats["deadline_misses"]`` counts served requests that exceeded it.
 
 Batches execute on a small thread pool through
 :meth:`~repro.core.api.ScoringSession.score_batch`, so all coroutine
@@ -73,10 +73,6 @@ from repro.serve.lanes import (
 )
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 
-#: Valid ``batch_cutoff`` modes: deadline-aware (flush at half the oldest
-#: budget) or the fixed coalescing window (the pre-serve baseline).
-BATCH_CUTOFFS = ("deadline", "fixed")
-
 
 def _swallow_late_result(future: "asyncio.Future[Any]") -> None:
     """Done-callback for abandoned (timed-out) scoring attempts.
@@ -117,7 +113,7 @@ class _Request:
         "future",
         "nbytes",
         "admitted_at",
-        "flush_at",
+        "budget",
         "settled",
     )
 
@@ -127,13 +123,13 @@ class _Request:
         future: "asyncio.Future[ServeResult]",
         nbytes: int,
         admitted_at: float,
-        flush_at: float,
+        budget: float,
     ) -> None:
         self.observations = observations
         self.future = future
         self.nbytes = nbytes
         self.admitted_at = admitted_at
-        self.flush_at = flush_at
+        self.budget = budget
         # Flipped exactly once by _settle_result/_settle_error: the
         # admission charge is released at the same moment, so "every
         # request settles exactly once" is the accounting invariant.
@@ -176,8 +172,6 @@ class AsyncServingFrontend:
         max_inflight_bytes: Optional[int] = None,
         max_batch_requests: int = 64,
         default_latency_budget: float = 0.05,
-        batch_cutoff: str = "deadline",
-        fixed_window_seconds: float = 0.002,
         small_churn_fraction: float = 0.25,
         executor_workers: int = 2,
         retry_policy: Optional[RetryPolicy] = None,
@@ -195,16 +189,6 @@ class AsyncServingFrontend:
             raise ValueError(
                 "default_latency_budget must be positive, got "
                 f"{default_latency_budget}"
-            )
-        if batch_cutoff not in BATCH_CUTOFFS:
-            raise ValueError(
-                f"batch_cutoff must be one of {BATCH_CUTOFFS}, got "
-                f"{batch_cutoff!r}"
-            )
-        if fixed_window_seconds < 0.0:
-            raise ValueError(
-                "fixed_window_seconds must be non-negative, got "
-                f"{fixed_window_seconds}"
             )
         if executor_workers < 1:
             raise ValueError(
@@ -230,8 +214,6 @@ class AsyncServingFrontend:
         self._checkpointer = checkpointer
         self._max_batch = int(max_batch_requests)
         self._default_budget = float(default_latency_budget)
-        self._cutoff = batch_cutoff
-        self._fixed_window = float(fixed_window_seconds)
         self._admission = AdmissionController(
             max_queue_depth=max_queue_depth,
             max_inflight_bytes=max_inflight_bytes,
@@ -274,6 +256,7 @@ class AsyncServingFrontend:
         self._refits = 0
         self._fused_requests = 0
         self._largest_batch = 0
+        self._deadline_misses = 0
         self._retries = 0
         self._degraded_batches = 0
         self._forced_degrades = 0
@@ -326,9 +309,9 @@ class AsyncServingFrontend:
     async def close(self) -> None:
         """Graceful shutdown: flush every queued request, then stop.
 
-        Pending traffic is served (the dispatchers flush their queues
-        immediately rather than waiting out any window); submits racing
-        or following the close are shed with ``Overloaded("closed")``.
+        Pending traffic is served (the dispatchers drain their queues
+        before returning); submits racing or following the close are
+        shed with ``Overloaded("closed")``.
         Idempotent.
         """
         if self._closing:
@@ -353,7 +336,11 @@ class AsyncServingFrontend:
     ) -> np.ndarray:
         """Score ``observations``; returns the per-triple score vector.
 
-        Raises :class:`~repro.serve.admission.Overloaded` when shed.
+        ``latency_budget`` (default: the front end's
+        ``default_latency_budget``) is the request's SLO: it never delays
+        dispatch, and a served request that overruns it is counted in
+        ``stats["deadline_misses"]``.  Raises
+        :class:`~repro.serve.admission.Overloaded` when shed.
         """
         result = await self.submit_detailed(
             observations, latency_budget=latency_budget
@@ -386,22 +373,15 @@ class AsyncServingFrontend:
         )
         self._admission.admit(nbytes)
         loop = asyncio.get_running_loop()
-        now = loop.time()
         try:
             lane_name = self._admit_lane(self._router.classify(observations))
             lane = self._lanes[lane_name]
-            if self._cutoff == "deadline":
-                # SLO-aware cut-off: leave half the budget for the
-                # scoring pass itself.
-                flush_at = now + budget / 2.0
-            else:
-                flush_at = now + self._fixed_window
             request = _Request(
                 observations,
                 loop.create_future(),
                 nbytes,
-                admitted_at=now,
-                flush_at=flush_at,
+                admitted_at=loop.time(),
+                budget=budget,
             )
             lane.pending.append(request)
             lane.event.set()
@@ -508,21 +488,13 @@ class AsyncServingFrontend:
     # Internals (event-loop thread only)
     # ------------------------------------------------------------------
 
-    def _batch_cutoff_time(self, lane: _LaneState) -> float:
-        """When the lane's current batch must flush.
-
-        Deadline mode: the earliest pending half-budget deadline.  Fixed
-        mode: the oldest request's arrival plus the fixed window (the
-        pre-serve baseline -- later arrivals and full queues do not move
-        it up).
-        """
-        if self._cutoff == "fixed":
-            return lane.pending[0].flush_at
-        return min(request.flush_at for request in lane.pending)
-
     async def _dispatch_lane(self, lane: _LaneState) -> None:
-        """One lane's dispatcher: coalesce, cut at the deadline, execute."""
-        loop = asyncio.get_running_loop()
+        """One lane's dispatcher: group-commit pending work, one batch at a time.
+
+        An idle lane ships whatever is pending at once; everything that
+        arrives while the batch scores waits for it to settle and then
+        ships together as the next batch.
+        """
         try:
             while True:
                 if not lane.pending:
@@ -530,26 +502,6 @@ class AsyncServingFrontend:
                         return
                     lane.event.clear()
                     await lane.event.wait()
-                    continue
-                now = loop.time()
-                cutoff = self._batch_cutoff_time(lane)
-                full = len(lane.pending) >= self._max_batch
-                flush = (
-                    self._closing
-                    or now >= cutoff
-                    # A full batch ships immediately under the deadline
-                    # cut-off; the fixed baseline deliberately waits the
-                    # window out (that is the burst bug being benchmarked).
-                    or (full and self._cutoff == "deadline")
-                )
-                if not flush:
-                    lane.event.clear()
-                    try:
-                        await asyncio.wait_for(
-                            lane.event.wait(), cutoff - now
-                        )
-                    except asyncio.TimeoutError:
-                        pass
                     continue
                 batch = lane.pending[: self._max_batch]
                 del lane.pending[: len(batch)]
@@ -613,24 +565,23 @@ class AsyncServingFrontend:
             ):
                 if request_error is not None:
                     self._settle_error(request, request_error)
-                else:
-                    assert scores is not None
-                    self._settle_result(
-                        request,
-                        ServeResult(
-                            scores=scores,
-                            lane=lane.name,
-                            generation=generation,
-                            batch_size=len(batch),
-                            queued_seconds=(
-                                dispatched_at - request.admitted_at
-                            ),
-                            service_seconds=completed_at - dispatched_at,
-                            latency_seconds=(
-                                completed_at - request.admitted_at
-                            ),
-                        ),
-                    )
+                    continue
+                assert scores is not None
+                latency = completed_at - request.admitted_at
+                if latency > request.budget:
+                    self._deadline_misses += 1
+                self._settle_result(
+                    request,
+                    ServeResult(
+                        scores=scores,
+                        lane=lane.name,
+                        generation=generation,
+                        batch_size=len(batch),
+                        queued_seconds=dispatched_at - request.admitted_at,
+                        service_seconds=completed_at - dispatched_at,
+                        latency_seconds=latency,
+                    ),
+                )
         finally:
             # Accounting backstop: any request not settled above (an
             # unexpected unwind, including task cancellation mid-await)
@@ -777,10 +728,9 @@ class AsyncServingFrontend:
             "inflight_batches": self._inflight,
             "fused_requests": self._fused_requests,
             "largest_batch": self._largest_batch,
-            "batch_cutoff": self._cutoff,
+            "deadline_misses": self._deadline_misses,
             "max_batch_requests": self._max_batch,
             "default_latency_budget": self._default_budget,
-            "fixed_window_seconds": self._fixed_window,
             "admission": self._admission.stats,
             "routing": self._router.stats,
             "lanes": lanes,

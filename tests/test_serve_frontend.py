@@ -5,8 +5,9 @@ The contract under test, in priority order:
 - **bit-identity** -- every served score equals a direct
   ``session.score`` of the same matrix (max |diff| exactly 0.0), through
   batching, lanes, shedding, and mid-traffic refits;
-- **SLO-aware batching** -- a full batch ships without waiting out the
-  latency budget, and budgets cap the coalescing wait;
+- **work-conserving dispatch** -- an idle lane ships at once, arrivals
+  during a batch ship together as the next one, ``max_batch_requests``
+  caps a batch, and a budget overrun counts as a deadline miss;
 - **admission** -- overload sheds typed ``Overloaded`` errors instead of
   queueing unboundedly;
 - **refit-during-traffic** -- the drain -> swap -> replay protocol never
@@ -22,7 +23,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core import ObservationMatrix, ScoringSession
+from repro.core import ObservationMatrix, ScoringSession, faults
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
@@ -153,66 +154,123 @@ class TestServingBitIdentity:
         assert "sources" in str(bad_error)
 
 
-class TestDeadlineBatching:
-    def test_full_batch_ships_without_waiting_out_the_budget(self):
-        # The serving-layer burst regression: a huge default budget must
-        # not delay a full batch (flush-on-full under the deadline
-        # cut-off).
-        dataset = _dataset(seed=9)
-        session = _session(dataset)
-        # One delta stream: identical requests all land in one lane, so
-        # the 4th arrival fills that lane's batch.
-        requests = _request_slices(dataset.observations, 1, 48) * 4
+def _delta_stream(observations, n_requests, width):
+    """Distinct same-width requests that all ride the delta lane.
 
-        async def drive():
-            async with AsyncServingFrontend(
-                session,
-                default_latency_budget=10.0,
-                max_batch_requests=4,
-            ) as frontend:
-                loop = asyncio.get_running_loop()
-                start = loop.time()
-                await asyncio.gather(
-                    *(frontend.submit(r) for r in requests)
-                )
-                return loop.time() - start
-
-        elapsed = asyncio.run(drive())
-        assert elapsed < 5.0, (
-            f"full batch took {elapsed:.2f}s against a 10s budget: the "
-            "dispatcher waited for the deadline instead of flushing full"
+    Request ``k`` is one fixed window with source 0 flipped on column
+    ``k``: each differs from its predecessor in two columns, well under
+    the router's churn bound.
+    """
+    mask = np.zeros(observations.n_triples, dtype=bool)
+    mask[:width] = True
+    base = observations.restricted_to_triples(mask)
+    requests = []
+    for k in range(n_requests):
+        provides = base.provides.copy()
+        provides[0, k] = ~provides[0, k]
+        requests.append(
+            ObservationMatrix(
+                provides, base.source_names, coverage=base.coverage
+            )
         )
+    return requests
 
-    def test_budget_caps_the_coalescing_wait(self):
-        # A lone request in a huge-default frontend still flushes at
-        # half its *own* budget.
-        dataset = _dataset(seed=11, n_sources=4, n_triples=60,
-                           correlated=False)
+
+class TestWorkConservingDispatch:
+    def test_lone_submits_ship_at_once(self):
+        # A huge budget is an SLO, not a wait: an idle lane ships a lone
+        # request immediately instead of holding it for half the budget.
+        dataset = _dataset(seed=11)
         session = _session(dataset)
+        reference = _reference(dataset)
+        requests = _delta_stream(dataset.observations, 3, 48)
 
         async def drive():
             async with AsyncServingFrontend(
                 session, default_latency_budget=10.0
             ) as frontend:
-                loop = asyncio.get_running_loop()
-                start = loop.time()
-                await frontend.submit(
-                    dataset.observations, latency_budget=0.05
-                )
-                return loop.time() - start
+                results = [
+                    await frontend.submit_detailed(r) for r in requests
+                ]
+                return results, frontend.stats
 
-        elapsed = asyncio.run(drive())
-        assert elapsed < 5.0, (
-            f"budgeted request took {elapsed:.2f}s: its own deadline did "
-            "not override the default"
-        )
+        results, stats = asyncio.run(drive())
+        for result, request in zip(results, requests):
+            assert result.queued_seconds < 1.0, (
+                f"a lone request queued {result.queued_seconds:.2f}s "
+                "behind an idle lane"
+            )
+            assert result.batch_size == 1
+            assert np.array_equal(result.scores, reference.score(request))
+        assert stats["deadline_misses"] == 0
+
+    def test_arrivals_during_a_batch_ship_together(self):
+        # Group commit: the first batch is held inside score_batch; the
+        # five requests arriving meanwhile queue up and ship as one.  The
+        # hold overruns the first request's 0.1s budget: it is served
+        # anyway, with the same scores, and counted as a deadline miss.
+        dataset = _dataset(seed=9)
+        session = _session(dataset)
+        reference = _reference(dataset)
+        requests = _delta_stream(dataset.observations, 6, 48)
+        expected = [reference.score(request) for request in requests]
+
+        async def drive():
+            async with AsyncServingFrontend(
+                session, default_latency_budget=10.0
+            ) as frontend:
+                first = asyncio.ensure_future(
+                    frontend.submit_detailed(requests[0], latency_budget=0.1)
+                )
+                while frontend.stats["inflight_batches"] == 0:
+                    await asyncio.sleep(0)
+                rest = await asyncio.gather(
+                    *(frontend.submit_detailed(r) for r in requests[1:])
+                )
+                return [await first] + rest, frontend.stats
+
+        faults.install(faults.FaultPlan.from_spec("score:delay:1@0.2"))
+        try:
+            results, stats = asyncio.run(drive())
+        finally:
+            faults.uninstall()
+        assert [r.batch_size for r in results] == [1, 5, 5, 5, 5, 5]
+        assert all(r.lane == DELTA_LANE for r in results)
+        assert stats["lanes"][DELTA_LANE]["batches"] == 2
+        assert results[0].latency_seconds > 0.1
+        assert stats["deadline_misses"] == 1
+        for result, reference_scores in zip(results, expected):
+            assert np.array_equal(result.scores, reference_scores)
+
+    def test_max_batch_splits_queued_requests(self):
+        dataset = _dataset(seed=13)
+        session = _session(dataset)
+        reference = _reference(dataset)
+        requests = _delta_stream(dataset.observations, 6, 48)
+        expected = [reference.score(request) for request in requests]
+
+        async def drive():
+            async with AsyncServingFrontend(
+                session, max_batch_requests=4
+            ) as frontend:
+                # gather queues all six on one loop tick, before the
+                # lane's dispatcher wakes.
+                results = await asyncio.gather(
+                    *(frontend.submit_detailed(r) for r in requests)
+                )
+                return results, frontend.stats
+
+        results, stats = asyncio.run(drive())
+        assert [r.batch_size for r in results] == [4, 4, 4, 4, 2, 2]
+        assert stats["largest_batch"] == 4
+        assert stats["lanes"][DELTA_LANE]["batches"] == 2
+        for result, reference_scores in zip(results, expected):
+            assert np.array_equal(result.scores, reference_scores)
 
     def test_validation(self):
         dataset = _dataset(seed=13, n_sources=4, n_triples=60,
                            correlated=False)
         session = _session(dataset)
-        with pytest.raises(ValueError, match="batch_cutoff"):
-            AsyncServingFrontend(session, batch_cutoff="adaptive")
         with pytest.raises(ValueError, match="max_batch_requests"):
             AsyncServingFrontend(session, max_batch_requests=0)
         with pytest.raises(ValueError, match="default_latency_budget"):
@@ -423,14 +481,14 @@ class TestLifecycle:
                 session, default_latency_budget=10.0, max_batch_requests=64
             )
             await frontend.start()
-            # Pending behind a 5s half-budget deadline ...
+            # Pending or in flight under a 10s budget ...
             tasks = [
                 asyncio.ensure_future(frontend.submit(r)) for r in requests
             ]
             await asyncio.sleep(0)  # let submits reach their lanes
             loop = asyncio.get_running_loop()
             start = loop.time()
-            await frontend.close()  # ... must flush now, not in 5s
+            await frontend.close()  # ... must be served now
             elapsed = loop.time() - start
             flushed = await asyncio.gather(*tasks)
             with pytest.raises(Overloaded) as excinfo:
@@ -442,7 +500,7 @@ class TestLifecycle:
 
         elapsed, flushed, shed_error, stats = asyncio.run(drive())
         assert elapsed < 5.0, (
-            f"close() took {elapsed:.2f}s: it waited out the deadline "
+            f"close() took {elapsed:.2f}s: it waited on the budget "
             "instead of flushing pending requests"
         )
         for scores, request in zip(flushed, requests):
