@@ -21,7 +21,7 @@ import sys
 from typing import Mapping, Optional, Sequence
 
 from repro.core.api import METHOD_NAMES, fuse
-from repro.core.clustering import discovered_correlation_groups, pairwise_correlations
+from repro.core.clustering import correlation_edges, detect_partition_state
 from repro.core.api import fit_model
 from repro.util.validation import ENGINES
 from repro.data.registry import available_datasets, get_dataset
@@ -504,7 +504,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_correlations(args: argparse.Namespace) -> int:
     dataset = get_dataset(args.dataset, seed=args.seed)
     model = fit_model(dataset.observations, dataset.labels)
-    groups = discovered_correlation_groups(model, min_phi=args.min_phi)
+    state = detect_partition_state(model, min_phi=args.min_phi)
+    groups = state.groups()
     names = dataset.observations.source_names
     for side in ("true", "false"):
         print(f"{side}-side correlation groups:")
@@ -516,7 +517,7 @@ def _cmd_correlations(args: argparse.Namespace) -> int:
     if dataset.n_sources <= 12:
         rows = []
         for side in ("true", "false"):
-            for e in pairwise_correlations(model, side, min_phi=args.min_phi):
+            for e in correlation_edges(model, state, side):
                 rows.append(
                     [side, names[e.source_i], names[e.source_j],
                      "positive" if e.positive else "negative", e.phi]

@@ -287,6 +287,13 @@ def fuse(
     return fuser.fuse(observations, threshold=threshold)
 
 
+def _detection_state(fuser: TruthFuser) -> Optional[PartitionDetectionState]:
+    """The correlation-detection state a freshly built fuser ran, if any."""
+    if isinstance(fuser, ClusteredCorrelationFuser):
+        return fuser.partition_state
+    return None
+
+
 def _build_fuser(
     observations: ObservationMatrix,
     labels: np.ndarray,
@@ -868,8 +875,8 @@ class ScoringSession:
         self._significance_memo: Optional[SignificanceMemo] = None
         # The live generation's correlation-detection state (edges +
         # partitions), kept so the next delta refit re-decides only pairs
-        # touching dirty sources.  Reset by plain refit(): its state would
-        # belong to a generation the next delta diff is not against.
+        # touching dirty sources.  A cold build (construction, plain
+        # refit()) takes it from the clustered fuser it just built.
         # guarded-by: _refit_lock
         self._partition_state: Optional[PartitionDetectionState] = None
         start = time.perf_counter()
@@ -886,6 +893,7 @@ class ScoringSession:
             shard_size=shard_size,
             options=self._options,
         )
+        self._partition_state = _detection_state(self._fuser)
         # guarded-by: _refit_lock
         self._delta_scorer = self._make_delta_scorer(self._fuser)
         # guarded-by: _refit_lock
@@ -1277,7 +1285,7 @@ class ScoringSession:
             self._publish_generation(
                 fuser, model, prior, smoothing, start, retired, retired_model
             )
-            self._partition_state = None
+            self._partition_state = _detection_state(fuser)
             self._note_refit(None, self.fit_seconds)
             if checkpointer is not None:
                 checkpointer.commit_refit(self, observations, labels)
@@ -1555,9 +1563,6 @@ class ScoringSession:
                 significance=significance,
                 memo=memo,
             )
-        if new_state is None:
-            # Legacy engine: let the fuser run its own detection.
-            return None
         options["true_partition"] = new_state.true_partition
         options["false_partition"] = new_state.false_partition
         if carry_ok and isinstance(retired, ClusteredCorrelationFuser):

@@ -20,25 +20,34 @@ linked when their provide-indicators show a large-enough phi coefficient
 *and* the pair's 2x2 contingency table rejects independence at a
 Bonferroni-corrected level, so noise pairs cannot chain wide datasets into
 one giant component.
+
+Detection has one path, :func:`detect_partition_state`.  It gathers the
+pair statistics once -- per-source rates, every pair's joint recall and
+fpr, and joint coverage counts -- screens the true and false sides
+together element-wise, sends both sides' surviving candidates through one
+independence-test batch (:mod:`repro.core.independence`, scipy's
+chi-square and Fisher algorithms replayed on the kernels scipy calls), and
+forms components by union-find.  Its :class:`PartitionDetectionState`
+carries the edge sets, so a delta refit re-decides only pairs that touch
+a dirty source (:func:`refresh_partition_state`).  The fuser, the session,
+:func:`pairwise_correlations`, :func:`correlation_clusters` and
+:func:`discovered_correlation_groups` all read that state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
 
-from repro.core.locktrace import make_lock
-
-import networkx as nx
 import numpy as np
-from scipy import special, stats
 
 from repro.core.elastic import ElasticFuser
 from repro.core.exact import ExactCorrelationFuser
 from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
-from repro.core.joint import JointQualityModel
+from repro.core.independence import decide_tables
+from repro.core.joint import JointQualityModel, pair_indices
+from repro.core.locktrace import make_lock
 from repro.core.patterns import (
     PatternSet,
     RestrictionTable,
@@ -49,7 +58,7 @@ from repro.core.plans import (
     CompiledPlanCache,
     pattern_digest,
 )
-from repro.util.probability import PROBABILITY_FLOOR, safe_divide
+from repro.util.probability import PROBABILITY_FLOOR
 from repro.util.validation import check_accumulate
 
 Side = Literal["true", "false"]
@@ -60,18 +69,6 @@ ClusterEvaluator = Union[ExactCorrelationFuser, ElasticFuser]
 _EvaluatorGroup = tuple[
     ClusterEvaluator, list[frozenset[int]], RestrictionTable
 ]
-
-
-@lru_cache(maxsize=64)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached row-major upper-triangle pair indices (refit hot path).
-
-    Shared read-only arrays -- callers index them, never write.
-    """
-    ii, jj = np.triu_indices(n, k=1)
-    ii.setflags(write=False)
-    jj.setflags(write=False)
-    return ii, jj
 
 
 @dataclass(frozen=True)
@@ -139,10 +136,10 @@ class SignificanceMemo:
     and the Bonferroni level, so a delta refit whose dirty words left a
     pair's table bit-unchanged can reuse the previous generation's decision
     verbatim -- the dominant cost of clustering on wide grids is the
-    per-pair scipy test, and under low churn most tables recur.  The memo
-    is carried across model generations by the scoring session (never
-    module-global: a process-wide memo would also accelerate *cold* refits
-    and corrupt delta-vs-cold benchmark comparisons).
+    per-pair independence test, and under low churn most tables recur.
+    The memo is carried across model generations by the scoring session
+    (never module-global: a process-wide memo would also accelerate *cold*
+    refits and corrupt delta-vs-cold benchmark comparisons).
 
     Thread-safety mirrors ``MaskedJointCache``: reads are plain dict
     look-ups (atomic under the GIL), stores take a lock, and values are
@@ -219,152 +216,31 @@ class SignificanceMemo:
         self.__init__(state["max_entries"])
 
 
-def pairwise_correlations(
-    model: JointQualityModel,
-    side: Side = "true",
-    min_phi: float = 0.15,
-    min_expected: float = 2.0,
-    significance: float = 0.05,
-    memo: Optional[SignificanceMemo] = None,
-) -> list[PairwiseCorrelation]:
-    """Detect significantly correlated source pairs on one side.
-
-    A pair qualifies when (a) its phi coefficient has magnitude at least
-    ``min_phi`` (effect size), (b) its expected co-occurrence count under
-    independence is at least ``min_expected`` (enough support to judge), and
-    (c) on empirical models, an independence test of the pair's 2x2
-    contingency table (chi-square, or Fisher's exact test when any expected
-    cell is small) beats ``significance / n_pairs`` (Bonferroni):
-    ``significance`` bounds the expected number of spurious edges in the
-    whole graph, and without the guard wide datasets chain everything into
-    one component through noise pairs.  Parameter-only models skip (b)
-    and (c).
-
-    ``memo``, when given, caches independence-test *decisions* by exact
-    integer contingency table (see :class:`SignificanceMemo`) -- the
-    delta-refit fast path, where most pair tables survive a low-churn
-    update bit-unchanged.  Decisions are identical with or without it.
-    """
+def _check_thresholds(
+    min_phi: float, min_expected: float, significance: float
+) -> None:
+    """Reject detection thresholds that would silently drop every edge."""
     if not 0.0 <= min_phi <= 1.0:
         raise ValueError(f"min_phi must be in [0, 1], got {min_phi}")
     if not 0.0 < significance <= 1.0:
         raise ValueError(f"significance must be in (0, 1], got {significance}")
-    n = model.n_sources
-    n_pairs = max(n * (n - 1) // 2, 1)
-    per_pair_alpha = significance / n_pairs
-
-    # One vectorized model call answers every pair's joint parameters (the
-    # O(n^2) scalar subset queries dominated clustered-fuser fit time on
-    # wide grids); models without batch support fall back to the scalar
-    # per-pair queries below.  The factor arithmetic replays the scalar
-    # ``correlation_true``/``correlation_false`` expressions on the batched
-    # (bit-identical) joint values, so both paths agree exactly.
-    batched_joints: dict[tuple[int, int], float] = {}
-    batch = model.pair_joint_params()
-    if batch is not None:
-        coverage_counts = model.pair_coverage_counts()
-        if coverage_counts is not None:
-            # Fully-batched models (the empirical vectorized engine) take
-            # the array path: the Python pair loop and the per-pair scipy
-            # test calls dominated (re)fit wall-clock on wide grids.
-            return _pairwise_correlations_vectorized(
-                model,
-                side,
-                batch,
-                coverage_counts,
-                min_phi,
-                min_expected,
-                per_pair_alpha,
-                memo,
-            )
-        pairs, r_pairs, q_pairs = batch
-        values = r_pairs if side == "true" else q_pairs
-        batched_joints = {
-            pair: float(values[k]) for k, pair in enumerate(pairs)
-        }
-
-    detected: list[PairwiseCorrelation] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if side == "true":
-                rate_i, rate_j = model.recall(i), model.recall(j)
-            else:
-                rate_i, rate_j = model.fpr(i), model.fpr(j)
-            joint = batched_joints.get((i, j))
-            if joint is not None:
-                independent = float(np.prod([rate_i, rate_j]))
-                factor = safe_divide(joint, independent, default=1.0)
-            elif side == "true":
-                factor = model.correlation_true([i, j])
-                joint = model.joint_recall([i, j])
-            else:
-                factor = model.correlation_false([i, j])
-                joint = model.joint_fpr([i, j])
-            phi = pairwise_phi(rate_i, rate_j, joint)
-            if abs(phi) < min_phi:
-                continue
-            # The pair's sample size is its *joint coverage* on this side
-            # (identical to the global count under full coverage).
-            counts = model.joint_coverage_counts([i, j])
-            if counts is not None:
-                base_count = counts[0] if side == "true" else counts[1]
-                expected_rate = rate_i * rate_j
-                if expected_rate * base_count < min_expected:
-                    continue
-                if not _significant(
-                    joint, rate_i, rate_j, base_count, per_pair_alpha
-                ):
-                    continue
-            detected.append(
-                PairwiseCorrelation(source_i=i, source_j=j, factor=factor, phi=phi)
-            )
-    return detected
-
-
-def correlation_clusters(
-    model: JointQualityModel,
-    side: Side = "true",
-    min_phi: float = 0.15,
-    min_expected: float = 2.0,
-    significance: float = 0.05,
-    memo: Optional[SignificanceMemo] = None,
-) -> SourcePartition:
-    """Partition sources by pairwise correlation on one side.
-
-    Clusters are the connected components (singletons included) of the
-    graph whose edges are :func:`pairwise_correlations` -- the construction
-    the paper applies to the BOOK dataset ("we divide sources into clusters
-    based on their pairwise correlations, and assume that sources across
-    clusters are independent").  ``memo`` is the optional significance
-    decision cache forwarded to the edge detection (delta-refit reuse).
-    """
-    edges = pairwise_correlations(
-        model,
-        side,
-        min_phi=min_phi,
-        min_expected=min_expected,
-        significance=significance,
-        memo=memo,
-    )
-    graph = nx.Graph()
-    graph.add_nodes_from(range(model.n_sources))
-    graph.add_edges_from((e.source_i, e.source_j) for e in edges)
-    components = nx.connected_components(graph)
-    clusters = tuple(frozenset(component) for component in components)
-    return SourcePartition(clusters=clusters)
+    if not (math.isfinite(min_expected) and min_expected >= 0.0):
+        raise ValueError(
+            f"min_expected must be finite and >= 0, got {min_expected}"
+        )
 
 
 @dataclass(frozen=True)
 class PartitionDetectionState:
     """One generation's full correlation-detection outcome, carryable.
 
-    The delta-refit fast path keeps the per-side *edge sets* alongside the
-    partitions: a pair whose two sources are both clean in the next
-    generation has bit-identical rates, joint parameters, and coverage
-    counts, so its edge decision provably cannot change and is carried;
-    only pairs touching a dirty source are re-decided
-    (:func:`refresh_partition_state`).  The detection thresholds are
-    recorded so a refresh can refuse to carry across a parameter change.
+    Holds both sides' *edge sets* alongside their partitions: a pair whose
+    two sources are both clean in the next generation has bit-identical
+    rates, joint parameters, and coverage counts, so its edge decision
+    provably cannot change and is carried; only pairs touching a dirty
+    source are re-decided (:func:`refresh_partition_state`).  The
+    detection thresholds are recorded so a refresh can refuse to carry
+    across a parameter change.
     """
 
     true_edges: frozenset[tuple[int, int]]
@@ -375,6 +251,27 @@ class PartitionDetectionState:
     min_phi: float
     min_expected: float
     significance: float
+
+    @classmethod
+    def from_edges(
+        cls,
+        n_sources: int,
+        true_edges: frozenset[tuple[int, int]],
+        false_edges: frozenset[tuple[int, int]],
+        min_phi: float,
+        min_expected: float,
+        significance: float,
+    ) -> "PartitionDetectionState":
+        return cls(
+            true_edges=true_edges,
+            false_edges=false_edges,
+            true_partition=_components_partition(n_sources, true_edges),
+            false_partition=_components_partition(n_sources, false_edges),
+            n_sources=n_sources,
+            min_phi=min_phi,
+            min_expected=min_expected,
+            significance=significance,
+        )
 
     def matches(
         self, n_sources: int, min_phi: float, min_expected: float,
@@ -387,6 +284,25 @@ class PartitionDetectionState:
             and self.significance == significance
         )
 
+    def edges(self, side: Side) -> frozenset[tuple[int, int]]:
+        return self.true_edges if side == "true" else self.false_edges
+
+    def partition(self, side: Side) -> SourcePartition:
+        return self.true_partition if side == "true" else self.false_partition
+
+    def groups(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Non-trivial clusters per side as sorted id tuples, largest first."""
+        return {
+            side: tuple(
+                sorted(
+                    (tuple(sorted(c)) for c in self.partition(side).nontrivial),
+                    key=len,
+                    reverse=True,
+                )
+            )
+            for side in ("true", "false")
+        }
+
 
 def _components_partition(
     n_sources: int, edges: Iterable[tuple[int, int]]
@@ -394,10 +310,10 @@ def _components_partition(
     """Connected components of the edge set, as a :class:`SourcePartition`.
 
     Union-find, with components emitted in order of their smallest member
-    -- exactly the order ``nx.connected_components`` yields when nodes
-    ``0..n-1`` were added first, so partitions built here are
-    indistinguishable (including cluster *order*, which fixes the
-    likelihood summation order) from :func:`correlation_clusters` output.
+    -- the order ``networkx.connected_components`` yields when nodes
+    ``0..n-1`` were added first (pinned against it by the test oracle), so
+    cluster *order*, which fixes the likelihood summation order, is the
+    one the paper reproduction has always used.
     """
     parent = list(range(n_sources))
 
@@ -424,52 +340,161 @@ def _components_partition(
     return SourcePartition(clusters=clusters)
 
 
+def _pair_joints(model: JointQualityModel, pair_ids: np.ndarray) -> np.ndarray:
+    """``(2, k)`` joint recall (row 0) and fpr (row 1) of the selected pairs.
+
+    From the model's memoised all-pairs batch where it has one; models
+    without batch pair statistics (legacy engine, explicit models) answer
+    the same values through their scalar queries.
+    """
+    batch = model.pair_joint_params()
+    if batch is not None:
+        _, r_pairs, q_pairs = batch
+        return np.stack([r_pairs[pair_ids], q_pairs[pair_ids]])
+    ii, jj = pair_indices(model.n_sources)
+    pairs = [(int(ii[k]), int(jj[k])) for k in pair_ids]
+    return np.array(
+        [
+            [model.joint_recall(pair) for pair in pairs],
+            [model.joint_fpr(pair) for pair in pairs],
+        ],
+        dtype=float,
+    ).reshape(2, len(pairs))
+
+
+def _pair_counts(
+    model: JointQualityModel, pair_ids: np.ndarray
+) -> Optional[np.ndarray]:
+    """``(2, k)`` joint coverage counts (true, false), or ``None``.
+
+    ``None`` for parameter-only models, which have no sample to judge
+    support or significance by.
+    """
+    coverage = model.pair_coverage_counts()
+    if coverage is not None:
+        return np.stack(coverage).astype(np.int64)[:, pair_ids]
+    ii, jj = pair_indices(model.n_sources)
+    counts = [
+        model.joint_coverage_counts((int(ii[k]), int(jj[k])))
+        for k in pair_ids
+    ]
+    if any(count is None for count in counts):
+        return None
+    return np.array(counts, dtype=np.int64).reshape(-1, 2).T
+
+
+def _pair_effects(
+    rates_i: np.ndarray, rates_j: np.ndarray, joints: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element-wise ``(independent, factor, phi)`` of each pair.
+
+    ``factor`` replays ``correlation_true``/``correlation_false`` (1 where
+    the independence product vanishes) and ``phi`` :func:`pairwise_phi`,
+    each in the scalar expression's operation order, so every value is
+    bit-identical to the per-pair scalar computation.
+    """
+    independent = rates_i * rates_j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = np.where(independent == 0.0, 1.0, joints / independent)
+        variance = rates_i * (1.0 - rates_i) * rates_j * (1.0 - rates_j)
+        phi_denominator = np.sqrt(variance)
+        phis = np.where(
+            phi_denominator <= 0.0,
+            0.0,
+            (joints - independent) / phi_denominator,
+        )
+    return independent, factors, phis
+
+
+def _decide_pairs(
+    model: JointQualityModel,
+    pair_ids: np.ndarray,
+    min_phi: float,
+    min_expected: float,
+    alpha: float,
+    memo: Optional[SignificanceMemo],
+) -> np.ndarray:
+    """``(2, k)`` edge decisions (true side, false side) for the pairs.
+
+    The one decision core: ``pair_ids`` are row-major upper-triangle pair
+    ids, and both sides are screened together -- effect size
+    (``|phi| >= min_phi``), then, on models with evidence counts, support
+    (expected co-occurrences ``>= min_expected``), then one
+    :func:`_significant_batch` call over both sides' surviving candidates.
+    Each pair is decided independently of which others are selected, so a
+    restricted evaluation (the delta-refit refresh) decides every pair
+    exactly as a full one does.
+    """
+    ii, jj = pair_indices(model.n_sources)
+    rates = model.source_rates()
+    rates_i = rates[:, ii[pair_ids]]
+    rates_j = rates[:, jj[pair_ids]]
+    joints = _pair_joints(model, pair_ids)
+    independent, _, phis = _pair_effects(rates_i, rates_j, joints)
+    keep = np.abs(phis) >= min_phi
+    counts = _pair_counts(model, pair_ids)
+    if counts is None:
+        return keep  # parameter-only model: effect size alone
+    keep &= (independent * counts) >= min_expected
+    flat = keep.reshape(-1)
+    candidates = np.flatnonzero(flat)
+    if candidates.size:
+        flat[candidates] = _significant_batch(
+            joints.reshape(-1)[candidates],
+            rates_i.reshape(-1)[candidates],
+            rates_j.reshape(-1)[candidates],
+            counts.reshape(-1)[candidates],
+            alpha,
+            memo,
+        )
+    return keep
+
+
+def _per_pair_alpha(significance: float, n_sources: int) -> float:
+    """Bonferroni level: ``significance`` spread over every source pair."""
+    return significance / max(n_sources * (n_sources - 1) // 2, 1)
+
+
 def detect_partition_state(
     model: JointQualityModel,
     min_phi: float = 0.15,
     min_expected: float = 2.0,
     significance: float = 0.05,
     memo: Optional[SignificanceMemo] = None,
-) -> Optional[PartitionDetectionState]:
-    """Full two-sided correlation detection, packaged for delta carry.
+) -> PartitionDetectionState:
+    """Two-sided correlation detection: the one detector.
 
-    Partitions are identical (cluster order included) to calling
-    :func:`correlation_clusters` per side; the edge sets feed
-    :func:`refresh_partition_state` on the next low-churn refit.  Returns
-    ``None`` for models without the fully-batched pair interface (legacy
-    engine) -- there is no vectorized edge core to restrict there.
+    A source pair becomes an edge on a side when (a) its phi coefficient
+    has magnitude at least ``min_phi`` (effect size), (b) its expected
+    co-occurrence count under independence, over the pair's joint
+    coverage, is at least ``min_expected`` (enough support to judge), and
+    (c) an independence test of its 2x2 contingency table (chi-square, or
+    Fisher's exact test when any expected cell is small) beats
+    ``significance / n_pairs`` (Bonferroni): ``significance`` bounds the
+    expected number of spurious edges in the whole graph, and without the
+    guard wide datasets chain everything into one component through noise
+    pairs.  Parameter-only models have no counts and skip (b) and (c).
+    Clusters are the connected components of each side's edges.
+
+    ``memo``, when given, caches independence-test decisions by exact
+    integer table (see :class:`SignificanceMemo`); decisions are
+    identical with or without it.  The returned state feeds the fuser,
+    the reporting helpers, and :func:`refresh_partition_state` on the
+    next low-churn refit.
     """
-    batch = model.pair_joint_params()
-    if batch is None:
-        return None
-    coverage_counts = model.pair_coverage_counts()
-    if coverage_counts is None:
-        return None
+    _check_thresholds(min_phi, min_expected, significance)
     n = model.n_sources
-    per_pair_alpha = significance / max(n * (n - 1) // 2, 1)
-    ii, jj = _triu(n)
-    pair_ids = np.arange(ii.size)
-    sides: dict[Side, frozenset[tuple[int, int]]] = {}
-    partitions: dict[Side, SourcePartition] = {}
-    for side in ("true", "false"):
-        keep, _, _ = _edge_decisions(
-            model, side, pair_ids, batch, coverage_counts,
-            min_phi, min_expected, per_pair_alpha, memo,
-        )
-        edges = frozenset(
-            (int(ii[k]), int(jj[k])) for k in np.flatnonzero(keep)
-        )
-        sides[side] = edges
-        partitions[side] = _components_partition(n, edges)
-    return PartitionDetectionState(
-        true_edges=sides["true"],
-        false_edges=sides["false"],
-        true_partition=partitions["true"],
-        false_partition=partitions["false"],
-        n_sources=n,
-        min_phi=min_phi,
-        min_expected=min_expected,
-        significance=significance,
+    ii, jj = pair_indices(n)
+    keep = _decide_pairs(
+        model, np.arange(ii.size), min_phi, min_expected,
+        _per_pair_alpha(significance, n), memo,
+    )
+    true_edges, false_edges = (
+        frozenset(zip(ii[side_keep].tolist(), jj[side_keep].tolist()))
+        for side_keep in keep
+    )
+    return PartitionDetectionState.from_edges(
+        n, true_edges, false_edges, min_phi, min_expected, significance
     )
 
 
@@ -478,197 +503,114 @@ def refresh_partition_state(
     model: JointQualityModel,
     dirty_source_ids: Sequence[int],
     memo: Optional[SignificanceMemo] = None,
-) -> Optional[PartitionDetectionState]:
+) -> PartitionDetectionState:
     """Re-derive the detection state after a delta refit, by churn.
 
     Only pairs touching a dirty source are re-decided (through the same
-    element-wise core a full detection runs); every clean pair's edge is
-    carried from ``previous``.  Callers must ensure clean sources'
-    parameters are bit-identical across the two generations -- the
-    condition the session checks before taking this path (delta-mode model
-    refit, unchanged labels, same prior and smoothing).  Under it the
-    result is exactly what :func:`detect_partition_state` would return.
-    Returns ``None`` when the model lacks the batched pair interface.
+    core a full detection runs); every clean pair's edge is carried from
+    ``previous``.  Callers must ensure clean sources' parameters are
+    bit-identical across the two generations -- the condition the session
+    checks before taking this path (delta-mode model refit, unchanged
+    labels, same prior and smoothing).  Under it the result is exactly
+    what :func:`detect_partition_state` would return.
     """
-    batch = model.pair_joint_params()
-    if batch is None:
-        return None
-    coverage_counts = model.pair_coverage_counts()
-    if coverage_counts is None:
-        return None
     n = model.n_sources
     if previous.n_sources != n:
-        return None
+        raise ValueError(
+            f"previous state covers {previous.n_sources} sources, model {n}"
+        )
     dirty = np.zeros(n, dtype=bool)
     dirty[np.asarray(list(dirty_source_ids), dtype=int)] = True
-    ii, jj = _triu(n)
+    ii, jj = pair_indices(n)
     pair_ids = np.flatnonzero(dirty[ii] | dirty[jj])
-    per_pair_alpha = previous.significance / max(n * (n - 1) // 2, 1)
-    sides: dict[Side, frozenset[tuple[int, int]]] = {}
-    partitions: dict[Side, SourcePartition] = {}
-    for side, previous_edges in (
-        ("true", previous.true_edges), ("false", previous.false_edges),
+    keep = _decide_pairs(
+        model, pair_ids, previous.min_phi, previous.min_expected,
+        _per_pair_alpha(previous.significance, n), memo,
+    )
+    sides: list[frozenset[tuple[int, int]]] = []
+    for previous_edges, side_keep in zip(
+        (previous.true_edges, previous.false_edges), keep
     ):
-        carried = {
+        edges = {
             edge for edge in previous_edges
             if not (dirty[edge[0]] or dirty[edge[1]])
         }
-        if pair_ids.size:
-            keep, _, _ = _edge_decisions(
-                model, side, pair_ids, batch, coverage_counts,
-                previous.min_phi, previous.min_expected, per_pair_alpha,
-                memo,
-            )
-            carried.update(
-                (int(ii[pair_ids[k]]), int(jj[pair_ids[k]]))
-                for k in np.flatnonzero(keep)
-            )
-        edges = frozenset(carried)
-        sides[side] = edges
-        partitions[side] = _components_partition(n, edges)
-    return PartitionDetectionState(
-        true_edges=sides["true"],
-        false_edges=sides["false"],
-        true_partition=partitions["true"],
-        false_partition=partitions["false"],
-        n_sources=n,
-        min_phi=previous.min_phi,
-        min_expected=previous.min_expected,
-        significance=previous.significance,
+        chosen = pair_ids[side_keep]
+        edges.update(zip(ii[chosen].tolist(), jj[chosen].tolist()))
+        sides.append(frozenset(edges))
+    return PartitionDetectionState.from_edges(
+        n, sides[0], sides[1], previous.min_phi, previous.min_expected,
+        previous.significance,
     )
 
 
-def _significant(
-    joint_rate: float, rate_i: float, rate_j: float, trials: int, alpha: float
-) -> bool:
-    """Independence test of the pair's 2x2 contingency table.
-
-    Reconstructs integer counts from the rates, then applies the chi-square
-    test of independence -- falling back to Fisher's exact test when any
-    expected cell count is below 5 (the usual chi-square validity rule).
-    """
-    n11 = int(round(joint_rate * trials))
-    n1 = int(round(rate_i * trials))
-    n2 = int(round(rate_j * trials))
-    n11 = min(n11, n1, n2)
-    n10 = n1 - n11
-    n01 = n2 - n11
-    n00 = trials - n1 - n2 + n11
-    if n00 < 0:
-        return True  # margins overlap so much that dependence is forced
-    table = np.array([[n11, n10], [n01, n00]], dtype=float)
-    row_sums = table.sum(axis=1, keepdims=True)
-    col_sums = table.sum(axis=0, keepdims=True)
-    total = table.sum()
-    if total <= 0 or (row_sums == 0).any() or (col_sums == 0).any():
-        return False  # degenerate margin: no evidence either way
-    expected = row_sums @ col_sums / total
-    if expected.min() < 5.0:
-        _, p_value = stats.fisher_exact(table.astype(int))
-    else:
-        _, p_value, _, _ = stats.chi2_contingency(table, correction=True)
-    return float(p_value) < alpha
-
-
-def _pairwise_correlations_vectorized(
+def correlation_edges(
     model: JointQualityModel,
-    side: Side,
-    batch: tuple[list[tuple[int, int]], np.ndarray, np.ndarray],
-    coverage_counts: tuple[np.ndarray, np.ndarray],
-    min_phi: float,
-    min_expected: float,
-    alpha: float,
-    memo: Optional[SignificanceMemo],
+    state: PartitionDetectionState,
+    side: Side = "true",
 ) -> list[PairwiseCorrelation]:
-    """Array-form pair detection, bit-identical to the scalar walk.
-
-    Every scalar expression (factor, phi, support guard) is replayed
-    element-wise in the same operation order on the same float64 inputs,
-    and the independence tests go through :func:`_significant_batch`
-    (identical decisions by construction); the returned edge list is in
-    row-major ``(i, j)`` order, matching the scalar loop.
-    """
+    """One side's detected edges with their factor and phi, row-major."""
+    edges = sorted(state.edges(side))
+    if not edges:
+        return []
     n = model.n_sources
-    ii, jj = _triu(n)
-    pair_ids = np.arange(ii.size)
-    keep, factors, phis = _edge_decisions(
-        model, side, pair_ids, batch, coverage_counts,
-        min_phi, min_expected, alpha, memo,
+    row = 0 if side == "true" else 1
+    left = np.array([i for i, _ in edges])
+    right = np.array([j for _, j in edges])
+    # Row-major upper-triangle id of each (i, j), i < j.
+    pair_ids = left * (2 * n - left - 1) // 2 + (right - left - 1)
+    rates = model.source_rates()[row]
+    _, factors, phis = _pair_effects(
+        rates[left], rates[right], _pair_joints(model, pair_ids)[row]
     )
     return [
         PairwiseCorrelation(
-            source_i=int(ii[k]),
-            source_j=int(jj[k]),
-            factor=float(factors[k]),
-            phi=float(phis[k]),
+            source_i=i, source_j=j, factor=float(factor), phi=float(phi)
         )
-        for k in np.flatnonzero(keep)
+        for (i, j), factor, phi in zip(edges, factors, phis)
     ]
 
 
-def _edge_decisions(
+def pairwise_correlations(
     model: JointQualityModel,
-    side: Side,
-    pair_ids: np.ndarray,
-    batch: tuple[list[tuple[int, int]], np.ndarray, np.ndarray],
-    coverage_counts: tuple[np.ndarray, np.ndarray],
-    min_phi: float,
-    min_expected: float,
-    alpha: float,
-    memo: Optional[SignificanceMemo],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Correlation-edge decisions for the selected pairs, element-wise.
+    side: Side = "true",
+    min_phi: float = 0.15,
+    min_expected: float = 2.0,
+    significance: float = 0.05,
+    memo: Optional[SignificanceMemo] = None,
+) -> list[PairwiseCorrelation]:
+    """Significantly correlated source pairs on one side, row-major.
 
-    The shared decision core of the vectorized detection: given row-major
-    upper-triangle pair ids, returns ``(keep, factors, phis)`` aligned
-    with ``pair_ids``.  Every expression is applied per element in the
-    scalar walk's operation order on the same float64 inputs, so a
-    restricted evaluation (the delta-refit partition refresh) decides each
-    pair exactly as a full evaluation -- and as the scalar loop -- would.
+    A reader of :func:`detect_partition_state` (see there for the edge
+    criteria), with each edge's correlation factor and phi attached.
     """
-    pairs, r_pairs, q_pairs = batch
-    joints = np.asarray(
-        r_pairs if side == "true" else q_pairs, dtype=float
-    )[pair_ids]
-    n = model.n_sources
-    if side == "true":
-        rates = np.array([model.recall(i) for i in range(n)], dtype=float)
-    else:
-        rates = np.array([model.fpr(i) for i in range(n)], dtype=float)
-    ii, jj = _triu(n)
-    rates_i = rates[ii[pair_ids]]
-    rates_j = rates[jj[pair_ids]]
-    independent = rates_i * rates_j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = np.where(independent == 0.0, 1.0, joints / independent)
-        # pairwise_phi's expression order, element-wise.
-        variance = (
-            rates_i * (1.0 - rates_i) * rates_j * (1.0 - rates_j)
-        )
-        phi_denominator = np.sqrt(variance)
-        phis = np.where(
-            phi_denominator <= 0.0,
-            0.0,
-            (joints - independent) / phi_denominator,
-        )
-    candidates = np.abs(phis) >= min_phi
-    base_counts = np.asarray(
-        coverage_counts[0] if side == "true" else coverage_counts[1],
-        dtype=np.int64,
-    )[pair_ids]
-    candidates &= (independent * base_counts) >= min_expected
-    keep = np.zeros(pair_ids.size, dtype=bool)
-    candidate_ids = np.flatnonzero(candidates)
-    if candidate_ids.size:
-        keep[candidate_ids] = _significant_batch(
-            joints[candidate_ids],
-            rates_i[candidate_ids],
-            rates_j[candidate_ids],
-            base_counts[candidate_ids],
-            alpha,
-            memo,
-        )
-    return keep, factors, phis
+    state = detect_partition_state(
+        model, min_phi=min_phi, min_expected=min_expected,
+        significance=significance, memo=memo,
+    )
+    return correlation_edges(model, state, side)
+
+
+def correlation_clusters(
+    model: JointQualityModel,
+    side: Side = "true",
+    min_phi: float = 0.15,
+    min_expected: float = 2.0,
+    significance: float = 0.05,
+    memo: Optional[SignificanceMemo] = None,
+) -> SourcePartition:
+    """Partition sources by pairwise correlation on one side.
+
+    Clusters are the connected components (singletons included) of the
+    side's correlation edges -- the construction the paper applies to the
+    BOOK dataset ("we divide sources into clusters based on their pairwise
+    correlations, and assume that sources across clusters are
+    independent").  A reader of :func:`detect_partition_state`.
+    """
+    return detect_partition_state(
+        model, min_phi=min_phi, min_expected=min_expected,
+        significance=significance, memo=memo,
+    ).partition(side)
 
 
 def _significant_batch(
@@ -679,17 +621,13 @@ def _significant_batch(
     alpha: float,
     memo: Optional[SignificanceMemo] = None,
 ) -> np.ndarray:
-    """Vectorized :func:`_significant` over candidate arrays.
+    """Independence decisions for candidate pairs, from their rates.
 
-    Reconstructs every pair's integer contingency table exactly as the
-    scalar test does, resolves decisions from ``memo`` where the table was
-    seen before, and evaluates the rest: the chi-square branch replicates
-    ``scipy.stats.chi2_contingency(table, correction=True)`` for 2x2
-    tables element-wise (margin-product expected counts, Yates adjustment,
-    Pearson statistic, ``chdtrc`` survival function -- the exact operation
-    sequence scipy applies, pinned against the scalar test by the fuzz
-    suite in ``tests/test_refit_delta.py``), while the small-expected-cell
-    branch calls ``fisher_exact`` per table like the scalar path.
+    Reconstructs every pair's integer contingency table from its joint and
+    marginal rates and its trial count, forces an edge where the margins
+    overlap so much that dependence is certain (a negative fourth cell),
+    resolves decisions from ``memo`` where the table was seen before, and
+    decides the rest with :func:`repro.core.independence.decide_tables`.
     """
     joint_rates = np.asarray(joint_rates, dtype=float)
     trials = np.asarray(trials, dtype=np.int64)
@@ -722,70 +660,12 @@ def _significant_batch(
             return out
         todo = todo[np.asarray(missing)]
         tables = [tables[position] for position in missing]
-    decisions = _decide_tables(
+    decisions = decide_tables(
         n11[todo], n10[todo], n01[todo], n00[todo], alpha
     )
     out[todo] = decisions
     if memo is not None:
         memo.store(tables, decisions.tolist(), alpha)
-    return out
-
-
-def _decide_tables(
-    n11: np.ndarray,
-    n10: np.ndarray,
-    n01: np.ndarray,
-    n00: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Independence decisions for non-degenerate-margin-checked tables."""
-    out = np.zeros(n11.size, dtype=bool)
-    row0 = (n11 + n10).astype(float)
-    row1 = (n01 + n00).astype(float)
-    col0 = (n11 + n01).astype(float)
-    col1 = (n10 + n00).astype(float)
-    total = row0 + row1
-    valid = (
-        (total > 0) & (row0 != 0) & (row1 != 0) & (col0 != 0) & (col1 != 0)
-    )
-    ids = np.flatnonzero(valid)
-    if ids.size == 0:
-        return out  # degenerate margins: no evidence either way
-    row0, row1 = row0[ids], row1[ids]
-    col0, col1 = col0[ids], col1[ids]
-    total = total[ids]
-    expected = np.stack(
-        [
-            row0 * col0 / total,
-            row0 * col1 / total,
-            row1 * col0 / total,
-            row1 * col1 / total,
-        ],
-        axis=1,
-    )
-    fisher = expected.min(axis=1) < 5.0
-    chi = ~fisher
-    if chi.any():
-        observed = np.stack(
-            [n11[ids], n10[ids], n01[ids], n00[ids]], axis=1
-        ).astype(float)[chi]
-        expected_chi = expected[chi]
-        # Yates continuity correction exactly as chi2_contingency applies
-        # it for dof=1, then the Pearson statistic and chi2(1) survival
-        # function -- scipy's own operation sequence, replayed in bulk.
-        difference = expected_chi - observed
-        adjustment = np.minimum(0.5, np.abs(difference)) * np.sign(difference)
-        adjusted = observed + adjustment
-        statistic = ((adjusted - expected_chi) ** 2 / expected_chi).sum(axis=1)
-        p_values = special.chdtrc(1.0, statistic)
-        out[ids[chi]] = p_values < alpha
-    for position in np.flatnonzero(fisher):
-        k = ids[position]
-        table = np.array(
-            [[n11[k], n10[k]], [n01[k], n00[k]]], dtype=np.int64
-        )
-        _, p_value = stats.fisher_exact(table)
-        out[k] = float(p_value) < alpha
     return out
 
 
@@ -805,7 +685,7 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
     true_partition, false_partition:
         Pre-computed partitions; computed from ``model`` when omitted.
     min_phi, min_expected, significance:
-        Forwarded to :func:`correlation_clusters` when partitions are not
+        Forwarded to :func:`detect_partition_state` when partitions are not
         supplied.
     exact_cluster_limit:
         Clusters with at most this many sources are evaluated exactly;
@@ -902,18 +782,18 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         self._max_plan_cache = int(max_plan_cache_entries)
         self._plan_cache = CompiledPlanCache(max_plan_cache_entries)
         self._delta_serving = False
-        if true_partition is None:
-            true_partition = correlation_clusters(
-                model, "true",
-                min_phi=min_phi, min_expected=min_expected,
+        self._partition_state: Optional[PartitionDetectionState] = None
+        if true_partition is None or false_partition is None:
+            state = detect_partition_state(
+                model, min_phi=min_phi, min_expected=min_expected,
                 significance=significance, memo=significance_memo,
             )
-        if false_partition is None:
-            false_partition = correlation_clusters(
-                model, "false",
-                min_phi=min_phi, min_expected=min_expected,
-                significance=significance, memo=significance_memo,
-            )
+            if true_partition is None and false_partition is None:
+                self._partition_state = state
+            if true_partition is None:
+                true_partition = state.true_partition
+            if false_partition is None:
+                false_partition = state.false_partition
         self._true_partition = true_partition
         self._false_partition = false_partition
         self._shared_exact: Optional[ExactCorrelationFuser] = None
@@ -945,6 +825,16 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
     @property
     def false_partition(self) -> SourcePartition:
         return self._false_partition
+
+    @property
+    def partition_state(self) -> Optional[PartitionDetectionState]:
+        """The detection state both partitions came from, if detected here.
+
+        ``None`` when the caller supplied either partition.  A session
+        keeps it from a cold fit, so its first delta refit refreshes the
+        state instead of detecting again.
+        """
+        return self._partition_state
 
     def _make_evaluator(
         self, cluster: frozenset[int], exact_limit: int, level: int
@@ -1281,16 +1171,7 @@ def discovered_correlation_groups(
     tuple of sorted source-id tuples, largest group first -- the same shape
     as the paper's "discovered correlations" discussion.
     """
-    report: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for side in ("true", "false"):
-        partition = correlation_clusters(
-            model, side,
-            min_phi=min_phi, min_expected=min_expected, significance=significance,
-        )
-        groups = sorted(
-            (tuple(sorted(c)) for c in partition.nontrivial),
-            key=len,
-            reverse=True,
-        )
-        report[side] = tuple(groups)
-    return report
+    return detect_partition_state(
+        model, min_phi=min_phi, min_expected=min_expected,
+        significance=significance,
+    ).groups()

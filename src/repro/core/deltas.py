@@ -375,18 +375,30 @@ class DeltaScorer:
             return scores
         return self._score_full(observations, snapshot)
 
-    def _pattern_values(
-        self, keys: list[bytes], provider_rows: np.ndarray,
-        silent_rows: np.ndarray,
-    ) -> np.ndarray:
+    def _pattern_values(self, patterns: PatternSet) -> np.ndarray:
         """Probability per distinct pattern row: memo first, batch the rest.
 
-        ``provider_rows`` / ``silent_rows`` are the distinct pattern
-        matrices, ``keys`` their row keys.  Novel rows are evaluated as a
-        sub-batch :class:`PatternSet` through the fuser's
+        Against an empty memo every row of ``patterns`` is novel: the whole
+        set is evaluated and parked as the memo's seed, with no row keys
+        built (:meth:`PatternValueMemo.seed`).  Otherwise novel rows are
+        evaluated as a sub-batch :class:`PatternSet` through the fuser's
         ``pattern_probabilities`` (bit-identical to the same rows inside a
         full batch -- per-pattern independence) and memoised.
         """
+        provider_rows = patterns.provider_matrix
+        silent_rows = patterns.silent_matrix
+        if len(self._memo) == 0:
+            generation = self._memo.generation
+            probabilities = np.asarray(
+                self._fuser.pattern_probabilities(patterns), dtype=float
+            )
+            self._memo.seed(
+                provider_rows, silent_rows, (probabilities,),
+                generation=generation,
+            )
+            self._novel_patterns += int(probabilities.size)
+            return probabilities
+        keys = pattern_row_keys(provider_rows, silent_rows)
         values, novel = self._memo.lookup(keys)
         probabilities = np.empty(len(keys), dtype=float)
         for position, value in enumerate(values):
@@ -422,12 +434,7 @@ class DeltaScorer:
             # Delegate shape validation (and its error message) to the fuser.
             return fuser.score(observations)
         patterns = observations.patterns()
-        keys = pattern_row_keys(
-            patterns.provider_matrix, patterns.silent_matrix
-        )
-        probabilities = self._pattern_values(
-            keys, patterns.provider_matrix, patterns.silent_matrix
-        )
+        probabilities = self._pattern_values(patterns)
         scores = patterns.scatter(probabilities).astype(float, copy=False)
         if snapshot:
             self._prev = _Snapshot(observations, scores.copy())
@@ -451,14 +458,7 @@ class DeltaScorer:
             observations.provides[:, dirty],
             observations.coverage[:, dirty],
         )
-        keys = pattern_row_keys(
-            dirty_patterns.provider_matrix, dirty_patterns.silent_matrix
-        )
-        probabilities = self._pattern_values(
-            keys,
-            dirty_patterns.provider_matrix,
-            dirty_patterns.silent_matrix,
-        )
+        probabilities = self._pattern_values(dirty_patterns)
         inverse = dirty_patterns.inverse
         n_current = observations.n_triples
         scores = np.empty(n_current, dtype=float)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -46,8 +47,9 @@ if TYPE_CHECKING:  # deltas imports joint at runtime; annotation-only here
 from repro.core.quality import (
     SourceQuality,
     derive_false_positive_rate,
-    estimate_source_quality,
+    qualities_from_counts,
     quality_from_counts,
+    source_counts,
 )
 from repro.util.probability import safe_divide
 from repro.util.validation import check_engine, check_fraction
@@ -64,6 +66,20 @@ _BATCH_CHUNK = 32_768
 #: nearly every word costs two passes where the recount costs one, and the
 #: carried caches are mostly invalidated anyway.
 DEFAULT_REFIT_CHURN_FRACTION = 0.75
+
+
+@lru_cache(maxsize=64)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major upper-triangle source pairs ``(ii, jj)`` of ``n`` sources.
+
+    The pair order of every per-pair array here and in correlation
+    detection.  Cached and shared read-only: callers index them, never
+    write.
+    """
+    ii, jj = np.triu_indices(n, k=1)
+    ii.setflags(write=False)
+    jj.setflags(write=False)
+    return ii, jj
 
 
 def _gather_words(words: np.ndarray, word_ids: np.ndarray) -> np.ndarray:
@@ -92,7 +108,8 @@ class _JointCounts:
     (:func:`~repro.core.quality.quality_from_counts`,
     :meth:`EmpiricalJointModel._params_from_counts`) a cold build uses.
 
-    The per-source arrays are always populated; the per-pair arrays are
+    The per-source arrays are seeded at construction from the popcounts
+    the singleton qualities are derived from; the per-pair arrays are
     built lazily by the first :meth:`EmpiricalJointModel.pair_joint_params`
     call (``None`` until then) and the coverage pair is kept only under
     partial coverage.
@@ -163,12 +180,14 @@ class JointQualityModel(ABC):
         check_fraction(prior, "prior")
         self._source_names = tuple(source_names)
         self._prior = prior
-        # Memoised pair batch (see pair_joint_params): both clustering
-        # sides and the correlation-matrix method consume the same values,
-        # and the model's parameters are fixed after construction.  A
-        # racing duplicate compute under threads is deterministic and
-        # benign (either store wins with identical arrays).
+        # Memoised pair batch (see pair_joint_params) and per-source rates
+        # (see source_rates): both clustering sides and the
+        # correlation-matrix method consume the same values, and the
+        # model's parameters are fixed after construction.  A racing
+        # duplicate compute under threads is deterministic and benign
+        # (either store wins with identical arrays).
         self._pair_params_cache = None
+        self._source_rates_cache: Optional[np.ndarray] = None
 
     @property
     def source_names(self) -> tuple[str, ...]:
@@ -236,6 +255,26 @@ class JointQualityModel(ABC):
 
     def fpr(self, source_id: int) -> float:
         return self.source_quality(source_id).false_positive_rate
+
+    def source_rates(self) -> np.ndarray:
+        """``(2, n_sources)`` array: every source's recall, then its fpr.
+
+        Row 0 holds :meth:`recall`, row 1 :meth:`fpr`, in source order
+        (read-only, memoised).
+        """
+        rates = self._source_rates_cache
+        if rates is None:
+            qualities = [self.source_quality(i) for i in range(self.n_sources)]
+            rates = np.array(
+                [
+                    [q.recall for q in qualities],
+                    [q.false_positive_rate for q in qualities],
+                ],
+                dtype=float,
+            ).reshape(2, self.n_sources)
+            rates.setflags(write=False)
+            self._source_rates_cache = rates
+        return rates
 
     def correlation_true(self, source_ids: Iterable[int]) -> float:
         """``C_{S*} = r_{S*} / prod r_i`` (Eq. 16); 1 when undefined."""
@@ -345,11 +384,11 @@ class JointQualityModel(ABC):
         if self.joint_params_batch(np.zeros((0, n), dtype=bool)) is None:
             self._pair_params_cache = False
             return None
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ii, jj = pair_indices(n)
+        pairs = list(zip(ii.tolist(), jj.tolist()))
         rows = np.zeros((len(pairs), n), dtype=bool)
-        for k, (i, j) in enumerate(pairs):
-            rows[k, i] = True
-            rows[k, j] = True
+        rows[np.arange(len(pairs)), ii] = True
+        rows[np.arange(len(pairs)), jj] = True
         params = self.joint_params_batch(rows)
         if params is None:  # pragma: no cover - probe said otherwise
             self._pair_params_cache = False
@@ -586,14 +625,16 @@ class EmpiricalJointModel(JointQualityModel):
         self._smoothing = float(smoothing)
         self._max_cache = int(max_cache_entries)
         self._n_true = int(labels.sum())
-        self._singletons = estimate_source_quality(
-            observations, labels, prior=prior, smoothing=smoothing
-        )
         self._partial_coverage = observations.has_partial_coverage
-        if self._engine == "vectorized":
-            self._true_words = pack_bool_vector(labels)
-            self._false_words = pack_bool_vector(~labels)
-        self._counts: Optional[_JointCounts] = None
+        self._true_words = pack_bool_vector(labels)
+        self._false_words = pack_bool_vector(~labels)
+        # The singleton qualities and the delta-refit counters come from
+        # the same per-source popcounts.
+        counts = source_counts(observations, self._true_words)
+        self._singletons = qualities_from_counts(
+            observations.source_names, counts, prior=prior, smoothing=smoothing
+        )
+        self._counts = _JointCounts(*counts)
         self._recall_cache: dict[SubsetKey, float] = {}
         self._fpr_cache: dict[SubsetKey, float] = {}
         self._precision_cache: dict[SubsetKey, float] = {}
@@ -840,25 +881,6 @@ class EmpiricalJointModel(JointQualityModel):
 
     # -- updatable count state (delta refit) ---------------------------
 
-    def _count_state(self) -> _JointCounts:
-        """Per-source integer counters, built from packed words on demand.
-
-        Bit-identical to the boolean-sum counts ``estimate_source_quality``
-        measures: packed rows zero-pad their tails, so row popcounts equal
-        row sums exactly.  Vectorized engine only (callers guard).
-        """
-        counts = self._counts
-        if counts is None:
-            provides = self._observations.packed_provides.words
-            coverage = self._observations.packed_coverage.words
-            counts = _JointCounts(
-                src_provided=popcount_rows(provides),
-                src_provided_true=popcount_rows(provides & self._true_words),
-                src_in_scope_true=popcount_rows(coverage & self._true_words),
-            )
-            self._counts = counts
-        return counts
-
     def sufficient_statistics(self) -> "Optional[dict[str, np.ndarray]]":
         """The per-source integer counters every served float derives from.
 
@@ -870,7 +892,7 @@ class EmpiricalJointModel(JointQualityModel):
         """
         if self._engine != "vectorized":
             return None
-        counts = self._count_state()
+        counts = self._counts
         return {
             "src_provided": np.asarray(counts.src_provided, dtype=np.int64),
             "src_provided_true": np.asarray(
@@ -883,8 +905,7 @@ class EmpiricalJointModel(JointQualityModel):
 
     def _build_pair_counts(self, counts: _JointCounts) -> None:
         """Populate the per-pair counters by chunked packed popcounts."""
-        n = self.n_sources
-        ii, jj = np.triu_indices(n, k=1)
+        ii, jj = pair_indices(self.n_sources)
         n_pairs = ii.size
         provides = self._observations.packed_provides.words
         provided_true = np.empty(n_pairs, dtype=np.int64)
@@ -953,7 +974,7 @@ class EmpiricalJointModel(JointQualityModel):
         n = self.n_sources
         if n < 2:
             return None
-        counts = self._count_state()
+        counts = self._counts
         if counts.pair_provided_true is None:
             self._build_pair_counts(counts)
         covered_true, covered_false = self._pair_coverage_arrays(counts)
@@ -963,7 +984,8 @@ class EmpiricalJointModel(JointQualityModel):
             covered_true,
             covered_false,
         )
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ii, jj = pair_indices(n)
+        pairs = list(zip(ii.tolist(), jj.tolist()))
         self._pair_params_cache = (pairs, recalls, fprs)
         return self._pair_params_cache
 
@@ -973,7 +995,7 @@ class EmpiricalJointModel(JointQualityModel):
         """Per-pair scope counts aligned with :meth:`pair_joint_params`."""
         if self._engine != "vectorized" or self.n_sources < 2:
             return None
-        counts = self._count_state()
+        counts = self._counts
         if self._partial_coverage and counts.pair_covered_true is None:
             self._build_pair_counts(counts)
         return self._pair_coverage_arrays(counts)
@@ -1106,7 +1128,7 @@ class EmpiricalJointModel(JointQualityModel):
 
         # Integer count transport over dirty words only.
         word_ids = diff.word_ids
-        old_counts = self._count_state()
+        old_counts = self._counts
         old_provides = _gather_words(
             self._observations.packed_provides.words, word_ids
         )
@@ -1138,8 +1160,7 @@ class EmpiricalJointModel(JointQualityModel):
         ):
             old_false = _gather_words(self._false_words, word_ids)
             new_false = _gather_words(new._false_words, word_ids)
-            n = self.n_sources
-            ii, jj = np.triu_indices(n, k=1)
+            ii, jj = pair_indices(self.n_sources)
             old_inter = old_provides[ii] & old_provides[jj]
             new_inter = new_provides[ii] & new_provides[jj]
             counts.pair_provided_true = (

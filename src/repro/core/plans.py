@@ -845,10 +845,11 @@ def likelihoods_with_memo(
     likelihoods depend on its own terms alone, so the result is
     bit-identical to a full-batch evaluation.  ``key_prefix`` carries the
     fuser's structural options (``("exact", max_silent)`` /
-    ``("elastic", level)``).  Only the *seeding* batch -- all rows novel
-    against an empty memo, i.e. the fuser's first workload -- compiles
-    through the cache's single-flight path under the full digest,
-    byte-identical in keying to the memo-less path.  Every later novel
+    ``("elastic", level)``).  Only the *seeding* batch -- the fuser's
+    first workload, against an empty memo -- compiles through the cache's
+    single-flight path under the full digest, byte-identical in keying to
+    the memo-less path, and is parked in the memo unkeyed
+    (:meth:`PatternValueMemo.seed`).  Every later novel
     set (a delta step's handful of new patterns) is compiled directly
     *without* caching: its digest is unique to that step, and storing it
     would only churn the LRU out from under the warm entries identical
@@ -861,6 +862,17 @@ def likelihoods_with_memo(
     if entry is not None:
         compiled, (recalls, fprs) = entry
         return compiled.accumulate(recalls, fprs)
+    if len(memo) == 0:
+        generation = memo.generation
+        compiled, (recalls, fprs) = plan_cache.get_or_compute(
+            key, lambda: compile_entry(provider_matrix, silent_matrix)
+        )
+        numerators, denominators = compiled.accumulate(recalls, fprs)
+        memo.seed(
+            provider_matrix, silent_matrix, (numerators, denominators),
+            generation=generation,
+        )
+        return numerators, denominators
     keys = pattern_row_keys(provider_matrix, silent_matrix)
     values, novel = memo.lookup(keys)
     n_patterns = provider_matrix.shape[0]
@@ -871,14 +883,9 @@ def likelihoods_with_memo(
             numerators[position], denominators[position] = value
     if novel.size:
         generation = memo.generation
-        if novel.size == n_patterns and len(memo) == 0:
-            compiled, (recalls, fprs) = plan_cache.get_or_compute(
-                key, lambda: compile_entry(provider_matrix, silent_matrix)
-            )
-        else:
-            compiled, (recalls, fprs) = compile_entry(
-                provider_matrix[novel], silent_matrix[novel]
-            )
+        compiled, (recalls, fprs) = compile_entry(
+            provider_matrix[novel], silent_matrix[novel]
+        )
         sub_nums, sub_dens = compiled.accumulate(recalls, fprs)
         numerators[novel] = sub_nums
         denominators[novel] = sub_dens
@@ -907,21 +914,28 @@ class PatternValueMemo:
     evicted entry is recomputed bit-identically on demand).
     ``max_entries=0`` disables storage.
 
+    The first batch an empty memo receives is all novel by definition,
+    and a fit-and-score-once session never looks anything up.  So
+    :meth:`seed` parks that batch as ``(pattern rows, values)`` without
+    building row keys, and the first later :meth:`lookup` keys it under
+    the lock; only sessions that score again pay the key-building, once.
+    ``len`` and :attr:`stats` count parked rows as entries.
+
     Thread-safety follows :class:`~repro.core.joint.MaskedJointCache`'s
     discipline: :meth:`lookup` reads the dict *without* the lock (reads
     are GIL-atomic, stored values are deterministic pure functions of the
     owner's fixed state, and a racing clear only turns a hit into a
     benign recompute), so concurrent scorers never serialise on the memo;
-    the lock guards :meth:`store` and :meth:`invalidate`, whose
-    ``generation`` token drops writes that predate the latest
-    invalidation, so a refit can never resurrect values computed against
-    replaced state.  The hit/miss counters are unlocked diagnostics --
-    approximate by at most the thread count.
+    the lock guards :meth:`store`, :meth:`seed`, seed keying and
+    :meth:`invalidate`, whose ``generation`` token drops writes that
+    predate the latest invalidation, so a refit can never resurrect
+    values computed against replaced state.  The hit/miss counters are
+    unlocked diagnostics -- approximate by at most the thread count.
     """
 
     __slots__ = (
-        "_entries", "_max_entries", "_lock", "_generation",
-        "hits", "misses", "evictions",
+        "_entries", "_max_entries", "_lock", "_generation", "_seeds",
+        "_seeded_rows", "hits", "misses", "evictions",
     )
 
     def __init__(self, max_entries: int = 200_000) -> None:
@@ -935,6 +949,12 @@ class PatternValueMemo:
         self._entries: OrderedDict = OrderedDict()
         # guarded-by: _lock
         self._generation = 0
+        # Parked, not yet keyed batches: (provider rows, silent rows,
+        # value columns) each -- see seed().
+        # guarded-by: _lock
+        self._seeds: list[tuple[np.ndarray, np.ndarray, tuple]] = []
+        # guarded-by: _lock
+        self._seeded_rows = 0
         # Hit/miss counters are deliberately unlocked diagnostics (see
         # class docstring); evictions only moves under the store lock.
         self.hits = 0
@@ -943,7 +963,7 @@ class PatternValueMemo:
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return min(len(self._entries) + self._seeded_rows, self._max_entries)
 
     @property
     def max_entries(self) -> int:
@@ -962,6 +982,8 @@ class PatternValueMemo:
         (the rows the caller must compute and :meth:`store`).  Lock-free:
         see the class docstring.
         """
+        if self._seeds:
+            self._key_seeds()
         novel: list[int] = []
         values: list = []
         hits = 0
@@ -991,20 +1013,74 @@ class PatternValueMemo:
         """
         if self._max_entries == 0:
             return
+        if self._seeds:
+            self._key_seeds()  # keep insertion (eviction) order
         with self._lock:
             if generation is not None and generation != self._generation:
                 return
-            entries = self._entries
-            for key, value in zip(keys, values):
-                entries[key] = value
-            while len(entries) > self._max_entries:
-                entries.popitem(last=False)
-                self.evictions += 1
+            self._insert(keys, values)
+
+    # guarded-by: _lock
+    def _insert(self, keys: list[bytes], values: Iterable[Any]) -> None:
+        entries = self._entries
+        for key, value in zip(keys, values):
+            entries[key] = value
+        while len(entries) > self._max_entries:
+            entries.popitem(last=False)
+            self.evictions += 1
+
+    def seed(
+        self,
+        provider_matrix: np.ndarray,
+        silent_matrix: np.ndarray,
+        columns: tuple[np.ndarray, ...],
+        generation: Optional[int] = None,
+    ) -> None:
+        """Park a computed batch; its row keys are built on a later lookup.
+
+        Row ``i`` of the pattern matrices maps to ``columns[0][i]`` for one
+        value column, or to ``tuple(column[i] for column in columns)`` --
+        exactly what :meth:`store` would hold for the same batch.  The
+        arrays are copied where the caller could still write them.  Seeded
+        rows count as misses, as an eager lookup-then-store would count
+        them, and ``generation`` drops a stale seed as it drops a stale
+        store.
+        """
+        if self._max_entries == 0:
+            return
+        parked = tuple(
+            np.array(array) if array.flags.writeable else array
+            for array in (provider_matrix, silent_matrix, *columns)
+        )
+        with self._lock:
+            if generation is not None and generation != self._generation:
+                return
+            self._seeds.append((parked[0], parked[1], parked[2:]))
+            self._seeded_rows += provider_matrix.shape[0]
+            self.misses += provider_matrix.shape[0]
+
+    def _key_seeds(self) -> None:
+        """Key every parked seed into the entries, oldest first."""
+        with self._lock:
+            for provider_matrix, silent_matrix, columns in self._seeds:
+                if len(columns) == 1:
+                    values: list = columns[0].tolist()
+                else:
+                    values = list(zip(*(column.tolist() for column in columns)))
+                self._insert(
+                    pattern_row_keys(provider_matrix, silent_matrix), values
+                )
+            # Cleared last: a lock-free reader that sees no seeds also
+            # sees every keyed entry.
+            self._seeds = []
+            self._seeded_rows = 0
 
     def invalidate(self) -> None:
-        """Drop every entry (the refit hook); stats survive."""
+        """Drop every entry and parked seed (the refit hook); stats survive."""
         with self._lock:
             self._entries.clear()
+            self._seeds = []
+            self._seeded_rows = 0
             self._generation += 1
 
     @property
@@ -1012,7 +1088,7 @@ class PatternValueMemo:
         """Counters for benchmarks and serving diagnostics."""
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": len(self),
                 "max_entries": self._max_entries,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -1203,7 +1279,7 @@ class CompiledPlanCache:
         """Counters for benchmarks and serving diagnostics."""
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": len(self),
                 "max_entries": self._max_entries,
                 "hits": self.hits,
                 "misses": self.misses,

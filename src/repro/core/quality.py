@@ -16,9 +16,11 @@ which is a valid rate (``q_i <= 1``) whenever
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.bitset import pack_bool_vector, popcount_rows
 from repro.core.observations import ObservationMatrix
 from repro.util.probability import clamp_probability
 from repro.util.validation import check_fraction, check_probability
@@ -192,24 +194,53 @@ def estimate_source_quality(
         raise ValueError(f"smoothing must be non-negative, got {smoothing}")
     check_fraction(prior, "prior")
 
-    provides = observations.provides
-    coverage = observations.coverage
-    qualities: list[SourceQuality] = []
-    for i, name in enumerate(observations.source_names):
-        row = provides[i]
-        qualities.append(
-            quality_from_counts(
-                name=name,
-                provided=int(row.sum()),
-                provided_true=int((row & labels).sum()),
-                # Scope-aware recall: only true triples the source covers
-                # count against it (Section 2.2's "scope" note).
-                in_scope_true=int((coverage[i] & labels).sum()),
-                prior=prior,
-                smoothing=smoothing,
-            )
+    return qualities_from_counts(
+        observations.source_names,
+        source_counts(observations, pack_bool_vector(labels)),
+        prior=prior,
+        smoothing=smoothing,
+    )
+
+
+def source_counts(
+    observations: ObservationMatrix, true_words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-source ``(provided, provided_true, in_scope_true)`` counts.
+
+    Row popcounts of the packed provides and coverage words, the latter
+    two through ``true_words`` (the packed truth labels).  Packed rows
+    zero-pad their tails, so these equal the boolean row sums exactly.
+    In-scope recall counts only true triples the source covers (Section
+    2.2's "scope" note).
+    """
+    provides = observations.packed_provides.words
+    coverage = observations.packed_coverage.words
+    return (
+        popcount_rows(provides),
+        popcount_rows(provides & true_words),
+        popcount_rows(coverage & true_words),
+    )
+
+
+def qualities_from_counts(
+    names: Sequence[str],
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray],
+    prior: float = 0.5,
+    smoothing: float = 0.0,
+) -> list[SourceQuality]:
+    """:func:`quality_from_counts` per source, from :func:`source_counts`."""
+    provided, provided_true, in_scope_true = counts
+    return [
+        quality_from_counts(
+            name=name,
+            provided=int(provided[i]),
+            provided_true=int(provided_true[i]),
+            in_scope_true=int(in_scope_true[i]),
+            prior=prior,
+            smoothing=smoothing,
         )
-    return qualities
+        for i, name in enumerate(names)
+    ]
 
 
 def estimate_prior(labels: np.ndarray, smoothing: float = 0.0) -> float:

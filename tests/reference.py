@@ -1,4 +1,4 @@
-"""Test-only reference implementations (oracles) for the plan layer.
+"""Test-only reference implementations (oracles).
 
 The union plans in :mod:`repro.core.plans` enumerate subset unions with
 array kernels.  This module keeps the straightforward per-term walk they
@@ -7,6 +7,13 @@ replaced -- every pattern's unions visited one by one in
 bitmask in a :class:`UnionCollector` -- together with the per-term loops
 that froze a plan into flat arrays.  The property tests check that the
 array-built plans and compiled arrays equal these exactly.
+
+Correlation detection in :mod:`repro.core.clustering` decides both sides
+in one array pass and tests independence on scipy's kernels directly.
+Its oracle here is the scalar walk it replaced: one side at a time, one
+pair at a time through the model's scalar queries, each table tested with
+``scipy.stats.chi2_contingency`` / ``scipy.stats.fisher_exact``, and
+clusters as ``networkx`` connected components.
 """
 
 from __future__ import annotations
@@ -14,8 +21,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Mapping, Optional
 
+import networkx as nx
 import numpy as np
+from scipy import stats
 
+from repro.core.clustering import SourcePartition
 from repro.util.subsets import (
     count_subsets,
     iter_subsets,
@@ -254,3 +264,96 @@ def compiled_elastic_arrays(
             positions
         ],
     }
+
+
+# ----------------------------------------------------------------------
+# Correlation detection: the scalar pair walk and networkx components
+# ----------------------------------------------------------------------
+
+
+def significant(
+    joint_rate: float, rate_i: float, rate_j: float, trials: int, alpha: float
+) -> bool:
+    """Independence test of one pair's 2x2 contingency table.
+
+    Reconstructs integer counts from the rates, then applies the chi-square
+    test of independence -- Fisher's exact test when any expected cell
+    count is below 5 (the usual chi-square validity rule).
+    """
+    n11 = int(round(joint_rate * trials))
+    n1 = int(round(rate_i * trials))
+    n2 = int(round(rate_j * trials))
+    n11 = min(n11, n1, n2)
+    n10 = n1 - n11
+    n01 = n2 - n11
+    n00 = trials - n1 - n2 + n11
+    if n00 < 0:
+        return True  # margins overlap so much that dependence is forced
+    table = np.array([[n11, n10], [n01, n00]], dtype=float)
+    row_sums = table.sum(axis=1, keepdims=True)
+    col_sums = table.sum(axis=0, keepdims=True)
+    total = table.sum()
+    if total <= 0 or (row_sums == 0).any() or (col_sums == 0).any():
+        return False  # degenerate margin: no evidence either way
+    expected = row_sums @ col_sums / total
+    if expected.min() < 5.0:
+        _, p_value = stats.fisher_exact(table.astype(int))
+    else:
+        _, p_value, _, _ = stats.chi2_contingency(table, correction=True)
+    return float(p_value) < alpha
+
+
+def pairwise_correlations(
+    model,
+    side: str = "true",
+    min_phi: float = 0.15,
+    min_expected: float = 2.0,
+    significance: float = 0.05,
+) -> list[tuple[int, int, float, float]]:
+    """One side's edges as ``(i, j, factor, phi)``, row-major, pair by pair."""
+    n = model.n_sources
+    alpha = significance / max(n * (n - 1) // 2, 1)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if side == "true":
+                rate_i, rate_j = model.recall(i), model.recall(j)
+                factor = model.correlation_true([i, j])
+                joint = model.joint_recall([i, j])
+            else:
+                rate_i, rate_j = model.fpr(i), model.fpr(j)
+                factor = model.correlation_false([i, j])
+                joint = model.joint_fpr([i, j])
+            denominator = math.sqrt(
+                rate_i * (1.0 - rate_i) * rate_j * (1.0 - rate_j)
+            )
+            phi = (
+                0.0 if denominator <= 0.0
+                else (joint - rate_i * rate_j) / denominator
+            )
+            if abs(phi) < min_phi:
+                continue
+            counts = model.joint_coverage_counts([i, j])
+            if counts is not None:
+                trials = counts[0] if side == "true" else counts[1]
+                if rate_i * rate_j * trials < min_expected:
+                    continue
+                if not significant(joint, rate_i, rate_j, trials, alpha):
+                    continue
+            edges.append((i, j, factor, phi))
+    return edges
+
+
+def correlation_clusters(model, side: str = "true", **thresholds) -> SourcePartition:
+    """One side's partition: networkx components of the scalar edges."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(model.n_sources))
+    graph.add_edges_from(
+        (i, j) for i, j, _, _ in pairwise_correlations(model, side, **thresholds)
+    )
+    return SourcePartition(
+        clusters=tuple(
+            frozenset(component)
+            for component in nx.connected_components(graph)
+        )
+    )

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference
 from repro.core import (
     ClusteredCorrelationFuser,
     ExactCorrelationFuser,
@@ -22,6 +25,12 @@ from repro.core import (
 )
 from repro.core import fusion as fusion_module
 from repro.core.api import ScoringSession
+from repro.core.clustering import (
+    correlation_edges,
+    detect_partition_state,
+    refresh_partition_state,
+)
+from repro.core.joint import ExplicitJointModel
 from repro.core.elastic import ElasticFuser
 from repro.core.plans import ElasticUnionPlan, ExactUnionPlan
 from repro.data import CorrelationGroup, SyntheticConfig, generate, uniform_sources
@@ -501,3 +510,238 @@ class TestRestrictionTables:
         assert float(
             np.abs(session.score(mutated) - cold.score(mutated)).max()
         ) == 0.0
+
+
+# ----------------------------------------------------------------------
+# The one detector against the scalar oracle (tests/reference.py)
+# ----------------------------------------------------------------------
+
+
+def _wide_dataset(seed: int):
+    """A 32-source dataset with planted true- and false-side groups."""
+    rng = np.random.default_rng(seed)
+    members = rng.permutation(32).tolist()
+    groups = (
+        CorrelationGroup(members=tuple(members[:4]), mode="overlap_true",
+                         strength=float(rng.uniform(0.5, 0.95))),
+        CorrelationGroup(members=tuple(members[4:7]), mode="overlap_false",
+                         strength=float(rng.uniform(0.5, 0.95))),
+        CorrelationGroup(members=tuple(members[7:10]), mode="copy",
+                         strength=float(rng.uniform(0.5, 0.95))),
+    )
+    config = SyntheticConfig(
+        sources=uniform_sources(
+            32, precision=float(rng.uniform(0.55, 0.85)),
+            recall=float(rng.uniform(0.2, 0.6)),
+        ),
+        n_triples=int(rng.integers(300, 900)),
+        true_fraction=0.5,
+        groups=groups,
+    )
+    return generate(config, seed=seed)
+
+
+def _assert_matches_oracle(model, **thresholds):
+    state = detect_partition_state(model, **thresholds)
+    for side in ("true", "false"):
+        oracle = reference.pairwise_correlations(model, side, **thresholds)
+        assert state.edges(side) == {(i, j) for i, j, _, _ in oracle}
+        # Cluster order fixes the likelihood summation order.
+        assert state.partition(side).clusters == (
+            reference.correlation_clusters(model, side, **thresholds).clusters
+        )
+        assert [
+            (edge.source_i, edge.source_j, edge.factor, edge.phi)
+            for edge in correlation_edges(model, state, side)
+        ] == oracle
+
+
+class TestDetectionMatchesOracle:
+    def test_sixty_fixed_32_source_datasets(self):
+        for seed in range(60):
+            dataset = _wide_dataset(seed)
+            _assert_matches_oracle(
+                fit_model(dataset.observations, dataset.labels)
+            )
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**16),
+        n_sources=st.integers(1, 9),
+        n_triples=st.integers(1, 160),
+        partial=st.booleans(),
+        engine=st.sampled_from(("vectorized", "legacy")),
+        min_phi=st.floats(0.0, 1.0),
+        min_expected=st.floats(0.0, 8.0),
+        significance=st.floats(1e-6, 1.0),
+    )
+    def test_fuzzed_empirical_models(
+        self, seed, n_sources, n_triples, partial, engine, min_phi,
+        min_expected, significance,
+    ):
+        rng = np.random.default_rng(seed)
+        coverage = (
+            rng.random((n_sources, n_triples)) < 0.8 if partial else None
+        )
+        provides = rng.random((n_sources, n_triples)) < rng.uniform(0.1, 0.9)
+        # Correlate a few rows so edges actually form.
+        if n_sources >= 3:
+            provides[1] = provides[0] ^ (rng.random(n_triples) < 0.1)
+        if coverage is not None:
+            provides &= coverage
+        labels = rng.random(n_triples) < 0.5
+        observations = ObservationMatrix(
+            provides, [f"S{i}" for i in range(n_sources)], coverage=coverage
+        )
+        model = fit_model(observations, labels, engine=engine)
+        _assert_matches_oracle(
+            model, min_phi=min_phi, min_expected=min_expected,
+            significance=significance,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_sources=st.integers(1, 7),
+        min_phi=st.floats(0.0, 1.0),
+    )
+    def test_fuzzed_explicit_models(self, seed, n_sources, min_phi):
+        rng = np.random.default_rng(seed)
+        qualities = [
+            SourceQuality(
+                name=f"S{i}",
+                precision=float(rng.uniform(0.05, 1.0)),
+                recall=float(rng.choice([0.0, 1.0, rng.uniform()])),
+                false_positive_rate=float(rng.uniform()),
+            )
+            for i in range(n_sources)
+        ]
+        pairs = [
+            frozenset((i, j))
+            for i in range(n_sources) for j in range(i + 1, n_sources)
+            if rng.random() < 0.5
+        ]
+        model = ExplicitJointModel(
+            qualities,
+            joint_recalls={pair: float(rng.uniform()) for pair in pairs},
+            joint_fprs={pair: float(rng.uniform()) for pair in pairs},
+        )
+        _assert_matches_oracle(model, min_phi=min_phi)
+
+
+class TestThresholdValidation:
+    """Every public entry point validates the one detector's thresholds."""
+
+    @staticmethod
+    def _entry_points(model):
+        return (
+            lambda **kw: detect_partition_state(model, **kw),
+            lambda **kw: pairwise_correlations(model, "true", **kw),
+            lambda **kw: correlation_clusters(model, "false", **kw),
+            lambda **kw: discovered_correlation_groups(model, **kw),
+            lambda **kw: ClusteredCorrelationFuser(model, **kw),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(("min_phi", "min_expected", "significance")),
+        value=st.one_of(
+            st.just(float("nan")),
+            st.just(float("inf")),
+            st.just(float("-inf")),
+            st.floats(-1e6, -1e-9),
+            st.floats(1.0 + 1e-9, 1e6),
+            st.just(0.0),
+        ),
+    )
+    def test_out_of_range_thresholds_raise(self, figure1_model, name, value):
+        valid = (
+            (name == "min_phi" and 0.0 <= value <= 1.0)
+            or (name == "significance" and 0.0 < value <= 1.0)
+            or (name == "min_expected" and 0.0 <= value < float("inf"))
+        )
+        for call in self._entry_points(figure1_model):
+            if valid:
+                call(**{name: value})
+            else:
+                with pytest.raises(ValueError, match=name):
+                    call(**{name: value})
+
+    def test_boundaries_accepted(self, figure1_model):
+        for call in self._entry_points(figure1_model):
+            call(min_phi=0.0, min_expected=0.0, significance=1.0)
+            call(min_phi=1.0, min_expected=1e9, significance=1e-12)
+
+
+class TestDetectionState:
+    def test_fuser_exposes_the_state_it_detected(self):
+        dataset = _wide_dataset(3)
+        model = fit_model(dataset.observations, dataset.labels)
+        fuser = ClusteredCorrelationFuser(model)
+        state = fuser.partition_state
+        assert state == detect_partition_state(model)
+        assert fuser.true_partition is state.true_partition
+        pinned = ClusteredCorrelationFuser(
+            model, true_partition=state.true_partition
+        )
+        assert pinned.partition_state is None
+        assert pinned.false_partition == state.false_partition
+
+    def test_groups_match_discovered_correlation_groups(self):
+        dataset = correlated_dataset()
+        model = fit_model(dataset.observations, dataset.labels)
+        state = detect_partition_state(model, min_phi=0.25)
+        assert state.groups() == discovered_correlation_groups(
+            model, min_phi=0.25
+        )
+
+    def test_refresh_rejects_a_different_source_count(self):
+        dataset = _wide_dataset(5)
+        model = fit_model(dataset.observations, dataset.labels)
+        state = detect_partition_state(model)
+        small = correlated_dataset()
+        with pytest.raises(ValueError, match="sources"):
+            refresh_partition_state(
+                state, fit_model(small.observations, small.labels), [0]
+            )
+
+    def test_session_keeps_the_cold_fit_state(self, monkeypatch):
+        from repro.core import api
+
+        dataset = _wide_dataset(8)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="precreccorr"
+        )
+        try:
+            assert isinstance(session.fuser, ClusteredCorrelationFuser)
+            state = session.fuser.partition_state
+            assert state is not None
+            calls = []
+            real_detect = api.detect_partition_state
+            monkeypatch.setattr(
+                api, "detect_partition_state",
+                lambda *a, **kw: calls.append(1) or real_detect(*a, **kw),
+            )
+            provides = dataset.observations.provides.copy()
+            provides[2, :40] = ~provides[2, :40]
+            mutated = ObservationMatrix(
+                provides, dataset.observations.source_names
+            )
+            session.refit_delta(mutated, dataset.labels)
+            assert calls == []  # refreshed, not detected again
+            cold = ScoringSession(mutated, dataset.labels, method="precreccorr")
+            try:
+                fresh = cold.fuser.partition_state
+                assert session.fuser.true_partition == fresh.true_partition
+                assert session.fuser.false_partition == fresh.false_partition
+                assert np.array_equal(
+                    session.score(mutated), cold.score(mutated)
+                )
+            finally:
+                cold.close()
+        finally:
+            session.close()
+

@@ -20,6 +20,8 @@ Four layers of guarantees:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from repro.core import (
     dirty_columns,
     fit_model,
 )
+from repro.core import deltas, plans
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
@@ -169,6 +172,184 @@ class TestPatternValueMemo:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):
             PatternValueMemo(max_entries=-1)
+
+
+class TestLazyMemoSeed:
+    """An empty memo parks its first batch unkeyed (PatternValueMemo.seed)."""
+
+    @staticmethod
+    def _seeded(max_entries=64, rows=6):
+        # Row r provides the sources of r's binary digits: distinct rows.
+        providers = (np.arange(rows)[:, None] >> np.arange(10)) & 1 == 1
+        silent = ~providers
+        silent[:, 5:] = False
+        keys = plans.pattern_row_keys(providers, silent)
+        assert len(set(keys)) == rows
+        memo = PatternValueMemo(max_entries=max_entries)
+        memo.seed(providers, silent, (np.arange(rows, dtype=float),))
+        return memo, keys
+
+    def test_seed_is_keyed_on_first_lookup(self):
+        memo, keys = self._seeded()
+        assert len(memo) == 6 and memo.stats["entries"] == 6
+        assert memo.stats["misses"] == 6  # as an eager lookup would count
+        values, novel = memo.lookup(keys + [b"other"])
+        assert values == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, None]
+        assert novel.tolist() == [6]
+        assert memo.stats["hits"] == 6 and len(memo) == 6
+
+    def test_two_columns_become_tuples(self):
+        providers = np.array([[True, False], [False, True]])
+        silent = ~providers
+        memo = PatternValueMemo()
+        memo.seed(
+            providers, silent,
+            (np.array([0.25, 0.5]), np.array([0.75, 1.0])),
+        )
+        values, _ = memo.lookup(plans.pattern_row_keys(providers, silent))
+        assert values == [(0.25, 0.75), (0.5, 1.0)]
+
+    def test_invalidate_drops_an_unkeyed_seed(self):
+        memo, keys = self._seeded()
+        memo.invalidate()
+        assert len(memo) == 0
+        values, novel = memo.lookup(keys)
+        assert values == [None] * 6 and novel.size == 6
+
+    def test_stale_generation_seed_is_ignored(self):
+        memo = PatternValueMemo()
+        generation = memo.generation
+        memo.invalidate()
+        providers = np.eye(3, dtype=bool)
+        memo.seed(providers, ~providers, (np.ones(3),), generation=generation)
+        assert len(memo) == 0 and memo.stats["misses"] == 0
+        memo.seed(
+            providers, ~providers, (np.ones(3),), generation=memo.generation
+        )
+        assert len(memo) == 3
+
+    def test_seed_evicts_like_an_eager_store(self):
+        memo, keys = self._seeded(max_entries=4)
+        assert len(memo) == 4
+        values, _ = memo.lookup(keys)
+        assert values == [None, None, 2.0, 3.0, 4.0, 5.0]
+        assert memo.stats["evictions"] == 2
+
+    def test_seed_copies_writeable_inputs(self):
+        providers = np.eye(3, dtype=bool)
+        silent = ~providers
+        values = np.array([1.0, 2.0, 3.0])
+        memo = PatternValueMemo()
+        memo.seed(providers, silent, (values,))
+        keys = plans.pattern_row_keys(providers, silent)
+        providers[:] = False
+        values[:] = -1.0
+        assert memo.lookup(keys)[0] == [1.0, 2.0, 3.0]
+
+    def test_concurrent_first_lookups_agree(self):
+        memo, keys = self._seeded(max_entries=1000, rows=200)
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(index):
+            barrier.wait()
+            results[index] = memo.lookup(keys)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        expected = [float(value) for value in range(200)]
+        for values, novel in results:
+            assert values == expected and novel.size == 0
+        assert len(memo) == 200
+
+    @pytest.mark.parametrize("method", ("exact", "clustered"))
+    def test_scoring_once_builds_no_row_keys(self, method, monkeypatch):
+        calls = []
+        real = plans.pattern_row_keys
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(plans, "pattern_row_keys", counting)
+        monkeypatch.setattr(deltas, "pattern_row_keys", counting)
+        dataset = _dataset(seed=21, n_triples=300)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method=method
+        )
+        try:
+            session.score(dataset.observations)
+            assert calls == []
+            mutated = dataset.observations.provides.copy()
+            mutated[0, :20] = ~mutated[0, :20]
+            session.score(_named(mutated, dataset.observations))
+            assert calls  # a second request keys the seeds, once
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("method", ("exact", "clustered"))
+    def test_lazy_seed_equals_eager_seed(self, method, monkeypatch):
+        dataset = _dataset(seed=22, n_triples=300)
+        steps = [dataset.observations]
+        rng = np.random.default_rng(22)
+        for _ in range(4):
+            provides = steps[-1].provides.copy()
+            columns = rng.choice(provides.shape[1], size=12, replace=False)
+            rows = rng.integers(0, provides.shape[0], size=12)
+            provides[rows, columns] = ~provides[rows, columns]
+            steps.append(_named(provides, dataset.observations))
+
+        def run():
+            session = ScoringSession(
+                dataset.observations, dataset.labels, method=method
+            )
+            try:
+                scores = [session.score(step) for step in steps]
+                stats = session.cache_stats()
+                return scores, stats["delta"], _evaluator_memo_stats(session)
+            finally:
+                session.close()
+
+        lazy = run()
+
+        def eager_seed(self, providers, silent, columns, generation=None):
+            values = (
+                columns[0].tolist() if len(columns) == 1
+                else list(zip(*(column.tolist() for column in columns)))
+            )
+            self.misses += providers.shape[0]
+            self.store(
+                plans.pattern_row_keys(providers, silent), values,
+                generation=generation,
+            )
+
+        monkeypatch.setattr(PatternValueMemo, "seed", eager_seed)
+        eager = run()
+        assert all(
+            np.array_equal(a, b) for a, b in zip(lazy[0], eager[0])
+        )
+        assert lazy[1] == eager[1]
+        assert lazy[2] == eager[2]
+        assert lazy[1]["memo"]["hits"] > 0
+
+
+def _named(provides, like):
+    return ObservationMatrix(provides, like.source_names, coverage=like.coverage)
+
+
+def _evaluator_memo_stats(session):
+    fuser = session.fuser
+    evaluators = (
+        fuser._distinct_evaluators() if hasattr(fuser, "_distinct_evaluators")
+        else [fuser]
+    )
+    return [evaluator.delta_memo.stats for evaluator in evaluators]
 
 
 class TestMaskedJointCacheStats:

@@ -16,10 +16,10 @@ Five layers of guarantees:
   to a cold-refitting session for every fuser family and worker count,
   including under concurrent scoring (no mixed-generation vectors);
 - **carry machinery** -- the vectorized significance batch equals the
-  scalar test table-for-table, detection state round-trips through
-  :func:`refresh_partition_state` exactly, ``_components_partition``
-  reproduces networkx component order, and the session-carried
-  :class:`SignificanceMemo` changes decisions never;
+  scalar oracle test (``tests/reference.py``) table-for-table, detection
+  state round-trips through :func:`refresh_partition_state` exactly,
+  ``_components_partition`` reproduces networkx component order, and the
+  session-carried :class:`SignificanceMemo` changes decisions never;
 - **serving integration** -- ``run_serving(refit_every=...)`` verifies
   every refit against a lockstep cold-refit oracle, records wall-clock
   and counters, and EM warm starts save iterations while landing on the
@@ -38,12 +38,11 @@ from hypothesis import strategies as st
 
 from repro.core import ObservationMatrix, ScoringSession, fit_model, fuse
 from repro.core.api import check_refit_mode
+import reference
 from repro.core.clustering import (
     SignificanceMemo,
     _components_partition,
-    _significant,
     _significant_batch,
-    correlation_clusters,
     detect_partition_state,
     refresh_partition_state,
 )
@@ -469,7 +468,7 @@ class TestSignificanceBatch:
         joint = n11 / trials
         rate_i = (n11 + n10) / trials
         rate_j = (n11 + n01) / trials
-        scalar = _significant(joint, rate_i, rate_j, trials, alpha)
+        scalar = reference.significant(joint, rate_i, rate_j, trials, alpha)
         batch = _significant_batch(
             np.array([joint]), np.array([rate_i]), np.array([rate_j]),
             np.array([trials]), alpha,
@@ -527,7 +526,7 @@ class TestPartitionState:
         for side, partition in (
             ("true", state.true_partition), ("false", state.false_partition)
         ):
-            expected = correlation_clusters(model, side)
+            expected = reference.correlation_clusters(model, side)
             assert partition.clusters == expected.clusters  # order included
 
     def test_refresh_equals_full_detection(self):

@@ -47,6 +47,7 @@ def test_applicable_rules_by_location():
     assert "REP005" in applicable_rules("benchmarks/bench_serving.py")
     assert "REP005" not in applicable_rules("src/repro/core/plans.py")
     assert "REP008" in applicable_rules("src/repro/core/plans.py")
+    assert "REP009" in applicable_rules("src/repro/core/plans.py")
     # Lock discipline is repo-wide.
     for path in ("src/repro/core/api.py", "tests/test_api.py", "x.py"):
         assert {"REP002", "REP003"} <= applicable_rules(path)
@@ -526,6 +527,59 @@ def test_rep008_allow_comment_suppresses():
         np.unique(words, axis=0)  # reprolint: allow[REP008]
     """
     assert _codes(src, PATTERNS, rules=["REP008"]) == []
+
+
+# ----------------------------------------------------------------------
+# REP009 -- correlation detection has one path
+# ----------------------------------------------------------------------
+
+CLUSTERING = "src/repro/core/clustering.py"
+
+
+def test_rep009_scoped_to_repro():
+    for path in (CLUSTERING, "src/repro/cli.py", "src/repro/eval/harness.py"):
+        assert "REP009" in applicable_rules(path)
+    for path in ("tests/reference.py", "tests/test_refit_delta.py",
+                 "benchmarks/bench_figure1.py", "tools/reprolint/rules.py"):
+        assert "REP009" not in applicable_rules(path)
+
+
+def test_rep009_flags_networkx_and_scipy_table_tests():
+    src = """
+    import networkx as nx
+    import networkx.algorithms
+    from networkx import connected_components
+    from scipy.stats import fisher_exact
+    from scipy import stats
+
+    def f(table):
+        stats.fisher_exact(table)
+        stats.chi2_contingency(table, correction=True)
+        scipy.stats.contingency.chi2_contingency(table)
+    """
+    assert _codes(src, CLUSTERING, rules=["REP009"]) == ["REP009"] * 7
+
+
+def test_rep009_quiet_on_the_kernel_replays():
+    src = """
+    from scipy import special
+    from scipy.special import _ufuncs
+    from repro.core.independence import decide_tables, fisher_pvalue
+
+    def f(n11, n10, n01, n00):
+        special.chdtrc(1.0, 2.0)
+        _ufuncs._hypergeom_pmf(1.0, 2.0, 3.0, 4.0)
+        fisher_pvalue(1, 2, 3, 4)
+        return decide_tables(n11, n10, n01, n00, 0.05)
+    """
+    assert _codes(src, CLUSTERING) == []
+
+
+def test_rep009_allow_comment_suppresses():
+    src = """
+    import networkx  # reprolint: allow[REP009]
+    """
+    assert _codes(src, CLUSTERING, rules=["REP009"]) == []
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "discipline (REP003), no module-global mutable state "
             "(REP004), seeded benchmarks (REP005), deliberate fault "
             "barriers (REP006), atomic durable writes (REP007), one "
-            "row-dedup path (REP008).  See "
+            "row-dedup path (REP008), one correlation-detection path "
+            "(REP009).  See "
             "docs/static-analysis.md."
         ),
     )

@@ -18,6 +18,9 @@ REP007  no ad-hoc file writes in ``repro.persist`` outside the atomic
         ``durable_write`` (fsync + temp-file + rename discipline)
 REP008  no ``np.unique(..., axis=...)`` in ``repro.core`` -- row dedup has
         one path, :func:`repro.core.patterns.unique_rows`
+REP009  no ``networkx`` imports and no ``fisher_exact`` /
+        ``chi2_contingency`` in ``repro`` -- correlation detection has one
+        path, on :mod:`repro.core.independence`'s kernel replays
 
 Suppression: a finding is silenced by ``# reprolint: allow`` (all rules)
 or ``# reprolint: allow[REP004]`` (listed rules) on the finding's line or
@@ -39,6 +42,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 #: summation), and the joint/cluster decompositions feed it.
 BIT_IDENTITY_MODULES = frozenset(
     {
+        "independence.py",
         "plans.py",
         "joint.py",
         "exact.py",
@@ -899,6 +903,56 @@ def check_rep008(module: _Module) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# REP009 -- correlation detection has one path
+# ---------------------------------------------------------------------------
+
+#: scipy entry points whose 2x2 algorithms repro.core.independence replays.
+_SCIPY_TABLE_TESTS = frozenset({"fisher_exact", "chi2_contingency"})
+
+
+def check_rep009(module: _Module) -> list[Finding]:
+    """No ``networkx`` and no per-table scipy tests in ``repro``.
+
+    Correlation detection runs one array pass
+    (``repro.core.clustering.detect_partition_state``): components come
+    from its union-find and independence decisions from
+    ``repro.core.independence``, which replays scipy's chi-square and
+    Fisher algorithms on the kernels scipy calls, bit-equal and an order
+    of magnitude faster per table.  Importing ``networkx``, or importing
+    or calling ``fisher_exact`` / ``chi2_contingency``, reintroduces the
+    deleted paths.  The scalar oracles in ``tests/reference.py`` use them
+    legitimately; the rule does not apply there.
+    """
+    findings = []
+    for node in ast.walk(module.tree):
+        message: Optional[str] = None
+        if isinstance(node, ast.Import):
+            if any(
+                alias.name.split(".")[0] == "networkx" for alias in node.names
+            ):
+                message = "`import networkx`"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "networkx":
+                message = "`from networkx import ...`"
+            elif any(alias.name in _SCIPY_TABLE_TESTS for alias in node.names):
+                message = "import of a scipy per-table test"
+        elif isinstance(node, ast.Call):
+            if _call_name(node.func) in _SCIPY_TABLE_TESTS:
+                message = f"`{_call_name(node.func)}(...)` call"
+        if message is not None:
+            findings.append(
+                module.finding(
+                    node,
+                    "REP009",
+                    f"{message}; correlation detection has one path -- "
+                    "components from clustering's union-find, tests from "
+                    "repro.core.independence",
+                )
+            )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
 
@@ -912,6 +966,7 @@ RULE_CHECKERS: dict[str, Callable[[_Module], list[Finding]]] = {
     "REP006": check_rep006,
     "REP007": check_rep007,
     "REP008": check_rep008,
+    "REP009": check_rep009,
 }
 
 ALL_RULES = tuple(sorted(RULE_CHECKERS))
@@ -925,11 +980,14 @@ def applicable_rules(path: Union[str, Path]) -> frozenset[str]:
     REP005 to benchmark scripts; REP006 to the fault-tolerant layers
     (``repro/core``, ``repro/serve``, and ``repro/persist``); REP007 to
     ``repro/persist`` outside its atomic module (the only place allowed
-    to open files for writing); REP008 to ``repro/core``.
+    to open files for writing); REP008 to ``repro/core``; REP009 to all
+    of ``repro``.
     """
     posix = str(path).replace("\\", "/")
     name = posix.rsplit("/", 1)[-1]
     rules = {"REP002", "REP003"}
+    if posix.startswith("repro/") or "/repro/" in posix:
+        rules.add("REP009")
     if "repro/core/" in posix:
         rules.add("REP004")
         rules.add("REP006")
