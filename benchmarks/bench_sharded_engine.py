@@ -61,16 +61,26 @@ if __name__ == "__main__":  # allow plain `python benchmarks/bench_sharded_engin
 
 from _helpers import RESULTS_DIR, emit
 from bench_clustered_engine import EXACT_CLUSTER_LIMIT, _workload
-from bench_plan_cache import _exact_workload
 from repro.core import (
     ClusteredCorrelationFuser,
     ElasticFuser,
     ExactCorrelationFuser,
     fit_model,
 )
+from repro.data import SyntheticConfig, generate, uniform_sources
 from repro.eval import format_table
 
 JSON_PATH = RESULTS_DIR / "BENCH_sharded_engine.json"
+
+
+def _exact_workload(n_triples: int, seed: int = 17):
+    """A 12-source grid on the exact PRECRECCORR route."""
+    config = SyntheticConfig(
+        sources=uniform_sources(12, precision=0.65, recall=0.35),
+        n_triples=n_triples,
+        true_fraction=0.5,
+    )
+    return generate(config, seed=seed)
 
 #: BOOK-like clustered cells; the acceptance gate anchors on (48, 4000).
 CLUSTERED_GRID = ((24, 1500), (48, 4000))

@@ -23,7 +23,6 @@ from typing import Mapping, Optional, Sequence
 from repro.core.api import METHOD_NAMES, fuse
 from repro.core.clustering import correlation_edges, detect_partition_state
 from repro.core.api import fit_model
-from repro.util.validation import ENGINES
 from repro.data.registry import available_datasets, get_dataset
 from repro.eval.harness import (
     paper_method_specs,
@@ -136,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoint directory's wal.log) instead of drawing "
              "synthetic mutations; overrides --mutate-frac",
     )
-    _add_engine_arg(fuse_cmd)
 
     compare_cmd = sub.add_parser(
         "compare", help="run the paper's seven methods on one dataset"
@@ -146,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ltm-iterations", type=int, default=60,
         help="Gibbs sweeps for the LTM baseline",
     )
-    _add_engine_arg(compare_cmd)
 
     corr_cmd = sub.add_parser(
         "correlations", help="report the discovered source correlations"
@@ -272,14 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_engine_arg(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--engine", choices=ENGINES, default="vectorized",
-        help="execution engine: pattern-centric bit-packed scoring "
-             "(vectorized, default) or the per-triple reference path (legacy)",
-    )
-
-
 def _add_dataset_args(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--dataset", required=True,
@@ -349,7 +338,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             repeats=args.repeat - 1,
             smoothing=args.smoothing,
             decision_prior=decision_prior,
-            engine=args.engine,
             workers=args.workers,
             shard_size=args.shard_size,
             delta=args.delta,
@@ -368,7 +356,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             method=args.method,
             smoothing=args.smoothing,
             decision_prior=decision_prior,
-            engine=args.engine,
             workers=args.workers,
             shard_size=args.shard_size,
         )
@@ -424,14 +411,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                 f"computes={plan.get('computes', 0)} "
                 f"evictions={plan.get('evictions', 0)} "
                 f"entries={plan.get('entries', 0)}"
-            )
-        joint = serving.joint_cache_stats
-        if joint:
-            print(
-                "serving: joint cache "
-                f"hits={joint.get('hits', 0)} misses={joint.get('misses', 0)} "
-                f"evictions={joint.get('evictions', 0)} "
-                f"entries={joint.get('entries', 0)}"
             )
         delta_stats = serving.delta_stats
         if delta_stats:
@@ -493,9 +472,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     dataset = get_dataset(args.dataset, seed=args.seed)
-    specs = paper_method_specs(
-        ltm_iterations=args.ltm_iterations, engine=args.engine
-    )
+    specs = paper_method_specs(ltm_iterations=args.ltm_iterations)
     comparison = run_comparison(dataset, specs)
     print(comparison_table(comparison))
     return 0

@@ -8,7 +8,7 @@ The modules map one-to-one onto the paper's sections:
   execution engine's base layers: bit-packed subset intersections and
   unique-observation-pattern extraction (see ``docs/architecture.md``).
 - :mod:`repro.core.plans` -- the shared union-plan layer: collect subset
-  unions once, evaluate them in bulk, re-accumulate per pattern (consumed
+  unions once, evaluate them in bulk, accumulate per pattern (consumed
   by the exact, elastic, and clustered fusers).
 - :mod:`repro.core.parallel` -- sharded parallel dispatch: word-aligned
   shard planning plus reusable thread/process worker pools, merged by
@@ -86,7 +86,6 @@ from repro.core.exact import ExactCorrelationFuser
 from repro.core.fusion import (
     DEFAULT_MU_CACHE_ENTRIES,
     DEFAULT_THRESHOLD,
-    ENGINES,
     FunctionFuser,
     FusionResult,
     ModelBasedFuser,
@@ -97,7 +96,6 @@ from repro.core.joint import (
     ExplicitJointModel,
     IndependentJointModel,
     JointQualityModel,
-    MaskedJointCache,
 )
 from repro.core.observations import ObservationMatrix
 from repro.core.parallel import (
@@ -135,7 +133,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "DeltaScorer",
     "EMDiagnostics",
-    "ENGINES",
     "EXACT_SOURCE_LIMIT",
     "ElasticFuser",
     "ElasticUnionPlan",
@@ -149,7 +146,6 @@ __all__ = [
     "IndependentJointModel",
     "JointQualityModel",
     "METHOD_NAMES",
-    "MaskedJointCache",
     "MicroBatcher",
     "ModelBasedFuser",
     "ObservationMatrix",

@@ -58,9 +58,8 @@ class AggressiveFuser(ModelBasedFuser):
         Source ids over which the factors ``C+_i, C-_i`` are defined;
         defaults to all of the model's sources.  The clustered fuser passes
         each cluster here so factors are relative to the cluster.
-    engine, max_cache_entries:
-        Execution engine switch and per-pattern memo cap -- see
-        :class:`repro.core.fusion.ModelBasedFuser`.
+    max_cache_entries:
+        Per-pattern memo cap -- see :class:`repro.core.fusion.ModelBasedFuser`.
     """
 
     name = "PrecRecCorr-Aggressive"
@@ -70,7 +69,6 @@ class AggressiveFuser(ModelBasedFuser):
         model: JointQualityModel,
         universe: Optional[Sequence[int]] = None,
         decision_prior: Optional[float] = None,
-        engine: str = "vectorized",
         max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
@@ -82,7 +80,6 @@ class AggressiveFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            engine=engine,
             max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
@@ -123,7 +120,7 @@ class AggressiveFuser(ModelBasedFuser):
         """All pattern ``mu`` values via sign-tracked log-space products.
 
         Only available when the factor universe covers every source (the
-        standalone configuration); with a restricted universe the engine
+        standalone configuration); with a restricted universe scoring
         falls back to the per-pattern path, whose semantics (including the
         deliberate ``KeyError`` on out-of-universe sources) are preserved.
         """

@@ -107,7 +107,6 @@ def fit_model(
     prior: Optional[float] = None,
     smoothing: float = 0.0,
     train_mask: Optional[np.ndarray] = None,
-    engine: str = "vectorized",
     workers: Optional[int] = None,
 ) -> EmpiricalJointModel:
     """Fit an :class:`EmpiricalJointModel` from labelled observations.
@@ -124,9 +123,6 @@ def fit_model(
         Optional boolean mask restricting which triples calibrate the model
         (a train/test split); ``None`` uses everything, as the paper's
         evaluation does.
-    engine:
-        Subset-statistics engine for the fitted model: ``"vectorized"``
-        (bit-packed popcounts, default) or ``"legacy"`` (boolean masks).
     workers:
         Worker threads for the model's bulk subset evaluation
         (:meth:`EmpiricalJointModel.joint_params_batch`); ``None`` consults
@@ -145,7 +141,6 @@ def fit_model(
         labels,
         prior=prior,
         smoothing=smoothing,
-        engine=engine,
         workers=workers,
     )
 
@@ -184,14 +179,13 @@ def make_fuser(
     clustered-only options (partitions, ``min_phi``, ``min_expected``,
     ``significance``, ``exact_cluster_limit``, ``elastic_level``) are
     dropped on the exact route.  Options shared by both solvers
-    (``decision_prior``, ``engine``, ``max_cache_entries``, ``workers``,
+    (``decision_prior``, ``max_cache_entries``, ``workers``,
     ``shard_size``, ``parallel_backend``) always apply.
     """
     key = method.lower().replace("-", "").replace("_", "")
     if key == "em":
-        # EM manages its own scoring loop; the engine switch and the
-        # sharded-execution knobs do not apply.
-        options.pop("engine", None)
+        # EM manages its own scoring loop; the sharded-execution knobs do
+        # not apply.
         options.pop("workers", None)
         options.pop("shard_size", None)
         options.pop("parallel_backend", None)
@@ -234,7 +228,6 @@ def fuse(
     smoothing: float = 0.0,
     train_mask: Optional[np.ndarray] = None,
     threshold: float = DEFAULT_THRESHOLD,
-    engine: str = "vectorized",
     workers: Optional[int] = None,
     shard_size: Optional[int] = None,
     **options: Any,
@@ -249,13 +242,6 @@ def fuse(
     omitted); pass ``decision_prior=...`` among ``options`` to override the
     ``alpha`` of the posterior formula only (the paper's Section 5 protocol
     uses ``decision_prior=0.5``).
-
-    ``engine`` selects the execution engine end to end: it configures both
-    the fitted quality model's subset statistics and the fuser's scoring
-    loop.  ``"vectorized"`` (default) is the pattern-centric bit-packed
-    path; ``"legacy"`` is the original per-triple reference, kept for
-    equivalence testing.  The EM method manages its own scoring loop and
-    ignores the switch.
 
     ``method="precreccorr"`` routes to the exact solver or (beyond
     ``EXACT_SOURCE_LIMIT`` sources) the clustered fuser; solver-specific
@@ -279,7 +265,6 @@ def fuse(
         prior=prior,
         smoothing=smoothing,
         train_mask=train_mask,
-        engine=engine,
         workers=workers,
         shard_size=shard_size,
         options=options,
@@ -301,7 +286,6 @@ def _build_fuser(
     prior: Optional[float],
     smoothing: float,
     train_mask: Optional[np.ndarray],
-    engine: str,
     options: dict,
     workers: Optional[int] = None,
     shard_size: Optional[int] = None,
@@ -341,13 +325,11 @@ def _build_fuser(
         prior=prior,
         smoothing=smoothing,
         train_mask=train_mask,
-        engine=engine,
         workers=workers,
     )
     fuser = make_fuser(
         method,
         model,
-        engine=engine,
         workers=workers,
         shard_size=shard_size,
         **options,
@@ -745,14 +727,14 @@ class ScoringSession:
     experiments but wasteful under serving traffic where the model changes
     rarely and ``score`` runs constantly.  A session performs the fit
     exactly once (at construction) and keeps the fuser -- and therefore its
-    memoised patterns, joint look-ups, and compiled union plans -- alive
+    memoised patterns and compiled union plans -- alive
     across calls: the first ``score`` over a new pattern set pays the
     collect + compile + model-evaluation cost, repeated batches sharing a
     pattern set execute from the digest-keyed
     :class:`~repro.core.plans.CompiledPlanCache`.
 
     Parameters mirror :func:`fuse` (``method``, ``prior``, ``smoothing``,
-    ``train_mask``, ``engine``, plus fuser ``options``); ``threshold`` is
+    ``train_mask``, plus fuser ``options``); ``threshold`` is
     the default acceptance threshold for :meth:`fuse`.
 
     Use :meth:`refit` when fresh labels arrive: it fits a new model,
@@ -800,7 +782,6 @@ class ScoringSession:
         prior: Optional[float] = None,
         smoothing: float = 0.0,
         train_mask: Optional[np.ndarray] = None,
-        engine: str = "vectorized",
         threshold: float = DEFAULT_THRESHOLD,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
@@ -815,7 +796,6 @@ class ScoringSession:
         self._prior = prior
         # guarded-by: _refit_lock
         self._smoothing = smoothing
-        self._engine = engine
         self._threshold = threshold
         self._workers = resolve_workers(workers)
         self._shard_size = shard_size
@@ -888,7 +868,6 @@ class ScoringSession:
             prior=prior,
             smoothing=smoothing,
             train_mask=train_mask,
-            engine=engine,
             workers=workers,
             shard_size=shard_size,
             options=self._options,
@@ -902,15 +881,12 @@ class ScoringSession:
     def _make_delta_scorer(self, fuser: TruthFuser) -> Optional[DeltaScorer]:
         """A delta scorer for ``fuser``, or ``None`` when delta is off.
 
-        Delta scoring requires the pattern-pure vectorized path: EM (whose
-        scores depend on the whole matrix) and the legacy reference engine
-        always score cold.
+        Delta scoring requires pattern-pure scores: EM (whose scores depend
+        on the whole matrix) always scores cold.
         """
         if self._delta == "off":
             return None
         if not isinstance(fuser, ModelBasedFuser):
-            return None
-        if fuser.engine != "vectorized":
             return None
         # Likelihood-level reuse inside the inclusion-exclusion fusers
         # (novel cluster-restrictions only) -- see enable_delta_memo.
@@ -953,7 +929,6 @@ class ScoringSession:
             "method": self._method,
             "prior": self._prior,
             "smoothing": self._smoothing,
-            "engine": self._engine,
             "threshold": self._threshold,
             "workers": self._workers,
             "shard_size": self._shard_size,
@@ -1013,7 +988,7 @@ class ScoringSession:
 
     @property
     def delta_scorer(self) -> Optional[DeltaScorer]:
-        """The live delta scorer, or ``None`` (delta off / EM / legacy)."""
+        """The live delta scorer, or ``None`` (delta off / EM)."""
         return self._delta_scorer
 
     def _compute_scores(self, observations: ObservationMatrix) -> np.ndarray:
@@ -1236,7 +1211,7 @@ class ScoringSession:
         """Refit on fresh labels, rebuild the fuser, invalidate old caches.
 
         ``overrides`` may replace ``prior`` or ``smoothing`` for the new
-        fit; everything else (method, engine, fuser options, threshold) is
+        fit; everything else (method, fuser options, threshold) is
         carried over.  Returns ``self`` for chaining.
         """
         unknown = set(overrides) - {"prior", "smoothing"}
@@ -1272,7 +1247,6 @@ class ScoringSession:
                 prior=prior,
                 smoothing=smoothing,
                 train_mask=train_mask,
-                engine=self._engine,
                 workers=self._workers,
                 shard_size=self._shard_size,
                 options=self._options,
@@ -1309,7 +1283,7 @@ class ScoringSession:
         every score served from it) is **bit-identical** to a cold refit,
         at a cost proportional to churn rather than dataset size.  The
         exact-recount fallback fires automatically when the diff is
-        unavailable, the engine is legacy, or churn exceeds
+        unavailable or churn exceeds
         ``max_churn_fraction``; either way the generation swap, cache
         invalidation, and retired-pool shutdown are exactly :meth:`refit`'s.
 
@@ -1360,7 +1334,6 @@ class ScoringSession:
                     prior=prior,
                     smoothing=smoothing,
                     train_mask=train_mask,
-                    engine=self._engine,
                     workers=self._workers,
                     shard_size=self._shard_size,
                     options=self._options,
@@ -1395,7 +1368,6 @@ class ScoringSession:
                         labels_fit,
                         prior=prior,
                         smoothing=smoothing,
-                        engine=self._engine,
                         workers=self._workers,
                     )
                     stats = ModelRefitStats(
@@ -1418,7 +1390,6 @@ class ScoringSession:
                 fuser = make_fuser(
                     self._method,
                     model,
-                    engine=self._engine,
                     workers=self._workers,
                     shard_size=self._shard_size,
                     **options,
@@ -1659,12 +1630,11 @@ class ScoringSession:
     def cache_stats(self) -> dict:
         """Serving diagnostics across every cache layer.
 
-        The flat keys are the live fuser's compiled-plan cache stats (the
-        shape PR 3/4 consumers rely on); nested dicts add the
-        bitmask-keyed joint cache (``"joint_cache"``), the delta engine
+        The flat keys are the live fuser's compiled-plan cache stats;
+        nested dicts add the worker pool (``"pool"``), the delta engine
         (``"delta"``: path counts, reuse volumes, pattern-memo counters),
-        and micro-batching (``"micro_batch"``) when those layers are
-        active.  Empty for sessions with none of them (EM).
+        micro-batching (``"micro_batch"``) and refits (``"refit"``) when
+        those layers are active.  Empty for sessions with none of them (EM).
         """
         fuser = self._fuser
         scorer = self._delta_scorer
@@ -1674,9 +1644,6 @@ class ScoringSession:
             return {}
         stats: dict = dict(plan_cache.stats) if plan_cache is not None else {}
         if isinstance(fuser, ModelBasedFuser):
-            joint_stats = fuser.joint_cache_stats()
-            if joint_stats:
-                stats["joint_cache"] = joint_stats
             pool_stats = fuser.pool_stats()
             if pool_stats:
                 stats["pool"] = pool_stats

@@ -59,7 +59,6 @@ from repro.core.plans import (
     pattern_digest,
 )
 from repro.util.probability import PROBABILITY_FLOOR
-from repro.util.validation import check_accumulate
 
 Side = Literal["true", "false"]
 
@@ -141,7 +140,7 @@ class SignificanceMemo:
     (never module-global: a process-wide memo would also accelerate *cold*
     refits and corrupt delta-vs-cold benchmark comparisons).
 
-    Thread-safety mirrors ``MaskedJointCache``: reads are plain dict
+    Thread-safety mirrors ``PatternValueMemo``: reads are plain dict
     look-ups (atomic under the GIL), stores take a lock, and values are
     deterministic so racing duplicate computes are benign.  Hit/miss
     counters are deliberately unlocked diagnostics.
@@ -341,25 +340,10 @@ def _components_partition(
 
 
 def _pair_joints(model: JointQualityModel, pair_ids: np.ndarray) -> np.ndarray:
-    """``(2, k)`` joint recall (row 0) and fpr (row 1) of the selected pairs.
-
-    From the model's memoised all-pairs batch where it has one; models
-    without batch pair statistics (legacy engine, explicit models) answer
-    the same values through their scalar queries.
-    """
-    batch = model.pair_joint_params()
-    if batch is not None:
-        _, r_pairs, q_pairs = batch
-        return np.stack([r_pairs[pair_ids], q_pairs[pair_ids]])
-    ii, jj = pair_indices(model.n_sources)
-    pairs = [(int(ii[k]), int(jj[k])) for k in pair_ids]
-    return np.array(
-        [
-            [model.joint_recall(pair) for pair in pairs],
-            [model.joint_fpr(pair) for pair in pairs],
-        ],
-        dtype=float,
-    ).reshape(2, len(pairs))
+    """``(2, k)`` joint recall (row 0) and fpr (row 1) of the selected pairs,
+    from the model's memoised all-pairs batch."""
+    _, r_pairs, q_pairs = model.pair_joint_params()
+    return np.stack([r_pairs[pair_ids], q_pairs[pair_ids]])
 
 
 def _pair_counts(
@@ -692,23 +676,14 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         larger ones use :class:`ElasticFuser` at ``elastic_level``.
     elastic_level:
         Elastic ``lambda`` for oversized clusters (paper: level 3).
-    engine, max_cache_entries:
-        Execution engine switch and per-pattern memo cap -- see
+    max_cache_entries:
+        Per-pattern memo cap -- see
         :class:`repro.core.fusion.ModelBasedFuser`.  The cap is also
-        forwarded to the per-cluster evaluators, bounding their joint and
-        mu caches the same way.  On the vectorized
-        engine every distinct global pattern is decomposed into per-cluster
-        sub-patterns, deduplicated across all clusters of each evaluator,
-        and scored through one batched union plan per evaluator
-        (:meth:`pattern_mu_batch`); the
-        legacy engine walks triples and consults the evaluators through the
-        scalar pattern interface.
-    accumulate:
-        Batched-plan accumulate implementation forwarded to the per-cluster
-        evaluators: ``"numpy"`` (default) runs their compiled plans;
-        ``"python"`` is the per-term reference walk and also bypasses this
-        fuser's own decomposition cache, so every call re-runs the full
-        reference path.  Scores are bit-identical either way.
+        forwarded to the per-cluster evaluators, bounding their mu caches
+        the same way.  Every distinct global pattern is decomposed into
+        per-cluster sub-patterns, deduplicated across all clusters of each
+        evaluator, and scored through one batched union plan per evaluator
+        (:meth:`pattern_mu_batch`).
     max_plan_cache_entries:
         LRU cap for the compiled-plan caches: forwarded to every
         per-cluster evaluator *and* used for this fuser's own cache of
@@ -753,9 +728,7 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         exact_cluster_limit: int = 12,
         elastic_level: int = 3,
         decision_prior: Optional[float] = None,
-        engine: str = "vectorized",
         max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
-        accumulate: str = "numpy",
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
@@ -768,7 +741,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            engine=engine,
             max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
@@ -778,7 +750,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             raise ValueError(
                 f"exact_cluster_limit must be >= 1, got {exact_cluster_limit}"
             )
-        self._accumulate = check_accumulate(accumulate)
         self._max_plan_cache = int(max_plan_cache_entries)
         self._plan_cache = CompiledPlanCache(max_plan_cache_entries)
         self._delta_serving = False
@@ -842,8 +813,8 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         if len(cluster) <= exact_limit:
             # One exact evaluator serves every small cluster on both sides:
             # it is a pure function of the full model, so per-cluster
-            # instances were identical copies, each duplicating its joint
-            # cache.  Oversized clusters still get their own elastic
+            # instances would be identical copies, each duplicating its
+            # plan cache.  Oversized clusters still get their own elastic
             # evaluator (its aggressive factors depend on the universe).
             if self._shared_exact is None:
                 # workers=1 pins the evaluator serial: this fuser already
@@ -855,7 +826,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                     self.model,
                     max_silent_sources=exact_limit,
                     max_cache_entries=self._max_cache,
-                    accumulate=self._accumulate,
                     max_plan_cache_entries=self._max_plan_cache,
                     workers=1,
                 )
@@ -871,7 +841,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                 level=level,
                 universe=sorted(cluster),
                 max_cache_entries=self._max_cache,
-                accumulate=self._accumulate,
                 max_plan_cache_entries=self._max_plan_cache,
                 workers=1,  # serial: no nested sharding inside its blocks
             )
@@ -948,31 +917,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         self._delta_serving = True
         for evaluator in self._distinct_evaluators():
             evaluator.enable_delta_memo(max_entries)
-
-    def joint_cache_stats(self) -> dict:
-        """Joint-cache counters summed across the distinct evaluators.
-
-        Only the volume fields (entries, hits, misses, evictions) are
-        additive; ``max_entries`` is the *per-cache* cap (identical for
-        every evaluator -- they share this fuser's ``max_cache_entries``),
-        so it is reported as-is rather than summed into a capacity no
-        single cache has.
-        """
-        merged = {"entries": 0, "hits": 0, "misses": 0, "evictions": 0}
-        max_entries = None
-        seen_any = False
-        for evaluator in self._distinct_evaluators():
-            stats = evaluator.joint_cache_stats()
-            if not stats:
-                continue
-            seen_any = True
-            for field_name in ("entries", "hits", "misses", "evictions"):
-                merged[field_name] += stats[field_name]
-            max_entries = stats["max_entries"]
-        if not seen_any:
-            return {}
-        merged["max_entries"] = max_entries
-        return merged
 
     def _group_clusters(self, n_sources: int) -> list[_EvaluatorGroup]:
         """Clusters grouped by evaluator, each with its restriction table.
@@ -1109,40 +1053,31 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         ``math.exp`` on the deduplicated values and the per-cluster terms
         are added in partition order, replicating :meth:`pattern_mu`'s
         operation sequence exactly -- so scores are bit-identical to the
-        legacy per-pattern path.
+        per-pattern path.
         """
-        if self._accumulate == "python":
-            # The reference configuration must re-run the full walk every
-            # call (mirroring exact/elastic, whose caches are bypassed on
-            # accumulate="python"), or benchmarks of the python path would
-            # silently measure the cached tables instead.
-            entry = self._compile_side_terms(patterns)
-        else:
-            key = (
-                "clustered",
-                pattern_digest(
-                    patterns.provider_matrix, patterns.silent_matrix
-                ),
+        key = (
+            "clustered",
+            pattern_digest(patterns.provider_matrix, patterns.silent_matrix),
+        )
+        if not self._delta_serving:
+            entry = self._plan_cache.get_or_compute(
+                key, lambda: self._compile_side_terms(patterns)
             )
-            if not self._delta_serving:
-                entry = self._plan_cache.get_or_compute(
-                    key, lambda: self._compile_side_terms(patterns)
-                )
-            else:
-                # Delta serving (see enable_delta_memo): only the seeding
-                # workload is stored.  Later misses are delta-step novel
-                # sub-batches whose digests never recur -- caching them
-                # would churn the LRU out from under the seeded entries
-                # (the same rule as plans.likelihoods_with_memo), and the
-                # probe leaves the miss counters to the seeding compute.
-                entry = self._plan_cache.get(key, count_miss=False)
-                if entry is None:
-                    if len(self._plan_cache) == 0:
-                        entry = self._plan_cache.get_or_compute(
-                            key, lambda: self._compile_side_terms(patterns)
-                        )
-                    else:
-                        entry = self._compile_side_terms(patterns)
+        else:
+            # Delta serving (see enable_delta_memo): only the seeding
+            # workload is stored.  Later misses are delta-step novel
+            # sub-batches whose digests never recur -- caching them would
+            # churn the LRU out from under the seeded entries (the same
+            # rule as plans.likelihoods_with_memo), and the probe leaves
+            # the miss counters to the seeding compute.
+            entry = self._plan_cache.get(key, count_miss=False)
+            if entry is None:
+                if len(self._plan_cache) == 0:
+                    entry = self._plan_cache.get_or_compute(
+                        key, lambda: self._compile_side_terms(patterns)
+                    )
+                else:
+                    entry = self._compile_side_terms(patterns)
         true_terms, false_terms = entry
         log_numerator = np.zeros(patterns.n_patterns, dtype=float)
         log_denominator = np.zeros(patterns.n_patterns, dtype=float)

@@ -21,7 +21,7 @@ scratch.  This module closes that gap with three reuse levels:
 3. **novel-pattern sub-batches** -- only genuinely new patterns go through
    ``joint_params_batch`` + compiled-plan execution (as a sub-batch
    :class:`~repro.core.patterns.PatternSet`), and the results are
-   scatter-merged back in legacy column order.
+   scatter-merged back in column order.
 
 Because each reuse level returns exactly the bits a cold run would compute
 (level 1 reuses a previous request's own output for bit-identical columns,
@@ -30,9 +30,9 @@ levels 2-3 rely on per-pattern independence), delta scores are
 ``tests/test_deltas.py`` and the zero-diff gate of
 ``benchmarks/bench_delta_serving.py``.
 
-The scorer is deliberately conservative: mismatched source counts, legacy
-engines, or a dirty fraction beyond ``churn_fraction`` fall back to the
-cold path (which still reuses known patterns through the memo -- the case
+The scorer is deliberately conservative: mismatched source counts or a
+dirty fraction beyond ``churn_fraction`` fall back to the cold path
+(which still reuses known patterns through the memo -- the case
 micro-batched fused matrices hit).
 """
 
@@ -297,7 +297,7 @@ class DeltaScorer:
         self._memo = PatternValueMemo(max_memo_entries)
         self._prev: Optional[_Snapshot] = None
         # Mode/volume counters; plain ints (diagnostics -- a lost increment
-        # under a thread race is acceptable, mirroring MaskedJointCache).
+        # under a thread race is acceptable, mirroring PatternValueMemo).
         self._identical = 0
         self._delta = 0
         self._cold = 0

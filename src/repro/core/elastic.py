@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
-from repro.core.joint import JointQualityModel, MaskedJointCache
+from repro.core.joint import JointQualityModel
 from repro.core.patterns import PatternSet
 from repro.core.plans import (
     DEFAULT_PLAN_CACHE_ENTRIES,
@@ -37,13 +37,10 @@ from repro.core.plans import (
     ElasticUnionPlan,
     PatternValueMemo,
     likelihoods_with_memo,
-    model_supports_batch,
+    one_pattern_likelihoods,
     pattern_digest,
-    scalar_likelihoods,
 )
-from repro.util.probability import PROBABILITY_FLOOR
-from repro.util.subsets import iter_subsets_of_size, subset_parity
-from repro.util.validation import check_accumulate, check_non_negative_int
+from repro.util.validation import check_non_negative_int
 
 
 class ElasticFuser(ModelBasedFuser):
@@ -60,14 +57,8 @@ class ElasticFuser(ModelBasedFuser):
     universe:
         Source ids over which the aggressive factors are defined; defaults
         to all sources (the clustered fuser passes each cluster).
-    engine, max_cache_entries:
-        Execution engine switch and per-pattern memo cap -- see
-        :class:`repro.core.fusion.ModelBasedFuser`.
-    accumulate:
-        Batched-plan accumulate implementation: ``"numpy"`` (default) runs
-        the compiled gather + segmented-sweep path and enables the plan
-        cache; ``"python"`` is the per-term reference walk, kept for
-        equivalence testing and benchmarking.  Scores are bit-identical.
+    max_cache_entries:
+        Per-pattern memo cap -- see :class:`repro.core.fusion.ModelBasedFuser`.
     max_plan_cache_entries:
         LRU cap on cached compiled plans (with their batch-evaluated model
         parameters), keyed by pattern digest; ``0`` disables the cache.
@@ -88,9 +79,7 @@ class ElasticFuser(ModelBasedFuser):
         level: int = 3,
         universe: Optional[Sequence[int]] = None,
         decision_prior: Optional[float] = None,
-        engine: str = "vectorized",
         max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
-        accumulate: str = "numpy",
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
@@ -99,7 +88,6 @@ class ElasticFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            engine=engine,
             max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
@@ -114,8 +102,6 @@ class ElasticFuser(ModelBasedFuser):
         for k, i in enumerate(ids):
             self._eff_recall[i] = float(c_plus[k]) * model.recall(i)
             self._eff_fpr[i] = float(c_minus[k]) * model.fpr(i)
-        self._joint_cache = MaskedJointCache(model, max_entries=max_cache_entries)
-        self._accumulate = check_accumulate(accumulate)
         self._plan_cache = CompiledPlanCache(max_plan_cache_entries)
         self._delta_memo: Optional[PatternValueMemo] = None
 
@@ -123,14 +109,6 @@ class ElasticFuser(ModelBasedFuser):
     def plan_cache(self) -> CompiledPlanCache:
         """The compiled-plan cache (stats / eviction diagnostics)."""
         return self._plan_cache
-
-    @property
-    def joint_cache(self) -> MaskedJointCache:
-        """The bitmask-keyed joint look-up cache (stats diagnostics)."""
-        return self._joint_cache
-
-    def joint_cache_stats(self) -> dict:
-        return dict(self._joint_cache.stats)
 
     @property
     def delta_memo(self) -> Optional[PatternValueMemo]:
@@ -150,9 +128,8 @@ class ElasticFuser(ModelBasedFuser):
             self._delta_memo = PatternValueMemo(max_entries)
 
     def invalidate_caches(self) -> None:
-        """Drop memoised scores, joint look-ups, plans, and delta memos."""
+        """Drop memoised scores, plans, and delta memos."""
         super().invalidate_caches()
-        self._joint_cache.clear()
         self._plan_cache.invalidate()
         if self._delta_memo is not None:
             self._delta_memo.invalidate()
@@ -169,80 +146,13 @@ class ElasticFuser(ModelBasedFuser):
     def pattern_likelihoods(
         self, providers: frozenset[int], silent: frozenset[int]
     ) -> tuple[float, float]:
-        """Approximated ``(Pr(Ot | t), Pr(Ot | not t))``, floored > 0."""
-        base = sorted(providers)
-        silent_sorted = sorted(silent)
-        r_st = self.model.joint_recall(base)
-        q_st = self.model.joint_fpr(base)
+        """Approximated ``(Pr(Ot | t), Pr(Ot | not t))``, floored > 0.
 
-        # Level 0: exact provider-side joint, aggressive silent-side product
-        # (lines 1-2 of Algorithm 1).
-        numerator = r_st
-        denominator = q_st
-        for i in silent_sorted:
-            numerator *= 1.0 - self._eff_recall[i]
-            denominator *= 1.0 - self._eff_fpr[i]
-
-        # Levels 1..lambda: swap in the exact joint coefficient for every
-        # term of subset size l (lines 3-7 of Algorithm 1).
-        max_level = min(self._level, len(silent_sorted))
-        for l in range(1, max_level + 1):
-            sign = subset_parity(l)
-            for subset in iter_subsets_of_size(silent_sorted, l):
-                approx_r = r_st
-                approx_q = q_st
-                for i in subset:
-                    approx_r *= self._eff_recall[i]
-                    approx_q *= self._eff_fpr[i]
-                union = base + list(subset)
-                numerator += sign * (self.model.joint_recall(union) - approx_r)
-                denominator += sign * (self.model.joint_fpr(union) - approx_q)
-
-        return (
-            max(numerator, PROBABILITY_FLOOR),
-            max(denominator, PROBABILITY_FLOOR),
-        )
-
-    def _masked_likelihoods(
-        self, providers: list[int], silent: list[int]
-    ) -> tuple[float, float]:
-        """:meth:`pattern_likelihoods` via the bitmask-keyed joint cache.
-
-        Same terms in the same order with the same model values; only the
-        memo key changes (int bitmask instead of frozenset), removing the
-        dominant hashing cost of the ``O(n^lambda)`` look-up loop.
-        ``providers`` and ``silent`` must be sorted ascending.
+        A one-row run of the batch pipeline that bypasses the plan cache
+        and the delta memo.
         """
-        cache = self._joint_cache
-        base_mask = 0
-        for i in providers:
-            base_mask |= 1 << i
-        r_st, q_st = cache.get(base_mask, providers)
-
-        numerator = r_st
-        denominator = q_st
-        for i in silent:
-            numerator *= 1.0 - self._eff_recall[i]
-            denominator *= 1.0 - self._eff_fpr[i]
-
-        max_level = min(self._level, len(silent))
-        for l in range(1, max_level + 1):
-            sign = subset_parity(l)
-            for subset in iter_subsets_of_size(silent, l):
-                approx_r = r_st
-                approx_q = q_st
-                mask = base_mask
-                for i in subset:
-                    approx_r *= self._eff_recall[i]
-                    approx_q *= self._eff_fpr[i]
-                    mask |= 1 << i
-                recall, fpr = cache.get(mask, providers + list(subset))
-                numerator += sign * (recall - approx_r)
-                denominator += sign * (fpr - approx_q)
-
-        return (
-            max(numerator, PROBABILITY_FLOOR),
-            max(denominator, PROBABILITY_FLOOR),
+        return one_pattern_likelihoods(
+            self._compile_entry, self.model.n_sources, providers, silent
         )
 
     def pattern_likelihoods_batch(
@@ -251,21 +161,19 @@ class ElasticFuser(ModelBasedFuser):
         """Floored ``(R, Q)`` of Algorithm 1 for many patterns at once.
 
         The batch entry point the clustered fuser drives once per request
-        for its oversized correlation cluster: rows of ``provider_matrix`` / ``silent_matrix``
-        (boolean, ``(n_patterns, n_sources)``; set only on this fuser's
-        universe) are evaluated through the shared
+        for its oversized correlation cluster: rows of ``provider_matrix`` /
+        ``silent_matrix`` (boolean, ``(n_patterns, n_sources)``; set only
+        on this fuser's universe) are evaluated through the shared
         :class:`~repro.core.plans.ElasticUnionPlan` -- base sets and every
         level-``1..lambda`` union collected once, evaluated in bulk via
         :meth:`JointQualityModel.joint_params_batch`, Algorithm 1's sums
-        re-accumulated in the legacy term order -- so every value is
-        bit-identical to :meth:`pattern_likelihoods`.  Models without batch
-        support fall back to bitmask-keyed scalar queries.
+        accumulated in its term order -- so every value is bit-identical
+        to :meth:`pattern_likelihoods`.
 
-        On the default ``accumulate="numpy"`` configuration the plan is
-        compiled (aggressive factors baked in) and memoised together with
-        its batch-evaluated ``(r, q)`` values in the digest-keyed plan
-        cache, so repeated calls skip collect, compile, and model
-        evaluation entirely.  A configured
+        The plan is compiled (aggressive factors baked in) and memoised
+        together with its batch-evaluated ``(r, q)`` values in the
+        digest-keyed plan cache, so repeated calls skip collect, compile,
+        and model evaluation entirely.  A configured
         :class:`~repro.core.parallel.ShardedExecutor` fans word-aligned
         pattern blocks across its pool and concatenates the per-block
         results, bit-identical to the serial sweep.
@@ -284,18 +192,6 @@ class ElasticFuser(ModelBasedFuser):
 
         Never re-shards -- the worker-pool jobs land here directly.
         """
-        if not model_supports_batch(self.model, provider_matrix.shape[1]):
-            return scalar_likelihoods(
-                provider_matrix, silent_matrix, self._masked_likelihoods
-            )
-        if self._accumulate == "python":
-            plan = ElasticUnionPlan.build(
-                provider_matrix, silent_matrix, self._level
-            )
-            recalls, fprs = self.model.joint_params_batch(plan.rows)
-            return plan.accumulate(
-                recalls, fprs, self._eff_recall, self._eff_fpr
-            )
         memo = self._delta_memo
         if memo is None:
             key = (
@@ -329,8 +225,7 @@ class ElasticFuser(ModelBasedFuser):
     def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
         """Every distinct pattern's ``mu`` from one batched model evaluation.
 
-        Thin wrapper over :meth:`pattern_likelihoods_batch`; scores are
-        bit-identical to the legacy path.
+        Thin wrapper over :meth:`pattern_likelihoods_batch`.
         """
         numerators, denominators = self.pattern_likelihoods_batch(
             patterns.provider_matrix, patterns.silent_matrix

@@ -18,7 +18,10 @@ Numerical notes
 ---------------
 With *empirically measured* joint recalls the numerator telescopes to the
 (non-negative) empirical frequency of the exact observation pattern among
-true triples.  Joint false-positive rates, however, are *derived* via
+true triples: under full coverage and no smoothing every ``r_S`` is a
+fraction of the same true triples, so the alternating sum counts the true
+triples whose providers within ``St union St-bar`` are exactly ``St``
+(``tests/test_paper_oracle.py`` enumerates every pattern to check this).  Joint false-positive rates, however, are *derived* via
 Theorem 3.5 and need not be mutually consistent, so the denominator can dip
 below zero on noisy estimates; both sums are therefore floored at a tiny
 positive value before the ratio is taken.
@@ -29,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
-from repro.core.joint import JointQualityModel, MaskedJointCache
+from repro.core.joint import JointQualityModel
 from repro.core.patterns import PatternSet
 from repro.core.plans import (
     DEFAULT_PLAN_CACHE_ENTRIES,
@@ -37,13 +40,9 @@ from repro.core.plans import (
     ExactUnionPlan,
     PatternValueMemo,
     likelihoods_with_memo,
-    model_supports_batch,
+    one_pattern_likelihoods,
     pattern_digest,
-    scalar_likelihoods,
 )
-from repro.util.probability import PROBABILITY_FLOOR
-from repro.util.subsets import iter_subsets, subset_parity
-from repro.util.validation import check_accumulate
 
 
 class ExactCorrelationFuser(ModelBasedFuser):
@@ -59,16 +58,8 @@ class ExactCorrelationFuser(ModelBasedFuser):
         sources raise ``ValueError`` (each one costs ``2^{|St-bar|}`` model
         look-ups).  Use :class:`repro.core.clustering.ClusteredCorrelationFuser`
         or :class:`repro.core.elastic.ElasticFuser` beyond this scale.
-    engine, max_cache_entries:
-        Execution engine switch and per-pattern memo cap -- see
-        :class:`repro.core.fusion.ModelBasedFuser`.  The inclusion-exclusion
-        sum itself is evaluated per distinct pattern either way; the
-        vectorized engine visits each pattern once instead of per triple.
-    accumulate:
-        Batched-plan accumulate implementation: ``"numpy"`` (default) runs
-        the compiled gather + segmented-sweep path and enables the plan
-        cache; ``"python"`` is the per-term reference walk, kept for
-        equivalence testing and benchmarking.  Scores are bit-identical.
+    max_cache_entries:
+        Per-pattern memo cap -- see :class:`repro.core.fusion.ModelBasedFuser`.
     max_plan_cache_entries:
         LRU cap on cached compiled plans (with their batch-evaluated model
         parameters), keyed by pattern digest -- repeated ``score`` calls on
@@ -95,9 +86,7 @@ class ExactCorrelationFuser(ModelBasedFuser):
         model: JointQualityModel,
         max_silent_sources: int = 20,
         decision_prior: float | None = None,
-        engine: str = "vectorized",
         max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
-        accumulate: str = "numpy",
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
         workers: int | None = None,
         shard_size: int | None = None,
@@ -106,7 +95,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            engine=engine,
             max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
@@ -117,8 +105,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
                 f"max_silent_sources must be non-negative, got {max_silent_sources}"
             )
         self._max_silent = max_silent_sources
-        self._joint_cache = MaskedJointCache(model, max_entries=max_cache_entries)
-        self._accumulate = check_accumulate(accumulate)
         self._plan_cache = CompiledPlanCache(max_plan_cache_entries)
         self._delta_memo: PatternValueMemo | None = None
 
@@ -126,14 +112,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
     def plan_cache(self) -> CompiledPlanCache:
         """The compiled-plan cache (stats / eviction diagnostics)."""
         return self._plan_cache
-
-    @property
-    def joint_cache(self) -> MaskedJointCache:
-        """The bitmask-keyed joint look-up cache (stats diagnostics)."""
-        return self._joint_cache
-
-    def joint_cache_stats(self) -> dict:
-        return dict(self._joint_cache.stats)
 
     @property
     def delta_memo(self) -> PatternValueMemo | None:
@@ -154,9 +132,8 @@ class ExactCorrelationFuser(ModelBasedFuser):
             self._delta_memo = PatternValueMemo(max_entries)
 
     def invalidate_caches(self) -> None:
-        """Drop memoised scores, joint look-ups, plans, and delta memos."""
+        """Drop memoised scores, plans, and delta memos."""
         super().invalidate_caches()
-        self._joint_cache.clear()
         self._plan_cache.invalidate()
         if self._delta_memo is not None:
             self._delta_memo.invalidate()
@@ -176,49 +153,14 @@ class ExactCorrelationFuser(ModelBasedFuser):
     def pattern_likelihoods(
         self, providers: frozenset[int], silent: frozenset[int]
     ) -> tuple[float, float]:
-        """``(Pr(Ot | t), Pr(Ot | not t))`` via Eq. 10 and 11, floored > 0."""
-        self._check_silent_width(len(silent))
-        base = sorted(providers)
-        numerator = 0.0
-        denominator = 0.0
-        for subset in iter_subsets(sorted(silent)):
-            sign = subset_parity(len(subset))
-            union = base + list(subset)
-            numerator += sign * self.model.joint_recall(union)
-            denominator += sign * self.model.joint_fpr(union)
-        return (
-            max(numerator, PROBABILITY_FLOOR),
-            max(denominator, PROBABILITY_FLOOR),
-        )
+        """``(Pr(Ot | t), Pr(Ot | not t))`` via Eq. 10 and 11, floored > 0.
 
-    def _masked_likelihoods(
-        self, providers: list[int], silent: list[int]
-    ) -> tuple[float, float]:
-        """:meth:`pattern_likelihoods` via the bitmask-keyed joint cache.
-
-        Same subsets, same accumulation order, same model values -- only the
-        memo key changes (int bitmask instead of frozenset), which removes
-        the dominant hashing cost from the hot loop.  ``providers`` and
-        ``silent`` must be sorted ascending.
+        A one-row run of the batch pipeline (build, compile, one model
+        call, compiled accumulate) that bypasses the plan cache and the
+        delta memo.
         """
-        self._check_silent_width(len(silent))
-        base_mask = 0
-        for i in providers:
-            base_mask |= 1 << i
-        numerator = 0.0
-        denominator = 0.0
-        cache = self._joint_cache
-        for subset in iter_subsets(silent):
-            mask = base_mask
-            for i in subset:
-                mask |= 1 << i
-            recall, fpr = cache.get(mask, providers + list(subset))
-            sign = subset_parity(len(subset))
-            numerator += sign * recall
-            denominator += sign * fpr
-        return (
-            max(numerator, PROBABILITY_FLOOR),
-            max(denominator, PROBABILITY_FLOOR),
+        return one_pattern_likelihoods(
+            self._compile_entry, self.model.n_sources, providers, silent
         )
 
     def pattern_likelihoods_batch(
@@ -227,20 +169,19 @@ class ExactCorrelationFuser(ModelBasedFuser):
         """Floored ``(Pr(Ot | t), Pr(Ot | not t))`` arrays for many patterns.
 
         The batch entry point the clustered fuser drives once per request
-        for all its small correlation clusters together: rows of ``provider_matrix`` / ``silent_matrix``
-        (boolean, ``(n_patterns, n_sources)``) are evaluated through the
+        for all its small correlation clusters together: rows of
+        ``provider_matrix`` / ``silent_matrix`` (boolean,
+        ``(n_patterns, n_sources)``) are evaluated through the
         shared :class:`~repro.core.plans.ExactUnionPlan` -- all subset
         unions collected once, ``(r, q)`` from one vectorized model call,
-        inclusion-exclusion sums re-accumulated in the legacy term order --
+        inclusion-exclusion sums accumulated in the paper's term order --
         so every value is bit-identical to :meth:`pattern_likelihoods`.
-        Models without batch support fall back to bitmask-keyed scalar
-        queries.
 
-        On the default ``accumulate="numpy"`` configuration the plan is
-        compiled to flat index/sign arrays and memoised -- together with
-        its batch-evaluated ``(r, q)`` values, which depend only on the
-        (fixed) model -- in the digest-keyed plan cache, so repeated calls
-        skip collect, compile, and model evaluation entirely.  A
+        The plan is compiled to flat index/sign arrays and memoised --
+        together with its batch-evaluated ``(r, q)`` values, which depend
+        only on the (fixed) model -- in the digest-keyed plan cache, so
+        repeated calls skip collect, compile, and model evaluation
+        entirely.  A
         configured :class:`~repro.core.parallel.ShardedExecutor` fans
         word-aligned pattern blocks across its pool and concatenates the
         per-block results (each pattern's likelihoods depend only on its
@@ -260,17 +201,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
 
         Never re-shards -- the worker-pool jobs land here directly.
         """
-        if not model_supports_batch(self.model, provider_matrix.shape[1]):
-            return scalar_likelihoods(
-                provider_matrix, silent_matrix, self._masked_likelihoods
-            )
-        if self._accumulate == "python":
-            plan = ExactUnionPlan.build(
-                provider_matrix, silent_matrix,
-                width_check=self._check_silent_width,
-            )
-            recalls, fprs = self.model.joint_params_batch(plan.rows)
-            return plan.accumulate(recalls, fprs)
         memo = self._delta_memo
         if memo is None:
             key = (
@@ -305,8 +235,7 @@ class ExactCorrelationFuser(ModelBasedFuser):
     def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
         """Every distinct pattern's ``mu`` from one batched model evaluation.
 
-        Thin wrapper over :meth:`pattern_likelihoods_batch`; scores are
-        bit-identical to the legacy path.
+        Thin wrapper over :meth:`pattern_likelihoods_batch`.
         """
         numerators, denominators = self.pattern_likelihoods_batch(
             patterns.provider_matrix, patterns.silent_matrix

@@ -33,7 +33,6 @@ from repro.core.observations import ObservationMatrix
 from repro.core.parallel import ShardedExecutor, make_executor
 from repro.core.patterns import PatternSet
 from repro.util.probability import probability_from_mu, probability_from_mu_array
-from repro.util.validation import ENGINES, check_engine
 
 #: Decision threshold used throughout the paper: accept when Pr(t | Ot) > 0.5.
 DEFAULT_THRESHOLD = 0.5
@@ -147,12 +146,10 @@ class ModelBasedFuser(TruthFuser):
     class handles scope masking, per-pattern memoisation, and the posterior
     transform ``Pr(t | Ot) = 1 / (1 + (1 - a)/a * 1/mu)``.
 
-    Two execution engines are available (see :data:`ENGINES`): the default
-    ``"vectorized"`` engine extracts the matrix's distinct observation
-    patterns once, evaluates each exactly once (through
-    :meth:`pattern_mu_batch` when a subclass vectorises it, otherwise
-    through the memoised per-pattern path), and scatters scores back;
-    ``"legacy"`` is the original per-triple loop.
+    Scoring extracts the matrix's distinct observation patterns once,
+    evaluates each exactly once (through :meth:`pattern_mu_batch` when a
+    subclass vectorises it, otherwise through the memoised per-pattern
+    path), and scatters scores back.
 
     Sharded execution: ``workers > 1`` (or an explicit ``shard_size``)
     equips the fuser with a :class:`~repro.core.parallel.ShardedExecutor`.
@@ -180,7 +177,6 @@ class ModelBasedFuser(TruthFuser):
         self,
         model: JointQualityModel,
         decision_prior: Optional[float] = None,
-        engine: str = "vectorized",
         max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
@@ -196,7 +192,6 @@ class ModelBasedFuser(TruthFuser):
             )
         self._model = model
         self._decision_prior = decision_prior
-        self._engine = check_engine(engine)
         self._max_cache = int(max_cache_entries)
         self._mu_cache: dict[PatternKey, float] = {}
         self._executor = make_executor(workers, shard_size, parallel_backend)
@@ -204,11 +199,6 @@ class ModelBasedFuser(TruthFuser):
     @property
     def model(self) -> JointQualityModel:
         return self._model
-
-    @property
-    def engine(self) -> str:
-        """The execution engine this fuser scores with."""
-        return self._engine
 
     @property
     def workers(self) -> int:
@@ -339,15 +329,6 @@ class ModelBasedFuser(TruthFuser):
         gain nothing from row-level reuse.
         """
 
-    def joint_cache_stats(self) -> dict:
-        """Diagnostics of the bitmask-keyed joint look-up cache, if any.
-
-        Empty for fusers without a :class:`~repro.core.joint.MaskedJointCache`
-        (PrecRec and the aggressive approximation consult only singleton
-        parameters).
-        """
-        return {}
-
     def pool_stats(self) -> dict:
         """Worker-pool supervision counters, empty on the serial config.
 
@@ -377,25 +358,14 @@ class ModelBasedFuser(TruthFuser):
                 f"observation matrix has {observations.n_sources} sources but "
                 f"the quality model covers {self._model.n_sources}"
             )
-        if self._engine == "legacy":
-            return self._score_legacy(observations)
-        return self._score_vectorized(observations)
-
-    def _score_legacy(self, observations: ObservationMatrix) -> np.ndarray:
-        """Reference per-triple scoring loop (the seed implementation)."""
-        scores = np.empty(observations.n_triples, dtype=float)
-        for j in range(observations.n_triples):
-            providers = frozenset(int(i) for i in observations.providers_of(j))
-            silent = frozenset(
-                int(i) for i in observations.silent_covering_sources(j)
-            )
-            scores[j] = self.pattern_probability(providers, silent)
-        return scores
+        patterns = observations.patterns()
+        probabilities = self.pattern_probabilities(patterns)
+        return patterns.scatter(probabilities).astype(float, copy=False)
 
     def pattern_probabilities(self, patterns: PatternSet) -> np.ndarray:
         """Posterior probability for every distinct pattern of ``patterns``.
 
-        The per-pattern half of :meth:`_score_vectorized`, exposed so the
+        The per-pattern half of :meth:`score`, exposed so the
         delta-scoring layer (:mod:`repro.core.deltas`) can evaluate *only*
         a request's novel patterns: every value depends on its own pattern
         alone (the property the sharded engine already relies on), so a
@@ -413,12 +383,6 @@ class ModelBasedFuser(TruthFuser):
                 patterns.provider_sets[k], patterns.silent_sets[k]
             )
         return probabilities
-
-    def _score_vectorized(self, observations: ObservationMatrix) -> np.ndarray:
-        """Pattern-centric scoring: one evaluation per distinct pattern."""
-        patterns = observations.patterns()
-        probabilities = self.pattern_probabilities(patterns)
-        return patterns.scatter(probabilities).astype(float, copy=False)
 
 
 class FunctionFuser(TruthFuser):

@@ -29,7 +29,6 @@ This module provides two implementations behind one interface:
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +38,6 @@ import numpy as np
 
 from repro.core.bitset import pack_bool_vector, popcount, popcount_rows
 from repro.core.observations import ObservationMatrix
-from repro.core.locktrace import make_lock
 from repro.core.parallel import make_executor
 
 if TYPE_CHECKING:  # deltas imports joint at runtime; annotation-only here
@@ -52,9 +50,16 @@ from repro.core.quality import (
     source_counts,
 )
 from repro.util.probability import safe_divide
-from repro.util.validation import check_engine, check_fraction
+from repro.util.validation import (
+    check_fraction,
+    check_non_negative,
+    check_probability,
+)
 
 SubsetKey = frozenset[int]
+
+#: ``(pairs, r, q)`` of every source pair (see ``pair_joint_params``).
+PairParams = tuple[list[tuple[int, int]], np.ndarray, np.ndarray]
 
 #: Rows per chunk in :meth:`EmpiricalJointModel.joint_params_batch` --
 #: bounds the batched AND accumulator at a few tens of MB even when a fuser
@@ -186,7 +191,7 @@ class JointQualityModel(ABC):
         # model's parameters are fixed after construction.  A racing
         # duplicate compute under threads is deterministic and benign
         # (either store wins with identical arrays).
-        self._pair_params_cache = None
+        self._pair_params_cache: Optional[PairParams] = None
         self._source_rates_cache: Optional[np.ndarray] = None
 
     @property
@@ -237,16 +242,32 @@ class JointQualityModel(ABC):
 
     def joint_params_batch(
         self, subsets: np.ndarray
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """``(r_{S*}, q_{S*})`` arrays for many subsets at once, or ``None``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(r_{S*}, q_{S*})`` arrays for many subsets at once.
 
-        ``subsets`` is boolean with shape ``(n_subsets, n_sources)``.  Models
-        that can answer subset statistics in bulk (the empirical model on
-        its vectorized engine) override this; ``None`` signals that only the
-        set-keyed scalar interface is available, and callers fall back to
-        per-subset queries.
+        ``subsets`` is boolean with shape ``(n_subsets, n_sources)``.  The
+        default answers row by row through :meth:`joint_recall` /
+        :meth:`joint_fpr`, so every value is exactly the scalar query's;
+        models that count subsets in bulk (the empirical model) override
+        it with a vectorized sweep that returns the same values.
         """
-        return None
+        subsets = self._check_subsets(subsets)
+        recalls = np.empty(subsets.shape[0], dtype=float)
+        fprs = np.empty(subsets.shape[0], dtype=float)
+        for row, subset in enumerate(subsets):
+            ids = np.flatnonzero(subset).tolist()
+            recalls[row] = self.joint_recall(ids)
+            fprs[row] = self.joint_fpr(ids)
+        return recalls, fprs
+
+    def _check_subsets(self, subsets: np.ndarray) -> np.ndarray:
+        """``subsets`` as a boolean ``(n_subsets, n_sources)`` matrix."""
+        subsets = np.asarray(subsets, dtype=bool)
+        if subsets.ndim != 2 or subsets.shape[1] != self.n_sources:
+            raise ValueError(
+                f"subsets shape {subsets.shape} != (n_subsets, {self.n_sources})"
+            )
+        return subsets
 
     # -- derived quantities (shared by both implementations) ----------
 
@@ -301,100 +322,46 @@ class JointQualityModel(ABC):
         ids = list(range(self.n_sources)) if universe is None else list(universe)
         c_plus = np.ones(len(ids))
         c_minus = np.ones(len(ids))
-        batch = self._leave_one_out_params(ids)
-        if batch is not None:
-            # One vectorized model call answers the universe plus every
-            # leave-one-out subset; the factor arithmetic below replays the
-            # scalar expressions on those (bit-identical) values, so the
-            # fast path and the scalar path agree exactly.
-            (r_all, q_all), (r_rest, q_rest) = batch
-            for k, i in enumerate(ids):
-                c_plus[k] = safe_divide(
-                    r_all, self.recall(i) * float(r_rest[k]), default=1.0
-                )
-                c_minus[k] = safe_divide(
-                    q_all, self.fpr(i) * float(q_rest[k]), default=1.0
-                )
+        if not ids:
             return c_plus, c_minus
-        r_all = self.joint_recall(ids)
-        q_all = self.joint_fpr(ids)
+        # One batch call answers the universe (row 0) and every
+        # leave-one-out subset (row k + 1 drops ids[k]).
+        rows = np.zeros((len(ids) + 1, self.n_sources), dtype=bool)
+        rows[:, ids] = True
+        rows[np.arange(1, len(ids) + 1), ids] = False
+        recalls, fprs = self.joint_params_batch(rows)
+        r_all = float(recalls[0])
+        q_all = float(fprs[0])
         for k, i in enumerate(ids):
-            rest = [j for j in ids if j != i]
             c_plus[k] = safe_divide(
-                r_all, self.recall(i) * self.joint_recall(rest), default=1.0
+                r_all, self.recall(i) * float(recalls[k + 1]), default=1.0
             )
             c_minus[k] = safe_divide(
-                q_all, self.fpr(i) * self.joint_fpr(rest), default=1.0
+                q_all, self.fpr(i) * float(fprs[k + 1]), default=1.0
             )
         return c_plus, c_minus
 
-    def _leave_one_out_params(
-        self, ids: list[int]
-    ) -> Optional[
-        tuple[tuple[float, float], tuple[np.ndarray, np.ndarray]]
-    ]:
-        """Universe + leave-one-out ``(r, q)`` via one batch call, or ``None``.
-
-        Returns ``((r_all, q_all), (r_rest, q_rest))`` where entry ``k`` of
-        the rest arrays is the subset ``ids`` minus ``ids[k]`` -- the shape
-        :meth:`aggressive_factors` needs.  ``None`` when the model has no
-        batch support (or the universe is empty) and callers must fall back
-        to scalar queries.
-        """
-        if not ids:
-            return None
-        n = self.n_sources
-        full = np.zeros(n, dtype=bool)
-        full[ids] = True
-        rows = np.tile(full, (len(ids) + 1, 1))
-        for k, i in enumerate(ids):
-            rows[k + 1, i] = False
-        params = self.joint_params_batch(rows)
-        if params is None:
-            return None
-        recalls, fprs = params
-        return (
-            (float(recalls[0]), float(fprs[0])),
-            (recalls[1:], fprs[1:]),
-        )
-
-    def pair_joint_params(
-        self,
-    ) -> Optional[tuple[list[tuple[int, int]], np.ndarray, np.ndarray]]:
+    def pair_joint_params(self) -> PairParams:
         """``(pairs, r, q)`` for every source pair via one batch call.
 
         ``pairs`` lists ``(i, j)`` with ``i < j`` in row-major order and
         entry ``k`` of the arrays is that pair's joint recall / fpr --
         values bit-identical to the scalar ``joint_recall``/``joint_fpr``
-        queries they replace.  Returns ``None`` when the model has no
-        batch support (legacy engine, explicit models); callers fall back
-        to the O(n^2) scalar walk.  The batch is memoised: the model's
-        parameters are fixed after construction, and both clustering
-        sides consume the same values.
+        queries.  The batch is memoised: the model's parameters are fixed
+        after construction, and both clustering sides consume the same
+        values.
         """
         cached = self._pair_params_cache
-        if cached is not None:
-            return cached or None  # False memoises "no batch support"
-        n = self.n_sources
-        if n < 2:
-            return None
-        # Probe with a zero-row request before allocating the O(n^2) x n
-        # pair matrix: non-batch models answer None immediately, and the
-        # negative is memoised so repeated fits never rebuild the probe.
-        if self.joint_params_batch(np.zeros((0, n), dtype=bool)) is None:
-            self._pair_params_cache = False
-            return None
-        ii, jj = pair_indices(n)
-        pairs = list(zip(ii.tolist(), jj.tolist()))
-        rows = np.zeros((len(pairs), n), dtype=bool)
-        rows[np.arange(len(pairs)), ii] = True
-        rows[np.arange(len(pairs)), jj] = True
-        params = self.joint_params_batch(rows)
-        if params is None:  # pragma: no cover - probe said otherwise
-            self._pair_params_cache = False
-            return None
-        self._pair_params_cache = (pairs, params[0], params[1])
-        return self._pair_params_cache
+        if cached is None:
+            n = self.n_sources
+            ii, jj = pair_indices(n)
+            rows = np.zeros((ii.size, n), dtype=bool)
+            rows[np.arange(ii.size), ii] = True
+            rows[np.arange(ii.size), jj] = True
+            recalls, fprs = self.joint_params_batch(rows)
+            cached = (list(zip(ii.tolist(), jj.tolist())), recalls, fprs)
+            self._pair_params_cache = cached
+        return cached
 
     def pair_coverage_counts(
         self,
@@ -411,153 +378,25 @@ class JointQualityModel(ABC):
         """Matrices ``(C_true, C_false)`` of pairwise correlation factors.
 
         Entry ``[i, j]`` is ``C_{ij}`` (resp. ``C!_{ij}``); the diagonal is
-        left at 1.  Used for correlation-based source clustering (Section 5).
-        On models with batch support every pair's joint parameters come
-        from one :meth:`joint_params_batch` call (the O(n^2) scalar subset
-        queries dominated clustered-fuser fit time on wide grids); the
-        factor arithmetic replays the scalar expressions on those values,
-        so both paths agree bit-for-bit.
+        left at 1.  Every pair's joint parameters come from the one batch
+        call of :meth:`pair_joint_params`; the factor arithmetic replays
+        :meth:`correlation_true` / :meth:`correlation_false` on those
+        values, so both agree bit-for-bit.
         """
         n = self.n_sources
         c_true = np.ones((n, n))
         c_false = np.ones((n, n))
-        batch = self.pair_joint_params()
-        if batch is not None:
-            pairs, r_pairs, q_pairs = batch
-            for k, (i, j) in enumerate(pairs):
-                independent_r = float(
-                    np.prod([self.recall(i), self.recall(j)])
-                )
-                independent_q = float(np.prod([self.fpr(i), self.fpr(j)]))
-                c_true[i, j] = c_true[j, i] = safe_divide(
-                    float(r_pairs[k]), independent_r, default=1.0
-                )
-                c_false[i, j] = c_false[j, i] = safe_divide(
-                    float(q_pairs[k]), independent_q, default=1.0
-                )
-            return c_true, c_false
-        for i in range(n):
-            for j in range(i + 1, n):
-                c_true[i, j] = c_true[j, i] = self.correlation_true([i, j])
-                c_false[i, j] = c_false[j, i] = self.correlation_false([i, j])
+        pairs, r_pairs, q_pairs = self.pair_joint_params()
+        for k, (i, j) in enumerate(pairs):
+            independent_r = float(np.prod([self.recall(i), self.recall(j)]))
+            independent_q = float(np.prod([self.fpr(i), self.fpr(j)]))
+            c_true[i, j] = c_true[j, i] = safe_divide(
+                float(r_pairs[k]), independent_r, default=1.0
+            )
+            c_false[i, j] = c_false[j, i] = safe_divide(
+                float(q_pairs[k]), independent_q, default=1.0
+            )
         return c_true, c_false
-
-
-class MaskedJointCache:
-    """Bitmask-keyed memo of ``(joint_recall, joint_fpr)`` model look-ups.
-
-    The inclusion-exclusion fusers issue millions of subset queries while
-    scoring; the dominant cost of a *cached* query through the set-keyed
-    interface is building and hashing a frozenset.  The vectorized engine
-    identifies a subset by an int bitmask instead -- int hashing is several
-    times cheaper -- and falls through to the wrapped model only on the
-    first sighting of a mask.  Values are exactly the model's own, so the
-    legacy and vectorized engines stay bit-identical.
-
-    The cache is safe under concurrent scoring: a lock guards the size
-    check and store (reads are plain dict look-ups, atomic under the GIL).
-    Model values are deterministic, so two threads racing on the same
-    first-sighted mask compute the same tuple and either store wins --
-    no torn or mixed reads are possible.
-
-    Diagnostics: ``hits`` / ``misses`` / ``evictions`` counters (surfaced
-    through :attr:`stats`, mirroring
-    :class:`~repro.core.plans.CompiledPlanCache`) feed ``ServingReport``
-    and ``fuse --repeat`` output.  The hit/miss increments are deliberately
-    unlocked -- the get path is the hottest loop in the scalar fallbacks,
-    and a lost increment under a thread race only nudges a diagnostic.
-    Beyond ``max_entries`` the oldest-inserted entry is evicted (values are
-    deterministic, so a re-sighted mask recomputes bit-identically).
-    """
-
-    __slots__ = (
-        "_model", "_cache", "_max_entries", "_lock",
-        "hits", "misses", "evictions",
-    )
-
-    def __init__(
-        self, model: "JointQualityModel", max_entries: int = 1_000_000
-    ) -> None:
-        if max_entries < 0:
-            raise ValueError(
-                f"max_entries must be non-negative, got {max_entries}"
-            )
-        self._model = model
-        self._max_entries = int(max_entries)
-        self._lock = make_lock("MaskedJointCache._lock")
-        # guarded-by: _lock
-        self._cache: dict[int, tuple[float, float]] = {}
-        # Hit/miss counters are deliberately unlocked diagnostics (see
-        # class docstring); evictions only moves under the store lock.
-        self.hits = 0
-        self.misses = 0
-        # guarded-by: _lock
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    @property
-    def max_entries(self) -> int:
-        return self._max_entries
-
-    def clear(self) -> None:
-        """Drop every memoised look-up (the model-refit hook); stats survive."""
-        with self._lock:
-            self._cache.clear()
-
-    @property
-    def stats(self) -> dict:
-        """Counters for serving diagnostics (see ``ServingReport``)."""
-        with self._lock:
-            return {
-                "entries": len(self._cache),
-                "max_entries": self._max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def get(self, mask: int, source_ids: Sequence[int]) -> tuple[float, float]:
-        """``(r_{S*}, q_{S*})`` for the subset with bitmask ``mask``.
-
-        ``source_ids`` must list exactly the bits set in ``mask``; it is
-        consulted only on a cache miss (the mask alone is the key).  The
-        model query runs outside the lock -- a racing duplicate compute is
-        deterministic and benign, and holding the lock through it would
-        serialise every parallel scalar-fallback worker.
-        """
-        value = self._cache.get(mask)
-        if value is None:
-            self.misses += 1
-            value = (
-                self._model.joint_recall(source_ids),
-                self._model.joint_fpr(source_ids),
-            )
-            with self._lock:
-                cache = self._cache
-                if self._max_entries > 0:
-                    while len(cache) >= self._max_entries:
-                        del cache[next(iter(cache))]
-                        self.evictions += 1
-                    cache[mask] = value
-        else:
-            self.hits += 1
-        return value
-
-    def __getstate__(self) -> dict:
-        # The lock is process-local; a pickled cache (process-backend jobs
-        # carry their fuser) starts empty.
-        return {"model": self._model, "max_entries": self._max_entries}
-
-    def __setstate__(self, state: dict) -> None:
-        self._model = state["model"]
-        self._cache = {}
-        self._max_entries = state["max_entries"]
-        self._lock = make_lock("MaskedJointCache._lock")
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class EmpiricalJointModel(JointQualityModel):
@@ -580,11 +419,6 @@ class EmpiricalJointModel(JointQualityModel):
         touch millions of distinct subsets during inclusion-exclusion;
         beyond the cap values are recomputed instead of stored, bounding
         memory at a small constant factor of the cap.
-    engine:
-        ``"vectorized"`` (default) answers every subset-intersection query
-        from bit-packed uint64 words with popcounts; ``"legacy"`` uses the
-        seed's full-width boolean-mask reductions.  Both produce identical
-        integer counts, hence identical parameters.
     workers:
         Worker threads for :meth:`joint_params_batch`: requests larger
         than one chunk are fanned across a reusable pool (the popcount
@@ -602,7 +436,6 @@ class EmpiricalJointModel(JointQualityModel):
         prior: float = 0.5,
         smoothing: float = 0.0,
         max_cache_entries: int = 200_000,
-        engine: str = "vectorized",
         workers: Optional[int] = None,
     ) -> None:
         super().__init__(observations.source_names, prior)
@@ -611,13 +444,11 @@ class EmpiricalJointModel(JointQualityModel):
             raise ValueError(
                 f"labels shape {labels.shape} != ({observations.n_triples},)"
             )
-        if smoothing < 0:
-            raise ValueError(f"smoothing must be non-negative, got {smoothing}")
+        smoothing = check_non_negative(smoothing, "smoothing")
         if max_cache_entries < 0:
             raise ValueError(
                 f"max_cache_entries must be non-negative, got {max_cache_entries}"
             )
-        self._engine = check_engine(engine)
         self._workers = workers
         self._executor = make_executor(workers)
         self._observations = observations
@@ -639,11 +470,6 @@ class EmpiricalJointModel(JointQualityModel):
         self._fpr_cache: dict[SubsetKey, float] = {}
         self._precision_cache: dict[SubsetKey, float] = {}
         self._coverage_cache: dict[SubsetKey, tuple[int, int]] = {}
-
-    @property
-    def engine(self) -> str:
-        """The subset-statistics engine this model answers queries with."""
-        return self._engine
 
     def close(self) -> None:
         """Shut down the model's batch-evaluation pool (idempotent).
@@ -675,21 +501,13 @@ class EmpiricalJointModel(JointQualityModel):
     def _intersection_counts(self, key: SubsetKey) -> tuple[int, int]:
         """``(provided_true, provided_false)`` of the subset's intersection.
 
-        The vectorized engine ANDs the subset's bit-packed provider rows and
-        popcounts through the packed label masks; the legacy engine reduces
-        full-width boolean masks.  Both return identical integers.
+        ANDs the subset's bit-packed provider rows and popcounts through
+        the packed label masks.
         """
-        ids = sorted(key)
-        if self._engine == "vectorized":
-            words = self._observations.packed_provides.and_reduce(ids)
-            return (
-                popcount(words & self._true_words),
-                popcount(words & self._false_words),
-            )
-        mask = self._observations.subset_intersection(ids)
+        words = self._observations.packed_provides.and_reduce(sorted(key))
         return (
-            int((mask & self._labels).sum()),
-            int((mask & ~self._labels).sum()),
+            popcount(words & self._true_words),
+            popcount(words & self._false_words),
         )
 
     def joint_precision(self, source_ids: Iterable[int]) -> float:
@@ -753,26 +571,18 @@ class EmpiricalJointModel(JointQualityModel):
         cached = self._coverage_cache.get(key)
         if cached is not None:
             return cached
-        ids = sorted(key)
-        if self._engine == "vectorized":
-            words = self._observations.packed_coverage.and_reduce(ids)
-            value = (
-                popcount(words & self._true_words),
-                popcount(words & self._false_words),
-            )
-        else:
-            mask = self._observations.subset_coverage(ids)
-            value = (
-                int((mask & self._labels).sum()),
-                int((mask & ~self._labels).sum()),
-            )
+        words = self._observations.packed_coverage.and_reduce(sorted(key))
+        value = (
+            popcount(words & self._true_words),
+            popcount(words & self._false_words),
+        )
         if len(self._coverage_cache) < self._max_cache:
             self._coverage_cache[key] = value
         return value
 
     def joint_params_batch(
         self, subsets: np.ndarray
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``(r_{S*}, q_{S*})`` for many subsets in bulk.
 
         The intersection words of *all* requested subsets are computed with
@@ -781,16 +591,9 @@ class EmpiricalJointModel(JointQualityModel):
         counts with vectorized popcounts, and the Theorem 3.5 derivation
         element-wise in the same operation order as the scalar path -- so
         every returned value is bit-identical to the corresponding
-        :meth:`joint_recall` / :meth:`joint_fpr` call.  Returns ``None`` on
-        the legacy engine (callers then fall back to scalar queries).
+        :meth:`joint_recall` / :meth:`joint_fpr` call.
         """
-        if self._engine != "vectorized":
-            return None
-        subsets = np.asarray(subsets, dtype=bool)
-        if subsets.ndim != 2 or subsets.shape[1] != self.n_sources:
-            raise ValueError(
-                f"subsets shape {subsets.shape} != (n_subsets, {self.n_sources})"
-            )
+        subsets = self._check_subsets(subsets)
         n_subsets = subsets.shape[0]
         recalls = np.empty(n_subsets, dtype=float)
         fprs = np.empty(n_subsets, dtype=float)
@@ -881,17 +684,14 @@ class EmpiricalJointModel(JointQualityModel):
 
     # -- updatable count state (delta refit) ---------------------------
 
-    def sufficient_statistics(self) -> "Optional[dict[str, np.ndarray]]":
+    def sufficient_statistics(self) -> "dict[str, np.ndarray]":
         """The per-source integer counters every served float derives from.
 
         Used by the persistence layer as a snapshot integrity
         cross-check: a recovered model rebuilt from the snapshotted
         matrices must reproduce these integers exactly, or the snapshot
-        is treated as corrupt.  ``None`` on the legacy engine, which
-        keeps no packed count state.
+        is treated as corrupt.
         """
-        if self._engine != "vectorized":
-            return None
         counts = self._counts
         return {
             "src_provided": np.asarray(counts.src_provided, dtype=np.int64),
@@ -953,9 +753,7 @@ class EmpiricalJointModel(JointQualityModel):
             np.full(n_pairs, n_false, dtype=np.int64),
         )
 
-    def pair_joint_params(
-        self,
-    ) -> Optional[tuple[list[tuple[int, int]], np.ndarray, np.ndarray]]:
+    def pair_joint_params(self) -> PairParams:
         """All-pairs ``(pairs, r, q)`` served from the updatable counters.
 
         Same contract (and bit-identical values) as the base-class batch
@@ -966,14 +764,9 @@ class EmpiricalJointModel(JointQualityModel):
         transport them to the next generation with dirty-word updates
         instead of a full O(pairs x words) recount.
         """
-        if self._engine != "vectorized":
-            return super().pair_joint_params()
         cached = self._pair_params_cache
         if cached is not None:
-            return cached or None
-        n = self.n_sources
-        if n < 2:
-            return None
+            return cached
         counts = self._counts
         if counts.pair_provided_true is None:
             self._build_pair_counts(counts)
@@ -984,17 +777,13 @@ class EmpiricalJointModel(JointQualityModel):
             covered_true,
             covered_false,
         )
-        ii, jj = pair_indices(n)
-        pairs = list(zip(ii.tolist(), jj.tolist()))
-        self._pair_params_cache = (pairs, recalls, fprs)
-        return self._pair_params_cache
+        ii, jj = pair_indices(self.n_sources)
+        cached = (list(zip(ii.tolist(), jj.tolist())), recalls, fprs)
+        self._pair_params_cache = cached
+        return cached
 
-    def pair_coverage_counts(
-        self,
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    def pair_coverage_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair scope counts aligned with :meth:`pair_joint_params`."""
-        if self._engine != "vectorized" or self.n_sources < 2:
-            return None
         counts = self._counts
         if self._partial_coverage and counts.pair_covered_true is None:
             self._build_pair_counts(counts)
@@ -1025,8 +814,8 @@ class EmpiricalJointModel(JointQualityModel):
         (their counts provably did not change); the rest are dropped.
 
         Falls back to an exact recount (a plain cold construction) when the
-        diff is unavailable (``None``: source sets differ), the engine is
-        legacy, or the dirty-word fraction exceeds ``max_churn_fraction``.
+        diff is unavailable (``None``: source sets differ) or the
+        dirty-word fraction exceeds ``max_churn_fraction``.
 
         Returns ``(new_model, stats)``.  This model is left untouched and
         remains fully usable (the session retires it after the swap).
@@ -1038,13 +827,11 @@ class EmpiricalJointModel(JointQualityModel):
             )
         new_prior = self.prior if prior is None else prior
         new_smoothing = (
-            self._smoothing if smoothing is None else float(smoothing)
+            self._smoothing
+            if smoothing is None
+            else check_non_negative(smoothing, "smoothing")
         )
         check_fraction(new_prior, "prior")
-        if new_smoothing < 0:
-            raise ValueError(
-                f"smoothing must be non-negative, got {new_smoothing}"
-            )
         labels = np.asarray(labels, dtype=bool)
         if labels.shape != (observations.n_triples,):
             raise ValueError(
@@ -1060,7 +847,6 @@ class EmpiricalJointModel(JointQualityModel):
                 prior=new_prior,
                 smoothing=new_smoothing,
                 max_cache_entries=self._max_cache,
-                engine=self._engine,
                 workers=self._workers,
             )
             return model, ModelRefitStats(
@@ -1079,8 +865,6 @@ class EmpiricalJointModel(JointQualityModel):
                 carried_cache_entries=0,
             )
 
-        if self._engine != "vectorized":
-            return _cold("legacy engine")
         from repro.core.deltas import dirty_words
 
         diff = dirty_words(self._observations, observations, self._labels, labels)
@@ -1107,7 +891,6 @@ class EmpiricalJointModel(JointQualityModel):
         cls = type(self)
         new = cls.__new__(cls)
         JointQualityModel.__init__(new, observations.source_names, prior)
-        new._engine = self._engine
         new._workers = self._workers
         new._executor = make_executor(self._workers)
         new._observations = observations
@@ -1302,12 +1085,25 @@ class ExplicitJointModel(JointQualityModel):
     ) -> None:
         super().__init__([q.name for q in qualities], prior)
         self._qualities = list(qualities)
-        self._recalls = {_as_key(k): float(v) for k, v in (joint_recalls or {}).items()}
-        self._fprs = {_as_key(k): float(v) for k, v in (joint_fprs or {}).items()}
-        for key in list(self._recalls) + list(self._fprs):
+        self._recalls = self._checked(joint_recalls, "joint_recalls")
+        self._fprs = self._checked(joint_fprs, "joint_fprs")
+
+    def _checked(
+        self, params: Optional[Mapping[frozenset[int], float]], name: str
+    ) -> dict[SubsetKey, float]:
+        """``params`` keyed by subset, each id known and each value in [0, 1].
+
+        NaN, infinities and out-of-range values raise ``ValueError`` here
+        instead of surfacing as silently floored likelihoods at scoring time.
+        """
+        checked: dict[SubsetKey, float] = {}
+        for subset, value in (params or {}).items():
+            key = _as_key(subset)
             for i in key:
                 if not 0 <= i < self.n_sources:
                     raise ValueError(f"joint parameter names unknown source id {i}")
+            checked[key] = check_probability(float(value), f"{name}[{sorted(key)}]")
+        return checked
 
     def joint_recall(self, source_ids: Iterable[int]) -> float:
         key = _as_key(source_ids)
@@ -1317,7 +1113,7 @@ class ExplicitJointModel(JointQualityModel):
             return self._recalls[key]
         if len(key) == 1:
             return self._qualities[next(iter(key))].recall
-        return float(np.prod([self.joint_recall([i]) for i in key]))
+        return float(np.prod([self.joint_recall([i]) for i in sorted(key)]))
 
     def joint_fpr(self, source_ids: Iterable[int]) -> float:
         key = _as_key(source_ids)
@@ -1327,7 +1123,7 @@ class ExplicitJointModel(JointQualityModel):
             return self._fprs[key]
         if len(key) == 1:
             return self._qualities[next(iter(key))].false_positive_rate
-        return float(np.prod([self.joint_fpr([i]) for i in key]))
+        return float(np.prod([self.joint_fpr([i]) for i in sorted(key)]))
 
     def source_quality(self, source_id: int) -> SourceQuality:
         return self._qualities[int(source_id)]

@@ -3,7 +3,7 @@
 Two triples with the same provider set and the same silent-covering set
 necessarily receive the same score from every model-based fuser -- the
 likelihood ratio ``mu`` depends on the observation *pattern*, not the triple.
-The legacy scoring loop exploits this only through memoisation: it still
+A per-triple scoring loop exploits this only through memoisation: it still
 walks every column, builds two frozensets per triple, and hashes them.
 
 This module extracts the distinct ``(providers, silent)`` patterns of an

@@ -14,9 +14,11 @@ are joint-model look-ups ``r_{S}`` / ``q_{S}`` over subset unions
 2. **evaluate** -- hand the distinct union rows to
    :meth:`~repro.core.joint.JointQualityModel.joint_params_batch` in one
    vectorized call;
-3. **accumulate** -- re-walk each pattern's terms in the *legacy scalar
-   order*, gathering from the batched results, so every score stays
-   bit-identical to the per-pattern reference path.
+3. **accumulate** -- sum each pattern's terms in *the paper's term order*
+   (Eq. 10-11 over ``iter_subsets``; Algorithm 1 level by level), gathering
+   from the batched results, so every score stays bit-identical to the
+   per-term walk of the definitions (``tests/reference.py`` keeps that
+   walk as the oracle).
 
 This module holds the pipeline; :mod:`repro.core.exact` and
 :mod:`repro.core.elastic` wrap it behind ``pattern_likelihoods_batch`` /
@@ -33,9 +35,8 @@ pattern set.  Two layers split that cost:
 - :class:`CompiledExactPlan` / :class:`CompiledElasticPlan` freeze a built
   plan into flat numpy arrays (a ``term_gather`` index into the distinct
   union rows, a ``+/-1`` sign vector from subset parity, and per-pattern
-  segment structure), so the accumulate step becomes a handful of
-  vectorized gathers plus a segmented column sweep instead of a per-term
-  Python walk;
+  segment structure), so the accumulate step is a handful of vectorized
+  gathers plus a segmented column sweep;
 - :class:`CompiledPlanCache` memoises compiled plans (and, at the fusers'
   discretion, their batch-evaluated model parameters) under a
   :func:`pattern_digest` key, so repeated ``score`` calls skip the collect
@@ -43,13 +44,13 @@ pattern set.  Two layers split that cost:
 
 A note on ``np.add.reduceat``: the obvious segment-sum primitive is *not*
 usable here -- numpy reduces segments with pairwise summation, whose
-rounding differs from the legacy left-to-right accumulation, breaking the
+rounding differs from a left-to-right accumulation, breaking the
 bit-identity contract.  The compiled plans instead lay terms out
 step-major over patterns sorted by term count (stable, descending) and run
 ``acc[:k] += column`` once per step: every pattern's terms are added
-strictly left-to-right in the legacy order, each step is one vectorized
-add over the patterns still active, and the result is bitwise equal to
-the reference walk.
+strictly left-to-right in the paper's term order, each step is one
+vectorized add over the patterns still active, and the result is bitwise
+equal to the per-term walk.
 """
 
 from __future__ import annotations
@@ -67,11 +68,7 @@ import numpy as np
 from repro.core.bitset import pack_bool_rows, unpack_bool_rows
 from repro.core.patterns import packed_pattern_rows, unique_rows
 from repro.util.probability import PROBABILITY_FLOOR
-from repro.util.subsets import (
-    iter_subsets,
-    iter_subsets_of_size,
-    subset_parity,
-)
+from repro.util.subsets import iter_subsets_of_size, subset_parity
 
 #: Default cap on cached compiled plans per fuser.  Each entry holds the
 #: plan's flat index/sign arrays plus (for the fusers that attach them) the
@@ -81,32 +78,25 @@ from repro.util.subsets import (
 DEFAULT_PLAN_CACHE_ENTRIES = 64
 
 
-def model_supports_batch(model: Any, n_sources: int) -> bool:
-    """Whether the model answers :meth:`joint_params_batch` (probe call)."""
-    probe = model.joint_params_batch(np.zeros((0, n_sources), dtype=bool))
-    return probe is not None
+def one_pattern_likelihoods(
+    compile_entry: Callable[[np.ndarray, np.ndarray], tuple],
+    n_sources: int,
+    providers: Iterable[int],
+    silent: Iterable[int],
+) -> tuple[float, float]:
+    """One pattern's floored likelihoods through a one-row compiled plan.
 
-
-def scalar_likelihoods(
-    provider_matrix: np.ndarray,
-    silent_matrix: np.ndarray,
-    likelihood_fn: Callable[[list[int], list[int]], tuple[float, float]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pattern ``(numerator, denominator)`` via a scalar likelihood fn.
-
-    The shared fallback for models without batch support: ``likelihood_fn``
-    receives each pattern's sorted provider and silent id lists (the
-    fusers pass their bitmask-keyed ``_masked_likelihoods``).
+    ``compile_entry`` is a fuser's ``_compile_entry``; the plan is neither
+    looked up in nor stored to any cache, so a per-pattern query on a
+    serving fuser cannot evict the entries its batches rely on.
     """
-    n_patterns = provider_matrix.shape[0]
-    numerators = np.empty(n_patterns, dtype=float)
-    denominators = np.empty(n_patterns, dtype=float)
-    for k in range(n_patterns):
-        numerators[k], denominators[k] = likelihood_fn(
-            np.flatnonzero(provider_matrix[k]).tolist(),
-            np.flatnonzero(silent_matrix[k]).tolist(),
-        )
-    return numerators, denominators
+    provider_row = np.zeros((1, n_sources), dtype=bool)
+    silent_row = np.zeros((1, n_sources), dtype=bool)
+    provider_row[0, list(providers)] = True
+    silent_row[0, list(silent)] = True
+    compiled, (recalls, fprs) = compile_entry(provider_row, silent_row)
+    numerators, denominators = compiled.accumulate(recalls, fprs)
+    return float(numerators[0]), float(denominators[0])
 
 
 class SubsetTable(NamedTuple):
@@ -296,11 +286,11 @@ class ExactUnionPlan:
     """Batched Eq. 10-11 plan over a set of ``(providers, silent)`` patterns.
 
     :meth:`build` performs the collect step (every subset union of every
-    pattern, deduplicated); :meth:`accumulate` re-runs the
-    inclusion-exclusion sums per pattern in the legacy term order over the
+    pattern, deduplicated); :meth:`compile` freezes the plan into the
+    :class:`CompiledExactPlan` whose ``accumulate`` runs the
+    inclusion-exclusion sums per pattern in the paper's term order over the
     batch-evaluated ``(r, q)`` values, flooring both sides at
-    ``PROBABILITY_FLOOR`` exactly like the scalar
-    :meth:`~repro.core.exact.ExactCorrelationFuser.pattern_likelihoods`.
+    ``PROBABILITY_FLOOR``.
     """
 
     __slots__ = ("rows", "silent_matrix", "term_index")
@@ -314,11 +304,6 @@ class ExactUnionPlan:
         self.rows = rows
         self.silent_matrix = silent_matrix
         self.term_index = term_index
-
-    @property
-    def silent_lists(self) -> list[list[int]]:
-        """Each pattern's silent source ids, ascending."""
-        return [np.flatnonzero(row).tolist() for row in self.silent_matrix]
 
     @classmethod
     def build(
@@ -349,31 +334,6 @@ class ExactUnionPlan:
         )
         return cls(rows, silent_matrix, term_index)
 
-    def accumulate(
-        self, recalls: np.ndarray, fprs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pattern floored ``(Pr(Ot | t), Pr(Ot | not t))`` arrays."""
-        recall_list = recalls.tolist()
-        fpr_list = fprs.tolist()
-        term_index = self.term_index.tolist()
-        silent_lists = self.silent_lists
-        n_patterns = len(silent_lists)
-        numerators = np.empty(n_patterns, dtype=float)
-        denominators = np.empty(n_patterns, dtype=float)
-        position = 0
-        for k, silent in enumerate(silent_lists):
-            numerator = 0.0
-            denominator = 0.0
-            for subset in iter_subsets(silent):
-                sign = subset_parity(len(subset))
-                index = term_index[position]
-                position += 1
-                numerator += sign * recall_list[index]
-                denominator += sign * fpr_list[index]
-            numerators[k] = max(numerator, PROBABILITY_FLOOR)
-            denominators[k] = max(denominator, PROBABILITY_FLOOR)
-        return numerators, denominators
-
     def compile(self) -> "CompiledExactPlan":
         """Freeze this plan into flat numpy arrays (see module docstring)."""
         return CompiledExactPlan.from_plan(self)
@@ -383,9 +343,10 @@ class ElasticUnionPlan:
     """Batched Algorithm 1 plan over a set of ``(providers, silent)`` patterns.
 
     :meth:`build` collects each pattern's base provider set plus every
-    level-``1..lambda`` union; :meth:`accumulate` replays Algorithm 1 per
-    pattern in the legacy term order (level-0 aggressive product, then exact
-    swap-ins level by level) over the batch-evaluated values.
+    level-``1..lambda`` union; :meth:`compile` freezes it into the
+    :class:`CompiledElasticPlan` whose ``accumulate`` replays Algorithm 1
+    per pattern (level-0 aggressive product, then exact swap-ins level by
+    level) over the batch-evaluated values.
     """
 
     __slots__ = ("rows", "silent_matrix", "base_index", "term_index", "level")
@@ -403,11 +364,6 @@ class ElasticUnionPlan:
         self.base_index = base_index
         self.term_index = term_index
         self.level = level
-
-    @property
-    def silent_lists(self) -> list[list[int]]:
-        """Each pattern's silent source ids, ascending."""
-        return [np.flatnonzero(row).tolist() for row in self.silent_matrix]
 
     @classmethod
     def build(
@@ -431,48 +387,6 @@ class ElasticUnionPlan:
         swap_in = np.ones(index.shape[0], dtype=bool)
         swap_in[starts] = False
         return cls(rows, silent_matrix, index[starts], index[swap_in], level)
-
-    def accumulate(
-        self,
-        recalls: np.ndarray,
-        fprs: np.ndarray,
-        eff_recall: Mapping[int, float],
-        eff_fpr: Mapping[int, float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pattern floored ``(R, Q)`` of Algorithm 1."""
-        recall_list = recalls.tolist()
-        fpr_list = fprs.tolist()
-        base_index = self.base_index.tolist()
-        term_index = self.term_index.tolist()
-        silent_lists = self.silent_lists
-        n_patterns = len(silent_lists)
-        numerators = np.empty(n_patterns, dtype=float)
-        denominators = np.empty(n_patterns, dtype=float)
-        position = 0
-        for k, silent in enumerate(silent_lists):
-            r_st = recall_list[base_index[k]]
-            q_st = fpr_list[base_index[k]]
-            numerator = r_st
-            denominator = q_st
-            for i in silent:
-                numerator *= 1.0 - eff_recall[i]
-                denominator *= 1.0 - eff_fpr[i]
-            max_level = min(self.level, len(silent))
-            for l in range(1, max_level + 1):
-                sign = subset_parity(l)
-                for subset in iter_subsets_of_size(silent, l):
-                    approx_r = r_st
-                    approx_q = q_st
-                    for i in subset:
-                        approx_r *= eff_recall[i]
-                        approx_q *= eff_fpr[i]
-                    index = term_index[position]
-                    position += 1
-                    numerator += sign * (recall_list[index] - approx_r)
-                    denominator += sign * (fpr_list[index] - approx_q)
-            numerators[k] = max(numerator, PROBABILITY_FLOOR)
-            denominators[k] = max(denominator, PROBABILITY_FLOOR)
-        return numerators, denominators
 
     def compile(
         self, eff_recall: Mapping[int, float], eff_fpr: Mapping[int, float]
@@ -500,7 +414,7 @@ def _column_major_layout(
     - ``positions``: indices into the row-major term arrays, laid out
       step-major -- step ``c`` holds the ``c``-th term of each active
       pattern, so a sweep of ``acc[:k] += column`` adds every pattern's
-      terms strictly left-to-right in the legacy order;
+      terms strictly left-to-right in the paper's term order;
     - ``lanes``: each step-major term's pattern position in ``order``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -525,12 +439,12 @@ def _column_major_layout(
 class CompiledExactPlan:
     """An :class:`ExactUnionPlan` frozen into flat numpy arrays.
 
-    ``accumulate`` replaces the per-term Python walk with two gathers
-    (``recalls[term_gather] * term_signs``) and a segmented column sweep
-    that replays the legacy left-to-right summation per pattern (see the
-    module docstring for why ``np.add.reduceat`` cannot be used), flooring
-    at ``PROBABILITY_FLOOR`` exactly like the reference -- results are
-    bit-identical to :meth:`ExactUnionPlan.accumulate`.
+    ``accumulate`` is two gathers (``recalls[term_gather] * term_signs``)
+    and a segmented column sweep that sums each pattern's terms
+    left-to-right in the paper's term order (see the module docstring for
+    why ``np.add.reduceat`` cannot be used), flooring at
+    ``PROBABILITY_FLOOR`` -- results are bit-identical to the per-term
+    walk of Eq. 10-11.
     """
 
     __slots__ = (
@@ -633,8 +547,8 @@ class CompiledElasticPlan:
     ``1.0`` is a bitwise no-op), the per-term approximate coefficients a
     padded ``(n_terms, level)`` factor matrix, and the level-``1..lambda``
     adjustments the same segmented column sweep as the exact plan -- every
-    multiply and add replays the legacy operation order, so results are
-    bit-identical to :meth:`ElasticUnionPlan.accumulate`.
+    multiply and add follows Algorithm 1's operation order, so results are
+    bit-identical to its per-term walk.
     """
 
     __slots__ = (
@@ -759,7 +673,7 @@ class CompiledElasticPlan:
             num *= self.silent_r_factors[:, column]
             den *= self.silent_q_factors[:, column]
 
-        # Levels 1..lambda: swap-in adjustments in the legacy term order.
+        # Levels 1..lambda: swap-in adjustments in Algorithm 1's term order.
         if self.term_gather.shape[0]:
             approx_r = r_base[self.term_pattern_pos]
             approx_q = q_base[self.term_pattern_pos]
@@ -921,8 +835,7 @@ class PatternValueMemo:
     the lock; only sessions that score again pay the key-building, once.
     ``len`` and :attr:`stats` count parked rows as entries.
 
-    Thread-safety follows :class:`~repro.core.joint.MaskedJointCache`'s
-    discipline: :meth:`lookup` reads the dict *without* the lock (reads
+    Thread-safety: :meth:`lookup` reads the dict *without* the lock (reads
     are GIL-atomic, stored values are deterministic pure functions of the
     owner's fixed state, and a racing clear only turns a hit into a
     benign recompute), so concurrent scorers never serialise on the memo;

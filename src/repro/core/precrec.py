@@ -11,7 +11,7 @@ and down when it stays silent (Proposition 3.2).
 The implementation works in log space so that hundreds of sources cannot
 overflow the ratio, and clamps each rate away from {0, 1} so a single
 degenerate estimate cannot produce an infinite log-odds swing.  Because the
-ratio factorises, the vectorized engine evaluates *every* distinct pattern
+ratio factorises, batch scoring evaluates *every* distinct pattern
 with two matrix-vector products (see :meth:`PrecRecFuser.pattern_mu_batch`).
 """
 
@@ -42,9 +42,6 @@ class PrecRecFuser(ModelBasedFuser):
     decision_prior:
         Optional override of the ``alpha`` used in the posterior formula
         (the paper's Section 5 protocol fixes it at 0.5).
-    engine:
-        ``"vectorized"`` (default) or ``"legacy"`` -- see
-        :class:`repro.core.fusion.ModelBasedFuser`.
     max_cache_entries:
         Cap on the per-pattern memo used by the per-pattern scoring paths.
     """
@@ -55,7 +52,6 @@ class PrecRecFuser(ModelBasedFuser):
         self,
         model: JointQualityModel,
         decision_prior: float | None = None,
-        engine: str = "vectorized",
         max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         workers: int | None = None,
         shard_size: int | None = None,
@@ -68,7 +64,6 @@ class PrecRecFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            engine=engine,
             max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,

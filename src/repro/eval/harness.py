@@ -171,9 +171,9 @@ class ServingReport:
         an unmutated trace the reference is the cold run; with mutation,
         each step's reference is an independent delta-off session scoring
         the same mutated matrix.  Both must be exactly 0.0.  NaN when a
-        mutated trace had no delta layer to check (``delta="off"``, EM,
-        legacy engine): the session already scores through the plain
-        path, so no independent reference exists.
+        mutated trace had no delta layer to check (``delta="off"``, EM):
+        the session already scores through the plain path, so no
+        independent reference exists.
     result:
         The cold run's :class:`FusionResult`.
     workers:
@@ -183,10 +183,10 @@ class ServingReport:
     mutate_frac:
         Fraction of triple columns mutated between consecutive repeats
         (0.0 reproduces the identical-matrix serving loop).
-    plan_cache_stats, joint_cache_stats, delta_stats:
-        Final counters of the compiled-plan cache, the bitmask-keyed
-        joint cache, and the delta engine (empty when the layer is
-        absent) -- see ``ScoringSession.cache_stats``.
+    plan_cache_stats, delta_stats:
+        Final counters of the compiled-plan cache and the delta engine
+        (empty when the layer is absent) -- see
+        ``ScoringSession.cache_stats``.
     refit_every, refit_mode:
         The streaming-refit schedule the loop ran with (0 = no refits).
     refit_seconds:
@@ -214,7 +214,6 @@ class ServingReport:
     delta: str = "off"
     mutate_frac: float = 0.0
     plan_cache_stats: Mapping = field(default_factory=dict)
-    joint_cache_stats: Mapping = field(default_factory=dict)
     delta_stats: Mapping = field(default_factory=dict)
     refit_every: int = 0
     refit_mode: str = "cold"
@@ -324,7 +323,6 @@ def run_serving(
     threshold: float = DEFAULT_THRESHOLD,
     prior: Optional[float] = None,
     smoothing: float = 0.0,
-    engine: str = "vectorized",
     workers: Optional[int] = None,
     shard_size: Optional[int] = None,
     delta: str = "auto",
@@ -400,7 +398,6 @@ def run_serving(
         method=method,
         prior=prior,
         smoothing=smoothing,
-        engine=engine,
         threshold=threshold,
         workers=workers,
         shard_size=shard_size,
@@ -470,7 +467,6 @@ def run_serving(
             method=method,
             prior=prior,
             smoothing=smoothing,
-            engine=engine,
             threshold=threshold,
             workers=workers,
             shard_size=shard_size,
@@ -483,7 +479,7 @@ def run_serving(
     refit_max_diff = float("nan")
     warm_em_refits = method.lower() == "em" and refit_mode == "delta"
     em_reference_stale = False
-    # With mutation but no delta layer (delta="off", EM, legacy engine)
+    # With mutation but no delta layer (delta="off", EM)
     # session.score *is* the plain path: there is nothing independent to
     # check a mutated step against, and the report says so with NaN
     # instead of a vacuous 0.0.
@@ -564,7 +560,6 @@ def run_serving(
             for key, value in stats.items()
             if not isinstance(value, Mapping)
         },
-        joint_cache_stats=dict(stats.get("joint_cache", {})),
         delta_stats=dict(stats.get("delta", {})),
         refit_every=refit_every,
         refit_mode=refit_mode,
@@ -1249,15 +1244,13 @@ def supervised_spec(
     prior: Optional[float] = None,
     smoothing: float = 0.0,
     decision_prior: Optional[float] = 0.5,
-    engine: str = "vectorized",
     **options: Any,
 ) -> MethodSpec:
     """Spec for a model-based fuser calibrated on the dataset's labels.
 
     ``prior=None`` estimates ``alpha`` from the labels for the quality
     model; ``decision_prior=0.5`` fixes the posterior's ``alpha`` the way
-    the paper's Section 5 protocol does ("we set alpha = 0.5").  ``engine``
-    selects the execution engine for both model fitting and scoring.
+    the paper's Section 5 protocol does ("we set alpha = 0.5").
     """
 
     def build(dataset: FusionDataset) -> TruthFuser:
@@ -1266,11 +1259,8 @@ def supervised_spec(
             dataset.labels,
             prior=prior,
             smoothing=smoothing,
-            engine=engine,
         )
-        fuser = make_fuser(
-            method, model, decision_prior=decision_prior, engine=engine, **options
-        )
+        fuser = make_fuser(method, model, decision_prior=decision_prior, **options)
         fuser.name = name
         return fuser
 
@@ -1286,7 +1276,6 @@ def paper_method_specs(
     ltm_seed: int = 7,
     estimates_iterations: int = 20,
     corr_options: Optional[Mapping] = None,
-    engine: str = "vectorized",
 ) -> list[MethodSpec]:
     """The seven methods of the paper's main comparison (Figure 4).
 
@@ -1314,12 +1303,10 @@ def paper_method_specs(
         supervised_spec(
             "PrecRec", "precrec",
             prior=prior, smoothing=smoothing, decision_prior=decision_prior,
-            engine=engine,
         ),
         supervised_spec(
             "PrecRecCorr", "precreccorr",
             prior=prior, smoothing=smoothing, decision_prior=decision_prior,
-            engine=engine,
             **corr_options,
         ),
     ]

@@ -252,13 +252,23 @@ def _build_session(
     labels: np.ndarray,
     config: Dict[str, Any],
 ) -> ScoringSession:
+    # Snapshots written before the engine switch was removed carry an
+    # "engine" key.  The packed path they name ("vectorized") is the only
+    # one left; a "legacy" snapshot cannot be rebuilt score-for-score
+    # (PrecRec/aggressive legacy scores differ in the last ulp), so it is
+    # refused rather than silently switched.
+    engine = config.get("engine", "vectorized")
+    if engine != "vectorized":
+        raise RecoveryError(
+            f"snapshot was written by the removed {engine!r} engine; its "
+            "scores cannot be reproduced bit-for-bit"
+        )
     kwargs = {
         key: config[key]
         for key in (
             "method",
             "prior",
             "smoothing",
-            "engine",
             "threshold",
             "workers",
             "shard_size",

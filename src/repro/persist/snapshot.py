@@ -5,7 +5,7 @@ everything needed to rebuild a generation *exactly*:
 
 - the packed observation matrices (``provides``/``coverage`` uint64
   words + bit counts) and packed truth labels -- the integer inputs;
-- the session config (method, prior, smoothing, engine, fuser options)
+- the session config (method, prior, smoothing, fuser options)
   -- the pure-function parameters;
 - the generation number, the WAL sequence the snapshot is consistent
   with, and the trace-step watermark;

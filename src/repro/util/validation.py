@@ -3,40 +3,8 @@
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any
-
-
-#: Execution engines understood by the pattern-centric execution engine:
-#: ``"vectorized"`` scores each distinct observation pattern once from
-#: bit-packed statistics; ``"legacy"`` is the original per-triple /
-#: boolean-mask path, kept for equivalence testing.
-ENGINES = ("vectorized", "legacy")
-
-
-def check_engine(value: str, name: str = "engine") -> str:
-    """Validate and normalise an execution-engine name."""
-    key = str(value).lower()
-    if key not in ENGINES:
-        raise ValueError(
-            f"unknown {name} {value!r}; expected one of {ENGINES}"
-        )
-    return key
-
-
-#: Accumulate implementations for the batched union plans: ``"numpy"`` runs
-#: the compiled gather + segmented-sweep path; ``"python"`` is the per-term
-#: reference walk, kept for equivalence testing and benchmarking.
-ACCUMULATE_MODES = ("numpy", "python")
-
-
-def check_accumulate(value: str, name: str = "accumulate") -> str:
-    """Validate and normalise a plan-accumulate implementation name."""
-    key = str(value).lower()
-    if key not in ACCUMULATE_MODES:
-        raise ValueError(
-            f"unknown {name} {value!r}; expected one of {ACCUMULATE_MODES}"
-        )
-    return key
 
 
 def check_probability(value: float, name: str) -> float:
@@ -62,6 +30,15 @@ def check_positive(value: float, name: str) -> float:
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")
     if math.isnan(value) or value <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
+def check_non_negative(value: float, name: str) -> float:
+    """Validate that ``value`` is a finite real number ``>= 0``; return it."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     return float(value)
 
 

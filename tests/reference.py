@@ -1,12 +1,28 @@
 """Test-only reference implementations (oracles).
 
-The union plans in :mod:`repro.core.plans` enumerate subset unions with
-array kernels.  This module keeps the straightforward per-term walk they
-replaced -- every pattern's unions visited one by one in
-:func:`~repro.util.subsets.iter_subsets` order and deduplicated by int
-bitmask in a :class:`UnionCollector` -- together with the per-term loops
-that froze a plan into flat arrays.  The property tests check that the
-array-built plans and compiled arrays equal these exactly.
+The paper's definitions, written as the straightforward walks the
+production code was optimised away from:
+
+- **Likelihoods per pattern** -- Eq. 10-11 (Theorem 4.2) for exact
+  PrecRecCorr, Algorithm 1 for elastic, Definition 4.5 with the Eq. 14-15
+  aggressive factors, and Theorem 3.1 for PrecRec, each walked term by
+  term over a model's scalar ``joint_recall`` / ``joint_fpr`` queries.
+  :func:`triple_scores` scores every triple through them, one pattern at a
+  time.  The inclusion-exclusion families sum in the same term order as the
+  compiled plans, so they must agree with production exactly; PrecRec and
+  the aggressive family vectorise through matrix products and agree to
+  1e-9.
+- **Joint statistics** -- :class:`MaskJointModel` counts the scope-aware
+  ``r_S`` / ``q_S`` of a subset with full-width boolean masks and derives
+  ``q_S`` by Theorem 3.5, falling back to the direct false-triple count
+  when the joint precision is zero.  The packed-popcount model must return
+  the same floats.
+- **Plan walks** -- :func:`accumulate_exact_plan` /
+  :func:`accumulate_elastic_plan` re-run a built union plan's sums one term
+  at a time.  Union enumeration has its own per-term oracle: every
+  pattern's unions visited in :func:`~repro.util.subsets.iter_subsets`
+  order and deduplicated by int bitmask in a :class:`UnionCollector`,
+  together with the per-term loops that froze a plan into flat arrays.
 
 Correlation detection in :mod:`repro.core.clustering` decides both sides
 in one array pass and tests independence on scipy's kernels directly.
@@ -19,13 +35,21 @@ clusters as ``networkx`` connected components.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import networkx as nx
 import numpy as np
 from scipy import stats
 
 from repro.core.clustering import SourcePartition
+from repro.core.joint import JointQualityModel
+from repro.core.quality import SourceQuality, quality_from_counts
+from repro.util.probability import (
+    PROBABILITY_FLOOR,
+    clamp_probability,
+    probability_from_mu,
+    safe_divide,
+)
 from repro.util.subsets import (
     count_subsets,
     iter_subsets,
@@ -264,6 +288,413 @@ def compiled_elastic_arrays(
             positions
         ],
     }
+
+
+def accumulate_exact_plan(
+    plan, recalls: np.ndarray, fprs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """An :class:`~repro.core.plans.ExactUnionPlan`'s floored Eq. 10-11
+    sums, one term at a time in ``iter_subsets`` order."""
+    recall_list = np.asarray(recalls, dtype=float).tolist()
+    fpr_list = np.asarray(fprs, dtype=float).tolist()
+    term_index = np.asarray(plan.term_index).tolist()
+    silent_lists = [np.flatnonzero(row).tolist() for row in plan.silent_matrix]
+    numerators = np.empty(len(silent_lists), dtype=float)
+    denominators = np.empty(len(silent_lists), dtype=float)
+    position = 0
+    for k, silent in enumerate(silent_lists):
+        numerator = 0.0
+        denominator = 0.0
+        for subset in iter_subsets(silent):
+            sign = subset_parity(len(subset))
+            index = term_index[position]
+            position += 1
+            numerator += sign * recall_list[index]
+            denominator += sign * fpr_list[index]
+        numerators[k] = max(numerator, PROBABILITY_FLOOR)
+        denominators[k] = max(denominator, PROBABILITY_FLOOR)
+    return numerators, denominators
+
+
+def accumulate_elastic_plan(
+    plan,
+    recalls: np.ndarray,
+    fprs: np.ndarray,
+    eff_recall: Mapping[int, float],
+    eff_fpr: Mapping[int, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """An :class:`~repro.core.plans.ElasticUnionPlan`'s floored Algorithm 1
+    sums: the level-0 aggressive product, then the exact swap-ins level by
+    level, one term at a time."""
+    recall_list = np.asarray(recalls, dtype=float).tolist()
+    fpr_list = np.asarray(fprs, dtype=float).tolist()
+    base_index = np.asarray(plan.base_index).tolist()
+    term_index = np.asarray(plan.term_index).tolist()
+    silent_lists = [np.flatnonzero(row).tolist() for row in plan.silent_matrix]
+    numerators = np.empty(len(silent_lists), dtype=float)
+    denominators = np.empty(len(silent_lists), dtype=float)
+    position = 0
+    for k, silent in enumerate(silent_lists):
+        r_st = recall_list[base_index[k]]
+        q_st = fpr_list[base_index[k]]
+        numerator = r_st
+        denominator = q_st
+        for i in silent:
+            numerator *= 1.0 - eff_recall[i]
+            denominator *= 1.0 - eff_fpr[i]
+        for size in range(1, min(plan.level, len(silent)) + 1):
+            sign = subset_parity(size)
+            for subset in iter_subsets_of_size(silent, size):
+                approx_r = r_st
+                approx_q = q_st
+                for i in subset:
+                    approx_r *= eff_recall[i]
+                    approx_q *= eff_fpr[i]
+                index = term_index[position]
+                position += 1
+                numerator += sign * (recall_list[index] - approx_r)
+                denominator += sign * (fpr_list[index] - approx_q)
+        numerators[k] = max(numerator, PROBABILITY_FLOOR)
+        denominators[k] = max(denominator, PROBABILITY_FLOOR)
+    return numerators, denominators
+
+
+# ----------------------------------------------------------------------
+# The paper's likelihoods, per pattern, over scalar model queries
+# ----------------------------------------------------------------------
+
+
+def exact_likelihoods(
+    model, providers: Iterable[int], silent: Iterable[int]
+) -> tuple[float, float]:
+    """``(Pr(Ot | t), Pr(Ot | not t))`` by Eq. 10 and 11, floored > 0.
+
+    ``sum_{S* subset of St-bar} (-1)^{|S*|} r_{St union S*}`` and the same
+    with ``q``, over the subsets of the silent set in ``iter_subsets``
+    order.
+    """
+    base = sorted(providers)
+    numerator = 0.0
+    denominator = 0.0
+    for subset in iter_subsets(sorted(silent)):
+        sign = subset_parity(len(subset))
+        union = base + list(subset)
+        numerator += sign * model.joint_recall(union)
+        denominator += sign * model.joint_fpr(union)
+    return (
+        max(numerator, PROBABILITY_FLOOR),
+        max(denominator, PROBABILITY_FLOOR),
+    )
+
+
+def aggressive_factors(
+    model, universe: Optional[Sequence[int]] = None
+) -> tuple[list[float], list[float]]:
+    """``(C+_i, C-_i)`` of Eq. 14-15 over ``universe``, by scalar queries.
+
+    ``C+_i = r_S / (r_i * r_{S minus i})``, 1 where the denominator
+    vanishes; entry ``k`` belongs to ``universe[k]``.
+    """
+    ids = list(range(model.n_sources)) if universe is None else list(universe)
+    r_all = model.joint_recall(ids)
+    q_all = model.joint_fpr(ids)
+    c_plus = []
+    c_minus = []
+    for i in ids:
+        rest = [j for j in ids if j != i]
+        c_plus.append(
+            safe_divide(r_all, model.recall(i) * model.joint_recall(rest))
+        )
+        c_minus.append(
+            safe_divide(q_all, model.fpr(i) * model.joint_fpr(rest))
+        )
+    return c_plus, c_minus
+
+
+def effective_rates(
+    model, universe: Optional[Sequence[int]] = None
+) -> tuple[dict[int, float], dict[int, float]]:
+    """``({i: C+_i r_i}, {i: C-_i q_i})`` over ``universe``."""
+    ids = list(range(model.n_sources)) if universe is None else list(universe)
+    c_plus, c_minus = aggressive_factors(model, ids)
+    return (
+        {i: c_plus[k] * model.recall(i) for k, i in enumerate(ids)},
+        {i: c_minus[k] * model.fpr(i) for k, i in enumerate(ids)},
+    )
+
+
+def elastic_likelihoods(
+    model,
+    providers: Iterable[int],
+    silent: Iterable[int],
+    level: int,
+    eff_recall: Mapping[int, float],
+    eff_fpr: Mapping[int, float],
+) -> tuple[float, float]:
+    """Algorithm 1's floored ``(R, Q)`` at adjustment level ``level``.
+
+    Level 0 keeps the exact provider-side joint and the aggressive
+    silent-side product (lines 1-2); each level ``l`` then swaps the
+    approximate coefficient of every size-``l`` silent subset for the
+    exact joint (lines 3-7).
+    """
+    base = sorted(providers)
+    silent_sorted = sorted(silent)
+    r_st = model.joint_recall(base)
+    q_st = model.joint_fpr(base)
+    numerator = r_st
+    denominator = q_st
+    for i in silent_sorted:
+        numerator *= 1.0 - eff_recall[i]
+        denominator *= 1.0 - eff_fpr[i]
+    for size in range(1, min(level, len(silent_sorted)) + 1):
+        sign = subset_parity(size)
+        for subset in iter_subsets_of_size(silent_sorted, size):
+            approx_r = r_st
+            approx_q = q_st
+            for i in subset:
+                approx_r *= eff_recall[i]
+                approx_q *= eff_fpr[i]
+            union = base + list(subset)
+            numerator += sign * (model.joint_recall(union) - approx_r)
+            denominator += sign * (model.joint_fpr(union) - approx_q)
+    return (
+        max(numerator, PROBABILITY_FLOOR),
+        max(denominator, PROBABILITY_FLOOR),
+    )
+
+
+def precrec_mu(model, providers: Iterable[int], silent: Iterable[int]) -> float:
+    """Theorem 3.1's ``mu`` with every rate clamped into ``(0, 1)``."""
+    logs = []
+    for i in providers:
+        r = clamp_probability(model.recall(i))
+        q = clamp_probability(model.fpr(i))
+        logs.append(math.log(r / q))
+    for i in silent:
+        r = clamp_probability(model.recall(i))
+        q = clamp_probability(model.fpr(i))
+        logs.append(math.log((1.0 - r) / (1.0 - q)))
+    return math.exp(math.fsum(logs))
+
+
+def aggressive_mu(
+    providers: Iterable[int],
+    silent: Iterable[int],
+    eff_recall: Mapping[int, float],
+    eff_fpr: Mapping[int, float],
+) -> float:
+    """Definition 4.5's ``mu``: the per-source product over effective rates.
+
+    Reported raw (it may be negative, Proposition 4.8); a vanishing
+    denominator gives ``inf`` for a positive numerator and 0 otherwise.
+    """
+    numerator = 1.0
+    denominator = 1.0
+    for i in providers:
+        numerator *= eff_recall[i]
+        denominator *= eff_fpr[i]
+    for i in silent:
+        numerator *= 1.0 - eff_recall[i]
+        denominator *= 1.0 - eff_fpr[i]
+    if denominator == 0.0:
+        return math.inf if numerator > 0 else 0.0
+    return numerator / denominator
+
+
+def triple_scores(
+    observations,
+    model,
+    method: str,
+    prior: Optional[float] = None,
+    level: int = 3,
+    true_partition: Optional[SourcePartition] = None,
+    false_partition: Optional[SourcePartition] = None,
+    exact_cluster_limit: int = 12,
+    elastic_level: int = 3,
+) -> np.ndarray:
+    """Every triple's ``Pr(t | Ot)`` from the per-pattern definitions.
+
+    ``method`` is ``"precrec"``, ``"exact"``, ``"aggressive"``,
+    ``"elastic"`` (at ``level``) or ``"clustered"``.  The clustered form
+    takes both partitions: per cluster it evaluates the restricted pattern
+    exactly up to ``exact_cluster_limit`` sources and elastically at
+    ``elastic_level`` (factors over the cluster) beyond, and combines the
+    true side's ``log Pr(Ot|t)`` and the false side's ``log Pr(Ot|not t)``
+    in partition order.  Each triple's providers and silent covering
+    sources come straight from the boolean matrices; ``prior`` is the
+    decision ``alpha`` (the model's by default).  Patterns repeat, so each
+    distinct one is scored once.
+    """
+    alpha = model.prior if prior is None else prior
+    provides = np.asarray(observations.provides, dtype=bool)
+    silent_matrix = np.asarray(observations.coverage, dtype=bool) & ~provides
+    rates: dict = {}
+
+    def rates_over(universe):
+        key = tuple(universe) if universe is not None else None
+        if key not in rates:
+            rates[key] = effective_rates(model, universe)
+        return rates[key]
+
+    def cluster_likelihoods(cluster, providers, silent):
+        if len(cluster) <= exact_cluster_limit:
+            return exact_likelihoods(model, providers, silent)
+        eff_r, eff_q = rates_over(sorted(cluster))
+        return elastic_likelihoods(
+            model, providers, silent, elastic_level, eff_r, eff_q
+        )
+
+    def mu_of(providers, silent):
+        if method == "precrec":
+            return precrec_mu(model, providers, silent)
+        if method == "exact":
+            numerator, denominator = exact_likelihoods(model, providers, silent)
+            return numerator / denominator
+        if method == "aggressive":
+            return aggressive_mu(providers, silent, *rates_over(None))
+        if method == "elastic":
+            numerator, denominator = elastic_likelihoods(
+                model, providers, silent, level, *rates_over(None)
+            )
+            return numerator / denominator
+        if method == "clustered":
+            log_numerator = 0.0
+            for cluster in true_partition.clusters:
+                r_side, _ = cluster_likelihoods(
+                    cluster, providers & cluster, silent & cluster
+                )
+                log_numerator += math.log(max(r_side, PROBABILITY_FLOOR))
+            log_denominator = 0.0
+            for cluster in false_partition.clusters:
+                _, q_side = cluster_likelihoods(
+                    cluster, providers & cluster, silent & cluster
+                )
+                log_denominator += math.log(max(q_side, PROBABILITY_FLOOR))
+            return math.exp(log_numerator - log_denominator)
+        raise ValueError(f"unknown method {method!r}")
+
+    scores = np.empty(provides.shape[1], dtype=float)
+    seen: dict = {}
+    for j in range(provides.shape[1]):
+        pattern = (
+            frozenset(np.flatnonzero(provides[:, j]).tolist()),
+            frozenset(np.flatnonzero(silent_matrix[:, j]).tolist()),
+        )
+        if pattern not in seen:
+            seen[pattern] = probability_from_mu(mu_of(*pattern), alpha)
+        scores[j] = seen[pattern]
+    return scores
+
+
+# ----------------------------------------------------------------------
+# Joint statistics by boolean masks
+# ----------------------------------------------------------------------
+
+
+class MaskJointModel(JointQualityModel):
+    """Scope-aware joint parameters counted with full-width boolean masks.
+
+    For a non-empty subset ``S`` the triples every member provides are the
+    AND of their ``provides`` rows, and the triples every member covers
+    (the subset's joint scope) the AND of their ``coverage`` rows.  Then
+
+    - ``r_S`` = provided true / covered true, and
+    - ``q_S`` = Theorem 3.5 from ``p_S`` = provided true / provided and
+      ``r_S`` (clipped at 1), or, when ``p_S`` is 0 and the derivation
+      degenerates, provided false / covered false,
+
+    each ratio Laplace-smoothed as ``(n + s) / (d + 2s)`` with 0/0 read as
+    0.  The empty subset has ``r = q = 1``.  Singleton qualities come from
+    the same mask counts.  Scoring goes through the base class's
+    row-by-row ``joint_params_batch``.
+    """
+
+    def __init__(self, observations, labels, prior: float = 0.5, smoothing: float = 0.0):
+        super().__init__(observations.source_names, prior)
+        self._provides = np.asarray(observations.provides, dtype=bool)
+        self._coverage = np.asarray(observations.coverage, dtype=bool)
+        self._labels = np.asarray(labels, dtype=bool)
+        self._smoothing = float(smoothing)
+        self._counts_memo: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
+        self._qualities = [
+            quality_from_counts(
+                name=name,
+                provided=int(self._provides[i].sum()),
+                provided_true=int((self._provides[i] & self._labels).sum()),
+                in_scope_true=int((self._coverage[i] & self._labels).sum()),
+                prior=prior,
+                smoothing=smoothing,
+            )
+            for i, name in enumerate(observations.source_names)
+        ]
+
+    def _ratio(self, numerator: int, denominator: int) -> float:
+        s = self._smoothing
+        if denominator + 2.0 * s == 0.0:
+            return 0.0
+        return (numerator + s) / (denominator + 2.0 * s)
+
+    def _counts(self, ids: list[int]) -> tuple[int, int, int, int]:
+        """``(provided true, provided false, covered true, covered false)``."""
+        key = tuple(ids)
+        counts = self._counts_memo.get(key)
+        if counts is None:
+            provided = np.logical_and.reduce(self._provides[ids], axis=0)
+            scope = np.logical_and.reduce(self._coverage[ids], axis=0)
+            labels = self._labels
+            counts = (
+                int((provided & labels).sum()),
+                int((provided & ~labels).sum()),
+                int((scope & labels).sum()),
+                int((scope & ~labels).sum()),
+            )
+            self._counts_memo[key] = counts
+        return counts
+
+    def joint_precision(self, source_ids: Iterable[int]) -> float:
+        ids = sorted(set(source_ids))
+        if not ids:
+            return 1.0
+        provided_true, provided_false, _, _ = self._counts(ids)
+        return self._ratio(provided_true, provided_true + provided_false)
+
+    def joint_recall(self, source_ids: Iterable[int]) -> float:
+        ids = sorted(set(source_ids))
+        if not ids:
+            return 1.0
+        provided_true, _, covered_true, _ = self._counts(ids)
+        return self._ratio(provided_true, covered_true)
+
+    def joint_fpr(self, source_ids: Iterable[int]) -> float:
+        ids = sorted(set(source_ids))
+        if not ids:
+            return 1.0
+        provided_true, provided_false, covered_true, covered_false = (
+            self._counts(ids)
+        )
+        precision = self._ratio(provided_true, provided_true + provided_false)
+        if precision == 0.0:
+            return self._ratio(provided_false, covered_false)
+        recall = self._ratio(provided_true, covered_true)
+        alpha = self.prior
+        q = alpha / (1.0 - alpha) * (1.0 - precision) / precision * recall
+        return min(q, 1.0)
+
+    def joint_coverage_counts(
+        self, source_ids: Iterable[int]
+    ) -> tuple[int, int]:
+        ids = sorted(set(source_ids))
+        if not ids:
+            return self.evidence_counts()
+        _, _, covered_true, covered_false = self._counts(ids)
+        return covered_true, covered_false
+
+    def evidence_counts(self) -> tuple[int, int]:
+        return int(self._labels.sum()), int((~self._labels).sum())
+
+    def source_quality(self, source_id: int) -> SourceQuality:
+        return self._qualities[int(source_id)]
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mutation-trace steps (5.0% columns/step)" in out
         assert "max warm drift 0.0e+00" in out
-        assert "plan cache" in out and "joint cache" in out
+        assert "plan cache" in out and "delta paths" in out
+        assert "joint cache" not in out  # the dead joint cache is gone
 
     def test_fuse_mutate_frac_requires_repeats(self, capsys):
         code = main(

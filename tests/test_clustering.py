@@ -214,7 +214,7 @@ class TestClusteredFuser:
 
     def test_small_clusters_share_one_exact_evaluator(self):
         # Regression: one identical full-model ExactCorrelationFuser used to
-        # be built per small cluster, duplicating joint caches per cluster.
+        # be built per small cluster, duplicating its caches per cluster.
         dataset = correlated_dataset()
         model = fit_model(dataset.observations, dataset.labels)
         fuser = ClusteredCorrelationFuser(model, min_phi=0.25)
@@ -226,16 +226,14 @@ class TestClusteredFuser:
         assert len(exact_evaluators) >= 2
         assert len({id(e) for e in exact_evaluators}) == 1
         # Sharing must not change scores: the evaluator is a pure function
-        # of the full model.  Compare against the per-triple legacy path.
-        legacy = ClusteredCorrelationFuser(
-            model,
-            engine="legacy",
-            true_partition=fuser.true_partition,
-            false_partition=fuser.false_partition,
-        )
+        # of the full model.  Compare against the per-triple reference walk.
         np.testing.assert_array_equal(
             fuser.score(dataset.observations),
-            legacy.score(dataset.observations),
+            reference.triple_scores(
+                dataset.observations, model, "clustered",
+                true_partition=fuser.true_partition,
+                false_partition=fuser.false_partition,
+            ),
         )
 
     def test_cache_cap_is_forwarded_to_cluster_evaluators(self, figure1_model):
@@ -256,7 +254,7 @@ class TestClusteredFuser:
     def test_batched_scoring_with_differing_partitions_is_bit_identical(self):
         # True-side and false-side partitions that disagree: the numerator
         # must follow the true-side clusters and the denominator the
-        # false-side clusters, in both engines.
+        # false-side clusters, exactly as the per-triple reference walk.
         dataset = correlated_dataset(seed=9)
         model = fit_model(dataset.observations, dataset.labels)
         true_partition = SourcePartition(
@@ -268,13 +266,12 @@ class TestClusteredFuser:
         kwargs = dict(
             true_partition=true_partition, false_partition=false_partition
         )
-        vectorized = ClusteredCorrelationFuser(
-            model, engine="vectorized", **kwargs
-        )
-        legacy = ClusteredCorrelationFuser(model, engine="legacy", **kwargs)
+        vectorized = ClusteredCorrelationFuser(model, **kwargs)
         np.testing.assert_array_equal(
             vectorized.score(dataset.observations),
-            legacy.score(dataset.observations),
+            reference.triple_scores(
+                dataset.observations, model, "clustered", **kwargs
+            ),
         )
 
 
@@ -375,7 +372,7 @@ class TestEvaluatorGroupedScoring:
             lambda job: block_jobs.append(1) or real_block_job(job),
         )
         fuser = ClusteredCorrelationFuser(model, workers=workers, **kwargs)
-        reference = ClusteredCorrelationFuser(model, workers=1, **kwargs)
+        serial = ClusteredCorrelationFuser(model, workers=1, **kwargs)
         if exact_cluster_limit == 2:
             assert any(
                 isinstance(e, ElasticFuser) for e in fuser._true_evaluators
@@ -383,12 +380,12 @@ class TestEvaluatorGroupedScoring:
         try:
             patterns = observations.patterns()
             mu = fuser.pattern_mu_batch(patterns)
-            assert np.array_equal(mu, _per_cluster_mu(reference, patterns))
+            assert np.array_equal(mu, _per_cluster_mu(serial, patterns))
             np.testing.assert_array_equal(
                 fuser.score(observations),
-                ClusteredCorrelationFuser(
-                    model, engine="legacy", workers=1, **kwargs
-                ).score(observations),
+                reference.triple_scores(
+                    observations, model, "clustered", **kwargs
+                ),
             )
         finally:
             fuser.close()
@@ -573,13 +570,13 @@ class TestDetectionMatchesOracle:
         n_sources=st.integers(1, 9),
         n_triples=st.integers(1, 160),
         partial=st.booleans(),
-        engine=st.sampled_from(("vectorized", "legacy")),
+        mask_model=st.booleans(),
         min_phi=st.floats(0.0, 1.0),
         min_expected=st.floats(0.0, 8.0),
         significance=st.floats(1e-6, 1.0),
     )
     def test_fuzzed_empirical_models(
-        self, seed, n_sources, n_triples, partial, engine, min_phi,
+        self, seed, n_sources, n_triples, partial, mask_model, min_phi,
         min_expected, significance,
     ):
         rng = np.random.default_rng(seed)
@@ -596,7 +593,12 @@ class TestDetectionMatchesOracle:
         observations = ObservationMatrix(
             provides, [f"S{i}" for i in range(n_sources)], coverage=coverage
         )
-        model = fit_model(observations, labels, engine=engine)
+        model = fit_model(observations, labels)
+        if mask_model:
+            # Boolean-mask statistics through the scalar pair queries.
+            model = reference.MaskJointModel(
+                observations, labels, prior=model.prior
+            )
         _assert_matches_oracle(
             model, min_phi=min_phi, min_expected=min_expected,
             significance=significance,

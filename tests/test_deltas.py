@@ -6,8 +6,7 @@ Four layers of guarantees:
   columns whose ``provides`` / ``coverage`` bits changed (plus appended
   columns), and ``None`` for incomparable matrices;
 - **memo mechanics** -- the :class:`PatternValueMemo` contract: bounded
-  storage, oldest-first eviction, generation-guarded stores, counters
-  (and the :class:`MaskedJointCache` counters that mirror it);
+  storage, oldest-first eviction, generation-guarded stores, counters;
 - **delta equivalence** -- hypothesis-driven: random mutation sequences
   scored through a ``delta="auto"`` session equal a ``delta="off"``
   (cold) session *bit for bit* at workers 1, 2, and 4, for every fuser
@@ -28,12 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    MaskedJointCache,
     ObservationMatrix,
     PatternValueMemo,
     ScoringSession,
     dirty_columns,
-    fit_model,
 )
 from repro.core import deltas, plans
 from repro.data import (
@@ -352,26 +349,6 @@ def _evaluator_memo_stats(session):
     return [evaluator.delta_memo.stats for evaluator in evaluators]
 
 
-class TestMaskedJointCacheStats:
-    def test_hit_miss_eviction_counters(self):
-        dataset = _dataset(seed=9, n_sources=4, n_triples=60,
-                           correlated=False)
-        model = fit_model(dataset.observations, dataset.labels)
-        cache = MaskedJointCache(model, max_entries=2)
-        cache.get(0b01, [0])
-        cache.get(0b01, [0])
-        cache.get(0b10, [1])
-        cache.get(0b100, [2])  # evicts the oldest entry (mask 0b01)
-        stats = cache.stats
-        assert stats["hits"] == 1
-        assert stats["misses"] == 3
-        assert stats["evictions"] == 1
-        assert stats["entries"] == 2
-        # The evicted mask recomputes the identical value.
-        fresh = cache.get(0b01, [0])
-        assert fresh == (model.joint_recall([0]), model.joint_fpr([0]))
-
-
 # ----------------------------------------------------------------------
 # Delta equivalence: delta scores == cold scores, exactly
 # ----------------------------------------------------------------------
@@ -540,23 +517,6 @@ class TestDeltaServingBehaviour:
         assert stats["identical"] == 1
         assert stats["novel_patterns"] == 0  # no pattern-level reuse
 
-    def test_legacy_engine_sessions_score_plainly(self):
-        dataset = _dataset(seed=31, n_sources=5, n_triples=60,
-                           correlated=False)
-        session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            engine="legacy",
-        )
-        assert session.delta_scorer is None
-        reference = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            engine="legacy", delta="off",
-        )
-        assert np.array_equal(
-            session.score(dataset.observations),
-            reference.score(dataset.observations),
-        )
-
     def test_invalid_delta_mode_rejected(self):
         dataset = _dataset(seed=37, n_sources=4, n_triples=40,
                            correlated=False)
@@ -594,7 +554,6 @@ class TestStreamingServing:
         assert report.max_warm_drift == 0.0
         assert report.delta_stats["delta"] + report.delta_stats["cold"] >= 1
         assert report.plan_cache_stats["computes"] >= 1
-        assert "hits" in report.joint_cache_stats
 
     def test_run_serving_delta_off_reports_unchecked_drift(self):
         dataset = _dataset(seed=47)

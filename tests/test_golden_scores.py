@@ -16,8 +16,10 @@ Two layers of strictness:
   ulp may differ across libm builds -- the tolerance absorbs exactly that
   and nothing more;
 - **bit-identity** (exact 0.0): within one process, the compiled numpy
-  accumulate / warm plan-cache path must equal the per-term python walk
-  and the legacy per-triple engine bit for bit (the PR acceptance bar).
+  accumulate and the warm plan-cache path must equal the per-triple walk
+  of the paper's definitions (``reference.triple_scores``), both over the
+  fitted packed model and over boolean-mask statistics
+  (``reference.MaskJointModel``), bit for bit.
 
 Regenerate after an *intentional* numeric change with::
 
@@ -33,7 +35,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import fit_model, make_fuser
+from repro.core import (
+    AggressiveFuser,
+    ClusteredCorrelationFuser,
+    ElasticFuser,
+    ExactCorrelationFuser,
+    PrecRecFuser,
+    fit_model,
+    make_fuser,
+)
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
@@ -41,6 +51,8 @@ from repro.data import (
     generate,
     uniform_sources,
 )
+
+import reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -203,40 +215,71 @@ class TestGoldenScores:
 _PLAN_FAMILIES = ("precreccorr", "elastic-2", "clustered")
 
 
+def _reference_scores(fuser, observations, model):
+    """``reference.triple_scores`` configured like ``fuser``, over ``model``."""
+    options: dict = {}
+    if isinstance(fuser, ClusteredCorrelationFuser):
+        method = "clustered"
+        options = {
+            "true_partition": fuser.true_partition,
+            "false_partition": fuser.false_partition,
+        }
+    elif isinstance(fuser, ElasticFuser):
+        method = "elastic"
+        options = {"level": fuser.level}
+    elif isinstance(fuser, ExactCorrelationFuser):
+        method = "exact"
+    elif isinstance(fuser, AggressiveFuser):
+        method = "aggressive"
+    else:
+        assert isinstance(fuser, PrecRecFuser), type(fuser)
+        method = "precrec"
+    return reference.triple_scores(
+        observations, model, method, prior=fuser.prior, **options
+    )
+
+
 @pytest.mark.parametrize("kind", sorted(FIXTURES))
 def test_compiled_and_warm_paths_bit_identical_to_python_walk(kind):
     """The acceptance bar: max |score diff| exactly 0.0 against the walk."""
     for name in FIXTURES[kind]["methods"]:
         if name not in _PLAN_FAMILIES:
             continue
-        dataset, reference = _build(
-            kind, name, accumulate="python", max_plan_cache_entries=0
+        dataset, compiled = _build(kind, name)
+        expected = _reference_scores(
+            compiled, dataset.observations, compiled.model
         )
-        reference_scores = reference.score(dataset.observations)
-        _, compiled = _build(kind, name)
         cold = compiled.score(dataset.observations)
         warm = compiled.score(dataset.observations)
-        assert np.abs(cold - reference_scores).max() == 0.0, name
-        assert np.abs(warm - reference_scores).max() == 0.0, name
+        assert np.abs(cold - expected).max() == 0.0, name
+        assert np.abs(warm - expected).max() == 0.0, name
+        assert compiled.plan_cache.hits >= 1, name
 
 
 @pytest.mark.parametrize("kind", sorted(FIXTURES))
 def test_vectorized_engine_matches_legacy_engine(kind):
-    """Plan families bitwise; matmul families to the PR 1 1e-9 contract."""
+    """Packed scoring vs the per-triple walk over boolean-mask statistics.
+
+    The walk over :class:`reference.MaskJointModel` is the seed's
+    per-triple, boolean-mask scoring path, kept as the oracle.  Plan
+    families match bitwise; the matmul families to the 1e-9 contract.
+    """
     for name in FIXTURES[kind]["methods"]:
         if METHOD_SPECS[name]["method"] == "em":
-            continue  # EM manages its own loop; no engine switch
-        dataset, vectorized = _build(kind, name)
-        _, legacy = _build(kind, name, engine="legacy")
+            continue  # EM manages its own loop; there is no quality model
+        dataset, fuser = _build(kind, name)
+        mask = reference.MaskJointModel(
+            dataset.observations, dataset.labels, prior=fuser.model.prior
+        )
         diff = np.abs(
-            vectorized.score(dataset.observations)
-            - legacy.score(dataset.observations)
+            fuser.score(dataset.observations)
+            - _reference_scores(fuser, dataset.observations, mask)
         ).max()
         if name in _PLAN_FAMILIES:
             assert diff == 0.0, name
         else:
             # PrecRec / aggressive vectorize through matmuls, whose
-            # reduction order legitimately differs from the scalar loop.
+            # reduction order legitimately differs from the scalar walk.
             assert diff <= 1e-9, name
 
 

@@ -214,12 +214,12 @@ def test_assert_map_safe_exempts_allow_across_map():
 
 
 def test_worker_pool_map_refuses_under_held_lock():
-    lock = TrackedLock("MaskedJointCache._lock")
+    lock = TrackedLock("PatternValueMemo._lock")
     with WorkerPool(workers=2) as pool:
         assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
         with lock:
             with pytest.raises(
-                LockOrderError, match="MaskedJointCache._lock"
+                LockOrderError, match="PatternValueMemo._lock"
             ):
                 pool.map(lambda x: x + 1, [1, 2, 3])
         # Released: the pool serves again.

@@ -1,4 +1,4 @@
-"""The pattern-centric vectorized execution engine vs the legacy path.
+"""The pattern-centric execution engine vs the paper-definition oracle.
 
 Three layers are exercised:
 
@@ -8,10 +8,13 @@ Three layers are exercised:
   the matrix exactly and cover every triple, and the row-dedup kernel must
   reproduce ``np.unique(axis=0)`` exactly (row order, first indices,
   inverse), also for matrices wider than one 64-bit word;
-- the engines themselves -- property-based tests assert that the vectorized
-  engine's scores match the legacy per-triple path within 1e-9 across full-
-  and partial-coverage matrices for PrecRec, exact, aggressive, and elastic
-  fusers (plus the clustered fuser and the one-call API on seeded data).
+- the scoring path itself -- property-based tests assert that the packed
+  joint model equals boolean-mask counting (``reference.MaskJointModel``)
+  and that every fuser's scores match the per-triple walk of the paper's
+  definitions (``reference.triple_scores``) across full- and
+  partial-coverage matrices: exactly for the inclusion-exclusion families
+  (exact, elastic, clustered), within 1e-9 for PrecRec and the aggressive
+  approximation, whose batch path runs through matrix products.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.core import (
     ObservationMatrix,
     PackedMatrix,
     PrecRecFuser,
+    estimate_prior,
     extract_patterns,
     fit_model,
     fuse,
@@ -50,6 +54,10 @@ from repro.core.patterns import (
 )
 from repro.util.probability import probability_from_mu, probability_from_mu_array
 
+import reference
+
+#: PrecRec and aggressive scores vectorise through matrix products, whose
+#: reduction order legitimately differs from the per-pattern walk.
 ENGINE_TOLERANCE = 1e-9
 
 # ----------------------------------------------------------------------
@@ -626,30 +634,31 @@ class TestJointModelEngines:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     def test_joint_parameters_identical(self, case, data):
         matrix, labels = case
-        legacy = EmpiricalJointModel(matrix, labels, engine="legacy")
-        packed = EmpiricalJointModel(matrix, labels, engine="vectorized")
+        mask = reference.MaskJointModel(matrix, labels)
+        packed = EmpiricalJointModel(matrix, labels)
         subset = data.draw(
             st.lists(
                 st.integers(0, matrix.n_sources - 1), unique=True, max_size=4
             )
         )
-        assert packed.joint_recall(subset) == legacy.joint_recall(subset)
-        assert packed.joint_fpr(subset) == legacy.joint_fpr(subset)
-        assert packed.joint_precision(subset) == legacy.joint_precision(subset)
-        assert packed.joint_coverage_counts(subset) == legacy.joint_coverage_counts(
+        assert packed.joint_recall(subset) == mask.joint_recall(subset)
+        assert packed.joint_fpr(subset) == mask.joint_fpr(subset)
+        assert packed.joint_precision(subset) == mask.joint_precision(subset)
+        assert packed.joint_coverage_counts(subset) == mask.joint_coverage_counts(
             subset
         )
 
     def test_engine_validation(self):
+        # The engine switch is gone: passing it is an error, not a no-op.
         matrix, labels = _seeded_case(5, n_sources=3, n_triples=12)
-        with pytest.raises(ValueError, match="engine"):
-            EmpiricalJointModel(matrix, labels, engine="turbo")
+        with pytest.raises(TypeError, match="engine"):
+            EmpiricalJointModel(matrix, labels, engine="vectorized")
 
     @given(case=observation_cases(), data=st.data())
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     def test_batch_params_match_scalar_queries(self, case, data):
         matrix, labels = case
-        model = EmpiricalJointModel(matrix, labels, engine="vectorized")
+        model = EmpiricalJointModel(matrix, labels)
         n_subsets = data.draw(st.integers(1, 6))
         subsets = data.draw(
             arrays(
@@ -658,19 +667,11 @@ class TestJointModelEngines:
                 elements=st.booleans(),
             )
         )
-        result = model.joint_params_batch(subsets)
-        assert result is not None
-        recalls, fprs = result
+        recalls, fprs = model.joint_params_batch(subsets)
         for row in range(n_subsets):
             ids = np.flatnonzero(subsets[row]).tolist()
             assert recalls[row] == model.joint_recall(ids)
             assert fprs[row] == model.joint_fpr(ids)
-
-    def test_batch_params_unavailable_on_legacy_engine(self):
-        matrix, labels = _seeded_case(6, n_sources=4, n_triples=20)
-        model = EmpiricalJointModel(matrix, labels, engine="legacy")
-        probe = np.zeros((1, matrix.n_sources), dtype=bool)
-        assert model.joint_params_batch(probe) is None
 
     @given(matrix=bool_matrices, data=st.data())
     @settings(max_examples=40)
@@ -691,27 +692,42 @@ class TestJointModelEngines:
 
 
 # ----------------------------------------------------------------------
-# Fuser engines: vectorized scores == legacy scores
+# Fusers: batch scores == the per-triple walk of the paper's definitions
 # ----------------------------------------------------------------------
 
+#: ``(method, fuser class, options)`` of each standalone family.
+_FAMILIES = (
+    ("precrec", PrecRecFuser, {}),
+    ("exact", ExactCorrelationFuser, {}),
+    ("aggressive", AggressiveFuser, {}),
+    ("elastic", ElasticFuser, {"level": 2}),
+)
 
-def _fuser_pairs(model_legacy, model_vectorized):
-    yield (
-        PrecRecFuser(model_legacy, engine="legacy"),
-        PrecRecFuser(model_vectorized, engine="vectorized"),
-    )
-    yield (
-        ExactCorrelationFuser(model_legacy, engine="legacy"),
-        ExactCorrelationFuser(model_vectorized, engine="vectorized"),
-    )
-    yield (
-        AggressiveFuser(model_legacy, engine="legacy"),
-        AggressiveFuser(model_vectorized, engine="vectorized"),
-    )
-    yield (
-        ElasticFuser(model_legacy, level=2, engine="legacy"),
-        ElasticFuser(model_vectorized, level=2, engine="vectorized"),
-    )
+#: The families whose per-pattern sums follow the oracle's term order, so
+#: they must match it exactly.
+_EXACT_FAMILIES = ("exact", "elastic", "clustered")
+
+
+def _assert_matches_reference(method, scores, expected):
+    if method in _EXACT_FAMILIES:
+        np.testing.assert_array_equal(scores, expected, err_msg=method)
+    else:
+        np.testing.assert_allclose(
+            scores, expected, atol=ENGINE_TOLERANCE, rtol=0, err_msg=method
+        )
+
+
+def _assert_families_match(matrix, labels, prior=None):
+    """Every family on the packed model vs the walk on the mask model."""
+    model = fit_model(matrix, labels, prior=prior)
+    mask = reference.MaskJointModel(matrix, labels, prior=model.prior)
+    for method, fuser_cls, options in _FAMILIES:
+        _assert_matches_reference(
+            method,
+            fuser_cls(model, **options).score(matrix),
+            reference.triple_scores(matrix, mask, method, **options),
+        )
+    return model, mask
 
 
 class TestEngineEquivalence:
@@ -719,37 +735,20 @@ class TestEngineEquivalence:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     def test_scores_match_on_random_matrices(self, case):
         matrix, labels = case
-        model_legacy = fit_model(matrix, labels, prior=0.5, engine="legacy")
-        model_vec = fit_model(matrix, labels, prior=0.5, engine="vectorized")
-        for legacy, vectorized in _fuser_pairs(model_legacy, model_vec):
-            np.testing.assert_allclose(
-                vectorized.score(matrix),
-                legacy.score(matrix),
-                atol=ENGINE_TOLERANCE,
-                rtol=0,
-                err_msg=type(legacy).__name__,
-            )
+        _assert_families_match(matrix, labels, prior=0.5)
 
     @pytest.mark.parametrize("partial", [False, True])
     def test_scores_match_on_seeded_matrices(self, partial):
         matrix, labels = _seeded_case(11, partial=partial)
-        model_legacy = fit_model(matrix, labels, engine="legacy")
-        model_vec = fit_model(matrix, labels, engine="vectorized")
-        for legacy, vectorized in _fuser_pairs(model_legacy, model_vec):
-            np.testing.assert_allclose(
-                vectorized.score(matrix),
-                legacy.score(matrix),
-                atol=ENGINE_TOLERANCE,
-                rtol=0,
-                err_msg=type(legacy).__name__,
-            )
-        clustered_legacy = ClusteredCorrelationFuser(model_legacy, engine="legacy")
-        clustered_vec = ClusteredCorrelationFuser(model_vec, engine="vectorized")
-        np.testing.assert_allclose(
-            clustered_vec.score(matrix),
-            clustered_legacy.score(matrix),
-            atol=ENGINE_TOLERANCE,
-            rtol=0,
+        model, mask = _assert_families_match(matrix, labels)
+        clustered = ClusteredCorrelationFuser(model)
+        np.testing.assert_array_equal(
+            clustered.score(matrix),
+            reference.triple_scores(
+                matrix, mask, "clustered",
+                true_partition=clustered.true_partition,
+                false_partition=clustered.false_partition,
+            ),
         )
 
     def test_aggressive_with_restricted_universe_falls_back(self):
@@ -758,31 +757,33 @@ class TestEngineEquivalence:
         fuser = AggressiveFuser(model, universe=[0, 1, 2])
         assert fuser.pattern_mu_batch(matrix.patterns()) is None
 
-    def test_vectorized_is_default_engine(self):
-        matrix, labels = _seeded_case(8, n_sources=4, n_triples=30)
-        model = fit_model(matrix, labels)
-        assert model.engine == "vectorized"
-        assert PrecRecFuser(model).engine == "vectorized"
-
     def test_invalid_engine_rejected(self):
+        # The engine switch is gone: passing it is an error, not a no-op.
         matrix, labels = _seeded_case(9, n_sources=4, n_triples=30)
         model = fit_model(matrix, labels)
-        with pytest.raises(ValueError, match="engine"):
-            PrecRecFuser(model, engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            PrecRecFuser(model, engine="vectorized")
 
     def test_fuse_api_engines_agree(self):
+        # The one-call API fits and scores end to end; the reference walks
+        # the same definitions over boolean-mask statistics.
         matrix, labels = _seeded_case(10, n_sources=6, n_triples=200)
-        for method in ("precrec", "precreccorr", "aggressive", "elastic"):
-            vec = fuse(matrix, labels, method=method, engine="vectorized")
-            legacy = fuse(matrix, labels, method=method, engine="legacy")
-            np.testing.assert_allclose(
-                vec.scores, legacy.scores, atol=ENGINE_TOLERANCE, rtol=0,
-                err_msg=method,
+        mask = reference.MaskJointModel(matrix, labels, prior=estimate_prior(labels))
+        for method, reference_method in (
+            ("precrec", "precrec"),
+            ("precreccorr", "exact"),
+            ("aggressive", "aggressive"),
+            ("elastic", "elastic"),
+        ):
+            _assert_matches_reference(
+                reference_method,
+                fuse(matrix, labels, method=method).scores,
+                reference.triple_scores(matrix, mask, reference_method),
             )
 
 
 # ----------------------------------------------------------------------
-# Clustered fuser: batched union-plan scoring == legacy per-triple scoring
+# Clustered fuser: batched union-plan scoring == per-triple reference walk
 # ----------------------------------------------------------------------
 
 
@@ -809,10 +810,12 @@ def source_partitions(draw, n_sources):
 class TestClusteredEngineEquivalence:
     """Hypothesis equivalence for the clustered fuser's batched path.
 
-    The vectorized path (per-cluster sub-pattern dedup + batched union
-    plans) must reproduce the legacy per-triple scoring *bit-identically*,
-    including when the true-side and false-side partitions differ and when
-    oversized clusters route through the elastic evaluators.
+    The batched path (per-cluster sub-pattern dedup + batched union
+    plans) must reproduce the per-triple walk of the definitions
+    (``reference.triple_scores`` over boolean-mask statistics)
+    *bit-identically*, including when the true-side and false-side
+    partitions differ and when oversized clusters route through the
+    elastic evaluators.
     """
 
     @given(
@@ -831,22 +834,20 @@ class TestClusteredEngineEquivalence:
         # A small exact_cluster_limit routes larger clusters through the
         # elastic evaluators; level 1 keeps the approximation observable.
         exact_cluster_limit = data.draw(st.sampled_from([1, 2, 12]))
-        model_legacy = fit_model(matrix, labels, prior=0.5, engine="legacy")
-        model_vec = fit_model(matrix, labels, prior=0.5, engine="vectorized")
+        model = fit_model(matrix, labels, prior=0.5)
         kwargs = dict(
             true_partition=true_partition,
             false_partition=false_partition,
             exact_cluster_limit=exact_cluster_limit,
             elastic_level=1,
         )
-        legacy = ClusteredCorrelationFuser(
-            model_legacy, engine="legacy", **kwargs
-        )
-        vectorized = ClusteredCorrelationFuser(
-            model_vec, engine="vectorized", **kwargs
-        )
+        vectorized = ClusteredCorrelationFuser(model, **kwargs)
         np.testing.assert_array_equal(
-            vectorized.score(matrix), legacy.score(matrix)
+            vectorized.score(matrix),
+            reference.triple_scores(
+                matrix, reference.MaskJointModel(matrix, labels, prior=0.5),
+                "clustered", **kwargs,
+            ),
         )
 
     def test_true_false_partition_split_drives_the_right_side(self):
@@ -872,14 +873,15 @@ class TestClusteredEngineEquivalence:
             false_partition=true_partition,
         )
         scores = fuser.score(matrix)
-        # Each fuser must still agree with its own legacy path ...
-        legacy = ClusteredCorrelationFuser(
-            model,
-            engine="legacy",
-            true_partition=true_partition,
-            false_partition=false_partition,
+        # Each fuser must still agree with the per-triple walk ...
+        np.testing.assert_array_equal(
+            scores,
+            reference.triple_scores(
+                matrix, model, "clustered",
+                true_partition=true_partition,
+                false_partition=false_partition,
+            ),
         )
-        np.testing.assert_array_equal(scores, legacy.score(matrix))
         # ... and the two sides are genuinely distinct computations.
         assert not np.array_equal(scores, swapped.score(matrix))
 
@@ -890,20 +892,14 @@ class TestClusteredEngineEquivalence:
         partition = SourcePartition(
             clusters=(frozenset(range(5)), frozenset(range(5, 8)))
         )
-        model_legacy = fit_model(matrix, labels, engine="legacy")
-        model_vec = fit_model(matrix, labels, engine="vectorized")
+        model = fit_model(matrix, labels)
         kwargs = dict(
             true_partition=partition,
             false_partition=partition,
             exact_cluster_limit=3,  # both a 5-cluster (elastic) and 3 (exact)
             elastic_level=2,
         )
-        legacy = ClusteredCorrelationFuser(
-            model_legacy, engine="legacy", **kwargs
-        )
-        vectorized = ClusteredCorrelationFuser(
-            model_vec, engine="vectorized", **kwargs
-        )
+        vectorized = ClusteredCorrelationFuser(model, **kwargs)
         assert any(
             isinstance(e, ElasticFuser) for e in vectorized._true_evaluators
         )
@@ -914,7 +910,11 @@ class TestClusteredEngineEquivalence:
         ):
             assert true_eval is false_eval
         np.testing.assert_array_equal(
-            vectorized.score(matrix), legacy.score(matrix)
+            vectorized.score(matrix),
+            reference.triple_scores(
+                matrix, reference.MaskJointModel(matrix, labels, prior=model.prior),
+                "clustered", **kwargs,
+            ),
         )
 
 
@@ -945,13 +945,22 @@ class TestBatchPosterior:
 
 class TestBoundedMuCache:
     def test_cache_respects_cap_and_stays_correct(self):
+        # The memo sits behind the per-pattern pattern_probability API.
         matrix, labels = _seeded_case(12, n_sources=6, n_triples=120)
         model = fit_model(matrix, labels)
-        capped = PrecRecFuser(model, max_cache_entries=1, engine="legacy")
-        uncapped = PrecRecFuser(model, engine="legacy")
-        np.testing.assert_allclose(
-            capped.score(matrix), uncapped.score(matrix), atol=0
-        )
+        capped = PrecRecFuser(model, max_cache_entries=1)
+        uncapped = PrecRecFuser(model)
+        patterns = matrix.patterns()
+
+        def probabilities(fuser):
+            return [
+                fuser.pattern_probability(providers, silent)
+                for providers, silent in zip(
+                    patterns.provider_sets, patterns.silent_sets
+                )
+            ]
+
+        assert probabilities(capped) == probabilities(uncapped)
         assert len(capped._mu_cache) <= 1
         assert len(uncapped._mu_cache) > 1
 

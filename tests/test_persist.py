@@ -26,6 +26,7 @@ Five layers of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import zlib
 from pathlib import Path
@@ -644,6 +645,48 @@ class TestCheckpointRecovery:
         _assert_recovered_scores_match(recovered, session, matrix)
         session.close()
         recovered.session.close()
+
+    def _checkpoint_with_engine_key(self, tmp_path, engine):
+        """A checkpoint whose snapshot config carries the removed key.
+
+        Snapshots written while the engine switch existed recorded it;
+        the snapshot is re-written the way such a writer would have.
+        """
+        matrix, labels = small_matrix()
+        session = ScoringSession(matrix, labels, method="precreccorr")
+        checkpointer = Checkpointer.attach(session, matrix, labels, tmp_path)
+        checkpointer.close()
+        session.attach_checkpointer(None)
+        assert "engine" not in session.persist_config()
+        for path in iter_snapshot_paths(tmp_path):
+            state = load_snapshot(path)
+            config = dict(state.config, engine=engine)
+            index, _ = parse_snapshot_name(path)
+            write_snapshot(
+                tmp_path, dataclasses.replace(state, config=config), index,
+                fsync=False,
+            )
+            assert load_snapshot(path).config["engine"] == engine
+        return session, matrix
+
+    def test_snapshot_naming_the_vectorized_engine_recovers(self, tmp_path):
+        session, matrix = self._checkpoint_with_engine_key(
+            tmp_path, "vectorized"
+        )
+        recovered = RecoveryManager(tmp_path).recover()
+        assert recovered.statistics_verified
+        _assert_recovered_scores_match(recovered, session, matrix)
+        session.close()
+        recovered.session.close()
+
+    def test_snapshot_naming_the_legacy_engine_is_refused(self, tmp_path):
+        # Legacy PrecRec/aggressive scores differ from the packed path in
+        # the last ulp, so a silent switch would break recovered-vs-live
+        # bit-identity.
+        session, _ = self._checkpoint_with_engine_key(tmp_path, "legacy")
+        with pytest.raises(RecoveryError, match="legacy"):
+            RecoveryManager(tmp_path).recover()
+        session.close()
 
 
 class TestMutationTraces:

@@ -1,7 +1,9 @@
 """Compiled plans and the CompiledPlanCache: bit-identity and lifecycle.
 
 Property tests proving the numpy-accumulate path and the warm plan-cache
-path are *bit-identical* to the legacy per-term walk across random grids,
+path are *bit-identical* to the per-term walks of ``tests/reference.py``
+(the plan walk, and the per-triple walk of the paper's definitions) across
+random grids,
 plus the cache's lifecycle contracts: digest keying, LRU eviction at the
 boundary, disabled-cache operation, and invalidation after a model refit
 through :class:`ScoringSession`.
@@ -30,6 +32,8 @@ from repro.data import (
     generate,
     uniform_sources,
 )
+
+import reference
 
 
 def _grid(seed, n_sources, n_triples, correlated=False):
@@ -75,7 +79,7 @@ class TestCompiledPlanBitIdentity:
         )
         recalls, fprs = model.joint_params_batch(plan.rows)
         _assert_identical(
-            plan.accumulate(recalls, fprs),
+            reference.accumulate_exact_plan(plan, recalls, fprs),
             plan.compile().accumulate(recalls, fprs),
         )
 
@@ -102,7 +106,7 @@ class TestCompiledPlanBitIdentity:
         eff_r = {i: float(rng.uniform(-0.5, 1.5)) for i in range(n_sources)}
         eff_q = {i: float(rng.uniform(-0.5, 1.5)) for i in range(n_sources)}
         _assert_identical(
-            plan.accumulate(recalls, fprs, eff_r, eff_q),
+            reference.accumulate_elastic_plan(plan, recalls, fprs, eff_r, eff_q),
             plan.compile(eff_r, eff_q).accumulate(recalls, fprs),
         )
 
@@ -118,22 +122,18 @@ class TestCompiledPlanBitIdentity:
     ):
         dataset = _grid(seed, n_sources, n_triples, correlated=True)
         model = fit_model(dataset.observations, dataset.labels)
-        for fast, reference in (
+        for fast, expected in (
             (
                 ExactCorrelationFuser(model),
-                ExactCorrelationFuser(
-                    model, accumulate="python", max_plan_cache_entries=0
-                ),
+                reference.triple_scores(dataset.observations, model, "exact"),
             ),
             (
                 ElasticFuser(model, level=level),
-                ElasticFuser(
-                    model, level=level,
-                    accumulate="python", max_plan_cache_entries=0,
+                reference.triple_scores(
+                    dataset.observations, model, "elastic", level=level
                 ),
             ),
         ):
-            expected = reference.score(dataset.observations)
             cold = fast.score(dataset.observations)
             warm = fast.score(dataset.observations)
             assert np.array_equal(cold, expected)
@@ -149,25 +149,17 @@ class TestCompiledPlanBitIdentity:
                         correlated=True)
         model = fit_model(dataset.observations, dataset.labels)
         fast = ClusteredCorrelationFuser(model, exact_cluster_limit=3)
-        reference = ClusteredCorrelationFuser(
-            model,
+        expected = reference.triple_scores(
+            dataset.observations, model, "clustered",
             true_partition=fast.true_partition,
             false_partition=fast.false_partition,
             exact_cluster_limit=3,
-            accumulate="python",
-            max_plan_cache_entries=0,
         )
-        expected = reference.score(dataset.observations)
         cold = fast.score(dataset.observations)
         warm = fast.score(dataset.observations)
         assert np.array_equal(cold, expected)
         assert np.array_equal(warm, expected)
         assert fast.plan_cache.hits >= 1
-        # The python reference configuration must bypass the decomposition
-        # cache entirely: repeated calls re-run the walk, never hit.
-        reference.score(dataset.observations)
-        assert reference.plan_cache.hits == 0
-        assert len(reference.plan_cache) == 0
 
 
 class TestPatternDigest:
@@ -228,13 +220,15 @@ class TestCompiledPlanCacheLifecycle:
         second = _grid(12, 5, 90)
         model = fit_model(first.observations, first.labels)
         fuser = ExactCorrelationFuser(model, max_plan_cache_entries=1)
-        reference = ExactCorrelationFuser(
-            model, accumulate="python", max_plan_cache_entries=0
-        )
+        expected = {
+            id(dataset): reference.triple_scores(
+                dataset.observations, model, "exact"
+            )
+            for dataset in (first, second)
+        }
         for dataset in (first, second, first, second):
             assert np.array_equal(
-                fuser.score(dataset.observations),
-                reference.score(dataset.observations),
+                fuser.score(dataset.observations), expected[id(dataset)]
             )
         assert fuser.plan_cache.evictions >= 3
         assert len(fuser.plan_cache) == 1

@@ -3,9 +3,10 @@
 Covers the :class:`UnionCollector` aliasing regression (collected rows must
 not be live views into mutable pattern storage; the collector now lives in
 ``tests/reference.py`` as the per-term oracle), the array-built exact /
-elastic union plans against that oracle and against the scalar
-``pattern_likelihoods`` reference, the ``pattern_likelihoods_batch`` entry
-points the clustered fuser drives, and the cluster restriction step.
+elastic union plans against that oracle and against the per-pattern walks
+of Eq. 10-11 and Algorithm 1 in ``tests/reference.py``, the
+``pattern_likelihoods`` / ``pattern_likelihoods_batch`` entry points the
+clustered fuser drives, and the cluster restriction step.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.core import (
     ElasticUnionPlan,
     ExactCorrelationFuser,
     ExactUnionPlan,
+    ExplicitJointModel,
     fit_model,
     restricted_unique_patterns,
 )
@@ -125,12 +127,19 @@ class TestUnionPlans:
             patterns.provider_matrix, patterns.silent_matrix
         )
         recalls, fprs = model.joint_params_batch(plan.rows)
-        numerators, denominators = plan.accumulate(recalls, fprs)
+        numerators, denominators = reference.accumulate_exact_plan(
+            plan, recalls, fprs
+        )
+        compiled = plan.compile().accumulate(recalls, fprs)
         for k in range(patterns.n_patterns):
-            expected = fuser.pattern_likelihoods(
-                patterns.provider_sets[k], patterns.silent_sets[k]
+            expected = reference.exact_likelihoods(
+                model, patterns.provider_sets[k], patterns.silent_sets[k]
             )
             assert (numerators[k], denominators[k]) == expected
+            assert (compiled[0][k], compiled[1][k]) == expected
+            assert fuser.pattern_likelihoods(
+                patterns.provider_sets[k], patterns.silent_sets[k]
+            ) == expected
 
     @pytest.mark.parametrize("level", [0, 1, 3])
     def test_elastic_plan_matches_scalar_likelihoods(self, level):
@@ -142,14 +151,22 @@ class TestUnionPlans:
             patterns.provider_matrix, patterns.silent_matrix, level
         )
         recalls, fprs = model.joint_params_batch(plan.rows)
-        numerators, denominators = plan.accumulate(
-            recalls, fprs, fuser._eff_recall, fuser._eff_fpr
+        eff_recall, eff_fpr = reference.effective_rates(model)
+        assert (eff_recall, eff_fpr) == (fuser._eff_recall, fuser._eff_fpr)
+        numerators, denominators = reference.accumulate_elastic_plan(
+            plan, recalls, fprs, eff_recall, eff_fpr
         )
+        compiled = plan.compile(eff_recall, eff_fpr).accumulate(recalls, fprs)
         for k in range(patterns.n_patterns):
-            expected = fuser.pattern_likelihoods(
-                patterns.provider_sets[k], patterns.silent_sets[k]
+            expected = reference.elastic_likelihoods(
+                model, patterns.provider_sets[k], patterns.silent_sets[k],
+                level, eff_recall, eff_fpr,
             )
             assert (numerators[k], denominators[k]) == expected
+            assert (compiled[0][k], compiled[1][k]) == expected
+            assert fuser.pattern_likelihoods(
+                patterns.provider_sets[k], patterns.silent_sets[k]
+            ) == expected
 
     def test_exact_plan_width_check_is_applied(self):
         dataset = _dataset()
@@ -214,7 +231,7 @@ class TestArrayPlansMatchOracle:
         assert plan.rows.shape == rows.shape
         assert np.array_equal(plan.rows, rows)
         assert plan.term_index.tolist() == term_index
-        assert plan.silent_lists == silent_lists
+        assert np.array_equal(plan.silent_matrix, silent)
         _assert_arrays_equal(
             plan.compile(),
             reference.compiled_exact_arrays(silent_lists, term_index),
@@ -315,38 +332,74 @@ class TestArrayPlansMatchOracle:
             plan.compile({1: 0.5}, {1: 0.5, 3: 0.5})
 
 
+def _model(kind, dataset):
+    """The fitted empirical model (its vectorized batch sweep), or an
+    explicit model answering through the base class's scalar loop."""
+    model = fit_model(dataset.observations, dataset.labels)
+    if kind == "vectorized":
+        return model
+    pairs = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 3})]
+    return ExplicitJointModel(
+        model.source_qualities(),
+        prior=model.prior,
+        joint_recalls={key: model.joint_recall(key) for key in pairs},
+        joint_fprs={key: model.joint_fpr(key) for key in pairs},
+    )
+
+
 class TestPatternLikelihoodsBatch:
-    @pytest.mark.parametrize("engine", ["vectorized", "legacy"])
-    def test_exact_batch_entry_matches_scalar(self, engine):
-        # The legacy-engine model has no joint_params_batch, exercising the
-        # bitmask-keyed scalar fallback inside the batch entry point.
+    @pytest.mark.parametrize("kind", ["vectorized", "scalar_loop"])
+    def test_exact_batch_entry_matches_scalar(self, kind):
         dataset = _dataset(seed=23)
-        model = fit_model(dataset.observations, dataset.labels, engine=engine)
+        model = _model(kind, dataset)
         fuser = ExactCorrelationFuser(model)
         patterns = dataset.observations.patterns()
         numerators, denominators = fuser.pattern_likelihoods_batch(
             patterns.provider_matrix, patterns.silent_matrix
         )
         for k in range(patterns.n_patterns):
-            expected = fuser.pattern_likelihoods(
-                patterns.provider_sets[k], patterns.silent_sets[k]
+            expected = reference.exact_likelihoods(
+                model, patterns.provider_sets[k], patterns.silent_sets[k]
             )
             assert (numerators[k], denominators[k]) == expected
 
-    @pytest.mark.parametrize("engine", ["vectorized", "legacy"])
-    def test_elastic_batch_entry_matches_scalar(self, engine):
+    @pytest.mark.parametrize("kind", ["vectorized", "scalar_loop"])
+    def test_elastic_batch_entry_matches_scalar(self, kind):
         dataset = _dataset(seed=24)
-        model = fit_model(dataset.observations, dataset.labels, engine=engine)
+        model = _model(kind, dataset)
         fuser = ElasticFuser(model, level=2)
         patterns = dataset.observations.patterns()
         numerators, denominators = fuser.pattern_likelihoods_batch(
             patterns.provider_matrix, patterns.silent_matrix
         )
+        eff_recall, eff_fpr = reference.effective_rates(model)
         for k in range(patterns.n_patterns):
-            expected = fuser.pattern_likelihoods(
-                patterns.provider_sets[k], patterns.silent_sets[k]
+            expected = reference.elastic_likelihoods(
+                model, patterns.provider_sets[k], patterns.silent_sets[k],
+                2, eff_recall, eff_fpr,
             )
             assert (numerators[k], denominators[k]) == expected
+
+    def test_scalar_queries_leave_the_serving_caches_alone(self):
+        # pattern_likelihoods compiles a one-row plan outside the plan
+        # cache and the delta memo, so a per-pattern query on a serving
+        # fuser can never evict what its batches seeded.
+        dataset = _dataset(seed=26)
+        model = fit_model(dataset.observations, dataset.labels)
+        patterns = dataset.observations.patterns()
+        for fuser in (ExactCorrelationFuser(model), ElasticFuser(model, level=2)):
+            fuser.enable_delta_memo()
+            fuser.pattern_likelihoods_batch(
+                patterns.provider_matrix, patterns.silent_matrix
+            )
+            plan_stats = fuser.plan_cache.stats
+            memo_stats = fuser.delta_memo.stats
+            for k in range(patterns.n_patterns):
+                fuser.pattern_likelihoods(
+                    patterns.provider_sets[k], patterns.silent_sets[k]
+                )
+            assert fuser.plan_cache.stats == plan_stats
+            assert fuser.delta_memo.stats == memo_stats
 
     def test_empty_pattern_batch(self):
         dataset = _dataset(seed=25, n_triples=20)
