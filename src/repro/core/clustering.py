@@ -68,6 +68,41 @@ ClusterEvaluator = Union[ExactCorrelationFuser, ElasticFuser]
 _EvaluatorGroup = tuple[
     ClusterEvaluator, list[frozenset[int]], RestrictionTable
 ]
+#: A coded group's log memo: restriction keys (sorted ``int64``) with the
+#: parallel true- and false-side log-likelihoods of each restriction.
+_LogTable = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``((logs_true, logs_false), row index by cluster)`` -- one group's part
+#: of the per-side term lists.
+_GroupLogs = tuple[
+    tuple[np.ndarray, np.ndarray], dict[frozenset[int], np.ndarray]
+]
+
+
+def _frozen_log_table(
+    keys: np.ndarray, logs_true: np.ndarray, logs_false: np.ndarray
+) -> _LogTable:
+    for array in (keys, logs_true, logs_false):
+        array.setflags(write=False)
+    return keys, logs_true, logs_false
+
+
+_EMPTY_LOG_TABLE = _frozen_log_table(
+    np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+)
+
+
+def _find_keys(
+    known: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, found)`` of ``keys`` in the sorted ``known`` keys.
+
+    ``positions`` are the insertion points; ``found`` marks the keys
+    ``known`` holds, each at its position.
+    """
+    positions = np.searchsorted(known, keys)
+    if known.size == 0:
+        return positions, np.zeros(keys.shape, dtype=bool)
+    return positions, known[np.minimum(positions, known.size - 1)] == keys
 
 
 @dataclass(frozen=True)
@@ -788,6 +823,13 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             for cluster in false_partition.clusters
         ]
         self._evaluator_groups = self._group_clusters(model.n_sources)
+        # Delta serving's per-restriction log memo, one immutable table
+        # per coded group (None: no table), each swapped by a single
+        # assignment -- see enable_delta_memo.
+        self._log_tables: list[Optional[_LogTable]] = [None] * len(
+            self._evaluator_groups
+        )
+        self._max_log_entries = 0
 
     @property
     def true_partition(self) -> SourcePartition:
@@ -870,13 +912,16 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         """Drop memoised scores and every compiled-plan layer.
 
         The serving-process refit hook: clears this fuser's per-pattern
-        memo and decomposition cache plus each distinct per-cluster
-        evaluator's caches.
+        memo, decomposition cache and restriction log tables plus each
+        distinct per-cluster evaluator's caches.
         """
         super().invalidate_caches()
         self._plan_cache.invalidate()
         for evaluator in self._distinct_evaluators():
             evaluator.invalidate_caches()
+        for index, log_table in enumerate(self._log_tables):
+            if log_table is not None:
+                self._log_tables[index] = _EMPTY_LOG_TABLE
 
     @property
     def plan_cache(self) -> CompiledPlanCache:
@@ -902,21 +947,47 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         return distinct
 
     def enable_delta_memo(self, max_entries: int = 200_000) -> None:
-        """Opt every per-cluster evaluator into per-pattern reuse.
+        """Opt into per-restriction reuse across requests.
 
-        The clustered delta fast path lives in the evaluators: a novel
-        *global* pattern usually restricts to already-seen cluster-local
-        sub-patterns, so with the evaluators' memos attached only the
-        genuinely new restrictions pay union-plan work.  Per-pattern reuse
-        across requests is the score-level delta engine's job; this
-        fuser's own digest-keyed decomposition cache switches to
-        seed-only storage (see :meth:`pattern_mu_batch`) because delta
-        sub-batches carry never-recurring digests that would only churn
-        its LRU.
+        A novel *global* pattern of a delta step usually restricts to
+        cluster sub-patterns scored before, so only genuinely new
+        restrictions should pay union-plan work.  Every evaluator group
+        whose :class:`RestrictionTable` is ``coded`` gets a log table:
+        its restriction keys (sorted ``int64``) with the true- and
+        false-side log-likelihoods of each restriction, filled by every
+        evaluation of the group (:meth:`_evaluate_clusters`) and read by
+        key on later digest misses (:meth:`pattern_mu_batch`).  Each table
+        holds at most ``max_entries`` restrictions; beyond that, values
+        are computed but not stored.  The table replaces the evaluator's
+        own sub-pattern memo, so only the evaluators of uncoded groups (a
+        cluster of more than :data:`~repro.core.patterns.CODE_MAX_MEMBERS`
+        sources, or keys past ``int64``), which have no key, attach
+        theirs.  Per-pattern reuse across requests is the score-level
+        delta engine's job; this fuser's own digest-keyed decomposition
+        cache switches to seed-only storage (see :meth:`pattern_mu_batch`)
+        because delta sub-batches carry never-recurring digests that would
+        only churn its LRU.
         """
+        if max_entries < 0:
+            raise ValueError(
+                f"max_entries must be non-negative, got {max_entries}"
+            )
         self._delta_serving = True
-        for evaluator in self._distinct_evaluators():
-            evaluator.enable_delta_memo(max_entries)
+        self._max_log_entries = int(max_entries)
+        for index, (evaluator, _, table) in enumerate(self._evaluator_groups):
+            if not table.coded:
+                evaluator.enable_delta_memo(max_entries)
+            elif self._log_tables[index] is None:
+                self._log_tables[index] = _EMPTY_LOG_TABLE
+
+    @property
+    def log_tables(self) -> list[Optional[_LogTable]]:
+        """Each evaluator group's ``(keys, logs_true, logs_false)`` memo.
+
+        ``None`` for a group without one (delta serving off, or an
+        uncoded group).  Diagnostics: the tables are read-only.
+        """
+        return list(self._log_tables)
 
     def _group_clusters(self, n_sources: int) -> list[_EvaluatorGroup]:
         """Clusters grouped by evaluator, each with its restriction table.
@@ -967,12 +1038,15 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         shared exact evaluator, which serves every cluster of at most
         ``exact_cluster_limit`` sources, thus builds one union plan per
         request; each oversized cluster's elastic evaluator serves its own
-        cluster.  Every cluster contributes one ``(logs, inverse)`` term --
-        its evaluator's table for the side, gathered through the cluster's
-        inverse -- in partition order, the true-side partition first.  The
-        evaluators are ``pattern_batch_invariant`` (each row's value
-        depends only on its own terms), so sharing a table changes no
-        value.
+        cluster.  A group with a log table (delta serving, see
+        :meth:`enable_delta_memo`) whose every restriction of ``patterns``
+        is already in the table skips all of that: its terms gather from
+        the table by key (:meth:`_logged_clusters`).  Every cluster
+        contributes one ``(logs, inverse)`` term -- its group's table for
+        the side, gathered through the cluster's inverse -- in partition
+        order, the true-side partition first.  The evaluators are
+        ``pattern_batch_invariant`` (each row's value depends only on its
+        own terms), so sharing a table changes no value.
 
         With a configured executor each evaluator's stacked table is split
         into word-aligned row blocks on this fuser's pool
@@ -980,12 +1054,13 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         serial, so sharding is single-level, and the concatenated blocks
         equal the serial sweep bit for bit.
         """
-        tables = {
-            id(evaluator): self._evaluate_clusters(
-                evaluator, clusters, table, patterns
+        groups: dict[int, _GroupLogs] = {}
+        for index, (evaluator, _, _) in enumerate(self._evaluator_groups):
+            logged = self._logged_clusters(index, patterns)
+            groups[id(evaluator)] = (
+                logged if logged is not None
+                else self._evaluate_clusters(index, patterns)
             )
-            for evaluator, clusters, table in self._evaluator_groups
-        }
         side_terms: tuple[
             list[tuple[np.ndarray, np.ndarray]],
             list[tuple[np.ndarray, np.ndarray]],
@@ -996,28 +1071,88 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         )
         for side, (partition, evaluators) in enumerate(sides):
             for cluster, evaluator in zip(partition.clusters, evaluators):
-                logs, inverse_of = tables[id(evaluator)]
+                logs, inverse_of = groups[id(evaluator)]
                 side_terms[side].append((logs[side], inverse_of[cluster]))
         return side_terms
 
+    def _logged_clusters(
+        self, index: int, patterns: PatternSet
+    ) -> Optional[_GroupLogs]:
+        """Group ``index``'s logs from its log table, or ``None``.
+
+        One :meth:`RestrictionTable.keys` call and one ``searchsorted``
+        over the table's keys; each cluster's inverse is its keys'
+        positions in the table.  ``None`` when the group has no table or
+        some restriction is not in it.
+        """
+        log_table = self._log_tables[index]
+        if log_table is None or log_table[0].size == 0:
+            return None  # the seeding batch finds nothing
+        known, logs_true, logs_false = log_table
+        _, clusters, table = self._evaluator_groups[index]
+        keys = table.keys(patterns.provider_matrix, patterns.silent_matrix)
+        positions, found = _find_keys(known, keys)
+        if not found.all():
+            return None
+        return (logs_true, logs_false), dict(zip(clusters, positions))
+
     def _evaluate_clusters(
-        self,
-        evaluator: ClusterEvaluator,
-        clusters: list[frozenset[int]],
-        table: RestrictionTable,
-        patterns: PatternSet,
-    ) -> tuple[
-        tuple[np.ndarray, np.ndarray], dict[frozenset[int], np.ndarray]
-    ]:
-        """One evaluator's ``((logs_true, logs_false), inverse by cluster)``.
+        self, index: int, patterns: PatternSet
+    ) -> _GroupLogs:
+        """Group ``index``'s ``((logs_true, logs_false), inverse by cluster)``.
 
         One restriction pass over the group's table, one likelihood
         evaluation of the shared sub-pattern table, and one ``math.log``
-        walk over both sides' values.
+        walk over both sides' values (:meth:`_likelihood_logs`).  With a
+        log table, the rows whose restriction key the table holds take
+        its logs, only the other rows are evaluated, and the new keys'
+        logs extend the table (:meth:`_store_logs`).
         """
-        sub_providers, sub_silent, inverses = restricted_unique_patterns(
-            patterns.provider_matrix, patterns.silent_matrix, table
+        evaluator, clusters, table = self._evaluator_groups[index]
+        log_table = self._log_tables[index]
+        sub_providers, sub_silent, inverses, restriction_keys = (
+            restricted_unique_patterns(
+                patterns.provider_matrix, patterns.silent_matrix, table,
+                return_keys=True,
+            )
         )
+        if log_table is None or restriction_keys is None:
+            logs = self._likelihood_logs(evaluator, sub_providers, sub_silent)
+            return logs, dict(zip(clusters, inverses))
+        keys, rows = restriction_keys
+        known, known_true, known_false = log_table
+        positions, hit = _find_keys(known, keys)
+        if not hit.any():  # the seeding batch: nothing to take
+            logs_true, logs_false = self._likelihood_logs(
+                evaluator, sub_providers, sub_silent
+            )
+        else:
+            n_rows = sub_providers.shape[0]
+            logs_true = np.empty(n_rows, dtype=float)
+            logs_false = np.empty(n_rows, dtype=float)
+            logs_true[rows[hit]] = known_true[positions[hit]]
+            logs_false[rows[hit]] = known_false[positions[hit]]
+            todo = np.ones(n_rows, dtype=bool)
+            todo[rows[hit]] = False
+            todo = np.flatnonzero(todo)
+            if todo.size:
+                logs_true[todo], logs_false[todo] = self._likelihood_logs(
+                    evaluator, sub_providers[todo], sub_silent[todo]
+                )
+        novel = ~hit
+        self._store_logs(
+            index, log_table, positions[novel], keys[novel],
+            logs_true[rows[novel]], logs_false[rows[novel]],
+        )
+        return (logs_true, logs_false), dict(zip(clusters, inverses))
+
+    def _likelihood_logs(
+        self,
+        evaluator: ClusterEvaluator,
+        sub_providers: np.ndarray,
+        sub_silent: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(logs_true, logs_false)`` of sub-patterns, one evaluator call."""
         likelihoods = self._fan_pattern_blocks(
             sub_providers, sub_silent, evaluator
         )
@@ -1033,7 +1168,40 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             dtype=float,
         )
         n_rows = sub_providers.shape[0]
-        return (logs[:n_rows], logs[n_rows:]), dict(zip(clusters, inverses))
+        return logs[:n_rows], logs[n_rows:]
+
+    def _store_logs(
+        self,
+        index: int,
+        log_table: _LogTable,
+        positions: np.ndarray,
+        keys: np.ndarray,
+        logs_true: np.ndarray,
+        logs_false: np.ndarray,
+    ) -> None:
+        """Insert ``keys``, absent from ``log_table``, at their ``positions``.
+
+        At most ``max_entries`` (see :meth:`enable_delta_memo`) are kept.
+        The merged table replaces group ``index``'s in a single
+        assignment, so readers never see a partial table.  A writer racing
+        another can only lose one insertion -- a benign recompute, since
+        every value is a pure function of this fuser's fixed model.
+        """
+        known, known_true, known_false = log_table
+        room = max(self._max_log_entries - known.size, 0)
+        if keys.size == 0 or room == 0:
+            return
+        keys, logs_true, logs_false = (
+            keys[:room], logs_true[:room], logs_false[:room]
+        )
+        if known.size:
+            positions = positions[:room]
+            keys = np.insert(known, positions, keys)
+            logs_true = np.insert(known_true, positions, logs_true)
+            logs_false = np.insert(known_false, positions, logs_false)
+        self._log_tables[index] = _frozen_log_table(
+            keys, logs_true, logs_false
+        )
 
     def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
         """Every distinct pattern's ``mu`` through the batched union plans.
@@ -1045,9 +1213,16 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         is memoised in the digest-keyed plan cache, so repeated
         ``score`` calls over the same pattern set -- the serving case --
         skip restriction, collection, compilation, model evaluation, and
-        the log transform.  The execute step recombines per-pattern ``mu``
-        as a gather-sum of the tables: the true-side partition in the
-        numerator, the false-side partition in the denominator.
+        the log transform.  Under delta serving (see
+        :meth:`enable_delta_memo`) a digest miss first looks each coded
+        group's restrictions up in its log table by key: when every one
+        is known, the group's terms are the table's logs gathered at the
+        keys' positions, with no restriction pass and no evaluator call;
+        otherwise the group runs its restriction pass, evaluates only the
+        restrictions the table lacks, and adds them to the table.  The
+        execute step recombines per-pattern ``mu`` as a gather-sum of the
+        tables: the true-side partition in the numerator, the false-side
+        partition in the denominator.
 
         Logs and the final exponential are taken with ``math.log`` /
         ``math.exp`` on the deduplicated values and the per-cluster terms

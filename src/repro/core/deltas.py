@@ -18,10 +18,16 @@ scratch.  This module closes that gap with three reuse levels:
    sharded engine's bit-identity contract rests on), so dirty columns
    whose patterns were scored before gather their probability from a
    :class:`~repro.core.plans.PatternValueMemo` without touching the model;
-3. **novel-pattern sub-batches** -- only genuinely new patterns go through
-   ``joint_params_batch`` + compiled-plan execution (as a sub-batch
-   :class:`~repro.core.patterns.PatternSet`), and the results are
-   scatter-merged back in column order.
+3. **novel-pattern sub-batches** -- only genuinely new patterns reach the
+   fuser (as a sub-batch :class:`~repro.core.patterns.PatternSet`), and
+   the results are scatter-merged back in column order.  Inside the
+   fuser, the likelihood memo that ``enable_delta_memo`` attaches sends
+   only unseen work through ``joint_params_batch`` + compiled-plan
+   execution: the exact and elastic fusers memoise per-pattern
+   likelihoods by row bytes, and the clustered fuser memoises
+   per-cluster log-likelihoods by integer restriction code, so a novel
+   global pattern whose cluster restrictions were all seen before is a
+   key look-up and a gather-sum.
 
 Because each reuse level returns exactly the bits a cold run would compute
 (level 1 reuses a previous request's own output for bit-identical columns,

@@ -236,29 +236,6 @@ class ObservationMatrix:
         """Number of providers per triple, shape ``(n_triples,)``."""
         return self._provides.sum(axis=0)
 
-    def subset_intersection(self, source_ids: Sequence[int]) -> np.ndarray:
-        """Boolean mask of triples provided by *every* source in the subset.
-
-        Empty subsets intersect to "all triples", matching the convention
-        ``r_{empty} = q_{empty} = 1`` used by the inclusion-exclusion sums.
-        """
-        ids = np.asarray(list(source_ids), dtype=int)
-        if ids.size == 0:
-            return np.ones(self.n_triples, dtype=bool)
-        return self._provides[ids, :].all(axis=0)
-
-    def subset_coverage(self, source_ids: Sequence[int]) -> np.ndarray:
-        """Boolean mask of triples covered by *every* source in the subset.
-
-        Joint quality parameters are estimated on the joint coverage: only
-        triples every subset member could have provided are informative
-        about their joint behaviour.
-        """
-        ids = np.asarray(list(source_ids), dtype=int)
-        if ids.size == 0:
-            return np.ones(self.n_triples, dtype=bool)
-        return self._coverage[ids, :].all(axis=0)
-
     def restricted_to_sources(
         self,
         source_ids: Sequence[int],

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Literal, Optional, Sequence, Union, overload
 
 import numpy as np
 
@@ -294,7 +294,8 @@ class RestrictionTable:
         bits = np.left_shift(
             both[self._rows], self._shifts[:, None], dtype=code_type
         )
-        provider_bits, silent_bits = np.split(bits, 2)
+        half = bits.shape[0] // 2
+        provider_bits, silent_bits = bits[:half], bits[half:]
         codes = np.zeros((len(self._unsort), both.shape[1]), dtype=code_type)
         position = 0
         for count in self._slot_counts:
@@ -305,11 +306,42 @@ class RestrictionTable:
         return codes[self._unsort].astype(np.int64) + self._offsets
 
 
+#: A coded restriction's distinct keys, ascending, and each key's row in
+#: the shared sub-pattern table.
+RestrictionKeys = tuple[np.ndarray, np.ndarray]
+
+
+@overload
 def restricted_unique_patterns(
     provider_matrix: np.ndarray,
     silent_matrix: np.ndarray,
     clusters: Union[RestrictionTable, Sequence[Iterable[int]]],
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    return_keys: Literal[False] = ...,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]: ...
+
+
+@overload
+def restricted_unique_patterns(
+    provider_matrix: np.ndarray,
+    silent_matrix: np.ndarray,
+    clusters: Union[RestrictionTable, Sequence[Iterable[int]]],
+    return_keys: Literal[True],
+) -> tuple[
+    np.ndarray, np.ndarray, list[np.ndarray], Optional[RestrictionKeys]
+]: ...
+
+
+def restricted_unique_patterns(
+    provider_matrix: np.ndarray,
+    silent_matrix: np.ndarray,
+    clusters: Union[RestrictionTable, Sequence[Iterable[int]]],
+    return_keys: bool = False,
+) -> Union[
+    tuple[np.ndarray, np.ndarray, list[np.ndarray]],
+    tuple[
+        np.ndarray, np.ndarray, list[np.ndarray], Optional[RestrictionKeys]
+    ],
+]:
     """Distinct sub-patterns after restricting patterns to each cluster.
 
     The clustered fuser's decomposition step: restricting global observation
@@ -340,6 +372,10 @@ def restricted_unique_patterns(
     plus one inverse index per cluster, in cluster order, mapping every
     input pattern to its restriction's row (``values[inverses[c]]``
     scatters per-sub-pattern results back to patterns for cluster ``c``).
+    With ``return_keys`` a fourth item follows: on a coded table the
+    distinct restriction keys the dedup already found, ascending, with
+    each key's row in the shared table (:data:`RestrictionKeys`); ``None``
+    on the masked-word path, which has no keys, and for empty input.
     """
     provider_matrix = np.asarray(provider_matrix, dtype=bool)
     silent_matrix = np.asarray(silent_matrix, dtype=bool)
@@ -359,11 +395,12 @@ def restricted_unique_patterns(
     else:
         table = RestrictionTable(clusters, n_sources)
     n_clusters = table.n_clusters
+    restriction_keys: Optional[RestrictionKeys] = None
     if n_patterns == 0 or n_clusters == 0:
         first_index = np.zeros(0, dtype=np.intp)
         inverse = np.zeros(n_clusters * n_patterns, dtype=np.intp)
     elif table.coded:
-        first_index, inverse = _coded_unique_rows(
+        first_index, inverse, restriction_keys = _coded_unique_rows(
             table, provider_matrix, silent_matrix
         )
     else:
@@ -376,25 +413,25 @@ def restricted_unique_patterns(
     sub_silent = silent_matrix[pattern_of] & table.masks[cluster_of]
     sub_providers.setflags(write=False)
     sub_silent.setflags(write=False)
-    return (
-        sub_providers,
-        sub_silent,
-        list(inverse.reshape(n_clusters, n_patterns)),
-    )
+    inverses = list(inverse.reshape(n_clusters, n_patterns))
+    if return_keys:
+        return sub_providers, sub_silent, inverses, restriction_keys
+    return sub_providers, sub_silent, inverses
 
 
 def _coded_unique_rows(
     table: RestrictionTable,
     provider_matrix: np.ndarray,
     silent_matrix: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(representative, inverse)`` of the stacked restrictions, by key.
+) -> tuple[np.ndarray, np.ndarray, RestrictionKeys]:
+    """``(representative, inverse, keys)`` of the stacked restrictions.
 
     ``representative[d]`` is a stacked index (``cluster * n_patterns +
     pattern``) of some occurrence of distinct row ``d``; rows are numbered
     in lexicographic word order like :func:`_stacked_unique_rows`, which
     fixes the row *contents* and ``inverse`` (not which occurrence
-    represents a row).
+    represents a row).  ``keys`` are the distinct keys, ascending, and
+    their rows.
     """
     n_patterns = provider_matrix.shape[0]
     keys = table.keys(provider_matrix, silent_matrix).reshape(-1)
@@ -405,8 +442,9 @@ def _coded_unique_rows(
         key_rank = np.cumsum(seen, dtype=np.intp) - 1
         key_inverse = key_rank[keys]
         representative = slot_of[seen]
+        distinct = np.flatnonzero(seen).astype(np.int64, copy=False)
     else:
-        _, representative, key_inverse = np.unique(
+        distinct, representative, key_inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )
         key_inverse = key_inverse.reshape(-1)
@@ -416,7 +454,11 @@ def _coded_unique_rows(
     )
     words &= table.mask_words[cluster_of]
     first, row_inverse = unique_rows(words)
-    return representative[first], row_inverse[key_inverse]
+    return (
+        representative[first],
+        row_inverse[key_inverse],
+        (distinct, row_inverse),
+    )
 
 
 def _stacked_unique_rows(

@@ -1,6 +1,6 @@
 """The incremental delta-scoring engine (repro.core.deltas).
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 - **diff mechanics** -- word-level matrix diffing reports exactly the
   columns whose ``provides`` / ``coverage`` bits changed (plus appended
@@ -11,6 +11,12 @@ Four layers of guarantees:
   scored through a ``delta="auto"`` session equal a ``delta="off"``
   (cold) session *bit for bit* at workers 1, 2, and 4, for every fuser
   family, including width changes, full churn, and refits;
+- **clustered log tables** -- a clustered delta step whose cluster
+  restrictions are all known reads them by restriction code (no
+  restriction pass, no evaluator call), a new restriction extends its
+  table, the table honours ``max_entries`` and ``invalidate_caches``,
+  and an uncoded (32-member) cluster keeps its evaluator memo -- every
+  case bit-identical to a ``delta="off"`` twin;
 - **serving integration** -- the empty delta runs zero plan executions,
   refit generation bumps discard stale memos, and
   ``run_serving(mutate_frac=...)`` replays a mutation trace with exact
@@ -27,12 +33,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ClusteredCorrelationFuser,
+    DeltaScorer,
+    ExactCorrelationFuser,
     ObservationMatrix,
     PatternValueMemo,
     ScoringSession,
+    SourcePartition,
     dirty_columns,
+    fit_model,
 )
-from repro.core import deltas, plans
+from repro.core import clustering, deltas, plans
+from repro.core.patterns import CODE_MAX_MEMBERS
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
@@ -341,12 +353,27 @@ def _named(provides, like):
 
 
 def _evaluator_memo_stats(session):
+    """The fuser's sub-pattern reuse state below the score-level memo.
+
+    Exact and elastic fusers report their row memo's counters.  The
+    clustered fuser keeps a log table per coded evaluator group instead
+    of evaluator memos, so it reports the tables' contents (and the memo
+    counters of any evaluator that still has one).
+    """
     fuser = session.fuser
-    evaluators = (
-        fuser._distinct_evaluators() if hasattr(fuser, "_distinct_evaluators")
-        else [fuser]
-    )
-    return [evaluator.delta_memo.stats for evaluator in evaluators]
+    if not hasattr(fuser, "log_tables"):
+        return [fuser.delta_memo.stats]
+    tables = [
+        tuple(array.tolist() for array in table)
+        for table in fuser.log_tables
+        if table is not None
+    ]
+    assert tables and all(keys for keys, _, _ in tables)
+    return tables + [
+        evaluator.delta_memo.stats
+        for evaluator in fuser._distinct_evaluators()
+        if evaluator.delta_memo is not None
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -524,6 +551,202 @@ class TestDeltaServingBehaviour:
             ScoringSession(
                 dataset.observations, dataset.labels, delta="maybe"
             )
+
+
+# ----------------------------------------------------------------------
+# Clustered log tables: per-restriction reuse keyed by restriction code
+# ----------------------------------------------------------------------
+
+
+def _clustered_pair(seed=61, n_triples=300):
+    """A warmed clustered delta session and its ``delta="off"`` twin."""
+    dataset = _dataset(seed=seed, n_triples=n_triples)
+    session = ScoringSession(
+        dataset.observations, dataset.labels, method="clustered"
+    )
+    twin = ScoringSession(
+        dataset.observations, dataset.labels, method="clustered",
+        delta="off",
+    )
+    assert isinstance(session.fuser, ClusteredCorrelationFuser)
+    steps = [dataset.observations] + mutation_trace(
+        dataset.observations, 3, 0.03, seed=seed
+    )
+    for matrix in steps:
+        assert np.array_equal(session.score(matrix), twin.score(matrix))
+    return session, twin, steps[-1]
+
+
+def _table_entries(fuser):
+    return [
+        None if table is None else table[0].size for table in fuser.log_tables
+    ]
+
+
+def _joined_components(fuser):
+    """Source sets that are unions of clusters on both sides."""
+    owner = list(range(fuser.model.n_sources))
+
+    def find(i):
+        while owner[i] != i:
+            owner[i] = owner[owner[i]]
+            i = owner[i]
+        return i
+
+    for partition in (fuser.true_partition, fuser.false_partition):
+        for cluster in partition.clusters:
+            first, *rest = sorted(cluster)
+            for member in rest:
+                owner[find(member)] = find(first)
+    components: dict[int, list[int]] = {}
+    for source in range(fuser.model.n_sources):
+        components.setdefault(find(source), []).append(source)
+    return list(components.values())
+
+
+def _recombined_step(fuser, matrix):
+    """``matrix`` with column 0 rebuilt from two columns' restrictions.
+
+    The new column takes one joined component's rows from column ``i``
+    and every other row from column ``j``, so each cluster restriction of
+    its pattern is one the fuser has already scored, while the global
+    pattern itself is new to the stream.
+    """
+    provides, coverage = matrix.provides, matrix.coverage
+    seen = {
+        (provides[:, k].tobytes(), coverage[:, k].tobytes())
+        for k in range(matrix.n_triples)
+    }
+    rows = np.zeros(matrix.n_sources, dtype=bool)
+    rows[_joined_components(fuser)[0]] = True
+    for i in range(matrix.n_triples):
+        for j in range(matrix.n_triples):
+            column = np.where(rows, provides[:, i], provides[:, j])
+            covered = np.where(rows, coverage[:, i], coverage[:, j])
+            if (column.tobytes(), covered.tobytes()) not in seen:
+                new_provides, new_coverage = provides.copy(), coverage.copy()
+                new_provides[:, 0], new_coverage[:, 0] = column, covered
+                return ObservationMatrix(
+                    new_provides, matrix.source_names, coverage=new_coverage
+                )
+    raise AssertionError("no recombined pattern is new")
+
+
+class TestClusteredLogTable:
+    def test_known_restrictions_skip_restriction_and_evaluation(
+        self, monkeypatch
+    ):
+        session, twin, current = _clustered_pair()
+        fuser = session.fuser
+        assert len(_joined_components(fuser)) >= 2
+        step = _recombined_step(fuser, current)
+
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            clustering, "restricted_unique_patterns",
+            spy("restrict", clustering.restricted_unique_patterns),
+        )
+        monkeypatch.setattr(
+            ExactCorrelationFuser, "pattern_likelihoods_batch",
+            spy("evaluate", ExactCorrelationFuser.pattern_likelihoods_batch),
+        )
+        monkeypatch.setattr(
+            ClusteredCorrelationFuser, "pattern_mu_batch",
+            spy("mu", ClusteredCorrelationFuser.pattern_mu_batch),
+        )
+        before = _table_entries(fuser)
+        scores = session.score(step)
+        assert calls == ["mu"]
+        assert _table_entries(fuser) == before
+        monkeypatch.undo()
+        assert np.array_equal(scores, twin.score(step))
+        session.close()
+        twin.close()
+
+    def test_new_restriction_extends_the_table(self):
+        session, twin, current = _clustered_pair(seed=62)
+        fuser = session.fuser
+        before = sum(_table_entries(fuser))
+        # The dataset covers every triple fully, so a source that stops
+        # covering one makes a restriction no earlier request had.
+        coverage = current.coverage.copy()
+        source, triple = np.argwhere(~current.provides)[0]
+        coverage[source, triple] = False
+        step = ObservationMatrix(
+            current.provides, current.source_names, coverage=coverage
+        )
+        assert np.array_equal(session.score(step), twin.score(step))
+        assert sum(_table_entries(fuser)) > before
+        session.close()
+        twin.close()
+
+    def test_invalidate_caches_empties_the_table(self):
+        session, twin, current = _clustered_pair(seed=63)
+        fuser = session.fuser
+        assert all(entries for entries in _table_entries(fuser))
+        fuser.invalidate_caches()
+        assert set(_table_entries(fuser)) == {0}
+        step = mutation_trace(current, 1, 0.03, seed=1)[0]
+        assert np.array_equal(session.score(step), twin.score(step))
+        assert all(entries for entries in _table_entries(fuser))
+        session.close()
+        twin.close()
+
+    def test_max_entries_caps_the_table(self):
+        dataset = _dataset(seed=64)
+        model = fit_model(dataset.observations, dataset.labels)
+        fuser = ClusteredCorrelationFuser(model)
+        fuser.enable_delta_memo(max_entries=5)
+        scorer = DeltaScorer(fuser)
+        twin = ClusteredCorrelationFuser(
+            model,
+            true_partition=fuser.true_partition,
+            false_partition=fuser.false_partition,
+        )
+        steps = [dataset.observations] + mutation_trace(
+            dataset.observations, 4, 0.05, seed=64
+        )
+        for matrix in steps:
+            assert np.array_equal(scorer.score(matrix), twin.score(matrix))
+        assert max(_table_entries(fuser)) == 5
+        with pytest.raises(ValueError, match="max_entries"):
+            fuser.enable_delta_memo(max_entries=-1)
+
+    def test_uncoded_cluster_keeps_its_evaluator_memo(self):
+        n_sources = CODE_MAX_MEMBERS + 3
+        dataset = _dataset(seed=65, n_sources=n_sources, n_triples=60)
+        model = fit_model(dataset.observations, dataset.labels)
+        wide = frozenset(range(CODE_MAX_MEMBERS + 1))
+        partition = SourcePartition(
+            (wide,) + tuple(
+                frozenset([source])
+                for source in range(CODE_MAX_MEMBERS + 1, n_sources)
+            )
+        )
+        fuser = ClusteredCorrelationFuser(
+            model, true_partition=partition, false_partition=partition
+        )
+        twin = ClusteredCorrelationFuser(
+            model, true_partition=partition, false_partition=partition
+        )
+        fuser.enable_delta_memo()
+        scorer = DeltaScorer(fuser)
+        steps = [dataset.observations] + mutation_trace(
+            dataset.observations, 3, 0.05, seed=65
+        )
+        for matrix in steps:
+            assert np.array_equal(scorer.score(matrix), twin.score(matrix))
+        elastic = fuser.elastic_evaluators()[wide]
+        assert elastic.delta_memo is not None and len(elastic.delta_memo)
+        entries = _table_entries(fuser)
+        assert None in entries and any(entries)
 
 
 # ----------------------------------------------------------------------

@@ -85,15 +85,6 @@ class TestQueries:
         assert tiny_matrix.output_size(0) == 2
         assert tiny_matrix.output_size(2) == 3
 
-    def test_subset_intersection(self, tiny_matrix):
-        both = tiny_matrix.subset_intersection([0, 1])
-        assert both.tolist() == [True, False, False, False]
-        empty = tiny_matrix.subset_intersection([])
-        assert empty.all()
-
-    def test_subset_coverage_full(self, tiny_matrix):
-        assert tiny_matrix.subset_coverage([0, 1, 2]).all()
-
     def test_restricted_to_sources(self, tiny_matrix):
         sub = tiny_matrix.restricted_to_sources([2, 0])
         assert sub.source_names == ("C", "A")

@@ -8,6 +8,10 @@
   is checked against the exact fuser.  Both sides sum in a different
   order from the count, so these comparisons state a small tolerance;
   the production contract against the goldens stays exact.
+- **One cluster is exact** -- the clustered fuser with one all-source
+  cluster on both sides scores like the exact fuser on up to 8 sources,
+  cold and delta-served (its restriction log tables), within a stated
+  tolerance for the log/exp route.
 - **Totality** -- every joint model answers ``joint_params_batch`` (never
   ``None``), bit-equal to its scalar ``joint_recall`` / ``joint_fpr``.
 - **Removed switches stay removed** -- no public callable takes
@@ -32,6 +36,8 @@ import repro
 import repro.core
 from repro.cli import main
 from repro.core import (
+    ClusteredCorrelationFuser,
+    DeltaScorer,
     ElasticFuser,
     EmpiricalJointModel,
     ExactCorrelationFuser,
@@ -39,9 +45,11 @@ from repro.core import (
     IndependentJointModel,
     ObservationMatrix,
     ScoringSession,
+    SourcePartition,
     SourceQuality,
     fit_model,
 )
+from repro.eval import mutation_trace
 from repro.util.probability import PROBABILITY_FLOOR
 
 #: Absolute tolerance of the enumerations: Eq. 10 adds up to 2^8 signed
@@ -136,6 +144,65 @@ class TestFirstPrinciples:
             exact.pattern_likelihoods_batch(provider, silent),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=ENUMERATION_ATOL)
+
+
+# ----------------------------------------------------------------------
+# Clustered with one cluster is exact
+# ----------------------------------------------------------------------
+
+#: Relative tolerance of clustered-vs-exact scores: the clustered route
+#: computes ``mu`` as ``exp(log Pr(Ot|t) - log Pr(Ot|not t))``, the exact
+#: fuser as the plain quotient, so the two differ by a few ulps.
+CLUSTERED_RTOL = 1e-12
+
+
+class TestOneClusterIsExact:
+    @pytest.mark.parametrize("n_sources", (1, 4, 8))
+    @pytest.mark.parametrize("partial", (False, True))
+    def test_cold_and_delta_served(self, n_sources, partial):
+        rng = np.random.default_rng(100 + n_sources)
+        provides = rng.random((n_sources, 400)) < 0.4
+        coverage = provides | (rng.random((n_sources, 400)) < 0.85)
+        matrix = ObservationMatrix(
+            provides,
+            [f"s{i}" for i in range(n_sources)],
+            coverage=coverage if partial else None,
+        )
+        labels = rng.random(400) < 0.5
+        model = fit_model(matrix, labels, smoothing=0.1)
+        whole = SourcePartition((frozenset(range(n_sources)),))
+        exact = ExactCorrelationFuser(model)
+        cold = ClusteredCorrelationFuser(
+            model, true_partition=whole, false_partition=whole
+        )
+        served = ClusteredCorrelationFuser(
+            model, true_partition=whole, false_partition=whole
+        )
+        served.enable_delta_memo()
+        scorer = DeltaScorer(served)
+        steps = [matrix] + mutation_trace(matrix, 4, 0.05, seed=n_sources)
+        for step in steps:
+            want = exact.score(step)
+            np.testing.assert_allclose(
+                cold.score(step), want, rtol=CLUSTERED_RTOL, atol=0
+            )
+            np.testing.assert_allclose(
+                scorer.score(step), want, rtol=CLUSTERED_RTOL, atol=0
+            )
+        assert scorer.stats["delta"] == 4
+        # With one cluster every restriction is a whole pattern, so the
+        # delta steps above only extended the log table.  A fresh scorer
+        # over the same fuser re-scores each mutated step in full, and
+        # every restriction now comes from the table.
+        (table,) = served.log_tables
+        replay = DeltaScorer(served)
+        for step in steps[1:]:
+            replay.invalidate()
+            np.testing.assert_allclose(
+                replay.score(step), exact.score(step),
+                rtol=CLUSTERED_RTOL, atol=0,
+            )
+        assert served.log_tables[0] is table and table[0].size
 
 
 # ----------------------------------------------------------------------

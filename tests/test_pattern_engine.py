@@ -553,6 +553,22 @@ class TestRestrictedUniquePatterns:
             assert len(got[2]) == len(clusters)
             for got_inverse, want_inverse in zip(got[2], want[2]):
                 assert np.array_equal(got_inverse, want_inverse)
+        # return_keys adds the distinct restriction keys, ascending, and
+        # each key's row in the shared table (coded tables only).
+        *rest, restriction_keys = restricted_unique_patterns(
+            provider_matrix, silent_matrix, table, return_keys=True
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(rest[:2], want[:2]))
+        if not table.coded:
+            assert restriction_keys is None
+            return table
+        keys = table.keys(provider_matrix, silent_matrix)
+        distinct, rows = restriction_keys
+        assert np.array_equal(distinct, np.unique(keys))
+        for cluster_keys, want_inverse in zip(keys, want[2]):
+            assert np.array_equal(
+                rows[np.searchsorted(distinct, cluster_keys)], want_inverse
+            )
         return table
 
     def test_repeated_member_ids(self):
