@@ -4,9 +4,9 @@ Replays the open-loop serving trace of ``bench_serving_load`` under
 deterministic fault schedules (``repro.core.faults``) and measures what
 recovery *costs*, not just whether it happens:
 
-- **baseline** -- the chaos harness with an inert plan (a fault armed so
-  far into the trace it never fires): same accounting machinery, zero
-  injected failures.  Everything else is measured against this.
+- **baseline** -- the open-loop runner with an inert plan (a fault armed
+  so far into the trace it never fires): same accounting machinery,
+  zero injected failures.  Everything else is measured against this.
 - **worker_kill** -- a process worker is killed mid-trace
   (``worker:kill:2``); the supervised pool must detect the broken
   executor, rebuild it, and re-run the map.  Recovery overhead is the
@@ -21,7 +21,7 @@ recovery *costs*, not just whether it happens:
   and serve on, and the *next* refit must succeed.
 
 Always-enforced gates (any machine): every run terminates with complete
-accounting (``run_serving_chaos`` raises on hangs, leaks, or accounting
+accounting (``run_serving_load`` raises on hangs, leaks, or accounting
 gaps), served scores are bit-identical to a fault-free cold twin, the
 kill cell actually restarted the pool, the raise cell actually degraded,
 and the refit cell rolled back exactly one refit.  The recovery-latency
@@ -51,7 +51,8 @@ from repro.data import (
     uniform_sources,
 )
 from repro.eval import format_table
-from repro.eval.harness import run_serving_chaos
+from repro.core.faults import FaultPlan
+from repro.eval.harness import run_serving_load
 
 JSON_PATH = RESULTS_DIR / "BENCH_chaos_recovery.json"
 
@@ -97,6 +98,7 @@ def _workload(n_sources: int, n_triples: int, seed: int = 17):
 
 def _report_row(kind: str, report) -> dict:
     pool = report.pool_stats
+    resilience = report.stats["resilience"]
     return {
         "kind": kind,
         "fault_spec": report.fault_spec,
@@ -106,9 +108,9 @@ def _report_row(kind: str, report) -> dict:
         "shed": report.shed,
         "failed": report.failed,
         "terminated": report.terminated,
-        "retries": report.retries,
-        "degraded_batches": report.degraded_batches,
-        "forced_degrades": report.forced_degrades,
+        "retries": resilience["retries"],
+        "degraded_batches": resilience["degraded_batches"],
+        "forced_degrades": resilience["forced_degrades"],
         "refit_attempts": report.refit_attempts,
         "refit_failures": report.refit_failures,
         "refits": report.refits,
@@ -129,7 +131,9 @@ def _chaos(dataset, kind: str, spec: str, requests: int, **overrides) -> dict:
         "seed": SEED,
     }
     settings.update(overrides)
-    report = run_serving_chaos(dataset, fault_spec=spec, **settings)
+    report = run_serving_load(
+        dataset, fault_plan=FaultPlan.from_spec(spec), **settings
+    )
     return _report_row(kind, report)
 
 

@@ -98,15 +98,15 @@ def _report_row(kind: str, report) -> dict:
         "mean_latency_seconds": report.mean_latency_seconds,
         "max_latency_seconds": report.max_latency_seconds,
         "refits": report.refits,
-        "deadline_misses": report.frontend_stats["deadline_misses"],
-        "largest_batch": report.frontend_stats["largest_batch"],
+        "deadline_misses": report.stats["deadline_misses"],
+        "largest_batch": report.stats["largest_batch"],
         "max_abs_diff": report.max_abs_diff,
-        "delta_routed": report.routing_stats.get("delta_routed", 0),
-        "cold_routed": report.routing_stats.get("cold_routed", 0),
-        "shed_queue_depth": report.admission_stats.get(
+        "delta_routed": report.stats["routing"].get("delta_routed", 0),
+        "cold_routed": report.stats["routing"].get("cold_routed", 0),
+        "shed_queue_depth": report.stats["admission"].get(
             "shed_queue_depth", 0
         ),
-        "peak_depth": report.admission_stats.get("peak_depth", 0),
+        "peak_depth": report.stats["admission"].get("peak_depth", 0),
     }
 
 

@@ -20,6 +20,7 @@ import math
 import sys
 from typing import Mapping, Optional, Sequence
 
+from repro.core import faults
 from repro.core.api import METHOD_NAMES, fuse
 from repro.core.clustering import correlation_edges, detect_partition_state
 from repro.core.api import fit_model
@@ -28,7 +29,6 @@ from repro.eval.harness import (
     paper_method_specs,
     run_comparison,
     run_serving,
-    run_serving_chaos,
     run_serving_load,
 )
 from repro.eval.metrics import auc_pr, auc_roc, binary_metrics
@@ -229,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--chaos", action="store_true",
-        help="replay the trace under deterministic fault injection and "
-             "assert the fault-tolerance contract: every request "
-             "terminates, the admission ledger drains to zero, and "
-             "completed scores stay bit-identical to a fault-free cold "
-             "twin",
+        help="replay the trace under deterministic fault injection "
+             "(see --faults); every run, with or without faults, "
+             "asserts that every request terminates, the admission "
+             "ledger drains to zero, and completed scores stay "
+             "bit-identical to a fault-free cold twin",
     )
     serve_cmd.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -532,65 +532,26 @@ def _serve_engine_options(args: argparse.Namespace) -> dict:
     }
 
 
+def _serve_fault_plan(args: argparse.Namespace) -> "Optional[faults.FaultPlan]":
+    """The fault plan ``serve-bench`` arms: none unless ``--chaos``.
+
+    Under ``--chaos``: the ``--faults`` spec, else ``None`` when an
+    injector is already armed from ``$REPRO_FAULTS`` (the runner serves
+    under it), else a random plan drawn from ``--chaos-seed``.
+    """
+    if not args.chaos:
+        return None
+    if args.faults is not None:
+        return faults.FaultPlan.from_spec(args.faults)
+    if faults.active_injector() is not None:
+        return None
+    return faults.FaultPlan.random(args.chaos_seed)
+
+
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     dataset = get_dataset(args.dataset, seed=args.seed)
-    if args.chaos:
-        return _serve_chaos(args, dataset)
-    report = run_serving_load(
-        dataset,
-        method=args.method,
-        rate_qps=args.rate,
-        requests=args.requests,
-        request_triples=args.request_triples,
-        latency_budget=args.budget,
-        max_queue_depth=args.max_queue_depth,
-        max_inflight_bytes=args.max_inflight_bytes,
-        mutate_frac=args.mutate_frac,
-        refit_every=args.refit_every,
-        refit_mode=args.refit_mode,
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        **_serve_engine_options(args),
-    )
-    print(dataset.summary())
-    rows = [
-        ["offered rate (qps)", f"{report.rate_qps:.1f}"],
-        ["requests", str(report.requests)],
-        ["completed", str(report.completed)],
-        ["shed", str(report.shed)],
-        ["achieved qps", f"{report.achieved_qps:.1f}"],
-        ["p50 latency (ms)", f"{report.p50_latency_seconds * 1e3:.2f}"],
-        ["p99 latency (ms)", f"{report.p99_latency_seconds * 1e3:.2f}"],
-        ["max latency (ms)", f"{report.max_latency_seconds * 1e3:.2f}"],
-        ["deadline misses", str(report.frontend_stats["deadline_misses"])],
-        ["refits", str(report.refits)],
-        ["max |served - direct|", f"{report.max_abs_diff:.1e}"],
-    ]
-    print(format_table(["serving", "value"], rows))
-    routing = report.routing_stats
-    admission = report.admission_stats
-    print(
-        f"\nlanes: delta={routing.get('delta_routed', 0)} "
-        f"cold={routing.get('cold_routed', 0)} "
-        f"(churn evictions: {routing.get('churn_evictions', 0)}); "
-        f"admission peak depth {admission.get('peak_depth', 0)}/"
-        f"{admission.get('max_queue_depth', 0)}"
-    )
-    if report.checkpoint_stats:
-        print(_checkpoint_line(report.checkpoint_stats))
-    if report.max_abs_diff != 0.0:
-        print(
-            "error: served scores diverged from direct session.score",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _serve_chaos(args: argparse.Namespace, dataset) -> int:
-    """``serve-bench --chaos``: a seeded fault replay with hard asserts."""
     try:
-        report = run_serving_chaos(
+        report = run_serving_load(
             dataset,
             method=args.method,
             rate_qps=args.rate,
@@ -603,41 +564,64 @@ def _serve_chaos(args: argparse.Namespace, dataset) -> int:
             refit_every=args.refit_every,
             refit_mode=args.refit_mode,
             workers=args.workers,
-            fault_spec=args.faults,
-            fault_seed=args.chaos_seed,
+            fault_plan=_serve_fault_plan(args),
             checkpoint_dir=args.checkpoint_dir,
             **_serve_engine_options(args),
         )
     except RuntimeError as error:
-        # A violated chaos invariant (hang, accounting gap, admission
-        # leak, bit-identity break) -- the whole point of the command.
+        # A violated serving invariant: a hang, an accounting gap, an
+        # admission leak, a failure with no fault plan armed, or a
+        # bit-identity break.
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(dataset.summary())
-    fired = report.fault_stats.get("fired", {})
+    stats = report.stats
     rows = [
-        ["fault plan", report.fault_spec],
-        ["faults fired", ", ".join(
-            f"{site}x{n}" for site, n in sorted(fired.items())
-        ) or "none"],
+        ["offered rate (qps)", f"{report.rate_qps:.1f}"],
         ["requests", str(report.requests)],
         ["completed", str(report.completed)],
         ["shed", str(report.shed)],
-        ["failed", str(report.failed)],
-        ["retries", str(report.retries)],
-        ["degraded batches", str(report.degraded_batches)],
-        ["forced degrades", str(report.forced_degrades)],
-        ["refit attempts", str(report.refit_attempts)],
-        ["refit failures", str(report.refit_failures)],
-        ["pool restarts", str(report.pool_stats.get("restarts", 0))],
-        ["admission depth after", str(report.admission_depth_after)],
+        ["achieved qps", f"{report.achieved_qps:.1f}"],
+        ["p50 latency (ms)", f"{report.p50_latency_seconds * 1e3:.2f}"],
+        ["p99 latency (ms)", f"{report.p99_latency_seconds * 1e3:.2f}"],
+        ["max latency (ms)", f"{report.max_latency_seconds * 1e3:.2f}"],
+        ["deadline misses", str(stats["deadline_misses"])],
+        ["refits", str(report.refits)],
+    ]
+    if report.fault_spec is not None:
+        fired = report.fault_stats.get("fired", {})
+        resilience = stats["resilience"]
+        rows += [
+            ["fault plan", report.fault_spec],
+            ["faults fired", ", ".join(
+                f"{site}x{n}" for site, n in sorted(fired.items())
+            ) or "none"],
+            ["failed", str(report.failed)],
+            ["retries", str(resilience["retries"])],
+            ["degraded batches", str(resilience["degraded_batches"])],
+            ["forced degrades", str(resilience["forced_degrades"])],
+            ["refit attempts", str(report.refit_attempts)],
+            ["refit failures", str(report.refit_failures)],
+            ["pool restarts", str(report.pool_stats.get("restarts", 0))],
+        ]
+    rows += [
+        ["admission depth after", str(stats["admission"]["depth"])],
         ["max |served - twin|", f"{report.max_abs_diff:.1e}"],
     ]
-    print(format_table(["chaos", "value"], rows))
+    print(format_table(["serving", "value"], rows))
+    routing = stats["routing"]
+    admission = stats["admission"]
+    print(
+        f"\nlanes: delta={routing.get('delta_routed', 0)} "
+        f"cold={routing.get('cold_routed', 0)} "
+        f"(churn evictions: {routing.get('churn_evictions', 0)}); "
+        f"admission peak depth {admission.get('peak_depth', 0)}/"
+        f"{admission.get('max_queue_depth', 0)}"
+    )
     if report.checkpoint_stats:
         print(_checkpoint_line(report.checkpoint_stats))
     print(
-        "\nall admitted requests terminated, the admission ledger drained "
+        "all admitted requests terminated, the admission ledger drained "
         "to zero, and completed scores are bit-identical to the "
         "fault-free cold twin"
     )

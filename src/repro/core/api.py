@@ -340,20 +340,9 @@ def _build_fuser(
 class _PendingScore:
     """One enqueued :meth:`MicroBatcher.submit` request."""
 
-    __slots__ = (
-        "observations",
-        "event",
-        "scores",
-        "error",
-        "promoted",
-        "flush_at",
-    )
+    __slots__ = ("observations", "event", "scores", "error", "promoted")
 
-    def __init__(
-        self,
-        observations: ObservationMatrix,
-        flush_at: Optional[float] = None,
-    ) -> None:
+    def __init__(self, observations: ObservationMatrix) -> None:
         self.observations = observations
         self.event = threading.Event()
         self.scores: Optional[np.ndarray] = None
@@ -361,9 +350,6 @@ class _PendingScore:
         # Set (under the batcher lock) when a retiring leader wakes this
         # still-queued request to take over leadership.
         self.promoted = False
-        # Monotonic deadline by which this request wants its batch cut
-        # (half its latency budget); None = content with the full window.
-        self.flush_at = flush_at
 
 
 class BatchScoreOutcome:
@@ -395,10 +381,10 @@ class MicroBatcher:
     passes.  The batcher turns them into one wide pass: ``submit``
     enqueues the request, one caller becomes the *leader* (no background
     thread -- the leader is whichever submitter found no leader active),
-    waits ``wait_seconds`` for stragglers, coalesces the pending requests
-    into a single fused observation matrix (columns concatenated in
-    request order, request-boundary offsets preserved), executes **one**
-    delta-aware session score, and splits the result back per request.
+    coalesces the pending requests into a single fused observation matrix
+    (columns concatenated in request order, request-boundary offsets
+    preserved), executes **one** delta-aware session score, and splits
+    the result back per request.
 
     Every request in a batch shares one model generation by construction:
     the fused matrix is scored through a single ``session.score`` call,
@@ -412,39 +398,31 @@ class MicroBatcher:
     guarantee (PrecRec, aggressive), or mismatched source counts -- are
     scored individually, so ``submit`` is always a drop-in for ``score``.
 
-    The coalescing window is interruptible: the leader waits on a
-    condition variable that ``submit`` signals the moment the queue
-    reaches ``max_requests`` (a burst never waits out the window -- the
-    full batch ships immediately), that per-request latency budgets cut
-    short once the oldest deadline has half-spent its budget, and that
-    :meth:`close` signals on shutdown.  Note the remaining latency
-    floor: an uncontended caller still pays up to ``wait_seconds``
-    (default 2ms) per call for nothing -- use ``score`` (or
-    ``micro_batch="off"``) on single-threaded paths.
+    Dispatch is a group commit, the same policy as the async front end's
+    lanes: there is no coalescing window.  A leader ships whatever is
+    queued at once (an uncontended caller scores immediately on its own
+    thread), and submits that arrive while a batch scores queue up and
+    ship together as the next batch, at most ``max_requests`` per batch.
+    Before cutting a batch the leader yields the interpreter lock while
+    the queue keeps growing (``time.sleep(0)``, no timer), so a burst of
+    submitters woken together lands in one batch instead of the first
+    one shipping alone.  Coalescing therefore comes from concurrency
+    itself -- the busier the session, the wider the batches -- and never
+    from holding a request.
     """
 
     def __init__(
         self,
         session: "ScoringSession",
         max_requests: int = 64,
-        wait_seconds: float = 0.002,
     ) -> None:
         if max_requests < 1:
             raise ValueError(
                 f"max_requests must be >= 1, got {max_requests}"
             )
-        if wait_seconds < 0.0:
-            raise ValueError(
-                f"wait_seconds must be non-negative, got {wait_seconds}"
-            )
         self._session = session
         self._max_requests = int(max_requests)
-        self._wait_seconds = float(wait_seconds)
         self._lock = make_lock("MicroBatcher._lock")
-        # The interruptible coalescing window: submit notifies once the
-        # queue is full (or a deadline-carrying request arrives), close
-        # notifies on shutdown; _drain waits on it instead of sleeping.
-        self._queue_ready = threading.Condition(self._lock)
         # guarded-by: _lock
         self._pending: list[_PendingScore] = []
         # guarded-by: _lock
@@ -489,45 +467,31 @@ class MicroBatcher:
                 "largest_batch": self._largest_batch,
                 "largest_fused_batch": self._largest_fused_batch,
                 "max_requests": self._max_requests,
-                "wait_seconds": self._wait_seconds,
                 "closed": self._closed,
             }
 
     def close(self) -> None:
-        """Retire the batcher: flush pending traffic, stop coalescing.
+        """Retire the batcher: stop coalescing new traffic.
 
-        Wakes the leader's coalescing wait so already-queued requests
-        ship immediately; submits arriving after close score inline
-        through the session (no window, no fusion).  Idempotent.
+        Already-queued requests still ship with the active leader's next
+        batches; submits arriving after close score inline through the
+        session (no queue, no fusion).  Idempotent.
         """
         with self._lock:
             self._closed = True
-            self._queue_ready.notify_all()
 
-    def submit(
-        self,
-        observations: ObservationMatrix,
-        latency_budget: Optional[float] = None,
-    ) -> np.ndarray:
+    def submit(self, observations: ObservationMatrix) -> np.ndarray:
         """Score ``observations``, coalescing with concurrent submitters.
 
         Blocks until this request's scores are ready; exceptions raised by
         the underlying scoring land on the requests that caused them.
-        Latency is bounded: a leader retires once its own request has been
-        served, handing the remaining queue to a waiting submitter, so no
-        caller serves other threads' traffic indefinitely.  A request
-        carrying a ``latency_budget`` (seconds) additionally cuts the
-        coalescing window short once half its budget is spent, leaving
-        the other half for the scoring pass itself.
+        With no leader active the caller leads and scores at once;
+        otherwise it waits for the batch that picks it up.  Latency is
+        bounded: a leader retires once its own request has been served,
+        handing the remaining queue to a waiting submitter, so no caller
+        serves other threads' traffic indefinitely.
         """
-        if latency_budget is not None and latency_budget <= 0.0:
-            raise ValueError(
-                f"latency_budget must be positive, got {latency_budget}"
-            )
-        flush_at = None
-        if latency_budget is not None:
-            flush_at = time.monotonic() + latency_budget / 2.0
-        request = _PendingScore(observations, flush_at=flush_at)
+        request = _PendingScore(observations)
         with self._lock:
             if self._closed:
                 closed = True
@@ -538,14 +502,6 @@ class MicroBatcher:
                 leader = not self._leader_active
                 if leader:
                     self._leader_active = True
-                elif (
-                    len(self._pending) >= self._max_requests
-                    or flush_at is not None
-                ):
-                    # Cut the leader's coalescing wait short: a full
-                    # queue must ship now, and a deadline-carrying
-                    # request may move the earliest flush time up.
-                    self._queue_ready.notify_all()
         if closed:
             return self._session.score(observations)
         while True:
@@ -597,16 +553,15 @@ class MicroBatcher:
                 self._leader_active = False
 
     def _drain(self, own: _PendingScore) -> None:
-        """Leader loop: execute batches until the queue empties or, once
-        ``own`` has been served, leadership is handed to a waiting
-        submitter (bounding every caller's time spent serving others)."""
+        """Leader loop (group commit): ship what is queued, up to
+        ``max_requests``, and repeat with whatever arrived meanwhile until
+        the queue empties or, once ``own`` has been served, leadership is
+        handed to a waiting submitter (bounding every caller's time spent
+        serving others)."""
         batch: list[_PendingScore] = []
         try:
             while True:
-                self._await_coalescing_window()
-                with self._lock:
-                    batch = self._pending[: self._max_requests]
-                    del self._pending[: len(batch)]
+                batch = self._take_batch()
                 self._execute(batch)
                 batch = []
                 with self._lock:
@@ -645,36 +600,26 @@ class MicroBatcher:
                 request.event.set()
             raise
 
-    def _await_coalescing_window(self) -> None:
-        """The interruptible coalescing window (replaces a fixed sleep).
+    def _take_batch(self) -> list[_PendingScore]:
+        """Dequeue the next batch: everything queued, up to ``max_requests``.
 
-        Gives stragglers up to ``wait_seconds`` to enqueue, but returns
-        the moment the queue is full (``submit`` notifies the condition),
-        the earliest per-request flush deadline passes, or the batcher is
-        closed -- so a burst that fills the batch right after the leader
-        starts waiting ships immediately instead of waiting the window
-        out.
+        Not a window -- no timer runs.  ``sleep(0)`` only releases the
+        interpreter lock, so submitters that are already runnable (a
+        burst woken together) enqueue first; the leader keeps yielding
+        while each yield grows the queue and cuts the batch once one
+        brings nobody new.  An uncontended leader pays two such yields.
         """
-        if self._wait_seconds <= 0.0:
-            return
-        window_end = time.monotonic() + self._wait_seconds
-        with self._lock:
-            while True:
-                if self._closed:
-                    return
-                if len(self._pending) >= self._max_requests:
-                    return
-                cutoff = window_end
-                for request in self._pending:
-                    if (
-                        request.flush_at is not None
-                        and request.flush_at < cutoff
-                    ):
-                        cutoff = request.flush_at
-                remaining = cutoff - time.monotonic()
-                if remaining <= 0.0:
-                    return
-                self._queue_ready.wait(remaining)
+        queued = 0
+        while True:
+            time.sleep(0)
+            with self._lock:
+                pending = len(self._pending)
+                if queued < pending < self._max_requests:
+                    queued = pending
+                    continue
+                batch = self._pending[: self._max_requests]
+                del self._pending[: len(batch)]
+                return batch
 
     def _execute(self, batch: list[_PendingScore]) -> None:
         """Score one batch (fused when possible) and wake its requests."""
@@ -787,7 +732,6 @@ class ScoringSession:
         shard_size: Optional[int] = None,
         delta: str = "auto",
         micro_batch: str = "auto",
-        micro_batch_wait_seconds: float = 0.002,
         micro_batch_max_requests: int = 64,
         **options: Any,
     ) -> None:
@@ -801,17 +745,11 @@ class ScoringSession:
         self._shard_size = shard_size
         self._delta = _check_serving_mode(delta, "delta")
         self._micro_batch = _check_serving_mode(micro_batch, "micro_batch")
-        if micro_batch_wait_seconds < 0.0:
-            raise ValueError(
-                "micro_batch_wait_seconds must be non-negative, got "
-                f"{micro_batch_wait_seconds}"
-            )
         if micro_batch_max_requests < 1:
             raise ValueError(
                 "micro_batch_max_requests must be >= 1, got "
                 f"{micro_batch_max_requests}"
             )
-        self._micro_batch_wait = float(micro_batch_wait_seconds)
         self._micro_batch_max = int(micro_batch_max_requests)
         self._batcher_lock = make_lock("ScoringSession._batcher_lock")
         # guarded-by: _batcher_lock
@@ -1143,20 +1081,15 @@ class ScoringSession:
             offset += width
         return BatchScoreOutcome(scores, errors, len(fusable))
 
-    def submit(
-        self,
-        observations: ObservationMatrix,
-        latency_budget: Optional[float] = None,
-    ) -> np.ndarray:
+    def submit(self, observations: ObservationMatrix) -> np.ndarray:
         """Score with cross-request micro-batching (see :class:`MicroBatcher`).
 
         Concurrent submitters sharing a model generation are coalesced
         into one fused delta-aware scoring pass and handed back their
-        per-request slices -- bit-identical to :meth:`score`.  With
-        ``micro_batch="off"`` this is an alias for :meth:`score`.  A
-        ``latency_budget`` (seconds) flushes this request's batch once
-        half the budget is spent rather than after the full coalescing
-        window.
+        per-request slices -- bit-identical to :meth:`score`.  Nothing
+        waits for company: an uncontended call scores at once, and calls
+        that arrive while a batch scores ship together as the next one.
+        With ``micro_batch="off"`` this is an alias for :meth:`score`.
         """
         if self._micro_batch == "off":
             return self.score(observations)
@@ -1165,12 +1098,10 @@ class ScoringSession:
             with self._batcher_lock:
                 if self._batcher is None:
                     self._batcher = MicroBatcher(
-                        self,
-                        max_requests=self._micro_batch_max,
-                        wait_seconds=self._micro_batch_wait,
+                        self, max_requests=self._micro_batch_max
                     )
                 batcher = self._batcher
-        return batcher.submit(observations, latency_budget=latency_budget)
+        return batcher.submit(observations)
 
     @property
     def micro_batcher(self) -> Optional[MicroBatcher]:

@@ -45,8 +45,9 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from repro.core.locktrace import make_lock
 
@@ -401,6 +402,23 @@ def uninstall() -> None:
 def active_injector() -> Optional[FaultInjector]:
     """The armed injector, or ``None`` when injection is off."""
     return _INJECTOR
+
+
+@contextmanager
+def armed(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultInjector]]:
+    """Arm ``plan`` for the block (``None`` disarms injection instead).
+
+    On exit the injector that was installed before -- e.g. one armed
+    from ``$REPRO_FAULTS`` -- is put back as the same object, its hit
+    counters intact.
+    """
+    global _INJECTOR
+    previous = _INJECTOR
+    _INJECTOR = None if plan is None else FaultInjector(plan)
+    try:
+        yield _INJECTOR
+    finally:
+        _INJECTOR = previous
 
 
 def trip(site: str) -> None:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import ScoringSession, faults
 from repro.data import available_datasets, get_dataset
 
 
@@ -143,6 +146,42 @@ class TestCli:
         out = capsys.readouterr().out
         for method in ("Union-25", "3-Estimates", "LTM", "PrecRec", "PrecRecCorr"):
             assert method in out
+
+    def test_serve_bench_chaos_reuses_a_pre_armed_injector(self, capsys):
+        # --chaos without --faults serves under an injector already armed
+        # from $REPRO_FAULTS; the twins still verify fault-free.
+        faults.install(faults.FaultPlan.from_spec("compile:raise:2:0"))
+        try:
+            code = main(
+                ["serve-bench", "--dataset", "synthetic-correlated",
+                 "--chaos", "--requests", "16", "--rate", "400"]
+            )
+        finally:
+            faults.uninstall()
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "compile:raise:2:0" in captured.out
+        assert re.search(r"max \|served - twin\|\s+0\.0e\+00", captured.out)
+
+    def test_serve_bench_exits_1_on_a_violated_invariant(
+        self, capsys, monkeypatch
+    ):
+        # No fault plan: a request failure is a contract violation.
+        real_score_batch = ScoringSession.score_batch
+
+        def failing(self, matrices, **kwargs):
+            outcome = real_score_batch(self, matrices, **kwargs)
+            outcome.scores[0] = None
+            outcome.errors[0] = LookupError("broken")
+            return outcome
+
+        monkeypatch.setattr(ScoringSession, "score_batch", failing)
+        code = main(
+            ["serve-bench", "--dataset", "synthetic-correlated",
+             "--requests", "8", "--rate", "400"]
+        )
+        assert code == 1
+        assert "without a fault plan" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

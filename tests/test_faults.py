@@ -17,7 +17,7 @@ Two layers under test:
 The property-based chaos test at the bottom is satellite S4: random
 seeded fault plans against random backend/worker configurations, with
 the accounting, no-hang, and bit-identity invariants asserted by
-``run_serving_chaos`` itself.
+``run_serving_load`` itself.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.core.faults import (
 )
 from repro.core.parallel import WorkerPool
 from repro.data import SyntheticConfig, generate, uniform_sources
-from repro.eval.harness import run_serving_chaos
+from repro.eval.harness import run_serving_load
 
 
 @pytest.fixture(autouse=True)
@@ -144,6 +144,21 @@ class TestInjector:
         assert not injector.watches("score")
         faults.trip("score")
         assert injector.stats["fired"] == {}
+
+    def test_armed_block_restores_the_previous_injector(self):
+        outer = faults.install(FaultPlan.from_spec("score:raise:2"))
+        faults.trip("score")  # hit 1 on the outer injector
+        with faults.armed(FaultPlan.from_spec("refit:raise:1")) as inner:
+            assert faults.active_injector() is inner
+            assert inner is not outer
+        assert faults.active_injector() is outer
+        with faults.armed(None) as disarmed:
+            assert disarmed is None
+            faults.trip("score")  # disarmed: counts nowhere
+        assert faults.active_injector() is outer
+        with pytest.raises(InjectedFault):
+            faults.trip("score")  # hit 2: the counters survived
+        assert outer.stats["hits"] == {"score": 2}
 
     def test_kill_degrades_to_raise_in_the_minting_process(self):
         injector = faults.install(FaultPlan.from_spec("worker:kill:1"))
@@ -380,7 +395,7 @@ def _chaos_dataset():
 class TestChaosProperties:
     """Satellite S4: seeded chaos across backends and worker counts.
 
-    ``run_serving_chaos`` itself raises on any violated invariant --
+    ``run_serving_load`` itself raises on any violated invariant --
     incomplete accounting, a hang past ``max_seconds``, an admission
     leak, or any non-zero score difference against the fault-free cold
     twin -- so the property body only has to drive it.
@@ -406,11 +421,11 @@ class TestChaosProperties:
             # writes, and the checkpointer must absorb them (repair or
             # degrade) without ever failing the serving path.
             with tempfile.TemporaryDirectory() as tmp:
-                report = run_serving_chaos(
+                report = run_serving_load(
                     _chaos_dataset(),
                     requests=12,
                     rate_qps=300.0,
-                    fault_seed=fault_seed,
+                    fault_plan=faults.FaultPlan.random(fault_seed),
                     workers=workers,
                     parallel_backend=backend,
                     shard_size=64,
@@ -422,8 +437,8 @@ class TestChaosProperties:
             faults.uninstall()
         assert report.terminated == report.requests
         assert report.max_abs_diff == 0.0
-        assert report.admission_depth_after == 0
-        assert report.admission_inflight_bytes_after == 0
+        assert report.stats["admission"]["depth"] == 0
+        assert report.stats["admission"]["inflight_bytes"] == 0
         # Durability accounting stayed honest under injection: every
         # skipped record was counted, and degradation (if any) is
         # visible rather than silent.

@@ -252,7 +252,6 @@ def _serving_workload(monkeypatch):
         method="precreccorr",
         workers=2,
         micro_batch="auto",
-        micro_batch_wait_seconds=0.0,
     )
     try:
         session.score(dataset.observations)

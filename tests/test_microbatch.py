@@ -1,9 +1,11 @@
 """Cross-request micro-batching and the worker-pool lifecycle.
 
-- **coalescing** -- concurrent ``submit`` calls share one fused scoring
-  pass and get back per-request slices bit-identical to individual
-  ``score`` calls; non-coalescable requests (EM, mismatched widths)
-  degrade to individual scoring with per-request error routing;
+- **coalescing** -- submits that arrive while a batch scores ship
+  together as the next batch (group commit, no window), share one fused
+  scoring pass and get back per-request slices bit-identical to
+  individual ``score`` calls; an uncontended submit scores at once;
+  non-coalescable requests (EM, mismatched widths) degrade to
+  individual scoring with per-request error routing;
 - **lifecycle** -- ``WorkerPool`` closes idempotently, degrades post-close
   maps to inline execution, reclaims orphaned executors through its GC
   finalizer, and ``ScoringSession.refit``/``close`` shut retired pools
@@ -13,6 +15,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import time
 
@@ -61,6 +64,64 @@ def _request_slices(observations, n_requests, width):
     return requests
 
 
+def _hold_first_batch(session):
+    """Make the session's first ``score_batch`` call wait for a release.
+
+    Returns ``(entered, release)`` events: ``entered`` is set once the
+    leader is inside its first batch, which then blocks until the test
+    sets ``release``.  Later calls run straight through.
+    """
+    entered = threading.Event()
+    release = threading.Event()
+    real_score_batch = session.score_batch
+
+    def held(matrices, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            release.wait(timeout=30)
+        return real_score_batch(matrices, **kwargs)
+
+    session.score_batch = held
+    return entered, release
+
+
+def _held_burst(session, submit, stats, first, followers):
+    """Queue ``followers`` behind a leader held inside its first batch.
+
+    ``first`` is submitted alone and its leader is held in
+    ``score_batch`` until ``stats()["requests"]`` shows every follower
+    queued; then the hold is released.  Group commit must ship all the
+    followers together as the next batch.  Returns per-request
+    ``(results, errors)``, ``first`` at index 0.
+    """
+    entered, release = _hold_first_batch(session)
+    matrices = [first, *followers]
+    results: list = [None] * len(matrices)
+    errors: list = [None] * len(matrices)
+
+    def run(k):
+        try:
+            results[k] = submit(matrices[k])
+        except Exception as error:
+            errors[k] = error
+
+    threads = [threading.Thread(target=run, args=(0,))]
+    threads[0].start()
+    assert entered.wait(timeout=30), "the leader never started scoring"
+    for k in range(1, len(matrices)):
+        threads.append(threading.Thread(target=run, args=(k,)))
+        threads[-1].start()
+    deadline = time.monotonic() + 30
+    while stats()["requests"] < len(matrices):
+        assert time.monotonic() < deadline, "followers never queued"
+        time.sleep(0.001)
+    release.set()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    return results, errors
+
+
 # ----------------------------------------------------------------------
 # Coalescing
 # ----------------------------------------------------------------------
@@ -86,37 +147,59 @@ class TestMicroBatching:
         dataset = _dataset(seed=5)
         observations = dataset.observations
         session = ScoringSession(
-            observations, dataset.labels, method="exact",
-            micro_batch_wait_seconds=0.01,
+            observations, dataset.labels, method="exact"
         )
         reference = ScoringSession(
             observations, dataset.labels, method="exact", delta="off"
         )
         requests = _request_slices(observations, 6, 40)
         expected = [reference.score(request) for request in requests]
-        results: list = [None] * len(requests)
-        barrier = threading.Barrier(len(requests))
-
-        def submit(k):
-            barrier.wait()
-            results[k] = session.submit(requests[k])
-
-        threads = [
-            threading.Thread(target=submit, args=(k,))
-            for k in range(len(requests))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+        results, errors = _held_burst(
+            session,
+            session.submit,
+            lambda: session.micro_batcher.stats,
+            requests[0],
+            requests[1:],
+        )
+        assert errors == [None] * len(requests)
         for k in range(len(requests)):
             assert np.array_equal(results[k], expected[k])
         stats = session.micro_batcher.stats
         assert stats["requests"] == len(requests)
-        # Coalescing happened: fewer scoring batches than requests.
-        assert stats["batches"] < stats["requests"]
-        assert stats["fused_requests"] >= 2
+        # The leader's solo batch, then every follower in one fused pass.
+        assert stats["batches"] == 2
+        assert stats["fused_batches"] == 1
+        assert stats["fused_requests"] == len(requests) - 1
+        assert stats["largest_fused_batch"] == len(requests) - 1
+
+    def test_uncontended_submit_scores_at_once(self):
+        # No window: a lone submitter leads, and its batch starts on its
+        # own thread as soon as it is queued -- well under the 2 ms the
+        # old coalescing window held every leader for.
+        dataset = _dataset(seed=7, n_sources=4, n_triples=60,
+                           correlated=False)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="exact"
+        )
+        expected = session.score(dataset.observations)
+        real_score_batch = session.score_batch
+        entries: list = []
+
+        def timed(matrices, **kwargs):
+            entries.append((threading.get_ident(), time.perf_counter()))
+            return real_score_batch(matrices, **kwargs)
+
+        session.score_batch = timed
+        delays = []
+        for _ in range(5):
+            start = time.perf_counter()
+            scores = session.submit(dataset.observations)
+            thread, entered = entries[-1]
+            assert thread == threading.get_ident()
+            assert np.array_equal(scores, expected)
+            delays.append(entered - start)
+        assert min(delays) < 0.001, delays
+        assert session.micro_batcher.stats["batches"] == 5
 
     def test_micro_batch_off_is_a_plain_score(self):
         dataset = _dataset(seed=9)
@@ -131,30 +214,24 @@ class TestMicroBatching:
     def test_em_sessions_submit_without_coalescing(self):
         dataset = _dataset(seed=11, n_sources=5, correlated=False)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="em",
-            micro_batch_wait_seconds=0.005,
+            dataset.observations, dataset.labels, method="em"
         )
         requests = _request_slices(dataset.observations, 3, 60)
         expected = [session.score(request) for request in requests]
-        results: list = [None] * len(requests)
-        barrier = threading.Barrier(len(requests))
-
-        def submit(k):
-            barrier.wait()
-            results[k] = session.submit(requests[k])
-
-        threads = [
-            threading.Thread(target=submit, args=(k,)) for k in range(3)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+        results, errors = _held_burst(
+            session,
+            session.submit,
+            lambda: session.micro_batcher.stats,
+            requests[0],
+            requests[1:],
+        )
+        assert errors == [None] * 3
         for k in range(3):
             assert np.array_equal(results[k], expected[k])
-        # EM is matrix-global: requests were scored individually.
-        assert session.micro_batcher.stats["fused_requests"] == 0
+        # EM is matrix-global: the two-request batch scored individually.
+        stats = session.micro_batcher.stats
+        assert stats["largest_batch"] == 2
+        assert stats["fused_requests"] == 0
 
     def test_non_batch_invariant_fusers_submit_without_coalescing(self):
         # PrecRec's matmul scores are not bitwise batch-invariant, so
@@ -162,67 +239,51 @@ class TestMicroBatching:
         # bit-identity contract with score().
         dataset = _dataset(seed=21)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="precrec",
-            micro_batch_wait_seconds=0.005,
+            dataset.observations, dataset.labels, method="precrec"
         )
         requests = _request_slices(dataset.observations, 3, 60)
         expected = [session.score(request) for request in requests]
-        results: list = [None] * len(requests)
-        barrier = threading.Barrier(len(requests))
-
-        def submit(k):
-            barrier.wait()
-            results[k] = session.submit(requests[k])
-
-        threads = [
-            threading.Thread(target=submit, args=(k,)) for k in range(3)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+        results, errors = _held_burst(
+            session,
+            session.submit,
+            lambda: session.micro_batcher.stats,
+            requests[0],
+            requests[1:],
+        )
+        assert errors == [None] * 3
         for k in range(3):
             assert np.array_equal(results[k], expected[k])
-        assert session.micro_batcher.stats["fused_requests"] == 0
+        stats = session.micro_batcher.stats
+        assert stats["largest_batch"] == 2
+        assert stats["fused_requests"] == 0
 
     def test_bad_request_errors_do_not_poison_the_batch(self):
         dataset = _dataset(seed=13)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            micro_batch_wait_seconds=0.01,
+            dataset.observations, dataset.labels, method="exact"
         )
-        good = dataset.observations
+        first, good = _request_slices(dataset.observations, 2, 60)
         bad = ObservationMatrix(
             np.zeros((3, 10), dtype=bool), ["a", "b", "c"]
         )
-        results: dict = {}
-        errors: dict = {}
-        barrier = threading.Barrier(2)
-
-        def submit(name, matrix):
-            barrier.wait()
-            try:
-                results[name] = session.submit(matrix)
-            except ValueError as error:
-                errors[name] = error
-
-        threads = [
-            threading.Thread(target=submit, args=("good", good)),
-            threading.Thread(target=submit, args=("bad", bad)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-        assert "good" in results and "bad" in errors
-        assert "sources" in str(errors["bad"])
+        # good and bad share the batch that follows the held leader's.
+        results, errors = _held_burst(
+            session,
+            session.submit,
+            lambda: session.micro_batcher.stats,
+            first,
+            [good, bad],
+        )
+        assert errors[:2] == [None, None]
+        assert isinstance(errors[2], ValueError)
+        assert "sources" in str(errors[2])
+        assert session.micro_batcher.stats["largest_batch"] == 2
         reference = ScoringSession(
             dataset.observations, dataset.labels, method="exact",
             delta="off",
         )
-        assert np.array_equal(results["good"], reference.score(good))
+        assert np.array_equal(results[0], reference.score(first))
+        assert np.array_equal(results[1], reference.score(good))
 
     def test_sustained_traffic_completes_with_leadership_handoff(self):
         # Several threads submitting in a loop: leadership must rotate (a
@@ -231,8 +292,7 @@ class TestMicroBatching:
         dataset = _dataset(seed=15)
         observations = dataset.observations
         session = ScoringSession(
-            observations, dataset.labels, method="exact",
-            micro_batch_wait_seconds=0.001,
+            observations, dataset.labels, method="exact"
         )
         reference = ScoringSession(
             observations, dataset.labels, method="exact", delta="off"
@@ -283,7 +343,7 @@ class TestMicroBatching:
         bad = _PendingScore(
             ObservationMatrix(np.zeros((3, 10), dtype=bool), ["a", "b", "c"])
         )
-        batcher = MicroBatcher(session, wait_seconds=0.0)
+        batcher = MicroBatcher(session)
         batcher._execute([good[0], bad, good[1], good[2]])
         assert bad.error is not None and "sources" in str(bad.error)
         assert batcher.stats["fused_requests"] == 3
@@ -296,8 +356,7 @@ class TestMicroBatching:
         dataset = _dataset(seed=25, n_sources=4, n_triples=40,
                            correlated=False)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            micro_batch_wait_seconds=0.0,
+            dataset.observations, dataset.labels, method="exact"
         )
         bad = ObservationMatrix(np.zeros((3, 10), dtype=bool),
                                 ["a", "b", "c"])
@@ -315,7 +374,7 @@ class TestMicroBatching:
         session = ScoringSession(
             dataset.observations, dataset.labels, method="exact"
         )
-        batcher = MicroBatcher(session, wait_seconds=0.0)
+        batcher = MicroBatcher(session)
         orphan = _PendingScore(dataset.observations)
         other = _PendingScore(dataset.observations)
         with batcher._lock:
@@ -351,7 +410,7 @@ class TestMicroBatching:
         session = ScoringSession(
             dataset.observations, dataset.labels, method="exact"
         )
-        batcher = MicroBatcher(session, wait_seconds=0.05, max_requests=8)
+        batcher = MicroBatcher(session, max_requests=8)
         real_execute = batcher._execute
 
         def exploding_execute(batch):
@@ -402,8 +461,6 @@ class TestMicroBatching:
         session = ScoringSession(dataset.observations, dataset.labels)
         with pytest.raises(ValueError, match="max_requests"):
             MicroBatcher(session, max_requests=0)
-        with pytest.raises(ValueError, match="wait_seconds"):
-            MicroBatcher(session, wait_seconds=-0.1)
         with pytest.raises(ValueError, match="micro_batch"):
             ScoringSession(
                 dataset.observations, dataset.labels, micro_batch="yes"
@@ -411,87 +468,21 @@ class TestMicroBatching:
 
 
 # ----------------------------------------------------------------------
-# Burst latency: the coalescing window must be interruptible
+# Burst latency: group commit with no window
 # ----------------------------------------------------------------------
 
 
 class TestBurstLatency:
-    def test_full_batch_ships_without_waiting_out_the_window(self):
-        # Regression for the unconditional-sleep bug: with a deliberately
-        # huge window, a burst that fills the batch must flush the moment
-        # the last request arrives (queue-full notifies the leader's
-        # Condition wait), not after wait_seconds.
-        dataset = _dataset(seed=41)
-        observations = dataset.observations
-        session = ScoringSession(
-            observations, dataset.labels, method="exact", micro_batch="off"
-        )
-        batcher = MicroBatcher(session, wait_seconds=5.0, max_requests=4)
-        reference = ScoringSession(
-            observations, dataset.labels, method="exact", delta="off"
-        )
-        requests = _request_slices(observations, 4, 40)
-        expected = [reference.score(request) for request in requests]
-        results: list = [None] * len(requests)
-        barrier = threading.Barrier(len(requests) + 1)
-
-        def submit(k):
-            barrier.wait()
-            results[k] = batcher.submit(requests[k])
-
-        threads = [
-            threading.Thread(target=submit, args=(k,))
-            for k in range(len(requests))
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        start = time.monotonic()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-        elapsed = time.monotonic() - start
-        assert elapsed < 2.5, (
-            f"full batch took {elapsed:.2f}s against a 5s window: the "
-            "leader slept out wait_seconds instead of flushing on full"
-        )
-        for k in range(len(requests)):
-            assert np.array_equal(results[k], expected[k])
-        assert batcher.stats["largest_batch"] == 4
-
-    def test_latency_budget_flushes_before_the_window(self):
-        # A request carrying a latency budget caps the coalescing wait at
-        # half its budget, even when the batch never fills.
-        dataset = _dataset(seed=43, n_sources=4, n_triples=60,
-                           correlated=False)
-        session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            micro_batch="off",
-        )
-        batcher = MicroBatcher(session, wait_seconds=5.0, max_requests=64)
-        start = time.monotonic()
-        scores = batcher.submit(
-            dataset.observations, latency_budget=0.2
-        )
-        elapsed = time.monotonic() - start
-        assert elapsed < 2.5, (
-            f"budgeted request took {elapsed:.2f}s: the deadline did not "
-            "interrupt the 5s window"
-        )
-        assert scores.shape == (dataset.observations.n_triples,)
-        with pytest.raises(ValueError, match="latency_budget"):
-            batcher.submit(dataset.observations, latency_budget=0.0)
-
     def test_zero_window_concurrent_bursts_complete(self):
-        # wait_seconds=0 is the degenerate window: leaders flush whatever
-        # is pending immediately.  Concurrent bursts must neither hang
-        # nor lose requests.
+        # With no window a leader ships whatever is pending at once, so
+        # concurrent bursts hand leadership around constantly; they must
+        # neither hang nor lose requests.
         dataset = _dataset(seed=45)
         observations = dataset.observations
         session = ScoringSession(
             observations, dataset.labels, method="exact", micro_batch="off"
         )
-        batcher = MicroBatcher(session, wait_seconds=0.0, max_requests=4)
+        batcher = MicroBatcher(session, max_requests=4)
         reference = ScoringSession(
             observations, dataset.labels, method="exact", delta="off"
         )
@@ -522,17 +513,15 @@ class TestBurstLatency:
         assert batcher.stats["requests"] == rounds * len(requests)
 
     def test_no_lost_wakeups_under_sustained_hammering(self):
-        # 8 threads x 100 submits through a tiny window: every submit
-        # must complete (a lost Condition wakeup would strand a leader
-        # waiting on a notify that already happened).
+        # 8 threads x 100 submits: every submit must complete (a lost
+        # leadership hand-off would strand waiters behind a queue no
+        # leader drains).
         dataset = _dataset(seed=47)
         observations = dataset.observations
         session = ScoringSession(
             observations, dataset.labels, method="exact", micro_batch="off"
         )
-        batcher = MicroBatcher(
-            session, wait_seconds=0.0005, max_requests=8
-        )
+        batcher = MicroBatcher(session, max_requests=8)
         requests = _request_slices(observations, 8, 24)
         rounds = 100
         completed = [0] * len(requests)
@@ -549,13 +538,20 @@ class TestBurstLatency:
             threading.Thread(target=hammer, args=(k,))
             for k in range(len(requests))
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive(), (
-                "submitter hung: lost wakeup in the coalescing window"
-            )
+        # A short switch interval interleaves submitters between the
+        # batcher's lock sections far more often than the 5 ms default.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), (
+                    "submitter hung: lost leadership hand-off"
+                )
+        finally:
+            sys.setswitchinterval(interval)
         assert completed == [rounds] * len(requests)
         assert batcher.stats["requests"] == rounds * len(requests)
 
@@ -570,7 +566,7 @@ class TestBurstLatency:
         session = ScoringSession(
             observations, dataset.labels, method="exact", micro_batch="off"
         )
-        batcher = MicroBatcher(session, wait_seconds=0.0)
+        batcher = MicroBatcher(session)
         fused = [
             _PendingScore(request)
             for request in _request_slices(observations, 3, 40)
@@ -586,31 +582,44 @@ class TestBurstLatency:
         assert stats["fused_requests"] == 3
 
     def test_close_flushes_pending_and_degrades_to_inline(self):
-        # close() must wake a leader sleeping out a long window (pending
-        # work flushes immediately) and later submits score inline.
+        # close() while a leader is mid-batch with a follower queued:
+        # the queued request still ships with the next batch, and a
+        # submit after close scores inline instead of queueing behind
+        # the busy leader.
         dataset = _dataset(seed=51, n_sources=4, n_triples=60,
                            correlated=False)
         session = ScoringSession(
             dataset.observations, dataset.labels, method="exact",
             micro_batch="off",
         )
-        batcher = MicroBatcher(session, wait_seconds=5.0, max_requests=64)
-        result: list = [None]
+        batcher = MicroBatcher(session, max_requests=64)
+        entered, release = _hold_first_batch(session)
+        results: list = [None, None]
 
-        def submit():
-            result[0] = batcher.submit(dataset.observations)
+        def submit(k):
+            results[k] = batcher.submit(dataset.observations)
 
-        thread = threading.Thread(target=submit)
-        thread.start()
-        time.sleep(0.2)  # let the leader enter its window
+        threads = [threading.Thread(target=submit, args=(k,)) for k in (0, 1)]
+        threads[0].start()
+        assert entered.wait(timeout=30)
+        threads[1].start()
+        deadline = time.monotonic() + 30
+        while batcher.stats["requests"] < 2:
+            assert time.monotonic() < deadline, "follower never queued"
+            time.sleep(0.001)
         batcher.close()
-        thread.join(timeout=2.5)
-        assert not thread.is_alive(), "close() did not flush the window"
-        assert result[0] is not None
         assert batcher.stats["closed"]
-        batcher.close()  # idempotent
+        # The leader is still held: this returns only if it ran inline.
         inline = batcher.submit(dataset.observations)
-        assert np.array_equal(inline, result[0])
+        assert batcher.stats["requests"] == 2
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "close() stranded a queued request"
+        assert np.array_equal(results[0], inline)
+        assert np.array_equal(results[1], inline)
+        assert batcher.stats["batches"] == 2
+        batcher.close()  # idempotent
 
     def test_session_close_closes_the_batcher(self):
         dataset = _dataset(seed=53, n_sources=4, n_triples=60,
@@ -716,7 +725,7 @@ class TestWorkerPoolLifecycle:
             observations, dataset.labels, method="exact"
         )
         session.score(observations)  # streaming snapshot installed
-        batcher = MicroBatcher(session, wait_seconds=0.0)
+        batcher = MicroBatcher(session)
         fused_batch = [
             _PendingScore(request)
             for request in _request_slices(observations, 2, 40)

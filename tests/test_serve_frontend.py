@@ -19,6 +19,7 @@ The contract under test, in priority order:
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.data import (
     generate,
     uniform_sources,
 )
-from repro.eval.harness import run_serving_chaos, run_serving_load
+from repro.eval.harness import run_serving_load
 from repro.serve import (
     COLD_LANE,
     DELTA_LANE,
@@ -542,45 +543,120 @@ class TestServingLoadHarness:
                 dataset, method="em", requests=4, refit_every=2, seed=1
             )
 
+    # The hard asserts run on fault-free runs too: each of these breaks
+    # one of them with no fault plan armed, and the run must raise
+    # instead of returning a report.
+
+    def test_corrupted_served_score_fails_the_run(self, monkeypatch):
+        real_score_batch = ScoringSession.score_batch
+
+        def corrupted(self, matrices, **kwargs):
+            outcome = real_score_batch(self, matrices, **kwargs)
+            scores = outcome.scores[0]
+            if scores is not None and len(scores):
+                outcome.scores[0] = scores.copy()
+                outcome.scores[0][0] = np.nextafter(scores[0], 2.0)
+            return outcome
+
+        monkeypatch.setattr(ScoringSession, "score_batch", corrupted)
+        dataset = _dataset(seed=43, n_sources=6, n_triples=160)
+        with pytest.raises(RuntimeError, match="bit-identity violation"):
+            run_serving_load(
+                dataset,
+                method="exact",
+                rate_qps=500.0,
+                requests=6,
+                request_triples=48,
+                seed=3,
+            )
+
+    def test_request_error_without_a_fault_plan_fails_the_run(
+        self, monkeypatch
+    ):
+        class _Broken(Exception):
+            pass
+
+        real_score_batch = ScoringSession.score_batch
+
+        def failing(self, matrices, **kwargs):
+            outcome = real_score_batch(self, matrices, **kwargs)
+            outcome.scores[0] = None
+            outcome.errors[0] = _Broken("scoring broke, nothing injected")
+            return outcome
+
+        monkeypatch.setattr(ScoringSession, "score_batch", failing)
+        dataset = _dataset(seed=45, n_sources=6, n_triples=160)
+        with pytest.raises(
+            RuntimeError, match="without a fault plan"
+        ) as info:
+            run_serving_load(
+                dataset,
+                method="exact",
+                rate_qps=500.0,
+                requests=6,
+                request_triples=48,
+                seed=3,
+            )
+        assert isinstance(info.value.__cause__, _Broken)
+
+    def test_watchdog_fails_a_hung_run(self, monkeypatch):
+        async def hang(self, observations, latency_budget=None):
+            await asyncio.Event().wait()
+
+        monkeypatch.setattr(AsyncServingFrontend, "submit_detailed", hang)
+        dataset = _dataset(seed=47, n_sources=6, n_triples=160)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="did not terminate within"):
+            run_serving_load(
+                dataset,
+                method="exact",
+                rate_qps=500.0,
+                requests=4,
+                request_triples=48,
+                max_seconds=0.5,
+            )
+        assert time.monotonic() - start < 30.0
+
 
 class TestServingChaosHarness:
-    # run_serving_chaos installs (and uninstalls) its own fault plan and
-    # self-checks its three hard invariants -- termination, a drained
-    # admission ledger, and bit-identity -- by raising; these tests pin
-    # the reported numbers on top.
+    # run_serving_load arms the fault plan for the traffic phase only
+    # and self-checks its three hard invariants -- termination, a
+    # drained admission ledger, and bit-identity -- by raising; these
+    # tests pin the reported numbers on top.
 
     def test_persistent_scoring_fault_degrades_but_stays_bit_identical(
         self,
     ):
         dataset = _dataset(seed=37, n_sources=6, n_triples=160)
-        report = run_serving_chaos(
+        report = run_serving_load(
             dataset,
             method="exact",
             rate_qps=400.0,
             requests=16,
             request_triples=48,
-            fault_spec="score:raise:1:0",
+            fault_plan=faults.FaultPlan.from_spec("score:raise:1:0"),
             seed=3,
         )
         assert report.terminated == report.requests
         assert report.completed > 0
         assert report.max_abs_diff == 0.0
-        assert report.retries >= 1
-        assert report.degraded_batches >= 1
+        assert report.stats["resilience"]["retries"] >= 1
+        assert report.stats["resilience"]["degraded_batches"] >= 1
         assert report.fault_stats["fired"].get("score", 0) >= 1
-        assert report.admission_depth_after == 0
-        assert report.admission_inflight_bytes_after == 0
+        assert report.stats["admission"]["depth"] == 0
+        assert report.stats["admission"]["inflight_bytes"] == 0
+        assert faults.active_injector() is None  # the plan was disarmed
 
     def test_refit_fault_rolls_back_then_recovers(self):
         dataset = _dataset(seed=39, n_sources=6, n_triples=160)
-        report = run_serving_chaos(
+        report = run_serving_load(
             dataset,
             method="exact",
             rate_qps=400.0,
             requests=16,
             request_triples=48,
             refit_every=8,
-            fault_spec="refit:raise:1",
+            fault_plan=faults.FaultPlan.from_spec("refit:raise:1"),
             seed=5,
         )
         assert report.terminated == report.requests
@@ -589,16 +665,43 @@ class TestServingChaosHarness:
         assert report.refits == 1  # the post-rollback refit succeeded
         assert report.max_abs_diff == 0.0
 
+    def test_pre_armed_injector_is_suspended_for_the_twins(self):
+        # An injector armed before the run (as $REPRO_FAULTS arms one)
+        # serves the traffic, but the twins must verify fault-free: with
+        # every compile after the first raising, a twin phase that left
+        # it live could not fit a single twin.
+        dataset = _dataset(seed=49, n_sources=6, n_triples=160)
+        injector = faults.install(
+            faults.FaultPlan.from_spec("compile:raise:2:0")
+        )
+        try:
+            report = run_serving_load(
+                dataset,
+                method="exact",
+                rate_qps=400.0,
+                requests=16,
+                request_triples=48,
+                seed=3,
+            )
+            # Reinstalled after the twin phase, counters intact.
+            assert faults.active_injector() is injector
+        finally:
+            faults.uninstall()
+        assert report.fault_spec == "compile:raise:2:0"
+        assert report.terminated == report.requests
+        assert report.completed > 0
+        assert report.max_abs_diff == 0.0
+
     def test_random_plans_are_seed_deterministic(self):
         dataset = _dataset(seed=41, n_sources=6, n_triples=160)
         reports = [
-            run_serving_chaos(
+            run_serving_load(
                 dataset,
                 method="exact",
                 rate_qps=400.0,
                 requests=8,
                 request_triples=48,
-                fault_seed=11,
+                fault_plan=faults.FaultPlan.random(11),
                 seed=7,
             )
             for _ in range(2)
