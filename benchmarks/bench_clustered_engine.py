@@ -1,24 +1,29 @@
-"""Clustered fuser: scalar per-cluster scoring vs the batched union plans.
+"""Clustered fuser: cold and warm scoring on BOOK-like wide grids.
 
 The BOOK dataset is the paper's motivation for the clustered fuser: hundreds
 of sources, correlation clusters discovered per side, per-cluster exact (or
 elastic) likelihoods under cross-cluster independence.  This benchmark
-measures the payoff of routing those per-cluster evaluators through the
-shared batched union-plan engine (``repro/core/plans.py``): BOOK-like wide
-grids (>= 24 sources, planted correlation groups on both sides, plus one
-oversized group exercising the elastic path on the widest cells) are scored
-twice --
+times ``ClusteredCorrelationFuser.score`` -- per-cluster sub-pattern dedup,
+one batched union-plan evaluation per evaluator, and a vectorized
+gather-sum recombination -- on BOOK-like wide grids (>= 24 sources, planted
+correlation groups on both sides, plus one oversized group exercising the
+elastic path on the widest cells):
 
-- **scalar**: the per-cluster *set-interface* path (global pattern dedup,
-  then one memoised ``pattern_mu`` per distinct pattern walking every
-  cluster's ``pattern_likelihoods``) -- the state after PR 1;
-- **batched**: ``ClusteredCorrelationFuser.pattern_mu_batch`` -- per-cluster
-  sub-pattern dedup, one batched union-plan evaluation per cluster, and a
-  vectorized gather-sum recombination.
+- **cold**: the first ``score`` call of a fresh fuser (restriction,
+  collect, compile, model evaluation);
+- **warm**: the same call again, served from the fuser's digest-keyed
+  plan cache.
 
-Scores must be *bit-identical* (max |diff| exactly 0.0); the run fails
-otherwise.  Results land in ``benchmarks/results/BENCH_clustered_engine.json``
-so the perf trajectory across PRs stays machine-readable.
+Warm scores must be *bit-identical* to cold ones (max |diff| exactly 0.0);
+the run fails otherwise.  Agreement with the paper's per-pattern
+definitions is checked in tier-1:
+``TestClusteredEngineEquivalence::test_oversized_clusters_route_through_elastic_batch``
+(``tests/test_pattern_engine.py``) and ``TestEvaluatorGroupedScoring``
+(``tests/test_clustering.py``) compare the clustered scores with
+``tests/reference.py`` on cells where a cluster is wider than
+``exact_cluster_limit``, so the elastic evaluator is covered.  Results
+land in ``benchmarks/results/BENCH_clustered_engine.json`` so the perf
+trajectory across PRs stays machine-readable.
 
 Runnable two ways::
 
@@ -58,13 +63,6 @@ TRIPLE_GRID = (1500, 4000)
 EXACT_CLUSTER_LIMIT = 12
 
 
-class _ScalarClusteredFuser(ClusteredCorrelationFuser):
-    """The pre-batching reference: global pattern dedup, scalar cluster walk."""
-
-    def pattern_mu_batch(self, patterns):
-        return None  # force the generic memoised per-pattern loop
-
-
 def _workload(n_sources: int, n_triples: int, seed: int = 17):
     """BOOK-like wide matrix with planted correlation groups on both sides.
 
@@ -101,48 +99,34 @@ def _time_scoring(fuser, observations) -> tuple[float, np.ndarray]:
 
 
 def run_grid(source_grid=SOURCE_GRID, triple_grid=TRIPLE_GRID) -> list[dict]:
-    """Time every (sources, triples) cell under both scoring paths."""
+    """Time every (sources, triples) cell cold and warm."""
     rows: list[dict] = []
     for n_triples in triple_grid:
         for n_sources in source_grid:
             dataset = _workload(n_sources, n_triples)
             model = fit_model(dataset.observations, dataset.labels)
-            # Discover the partitions once and share them: clustering cost
-            # is identical either way and excluded from the scoring clock.
-            batched = ClusteredCorrelationFuser(
+            # Partition discovery runs in the constructor, off the clock.
+            fuser = ClusteredCorrelationFuser(
                 model, exact_cluster_limit=EXACT_CLUSTER_LIMIT
             )
-            scalar = _ScalarClusteredFuser(
-                model,
-                true_partition=batched.true_partition,
-                false_partition=batched.false_partition,
-                exact_cluster_limit=EXACT_CLUSTER_LIMIT,
-            )
-            scalar_s, scalar_scores = _time_scoring(
-                scalar, dataset.observations
-            )
-            batched_s, batched_scores = _time_scoring(
-                batched, dataset.observations
-            )
+            cold_s, cold_scores = _time_scoring(fuser, dataset.observations)
+            warm_s, warm_scores = _time_scoring(fuser, dataset.observations)
             n_elastic = sum(
                 isinstance(e, ElasticFuser)
-                for e in batched._true_evaluators + batched._false_evaluators
+                for e in fuser._true_evaluators + fuser._false_evaluators
             )
             rows.append(
                 {
                     "n_sources": n_sources,
                     "n_triples": dataset.observations.n_triples,
-                    "scalar_seconds": scalar_s,
-                    "batched_seconds": batched_s,
-                    "speedup": (
-                        scalar_s / batched_s if batched_s > 0 else float("inf")
-                    ),
+                    "cold_seconds": cold_s,
+                    "warm_seconds": warm_s,
                     "max_abs_diff": float(
-                        np.abs(scalar_scores - batched_scores).max()
+                        np.abs(cold_scores - warm_scores).max()
                     ),
                     "n_patterns": dataset.observations.patterns().n_patterns,
-                    "true_cluster_sizes": list(batched.true_partition.sizes),
-                    "false_cluster_sizes": list(batched.false_partition.sizes),
+                    "true_cluster_sizes": list(fuser.true_partition.sizes),
+                    "false_cluster_sizes": list(fuser.false_partition.sizes),
                     "n_elastic_evaluators": n_elastic,
                 }
             )
@@ -157,21 +141,20 @@ def _headline(rows: list[dict]) -> dict:
             "n_sources": largest["n_sources"],
             "n_triples": largest["n_triples"],
         },
-        "largest_config_speedup": largest["speedup"],
-        "min_speedup": min(r["speedup"] for r in rows),
-        "max_speedup": max(r["speedup"] for r in rows),
+        "largest_config_cold_seconds": largest["cold_seconds"],
+        "largest_config_warm_seconds": largest["warm_seconds"],
         "max_abs_diff": max(r["max_abs_diff"] for r in rows),
     }
 
 
 def _render(rows: list[dict], headline: dict) -> str:
     table = format_table(
-        ["sources", "triples", "patterns", "scalar(s)", "batched(s)",
-         "speedup", "max|diff|", "elastic"],
+        ["sources", "triples", "patterns", "cold(s)", "warm(s)",
+         "max|diff|", "elastic"],
         [
             [r["n_sources"], r["n_triples"], r["n_patterns"],
-             r["scalar_seconds"], r["batched_seconds"], r["speedup"],
-             r["max_abs_diff"], r["n_elastic_evaluators"]]
+             r["cold_seconds"], r["warm_seconds"], r["max_abs_diff"],
+             r["n_elastic_evaluators"]]
             for r in rows
         ],
     )
@@ -180,10 +163,9 @@ def _render(rows: list[dict], headline: dict) -> str:
         table
         + f"\nlargest config ({cfg['n_sources']} sources x "
         f"{cfg['n_triples']} triples): "
-        f"{headline['largest_config_speedup']:.1f}x batched speedup "
-        f"(grid min {headline['min_speedup']:.1f}x, "
-        f"max {headline['max_speedup']:.1f}x); "
-        f"max |score diff| {headline['max_abs_diff']:.1e}"
+        f"cold {headline['largest_config_cold_seconds']:.3f} s, "
+        f"warm {headline['largest_config_warm_seconds']:.4f} s; "
+        f"max |warm - cold| {headline['max_abs_diff']:.1e}"
     )
 
 
@@ -217,7 +199,7 @@ def main(argv=None) -> int:
     print(_render(rows, headline))
     if headline["max_abs_diff"] != 0.0:
         print(
-            "ERROR: batched scores are not bit-identical to the scalar path",
+            "ERROR: warm scores are not bit-identical to cold scores",
             file=sys.stderr,
         )
         return 1

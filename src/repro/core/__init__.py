@@ -84,7 +84,6 @@ from repro.core.elastic import ElasticFuser
 from repro.core.em import EMDiagnostics, ExpectationMaximizationFuser
 from repro.core.exact import ExactCorrelationFuser
 from repro.core.fusion import (
-    DEFAULT_MU_CACHE_ENTRIES,
     DEFAULT_THRESHOLD,
     FunctionFuser,
     FusionResult,
@@ -127,7 +126,6 @@ __all__ = [
     "CompiledElasticPlan",
     "CompiledExactPlan",
     "CompiledPlanCache",
-    "DEFAULT_MU_CACHE_ENTRIES",
     "DEFAULT_PLAN_CACHE_ENTRIES",
     "BatchScoreOutcome",
     "DEFAULT_THRESHOLD",

@@ -22,11 +22,11 @@ transform maps non-positive ``mu`` to ~0.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
+from repro.core.fusion import ModelBasedFuser
 from repro.core.joint import JointQualityModel
 from repro.core.patterns import PatternSet
 
@@ -53,13 +53,7 @@ class AggressiveFuser(ModelBasedFuser):
     ----------
     model:
         Joint quality model; only ``r_i``, ``q_i`` and the two aggressive
-        factor vectors are consulted.
-    universe:
-        Source ids over which the factors ``C+_i, C-_i`` are defined;
-        defaults to all of the model's sources.  The clustered fuser passes
-        each cluster here so factors are relative to the cluster.
-    max_cache_entries:
-        Per-pattern memo cap -- see :class:`repro.core.fusion.ModelBasedFuser`.
+        factor vectors over all of its sources are consulted.
     """
 
     name = "PrecRecCorr-Aggressive"
@@ -67,9 +61,7 @@ class AggressiveFuser(ModelBasedFuser):
     def __init__(
         self,
         model: JointQualityModel,
-        universe: Optional[Sequence[int]] = None,
         decision_prior: Optional[float] = None,
-        max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
         parallel_backend: str = "thread",
@@ -80,20 +72,19 @@ class AggressiveFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
             parallel_backend=parallel_backend,
         )
-        ids = list(range(model.n_sources)) if universe is None else list(universe)
-        self._covers_all_sources = sorted(ids) == list(range(model.n_sources))
-        c_plus, c_minus = model.aggressive_factors(ids)
-        # Effective per-source rates, indexed by absolute source id.
-        self._eff_recall: dict[int, float] = {}
-        self._eff_fpr: dict[int, float] = {}
-        for k, i in enumerate(ids):
-            self._eff_recall[i] = float(c_plus[k]) * model.recall(i)
-            self._eff_fpr[i] = float(c_minus[k]) * model.fpr(i)
+        c_plus, c_minus = model.aggressive_factors()
+        # Effective per-source rates ``C+_i r_i`` and ``C-_i q_i``.
+        sources = range(model.n_sources)
+        self._eff_recall = np.array(
+            [float(c_plus[i]) * model.recall(i) for i in sources], dtype=float
+        )
+        self._eff_fpr = np.array(
+            [float(c_minus[i]) * model.fpr(i) for i in sources], dtype=float
+        )
 
     def effective_rates(self, source_id: int) -> tuple[float, float]:
         """``(C+_i r_i, C-_i q_i)`` for one source -- exposed for inspection.
@@ -101,34 +92,15 @@ class AggressiveFuser(ModelBasedFuser):
         Values above 1 signal the anti-correlation degeneracy of
         Proposition 4.8.
         """
-        return self._eff_recall[source_id], self._eff_fpr[source_id]
+        return (
+            float(self._eff_recall[source_id]),
+            float(self._eff_fpr[source_id]),
+        )
 
-    def pattern_mu(self, providers: frozenset[int], silent: frozenset[int]) -> float:
-        numerator = 1.0
-        denominator = 1.0
-        for i in providers:
-            numerator *= self._eff_recall[i]
-            denominator *= self._eff_fpr[i]
-        for i in silent:
-            numerator *= 1.0 - self._eff_recall[i]
-            denominator *= 1.0 - self._eff_fpr[i]
-        if denominator == 0.0:
-            return float("inf") if numerator > 0 else 0.0
-        return numerator / denominator
-
-    def pattern_mu_batch(self, patterns: PatternSet) -> Optional[np.ndarray]:
-        """All pattern ``mu`` values via sign-tracked log-space products.
-
-        Only available when the factor universe covers every source (the
-        standalone configuration); with a restricted universe scoring
-        falls back to the per-pattern path, whose semantics (including the
-        deliberate ``KeyError`` on out-of-universe sources) are preserved.
-        """
-        if not self._covers_all_sources:
-            return None
-        n = self.model.n_sources
-        eff_r = np.array([self._eff_recall[i] for i in range(n)], dtype=float)
-        eff_q = np.array([self._eff_fpr[i] for i in range(n)], dtype=float)
+    def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
+        """All pattern ``mu`` values via sign-tracked log-space products."""
+        eff_r = self._eff_recall
+        eff_q = self._eff_fpr
         numerator = self._batch_product(patterns, eff_r, 1.0 - eff_r)
         denominator = self._batch_product(patterns, eff_q, 1.0 - eff_q)
         zero_den = denominator == 0.0

@@ -179,7 +179,7 @@ def make_fuser(
     clustered-only options (partitions, ``min_phi``, ``min_expected``,
     ``significance``, ``exact_cluster_limit``, ``elastic_level``) are
     dropped on the exact route.  Options shared by both solvers
-    (``decision_prior``, ``max_cache_entries``, ``workers``,
+    (``decision_prior``, ``max_plan_cache_entries``, ``workers``,
     ``shard_size``, ``parallel_backend``) always apply.
     """
     key = method.lower().replace("-", "").replace("_", "")

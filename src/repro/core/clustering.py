@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.elastic import ElasticFuser
 from repro.core.exact import ExactCorrelationFuser
-from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
+from repro.core.fusion import ModelBasedFuser
 from repro.core.independence import decide_tables
 from repro.core.joint import JointQualityModel, pair_indices
 from repro.core.locktrace import make_lock
@@ -711,14 +711,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         larger ones use :class:`ElasticFuser` at ``elastic_level``.
     elastic_level:
         Elastic ``lambda`` for oversized clusters (paper: level 3).
-    max_cache_entries:
-        Per-pattern memo cap -- see
-        :class:`repro.core.fusion.ModelBasedFuser`.  The cap is also
-        forwarded to the per-cluster evaluators, bounding their mu caches
-        the same way.  Every distinct global pattern is decomposed into
-        per-cluster sub-patterns, deduplicated across all clusters of each
-        evaluator, and scored through one batched union plan per evaluator
-        (:meth:`pattern_mu_batch`).
     max_plan_cache_entries:
         LRU cap for the compiled-plan caches: forwarded to every
         per-cluster evaluator *and* used for this fuser's own cache of
@@ -763,7 +755,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         exact_cluster_limit: int = 12,
         elastic_level: int = 3,
         decision_prior: Optional[float] = None,
-        max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
@@ -776,7 +767,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
             parallel_backend=parallel_backend,
@@ -867,7 +857,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                 self._shared_exact = ExactCorrelationFuser(
                     self.model,
                     max_silent_sources=exact_limit,
-                    max_cache_entries=self._max_cache,
                     max_plan_cache_entries=self._max_plan_cache,
                     workers=1,
                 )
@@ -882,40 +871,19 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                 self.model,
                 level=level,
                 universe=sorted(cluster),
-                max_cache_entries=self._max_cache,
                 max_plan_cache_entries=self._max_plan_cache,
                 workers=1,  # serial: no nested sharding inside its blocks
             )
             self._elastic_by_cluster[cluster] = evaluator
         return evaluator
 
-    def pattern_mu(self, providers: frozenset[int], silent: frozenset[int]) -> float:
-        log_numerator = 0.0
-        for cluster, evaluator in zip(
-            self._true_partition.clusters, self._true_evaluators
-        ):
-            r_side, _ = evaluator.pattern_likelihoods(
-                providers & cluster, silent & cluster
-            )
-            log_numerator += math.log(max(r_side, PROBABILITY_FLOOR))
-        log_denominator = 0.0
-        for cluster, evaluator in zip(
-            self._false_partition.clusters, self._false_evaluators
-        ):
-            _, q_side = evaluator.pattern_likelihoods(
-                providers & cluster, silent & cluster
-            )
-            log_denominator += math.log(max(q_side, PROBABILITY_FLOOR))
-        return math.exp(log_numerator - log_denominator)
-
     def invalidate_caches(self) -> None:
-        """Drop memoised scores and every compiled-plan layer.
+        """Drop every compiled-plan layer.
 
-        The serving-process refit hook: clears this fuser's per-pattern
-        memo, decomposition cache and restriction log tables plus each
-        distinct per-cluster evaluator's caches.
+        The serving-process refit hook: clears this fuser's decomposition
+        cache and restriction log tables plus each distinct per-cluster
+        evaluator's caches.
         """
-        super().invalidate_caches()
         self._plan_cache.invalidate()
         for evaluator in self._distinct_evaluators():
             evaluator.invalidate_caches()
@@ -1226,9 +1194,9 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
 
         Logs and the final exponential are taken with ``math.log`` /
         ``math.exp`` on the deduplicated values and the per-cluster terms
-        are added in partition order, replicating :meth:`pattern_mu`'s
-        operation sequence exactly -- so scores are bit-identical to the
-        per-pattern path.
+        are added in partition order -- the operation sequence of the
+        per-pattern walk in ``tests/reference.py``, so scores are
+        bit-identical to it.
         """
         key = (
             "clustered",

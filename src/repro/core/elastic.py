@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
+from repro.core.fusion import ModelBasedFuser
 from repro.core.joint import JointQualityModel
 from repro.core.patterns import PatternSet
 from repro.core.plans import (
@@ -37,7 +37,6 @@ from repro.core.plans import (
     ElasticUnionPlan,
     PatternValueMemo,
     likelihoods_with_memo,
-    one_pattern_likelihoods,
     pattern_digest,
 )
 from repro.util.validation import check_non_negative_int
@@ -57,8 +56,6 @@ class ElasticFuser(ModelBasedFuser):
     universe:
         Source ids over which the aggressive factors are defined; defaults
         to all sources (the clustered fuser passes each cluster).
-    max_cache_entries:
-        Per-pattern memo cap -- see :class:`repro.core.fusion.ModelBasedFuser`.
     max_plan_cache_entries:
         LRU cap on cached compiled plans (with their batch-evaluated model
         parameters), keyed by pattern digest; ``0`` disables the cache.
@@ -79,7 +76,6 @@ class ElasticFuser(ModelBasedFuser):
         level: int = 3,
         universe: Optional[Sequence[int]] = None,
         decision_prior: Optional[float] = None,
-        max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
@@ -88,7 +84,6 @@ class ElasticFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
             parallel_backend=parallel_backend,
@@ -128,8 +123,7 @@ class ElasticFuser(ModelBasedFuser):
             self._delta_memo = PatternValueMemo(max_entries)
 
     def invalidate_caches(self) -> None:
-        """Drop memoised scores, plans, and delta memos."""
-        super().invalidate_caches()
+        """Drop compiled plans and delta memos."""
         self._plan_cache.invalidate()
         if self._delta_memo is not None:
             self._delta_memo.invalidate()
@@ -138,22 +132,6 @@ class ElasticFuser(ModelBasedFuser):
     def level(self) -> int:
         """The adjustment level ``lambda``."""
         return self._level
-
-    def pattern_mu(self, providers: frozenset[int], silent: frozenset[int]) -> float:
-        numerator, denominator = self.pattern_likelihoods(providers, silent)
-        return numerator / denominator
-
-    def pattern_likelihoods(
-        self, providers: frozenset[int], silent: frozenset[int]
-    ) -> tuple[float, float]:
-        """Approximated ``(Pr(Ot | t), Pr(Ot | not t))``, floored > 0.
-
-        A one-row run of the batch pipeline that bypasses the plan cache
-        and the delta memo.
-        """
-        return one_pattern_likelihoods(
-            self._compile_entry, self.model.n_sources, providers, silent
-        )
 
     def pattern_likelihoods_batch(
         self, provider_matrix: np.ndarray, silent_matrix: np.ndarray
@@ -167,8 +145,9 @@ class ElasticFuser(ModelBasedFuser):
         :class:`~repro.core.plans.ElasticUnionPlan` -- base sets and every
         level-``1..lambda`` union collected once, evaluated in bulk via
         :meth:`JointQualityModel.joint_params_batch`, Algorithm 1's sums
-        accumulated in its term order -- so every value is bit-identical
-        to :meth:`pattern_likelihoods`.
+        accumulated in its term order, so every pattern's value depends
+        only on its own terms (``tests/reference.py`` walks them one by
+        one).
 
         The plan is compiled (aggressive factors baked in) and memoised
         together with its batch-evaluated ``(r, q)`` values in the

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
+from repro.core.fusion import ModelBasedFuser
 from repro.core.joint import JointQualityModel
 from repro.core.patterns import PatternSet
 from repro.core.plans import (
@@ -40,7 +40,6 @@ from repro.core.plans import (
     ExactUnionPlan,
     PatternValueMemo,
     likelihoods_with_memo,
-    one_pattern_likelihoods,
     pattern_digest,
 )
 
@@ -58,8 +57,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
         sources raise ``ValueError`` (each one costs ``2^{|St-bar|}`` model
         look-ups).  Use :class:`repro.core.clustering.ClusteredCorrelationFuser`
         or :class:`repro.core.elastic.ElasticFuser` beyond this scale.
-    max_cache_entries:
-        Per-pattern memo cap -- see :class:`repro.core.fusion.ModelBasedFuser`.
     max_plan_cache_entries:
         LRU cap on cached compiled plans (with their batch-evaluated model
         parameters), keyed by pattern digest -- repeated ``score`` calls on
@@ -86,7 +83,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
         model: JointQualityModel,
         max_silent_sources: int = 20,
         decision_prior: float | None = None,
-        max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
         workers: int | None = None,
         shard_size: int | None = None,
@@ -95,7 +91,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
             parallel_backend=parallel_backend,
@@ -132,15 +127,10 @@ class ExactCorrelationFuser(ModelBasedFuser):
             self._delta_memo = PatternValueMemo(max_entries)
 
     def invalidate_caches(self) -> None:
-        """Drop memoised scores, plans, and delta memos."""
-        super().invalidate_caches()
+        """Drop compiled plans and delta memos."""
         self._plan_cache.invalidate()
         if self._delta_memo is not None:
             self._delta_memo.invalidate()
-
-    def pattern_mu(self, providers: frozenset[int], silent: frozenset[int]) -> float:
-        numerator, denominator = self.pattern_likelihoods(providers, silent)
-        return numerator / denominator
 
     def _check_silent_width(self, n_silent: int) -> None:
         if n_silent > self._max_silent:
@@ -149,19 +139,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
                 f"needs 2^{n_silent} terms (limit {self._max_silent}); use "
                 "ElasticFuser or ClusteredCorrelationFuser for this scale"
             )
-
-    def pattern_likelihoods(
-        self, providers: frozenset[int], silent: frozenset[int]
-    ) -> tuple[float, float]:
-        """``(Pr(Ot | t), Pr(Ot | not t))`` via Eq. 10 and 11, floored > 0.
-
-        A one-row run of the batch pipeline (build, compile, one model
-        call, compiled accumulate) that bypasses the plan cache and the
-        delta memo.
-        """
-        return one_pattern_likelihoods(
-            self._compile_entry, self.model.n_sources, providers, silent
-        )
 
     def pattern_likelihoods_batch(
         self, provider_matrix: np.ndarray, silent_matrix: np.ndarray
@@ -174,8 +151,9 @@ class ExactCorrelationFuser(ModelBasedFuser):
         ``(n_patterns, n_sources)``) are evaluated through the
         shared :class:`~repro.core.plans.ExactUnionPlan` -- all subset
         unions collected once, ``(r, q)`` from one vectorized model call,
-        inclusion-exclusion sums accumulated in the paper's term order --
-        so every value is bit-identical to :meth:`pattern_likelihoods`.
+        inclusion-exclusion sums accumulated in the paper's term order,
+        so every pattern's value depends only on its own terms
+        (``tests/reference.py`` walks them one by one).
 
         The plan is compiled to flat index/sign arrays and memoised --
         together with its batch-evaluated ``(r, q)`` values, which depend

@@ -6,10 +6,12 @@ assigns each triple a truthfulness score in ``[0, 1]`` (for probabilistic
 methods, the posterior ``Pr(t | Ot)``), and triples scoring above a threshold
 (0.5 unless stated otherwise) are accepted as true.
 
-Model-based fusers (PrecRec, exact/aggressive/elastic PrecRecCorr) share the
-pattern-memoisation machinery in :class:`ModelBasedFuser`: two triples with
-the same provider set and the same silent-covering set necessarily get the
-same probability, so each distinct observation pattern is computed once.
+Model-based fusers (PrecRec, exact/aggressive/elastic/clustered PrecRecCorr)
+share the pattern machinery in :class:`ModelBasedFuser`: two triples with the
+same provider set and the same silent-covering set necessarily get the same
+probability, so each distinct observation pattern is computed once, and every
+fuser computes it through one batched entry point,
+:meth:`ModelBasedFuser.pattern_mu_batch`.
 
 A note on priors: the quality model's ``prior`` calibrates the derived
 false-positive rates (Theorem 3.5), while the *decision prior* enters the
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -32,15 +34,10 @@ from repro.core.joint import JointQualityModel
 from repro.core.observations import ObservationMatrix
 from repro.core.parallel import ShardedExecutor, make_executor
 from repro.core.patterns import PatternSet
-from repro.util.probability import probability_from_mu, probability_from_mu_array
+from repro.util.probability import probability_from_mu_array
 
 #: Decision threshold used throughout the paper: accept when Pr(t | Ot) > 0.5.
 DEFAULT_THRESHOLD = 0.5
-
-#: Default cap on memoised per-pattern likelihood ratios, mirroring
-#: ``EmpiricalJointModel``'s ``max_cache_entries`` so long-lived serving
-#: processes cannot grow without bound.
-DEFAULT_MU_CACHE_ENTRIES = 200_000
 
 
 @dataclass(frozen=True)
@@ -123,9 +120,6 @@ class TruthFuser(ABC):
         )
 
 
-PatternKey = tuple[frozenset[int], frozenset[int]]
-
-
 def _likelihoods_block_job(job: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Worker-pool job: one pattern block through a fuser's block pipeline.
 
@@ -141,25 +135,21 @@ def _likelihoods_block_job(job: tuple) -> tuple[np.ndarray, np.ndarray]:
 class ModelBasedFuser(TruthFuser):
     """Shared machinery for fusers driven by a :class:`JointQualityModel`.
 
-    Subclasses implement :meth:`pattern_mu`, the likelihood ratio
-    ``mu = Pr(Ot | t) / Pr(Ot | not t)`` for one observation pattern; this
-    class handles scope masking, per-pattern memoisation, and the posterior
-    transform ``Pr(t | Ot) = 1 / (1 + (1 - a)/a * 1/mu)``.
-
-    Scoring extracts the matrix's distinct observation patterns once,
-    evaluates each exactly once (through :meth:`pattern_mu_batch` when a
-    subclass vectorises it, otherwise through the memoised per-pattern
-    path), and scatters scores back.
+    Subclasses implement :meth:`pattern_mu_batch`, the likelihood ratio
+    ``mu = Pr(Ot | t) / Pr(Ot | not t)`` of every distinct observation
+    pattern of a :class:`~repro.core.patterns.PatternSet`; this class
+    handles pattern extraction, the scatter back to triples, and the
+    posterior transform ``Pr(t | Ot) = 1 / (1 + (1 - a)/a * 1/mu)``.
+    Scoring extracts the matrix's distinct patterns once and evaluates
+    them in one :meth:`pattern_mu_batch` call; :meth:`pattern_mu` answers
+    a single pattern through the same call on a one-row set.
 
     Sharded execution: ``workers > 1`` (or an explicit ``shard_size``)
     equips the fuser with a :class:`~repro.core.parallel.ShardedExecutor`.
     Subclasses with batched scoring paths shard their per-pattern work
     across its pool and merge per-shard results by concatenation -- every
     pattern's score depends only on its own terms, so sharded scores are
-    bit-identical to the serial path.  The per-pattern ``_mu_cache`` memo
-    is safe under that concurrency: dict reads/writes are atomic under the
-    GIL and memoised values are deterministic, so racing writers store
-    identical floats.
+    bit-identical to the serial path.
     """
 
     #: Whether this fuser's per-pattern scores are *bitwise* independent of
@@ -177,7 +167,6 @@ class ModelBasedFuser(TruthFuser):
         self,
         model: JointQualityModel,
         decision_prior: Optional[float] = None,
-        max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
         parallel_backend: str = "thread",
@@ -186,14 +175,8 @@ class ModelBasedFuser(TruthFuser):
             raise ValueError(
                 f"decision_prior must be in (0, 1), got {decision_prior}"
             )
-        if max_cache_entries < 0:
-            raise ValueError(
-                f"max_cache_entries must be non-negative, got {max_cache_entries}"
-            )
         self._model = model
         self._decision_prior = decision_prior
-        self._max_cache = int(max_cache_entries)
-        self._mu_cache: dict[PatternKey, float] = {}
         self._executor = make_executor(workers, shard_size, parallel_backend)
 
     @property
@@ -261,43 +244,48 @@ class ModelBasedFuser(TruthFuser):
         return self._model.prior
 
     @abstractmethod
+    def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
+        """``mu`` for every distinct pattern of ``patterns``, in row order.
+
+        Row ``k`` is the likelihood ratio of the pattern "the providers of
+        row ``k`` assert the triple, its silent sources cover the triple's
+        domain but stay quiet".  Values may be non-positive for degenerate
+        inputs (Proposition 4.8); the posterior transform maps those to a
+        probability of ~0.
+        """
+
     def pattern_mu(
-        self, providers: frozenset[int], silent: frozenset[int]
+        self, providers: Iterable[int], silent: Iterable[int]
     ) -> float:
-        """Likelihood ratio for the pattern "``providers`` assert the triple,
-        ``silent`` cover its domain but stay quiet".
+        """``mu`` of one observation pattern: a one-row :meth:`pattern_mu_batch`.
 
-        May be non-positive for degenerate inputs (Proposition 4.8); the
-        posterior transform maps those to a probability of ~0.
+        For the paper's worked examples and for inspection; the posterior
+        is ``probability_from_mu(mu, fuser.prior)``.  Scoring never comes
+        here -- it evaluates all of a matrix's patterns in one batch.
         """
-
-    def pattern_probability(
-        self, providers: frozenset[int], silent: frozenset[int]
-    ) -> float:
-        """Memoised posterior for one observation pattern.
-
-        The memo is bounded by ``max_cache_entries``; beyond the cap values
-        are recomputed instead of stored, so long-lived serving processes
-        cannot grow without limit (same policy as ``EmpiricalJointModel``).
-        """
-        key = (providers, silent)
-        mu = self._mu_cache.get(key)
-        if mu is None:
-            mu = self.pattern_mu(providers, silent)
-            if len(self._mu_cache) < self._max_cache:
-                self._mu_cache[key] = mu
-        return probability_from_mu(mu, self.prior)
+        n_sources = self._model.n_sources
+        provider_row = np.zeros((1, n_sources), dtype=bool)
+        silent_row = np.zeros((1, n_sources), dtype=bool)
+        provider_row[0, list(providers)] = True
+        silent_row[0, list(silent)] = True
+        one_row = np.zeros(1, dtype=np.intp)
+        pattern = PatternSet(
+            provider_matrix=provider_row,
+            silent_matrix=silent_row,
+            inverse=one_row,
+            counts=one_row + 1,
+        )
+        return float(self.pattern_mu_batch(pattern)[0])
 
     def invalidate_caches(self) -> None:
-        """Drop memoised per-pattern scores.
+        """Drop cached per-request state (a no-op here).
 
         The explicit invalidation hook for long-lived serving processes:
-        call it when the state a fuser memoised against has been replaced
+        call it when the state a fuser cached against has been replaced
         (e.g. after refitting the joint model).  Subclasses that hold
-        further caches -- the compiled-plan caches of the inclusion-exclusion
-        fusers -- extend this to clear those too.
+        caches -- the compiled-plan caches and delta memos of the
+        inclusion-exclusion fusers -- override this to clear them.
         """
-        self._mu_cache.clear()
 
     def close(self) -> None:
         """Shut down this fuser's worker pool (idempotent).
@@ -341,17 +329,6 @@ class ModelBasedFuser(TruthFuser):
             return {}
         return self._executor.stats
 
-    def pattern_mu_batch(self, patterns: PatternSet) -> Optional[np.ndarray]:
-        """Vectorized ``mu`` for every distinct pattern, or ``None``.
-
-        Subclasses whose likelihood ratio factorises per source (PrecRec,
-        the aggressive approximation) override this to evaluate all patterns
-        with a handful of matrix operations.  Returning ``None`` falls back
-        to the generic per-pattern loop, which still benefits from pattern
-        deduplication and memoisation.
-        """
-        return None
-
     def score(self, observations: ObservationMatrix) -> np.ndarray:
         if observations.n_sources != self._model.n_sources:
             raise ValueError(
@@ -372,17 +349,10 @@ class ModelBasedFuser(TruthFuser):
         sub-batch evaluates bit-identically to the same rows inside a full
         batch.
         """
-        mus = self.pattern_mu_batch(patterns)
-        if mus is not None:
-            return probability_from_mu_array(
-                np.asarray(mus, dtype=float), self.prior
-            )
-        probabilities = np.empty(patterns.n_patterns, dtype=float)
-        for k in range(patterns.n_patterns):
-            probabilities[k] = self.pattern_probability(
-                patterns.provider_sets[k], patterns.silent_sets[k]
-            )
-        return probabilities
+        return probability_from_mu_array(
+            np.asarray(self.pattern_mu_batch(patterns), dtype=float),
+            self.prior,
+        )
 
 
 class FunctionFuser(TruthFuser):

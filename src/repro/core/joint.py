@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # deltas imports joint at runtime; annotation-only here
     from repro.core.deltas import WordDiff
 from repro.core.quality import (
     SourceQuality,
-    derive_false_positive_rate,
+    false_positive_rate_from_counts,
     qualities_from_counts,
     quality_from_counts,
     source_counts,
@@ -124,6 +124,7 @@ class _JointCounts:
         "src_provided",
         "src_provided_true",
         "src_in_scope_true",
+        "src_in_scope_false",
         "pair_provided_true",
         "pair_provided_false",
         "pair_covered_true",
@@ -135,10 +136,12 @@ class _JointCounts:
         src_provided: np.ndarray,
         src_provided_true: np.ndarray,
         src_in_scope_true: np.ndarray,
+        src_in_scope_false: np.ndarray,
     ) -> None:
         self.src_provided = src_provided
         self.src_provided_true = src_provided_true
         self.src_in_scope_true = src_in_scope_true
+        self.src_in_scope_false = src_in_scope_false
         self.pair_provided_true: Optional[np.ndarray] = None
         self.pair_provided_false: Optional[np.ndarray] = None
         self.pair_covered_true: Optional[np.ndarray] = None
@@ -318,28 +321,43 @@ class JointQualityModel(ABC):
         indexed positionally: entry ``k`` belongs to ``universe[k]``.  When a
         factor's denominator vanishes (the relevant subsets never co-occur in
         training data) the factor falls back to 1, i.e. independence.
+
+        A source with ``r_i = 0`` never provides a true triple: given truth
+        it is a constant, hence independent of every other source.  Its
+        ``C+_i`` is 1 and the other sources' ``C+`` are taken over the
+        universe without it -- the limit of Eq. 14 as ``r_i -> 0``, where
+        ``r_S`` and ``r_{S \\ j}`` would otherwise both vanish.  Likewise a
+        source with ``q_i = 0`` on the ``C-`` side.
         """
         ids = list(range(self.n_sources)) if universe is None else list(universe)
         c_plus = np.ones(len(ids))
         c_minus = np.ones(len(ids))
-        if not ids:
-            return c_plus, c_minus
-        # One batch call answers the universe (row 0) and every
-        # leave-one-out subset (row k + 1 drops ids[k]).
+        recall_side = [k for k, i in enumerate(ids) if self.recall(i) > 0.0]
+        fpr_side = [k for k, i in enumerate(ids) if self.fpr(i) > 0.0]
+        recalls, fprs = self._leave_one_out_params([ids[k] for k in recall_side])
+        if fpr_side != recall_side:
+            _, fprs = self._leave_one_out_params([ids[k] for k in fpr_side])
+        for row, k in enumerate(recall_side, start=1):
+            c_plus[k] = safe_divide(
+                float(recalls[0]),
+                self.recall(ids[k]) * float(recalls[row]),
+                default=1.0,
+            )
+        for row, k in enumerate(fpr_side, start=1):
+            c_minus[k] = safe_divide(
+                float(fprs[0]), self.fpr(ids[k]) * float(fprs[row]), default=1.0
+            )
+        return c_plus, c_minus
+
+    def _leave_one_out_params(
+        self, ids: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(r, q)`` of ``ids`` (row 0) and of each ``ids`` minus ``ids[k]``
+        (row ``k + 1``), from one batch call."""
         rows = np.zeros((len(ids) + 1, self.n_sources), dtype=bool)
         rows[:, ids] = True
         rows[np.arange(1, len(ids) + 1), ids] = False
-        recalls, fprs = self.joint_params_batch(rows)
-        r_all = float(recalls[0])
-        q_all = float(fprs[0])
-        for k, i in enumerate(ids):
-            c_plus[k] = safe_divide(
-                r_all, self.recall(i) * float(recalls[k + 1]), default=1.0
-            )
-            c_minus[k] = safe_divide(
-                q_all, self.fpr(i) * float(fprs[k + 1]), default=1.0
-            )
-        return c_plus, c_minus
+        return self.joint_params_batch(rows)
 
     def pair_joint_params(self) -> PairParams:
         """``(pairs, r, q)`` for every source pair via one batch call.
@@ -461,7 +479,9 @@ class EmpiricalJointModel(JointQualityModel):
         self._false_words = pack_bool_vector(~labels)
         # The singleton qualities and the delta-refit counters come from
         # the same per-source popcounts.
-        counts = source_counts(observations, self._true_words)
+        counts = source_counts(
+            observations, self._true_words, self._false_words
+        )
         self._singletons = qualities_from_counts(
             observations.source_names, counts, prior=prior, smoothing=smoothing
         )
@@ -543,7 +563,9 @@ class EmpiricalJointModel(JointQualityModel):
         where the derivation degenerates) we fall back to the direct count
         of jointly-provided false triples -- the only estimate available,
         and exactly the signal that matters for sources correlated on
-        mistakes (Scenario 3 of Example 4.1).
+        mistakes (Scenario 3 of Example 4.1).  Singletons follow the same
+        rule (:func:`~repro.core.quality.false_positive_rate_from_counts`),
+        so ``fpr(i) == joint_fpr({i})``.
         """
         key = _as_key(source_ids)
         if not key:
@@ -551,15 +573,16 @@ class EmpiricalJointModel(JointQualityModel):
         cached = self._fpr_cache.get(key)
         if cached is not None:
             return cached
-        precision = self.joint_precision(key)
-        if precision > 0.0:
-            value = derive_false_positive_rate(
-                precision, self.joint_recall(key), self.prior, clip=True
-            )
-        else:
-            _, provided_false = self._intersection_counts(key)
-            _, covered_false = self.joint_coverage_counts(key)
-            value = self._ratio(provided_false, covered_false)
+        provided_true, provided_false = self._intersection_counts(key)
+        covered_true, covered_false = self.joint_coverage_counts(key)
+        value = false_positive_rate_from_counts(
+            self._ratio(provided_true, provided_true + provided_false),
+            self._ratio(provided_true, covered_true),
+            self.prior,
+            provided_false,
+            covered_false,
+            self._smoothing,
+        )
         self._store(self._fpr_cache, key, value)
         return value
 
@@ -659,8 +682,10 @@ class EmpiricalJointModel(JointQualityModel):
         """
         recall = self._ratio_vec(provided_true, covered_true)
         precision = self._ratio_vec(provided_true, provided_true + provided_false)
-        # Theorem 3.5 with clip=True, element-wise in the scalar expression's
-        # evaluation order (left-to-right), so values match bit-for-bit.
+        # quality.false_positive_rate_from_counts element-wise: Theorem 3.5
+        # with clip=True in the scalar expression's evaluation order
+        # (left-to-right), the direct count at precision 0, so values match
+        # bit-for-bit.
         prior_ratio = self.prior / (1.0 - self.prior)
         with np.errstate(divide="ignore", invalid="ignore"):
             derived = prior_ratio * (1.0 - precision) / precision * recall
@@ -926,6 +951,8 @@ class EmpiricalJointModel(JointQualityModel):
         )
         old_true = _gather_words(self._true_words, word_ids)
         new_true = _gather_words(new._true_words, word_ids)
+        old_false = _gather_words(self._false_words, word_ids)
+        new_false = _gather_words(new._false_words, word_ids)
         counts = _JointCounts(
             src_provided=old_counts.src_provided
             + popcount_rows(new_provides)
@@ -936,13 +963,14 @@ class EmpiricalJointModel(JointQualityModel):
             src_in_scope_true=old_counts.src_in_scope_true
             + popcount_rows(new_coverage & new_true)
             - popcount_rows(old_coverage & old_true),
+            src_in_scope_false=old_counts.src_in_scope_false
+            + popcount_rows(new_coverage & new_false)
+            - popcount_rows(old_coverage & old_false),
         )
         if (
             old_counts.pair_provided_true is not None
             and new._partial_coverage == self._partial_coverage
         ):
-            old_false = _gather_words(self._false_words, word_ids)
-            new_false = _gather_words(new._false_words, word_ids)
             ii, jj = pair_indices(self.n_sources)
             old_inter = old_provides[ii] & old_provides[jj]
             new_inter = new_provides[ii] & new_provides[jj]
@@ -991,6 +1019,7 @@ class EmpiricalJointModel(JointQualityModel):
                         provided=int(counts.src_provided[i]),
                         provided_true=int(counts.src_provided_true[i]),
                         in_scope_true=int(counts.src_in_scope_true[i]),
+                        in_scope_false=int(counts.src_in_scope_false[i]),
                         prior=prior,
                         smoothing=smoothing,
                     )

@@ -53,10 +53,11 @@ class PatternSet:
 
     @cached_property
     def provider_sets(self) -> tuple[frozenset[int], ...]:
-        """Pattern provider rows as frozensets, for set-keyed evaluation.
+        """Pattern provider rows as frozensets, for inspection.
 
-        Built lazily: the batched fusers (PrecRec, aggressive, and the
-        bitmask-keyed inclusion-exclusion paths) never materialise them.
+        Built lazily: no fuser materialises them (every fuser scores the
+        boolean matrices in one batch); the per-pattern walks in
+        ``tests/reference.py`` do.
         """
         return tuple(
             frozenset(np.flatnonzero(row).tolist())

@@ -72,31 +72,10 @@ from repro.util.subsets import iter_subsets_of_size, subset_parity
 
 #: Default cap on cached compiled plans per fuser.  Each entry holds the
 #: plan's flat index/sign arrays plus (for the fusers that attach them) the
-#: batch-evaluated model parameters, so -- mirroring the ``max_cache_entries``
-#: memo policy -- the cache is bounded and long-lived serving processes
-#: cannot grow without limit.  Eviction is least-recently-used.
+#: batch-evaluated model parameters, so -- mirroring the joint model's
+#: ``max_cache_entries`` memo policy -- the cache is bounded and long-lived
+#: serving processes cannot grow without limit.  Eviction is least-recently-used.
 DEFAULT_PLAN_CACHE_ENTRIES = 64
-
-
-def one_pattern_likelihoods(
-    compile_entry: Callable[[np.ndarray, np.ndarray], tuple],
-    n_sources: int,
-    providers: Iterable[int],
-    silent: Iterable[int],
-) -> tuple[float, float]:
-    """One pattern's floored likelihoods through a one-row compiled plan.
-
-    ``compile_entry`` is a fuser's ``_compile_entry``; the plan is neither
-    looked up in nor stored to any cache, so a per-pattern query on a
-    serving fuser cannot evict the entries its batches rely on.
-    """
-    provider_row = np.zeros((1, n_sources), dtype=bool)
-    silent_row = np.zeros((1, n_sources), dtype=bool)
-    provider_row[0, list(providers)] = True
-    silent_row[0, list(silent)] = True
-    compiled, (recalls, fprs) = compile_entry(provider_row, silent_row)
-    numerators, denominators = compiled.accumulate(recalls, fprs)
-    return float(numerators[0]), float(denominators[0])
 
 
 class SubsetTable(NamedTuple):
@@ -1024,8 +1003,8 @@ class CompiledPlanCache:
     ``(kind, options..., pattern_digest(...))`` -- and values are opaque to
     the cache (compiled plans, optionally bundled with their batch model
     parameters or per-cluster log tables).  The cache is bounded by
-    ``max_entries`` with least-recently-used eviction, mirroring the
-    ``max_cache_entries`` memo policy elsewhere: a serving process cannot
+    ``max_entries`` with least-recently-used eviction, mirroring the joint
+    model's ``max_cache_entries`` memo policy: a serving process cannot
     grow without limit no matter how many distinct workloads it sees.
     ``max_entries=0`` disables caching (every call recompiles).
 

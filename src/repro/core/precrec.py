@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES, ModelBasedFuser
+from repro.core.fusion import ModelBasedFuser
 from repro.core.joint import JointQualityModel
 from repro.core.patterns import PatternSet
 from repro.util.probability import clamp_probability
@@ -42,8 +42,6 @@ class PrecRecFuser(ModelBasedFuser):
     decision_prior:
         Optional override of the ``alpha`` used in the posterior formula
         (the paper's Section 5 protocol fixes it at 0.5).
-    max_cache_entries:
-        Cap on the per-pattern memo used by the per-pattern scoring paths.
     """
 
     name = "PrecRec"
@@ -52,7 +50,6 @@ class PrecRecFuser(ModelBasedFuser):
         self,
         model: JointQualityModel,
         decision_prior: float | None = None,
-        max_cache_entries: int = DEFAULT_MU_CACHE_ENTRIES,
         workers: int | None = None,
         shard_size: int | None = None,
         parallel_backend: str = "thread",
@@ -64,36 +61,21 @@ class PrecRecFuser(ModelBasedFuser):
         super().__init__(
             model,
             decision_prior=decision_prior,
-            max_cache_entries=max_cache_entries,
             workers=workers,
             shard_size=shard_size,
             parallel_backend=parallel_backend,
         )
-        # Pre-compute each source's two log-contributions once; scoring a
-        # pattern is then a sum of lookups (or, batched, a matrix product).
-        self._log_provide: list[float] = []
-        self._log_silent: list[float] = []
+        # Pre-compute each source's two log-contributions once; scoring is
+        # then two matrix-vector products.
+        log_provide: list[float] = []
+        log_silent: list[float] = []
         for i in range(model.n_sources):
             r = clamp_probability(model.recall(i))
             q = clamp_probability(model.fpr(i))
-            self._log_provide.append(math.log(r) - math.log(q))
-            self._log_silent.append(math.log1p(-r) - math.log1p(-q))
-        self._log_provide_vec = np.asarray(self._log_provide, dtype=float)
-        self._log_silent_vec = np.asarray(self._log_silent, dtype=float)
-
-    def pattern_mu(self, providers: frozenset[int], silent: frozenset[int]) -> float:
-        return math.exp(self.pattern_log_mu(providers, silent))
-
-    def pattern_log_mu(
-        self, providers: frozenset[int], silent: frozenset[int]
-    ) -> float:
-        """``log mu`` -- exposed for tests and for very large source sets."""
-        total = 0.0
-        for i in providers:
-            total += self._log_provide[i]
-        for i in silent:
-            total += self._log_silent[i]
-        return total
+            log_provide.append(math.log(r) - math.log(q))
+            log_silent.append(math.log1p(-r) - math.log1p(-q))
+        self._log_provide_vec = np.asarray(log_provide, dtype=float)
+        self._log_silent_vec = np.asarray(log_silent, dtype=float)
 
     def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
         """All pattern ``mu`` values via two matrix-vector products."""

@@ -128,15 +128,39 @@ def derive_false_positive_rate(
     return q
 
 
+def false_positive_rate_from_counts(
+    precision: float,
+    recall: float,
+    prior: float,
+    provided_false: int,
+    covered_false: int,
+    smoothing: float = 0.0,
+) -> float:
+    """``q`` of a source or a source subset -- the one rule both follow.
+
+    Theorem 3.5 (clipped at 1) when ``precision`` is positive.  At
+    precision 0 every provision is false and the derivation degenerates,
+    so the direct count takes over: provided false triples over covered
+    false triples (Laplace-smoothed like every ratio; 0/0 reads as 0).  A
+    source that provides nothing thus gets ``q = 0`` -- with ``r = 0`` its
+    silence factor ``(1 - r) / (1 - q)`` is exactly 1 -- and one that is
+    never right gets its measured false-positive frequency.
+    """
+    if precision > 0.0:
+        return derive_false_positive_rate(precision, recall, prior, clip=True)
+    return _smoothed_ratio(provided_false, covered_false, smoothing)
+
+
 def quality_from_counts(
     name: str,
     provided: int,
     provided_true: int,
     in_scope_true: int,
+    in_scope_false: int,
     prior: float = 0.5,
     smoothing: float = 0.0,
 ) -> SourceQuality:
-    """Build a :class:`SourceQuality` from its three sufficient statistics.
+    """Build a :class:`SourceQuality` from its four sufficient statistics.
 
     ``estimate_source_quality`` is exactly this applied to the counts it
     measures per row; the incremental refit path
@@ -147,7 +171,14 @@ def quality_from_counts(
     """
     precision = _smoothed_ratio(provided_true, provided, smoothing)
     recall = _smoothed_ratio(provided_true, in_scope_true, smoothing)
-    fpr = derive_false_positive_rate(precision, recall, prior, clip=True)
+    fpr = false_positive_rate_from_counts(
+        precision,
+        recall,
+        prior,
+        provided_false=provided - provided_true,
+        covered_false=in_scope_false,
+        smoothing=smoothing,
+    )
     return SourceQuality(
         name=name,
         precision=precision,
@@ -196,22 +227,26 @@ def estimate_source_quality(
 
     return qualities_from_counts(
         observations.source_names,
-        source_counts(observations, pack_bool_vector(labels)),
+        source_counts(
+            observations, pack_bool_vector(labels), pack_bool_vector(~labels)
+        ),
         prior=prior,
         smoothing=smoothing,
     )
 
 
 def source_counts(
-    observations: ObservationMatrix, true_words: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-source ``(provided, provided_true, in_scope_true)`` counts.
+    observations: ObservationMatrix,
+    true_words: np.ndarray,
+    false_words: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-source ``(provided, provided_true, in_scope_true, in_scope_false)``.
 
-    Row popcounts of the packed provides and coverage words, the latter
-    two through ``true_words`` (the packed truth labels).  Packed rows
-    zero-pad their tails, so these equal the boolean row sums exactly.
-    In-scope recall counts only true triples the source covers (Section
-    2.2's "scope" note).
+    Row popcounts of the packed provides and coverage words, through
+    ``true_words`` / ``false_words`` (the packed truth labels and their
+    complement).  Packed rows zero-pad their tails, so these equal the
+    boolean row sums exactly.  The in-scope counts are restricted to the
+    triples the source covers (Section 2.2's "scope" note).
     """
     provides = observations.packed_provides.words
     coverage = observations.packed_coverage.words
@@ -219,23 +254,25 @@ def source_counts(
         popcount_rows(provides),
         popcount_rows(provides & true_words),
         popcount_rows(coverage & true_words),
+        popcount_rows(coverage & false_words),
     )
 
 
 def qualities_from_counts(
     names: Sequence[str],
-    counts: tuple[np.ndarray, np.ndarray, np.ndarray],
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     prior: float = 0.5,
     smoothing: float = 0.0,
 ) -> list[SourceQuality]:
     """:func:`quality_from_counts` per source, from :func:`source_counts`."""
-    provided, provided_true, in_scope_true = counts
+    provided, provided_true, in_scope_true, in_scope_false = counts
     return [
         quality_from_counts(
             name=name,
             provided=int(provided[i]),
             provided_true=int(provided_true[i]),
             in_scope_true=int(in_scope_true[i]),
+            in_scope_false=int(in_scope_false[i]),
             prior=prior,
             smoothing=smoothing,
         )

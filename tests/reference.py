@@ -43,7 +43,7 @@ from scipy import stats
 
 from repro.core.clustering import SourcePartition
 from repro.core.joint import JointQualityModel
-from repro.core.quality import SourceQuality, quality_from_counts
+from repro.core.quality import SourceQuality
 from repro.util.probability import (
     PROBABILITY_FLOOR,
     clamp_probability,
@@ -393,22 +393,30 @@ def aggressive_factors(
     """``(C+_i, C-_i)`` of Eq. 14-15 over ``universe``, by scalar queries.
 
     ``C+_i = r_S / (r_i * r_{S minus i})``, 1 where the denominator
-    vanishes; entry ``k`` belongs to ``universe[k]``.
+    vanishes; entry ``k`` belongs to ``universe[k]``.  ``S`` holds only the
+    universe's sources with ``r_j > 0``: one with ``r_j = 0`` is constant
+    given truth, so independent, and gets ``C+_j = 1`` (the limit of
+    Eq. 14 as ``r_j -> 0``).  ``C-`` likewise over the sources with
+    ``q_j > 0``.
     """
     ids = list(range(model.n_sources)) if universe is None else list(universe)
-    r_all = model.joint_recall(ids)
-    q_all = model.joint_fpr(ids)
-    c_plus = []
-    c_minus = []
-    for i in ids:
-        rest = [j for j in ids if j != i]
-        c_plus.append(
-            safe_divide(r_all, model.recall(i) * model.joint_recall(rest))
-        )
-        c_minus.append(
-            safe_divide(q_all, model.fpr(i) * model.joint_fpr(rest))
-        )
-    return c_plus, c_minus
+
+    def factors(rate, joint):
+        members = [i for i in ids if rate(i) > 0.0]
+        whole = joint(members)
+        return [
+            safe_divide(
+                whole, rate(i) * joint([j for j in members if j != i])
+            )
+            if rate(i) > 0.0
+            else 1.0
+            for i in ids
+        ]
+
+    return (
+        factors(model.recall, model.joint_recall),
+        factors(model.fpr, model.joint_fpr),
+    )
 
 
 def effective_rates(
@@ -605,9 +613,9 @@ class MaskJointModel(JointQualityModel):
       degenerates, provided false / covered false,
 
     each ratio Laplace-smoothed as ``(n + s) / (d + 2s)`` with 0/0 read as
-    0.  The empty subset has ``r = q = 1``.  Singleton qualities come from
-    the same mask counts.  Scoring goes through the base class's
-    row-by-row ``joint_params_batch``.
+    0.  The empty subset has ``r = q = 1``.  A singleton's quality is its
+    subset's ``(p, r, q)`` -- one rule for singletons and joints.  Scoring
+    goes through the base class's row-by-row ``joint_params_batch``.
     """
 
     def __init__(self, observations, labels, prior: float = 0.5, smoothing: float = 0.0):
@@ -618,13 +626,11 @@ class MaskJointModel(JointQualityModel):
         self._smoothing = float(smoothing)
         self._counts_memo: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
         self._qualities = [
-            quality_from_counts(
+            SourceQuality(
                 name=name,
-                provided=int(self._provides[i].sum()),
-                provided_true=int((self._provides[i] & self._labels).sum()),
-                in_scope_true=int((self._coverage[i] & self._labels).sum()),
-                prior=prior,
-                smoothing=smoothing,
+                precision=self.joint_precision([i]),
+                recall=self.joint_recall([i]),
+                false_positive_rate=self.joint_fpr([i]),
             )
             for i, name in enumerate(observations.source_names)
         ]

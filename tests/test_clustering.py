@@ -246,10 +246,10 @@ class TestClusteredFuser:
             true_partition=full,
             false_partition=singletons,
             exact_cluster_limit=2,  # the full cluster routes to elastic
-            max_cache_entries=7,
+            max_plan_cache_entries=7,
         )
         for evaluator in fuser._true_evaluators + fuser._false_evaluators:
-            assert evaluator._max_cache == 7
+            assert evaluator.plan_cache.max_entries == 7
 
     def test_batched_scoring_with_differing_partitions_is_bit_identical(self):
         # True-side and false-side partitions that disagree: the numerator

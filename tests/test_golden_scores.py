@@ -127,16 +127,6 @@ def _method_vectors(kind: str, name: str):
         return scores, None
     patterns = dataset.observations.patterns()
     mus = fuser.pattern_mu_batch(patterns)
-    if mus is None:
-        mus = np.array(
-            [
-                fuser.pattern_mu(
-                    patterns.provider_sets[k], patterns.silent_sets[k]
-                )
-                for k in range(patterns.n_patterns)
-            ],
-            dtype=float,
-        )
     return scores, np.asarray(mus, dtype=float)[patterns.inverse]
 
 

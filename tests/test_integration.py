@@ -84,9 +84,9 @@ class TestScenario4Complementary:
         # Under negative correlation, the silence of the complementary
         # sources must not count against a lone provider as strongly as
         # independence implies.
-        assert correlated.pattern_probability(
+        assert correlated.pattern_mu(
             providers, silent
-        ) > independent.pattern_probability(providers, silent)
+        ) > independent.pattern_mu(providers, silent)
 
 
 class TestDatasetShapes:

@@ -21,9 +21,15 @@ from repro.core import (
     fuse,
 )
 from repro.eval import binary_metrics
+from repro.util.probability import probability_from_mu
 
 T8_PROVIDERS = frozenset({0, 1, 3, 4})
 T8_SILENT = frozenset({2})
+
+
+def posterior(fuser, providers, silent):
+    """``Pr(t | Ot)`` of one pattern under the fuser's decision prior."""
+    return probability_from_mu(fuser.pattern_mu(providers, silent), fuser.prior)
 
 
 class TestFigure1b:
@@ -95,7 +101,7 @@ class TestExample33:
 
     def test_t2_probability(self, example_model):
         fuser = PrecRecFuser(example_model)
-        prob = fuser.pattern_probability(frozenset({0, 1}), frozenset({2, 3, 4}))
+        prob = posterior(fuser, frozenset({0, 1}), frozenset({2, 3, 4}))
         assert prob == pytest.approx(0.09, abs=0.005)
 
     def test_t2_mu(self, example_model):
@@ -106,7 +112,7 @@ class TestExample33:
     def test_t8_probability_under_independence(self, example_model):
         """Independence wrongly accepts t8 with Pr = 0.62."""
         fuser = PrecRecFuser(example_model)
-        prob = fuser.pattern_probability(T8_PROVIDERS, T8_SILENT)
+        prob = posterior(fuser, T8_PROVIDERS, T8_SILENT)
         assert prob == pytest.approx(0.62, abs=0.01)
         assert prob > 0.5  # the mistake the correlation model fixes
 
@@ -120,13 +126,16 @@ class TestExample44:
 
     def test_likelihoods(self, example_model):
         fuser = ExactCorrelationFuser(example_model)
-        numerator, denominator = fuser.pattern_likelihoods(T8_PROVIDERS, T8_SILENT)
-        assert numerator == pytest.approx(0.11, abs=0.005)
-        assert denominator == pytest.approx(0.185, abs=0.005)
+        numerators, denominators = fuser.pattern_likelihoods_batch(
+            [[i in T8_PROVIDERS for i in range(5)]],
+            [[i in T8_SILENT for i in range(5)]],
+        )
+        assert numerators[0] == pytest.approx(0.11, abs=0.005)
+        assert denominators[0] == pytest.approx(0.185, abs=0.005)
 
     def test_t8_probability(self, example_model):
         fuser = ExactCorrelationFuser(example_model)
-        prob = fuser.pattern_probability(T8_PROVIDERS, T8_SILENT)
+        prob = posterior(fuser, T8_PROVIDERS, T8_SILENT)
         assert prob == pytest.approx(0.37, abs=0.01)
         assert prob < 0.5  # correctly classified as false
 
@@ -148,7 +157,7 @@ class TestFigure3AndExample47:
 
     def test_aggressive_probability(self, example_model):
         fuser = AggressiveFuser(example_model)
-        prob = fuser.pattern_probability(T8_PROVIDERS, T8_SILENT)
+        prob = posterior(fuser, T8_PROVIDERS, T8_SILENT)
         assert prob == pytest.approx(0.23, abs=0.01)
 
 

@@ -45,7 +45,6 @@ from repro.core import (
     popcount,
 )
 from repro.core import patterns as patterns_module
-from repro.core.fusion import DEFAULT_MU_CACHE_ENTRIES
 from repro.core.patterns import (
     RestrictionTable,
     packed_pattern_rows,
@@ -767,18 +766,26 @@ class TestEngineEquivalence:
             ),
         )
 
-    def test_aggressive_with_restricted_universe_falls_back(self):
-        matrix, labels = _seeded_case(7, n_sources=5, n_triples=60, partial=False)
-        model = fit_model(matrix, labels)
-        fuser = AggressiveFuser(model, universe=[0, 1, 2])
-        assert fuser.pattern_mu_batch(matrix.patterns()) is None
-
     def test_invalid_engine_rejected(self):
         # The engine switch is gone: passing it is an error, not a no-op.
         matrix, labels = _seeded_case(9, n_sources=4, n_triples=30)
         model = fit_model(matrix, labels)
         with pytest.raises(TypeError, match="engine"):
             PrecRecFuser(model, engine="vectorized")
+
+    def test_removed_memo_knobs_rejected(self):
+        # Fusers hold no per-pattern memo, so its cap is gone; aggressive
+        # factors are always over every source, so its universe is gone.
+        matrix, labels = _seeded_case(13, n_sources=3, n_triples=10)
+        model = fit_model(matrix, labels)
+        for fuser_cls in (
+            PrecRecFuser, ExactCorrelationFuser, AggressiveFuser,
+            ElasticFuser, ClusteredCorrelationFuser,
+        ):
+            with pytest.raises(TypeError, match="max_cache_entries"):
+                fuser_cls(model, max_cache_entries=10)
+        with pytest.raises(TypeError, match="universe"):
+            AggressiveFuser(model, universe=[0, 1])
 
     def test_fuse_api_engines_agree(self):
         # The one-call API fits and scores end to end; the reference walks
@@ -955,39 +962,8 @@ class TestBatchPosterior:
 
 
 # ----------------------------------------------------------------------
-# Satellites: bounded mu cache, pruning source restrictions
+# Satellites: pruning source restrictions
 # ----------------------------------------------------------------------
-
-
-class TestBoundedMuCache:
-    def test_cache_respects_cap_and_stays_correct(self):
-        # The memo sits behind the per-pattern pattern_probability API.
-        matrix, labels = _seeded_case(12, n_sources=6, n_triples=120)
-        model = fit_model(matrix, labels)
-        capped = PrecRecFuser(model, max_cache_entries=1)
-        uncapped = PrecRecFuser(model)
-        patterns = matrix.patterns()
-
-        def probabilities(fuser):
-            return [
-                fuser.pattern_probability(providers, silent)
-                for providers, silent in zip(
-                    patterns.provider_sets, patterns.silent_sets
-                )
-            ]
-
-        assert probabilities(capped) == probabilities(uncapped)
-        assert len(capped._mu_cache) <= 1
-        assert len(uncapped._mu_cache) > 1
-
-    def test_default_cap_matches_joint_model_policy(self):
-        assert DEFAULT_MU_CACHE_ENTRIES == 200_000
-
-    def test_negative_cap_rejected(self):
-        matrix, labels = _seeded_case(13, n_sources=3, n_triples=10)
-        model = fit_model(matrix, labels)
-        with pytest.raises(ValueError, match="max_cache_entries"):
-            PrecRecFuser(model, max_cache_entries=-1)
 
 
 class TestRestrictedToSourcesPruning:

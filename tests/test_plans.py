@@ -5,8 +5,8 @@ not be live views into mutable pattern storage; the collector now lives in
 ``tests/reference.py`` as the per-term oracle), the array-built exact /
 elastic union plans against that oracle and against the per-pattern walks
 of Eq. 10-11 and Algorithm 1 in ``tests/reference.py``, the
-``pattern_likelihoods`` / ``pattern_likelihoods_batch`` entry points the
-clustered fuser drives, and the cluster restriction step.
+``pattern_likelihoods_batch`` entry point the clustered fuser drives, and
+the cluster restriction step.
 """
 
 from __future__ import annotations
@@ -131,15 +131,16 @@ class TestUnionPlans:
             plan, recalls, fprs
         )
         compiled = plan.compile().accumulate(recalls, fprs)
+        batched = fuser.pattern_likelihoods_batch(
+            patterns.provider_matrix, patterns.silent_matrix
+        )
         for k in range(patterns.n_patterns):
             expected = reference.exact_likelihoods(
                 model, patterns.provider_sets[k], patterns.silent_sets[k]
             )
             assert (numerators[k], denominators[k]) == expected
             assert (compiled[0][k], compiled[1][k]) == expected
-            assert fuser.pattern_likelihoods(
-                patterns.provider_sets[k], patterns.silent_sets[k]
-            ) == expected
+            assert (batched[0][k], batched[1][k]) == expected
 
     @pytest.mark.parametrize("level", [0, 1, 3])
     def test_elastic_plan_matches_scalar_likelihoods(self, level):
@@ -157,6 +158,9 @@ class TestUnionPlans:
             plan, recalls, fprs, eff_recall, eff_fpr
         )
         compiled = plan.compile(eff_recall, eff_fpr).accumulate(recalls, fprs)
+        batched = fuser.pattern_likelihoods_batch(
+            patterns.provider_matrix, patterns.silent_matrix
+        )
         for k in range(patterns.n_patterns):
             expected = reference.elastic_likelihoods(
                 model, patterns.provider_sets[k], patterns.silent_sets[k],
@@ -164,9 +168,7 @@ class TestUnionPlans:
             )
             assert (numerators[k], denominators[k]) == expected
             assert (compiled[0][k], compiled[1][k]) == expected
-            assert fuser.pattern_likelihoods(
-                patterns.provider_sets[k], patterns.silent_sets[k]
-            ) == expected
+            assert (batched[0][k], batched[1][k]) == expected
 
     def test_exact_plan_width_check_is_applied(self):
         dataset = _dataset()
@@ -379,27 +381,6 @@ class TestPatternLikelihoodsBatch:
                 2, eff_recall, eff_fpr,
             )
             assert (numerators[k], denominators[k]) == expected
-
-    def test_scalar_queries_leave_the_serving_caches_alone(self):
-        # pattern_likelihoods compiles a one-row plan outside the plan
-        # cache and the delta memo, so a per-pattern query on a serving
-        # fuser can never evict what its batches seeded.
-        dataset = _dataset(seed=26)
-        model = fit_model(dataset.observations, dataset.labels)
-        patterns = dataset.observations.patterns()
-        for fuser in (ExactCorrelationFuser(model), ElasticFuser(model, level=2)):
-            fuser.enable_delta_memo()
-            fuser.pattern_likelihoods_batch(
-                patterns.provider_matrix, patterns.silent_matrix
-            )
-            plan_stats = fuser.plan_cache.stats
-            memo_stats = fuser.delta_memo.stats
-            for k in range(patterns.n_patterns):
-                fuser.pattern_likelihoods(
-                    patterns.provider_sets[k], patterns.silent_sets[k]
-                )
-            assert fuser.plan_cache.stats == plan_stats
-            assert fuser.delta_memo.stats == memo_stats
 
     def test_empty_pattern_batch(self):
         dataset = _dataset(seed=25, n_triples=20)

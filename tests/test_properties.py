@@ -3,9 +3,10 @@
 Strategies generate random quality parameters, observation matrices, and
 score vectors; the properties assert the algebra the paper's machinery must
 satisfy regardless of inputs: probabilities stay in [0, 1], Theorem 3.5 is
-self-consistent, the three correlation methods coincide under independence,
-inclusion-exclusion matches direct enumeration, metrics behave, and
-serialization round-trips.
+self-consistent, singleton and joint rates follow one rule, a source that
+claims nothing moves no score, the three correlation methods coincide under
+independence, inclusion-exclusion matches direct enumeration, metrics
+behave, and serialization round-trips.
 """
 
 from __future__ import annotations
@@ -19,17 +20,24 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import (
+    METHOD_NAMES,
     AggressiveFuser,
+    ClusteredCorrelationFuser,
     ElasticFuser,
+    EmpiricalJointModel,
     ExactCorrelationFuser,
     IndependentJointModel,
     ObservationMatrix,
     PrecRecFuser,
+    SourcePartition,
     SourceQuality,
     derive_false_positive_rate,
     estimate_source_quality,
+    fit_model,
     fpr_validity_bound,
+    fuse,
 )
+from repro.data import available_datasets, get_dataset
 from repro.eval import auc_roc, binary_metrics, pr_curve, roc_curve
 from repro.util.probability import probability_from_mu
 
@@ -120,7 +128,9 @@ class TestFusionProperties:
             AggressiveFuser(model),
             ElasticFuser(model, level=2),
         ):
-            prob = fuser.pattern_probability(providers, silent)
+            prob = probability_from_mu(
+                fuser.pattern_mu(providers, silent), fuser.prior
+            )
             assert 0.0 <= prob <= 1.0
 
     @given(qualities=quality_lists(), prior=priors)
@@ -152,12 +162,14 @@ class TestFusionProperties:
         n = len(qualities)
         providers = frozenset({0})
         silent = frozenset(range(1, n))
-        base = PrecRecFuser(model).pattern_probability(providers, silent)
+        base = PrecRecFuser(model).pattern_mu(providers, silent)
         permuted = IndependentJointModel(list(reversed(qualities)), prior=0.5)
-        prob = PrecRecFuser(permuted).pattern_probability(
+        mu = PrecRecFuser(permuted).pattern_mu(
             frozenset({n - 1}), frozenset(range(n - 1))
         )
-        assert prob == pytest.approx(base, rel=1e-9)
+        assert probability_from_mu(mu, 0.5) == pytest.approx(
+            probability_from_mu(base, 0.5), rel=1e-9
+        )
 
 
 # ----------------------------------------------------------------------
@@ -172,19 +184,14 @@ class TestEmpiricalModelProperties:
         matrix, labels = case
         if not labels.any():
             return
-        from repro.core import fit_model
-
         model = fit_model(matrix, labels, prior=0.5)
         exact = ExactCorrelationFuser(model)
         provides = matrix.provides
         n_true = labels.sum()
-        j = 0
-        providers = frozenset(np.flatnonzero(provides[:, j]).tolist())
-        silent = frozenset(range(matrix.n_sources)) - providers
-        numerator, _ = exact.pattern_likelihoods(providers, silent)
-        column = provides[:, j]
+        column = provides[:, 0]
+        numerator, _ = exact.pattern_likelihoods_batch([column], [~column])
         frequency = (provides.T[labels] == column).all(axis=1).mean()
-        assert numerator == pytest.approx(max(frequency, 1e-12), abs=1e-9)
+        assert numerator[0] == pytest.approx(max(frequency, 1e-12), abs=1e-9)
 
     @given(case=observation_matrices())
     @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
@@ -194,6 +201,195 @@ class TestEmpiricalModelProperties:
             assert 0.0 <= quality.precision <= 1.0
             assert 0.0 <= quality.recall <= 1.0
             assert 0.0 <= quality.false_positive_rate <= 1.0
+
+
+# ----------------------------------------------------------------------
+# One rule for singleton and joint rates; a mute source moves no score
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def matrices_with_degenerate_rows(draw, max_sources=5, max_triples=30):
+    """A labelled random matrix plus an all-zero row and a "liar" row.
+
+    Coverage is full or random (partial).  The all-zero row claims nothing
+    and the liar row claims only false triples, so their precision is 0:
+    the case where Theorem 3.5 degenerates.
+    """
+    n = draw(st.integers(1, max_sources))
+    m = draw(st.integers(2, max_triples))
+    provides = draw(arrays(dtype=bool, shape=(n, m), elements=st.booleans()))
+    labels = draw(arrays(dtype=bool, shape=(m,), elements=st.booleans()))
+    liar = draw(arrays(dtype=bool, shape=(m,), elements=st.booleans())) & ~labels
+    provides = np.vstack([provides, np.zeros((1, m), dtype=bool), liar[None, :]])
+    if draw(st.booleans()):
+        coverage = np.ones_like(provides)
+    else:
+        coverage = provides | draw(
+            arrays(dtype=bool, shape=provides.shape, elements=st.booleans())
+        )
+    names = [f"s{i}" for i in range(n)] + ["mute", "liar"]
+    return ObservationMatrix(provides, names, coverage=coverage), labels
+
+
+def _with_mute_source(matrix: ObservationMatrix) -> ObservationMatrix:
+    """``matrix`` plus one source that covers every triple and claims none."""
+    n, m = matrix.provides.shape
+    return ObservationMatrix(
+        np.vstack([matrix.provides, np.zeros((1, m), dtype=bool)]),
+        list(matrix.source_names) + ["mute"],
+        coverage=np.vstack([matrix.coverage, np.ones((1, m), dtype=bool)]),
+    )
+
+
+def _assert_one_rule(model) -> None:
+    for i in range(model.n_sources):
+        assert model.fpr(i) == model.joint_fpr({i})
+        assert model.recall(i) == model.joint_recall({i})
+
+
+class TestSingletonsFollowTheJointRule:
+    """``fpr(i) == joint_fpr({i})`` and ``recall(i) == joint_recall({i})``.
+
+    At precision 0 Theorem 3.5 degenerates; singletons and joints must then
+    take the same direct count, or a source that claims nothing gets
+    ``q = 1`` and its silence factor ``(1 - r) / (1 - q)`` divides by zero.
+    """
+
+    @given(
+        case=matrices_with_degenerate_rows(),
+        prior=priors,
+        smoothing=st.sampled_from([0.0, 0.1, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_cold_and_delta_models(self, case, prior, smoothing, data):
+        matrix, labels = case
+        cold = EmpiricalJointModel(matrix, labels, prior=prior, smoothing=smoothing)
+        _assert_one_rule(cold)
+        # The delta refit transports the integer counts from an earlier
+        # generation (here: a matrix with other provisions) and must
+        # re-derive the same singletons.
+        earlier = data.draw(
+            arrays(dtype=bool, shape=matrix.provides.shape, elements=st.booleans())
+        )
+        previous = EmpiricalJointModel(
+            ObservationMatrix(
+                earlier & matrix.coverage,
+                matrix.source_names,
+                coverage=matrix.coverage,
+            ),
+            labels,
+            prior=prior,
+            smoothing=smoothing,
+        )
+        delta, stats = previous.refit_delta(
+            matrix, labels, max_churn_fraction=1.0
+        )
+        assert stats.mode == "delta"
+        _assert_one_rule(delta)
+        assert delta.source_qualities() == cold.source_qualities()
+
+    @pytest.mark.parametrize("name", available_datasets())
+    def test_every_registry_dataset(self, name):
+        dataset = get_dataset(name)
+        _assert_one_rule(fit_model(dataset.observations, dataset.labels))
+
+    def test_degenerate_rates(self):
+        provides = np.array(
+            [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]], dtype=bool
+        )
+        labels = np.array([True, True, False, False])
+        model = EmpiricalJointModel(
+            ObservationMatrix(provides, ["good", "mute", "liar"]), labels
+        )
+        assert (model.recall(1), model.fpr(1)) == (0.0, 0.0)
+        assert (model.recall(2), model.fpr(2)) == (0.0, 0.5)
+
+
+#: Posterior tolerance of the mute-source metamorphic test.  The mute
+#: source's terms are exact zeros (its log-contributions under PrecRec and
+#: aggressive, its inclusion-exclusion terms under exact, elastic and
+#: clustered), but one more source widens the packed pattern rows and the
+#: PrecRec/aggressive matrix products, whose reduction order may move the
+#: last ulp.
+MUTE_SOURCE_ATOL = 1e-12
+
+
+class TestMuteSourceMovesNoScore:
+    """Appending a source that claims nothing leaves every score in place."""
+
+    @given(case=observation_matrices(max_sources=5), data=st.data())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_model_based_methods(self, case, data):
+        matrix, labels = case
+        muted = _with_mute_source(matrix)
+        model = fit_model(matrix, labels)
+        muted_model = fit_model(muted, labels)
+        level = data.draw(st.integers(0, 3))
+        pairs = [
+            (PrecRecFuser(model), PrecRecFuser(muted_model)),
+            (ExactCorrelationFuser(model), ExactCorrelationFuser(muted_model)),
+            (AggressiveFuser(model), AggressiveFuser(muted_model)),
+            (
+                ElasticFuser(model, level=level),
+                ElasticFuser(muted_model, level=level),
+            ),
+        ]
+        # Clustered on the detected partitions, the mute source in a
+        # cluster of its own on both sides.  (Detection itself is pinned
+        # because its Bonferroni level divides by the number of source
+        # pairs, which the extra source raises.)
+        limit = data.draw(st.sampled_from([1, 2, 12]))
+        clustered = ClusteredCorrelationFuser(model, exact_cluster_limit=limit)
+        mute = frozenset({matrix.n_sources})
+        pairs.append(
+            (
+                clustered,
+                ClusteredCorrelationFuser(
+                    muted_model,
+                    true_partition=SourcePartition(
+                        clustered.true_partition.clusters + (mute,)
+                    ),
+                    false_partition=SourcePartition(
+                        clustered.false_partition.clusters + (mute,)
+                    ),
+                    exact_cluster_limit=limit,
+                ),
+            )
+        )
+        for fuser, muted_fuser in pairs:
+            np.testing.assert_allclose(
+                muted_fuser.score(muted),
+                fuser.score(matrix),
+                rtol=0.0,
+                atol=MUTE_SOURCE_ATOL,
+                err_msg=fuser.name,
+            )
+
+    @pytest.mark.parametrize("name", ["restaurant", "synthetic-correlated"])
+    def test_registry_datasets_keep_every_accepted_set(self, name):
+        # Regression: with q = 1 for the mute source, PrecRec accepted every
+        # RESTAURANT triple (0.65 -> 1.00) and aggressive did too (0.46 ->
+        # 1.00); elastic's mean score fell 0.840 -> 0.778.
+        dataset = get_dataset(name, seed=0)
+        matrix, labels = dataset.observations, dataset.labels
+        muted = _with_mute_source(matrix)
+        for method in METHOD_NAMES:
+            before = fuse(matrix, labels, method=method)
+            after = fuse(muted, labels, method=method)
+            np.testing.assert_array_equal(
+                after.accepted, before.accepted, err_msg=method
+            )
+            if method != "em":  # EM estimates the mute source's rates itself
+                np.testing.assert_allclose(
+                    after.scores, before.scores, rtol=0.0,
+                    atol=MUTE_SOURCE_ATOL, err_msg=method,
+                )
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 "Ot contains the observation that a source S_i does not provide t only if
 S_i provides other data in the domain of t" -- silence is evidence only
 within a source's scope.  These tests check the rule end-to-end: pattern
-construction, PrecRec scoring, and the memoised pattern cache.
+construction, PrecRec scoring, and pattern deduplication.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class TestScopedScoring:
 
     def test_pattern_cache_distinguishes_scopes(self):
         """Two triples with the same providers but different silent sets
-        must not collide in the memoised pattern cache."""
+        must not collide in pattern deduplication."""
         provides = np.array([[1, 1], [0, 0]], dtype=bool)
         coverage = np.array([[1, 1], [1, 0]], dtype=bool)
         matrix = ObservationMatrix(provides, ["A", "B"], coverage=coverage)
