@@ -6,11 +6,7 @@ recovery *costs*, not just whether it happens:
 
 - **baseline** -- the open-loop runner with an inert plan (a fault armed
   so far into the trace it never fires): same accounting machinery,
-  zero injected failures.  Everything else is measured against this.
-- **worker_kill** -- a process worker is killed mid-trace
-  (``worker:kill:2``); the supervised pool must detect the broken
-  executor, rebuild it, and re-run the map.  Recovery overhead is the
-  wall-clock this run spends beyond the baseline.
+  zero injected failures.  Every cell's duration reads against this.
 - **score_raise** -- every scoring attempt faults
   (``score:raise:1:0``); the front end must walk the full degradation
   ladder (retry, cold micro-batch, inline serial) for every batch.
@@ -20,14 +16,10 @@ recovery *costs*, not just whether it happens:
   (``refit:raise:1``); the session must roll back to the old generation
   and serve on, and the *next* refit must succeed.
 
-Always-enforced gates (any machine): every run terminates with complete
-accounting (``run_serving_load`` raises on hangs, leaks, or accounting
-gaps), served scores are bit-identical to a fault-free cold twin, the
-kill cell actually restarted the pool, the raise cell actually degraded,
-and the refit cell rolled back exactly one refit.  The recovery-latency
-gate (kill overhead under ``RECOVERY_LIMIT_SECONDS``) is recorded but
-skipped below ``GATE_MIN_CORES`` cores, where process-pool rebuild
-timings are too noisy to gate on.
+Gates (any machine): every run terminates with complete accounting
+(``run_serving_load`` raises on hangs, leaks, or accounting gaps), served
+scores are bit-identical to a fault-free cold twin, the raise cell
+actually degraded, and the refit cell rolled back exactly one refit.
 
 Emits ``BENCH_chaos_recovery.json``.
 """
@@ -43,7 +35,6 @@ if __name__ == "__main__":  # allow plain `python benchmarks/bench_chaos_recover
     sys.path.insert(0, str(Path(__file__).parent))
 
 from _helpers import RESULTS_DIR, emit
-from bench_delta_serving import GATE_MIN_CORES, available_cores
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
@@ -56,9 +47,7 @@ from repro.eval.harness import run_serving_load
 
 JSON_PATH = RESULTS_DIR / "BENCH_chaos_recovery.json"
 
-#: Wide enough that per-request scoring spans multiple 64-aligned shards
-#: (``shard_size=64`` below), so worker-site faults actually reach the
-#: pool -- a one-shard matrix never dispatches and a kill never fires.
+#: ``(sources, triples)`` of the served workload.
 FULL_CELL = (8, 960)
 SMOKE_CELL = (8, 960)
 
@@ -66,20 +55,15 @@ FULL_REQUESTS = 48
 SMOKE_REQUESTS = 24
 
 #: Modest offered rate: chaos cells measure recovery cost, not batching
-#: policy, and the process cells pay pool spin-up on top of scoring.
+#: policy.
 RATE_QPS = 100.0
 REQUEST_TRIPLES = 256
 LATENCY_BUDGET = 0.1
-SHARD_SIZE = 64
 SEED = 7
 
 #: A fault armed so deep into the trace it can never fire: the baseline
 #: runs the full chaos machinery with zero injected failures.
 INERT_SPEC = "score:raise:1000000"
-
-#: Recovery gate: killing a worker may cost at most this much wall-clock
-#: beyond the inert baseline (detect + rebuild + re-run the broken map).
-RECOVERY_LIMIT_SECONDS = 2.5
 
 
 def _workload(n_sources: int, n_triples: int, seed: int = 17):
@@ -97,7 +81,6 @@ def _workload(n_sources: int, n_triples: int, seed: int = 17):
 
 
 def _report_row(kind: str, report) -> dict:
-    pool = report.pool_stats
     resilience = report.stats["resilience"]
     return {
         "kind": kind,
@@ -114,9 +97,6 @@ def _report_row(kind: str, report) -> dict:
         "refit_attempts": report.refit_attempts,
         "refit_failures": report.refit_failures,
         "refits": report.refits,
-        "pool_restarts": pool.get("restarts", 0),
-        "pool_timeouts": pool.get("timeouts", 0),
-        "pool_inline_fallbacks": pool.get("inline_fallbacks", 0),
         "duration_seconds": report.duration_seconds,
         "max_abs_diff": report.max_abs_diff,
     }
@@ -140,16 +120,8 @@ def _chaos(dataset, kind: str, spec: str, requests: int, **overrides) -> dict:
 def run_cells(cell=FULL_CELL, requests: int = FULL_REQUESTS) -> list[dict]:
     n_sources, n_triples = cell
     dataset = _workload(n_sources, n_triples, seed=17)
-    process = {
-        "workers": 2,
-        "parallel_backend": "process",
-        "shard_size": SHARD_SIZE,
-    }
     rows = [
-        # Baseline and kill share the process-pool configuration so their
-        # wall-clock difference isolates the cost of detect + rebuild.
-        _chaos(dataset, "baseline", INERT_SPEC, requests, **process),
-        _chaos(dataset, "worker_kill", "worker:kill:2", requests, **process),
+        _chaos(dataset, "baseline", INERT_SPEC, requests),
         _chaos(dataset, "score_raise", "score:raise:1:0", requests),
         _chaos(dataset, "dispatch_delay", "dispatch:delay:2:3@0.05", requests),
         _chaos(
@@ -162,24 +134,8 @@ def run_cells(cell=FULL_CELL, requests: int = FULL_REQUESTS) -> list[dict]:
 
 def _headline(rows: list[dict]) -> dict:
     by_kind = {r["kind"]: r for r in rows}
-    cores = available_cores()
-    baseline = by_kind["baseline"]
-    kill = by_kind["worker_kill"]
-    recovery = kill["duration_seconds"] - baseline["duration_seconds"]
     return {
-        "cores": cores,
-        "gate_enforced": cores >= GATE_MIN_CORES,
-        "gate_skip_reason": (
-            None
-            if cores >= GATE_MIN_CORES
-            else f"runner reports {cores} core(s) < {GATE_MIN_CORES}; "
-            "pool-rebuild timings too noisy to gate on"
-        ),
-        "baseline_duration_seconds": baseline["duration_seconds"],
-        "kill_duration_seconds": kill["duration_seconds"],
-        "recovery_overhead_seconds": recovery,
-        "recovery_limit_seconds": RECOVERY_LIMIT_SECONDS,
-        "kill_pool_restarts": kill["pool_restarts"],
+        "baseline_duration_seconds": by_kind["baseline"]["duration_seconds"],
         "raise_degraded_batches": by_kind["score_raise"]["degraded_batches"],
         "refit_failures": by_kind["refit_fault"]["refit_failures"],
         "refits_after_rollback": by_kind["refit_fault"]["refits"],
@@ -193,33 +149,22 @@ def _headline(rows: list[dict]) -> dict:
 def _render(rows: list[dict], headline: dict) -> str:
     table = format_table(
         ["cell", "fault", "done", "shed", "fail", "retry", "degr",
-         "restarts", "dur(s)", "max|diff|"],
+         "dur(s)", "max|diff|"],
         [
             [r["kind"], r["fault_spec"], r["completed"], r["shed"],
              r["failed"], r["retries"], r["degraded_batches"],
-             r["pool_restarts"], round(r["duration_seconds"], 3),
-             r["max_abs_diff"]]
+             round(r["duration_seconds"], 3), r["max_abs_diff"]]
             for r in rows
         ],
     )
-    gate = "recovery gate (kill overhead < limit): "
-    if headline["gate_enforced"]:
-        gate += f"enforced on {headline['cores']} cores"
-    else:
-        gate += f"SKIPPED -- {headline['gate_skip_reason']}"
     return (
         table
-        + f"\n\nworker-kill recovery overhead "
-        f"{headline['recovery_overhead_seconds']:.3f}s over the "
-        f"{headline['baseline_duration_seconds']:.3f}s inert baseline "
-        f"(limit {headline['recovery_limit_seconds']:.1f}s); "
-        f"{headline['kill_pool_restarts']} pool restart(s); "
+        + f"\n\ninert baseline {headline['baseline_duration_seconds']:.3f}s; "
         f"{headline['raise_degraded_batches']} degraded batch(es) under "
         f"persistent scoring faults; "
         f"{headline['refit_failures']} refit rolled back then "
         f"{headline['refits_after_rollback']} applied; "
-        f"max |served - twin| {headline['max_abs_diff']:.1e}\n"
-        + gate
+        f"max |served - twin| {headline['max_abs_diff']:.1e}"
     )
 
 
@@ -243,11 +188,6 @@ def _check(headline: dict) -> list[str]:
             "served scores are not bit-identical to the fault-free cold "
             f"twin (max |diff| = {headline['max_abs_diff']:.3e})"
         )
-    if headline["kill_pool_restarts"] < 1:
-        errors.append(
-            "worker-kill cell never restarted the pool: the kill did not "
-            "reach a process worker (sharding misconfigured?)"
-        )
     if headline["raise_degraded_batches"] < 1:
         errors.append(
             "score-raise cell never degraded a batch: the ladder was not "
@@ -263,16 +203,6 @@ def _check(headline: dict) -> list[str]:
             "no refit succeeded after the rollback: the session did not "
             "recover a swappable generation"
         )
-    if (
-        headline["gate_enforced"]
-        and headline["recovery_overhead_seconds"]
-        > headline["recovery_limit_seconds"]
-    ):
-        errors.append(
-            "worker-kill recovery overhead "
-            f"{headline['recovery_overhead_seconds']:.3f}s exceeded the "
-            f"{headline['recovery_limit_seconds']:.1f}s limit"
-        )
     return errors
 
 
@@ -285,16 +215,15 @@ def bench_chaos_recovery(benchmark):
     emit("chaos_recovery", _render(rows, headline))
     assert headline["all_terminated"]
     assert headline["max_abs_diff"] == 0.0
-    assert headline["kill_pool_restarts"] >= 1
+    assert headline["raise_degraded_batches"] >= 1
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="shorter trace (CI); accounting, bit-identity, restart, "
-             "ladder, rollback, and the core-gated recovery checks still "
-             "apply",
+        help="shorter trace (CI); accounting, bit-identity, ladder and "
+             "rollback checks still apply",
     )
     args = parser.parse_args(argv)
     if args.smoke:

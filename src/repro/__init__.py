@@ -33,13 +33,10 @@ from repro.core import (
     ObservationMatrix,
     PrecRecFuser,
     ScoringSession,
-    ShardedExecutor,
-    ShardPlanner,
     SourceQuality,
     Triple,
     TripleIndex,
     TruthFuser,
-    WorkerPool,
     correlation_clusters,
     derive_false_positive_rate,
     discovered_correlation_groups,
@@ -71,13 +68,10 @@ __all__ = [
     "ObservationMatrix",
     "PrecRecFuser",
     "ScoringSession",
-    "ShardPlanner",
-    "ShardedExecutor",
     "SourceQuality",
     "Triple",
     "TripleIndex",
     "TruthFuser",
-    "WorkerPool",
     "__version__",
     "correlation_clusters",
     "derive_false_positive_rate",

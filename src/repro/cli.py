@@ -107,17 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: delta)",
     )
     fuse_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker threads for sharded parallel scoring (default: "
-             "$REPRO_DEFAULT_WORKERS or 1 = serial); scores are "
-             "bit-identical at any worker count",
-    )
-    fuse_cmd.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="patterns per shard for parallel scoring (default: one "
-             "word-aligned shard per worker)",
-    )
-    fuse_cmd.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="with --repeat: durably checkpoint the serving loop into "
              "DIR (atomic snapshots + a write-ahead log); a crashed run "
@@ -211,23 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
              "steps (default: 0.02)",
     )
     serve_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker threads for sharded scoring inside the session",
-    )
-    serve_cmd.add_argument(
-        "--parallel-backend", choices=("thread", "process"), default=None,
-        help="executor backend for sharded scoring (default: thread); "
-             "worker-site fault schedules need 'process' for kill "
-             "actions to reach a real worker process",
-    )
-    serve_cmd.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="patterns per shard for parallel scoring; worker-site "
-             "fault schedules need requests wide enough to span "
-             "multiple word-aligned shards (e.g. --shard-size 64 "
-             "--request-triples 256) or the pool never dispatches",
-    )
-    serve_cmd.add_argument(
         "--chaos", action="store_true",
         help="replay the trace under deterministic fault injection "
              "(see --faults); every run, with or without faults, "
@@ -238,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="fault schedule for --chaos, e.g. "
-             "'worker:kill:2,score:raise:1:0' (site:action[:nth[:count]]"
+             "'compile:raise:2,score:raise:1:0' (site:action[:nth[:count]]"
              "[@delay]); default: reuse $REPRO_FAULTS if armed, else a "
              "random plan drawn from --chaos-seed",
     )
@@ -338,8 +310,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             repeats=args.repeat - 1,
             smoothing=args.smoothing,
             decision_prior=decision_prior,
-            workers=args.workers,
-            shard_size=args.shard_size,
             delta=args.delta,
             mutate_frac=args.mutate_frac,
             refit_every=args.refit_every,
@@ -356,8 +326,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             method=args.method,
             smoothing=args.smoothing,
             decision_prior=decision_prior,
-            workers=args.workers,
-            shard_size=args.shard_size,
         )
     metrics = binary_metrics(result.accepted, dataset.labels)
     print(dataset.summary())
@@ -400,8 +368,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         ) / (1 + serving.repeats)
         print(
             f"serving: {per_score:.4f}s wall-clock per score over "
-            f"{1 + serving.repeats} calls, effective workers "
-            f"{serving.workers}, delta {serving.delta}"
+            f"{1 + serving.repeats} calls, delta {serving.delta}"
         )
         plan = serving.plan_cache_stats
         if plan:
@@ -520,18 +487,6 @@ def _checkpoint_line(stats: "Mapping") -> str:
     )
 
 
-def _serve_engine_options(args: argparse.Namespace) -> dict:
-    """Optional session-engine knobs forwarded only when set."""
-    return {
-        key: value
-        for key, value in (
-            ("parallel_backend", args.parallel_backend),
-            ("shard_size", args.shard_size),
-        )
-        if value is not None
-    }
-
-
 def _serve_fault_plan(args: argparse.Namespace) -> "Optional[faults.FaultPlan]":
     """The fault plan ``serve-bench`` arms: none unless ``--chaos``.
 
@@ -563,10 +518,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             mutate_frac=args.mutate_frac,
             refit_every=args.refit_every,
             refit_mode=args.refit_mode,
-            workers=args.workers,
             fault_plan=_serve_fault_plan(args),
             checkpoint_dir=args.checkpoint_dir,
-            **_serve_engine_options(args),
         )
     except RuntimeError as error:
         # A violated serving invariant: a hang, an accounting gap, an
@@ -602,7 +555,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             ["forced degrades", str(resilience["forced_degrades"])],
             ["refit attempts", str(report.refit_attempts)],
             ["refit failures", str(report.refit_failures)],
-            ["pool restarts", str(report.pool_stats.get("restarts", 0))],
         ]
     rows += [
         ["admission depth after", str(stats["admission"]["depth"])],

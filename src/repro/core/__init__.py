@@ -10,9 +10,6 @@ The modules map one-to-one onto the paper's sections:
 - :mod:`repro.core.plans` -- the shared union-plan layer: collect subset
   unions once, evaluate them in bulk, accumulate per pattern (consumed
   by the exact, elastic, and clustered fusers).
-- :mod:`repro.core.parallel` -- sharded parallel dispatch: word-aligned
-  shard planning plus reusable thread/process worker pools, merged by
-  ordered concatenation so scores stay bit-identical.
 - :mod:`repro.core.deltas` -- incremental delta scoring for streaming
   serving: word-level matrix diffing, per-pattern result reuse, and
   novel-pattern sub-batches, bit-identical to cold scoring.
@@ -97,16 +94,6 @@ from repro.core.joint import (
     JointQualityModel,
 )
 from repro.core.observations import ObservationMatrix
-from repro.core.parallel import (
-    PARALLEL_BACKENDS,
-    Shard,
-    ShardedExecutor,
-    ShardPlanner,
-    WorkerPool,
-    default_workers,
-    make_executor,
-    resolve_workers,
-)
 from repro.core.precrec import PrecRecFuser
 from repro.core.quality import (
     SourceQuality,
@@ -147,7 +134,6 @@ __all__ = [
     "MicroBatcher",
     "ModelBasedFuser",
     "ObservationMatrix",
-    "PARALLEL_BACKENDS",
     "PackedMatrix",
     "PairwiseCorrelation",
     "PatternSet",
@@ -155,17 +141,12 @@ __all__ = [
     "PrecRecFuser",
     "SERVING_MODES",
     "ScoringSession",
-    "Shard",
-    "ShardPlanner",
-    "ShardedExecutor",
-    "WorkerPool",
     "SourcePartition",
     "SourceQuality",
     "Triple",
     "TripleIndex",
     "TruthFuser",
     "correlation_clusters",
-    "default_workers",
     "derive_false_positive_rate",
     "dirty_columns",
     "discovered_correlation_groups",
@@ -175,9 +156,7 @@ __all__ = [
     "fit_model",
     "fpr_validity_bound",
     "fuse",
-    "make_executor",
     "make_fuser",
-    "resolve_workers",
     "pack_bool_rows",
     "pack_bool_vector",
     "pattern_digest",

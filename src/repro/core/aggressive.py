@@ -62,20 +62,8 @@ class AggressiveFuser(ModelBasedFuser):
         self,
         model: JointQualityModel,
         decision_prior: Optional[float] = None,
-        workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        parallel_backend: str = "thread",
     ) -> None:
-        # Accepted for API uniformity (make_fuser forwards the knobs to
-        # every model-based fuser); the aggressive batch path is a handful
-        # of matrix products, so no sharded dispatch is wired here.
-        super().__init__(
-            model,
-            decision_prior=decision_prior,
-            workers=workers,
-            shard_size=shard_size,
-            parallel_backend=parallel_backend,
-        )
+        super().__init__(model, decision_prior=decision_prior)
         c_plus, c_minus = model.aggressive_factors()
         # Effective per-source rates ``C+_i r_i`` and ``C-_i q_i``.
         sources = range(model.n_sources)

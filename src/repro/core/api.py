@@ -55,7 +55,6 @@ from repro.core.joint import (
     ModelRefitStats,
 )
 from repro.core.observations import ObservationMatrix
-from repro.core.parallel import resolve_workers
 from repro.core.precrec import PrecRecFuser
 from repro.core.quality import estimate_prior
 
@@ -107,7 +106,6 @@ def fit_model(
     prior: Optional[float] = None,
     smoothing: float = 0.0,
     train_mask: Optional[np.ndarray] = None,
-    workers: Optional[int] = None,
 ) -> EmpiricalJointModel:
     """Fit an :class:`EmpiricalJointModel` from labelled observations.
 
@@ -123,11 +121,6 @@ def fit_model(
         Optional boolean mask restricting which triples calibrate the model
         (a train/test split); ``None`` uses everything, as the paper's
         evaluation does.
-    workers:
-        Worker threads for the model's bulk subset evaluation
-        (:meth:`EmpiricalJointModel.joint_params_batch`); ``None`` consults
-        ``REPRO_DEFAULT_WORKERS`` (default 1, serial).  Results are
-        bit-identical at any worker count.
     """
     labels = np.asarray(labels, dtype=bool)
     if train_mask is not None:
@@ -137,11 +130,7 @@ def fit_model(
     if prior is None:
         prior = estimate_prior(labels)
     return EmpiricalJointModel(
-        observations,
-        labels,
-        prior=prior,
-        smoothing=smoothing,
-        workers=workers,
+        observations, labels, prior=prior, smoothing=smoothing
     )
 
 
@@ -179,16 +168,10 @@ def make_fuser(
     clustered-only options (partitions, ``min_phi``, ``min_expected``,
     ``significance``, ``exact_cluster_limit``, ``elastic_level``) are
     dropped on the exact route.  Options shared by both solvers
-    (``decision_prior``, ``max_plan_cache_entries``, ``workers``,
-    ``shard_size``, ``parallel_backend``) always apply.
+    (``decision_prior``, ``max_plan_cache_entries``) always apply.
     """
     key = method.lower().replace("-", "").replace("_", "")
     if key == "em":
-        # EM manages its own scoring loop; the sharded-execution knobs do
-        # not apply.
-        options.pop("workers", None)
-        options.pop("shard_size", None)
-        options.pop("parallel_backend", None)
         return ExpectationMaximizationFuser(**options)
     if model is None:
         raise ValueError(f"method {method!r} requires a fitted quality model")
@@ -228,8 +211,6 @@ def fuse(
     smoothing: float = 0.0,
     train_mask: Optional[np.ndarray] = None,
     threshold: float = DEFAULT_THRESHOLD,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
     **options: Any,
 ) -> FusionResult:
     """Calibrate on ``labels`` and score every triple with ``method``.
@@ -251,12 +232,6 @@ def fuse(
     loop's initial ``alpha``, while ``smoothing``, ``train_mask``, and
     ``decision_prior`` (which only configure a fitted model's posterior)
     raise ``ValueError`` instead of being silently ignored.
-
-    ``workers``/``shard_size`` configure sharded parallel execution end to
-    end (model batch evaluation and fuser scoring); ``None`` consults
-    ``REPRO_DEFAULT_WORKERS`` (default 1, serial).  Scores are
-    bit-identical at any worker count or shard size.  The EM method runs
-    its own vectorised loop and ignores the knobs.
     """
     fuser, _ = _build_fuser(
         observations,
@@ -265,8 +240,6 @@ def fuse(
         prior=prior,
         smoothing=smoothing,
         train_mask=train_mask,
-        workers=workers,
-        shard_size=shard_size,
         options=options,
     )
     return fuser.fuse(observations, threshold=threshold)
@@ -287,8 +260,6 @@ def _build_fuser(
     smoothing: float,
     train_mask: Optional[np.ndarray],
     options: dict,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
 ) -> tuple[TruthFuser, Optional[EmpiricalJointModel]]:
     """Fit (unless EM) and instantiate -- the shared core of :func:`fuse`
     and :class:`ScoringSession`.  Returns ``(fuser, fitted model or None)``.
@@ -325,16 +296,8 @@ def _build_fuser(
         prior=prior,
         smoothing=smoothing,
         train_mask=train_mask,
-        workers=workers,
     )
-    fuser = make_fuser(
-        method,
-        model,
-        workers=workers,
-        shard_size=shard_size,
-        **options,
-    )
-    return fuser, model
+    return make_fuser(method, model, **options), model
 
 
 class _PendingScore:
@@ -712,11 +675,10 @@ class ScoringSession:
     the GIL), refits are serialised by an internal lock, and the fusers'
     caches are locked single-flight (see
     :class:`~repro.core.plans.CompiledPlanCache`), so concurrent first
-    requests compile each plan digest once.  :meth:`refit` also closes
-    the retired fuser's and model's worker pools -- in-flight scores on
-    the retired generation degrade to inline execution rather than
-    erroring.  ``workers``/``shard_size`` configure sharded parallel
-    scoring inside each call -- see :func:`fuse`.
+    requests compile each plan digest once.
+
+    ``workers`` is accepted only as ``1``: scoring is serial, and any
+    other value raises ``ValueError`` (sharded execution was removed).
     """
 
     def __init__(
@@ -728,8 +690,7 @@ class ScoringSession:
         smoothing: float = 0.0,
         train_mask: Optional[np.ndarray] = None,
         threshold: float = DEFAULT_THRESHOLD,
-        workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
+        workers: int = 1,
         delta: str = "auto",
         micro_batch: str = "auto",
         micro_batch_max_requests: int = 64,
@@ -741,8 +702,11 @@ class ScoringSession:
         # guarded-by: _refit_lock
         self._smoothing = smoothing
         self._threshold = threshold
-        self._workers = resolve_workers(workers)
-        self._shard_size = shard_size
+        if isinstance(workers, bool) or workers != 1:
+            raise ValueError(
+                f"workers={workers!r}: sharded execution was removed and "
+                "scoring is serial; pass workers=1 or omit it"
+            )
         self._delta = _check_serving_mode(delta, "delta")
         self._micro_batch = _check_serving_mode(micro_batch, "micro_batch")
         if micro_batch_max_requests < 1:
@@ -761,12 +725,7 @@ class ScoringSession:
         # Single-assignment before serving starts; refit hooks read it
         # under _refit_lock.
         self._checkpointer: Optional[Any] = None
-        # _refit_lock is deliberately held across generation builds, which
-        # fan out on their own private worker pools; it opts out of the
-        # held-lock-across-map hazard check (see locktrace.make_lock).
-        self._refit_lock = make_lock(
-            "ScoringSession._refit_lock", allow_across_map=True
-        )
+        self._refit_lock = make_lock("ScoringSession._refit_lock")
         self._count_lock = make_lock("ScoringSession._count_lock")
         # guarded-by: _count_lock
         self._n_scored = 0
@@ -806,8 +765,6 @@ class ScoringSession:
             prior=prior,
             smoothing=smoothing,
             train_mask=train_mask,
-            workers=workers,
-            shard_size=shard_size,
             options=self._options,
         )
         self._partition_state = _detection_state(self._fuser)
@@ -868,8 +825,6 @@ class ScoringSession:
             "prior": self._prior,
             "smoothing": self._smoothing,
             "threshold": self._threshold,
-            "workers": self._workers,
-            "shard_size": self._shard_size,
             "delta": self._delta,
             "micro_batch": self._micro_batch,
             "options": options,
@@ -900,19 +855,6 @@ class ScoringSession:
     @property
     def threshold(self) -> float:
         return self._threshold
-
-    @property
-    def workers(self) -> int:
-        """Effective worker count for sharded scoring (1 = serial).
-
-        Reported from the live fuser, not the knob: EM manages its own
-        vectorised loop and drops the knob, so an EM session is always 1
-        regardless of what was requested.
-        """
-        fuser = self._fuser
-        if isinstance(fuser, ModelBasedFuser):
-            return fuser.workers
-        return 1
 
     @property
     def n_scored(self) -> int:
@@ -1169,7 +1111,6 @@ class ScoringSession:
             prior = overrides.get("prior", self._prior)
             smoothing = overrides.get("smoothing", self._smoothing)
             retired = self._fuser
-            retired_model = self._model
             start = time.perf_counter()
             fuser, model = _build_fuser(
                 observations,
@@ -1178,17 +1119,15 @@ class ScoringSession:
                 prior=prior,
                 smoothing=smoothing,
                 train_mask=train_mask,
-                workers=self._workers,
-                shard_size=self._shard_size,
                 options=self._options,
             )
             # Injection site between build and publish: a fault here must
             # leave the session serving the old generation untouched (the
-            # new fuser is dropped; its pool is reclaimed by the GC
-            # finalizer) -- the rollback contract the chaos suite pins.
+            # new fuser is dropped) -- the rollback contract the chaos
+            # suite pins.
             faults.trip(faults.SITE_REFIT)
             self._publish_generation(
-                fuser, model, prior, smoothing, start, retired, retired_model
+                fuser, model, prior, smoothing, start, retired
             )
             self._partition_state = _detection_state(fuser)
             self._note_refit(None, self.fit_seconds)
@@ -1215,8 +1154,8 @@ class ScoringSession:
         at a cost proportional to churn rather than dataset size.  The
         exact-recount fallback fires automatically when the diff is
         unavailable or churn exceeds
-        ``max_churn_fraction``; either way the generation swap, cache
-        invalidation, and retired-pool shutdown are exactly :meth:`refit`'s.
+        ``max_churn_fraction``; either way the generation swap and cache
+        invalidation are exactly :meth:`refit`'s.
 
         On the clustered route the rebuilt fuser shares the session's
         :class:`~repro.core.clustering.SignificanceMemo`, so correlation
@@ -1265,8 +1204,6 @@ class ScoringSession:
                     prior=prior,
                     smoothing=smoothing,
                     train_mask=train_mask,
-                    workers=self._workers,
-                    shard_size=self._shard_size,
                     options=self._options,
                 )
                 stats = self._warm_start_em(fuser, retired)
@@ -1299,7 +1236,6 @@ class ScoringSession:
                         labels_fit,
                         prior=prior,
                         smoothing=smoothing,
-                        workers=self._workers,
                     )
                     stats = ModelRefitStats(
                         mode="cold",
@@ -1318,18 +1254,12 @@ class ScoringSession:
                     staged_partition = self._stage_partition_carry(
                         model, retired_model, retired, stats, options
                     )
-                fuser = make_fuser(
-                    self._method,
-                    model,
-                    workers=self._workers,
-                    shard_size=self._shard_size,
-                    **options,
-                )
+                fuser = make_fuser(self._method, model, **options)
             # Injection site between build and publish (see refit): the
             # staged partition state commits only with the generation.
             faults.trip(faults.SITE_REFIT)
             self._publish_generation(
-                fuser, model, prior, smoothing, start, retired, retired_model
+                fuser, model, prior, smoothing, start, retired
             )
             self._partition_state = staged_partition
             self._note_refit(stats, self.fit_seconds)
@@ -1346,7 +1276,6 @@ class ScoringSession:
         smoothing: float,
         start: float,
         retired: TruthFuser,
-        retired_model: Optional[EmpiricalJointModel],
     ) -> None:
         """Swap in a freshly-built generation (caller holds ``_refit_lock``).
 
@@ -1356,8 +1285,7 @@ class ScoringSession:
         against the retired model must not survive anywhere, so the retired
         fuser's caches are explicitly invalidated; in-flight scores on the
         retired generation stay consistent (it still references the old
-        model, recomputing old-generation values on demand) and degrade to
-        inline execution once the retired worker pools close.
+        model, recomputing old-generation values on demand).
         """
         self._delta_scorer = self._make_delta_scorer(fuser)
         self._fuser = fuser
@@ -1369,9 +1297,6 @@ class ScoringSession:
             self._n_scored = 0
         if isinstance(retired, ModelBasedFuser):
             retired.invalidate_caches()
-            retired.close()
-        if retired_model is not None:
-            retired_model.close()
 
     def _warm_start_em(
         self, fuser: TruthFuser, retired: TruthFuser
@@ -1524,32 +1449,20 @@ class ScoringSession:
         return self._significance_memo
 
     def close(self) -> None:
-        """Shut down the live fuser's and model's worker pools (idempotent).
+        """Retire the lazily-built micro-batcher, if any (idempotent).
 
-        Scoring keeps working afterwards -- sharded dispatch degrades to
-        inline execution -- so closing a session is always safe; it exists
-        so callers embedding sessions in their own lifecycles do not rely
-        on GC finalizers to reclaim executor threads.  Serialised against
-        :meth:`refit`: a close racing a refit closes the generation the
-        refit publishes, never leaking its fresh pools.  The lazily-built
-        micro-batcher (if any) is retired too: its queued requests flush
-        immediately and later submits score inline.
+        Its queued requests flush immediately and later submits score
+        inline.  Scoring keeps working afterwards, so closing a session is
+        always safe.
         """
         batcher = self._batcher
         if batcher is not None:
             batcher.close()
-        with self._refit_lock:
-            fuser = self._fuser
-            if isinstance(fuser, ModelBasedFuser):
-                fuser.close()
-            if self._model is not None:
-                self._model.close()
 
     def __getstate__(self) -> dict:
         raise TypeError(
-            "ScoringSession is process-local (it owns locks and live "
-            "worker pools); build one session per process instead of "
-            "pickling it"
+            "ScoringSession is process-local (it owns locks); build one "
+            "session per process instead of pickling it"
         )
 
     def __enter__(self) -> "ScoringSession":
@@ -1562,7 +1475,7 @@ class ScoringSession:
         """Serving diagnostics across every cache layer.
 
         The flat keys are the live fuser's compiled-plan cache stats;
-        nested dicts add the worker pool (``"pool"``), the delta engine
+        nested dicts add the delta engine
         (``"delta"``: path counts, reuse volumes, pattern-memo counters),
         micro-batching (``"micro_batch"``) and refits (``"refit"``) when
         those layers are active.  Empty for sessions with none of them (EM).
@@ -1574,10 +1487,6 @@ class ScoringSession:
         if plan_cache is None and scorer is None and refit is None:
             return {}
         stats: dict = dict(plan_cache.stats) if plan_cache is not None else {}
-        if isinstance(fuser, ModelBasedFuser):
-            pool_stats = fuser.pool_stats()
-            if pool_stats:
-                stats["pool"] = pool_stats
         if scorer is not None:
             stats["delta"] = scorer.stats
         batcher = self._batcher

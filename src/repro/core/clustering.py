@@ -239,16 +239,6 @@ class SignificanceMemo:
                     break
                 memo[(*table, alpha)] = bool(decision)
 
-    def __getstate__(self) -> dict:
-        # The lock is process-local; a pickled memo (process-backend jobs
-        # carry their fuser, and a clustered fuser may carry its memo)
-        # starts empty -- decisions are pure functions of the tables, so
-        # the receiving process rebuilds them bit-identically on demand.
-        return {"max_entries": self._max_entries}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["max_entries"])
-
 
 def _check_thresholds(
     min_phi: float, min_expected: float, significance: float
@@ -718,18 +708,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         global pattern digest -- repeated ``score`` calls on a serving
         process skip restriction, collect, compile, model evaluation, and
         the log transform entirely.  ``0`` disables both layers.
-    workers, shard_size, parallel_backend:
-        Sharded execution -- see :class:`~repro.core.fusion.ModelBasedFuser`.
-        Each per-cluster evaluator scores all its clusters as one stacked
-        sub-pattern batch (see :meth:`_compile_side_terms`); this fuser
-        splits that batch into word-aligned row blocks and runs them
-        across the worker pool (union-plan build, model evaluation,
-        accumulation per block), then concatenates the blocks and
-        recombines per-pattern scores serially in partition order, so
-        scores stay bit-identical to the serial path.  The per-cluster
-        evaluators themselves stay serial (no nested sharding); the
-        quality model may hold its own pool for batch chunks, which is
-        distinct from this fuser's and cannot deadlock it.
     significance_memo:
         Optional :class:`SignificanceMemo` consulted (and extended) by the
         partition discovery when partitions are not supplied -- the
@@ -756,21 +734,12 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         elastic_level: int = 3,
         decision_prior: Optional[float] = None,
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-        workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        parallel_backend: str = "thread",
         significance_memo: Optional[SignificanceMemo] = None,
         carried_elastic: Optional[
             Mapping[frozenset[int], ElasticFuser]
         ] = None,
     ) -> None:
-        super().__init__(
-            model,
-            decision_prior=decision_prior,
-            workers=workers,
-            shard_size=shard_size,
-            parallel_backend=parallel_backend,
-        )
+        super().__init__(model, decision_prior=decision_prior)
         if exact_cluster_limit < 1:
             raise ValueError(
                 f"exact_cluster_limit must be >= 1, got {exact_cluster_limit}"
@@ -849,16 +818,10 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             # plan cache.  Oversized clusters still get their own elastic
             # evaluator (its aggressive factors depend on the universe).
             if self._shared_exact is None:
-                # workers=1 pins the evaluator serial: this fuser already
-                # shards the evaluator's batches on its own pool, and an
-                # ambient REPRO_DEFAULT_WORKERS must not nest a second
-                # sharding layer inside them (documented: evaluators stay
-                # serial).
                 self._shared_exact = ExactCorrelationFuser(
                     self.model,
                     max_silent_sources=exact_limit,
                     max_plan_cache_entries=self._max_plan_cache,
-                    workers=1,
                 )
             return self._shared_exact
         # An oversized cluster appearing in both partitions reuses one
@@ -872,7 +835,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                 level=level,
                 universe=sorted(cluster),
                 max_plan_cache_entries=self._max_plan_cache,
-                workers=1,  # serial: no nested sharding inside its blocks
             )
             self._elastic_by_cluster[cluster] = evaluator
         return evaluator
@@ -1015,12 +977,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         order, the true-side partition first.  The evaluators are
         ``pattern_batch_invariant`` (each row's value depends only on its
         own terms), so sharing a table changes no value.
-
-        With a configured executor each evaluator's stacked table is split
-        into word-aligned row blocks on this fuser's pool
-        (:meth:`_fan_pattern_blocks`); the evaluators themselves stay
-        serial, so sharding is single-level, and the concatenated blocks
-        equal the serial sweep bit for bit.
         """
         groups: dict[int, _GroupLogs] = {}
         for index, (evaluator, _, _) in enumerate(self._evaluator_groups):
@@ -1121,13 +1077,9 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         sub_silent: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(logs_true, logs_false)`` of sub-patterns, one evaluator call."""
-        likelihoods = self._fan_pattern_blocks(
-            sub_providers, sub_silent, evaluator
+        likelihoods = evaluator.pattern_likelihoods_batch(
+            sub_providers, sub_silent
         )
-        if likelihoods is None:
-            likelihoods = evaluator.pattern_likelihoods_batch(
-                sub_providers, sub_silent
-            )
         logs = np.array(
             [
                 math.log(max(value, PROBABILITY_FLOOR))

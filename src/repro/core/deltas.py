@@ -3,10 +3,10 @@
 Streaming serving traffic rarely scores *new* matrices -- consecutive
 requests differ from the previous one by a handful of triple columns (a few
 sources asserted or retracted a few claims).  The compile-once/execute-many
-and sharded layers (PR 3/4) made repeated scoring of the *same* matrix
-cheap, but a matrix that differs by one triple changes the pattern digest
-and re-runs pattern extraction, plan compilation, and model evaluation from
-scratch.  This module closes that gap with three reuse levels:
+plan cache makes repeated scoring of the *same* matrix cheap, but a matrix
+that differs by one triple changes the pattern digest and re-runs pattern
+extraction, plan compilation, and model evaluation from scratch.  This
+module closes that gap with three reuse levels:
 
 1. **word-level diffing** (:func:`dirty_columns`) -- consecutive packed
    observation matrices are XORed at the ``uint64`` word level; a request
@@ -14,8 +14,7 @@ scratch.  This module closes that gap with three reuse levels:
    outright, and otherwise only the *dirty* triple columns (64-triple
    word granularity, conservative by construction) are re-examined;
 2. **per-pattern probability memo** -- every triple's score is a pure
-   function of its ``(providers, silent)`` pattern (the same property the
-   sharded engine's bit-identity contract rests on), so dirty columns
+   function of its ``(providers, silent)`` pattern, so dirty columns
    whose patterns were scored before gather their probability from a
    :class:`~repro.core.plans.PatternValueMemo` without touching the model;
 3. **novel-pattern sub-batches** -- only genuinely new patterns reach the
@@ -49,12 +48,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.bitset import pack_bool_vector
+from repro.core.bitset import WORD_BITS, pack_bool_vector
 from repro.core.fusion import ModelBasedFuser
 from repro.core.observations import ObservationMatrix
 from repro.core.patterns import PatternSet, extract_patterns
 from repro.core.plans import PatternValueMemo, pattern_row_keys
-from repro.core.parallel import WORD_BITS
 
 #: Above this dirty-column fraction the delta path stops paying off (the
 #: per-column bookkeeping approaches full extraction cost) and the scorer

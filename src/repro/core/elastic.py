@@ -59,11 +59,6 @@ class ElasticFuser(ModelBasedFuser):
     max_plan_cache_entries:
         LRU cap on cached compiled plans (with their batch-evaluated model
         parameters), keyed by pattern digest; ``0`` disables the cache.
-    workers, shard_size, parallel_backend:
-        Sharded execution -- see :class:`~repro.core.fusion.ModelBasedFuser`
-        and :class:`~repro.core.exact.ExactCorrelationFuser`: pattern
-        blocks are fanned across the pool and merged by concatenation,
-        bit-identical to the serial path.
     """
 
     #: Per-pattern values are computed from each pattern's own terms in a
@@ -77,17 +72,8 @@ class ElasticFuser(ModelBasedFuser):
         universe: Optional[Sequence[int]] = None,
         decision_prior: Optional[float] = None,
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-        workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        parallel_backend: str = "thread",
     ) -> None:
-        super().__init__(
-            model,
-            decision_prior=decision_prior,
-            workers=workers,
-            shard_size=shard_size,
-            parallel_backend=parallel_backend,
-        )
+        super().__init__(model, decision_prior=decision_prior)
         self._level = check_non_negative_int(level, "level")
         self.name = f"PrecRecCorr-Elastic{self._level}"
         ids = list(range(model.n_sources)) if universe is None else list(universe)
@@ -152,25 +138,10 @@ class ElasticFuser(ModelBasedFuser):
         The plan is compiled (aggressive factors baked in) and memoised
         together with its batch-evaluated ``(r, q)`` values in the
         digest-keyed plan cache, so repeated calls skip collect, compile,
-        and model evaluation entirely.  A configured
-        :class:`~repro.core.parallel.ShardedExecutor` fans word-aligned
-        pattern blocks across its pool and concatenates the per-block
-        results, bit-identical to the serial sweep.
+        and model evaluation entirely.
         """
         provider_matrix = np.asarray(provider_matrix, dtype=bool)
         silent_matrix = np.asarray(silent_matrix, dtype=bool)
-        fanned = self._fan_pattern_blocks(provider_matrix, silent_matrix)
-        if fanned is not None:
-            return fanned
-        return self._likelihoods_block(provider_matrix, silent_matrix)
-
-    def _likelihoods_block(
-        self, provider_matrix: np.ndarray, silent_matrix: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One (possibly sharded) block of :meth:`pattern_likelihoods_batch`.
-
-        Never re-shards -- the worker-pool jobs land here directly.
-        """
         memo = self._delta_memo
         if memo is None:
             key = (

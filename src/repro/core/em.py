@@ -178,17 +178,6 @@ class ExpectationMaximizationFuser(TruthFuser):
     def _workspace(self, value: Optional["_Workspace"]) -> None:
         self._tls.workspace = value
 
-    def __getstate__(self) -> dict:
-        # Thread-local storage is process-local; a pickled fuser starts
-        # with fresh (empty) per-thread state.
-        state = self.__dict__.copy()
-        state.pop("_tls", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._tls = threading.local()
-
     def score(self, observations: ObservationMatrix) -> np.ndarray:
         provides = observations.provides.astype(float)
         coverage = observations.coverage.astype(float)

@@ -62,14 +62,6 @@ class ExactCorrelationFuser(ModelBasedFuser):
         parameters), keyed by pattern digest -- repeated ``score`` calls on
         a serving process skip collect, compile, and model evaluation.
         ``0`` disables the cache.
-    workers, shard_size, parallel_backend:
-        Sharded execution -- see :class:`~repro.core.fusion.ModelBasedFuser`.
-        With more than one shard, :meth:`pattern_likelihoods_batch`
-        partitions the pattern matrices into word-aligned blocks, runs
-        each block's collect/compile/evaluate/accumulate pipeline on the
-        worker pool (each block keyed separately in the plan cache), and
-        concatenates the per-block results -- bit-identical to the serial
-        path.
     """
 
     name = "PrecRecCorr"
@@ -84,17 +76,8 @@ class ExactCorrelationFuser(ModelBasedFuser):
         max_silent_sources: int = 20,
         decision_prior: float | None = None,
         max_plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-        workers: int | None = None,
-        shard_size: int | None = None,
-        parallel_backend: str = "thread",
     ) -> None:
-        super().__init__(
-            model,
-            decision_prior=decision_prior,
-            workers=workers,
-            shard_size=shard_size,
-            parallel_backend=parallel_backend,
-        )
+        super().__init__(model, decision_prior=decision_prior)
         if max_silent_sources < 0:
             raise ValueError(
                 f"max_silent_sources must be non-negative, got {max_silent_sources}"
@@ -159,26 +142,10 @@ class ExactCorrelationFuser(ModelBasedFuser):
         together with its batch-evaluated ``(r, q)`` values, which depend
         only on the (fixed) model -- in the digest-keyed plan cache, so
         repeated calls skip collect, compile, and model evaluation
-        entirely.  A
-        configured :class:`~repro.core.parallel.ShardedExecutor` fans
-        word-aligned pattern blocks across its pool and concatenates the
-        per-block results (each pattern's likelihoods depend only on its
-        own terms, so the merge is bit-identical to the serial sweep).
+        entirely.
         """
         provider_matrix = np.asarray(provider_matrix, dtype=bool)
         silent_matrix = np.asarray(silent_matrix, dtype=bool)
-        fanned = self._fan_pattern_blocks(provider_matrix, silent_matrix)
-        if fanned is not None:
-            return fanned
-        return self._likelihoods_block(provider_matrix, silent_matrix)
-
-    def _likelihoods_block(
-        self, provider_matrix: np.ndarray, silent_matrix: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One (possibly sharded) block of :meth:`pattern_likelihoods_batch`.
-
-        Never re-shards -- the worker-pool jobs land here directly.
-        """
         memo = self._delta_memo
         if memo is None:
             key = (

@@ -1,14 +1,13 @@
 """Deterministic fault injection: seeded plans, named sites, zero-cost off.
 
-The fault-tolerance layer (worker-pool supervision, serving retries, the
-degradation ladder) is only trustworthy if its failure paths are
-*exercised deterministically* -- a chaos test that kills a worker "at
+The fault-tolerance layer (serving retries, the degradation ladder,
+refit rollback) is only trustworthy if its failure paths are
+*exercised deterministically* -- a chaos test that fails a request "at
 some point" cannot pin accounting or bit-identity.  This module supplies
 the injection substrate:
 
-- **Named sites.**  Six hooks cover the serving stack's failure
-  surfaces: :data:`SITE_WORKER` (job entry inside a pool worker),
-  :data:`SITE_COMPILE` (plan compilation inside
+- **Named sites.**  Five hooks cover the serving stack's failure
+  surfaces: :data:`SITE_COMPILE` (plan compilation inside
   ``CompiledPlanCache.get_or_compute``), :data:`SITE_SCORE`
   (``ScoringSession.score_batch`` entry), :data:`SITE_DISPATCH` (lane
   dispatch in ``AsyncServingFrontend``), :data:`SITE_REFIT` (between
@@ -27,17 +26,12 @@ the injection substrate:
 
 Actions are ``raise`` (a typed, retry-safe :class:`InjectedFault`),
 ``delay`` (sleep, to trip watchdogs, overrun latency budgets and hold a
-batch in flight), and ``kill`` (hard ``os._exit`` -- but only when the
-tripping code runs in a *child* process, i.e. a process-pool worker; in
-the parent it degrades to ``raise`` so a plan can never take the test
-process down).  Process-pool
-workers cannot share the parent's injector state, so worker faults
-travel as picklable *tokens*: the parent-side injector decides per job
-whether the fault fires and ships ``(action, ...)`` with the job; the
-child merely performs it (:func:`faulty_call`).  Inline execution paths
-never consult worker tokens -- the inline-serial fallback is the
-supervision layer's guaranteed-completion rung and must stay
-fault-free.
+batch in flight), and the persist-only ``torn-write``.  A fired rule is
+a plain *token* tuple (:data:`FaultToken`): :func:`perform` carries it
+out, and sites that need call-site context (``torn-write``) take it from
+:func:`trip_token` and act on it themselves.  Process-level crashes are
+not an action here: the crash campaigns SIGKILL a real serving process
+(:mod:`repro.eval.crash`).
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from repro.core.locktrace import make_lock
 
@@ -55,8 +49,6 @@ from repro.core.locktrace import make_lock
 #: :meth:`FaultPlan.from_spec`); read once at import.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
-#: Pool-worker job entry (``WorkerPool.map`` executor path).
-SITE_WORKER = "worker"
 #: Plan compilation (``CompiledPlanCache.get_or_compute`` factory call).
 SITE_COMPILE = "compile"
 #: Scoring entry (``ScoringSession.score_batch``).
@@ -70,7 +62,6 @@ SITE_PERSIST = "persist"
 
 #: Every named injection site, in documentation order.
 FAULT_SITES = (
-    SITE_WORKER,
     SITE_COMPILE,
     SITE_SCORE,
     SITE_DISPATCH,
@@ -80,37 +71,25 @@ FAULT_SITES = (
 
 ACTION_RAISE = "raise"
 ACTION_DELAY = "delay"
-ACTION_KILL = "kill"
 ACTION_TORN_WRITE = "torn-write"
 
-#: Every fault action.  ``kill`` hard-exits a process-pool worker (in the
-#: parent process it degrades to ``raise``).  ``torn-write`` is specific
-#: to the ``persist`` site: the in-flight durable write is truncated at a
-#: seeded byte offset (the rule's ``@`` value is the fraction of the
-#: payload that reaches the file) and then fails -- the crash shape the
-#: WAL torn-tail scan and snapshot fallback exist to survive.
-FAULT_ACTIONS = (ACTION_RAISE, ACTION_DELAY, ACTION_KILL, ACTION_TORN_WRITE)
+#: Every fault action.  ``torn-write`` is specific to the ``persist``
+#: site: the in-flight durable write is truncated at a seeded byte offset
+#: (the rule's ``@`` value is the fraction of the payload that reaches
+#: the file) and then fails -- the crash shape the WAL torn-tail scan and
+#: snapshot fallback exist to survive.
+FAULT_ACTIONS = (ACTION_RAISE, ACTION_DELAY, ACTION_TORN_WRITE)
 
-#: Exit status used by ``kill`` so a supervised pool's crash is
-#: distinguishable from an organic segfault in post-mortem logs.
-KILL_EXIT_STATUS = 86
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: A picklable fired-fault instruction: ``(action, delay_seconds,
-#: parent_pid, site, hit)``.  Plain tuple so process-pool jobs can carry
-#: one without the injector (locks and all) crossing the pickle boundary.
-FaultToken = "tuple[str, float, int, str, int]"
+#: A fired-fault instruction: ``(action, delay_seconds, site, hit)``.
+FaultToken = "tuple[str, float, str, int]"
 
 
 class InjectedFault(RuntimeError):
     """A deliberately injected failure (retry-safe by construction).
 
-    Raised by the ``raise`` action (and by ``kill`` degrading in the
-    parent process).  The serving retry policy classifies this as
-    transient: re-running the same computation without the injection
-    succeeds, which is exactly the contract a retry needs.
+    Raised by the ``raise`` action.  The serving retry policy classifies
+    this as transient: re-running the same computation without the
+    injection succeeds, which is exactly the contract a retry needs.
     """
 
     def __init__(self, site: str, hit: int) -> None:
@@ -187,8 +166,8 @@ class FaultPlan:
     def from_spec(cls, spec: str) -> "FaultPlan":
         """Parse ``site:action[:nth[:count]][@delay][,...]``.
 
-        Examples: ``worker:kill:2`` (kill the process worker serving the
-        2nd pool job), ``score:raise:1:0`` (every ``score_batch`` call
+        Examples: ``compile:raise:2`` (the 2nd plan compile fails),
+        ``score:raise:1:0`` (every ``score_batch`` call
         fails -- the full-ladder drill), ``dispatch:delay:3@0.05`` (the
         3rd lane dispatch stalls 50 ms).
         """
@@ -264,54 +243,28 @@ class FaultPlan:
         """Round-trippable spec string (``FaultPlan.from_spec(plan.spec)``)."""
         return ",".join(rule.spec for rule in self.rules)
 
-    def sites(self) -> "frozenset[str]":
-        """The sites this plan can ever fire at."""
-        return frozenset(rule.site for rule in self.rules)
-
 
 def perform(token: Any) -> None:
     """Carry out a fired fault token (see :data:`FaultToken`).
 
-    ``raise`` raises :class:`InjectedFault`; ``delay`` sleeps; ``kill``
-    hard-exits -- but only when running in a process other than the one
-    that minted the token (a process-pool worker).  In the minting
-    process ``kill`` degrades to ``raise``: thread workers and inline
-    calls share the test process, and no fault plan is allowed to take
-    that down.  ``torn-write`` tokens are interpreted by the persist
-    layer's durable writers (which have the file context needed to tear
-    the write); when one reaches ``perform`` anyway it degrades to
-    ``raise``.
+    ``raise`` raises :class:`InjectedFault`; ``delay`` sleeps.
+    ``torn-write`` tokens are interpreted by the persist layer's durable
+    writers (which have the file context needed to tear the write); when
+    one reaches ``perform`` anyway it degrades to ``raise``.
     """
-    action, delay_seconds, parent_pid, site, hit = token
+    action, delay_seconds, site, hit = token
     if action == ACTION_DELAY:
         time.sleep(delay_seconds)
         return
-    if action == ACTION_KILL and os.getpid() != parent_pid:
-        # A real worker death: skip interpreter teardown entirely so the
-        # parent sees exactly what a SIGKILL'd worker looks like
-        # (BrokenProcessPool), not an exception bubbling through pickle.
-        os._exit(KILL_EXIT_STATUS)
     raise InjectedFault(site, hit)
-
-
-def faulty_call(job: "tuple[Any, Callable[[_T], _R], _T]") -> "_R":
-    """Pool-job adapter: ``(token, fn, item) -> fn(item)`` after the fault.
-
-    Module-level so process-backend jobs can carry fault tokens; a
-    ``None`` token is a plain pass-through.
-    """
-    token, fn, item = job
-    if token is not None:
-        perform(token)
-    return fn(item)
 
 
 class FaultInjector:
     """Per-site hit counting plus rule matching for one :class:`FaultPlan`.
 
-    Thread-safe: sites are tripped from the serving loop, executor
-    threads, and pool dispatch concurrently; hit counters advance under
-    one lock so a plan's Nth-hit semantics are well-defined even then.
+    Thread-safe: sites are tripped from the serving loop and executor
+    threads concurrently; hit counters advance under one lock so a
+    plan's Nth-hit semantics are well-defined even then.
     Deterministic given a deterministic workload -- and *consumable*:
     a rule with ``count=1`` fires once ever, so a supervised retry of the
     same work does not re-trip it (which is what lets retries succeed).
@@ -319,8 +272,6 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self._plan = plan
-        self._watched = plan.sites()
-        self._parent_pid = os.getpid()
         self._lock = make_lock("FaultInjector._lock")
         # guarded-by: _lock
         self._hits: dict[str, int] = {}
@@ -331,15 +282,10 @@ class FaultInjector:
     def plan(self) -> FaultPlan:
         return self._plan
 
-    def watches(self, site: str) -> bool:
-        """Whether any rule targets ``site`` (cheap pre-filter)."""
-        return site in self._watched
-
     def token(self, site: str) -> Optional[Any]:
         """Advance ``site``'s hit counter; a token if a rule fires, else None.
 
-        The token is a plain picklable tuple (:data:`FaultToken`) so it
-        can ride a process-pool job into a child that has no injector.
+        The token is a plain tuple (:data:`FaultToken`).
         """
         with self._lock:
             hit = self._hits.get(site, 0) + 1
@@ -347,13 +293,7 @@ class FaultInjector:
             for rule in self._plan.rules:
                 if rule.site == site and rule.matches(hit):
                     self._fired[site] = self._fired.get(site, 0) + 1
-                    return (
-                        rule.action,
-                        rule.delay_seconds,
-                        self._parent_pid,
-                        site,
-                        hit,
-                    )
+                    return (rule.action, rule.delay_seconds, site, hit)
         return None
 
     def fire(self, site: str) -> None:
@@ -374,8 +314,8 @@ class FaultInjector:
 
     def __getstate__(self) -> None:
         raise TypeError(
-            "FaultInjector is process-local and cannot be pickled; worker "
-            "faults travel as plain tokens (FaultInjector.token) instead"
+            "FaultInjector is process-local (it owns a lock over live hit "
+            "counters); arm one per process instead of pickling it"
         )
 
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.joint import JointQualityModel
 from repro.core.observations import ObservationMatrix
-from repro.core.parallel import ShardedExecutor, make_executor
 from repro.core.patterns import PatternSet
 from repro.util.probability import probability_from_mu_array
 
@@ -120,18 +119,6 @@ class TruthFuser(ABC):
         )
 
 
-def _likelihoods_block_job(job: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Worker-pool job: one pattern block through a fuser's block pipeline.
-
-    A module-level function (not a closure) so the process backend can
-    pickle it; ``job`` is ``(fuser, provider_block, silent_block)`` and
-    the fuser must implement ``_likelihoods_block`` (the exact and
-    elastic fusers do).
-    """
-    fuser, provider_matrix, silent_matrix = job
-    return fuser._likelihoods_block(provider_matrix, silent_matrix)
-
-
 class ModelBasedFuser(TruthFuser):
     """Shared machinery for fusers driven by a :class:`JointQualityModel`.
 
@@ -143,13 +130,6 @@ class ModelBasedFuser(TruthFuser):
     Scoring extracts the matrix's distinct patterns once and evaluates
     them in one :meth:`pattern_mu_batch` call; :meth:`pattern_mu` answers
     a single pattern through the same call on a one-row set.
-
-    Sharded execution: ``workers > 1`` (or an explicit ``shard_size``)
-    equips the fuser with a :class:`~repro.core.parallel.ShardedExecutor`.
-    Subclasses with batched scoring paths shard their per-pattern work
-    across its pool and merge per-shard results by concatenation -- every
-    pattern's score depends only on its own terms, so sharded scores are
-    bit-identical to the serial path.
     """
 
     #: Whether this fuser's per-pattern scores are *bitwise* independent of
@@ -167,9 +147,6 @@ class ModelBasedFuser(TruthFuser):
         self,
         model: JointQualityModel,
         decision_prior: Optional[float] = None,
-        workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        parallel_backend: str = "thread",
     ) -> None:
         if decision_prior is not None and not 0.0 < decision_prior < 1.0:
             raise ValueError(
@@ -177,64 +154,10 @@ class ModelBasedFuser(TruthFuser):
             )
         self._model = model
         self._decision_prior = decision_prior
-        self._executor = make_executor(workers, shard_size, parallel_backend)
 
     @property
     def model(self) -> JointQualityModel:
         return self._model
-
-    @property
-    def workers(self) -> int:
-        """Effective worker count (1 = serial)."""
-        return self._executor.workers if self._executor is not None else 1
-
-    @property
-    def executor(self) -> Optional[ShardedExecutor]:
-        """The sharded executor, or ``None`` on the serial configuration."""
-        return self._executor
-
-    def _fan_pattern_blocks(
-        self,
-        provider_matrix: np.ndarray,
-        silent_matrix: np.ndarray,
-        evaluator: Optional["ModelBasedFuser"] = None,
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Sharded ``(numerators, denominators)``, or ``None`` to run serial.
-
-        The shared fan-out of the exact and elastic batch entry points:
-        partition the pattern matrices into word-aligned blocks, run each
-        block through ``evaluator``'s ``_likelihoods_block`` pipeline
-        (default: this fuser's own) on this fuser's pool, and merge the
-        per-block results by concatenation -- bit-identical to the serial
-        sweep, since every pattern's likelihoods depend only on its own
-        terms.  The clustered fuser passes its serial per-cluster
-        evaluators, so their batches shard on its pool.  ``None`` when no
-        executor is configured or the plan is a single shard (callers then
-        run their unsharded path, keeping the one-shard case free of
-        dispatch overhead and byte-identical in cache keying to the serial
-        configuration).
-        """
-        executor = self._executor
-        if executor is None:
-            return None
-        shards = executor.shards(provider_matrix.shape[0])
-        if len(shards) <= 1:
-            return None
-        blocks = executor.map(
-            _likelihoods_block_job,
-            [
-                (
-                    self if evaluator is None else evaluator,
-                    provider_matrix[shard.start : shard.stop],
-                    silent_matrix[shard.start : shard.stop],
-                )
-                for shard in shards
-            ],
-        )
-        return (
-            np.concatenate([block[0] for block in blocks]),
-            np.concatenate([block[1] for block in blocks]),
-        )
 
     @property
     def prior(self) -> float:
@@ -287,24 +210,6 @@ class ModelBasedFuser(TruthFuser):
         inclusion-exclusion fusers -- override this to clear them.
         """
 
-    def close(self) -> None:
-        """Shut down this fuser's worker pool (idempotent).
-
-        Scoring keeps working after a close -- sharded dispatch degrades
-        to inline serial execution -- so retiring a fuser under concurrent
-        scorers is always safe.  ``ScoringSession.refit`` closes the
-        retired fuser; the pool's GC finalizer is the backstop for fusers
-        dropped without an explicit close.
-        """
-        if self._executor is not None:
-            self._executor.close()
-
-    def __enter__(self) -> "ModelBasedFuser":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def enable_delta_memo(self, max_entries: int = 200_000) -> None:
         """Opt this fuser into per-pattern result reuse across requests.
 
@@ -316,18 +221,6 @@ class ModelBasedFuser(TruthFuser):
         path is already a couple of matrix products (PrecRec, aggressive)
         gain nothing from row-level reuse.
         """
-
-    def pool_stats(self) -> dict:
-        """Worker-pool supervision counters, empty on the serial config.
-
-        Surfaces ``restarts`` / ``timeouts`` / ``inline_fallbacks`` from
-        :attr:`repro.core.parallel.WorkerPool.stats` so serving
-        observability (``ScoringSession.cache_stats()["pool"]``) can show
-        whether the fault-tolerance layer had to intervene.
-        """
-        if self._executor is None:
-            return {}
-        return self._executor.stats
 
     def score(self, observations: ObservationMatrix) -> np.ndarray:
         if observations.n_sources != self._model.n_sources:
@@ -345,7 +238,7 @@ class ModelBasedFuser(TruthFuser):
         The per-pattern half of :meth:`score`, exposed so the
         delta-scoring layer (:mod:`repro.core.deltas`) can evaluate *only*
         a request's novel patterns: every value depends on its own pattern
-        alone (the property the sharded engine already relies on), so a
+        alone, so a
         sub-batch evaluates bit-identically to the same rows inside a full
         batch.
         """

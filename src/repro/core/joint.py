@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.bitset import pack_bool_vector, popcount, popcount_rows
 from repro.core.observations import ObservationMatrix
-from repro.core.parallel import make_executor
 
 if TYPE_CHECKING:  # deltas imports joint at runtime; annotation-only here
     from repro.core.deltas import WordDiff
@@ -437,14 +436,6 @@ class EmpiricalJointModel(JointQualityModel):
         touch millions of distinct subsets during inclusion-exclusion;
         beyond the cap values are recomputed instead of stored, bounding
         memory at a small constant factor of the cap.
-    workers:
-        Worker threads for :meth:`joint_params_batch`: requests larger
-        than one chunk are fanned across a reusable pool (the popcount
-        kernels release the GIL) and reassembled in chunk order, so
-        results stay bit-identical to the serial sweep.  ``None`` consults
-        ``REPRO_DEFAULT_WORKERS`` (library default: 1, serial).  The model
-        owns its own pool, distinct from any fuser's, so nested dispatch
-        (a fuser's block job requesting a batch) cannot deadlock.
     """
 
     def __init__(
@@ -454,7 +445,6 @@ class EmpiricalJointModel(JointQualityModel):
         prior: float = 0.5,
         smoothing: float = 0.0,
         max_cache_entries: int = 200_000,
-        workers: Optional[int] = None,
     ) -> None:
         super().__init__(observations.source_names, prior)
         labels = np.asarray(labels, dtype=bool)
@@ -467,8 +457,6 @@ class EmpiricalJointModel(JointQualityModel):
             raise ValueError(
                 f"max_cache_entries must be non-negative, got {max_cache_entries}"
             )
-        self._workers = workers
-        self._executor = make_executor(workers)
         self._observations = observations
         self._labels = labels
         self._smoothing = float(smoothing)
@@ -490,23 +478,6 @@ class EmpiricalJointModel(JointQualityModel):
         self._fpr_cache: dict[SubsetKey, float] = {}
         self._precision_cache: dict[SubsetKey, float] = {}
         self._coverage_cache: dict[SubsetKey, tuple[int, int]] = {}
-
-    def close(self) -> None:
-        """Shut down the model's batch-evaluation pool (idempotent).
-
-        ``ScoringSession.refit`` calls this on the retired model; the GC
-        finalizer would reclaim an unclosed pool eventually, but serving
-        processes should not carry retired executors until then.  A closed
-        model keeps answering every query -- batch chunks just run inline.
-        """
-        if self._executor is not None:
-            self._executor.close()
-
-    def __enter__(self) -> "EmpiricalJointModel":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- estimation ----------------------------------------------------
     #
@@ -620,23 +591,7 @@ class EmpiricalJointModel(JointQualityModel):
         n_subsets = subsets.shape[0]
         recalls = np.empty(n_subsets, dtype=float)
         fprs = np.empty(n_subsets, dtype=float)
-        starts = range(0, n_subsets, _BATCH_CHUNK)
-        if self._executor is not None and len(starts) > 1:
-            # Fan the (element-wise independent) chunks across the model's
-            # pool and reassemble in chunk order -- bit-identical to the
-            # serial sweep, since chunk boundaries are unchanged.
-            chunks = self._executor.map(
-                lambda start: self._params_chunk(
-                    subsets[start : min(start + _BATCH_CHUNK, n_subsets)]
-                ),
-                list(starts),
-            )
-            for start, (chunk_r, chunk_q) in zip(starts, chunks):
-                stop = min(start + _BATCH_CHUNK, n_subsets)
-                recalls[start:stop] = chunk_r
-                fprs[start:stop] = chunk_q
-            return recalls, fprs
-        for start in starts:
+        for start in range(0, n_subsets, _BATCH_CHUNK):
             stop = min(start + _BATCH_CHUNK, n_subsets)
             recalls[start:stop], fprs[start:stop] = self._params_chunk(
                 subsets[start:stop]
@@ -872,7 +827,6 @@ class EmpiricalJointModel(JointQualityModel):
                 prior=new_prior,
                 smoothing=new_smoothing,
                 max_cache_entries=self._max_cache,
-                workers=self._workers,
             )
             return model, ModelRefitStats(
                 mode="cold",
@@ -916,8 +870,6 @@ class EmpiricalJointModel(JointQualityModel):
         cls = type(self)
         new = cls.__new__(cls)
         JointQualityModel.__init__(new, observations.source_names, prior)
-        new._workers = self._workers
-        new._executor = make_executor(self._workers)
         new._observations = observations
         new._labels = labels
         new._smoothing = smoothing

@@ -1,32 +1,21 @@
 """Runtime lock-order tracing: deadlock-hazard detection for serving.
 
-The threaded serving stack (PR 4) rests on two prose invariants that no
-test could previously *watch* being upheld:
+The threaded serving stack rests on one prose invariant that no test
+could otherwise *watch* being upheld: **lock ordering is acyclic.**  Every
+component lock (plan cache, joint cache, session refit/count locks,
+micro-batcher queue lock) may be held while acquiring certain others --
+e.g. a refit holds the session's refit lock while invalidating the retired
+fuser's plan cache.  As long as the "held while acquiring" relation over
+lock *names* stays acyclic, no schedule of threads can deadlock on them.
 
-1. **Lock ordering is acyclic.**  Every component lock (plan cache, joint
-   cache, session refit/count locks, micro-batcher queue lock, worker-pool
-   state lock) may be held while acquiring certain others -- e.g. a refit
-   holds the session's refit lock while invalidating the retired fuser's
-   plan cache.  As long as the "held while acquiring" relation over lock
-   *names* stays acyclic, no schedule of threads can deadlock on them.
-
-2. **No component lock is held across a pool fan-out.**  ``WorkerPool.map``
-   blocks the calling thread until every worker finishes; if the caller
-   holds a lock a worker might need, the pool nests a wait inside a
-   critical section -- the deadlock shape PR 4 avoided by giving every
-   component its own pool.  The one deliberate exception is the session's
-   coarse refit lock, which serialises whole generation builds (and those
-   builds legitimately fan out on the *new* generation's private pools).
-
-This module turns both invariants into runtime checks.  Set
+This module turns that invariant into a runtime check.  Set
 ``REPRO_LOCK_CHECK=1`` and every lock built through :func:`make_lock`
 becomes a :class:`TrackedLock`: acquisitions record per-thread held-lock
-stacks into a process-wide lock-order graph, :func:`detected_cycles`
+stacks into a process-wide lock-order graph, and :func:`detected_cycles`
 reports any cycle in that graph (a potential deadlock even if no run has
-hit it yet), and ``WorkerPool.map`` refuses to fan out while a tracked
-lock is held (unless the lock was declared ``allow_across_map``).  With
-the variable unset (the default), :func:`make_lock` returns a plain
-``threading.Lock`` -- zero overhead, byte-identical behaviour.
+hit it yet).  With the variable unset (the default), :func:`make_lock`
+returns a plain ``threading.Lock`` -- zero overhead, byte-identical
+behaviour.
 
 The checker is a *tracer*, not a scheduler: it observes orders that real
 executions exhibit, so its guarantees are as good as the workload that ran
@@ -55,18 +44,8 @@ def lock_check_enabled() -> bool:
     return raw not in ("", "0", "false", "off", "no")
 
 
-class LockOrderError(RuntimeError):
-    """A lock-discipline violation detected at runtime.
-
-    Raised by :func:`assert_map_safe` when a tracked lock (not declared
-    ``allow_across_map``) is held on entry to a worker-pool fan-out: the
-    calling thread would block on worker completion inside a critical
-    section, the nested-wait deadlock shape.
-    """
-
-
 def _acquisition_site() -> str:
-    """A short formatted stack sample for hazard/edge reports."""
+    """A short formatted stack sample for edge reports."""
     frames = traceback.extract_stack(limit=_STACK_DEPTH + 2)[:-2]
     return " <- ".join(
         f"{frame.name}:{frame.lineno}" for frame in reversed(frames)
@@ -88,14 +67,11 @@ class _LockRegistry:
     """
 
     def __init__(self) -> None:
-        # The registry is a never-pickled process singleton; a plain lock
-        # (not a TrackedLock -- the registry cannot trace itself) is fine.
-        self._lock = threading.Lock()  # reprolint: allow[REP002]
+        # A plain lock, not a TrackedLock: the registry cannot trace itself.
+        self._lock = threading.Lock()
         self._tls = threading.local()
         # guarded-by: _lock
         self._edges: dict[tuple[str, str], dict] = {}
-        # guarded-by: _lock
-        self._hazards: list[dict] = []
 
     # -- per-thread held stack ----------------------------------------
 
@@ -141,27 +117,11 @@ class _LockRegistry:
                 del stack[index]
                 return
 
-    # -- hazards -------------------------------------------------------
-
-    def note_map_hazard(self, context: str, held: list["TrackedLock"]) -> None:
-        with self._lock:
-            self._hazards.append(
-                {
-                    "context": context,
-                    "held": [lock.name for lock in held],
-                    "site": _acquisition_site(),
-                }
-            )
-
     # -- reporting -----------------------------------------------------
 
     def edges(self) -> dict[tuple[str, str], dict]:
         with self._lock:
             return {key: dict(value) for key, value in self._edges.items()}
-
-    def hazards(self) -> list[dict]:
-        with self._lock:
-            return [dict(entry) for entry in self._hazards]
 
     def cycles(self) -> list[list[str]]:
         """Every elementary ordering cycle currently in the graph.
@@ -185,7 +145,7 @@ class _LockRegistry:
         return sorted(cycles)
 
     def report(self) -> dict:
-        """Graph, cycles, and hazards in one serialisable snapshot."""
+        """Graph and cycles in one serialisable snapshot."""
         return {
             "enabled": lock_check_enabled(),
             "edges": {
@@ -193,18 +153,16 @@ class _LockRegistry:
                 for (src, dst), value in sorted(self.edges().items())
             },
             "cycles": self.cycles(),
-            "hazards": self.hazards(),
         }
 
     def reset(self) -> None:
-        """Drop all recorded edges and hazards (tests only).
+        """Drop all recorded edges (tests only).
 
         Per-thread held stacks are left alone: locks currently held by
         live threads must keep unwinding correctly through release.
         """
         with self._lock:
             self._edges.clear()
-            self._hazards.clear()
 
 
 def _strongly_connected(graph: dict[str, set[str]]) -> list[list[str]]:
@@ -267,22 +225,13 @@ class TrackedLock:
     Drop-in for the plain lock in every ``with``/``acquire``/``release``
     use.  ``name`` should identify the component attribute
     (``"ClassName._lock"``); all instances sharing a name aggregate into
-    one lock-order graph node.  ``allow_across_map=True`` marks a lock
-    that is *deliberately* held across worker-pool fan-outs (the session
-    refit lock: it serialises generation builds, and pool workers never
-    take it) -- every other tracked lock trips :func:`assert_map_safe`.
+    one lock-order graph node.
     """
 
-    __slots__ = ("name", "allow_across_map", "_inner")
+    __slots__ = ("name", "_inner")
 
-    def __init__(
-        self,
-        name: str,
-        reentrant: bool = False,
-        allow_across_map: bool = False,
-    ) -> None:
+    def __init__(self, name: str, reentrant: bool = False) -> None:
         self.name = str(name)
-        self.allow_across_map = bool(allow_across_map)
         self._inner = threading.RLock() if reentrant else threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
@@ -308,34 +257,11 @@ class TrackedLock:
     def __repr__(self) -> str:
         return f"TrackedLock({self.name!r})"
 
-    def __getstate__(self) -> dict:
-        # Lock state is process-local; a pickled tracked lock re-arms
-        # unlocked in the receiving process, like the plain locks the
-        # cache/pool __getstate__ implementations drop and rebuild.
-        return {
-            "name": self.name,
-            "allow_across_map": self.allow_across_map,
-            "reentrant": isinstance(
-                self._inner, type(threading.RLock())
-            ),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.allow_across_map = state["allow_across_map"]
-        self._inner = (
-            threading.RLock() if state["reentrant"] else threading.Lock()
-        )
-
 
 LockLike = Union[threading.Lock, TrackedLock]
 
 
-def make_lock(
-    name: str,
-    reentrant: bool = False,
-    allow_across_map: bool = False,
-) -> LockLike:
+def make_lock(name: str, reentrant: bool = False) -> LockLike:
     """A component lock: plain by default, tracked under lock checking.
 
     The single constructor every core component routes its locks through.
@@ -344,9 +270,7 @@ def make_lock(
     set, a :class:`TrackedLock` that feeds the process lock-order graph.
     """
     if lock_check_enabled():
-        return TrackedLock(
-            name, reentrant=reentrant, allow_across_map=allow_across_map
-        )
+        return TrackedLock(name, reentrant=reentrant)
     if reentrant:
         return threading.RLock()  # type: ignore[return-value]
     return threading.Lock()
@@ -357,33 +281,6 @@ def held_tracked_locks() -> tuple[TrackedLock, ...]:
     return _REGISTRY.held()
 
 
-def assert_map_safe(context: str) -> None:
-    """Raise :class:`LockOrderError` if a strict tracked lock is held.
-
-    Called by ``WorkerPool.map`` immediately before fanning work out to
-    worker threads/processes.  Holding a component lock there nests the
-    pool wait inside a critical section -- if any worker (now or after a
-    refactor) needs that lock, the serving process deadlocks.  Locks
-    declared ``allow_across_map`` are exempt; everything else fails fast
-    with the lock names in the message.  No-overhead when tracking is
-    disabled: no tracked locks exist, so the held stack is always empty.
-    """
-    held = [
-        lock for lock in _REGISTRY.held() if not lock.allow_across_map
-    ]
-    if not held:
-        return
-    _REGISTRY.note_map_hazard(context, held)
-    names = ", ".join(lock.name for lock in held)
-    raise LockOrderError(
-        f"tracked lock(s) held on entry to {context}: [{names}] -- a "
-        "worker-pool fan-out must not run inside a critical section "
-        "(nested-wait deadlock hazard); release the lock before "
-        "dispatching, or declare it allow_across_map if pool workers can "
-        "provably never acquire it"
-    )
-
-
 def detected_cycles() -> list[list[str]]:
     """Cycles in the recorded lock-order graph (empty = no deadlock risk
     observed among tracked acquisitions so far)."""
@@ -391,30 +288,22 @@ def detected_cycles() -> list[list[str]]:
 
 
 def lock_order_report() -> dict:
-    """Snapshot of the lock-order graph, cycle set, and hazard log."""
+    """Snapshot of the lock-order graph and its cycle set."""
     return _REGISTRY.report()
 
 
-def map_hazards() -> list[dict]:
-    """Recorded held-lock-across-fan-out hazards (see :func:`assert_map_safe`)."""
-    return _REGISTRY.hazards()
-
-
 def reset_lock_tracking() -> None:
-    """Clear recorded edges and hazards (test isolation helper)."""
+    """Clear recorded edges (test isolation helper)."""
     _REGISTRY.reset()
 
 
 __all__ = [
     "LOCK_CHECK_ENV_VAR",
-    "LockOrderError",
     "TrackedLock",
-    "assert_map_safe",
     "detected_cycles",
     "held_tracked_locks",
     "lock_check_enabled",
     "lock_order_report",
     "make_lock",
-    "map_hazards",
     "reset_lock_tracking",
 ]

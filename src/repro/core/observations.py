@@ -243,7 +243,7 @@ class ObservationMatrix:
     ) -> "ObservationMatrix":
         """A new matrix containing only the given source rows.
 
-        A convenience for carving per-cluster or per-shard sub-problems out
+        A convenience for carving per-cluster sub-problems out
         of a wide matrix (the clustered fuser itself restricts *patterns*
         via :func:`repro.core.patterns.restricted_unique_patterns` instead).
         With ``prune_empty_triples`` the result also drops the columns no

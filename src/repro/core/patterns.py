@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-
 from typing import Iterable, Literal, Optional, Sequence, Union, overload
 
 import numpy as np
@@ -50,27 +48,6 @@ class PatternSet:
     silent_matrix: np.ndarray
     inverse: np.ndarray
     counts: np.ndarray
-
-    @cached_property
-    def provider_sets(self) -> tuple[frozenset[int], ...]:
-        """Pattern provider rows as frozensets, for inspection.
-
-        Built lazily: no fuser materialises them (every fuser scores the
-        boolean matrices in one batch); the per-pattern walks in
-        ``tests/reference.py`` do.
-        """
-        return tuple(
-            frozenset(np.flatnonzero(row).tolist())
-            for row in self.provider_matrix
-        )
-
-    @cached_property
-    def silent_sets(self) -> tuple[frozenset[int], ...]:
-        """Pattern silent-covering rows as frozensets (lazy, see above)."""
-        return tuple(
-            frozenset(np.flatnonzero(row).tolist())
-            for row in self.silent_matrix
-        )
 
     @property
     def n_patterns(self) -> int:

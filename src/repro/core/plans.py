@@ -988,13 +988,6 @@ class PatternValueMemo:
                 "generation": self._generation,
             }
 
-    def __getstate__(self) -> dict:
-        # The lock is process-local; a pickled memo starts empty.
-        return {"max_entries": self._max_entries}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["max_entries"])
-
 
 class CompiledPlanCache:
     """Bounded LRU cache of compiled plans (and attached evaluations).
@@ -1179,11 +1172,3 @@ class CompiledPlanCache:
                 "computes": self.computes,
                 "generation": self._generation,
             }
-
-    def __getstate__(self) -> dict:
-        # Locks and in-flight events are process-local; a pickled cache
-        # (process-backend jobs carry their fuser) starts empty.
-        return {"max_entries": self._max_entries}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["max_entries"])

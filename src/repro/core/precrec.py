@@ -50,21 +50,8 @@ class PrecRecFuser(ModelBasedFuser):
         self,
         model: JointQualityModel,
         decision_prior: float | None = None,
-        workers: int | None = None,
-        shard_size: int | None = None,
-        parallel_backend: str = "thread",
     ) -> None:
-        # The workers/shard_size knobs are accepted for API uniformity
-        # (make_fuser forwards them to every model-based fuser); PrecRec's
-        # batch path is two matrix-vector products, which numpy already
-        # saturates, so no sharded dispatch is wired here.
-        super().__init__(
-            model,
-            decision_prior=decision_prior,
-            workers=workers,
-            shard_size=shard_size,
-            parallel_backend=parallel_backend,
-        )
+        super().__init__(model, decision_prior=decision_prior)
         # Pre-compute each source's two log-contributions once; scoring is
         # then two matrix-vector products.
         log_provide: list[float] = []

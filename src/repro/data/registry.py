@@ -61,9 +61,9 @@ def _synthetic_correlated(seed: RngLike = 0, **kwargs: Any) -> FusionDataset:
 
 
 def _synthetic_wide(seed: RngLike = 17, **kwargs: Any) -> FusionDataset:
-    """The chaos/serving benchmark workload: enough sources that request
-    windows span multiple 64-aligned pattern shards, so sharded scoring
-    (and worker-site fault schedules) actually dispatch to the pool."""
+    """The chaos/serving benchmark workload: eight sources (three of them
+    correlated) over 960 triples, so request windows carry many distinct
+    patterns."""
     config = SyntheticConfig(
         sources=uniform_sources(
             kwargs.get("n_sources", 8),

@@ -178,8 +178,6 @@ class ServingReport:
         independent reference exists.
     result:
         The cold run's :class:`FusionResult`.
-    workers:
-        Effective worker count the session scored with (1 = serial).
     delta:
         The session's delta-scoring mode (``"auto"`` / ``"off"``).
     mutate_frac:
@@ -212,7 +210,6 @@ class ServingReport:
     warm_seconds: tuple[float, ...]
     max_warm_drift: float
     result: FusionResult
-    workers: int = 1
     delta: str = "off"
     mutate_frac: float = 0.0
     plan_cache_stats: Mapping = field(default_factory=dict)
@@ -325,8 +322,6 @@ def run_serving(
     threshold: float = DEFAULT_THRESHOLD,
     prior: Optional[float] = None,
     smoothing: float = 0.0,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
     delta: str = "auto",
     mutate_frac: float = 0.0,
     mutate_seed: int = 0,
@@ -369,10 +364,7 @@ def run_serving(
     identical.  Refit wall-clock is kept off the scoring clock and lands
     in ``ServingReport.refit_seconds``.
 
-    ``workers``/``shard_size`` configure sharded parallel scoring inside
-    the session (scores are bit-identical at any worker count); the
-    effective count lands in ``ServingReport.workers``, and the final
-    cache/delta counters land in the report's stats fields.
+    The final cache/delta counters land in the report's stats fields.
 
     ``checkpoint_dir`` arms durability: a
     :class:`repro.persist.Checkpointer` snapshots the initial generation,
@@ -401,8 +393,6 @@ def run_serving(
         prior=prior,
         smoothing=smoothing,
         threshold=threshold,
-        workers=workers,
-        shard_size=shard_size,
         delta=delta,
         **options,
     )
@@ -459,7 +449,7 @@ def run_serving(
         # memos the delta path populates, so scoring through it could
         # never expose a corrupted memo entry.  A second, delta-off
         # session fits the same model state and scores every mutated
-        # matrix through the plain PR 3/4 path.  With refits scheduled
+        # matrix through the plain (non-delta) path.  With refits scheduled
         # the reference is also the verification oracle: it always
         # cold-refits in lockstep with the primary, whatever the
         # primary's refit_mode.
@@ -470,8 +460,6 @@ def run_serving(
             prior=prior,
             smoothing=smoothing,
             threshold=threshold,
-            workers=workers,
-            shard_size=shard_size,
             delta="off",
             **options,
         )
@@ -554,7 +542,6 @@ def run_serving(
         warm_seconds=tuple(warm_seconds),
         max_warm_drift=max_drift,
         result=result,
-        workers=session.workers,
         delta=session.delta,
         mutate_frac=mutate_frac,
         plan_cache_stats={
@@ -662,7 +649,6 @@ class AsyncServingReport:
     latencies: tuple[float, ...] = ()
     stats: Mapping = field(default_factory=dict)
     fault_stats: Mapping = field(default_factory=dict)
-    pool_stats: Mapping = field(default_factory=dict)
 
     @property
     def terminated(self) -> int:
@@ -709,7 +695,6 @@ def run_serving_load(
     seed: int = 0,
     refit_every: int = 0,
     refit_mode: str = "delta",
-    workers: Optional[int] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
     max_seconds: float = 120.0,
     checkpoint_dir: Optional[str] = None,
@@ -887,7 +872,6 @@ def run_serving_load(
             dataset.observations,
             dataset.labels,
             method=method,
-            workers=workers,
             **options,
         )
         checkpointer = None
@@ -925,7 +909,6 @@ def run_serving_load(
     # armed(None) reinstalls a pre-armed injector on the way out.
     with faults.armed(None):
         stats = frontend.stats
-        pool_stats = dict(session.cache_stats().get("pool", {}))
         if checkpointer is not None:
             checkpointer.close()
             session.attach_checkpointer(None)
@@ -951,7 +934,6 @@ def run_serving_load(
                         fit_inputs[generation],
                         dataset.labels,
                         method=method,
-                        workers=workers,
                         delta="off",
                         **options,
                     )
@@ -989,7 +971,6 @@ def run_serving_load(
         latencies=tuple(latencies),
         stats=stats,
         fault_stats=fault_stats,
-        pool_stats=pool_stats,
     )
     if report.terminated != requests:
         raise RuntimeError(

@@ -93,7 +93,7 @@ def durable_write(handle: "IO[bytes]", data: bytes, fsync: bool = True) -> None:
     """
     token = faults.trip_token(faults.SITE_PERSIST)
     if token is not None:
-        action, fraction, _parent_pid, site, hit = token
+        action, fraction, site, hit = token
         if action == faults.ACTION_TORN_WRITE:
             torn_length = min(len(data), max(0, int(len(data) * fraction)))
             handle.write(data[:torn_length])

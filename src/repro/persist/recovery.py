@@ -28,12 +28,21 @@ The recovery argument, end to end:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import (
+    AggressiveFuser,
+    ClusteredCorrelationFuser,
+    ElasticFuser,
+    ExactCorrelationFuser,
+    ExpectationMaximizationFuser,
+    PrecRecFuser,
+)
 from repro.core.api import ScoringSession
 from repro.core.observations import ObservationMatrix
 from repro.persist.checkpoint import Checkpointer
@@ -124,9 +133,11 @@ class RecoveryManager:
     def recover(self, **session_overrides: Any) -> RecoveredState:
         """Load the newest valid snapshot and replay the WAL suffix.
 
-        ``session_overrides`` replace config fields (e.g. ``workers``)
-        that describe the *host*, not the state -- they cannot change
-        scores, which are pinned by the matrices and labels.
+        ``session_overrides`` replace config fields (e.g. ``threshold``)
+        and reach the rebuilt :class:`ScoringSession` as keywords.
+        Snapshots written while sharded execution existed also carry its
+        worker and shard settings; those described the host, never the
+        scores, and are ignored (see :func:`_build_session`).
         """
         scan = scan_wal(self._dir / WAL_FILENAME)
         skipped: List[str] = []
@@ -160,7 +171,9 @@ class RecoveryManager:
                 "snapshot config lost non-serializable options: "
                 f"{config['dropped_options']}"
             )
-        session = _build_session(state.observations, state.labels, config)
+        session = _build_session(
+            state.observations, state.labels, state.config, session_overrides
+        )
         verified = _verify_statistics(session, state)
         observations = state.observations
         labels = state.labels
@@ -247,11 +260,38 @@ class RecoveryManager:
         return checkpointer
 
 
+def _fuser_options() -> "frozenset[str]":
+    """Every keyword some fuser constructor accepts today."""
+    return frozenset(
+        name
+        for fuser in (
+            PrecRecFuser,
+            ExactCorrelationFuser,
+            AggressiveFuser,
+            ElasticFuser,
+            ClusteredCorrelationFuser,
+            ExpectationMaximizationFuser,
+        )
+        for name in inspect.signature(fuser).parameters
+    )
+
+
 def _build_session(
     observations: ObservationMatrix,
     labels: np.ndarray,
     config: Dict[str, Any],
+    session_overrides: Dict[str, Any],
 ) -> ScoringSession:
+    """Rebuild the session a snapshot's ``config`` describes.
+
+    Only the session fields below and the fuser options that still exist
+    are read.  Snapshots written while sharded execution existed also
+    carry a worker count, a shard size and (among the options) a pool
+    backend: they described the host, never the scores, so they are
+    ignored.  A snapshot can only hold options its writer's fusers
+    accepted, so an option no fuser accepts any more is one of those.
+    ``session_overrides`` are passed on as given.
+    """
     # Snapshots written before the engine switch was removed carry an
     # "engine" key.  The packed path they name ("vectorized") is the only
     # one left; a "legacy" snapshot cannot be rebuilt score-for-score
@@ -270,14 +310,18 @@ def _build_session(
             "prior",
             "smoothing",
             "threshold",
-            "workers",
-            "shard_size",
             "delta",
             "micro_batch",
         )
         if key in config
     }
-    options = dict(config.get("options", {}))
+    kwargs.update(session_overrides)
+    accepted = _fuser_options()
+    options = {
+        key: value
+        for key, value in config.get("options", {}).items()
+        if key in accepted
+    }
     return ScoringSession(observations, labels, **kwargs, **options)
 
 

@@ -7,7 +7,7 @@ queueing it, routes delta-friendly traffic into its own batching lane,
 ships each lane's queued requests as one batch the moment the lane is
 idle (group commit), swaps model generations under live traffic without
 ever scoring a request against a mixed generation, and survives faults
-(dead workers, injected failures, hung scoring) through bounded retries,
+(injected failures, hung scoring) through bounded retries,
 per-lane circuit breakers, and a bit-identical degradation ladder
 (:mod:`repro.serve.resilience`).
 """

@@ -142,6 +142,22 @@ def pattern_source_lists(
     )
 
 
+def pattern_sets(
+    patterns,
+) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """Provider / silent-covering source sets of each row of a ``PatternSet``.
+
+    The per-pattern walks below take sets; production never builds them.
+    """
+    providers, silents = pattern_source_lists(
+        patterns.provider_matrix, patterns.silent_matrix
+    )
+    return (
+        [frozenset(ids) for ids in providers],
+        [frozenset(ids) for ids in silents],
+    )
+
+
 def exact_union_plan(
     provider_matrix: np.ndarray,
     silent_matrix: np.ndarray,

@@ -23,7 +23,6 @@ from repro.core import (
     pairwise_correlations,
     pairwise_phi,
 )
-from repro.core import fusion as fusion_module
 from repro.core.api import ScoringSession
 from repro.core.clustering import (
     correlation_edges,
@@ -322,11 +321,10 @@ def _per_cluster_mu(fuser, patterns):
 class TestEvaluatorGroupedScoring:
     """One stacked batch per evaluator equals one call per cluster."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("exact_cluster_limit", [2, 12])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_to_per_cluster_reference(
-        self, seed, exact_cluster_limit, workers, monkeypatch
+        self, seed, exact_cluster_limit
     ):
         rng = np.random.default_rng(seed)
         n_sources = 14
@@ -364,33 +362,23 @@ class TestEvaluatorGroupedScoring:
             false_partition=false_partition,
             exact_cluster_limit=exact_cluster_limit,
         )
-        block_jobs = []
-        real_block_job = fusion_module._likelihoods_block_job
-        monkeypatch.setattr(
-            fusion_module,
-            "_likelihoods_block_job",
-            lambda job: block_jobs.append(1) or real_block_job(job),
-        )
-        fuser = ClusteredCorrelationFuser(model, workers=workers, **kwargs)
-        serial = ClusteredCorrelationFuser(model, workers=1, **kwargs)
+        fuser = ClusteredCorrelationFuser(model, **kwargs)
+        # A second instance, so the per-cluster walk shares no cache with
+        # the stacked batch it is compared against.
+        per_cluster = ClusteredCorrelationFuser(model, **kwargs)
         if exact_cluster_limit == 2:
             assert any(
                 isinstance(e, ElasticFuser) for e in fuser._true_evaluators
             )
-        try:
-            patterns = observations.patterns()
-            mu = fuser.pattern_mu_batch(patterns)
-            assert np.array_equal(mu, _per_cluster_mu(serial, patterns))
-            np.testing.assert_array_equal(
-                fuser.score(observations),
-                reference.triple_scores(
-                    observations, model, "clustered", **kwargs
-                ),
-            )
-        finally:
-            fuser.close()
-        # workers=2 really shards the stacked batches on the fuser's pool.
-        assert (len(block_jobs) > 1) == (workers == 2)
+        patterns = observations.patterns()
+        mu = fuser.pattern_mu_batch(patterns)
+        assert np.array_equal(mu, _per_cluster_mu(per_cluster, patterns))
+        np.testing.assert_array_equal(
+            fuser.score(observations),
+            reference.triple_scores(
+                observations, model, "clustered", **kwargs
+            ),
+        )
 
     @pytest.mark.parametrize("exact_cluster_limit", [2, 12])
     def test_one_plan_build_per_evaluator(
@@ -413,7 +401,6 @@ class TestEvaluatorGroupedScoring:
             dataset.observations,
             dataset.labels,
             method="precreccorr",
-            workers=1,
             exact_cluster_limit=exact_cluster_limit,
         )
         builds = {"exact": 0, "elastic": 0}
@@ -480,8 +467,7 @@ class TestRestrictionTables:
         )
         dataset = generate(config, seed=7)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="clustered",
-            workers=1,
+            dataset.observations, dataset.labels, method="clustered"
         )
         before = session.fuser
         # Source 7 copies source 6 on a third of the triples: a new
@@ -501,8 +487,7 @@ class TestRestrictionTables:
         ]
         assert {6, 7} in grouped
         cold = ScoringSession(
-            mutated, dataset.labels, method="clustered", workers=1,
-            delta="off",
+            mutated, dataset.labels, method="clustered", delta="off",
         )
         assert float(
             np.abs(session.score(mutated) - cold.score(mutated)).max()

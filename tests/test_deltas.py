@@ -9,8 +9,7 @@ Five layers of guarantees:
   storage, oldest-first eviction, generation-guarded stores, counters;
 - **delta equivalence** -- hypothesis-driven: random mutation sequences
   scored through a ``delta="auto"`` session equal a ``delta="off"``
-  (cold) session *bit for bit* at workers 1, 2, and 4, for every fuser
-  family, including width changes, full churn, and refits;
+  (cold) session *bit for bit*, for every fuser family, including width changes, full churn, and refits;
 - **clustered log tables** -- a clustered delta step whose cluster
   restrictions are all known reads them by restriction code (no
   restriction pass, no evaluator call), a new restriction extends its
@@ -381,10 +380,6 @@ def _evaluator_memo_stats(session):
 # ----------------------------------------------------------------------
 
 
-WORKER_COUNTS = (1, 2, 4)
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
 class TestDeltaEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(
@@ -395,16 +390,13 @@ class TestDeltaEquivalence:
         method=st.sampled_from(("exact", "elastic", "clustered")),
     )
     def test_random_mutation_sequences_score_bit_identically(
-        self, workers, seed, n_triples, frac, steps, method
+        self, seed, n_triples, frac, steps, method
     ):
         dataset = _dataset(seed=seed, n_triples=n_triples)
         observations, labels = dataset.observations, dataset.labels
-        session = ScoringSession(
-            observations, labels, method=method, workers=workers
-        )
+        session = ScoringSession(observations, labels, method=method)
         reference = ScoringSession(
-            observations, labels, method=method, workers=workers,
-            delta="off",
+            observations, labels, method=method, delta="off"
         )
         for matrix in [observations] + mutation_trace(
             observations, steps, frac, seed=seed
@@ -413,16 +405,14 @@ class TestDeltaEquivalence:
                 session.score(matrix), reference.score(matrix)
             )
 
-    def test_full_churn_falls_back_to_cold_scoring(self, workers):
+    def test_full_churn_falls_back_to_cold_scoring(self):
         first = _dataset(seed=11, n_triples=150)
         second = _dataset(seed=12, n_triples=150)
         session = ScoringSession(
-            first.observations, first.labels, method="exact",
-            workers=workers,
+            first.observations, first.labels, method="exact"
         )
         reference = ScoringSession(
-            first.observations, first.labels, method="exact",
-            workers=workers, delta="off",
+            first.observations, first.labels, method="exact", delta="off"
         )
         for matrix in (first.observations, second.observations):
             assert np.array_equal(
@@ -431,15 +421,14 @@ class TestDeltaEquivalence:
         stats = session.cache_stats()["delta"]
         assert stats["cold"] == 2 and stats["delta"] == 0
 
-    def test_width_changes_are_handled(self, workers):
+    def test_width_changes_are_handled(self):
         dataset = _dataset(seed=13, n_triples=180)
         observations = dataset.observations
         session = ScoringSession(
-            observations, dataset.labels, method="elastic", workers=workers
+            observations, dataset.labels, method="elastic"
         )
         reference = ScoringSession(
-            observations, dataset.labels, method="elastic",
-            workers=workers, delta="off",
+            observations, dataset.labels, method="elastic", delta="off"
         )
         shrink_mask = np.ones(observations.n_triples, dtype=bool)
         shrink_mask[100:] = False

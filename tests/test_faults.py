@@ -1,23 +1,14 @@
-"""Deterministic fault injection and worker-pool supervision.
-
-Two layers under test:
+"""Deterministic fault injection.
 
 - ``repro.core.faults`` -- spec parsing round-trips, seeded random plans
   are reproducible, Nth-hit rules are consumable (a retry does not
-  re-trip a spent rule), ``kill`` degrades to ``raise`` in the parent
-  process, and the disarmed hook is a no-op.
-- ``WorkerPool`` supervision -- a killed process worker is detected
-  (``BrokenProcessPool``), the pool is rebuilt and the map retried;
-  persistent failures exhaust the restart budget into the inline-serial
-  fallback (which never injects -- it is the guaranteed-completion
-  rung); the per-map watchdog converts hung jobs into supervised
-  timeouts; and every outcome is visible in ``stats`` counters that
-  reach ``ScoringSession.cache_stats()``.
+  re-trip a spent rule), and the disarmed hook is a no-op.
+- the ``persist`` site -- torn writes tear the WAL tail, which repairs
+  itself, and the checkpointer's retry absorbs a single torn write.
 
-The property-based chaos test at the bottom is satellite S4: random
-seeded fault plans against random backend/worker configurations, with
-the accounting, no-hang, and bit-identity invariants asserted by
-``run_serving_load`` itself.
+The property-based chaos test at the bottom drives random seeded fault
+plans through the serving stack, with the accounting, no-hang, and
+bit-identity invariants asserted by ``run_serving_load`` itself.
 """
 
 from __future__ import annotations
@@ -33,9 +24,6 @@ from hypothesis import strategies as st
 
 from repro.core import ScoringSession, faults
 from repro.core.faults import (
-    ACTION_DELAY,
-    ACTION_KILL,
-    ACTION_RAISE,
     ACTION_TORN_WRITE,
     FAULT_ACTIONS,
     FAULT_SITES,
@@ -44,9 +32,7 @@ from repro.core.faults import (
     FaultPlan,
     FaultRule,
     InjectedFault,
-    faulty_call,
 )
-from repro.core.parallel import WorkerPool
 from repro.data import SyntheticConfig, generate, uniform_sources
 from repro.eval.harness import run_serving_load
 
@@ -70,14 +56,14 @@ def _dataset(seed=17, n_sources=8, n_triples=480):
 
 class TestFaultSpec:
     def test_spec_round_trips(self):
-        spec = "worker:kill:2:1,score:raise:1:0,dispatch:delay:3:1@0.05"
+        spec = "compile:raise:2:1,score:raise:1:0,dispatch:delay:3:1@0.05"
         plan = FaultPlan.from_spec(spec)
         assert plan.spec == spec
         assert FaultPlan.from_spec(plan.spec) == plan
 
     def test_spec_defaults(self):
-        (rule,) = FaultPlan.from_spec("worker:kill").rules
-        assert rule == FaultRule("worker", "kill", nth=1, count=1)
+        (rule,) = FaultPlan.from_spec("compile:raise").rules
+        assert rule == FaultRule("compile", "raise", nth=1, count=1)
         (rule,) = FaultPlan.from_spec("score:raise:3").rules
         assert rule.nth == 3 and rule.count == 1
 
@@ -85,13 +71,18 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan.from_spec("warp:raise")
         with pytest.raises(ValueError, match="unknown fault action"):
-            FaultPlan.from_spec("worker:explode")
+            FaultPlan.from_spec("score:explode")
         with pytest.raises(ValueError, match="nth must be >= 1"):
-            FaultPlan.from_spec("worker:raise:0")
+            FaultPlan.from_spec("score:raise:0")
         with pytest.raises(ValueError, match="site:action"):
-            FaultPlan.from_spec("worker")
+            FaultPlan.from_spec("score")
         with pytest.raises(ValueError, match="ints"):
-            FaultPlan.from_spec("worker:raise:x")
+            FaultPlan.from_spec("score:raise:x")
+        # There is no pool-worker site and no kill action.
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultPlan.from_spec("worker:raise")
+        with pytest.raises(ValueError, match="unknown fault action"):
+            FaultPlan.from_spec("score:kill")
 
     def test_count_zero_is_persistent(self):
         rule = FaultRule("score", "raise", nth=2, count=0)
@@ -140,8 +131,6 @@ class TestInjector:
 
     def test_unwatched_sites_never_fire(self):
         injector = faults.install(FaultPlan.from_spec("refit:raise:1"))
-        assert injector.watches("refit")
-        assert not injector.watches("score")
         faults.trip("score")
         assert injector.stats["fired"] == {}
 
@@ -160,25 +149,13 @@ class TestInjector:
             faults.trip("score")  # hit 2: the counters survived
         assert outer.stats["hits"] == {"score": 2}
 
-    def test_kill_degrades_to_raise_in_the_minting_process(self):
-        injector = faults.install(FaultPlan.from_spec("worker:kill:1"))
-        token = injector.token("worker")
-        assert token is not None
-        with pytest.raises(InjectedFault):
-            faults.perform(token)
-
     def test_delay_token_sleeps_then_returns(self):
         injector = faults.install(
-            FaultPlan.from_spec("worker:delay:1@0.001")
+            FaultPlan.from_spec("score:delay:1@0.001")
         )
-        token = injector.token("worker")
+        token = injector.token("score")
+        assert token == ("delay", 0.001, "score", 1)
         faults.perform(token)  # returns after the injected sleep
-
-    def test_faulty_call_passthrough_and_fault(self):
-        assert faulty_call((None, lambda x: x + 1, 2)) == 3
-        token = (ACTION_RAISE, 0.0, 0, "worker", 1)
-        with pytest.raises(InjectedFault):
-            faulty_call((token, lambda x: x, 0))
 
     def test_injector_refuses_to_pickle(self):
         injector = FaultInjector(FaultPlan.from_spec("score:raise:1"))
@@ -194,119 +171,6 @@ class TestInjector:
         assert "scorex1" in text
 
 
-def _double(x):
-    return x * 2
-
-
-class TestWorkerPoolSupervision:
-    def test_consumed_fault_lets_the_retry_succeed(self):
-        # Thread backend: the injected raise propagates out of the first
-        # map (InjectedFault is not a supervision failure), but the rule
-        # is consumed, so the same map re-issued succeeds.
-        faults.install(FaultPlan.from_spec("worker:raise:1"))
-        with WorkerPool(workers=2, backend="thread") as pool:
-            with pytest.raises(InjectedFault):
-                pool.map(_double, [1, 2, 3])
-            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
-
-    def test_killed_process_worker_restarts_the_pool(self):
-        faults.install(FaultPlan.from_spec("worker:kill:1"))
-        with WorkerPool(workers=2, backend="process") as pool:
-            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
-            stats = pool.stats
-        assert stats["restarts"] >= 1
-        assert stats["inline_fallbacks"] == 0
-
-    def test_persistent_kills_exhaust_into_inline_fallback(self):
-        # Every job of every attempt kills its worker: the restart budget
-        # runs out and the map completes on the inline-serial rung, which
-        # never wraps jobs with fault tokens.
-        faults.install(FaultPlan.from_spec("worker:kill:1:0"))
-        with WorkerPool(
-            workers=2, backend="process", max_restarts=1
-        ) as pool:
-            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
-            stats = pool.stats
-        assert stats["restarts"] == 2  # initial attempt + one restart
-        assert stats["inline_fallbacks"] == 1
-
-    def test_injected_delay_trips_the_map_watchdog(self):
-        # Every wrapped job stalls 250ms against a 50ms watchdog; each
-        # supervised attempt times out until the inline fallback (no
-        # injection, no watchdog) completes the map.
-        faults.install(FaultPlan.from_spec("worker:delay:1:0@0.25"))
-        with WorkerPool(
-            workers=2, backend="thread", max_restarts=1, map_timeout=0.05
-        ) as pool:
-            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
-            stats = pool.stats
-        assert stats["timeouts"] == 2
-        assert stats["inline_fallbacks"] == 1
-
-    def test_single_worker_and_tiny_maps_stay_inline(self):
-        # The serial reference path never consults the injector.
-        faults.install(FaultPlan.from_spec("worker:raise:1:0"))
-        with WorkerPool(workers=1) as pool:
-            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
-        with WorkerPool(workers=4, backend="thread") as pool:
-            assert pool.map(_double, [5]) == [10]
-
-    def test_supervision_knob_validation(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            WorkerPool(workers=2, max_restarts=-1)
-        with pytest.raises(TypeError, match="max_restarts"):
-            WorkerPool(workers=2, max_restarts=1.5)
-        with pytest.raises(ValueError, match="map_timeout"):
-            WorkerPool(workers=2, map_timeout=0.0)
-
-    def test_map_timeout_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAP_TIMEOUT", "2.5")
-        assert WorkerPool(workers=2).map_timeout == 2.5
-        monkeypatch.setenv("REPRO_MAP_TIMEOUT", "bogus")
-        with pytest.raises(ValueError, match="REPRO_MAP_TIMEOUT"):
-            WorkerPool(workers=2)
-
-    def test_pickle_round_trip_resets_counters(self):
-        faults.install(FaultPlan.from_spec("worker:kill:1"))
-        pool = WorkerPool(workers=2, backend="process", max_restarts=3,
-                          map_timeout=1.5)
-        try:
-            pool.map(_double, [1, 2])
-            assert pool.stats["restarts"] >= 1
-            clone = pickle.loads(pickle.dumps(pool))
-            stats = clone.stats
-            assert stats["max_restarts"] == 3
-            assert stats["map_timeout"] == 1.5
-            assert stats["restarts"] == 0
-            clone.close()
-        finally:
-            pool.close()
-
-    def test_pool_stats_reach_session_cache_stats(self):
-        dataset = _dataset()
-        session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            workers=2, shard_size=64, micro_batch="off",
-        )
-        try:
-            session.score(dataset.observations)
-            stats = session.cache_stats()
-        finally:
-            session.close()
-        assert stats["pool"]["workers"] == 2
-        assert stats["pool"]["restarts"] == 0
-        # Pinned: an ambient REPRO_DEFAULT_WORKERS must not give the serial
-        # session a pool.
-        serial = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            workers=1, micro_batch="off",
-        )
-        try:
-            assert "pool" not in serial.cache_stats()
-        finally:
-            serial.close()
-
-
 class TestPersistFaults:
     """The persist site and its torn-write action (satellite S1)."""
 
@@ -320,7 +184,7 @@ class TestPersistFaults:
 
     def test_torn_write_rejects_non_persist_sites(self):
         with pytest.raises(ValueError):
-            FaultRule(site="worker", action=ACTION_TORN_WRITE)
+            FaultRule(site="compile", action=ACTION_TORN_WRITE)
         with pytest.raises(ValueError):
             FaultPlan.from_spec("score:torn-write:1")
 
@@ -393,7 +257,7 @@ def _chaos_dataset():
 
 
 class TestChaosProperties:
-    """Satellite S4: seeded chaos across backends and worker counts.
+    """Seeded chaos through the serving stack.
 
     ``run_serving_load`` itself raises on any violated invariant --
     incomplete accounting, a hang past ``max_seconds``, an admission
@@ -408,11 +272,9 @@ class TestChaosProperties:
     )
     @given(
         fault_seed=st.integers(min_value=0, max_value=10_000),
-        backend=st.sampled_from(["thread", "process"]),
-        workers=st.sampled_from([1, 2, 4]),
     )
     def test_random_fault_plans_preserve_the_serving_contract(
-        self, fault_seed, backend, workers
+        self, fault_seed
     ):
         faults.uninstall()
         try:
@@ -426,9 +288,6 @@ class TestChaosProperties:
                     requests=12,
                     rate_qps=300.0,
                     fault_plan=faults.FaultPlan.random(fault_seed),
-                    workers=workers,
-                    parallel_backend=backend,
-                    shard_size=64,
                     refit_every=6,
                     max_seconds=90.0,
                     checkpoint_dir=os.path.join(tmp, "ckpt"),

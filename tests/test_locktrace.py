@@ -2,8 +2,6 @@
 
 - the tracer records held-while-acquiring edges and reports ordering
   cycles (the deadlock shape) without needing the deadlock to happen;
-- ``WorkerPool.map`` refuses to fan out while a strict tracked lock is
-  held, naming the lock, and ``allow_across_map`` locks are exempt;
 - ``make_lock`` is a plain ``threading.Lock`` when tracking is off
   (the zero-overhead default) and a :class:`TrackedLock` when on;
 - a real ``ScoringSession`` serving workload (score / submit / refit /
@@ -13,23 +11,19 @@
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
 
-from repro.core import ScoringSession, WorkerPool
+from repro.core import ScoringSession
 from repro.core.locktrace import (
     LOCK_CHECK_ENV_VAR,
-    LockOrderError,
     TrackedLock,
-    assert_map_safe,
     detected_cycles,
     held_tracked_locks,
     lock_check_enabled,
     lock_order_report,
     make_lock,
-    map_hazards,
     reset_lock_tracking,
 )
 from repro.data import SyntheticConfig, generate, uniform_sources
@@ -72,7 +66,6 @@ def test_make_lock_tracked_when_enabled(monkeypatch):
     lock = make_lock("X._lock")
     assert isinstance(lock, TrackedLock)
     assert lock.name == "X._lock"
-    assert not lock.allow_across_map
 
 
 @pytest.mark.parametrize("value", ["0", "false", "off", "no", ""])
@@ -104,16 +97,6 @@ def test_tracked_rlock_reentrant_without_self_edge():
         with lock:
             assert len(held_tracked_locks()) == 2
     assert detected_cycles() == []
-
-
-def test_tracked_lock_pickles_unlocked():
-    lock = TrackedLock("T._lock", allow_across_map=True)
-    with lock:
-        clone = pickle.loads(pickle.dumps(lock))
-    assert isinstance(clone, TrackedLock)
-    assert clone.name == "T._lock"
-    assert clone.allow_across_map
-    assert not clone.locked()
 
 
 # ----------------------------------------------------------------------
@@ -193,52 +176,6 @@ def test_reset_clears_graph():
 
 
 # ----------------------------------------------------------------------
-# held-lock-across-fan-out hazard
-# ----------------------------------------------------------------------
-
-
-def test_assert_map_safe_raises_with_lock_name():
-    lock = TrackedLock("CompiledPlanCache._lock")
-    with lock:
-        with pytest.raises(LockOrderError, match="CompiledPlanCache._lock"):
-            assert_map_safe("WorkerPool.map (test)")
-    assert len(map_hazards()) == 1
-    assert map_hazards()[0]["held"] == ["CompiledPlanCache._lock"]
-
-
-def test_assert_map_safe_exempts_allow_across_map():
-    lock = TrackedLock("ScoringSession._refit_lock", allow_across_map=True)
-    with lock:
-        assert_map_safe("WorkerPool.map (test)")  # must not raise
-    assert map_hazards() == []
-
-
-def test_worker_pool_map_refuses_under_held_lock():
-    lock = TrackedLock("PatternValueMemo._lock")
-    with WorkerPool(workers=2) as pool:
-        assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        with lock:
-            with pytest.raises(
-                LockOrderError, match="PatternValueMemo._lock"
-            ):
-                pool.map(lambda x: x + 1, [1, 2, 3])
-        # Released: the pool serves again.
-        assert pool.map(lambda x: x + 1, [4, 5]) == [5, 6]
-
-
-def test_worker_pool_inline_paths_skip_the_check():
-    """workers=1 and single-item maps run inline on the caller -- no
-    fan-out, no nested wait, so a held lock is fine there."""
-    lock = TrackedLock("X._lock")
-    with WorkerPool(workers=1) as inline_pool:
-        with lock:
-            assert inline_pool.map(lambda x: x * 2, [1, 2]) == [2, 4]
-    with WorkerPool(workers=2) as pool:
-        with lock:
-            assert pool.map(lambda x: x * 2, [7]) == [14]
-
-
-# ----------------------------------------------------------------------
 # the real serving stack under tracking
 # ----------------------------------------------------------------------
 
@@ -250,7 +187,6 @@ def _serving_workload(monkeypatch):
         dataset.observations,
         dataset.labels,
         method="precreccorr",
-        workers=2,
         micro_batch="auto",
     )
     try:
@@ -276,14 +212,12 @@ def _serving_workload(monkeypatch):
 
 def test_serving_stack_lock_order_is_acyclic(monkeypatch):
     """The CI gate: a full serving workload (score, concurrent submit,
-    delta refit, cold refit, close) exhibits an acyclic lock order and
-    zero held-lock-across-map hazards."""
+    delta refit, cold refit, close) exhibits an acyclic lock order."""
     _serving_workload(monkeypatch)
     report = lock_order_report()
     assert report["enabled"]
     assert report["cycles"] == []
     assert detected_cycles() == []
-    assert map_hazards() == []
     # The workload actually exercised tracked locks (the test would pass
     # vacuously if make_lock stopped routing through TrackedLock).
     assert report["edges"], "no lock-order edges recorded"
@@ -294,9 +228,7 @@ def test_session_locks_are_tracked_when_enabled(monkeypatch):
     dataset = _dataset(n_triples=80)
     with ScoringSession(dataset.observations, dataset.labels) as session:
         assert isinstance(session._refit_lock, TrackedLock)
-        assert session._refit_lock.allow_across_map
         assert isinstance(session._count_lock, TrackedLock)
-        assert not session._count_lock.allow_across_map
 
 
 def test_session_locks_plain_by_default(monkeypatch):

@@ -1,4 +1,4 @@
-"""Cross-request micro-batching and the worker-pool lifecycle.
+"""Cross-request micro-batching and the session lifecycle.
 
 - **coalescing** -- submits that arrive while a batch scores ship
   together as the next batch (group commit, no window), share one fused
@@ -6,15 +6,13 @@
   individual ``score`` calls; an uncontended submit scores at once;
   non-coalescable requests (EM, mismatched widths) degrade to
   individual scoring with per-request error routing;
-- **lifecycle** -- ``WorkerPool`` closes idempotently, degrades post-close
-  maps to inline execution, reclaims orphaned executors through its GC
-  finalizer, and ``ScoringSession.refit``/``close`` shut retired pools
-  down without breaking in-flight scorers.
+- **lifecycle** -- ``ScoringSession.close`` is idempotent and leaves the
+  session scoring, and fused micro-batches leave the streaming delta
+  snapshot alone.
 """
 
 from __future__ import annotations
 
-import gc
 import sys
 import threading
 import time
@@ -26,9 +24,6 @@ from repro.core import (
     MicroBatcher,
     ObservationMatrix,
     ScoringSession,
-    WorkerPool,
-    fit_model,
-    make_fuser,
 )
 from repro.data import (
     CorrelationGroup,
@@ -636,82 +631,19 @@ class TestBurstLatency:
 
 
 # ----------------------------------------------------------------------
-# Worker-pool lifecycle
+# Session lifecycle
 # ----------------------------------------------------------------------
 
 
-class TestWorkerPoolLifecycle:
-    def test_close_is_idempotent_and_degrades_maps_inline(self):
-        pool = WorkerPool(workers=2)
-        assert pool.map(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
-        assert not pool.closed
-        pool.close()
-        pool.close()
-        assert pool.closed
-        # Post-close maps run inline instead of raising.
-        assert pool.map(lambda x: x * 2, range(3)) == [0, 2, 4]
-
-    def test_gc_finalizer_shuts_down_orphaned_executors(self):
-        pool = WorkerPool(workers=2)
-        pool.map(lambda x: x, range(4))  # force executor creation
-        executor = pool._executor
-        assert executor is not None and not executor._shutdown
-        del pool
-        gc.collect()
-        assert executor._shutdown
-
-    def test_context_manager_closes_the_pool(self):
-        with WorkerPool(workers=2) as pool:
-            assert pool.map(lambda x: x, range(4)) == [0, 1, 2, 3]
-        assert pool.closed
-
-    def test_fuser_close_shuts_its_executor_down(self):
-        dataset = _dataset(seed=19, n_sources=6, n_triples=120)
-        model = fit_model(dataset.observations, dataset.labels)
-        with make_fuser("exact", model, workers=2) as fuser:
-            executor = fuser.executor
-            assert executor is not None and not executor.closed
-            before = fuser.score(dataset.observations)
-        assert executor.closed
-        # Scoring still works after close -- inline execution.
-        assert np.array_equal(before, fuser.score(dataset.observations))
-
-    def test_refit_closes_retired_pools_but_not_the_live_ones(self):
-        dataset = _dataset(seed=23, n_sources=6, n_triples=120)
-        session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact", workers=2
-        )
-        retired_fuser = session.fuser
-        retired_model = session.model
-        session.score(dataset.observations)
-        session.refit(dataset.observations, dataset.labels, smoothing=1.0)
-        assert retired_fuser.executor.closed
-        assert retired_model._executor is None or retired_model._executor.closed
-        live = session.fuser
-        assert live.executor is not None and not live.executor.closed
-        # The retired fuser still scores (inline) -- in-flight holders of
-        # the old generation degrade, they do not break.
-        scores = retired_fuser.score(dataset.observations)
-        assert scores.shape == (dataset.observations.n_triples,)
-
+class TestSessionLifecycle:
     def test_session_close_is_idempotent_and_keeps_scoring(self):
         dataset = _dataset(seed=29, n_sources=6, n_triples=120)
         with ScoringSession(
-            dataset.observations, dataset.labels, method="exact", workers=2
+            dataset.observations, dataset.labels, method="exact"
         ) as session:
             before = session.score(dataset.observations)
         session.close()
         assert np.array_equal(before, session.score(dataset.observations))
-
-    def test_close_after_refit_closes_the_live_generation(self):
-        dataset = _dataset(seed=31, n_sources=6, n_triples=120)
-        session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact", workers=2
-        )
-        session.refit(dataset.observations, dataset.labels, smoothing=1.0)
-        live = session.fuser
-        session.close()
-        assert live.executor.closed
 
     def test_fused_passes_preserve_streaming_delta_continuity(self):
         # A micro-batched fused matrix must not replace the delta

@@ -1,20 +1,13 @@
-"""The sharded parallel execution subsystem (repro.core.parallel).
+"""Concurrent serving, and the serial-only ``workers`` keyword.
 
-Three layers of guarantees:
-
-- **planner/pool mechanics** -- word-aligned balanced shards, ordered maps,
-  worker-count validation (``workers=0`` must raise, not crash a pool),
-  the ``REPRO_DEFAULT_WORKERS`` environment default, and the process
-  backend;
-- **shard equivalence** -- hypothesis-driven: random grids, shard sizes,
-  and worker counts (including ``workers=1`` and ``shard_size`` larger
-  than the matrix) score *exactly* equal to the serial engine for every
-  fuser family;
 - **concurrent serving** -- many threads hammering one
   :class:`ScoringSession` while ``refit`` fires: no torn reads (every
   returned vector matches one model generation's golden scores exactly)
   and single-flight compilation (each plan digest compiled at most once
-  per generation).
+  per generation);
+- **removed sharding knobs** -- scoring is serial: the session accepts
+  only ``workers=1``, and the fusers and :func:`fuse` take no worker
+  count at all.
 """
 
 from __future__ import annotations
@@ -23,23 +16,8 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import (
-    ScoringSession,
-    Shard,
-    ShardPlanner,
-    ShardedExecutor,
-    WorkerPool,
-    default_workers,
-    fit_model,
-    fuse,
-    make_executor,
-    make_fuser,
-    resolve_workers,
-)
-from repro.core.parallel import WORD_BITS, WORKERS_ENV_VAR
+from repro.core import ScoringSession, fit_model, fuse, make_fuser
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
@@ -69,264 +47,54 @@ def _dataset(seed=21, n_sources=8, n_triples=200, correlated=True):
 
 
 # ----------------------------------------------------------------------
-# Planner / pool mechanics
+# Removed sharding knobs
 # ----------------------------------------------------------------------
 
 
-class TestShardPlanner:
-    def test_single_worker_is_one_shard(self):
-        assert ShardPlanner().plan(1000, workers=1) == [Shard(0, 1000)]
-
-    def test_empty_range_has_no_shards(self):
-        assert ShardPlanner().plan(0, workers=4) == []
-
-    def test_shards_are_word_aligned_and_cover_the_range(self):
-        shards = ShardPlanner().plan(1000, workers=3)
-        assert shards[0].start == 0 and shards[-1].stop == 1000
-        for before, after in zip(shards, shards[1:]):
-            assert before.stop == after.start
-            assert after.start % WORD_BITS == 0
-
-    def test_explicit_shard_size_rounds_up_to_word_boundary(self):
-        shards = ShardPlanner(shard_size=100).plan(1000, workers=2)
-        assert all(s.start % WORD_BITS == 0 for s in shards)
-        # 100 rounds up to 128.
-        assert shards[0] == Shard(0, 128)
-
-    def test_shard_size_larger_than_range_is_one_shard(self):
-        assert ShardPlanner(shard_size=5000).plan(70, workers=4) == [
-            Shard(0, 70)
-        ]
-
-    def test_balanced_blocks_across_workers(self):
-        shards = ShardPlanner().plan(64 * 8, workers=4)
-        assert len(shards) == 4
-        assert {s.size for s in shards} == {128}
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_invalid_shard_size_rejected(self, bad):
-        with pytest.raises(ValueError, match="shard_size"):
-            ShardPlanner(shard_size=bad)
-
-    def test_non_int_shard_size_rejected(self):
-        with pytest.raises(TypeError, match="shard_size"):
-            ShardPlanner(shard_size=2.5)
-
-
 class TestWorkersValidation:
+    def test_workers_one_is_accepted(self):
+        dataset = _dataset(n_sources=5, n_triples=60, correlated=False)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="exact", workers=1
+        )
+        default = ScoringSession(
+            dataset.observations, dataset.labels, method="exact"
+        )
+        assert np.array_equal(
+            session.score(dataset.observations),
+            default.score(dataset.observations),
+        )
+
     @pytest.mark.parametrize("bad", [0, -1, -4])
     def test_zero_and_negative_workers_raise_value_error(self, bad):
-        with pytest.raises(ValueError, match="workers must be a positive"):
-            resolve_workers(bad)
+        dataset = _dataset(n_sources=5, n_triples=60, correlated=False)
+        with pytest.raises(ValueError, match="sharded execution was removed"):
+            ScoringSession(dataset.observations, dataset.labels, workers=bad)
 
-    def test_non_int_workers_raise_type_error(self):
-        with pytest.raises(TypeError, match="workers"):
-            resolve_workers(2.0)
-
-    def test_none_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers(None) == 1
-        assert default_workers() == 1
-
-    def test_environment_default_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert resolve_workers(None) == 3
-        assert make_executor(None).workers == 3
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-2"])
-    def test_environment_default_must_be_positive_int(self, monkeypatch, bad):
-        monkeypatch.setenv(WORKERS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            default_workers()
+    @pytest.mark.parametrize("bad", [2, 4, None, True, "1"])
+    def test_any_other_worker_count_is_refused(self, bad):
+        dataset = _dataset(n_sources=5, n_triples=60, correlated=False)
+        with pytest.raises(ValueError, match="sharded execution was removed"):
+            ScoringSession(dataset.observations, dataset.labels, workers=bad)
 
     def test_fuser_rejects_zero_workers_with_clear_error(self):
         dataset = _dataset(n_sources=5, n_triples=60, correlated=False)
         model = fit_model(dataset.observations, dataset.labels)
-        with pytest.raises(ValueError, match="workers must be a positive"):
-            make_fuser("exact", model, workers=0)
+        for option in ("workers", "shard_size", "parallel_backend"):
+            with pytest.raises(TypeError, match=option):
+                make_fuser("exact", model, **{option: 0})
 
     def test_fuse_rejects_negative_workers(self):
         dataset = _dataset(n_sources=5, n_triples=60, correlated=False)
-        with pytest.raises(ValueError, match="workers must be a positive"):
+        with pytest.raises(TypeError, match="workers"):
             fuse(dataset.observations, dataset.labels, method="precrec",
                  workers=-1)
-
-
-class TestWorkerPoolAndExecutor:
-    def test_map_preserves_order(self):
-        with WorkerPool(workers=3) as pool:
-            assert pool.map(lambda x: x * x, range(20)) == [
-                x * x for x in range(20)
-            ]
-
-    def test_map_propagates_exceptions(self):
-        def boom(x):
-            raise RuntimeError(f"job {x}")
-
-        with WorkerPool(workers=2) as pool:
-            with pytest.raises(RuntimeError, match="job"):
-                pool.map(boom, range(4))
-
-    def test_serial_pool_never_creates_an_executor(self):
-        pool = WorkerPool(workers=1)
-        pool.map(lambda x: x, range(5))
-        assert pool._executor is None
-
-    def test_executor_map_shards_concatenates_in_order(self):
-        executor = ShardedExecutor(workers=2, shard_size=64)
-        with executor:
-            blocks = executor.map_shards(lambda a, b: list(range(a, b)), 300)
-            merged = [x for block in blocks for x in block]
-            assert merged == list(range(300))
-
-    def test_single_shard_plans_return_none(self):
-        executor = ShardedExecutor(workers=2)
-        assert executor.map_shards(lambda a, b: (a, b), 0) is None
-        with ShardedExecutor(workers=1) as serial:
-            assert serial.map_shards(lambda a, b: (a, b), 500) is None
-
-    def test_make_executor_serial_default_is_none(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert make_executor() is None
-        assert make_executor(1) is None
-        # An explicit shard size still shards (inline) under one worker.
-        assert make_executor(1, shard_size=64) is not None
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            WorkerPool(workers=2, backend="gpu")
-
-    def test_pool_is_picklable_without_live_executor(self):
-        import pickle
-
-        pool = WorkerPool(workers=2)
-        pool.map(lambda x: x, range(4))  # force executor creation
-        clone = pickle.loads(pickle.dumps(pool))
-        assert clone.workers == 2 and clone.backend == "thread"
-        assert clone.map(str, [1, 2]) == ["1", "2"]
-        pool.close()
-        clone.close()
-
-
-def _square(x):
-    return x * x
-
-
-def _range_sum(start, stop):
-    return sum(range(start, stop))
-
-
-class TestProcessBackend:
-    def test_process_pool_maps_in_order(self):
-        with WorkerPool(workers=2, backend="process") as pool:
-            assert pool.map(_square, range(8)) == [x * x for x in range(8)]
-
-    def test_map_shards_works_on_the_process_backend(self):
-        with ShardedExecutor(
-            workers=2, shard_size=64, backend="process"
-        ) as executor:
-            blocks = executor.map_shards(_range_sum, 200)
-            assert sum(blocks) == sum(range(200))
+        with pytest.raises(TypeError, match="workers"):
+            fit_model(dataset.observations, dataset.labels, workers=1)
 
 
 # ----------------------------------------------------------------------
-# Shard equivalence: sharded scores == serial scores, exactly
-# ----------------------------------------------------------------------
-
-
-FAMILIES = ("exact", "elastic", "clustered", "precrec", "aggressive")
-
-
-class TestShardEquivalence:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        seed=st.integers(0, 50),
-        n_sources=st.integers(4, 9),
-        n_triples=st.integers(1, 220),
-        workers=st.integers(1, 3),
-        shard_size=st.one_of(st.none(), st.integers(1, 400)),
-        method=st.sampled_from(("exact", "elastic")),
-    )
-    def test_random_grids_shards_and_workers(
-        self, seed, n_sources, n_triples, workers, shard_size, method
-    ):
-        dataset = _dataset(
-            seed=seed, n_sources=n_sources, n_triples=n_triples
-        )
-        serial = fuse(
-            dataset.observations, dataset.labels, method=method
-        ).scores
-        sharded = fuse(
-            dataset.observations,
-            dataset.labels,
-            method=method,
-            workers=workers,
-            shard_size=shard_size,
-        ).scores
-        assert np.array_equal(serial, sharded)
-
-    @pytest.mark.parametrize("method", FAMILIES)
-    def test_every_family_shards_identically(self, method):
-        dataset = _dataset(seed=7, n_sources=8, n_triples=260)
-        serial = fuse(
-            dataset.observations, dataset.labels, method=method
-        ).scores
-        for workers, shard_size in ((1, 64), (2, None), (3, 70), (2, 10_000)):
-            sharded = fuse(
-                dataset.observations,
-                dataset.labels,
-                method=method,
-                workers=workers,
-                shard_size=shard_size,
-            ).scores
-            assert np.array_equal(serial, sharded), (method, workers, shard_size)
-
-    def test_shard_size_beyond_n_triples_matches_serial(self):
-        dataset = _dataset(seed=3, n_sources=6, n_triples=90)
-        serial = fuse(dataset.observations, dataset.labels, method="exact")
-        sharded = fuse(
-            dataset.observations,
-            dataset.labels,
-            method="exact",
-            workers=4,
-            shard_size=dataset.observations.n_triples + 1000,
-        )
-        assert np.array_equal(serial.scores, sharded.scores)
-
-    def test_model_batch_chunks_shard_identically(self):
-        dataset = _dataset(seed=11, n_sources=7, n_triples=150)
-        serial_model = fit_model(dataset.observations, dataset.labels)
-        sharded_model = fit_model(
-            dataset.observations, dataset.labels, workers=3
-        )
-        rng = np.random.default_rng(0)
-        subsets = rng.random((500, 7)) < 0.4
-        assert np.array_equal(
-            np.stack(serial_model.joint_params_batch(subsets)),
-            np.stack(sharded_model.joint_params_batch(subsets)),
-        )
-
-    def test_sharded_serving_session_warm_path_is_identical(self):
-        dataset = _dataset(seed=13, n_sources=8, n_triples=300)
-        serial = ScoringSession(
-            dataset.observations, dataset.labels, method="clustered"
-        )
-        sharded = ScoringSession(
-            dataset.observations,
-            dataset.labels,
-            method="clustered",
-            workers=2,
-            shard_size=64,
-        )
-        reference = serial.score(dataset.observations)
-        for _ in range(3):  # cold then warm (plan-cache) calls
-            assert np.array_equal(
-                reference, sharded.score(dataset.observations)
-            )
-
-
-# ----------------------------------------------------------------------
-# Concurrent serving: one session, many threads, interleaved refits
+# Concurrent serving
 # ----------------------------------------------------------------------
 
 
@@ -375,15 +143,11 @@ class TestConcurrentServing:
         dataset = _dataset(seed=23, n_sources=8, n_triples=200)
         observations = dataset.observations
         observations.patterns()  # share pattern extraction across threads
-        # workers=1 pins the whole pattern set to a single plan digest, so
-        # "at most one compile" has an exact expectation even when the
-        # ambient REPRO_DEFAULT_WORKERS would otherwise shard it.
         # delta="off" pins every thread to the plan-cache path: with the
         # delta engine on, a straggler thread could legitimately reuse an
         # earlier thread's finished scores and never touch the cache.
         session = ScoringSession(
-            observations, dataset.labels, method="exact", workers=1,
-            delta="off",
+            observations, dataset.labels, method="exact", delta="off",
         )
         barrier = threading.Barrier(6)
         results: list[np.ndarray] = []
@@ -436,7 +200,7 @@ class TestConcurrentServing:
     def test_invalidate_during_serving_recompiles_identically(self):
         dataset = _dataset(seed=29, n_sources=7, n_triples=180)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="elastic", workers=2
+            dataset.observations, dataset.labels, method="elastic"
         )
         first = session.score(dataset.observations)
         session.fuser.invalidate_caches()
@@ -464,14 +228,6 @@ class TestConcurrentServing:
             assert not thread.is_alive(), "disabled cache serialised computes"
         assert cache.stats["computes"] == 4
         assert len(cache) == 0
-
-    def test_em_session_reports_serial_workers(self):
-        dataset = _dataset(seed=31, n_sources=5, n_triples=80,
-                           correlated=False)
-        session = ScoringSession(
-            dataset.observations, dataset.labels, method="em", workers=4
-        )
-        assert session.workers == 1  # EM drops the knob; report honestly
 
     def test_concurrent_em_scores_are_deterministic(self):
         # The EM workspace is thread-local: two threads scoring one fuser

@@ -254,12 +254,14 @@ class TestPatterns:
     def test_pattern_sets_match_matrix_rows(self, case):
         matrix, _ = case
         patterns = matrix.patterns()
-        for k in range(patterns.n_patterns):
-            assert patterns.provider_sets[k] == frozenset(
-                np.flatnonzero(patterns.provider_matrix[k]).tolist()
+        providers, silents = reference.pattern_sets(patterns)
+        silent = matrix.coverage & ~matrix.provides
+        for j, k in enumerate(patterns.inverse.tolist()):
+            assert providers[k] == frozenset(
+                np.flatnonzero(matrix.provides[:, j]).tolist()
             )
-            assert patterns.silent_sets[k] == frozenset(
-                np.flatnonzero(patterns.silent_matrix[k]).tolist()
+            assert silents[k] == frozenset(
+                np.flatnonzero(silent[:, j]).tolist()
             )
 
     def test_patterns_are_cached_on_the_matrix(self):

@@ -646,27 +646,35 @@ class TestCheckpointRecovery:
         session.close()
         recovered.session.close()
 
-    def _checkpoint_with_engine_key(self, tmp_path, engine):
-        """A checkpoint whose snapshot config carries the removed key.
+    def _checkpoint_written_with(self, tmp_path, edit, **options):
+        """A checkpoint whose snapshot configs ``edit`` rewrites.
 
-        Snapshots written while the engine switch existed recorded it;
-        the snapshot is re-written the way such a writer would have.
+        Snapshots written while a since-removed switch existed recorded
+        it; each snapshot is re-written the way such a writer would have.
         """
         matrix, labels = small_matrix()
-        session = ScoringSession(matrix, labels, method="precreccorr")
+        session = ScoringSession(
+            matrix, labels, method="precreccorr", **options
+        )
         checkpointer = Checkpointer.attach(session, matrix, labels, tmp_path)
         checkpointer.close()
         session.attach_checkpointer(None)
-        assert "engine" not in session.persist_config()
         for path in iter_snapshot_paths(tmp_path):
             state = load_snapshot(path)
-            config = dict(state.config, engine=engine)
+            config = edit(dict(state.config))
             index, _ = parse_snapshot_name(path)
             write_snapshot(
                 tmp_path, dataclasses.replace(state, config=config), index,
                 fsync=False,
             )
-            assert load_snapshot(path).config["engine"] == engine
+            assert load_snapshot(path).config == config
+        return session, matrix
+
+    def _checkpoint_with_engine_key(self, tmp_path, engine):
+        session, matrix = self._checkpoint_written_with(
+            tmp_path, lambda config: dict(config, engine=engine)
+        )
+        assert "engine" not in session.persist_config()
         return session, matrix
 
     def test_snapshot_naming_the_vectorized_engine_recovers(self, tmp_path):
@@ -686,6 +694,33 @@ class TestCheckpointRecovery:
         session, _ = self._checkpoint_with_engine_key(tmp_path, "legacy")
         with pytest.raises(RecoveryError, match="legacy"):
             RecoveryManager(tmp_path).recover()
+        session.close()
+
+    def test_snapshot_with_sharding_settings_recovers(self, tmp_path):
+        # Written while sharded execution existed: the worker count and
+        # shard size at the top level, the pool backend among the options.
+        def sharding_era(config):
+            options = dict(config["options"], parallel_backend="process")
+            return dict(config, workers=2, shard_size=64, options=options)
+
+        session, matrix = self._checkpoint_written_with(
+            tmp_path, sharding_era, max_plan_cache_entries=64
+        )
+        written = session.persist_config()
+        assert "workers" not in written and "shard_size" not in written
+        assert written["options"] == {"max_plan_cache_entries": 64}
+        recovered = RecoveryManager(tmp_path).recover()
+        assert recovered.statistics_verified
+        # The options that still exist survive the rebuild.
+        assert recovered.session.fuser.plan_cache.stats["max_entries"] == 64
+        _assert_recovered_scores_match(recovered, session, matrix)
+        recovered.session.close()
+        # workers=1 stays a valid override; any other count is refused.
+        serial = RecoveryManager(tmp_path).recover(workers=1)
+        _assert_recovered_scores_match(serial, session, matrix)
+        serial.session.close()
+        with pytest.raises(ValueError, match="sharded execution was removed"):
+            RecoveryManager(tmp_path).recover(workers=2)
         session.close()
 
 

@@ -134,9 +134,10 @@ class TestUnionPlans:
         batched = fuser.pattern_likelihoods_batch(
             patterns.provider_matrix, patterns.silent_matrix
         )
+        providers, silents = reference.pattern_sets(patterns)
         for k in range(patterns.n_patterns):
             expected = reference.exact_likelihoods(
-                model, patterns.provider_sets[k], patterns.silent_sets[k]
+                model, providers[k], silents[k]
             )
             assert (numerators[k], denominators[k]) == expected
             assert (compiled[0][k], compiled[1][k]) == expected
@@ -161,9 +162,10 @@ class TestUnionPlans:
         batched = fuser.pattern_likelihoods_batch(
             patterns.provider_matrix, patterns.silent_matrix
         )
+        providers, silents = reference.pattern_sets(patterns)
         for k in range(patterns.n_patterns):
             expected = reference.elastic_likelihoods(
-                model, patterns.provider_sets[k], patterns.silent_sets[k],
+                model, providers[k], silents[k],
                 level, eff_recall, eff_fpr,
             )
             assert (numerators[k], denominators[k]) == expected
@@ -359,9 +361,10 @@ class TestPatternLikelihoodsBatch:
         numerators, denominators = fuser.pattern_likelihoods_batch(
             patterns.provider_matrix, patterns.silent_matrix
         )
+        providers, silents = reference.pattern_sets(patterns)
         for k in range(patterns.n_patterns):
             expected = reference.exact_likelihoods(
-                model, patterns.provider_sets[k], patterns.silent_sets[k]
+                model, providers[k], silents[k]
             )
             assert (numerators[k], denominators[k]) == expected
 
@@ -375,9 +378,10 @@ class TestPatternLikelihoodsBatch:
             patterns.provider_matrix, patterns.silent_matrix
         )
         eff_recall, eff_fpr = reference.effective_rates(model)
+        providers, silents = reference.pattern_sets(patterns)
         for k in range(patterns.n_patterns):
             expected = reference.elastic_likelihoods(
-                model, patterns.provider_sets[k], patterns.silent_sets[k],
+                model, providers[k], silents[k],
                 2, eff_recall, eff_fpr,
             )
             assert (numerators[k], denominators[k]) == expected

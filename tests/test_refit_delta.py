@@ -13,8 +13,7 @@ Five layers of guarantees:
   incomparable-diff fallbacks;
 - **session bit-identity** -- hypothesis-driven: mutation streams
   refitted through ``ScoringSession.refit_delta`` score bit-identically
-  to a cold-refitting session for every fuser family and worker count,
-  including under concurrent scoring (no mixed-generation vectors);
+  to a cold-refitting session for every fuser family, including under concurrent scoring (no mixed-generation vectors);
 - **carry machinery** -- the vectorized significance batch equals the
   scalar oracle test (``tests/reference.py``) table-for-table, detection
   state round-trips through :func:`refresh_partition_state` exactly,
@@ -309,11 +308,9 @@ class TestModelRefitDelta:
 # Session-level bit-identity
 # ----------------------------------------------------------------------
 
-WORKER_COUNTS = (1, 2)
 METHODS = ("exact", "elastic", "clustered", "precrec")
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
 class TestSessionRefitDelta:
     @settings(
         max_examples=5, deadline=None,
@@ -326,16 +323,13 @@ class TestSessionRefitDelta:
         method=st.sampled_from(METHODS),
     )
     def test_mutation_streams_refit_bit_identically(
-        self, workers, seed, n_triples, frac, method
+        self, seed, n_triples, frac, method
     ):
         dataset = _dataset(seed=seed, n_triples=n_triples)
         labels = dataset.labels
-        session = ScoringSession(
-            dataset.observations, labels, method=method, workers=workers
-        )
+        session = ScoringSession(dataset.observations, labels, method=method)
         cold = ScoringSession(
-            dataset.observations, labels, method=method, workers=workers,
-            delta="off",
+            dataset.observations, labels, method=method, delta="off"
         )
         for matrix in mutation_trace(
             dataset.observations, 3, frac, seed=seed
@@ -346,11 +340,10 @@ class TestSessionRefitDelta:
             cold_scores = cold.score(matrix)
             assert float(np.abs(delta_scores - cold_scores).max()) == 0.0
 
-    def test_refit_counters_and_stats_surface(self, workers):
+    def test_refit_counters_and_stats_surface(self):
         dataset = _dataset(seed=21, n_triples=240)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="clustered",
-            workers=workers,
+            dataset.observations, dataset.labels, method="clustered"
         )
         session.score(dataset.observations)
         mutated = _mutate_sources(
@@ -369,22 +362,20 @@ class TestSessionRefitDelta:
         assert last is None or last["mode"] in ("delta", "cold")
         assert "significance_memo" in stats
 
-    def test_refit_delta_rejects_unknown_overrides(self, workers):
+    def test_refit_delta_rejects_unknown_overrides(self):
         dataset = _dataset(seed=22, n_triples=120)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            workers=workers,
+            dataset.observations, dataset.labels, method="exact"
         )
         with pytest.raises(ValueError, match="prior/smoothing"):
             session.refit_delta(
                 dataset.observations, dataset.labels, threshold=0.7
             )
 
-    def test_prior_override_refit_matches_cold_fuse(self, workers):
+    def test_prior_override_refit_matches_cold_fuse(self):
         dataset = _dataset(seed=23, n_triples=200)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="clustered",
-            workers=workers,
+            dataset.observations, dataset.labels, method="clustered"
         )
         mutated = _mutate_sources(
             dataset.observations, [2], slice(10, 50), seed=5
@@ -403,7 +394,7 @@ class TestRefitUnderConcurrentScoring:
         dataset = _dataset(seed=31, n_triples=300)
         labels = dataset.labels
         session = ScoringSession(
-            dataset.observations, labels, method="clustered", workers=2
+            dataset.observations, labels, method="clustered"
         )
         probe = dataset.observations
         matrices = [dataset.observations] + mutation_trace(

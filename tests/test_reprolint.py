@@ -1,6 +1,6 @@
 """The reprolint rule engine: each rule catches its target and stays
 quiet on the blessed pattern, the allow escape hatch works, and the
-pickle contracts the REP002 sweep forced into the codebase hold.
+process-local components refuse to pickle.
 
 Fixtures are linted via ``check_source`` with synthetic repo-relative
 paths so path-scoped rule selection (``applicable_rules``) is exercised
@@ -50,7 +50,8 @@ def test_applicable_rules_by_location():
     assert "REP009" in applicable_rules("src/repro/core/plans.py")
     # Lock discipline is repo-wide.
     for path in ("src/repro/core/api.py", "tests/test_api.py", "x.py"):
-        assert {"REP002", "REP003"} <= applicable_rules(path)
+        assert "REP003" in applicable_rules(path)
+    assert "REP002" not in ALL_RULES
 
 
 def test_every_bit_identity_module_exists():
@@ -117,60 +118,6 @@ def test_rep001_not_applied_outside_bit_identity_modules():
         return math.fsum(values)
     """
     assert _codes(src, "src/repro/core/api.py") == []
-
-
-# ----------------------------------------------------------------------
-# REP002 -- lock owners must be pickle-deliberate
-# ----------------------------------------------------------------------
-
-_REP002_BAD = """
-import threading
-
-class Cache:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries = {}
-"""
-
-_REP002_GOOD = """
-import threading
-
-class Cache:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries = {}
-
-    def __getstate__(self):
-        return {"entries": dict(self._entries)}
-"""
-
-
-def test_rep002_flags_lock_owner_without_getstate():
-    assert _codes(_REP002_BAD, "src/repro/core/x.py", rules=["REP002"]) == [
-        "REP002"
-    ]
-
-
-def test_rep002_quiet_with_getstate():
-    assert (
-        _codes(_REP002_GOOD, "src/repro/core/x.py", rules=["REP002"]) == []
-    )
-
-
-def test_rep002_covers_executors_and_make_lock():
-    src = """
-    from concurrent.futures import ThreadPoolExecutor
-    from repro.core.locktrace import make_lock
-
-    class Pool:
-        def __init__(self):
-            self._executor = ThreadPoolExecutor(2)
-
-    class Guarded:
-        def __init__(self):
-            self._lock = make_lock("Guarded._lock")
-    """
-    assert _codes(src, "x.py", rules=["REP002"]) == ["REP002", "REP002"]
 
 
 # ----------------------------------------------------------------------
@@ -658,21 +605,8 @@ def test_cli_syntax_error_is_rep000(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# pickle contracts forced by the REP002 sweep
+# process-local components refuse to pickle
 # ----------------------------------------------------------------------
-
-
-def test_significance_memo_pickles_empty():
-    """Process-backend jobs may carry memos; they re-arm empty (the
-    decisions are pure functions of the tables, so nothing is lost)."""
-    from repro.core.clustering import SignificanceMemo
-
-    memo = SignificanceMemo(max_entries=123)
-    memo.store([(1, 2, 3, 4)], [True], alpha=0.05)
-    clone = pickle.loads(pickle.dumps(memo))
-    assert isinstance(clone, SignificanceMemo)
-    assert clone._max_entries == 123
-    assert clone.stats["entries"] == 0
 
 
 def test_scoring_session_refuses_to_pickle():

@@ -6,7 +6,6 @@ motivating PR, escape-hatch policy) lives in ``docs/static-analysis.md``;
 in short:
 
 REP001  no non-deterministic float accumulation in bit-identity modules
-REP002  lock/executor owners must define ``__getstate__`` (pickle safety)
 REP003  writes to ``# guarded-by: <lock>`` attributes must hold the lock
 REP004  no module-level mutable state in ``repro.core`` (and no
         ``lru_cache`` on closures)
@@ -49,23 +48,6 @@ BIT_IDENTITY_MODULES = frozenset(
         "elastic.py",
         "clustering.py",
         "deltas.py",
-    }
-)
-
-#: Constructors whose product must not travel across process boundaries
-#: implicitly: a class assigning one of these to ``self`` must define
-#: ``__getstate__`` so process-backend pickling is deliberate, not luck.
-_LOCK_FACTORIES = frozenset(
-    {
-        "Lock",
-        "RLock",
-        "Condition",
-        "Semaphore",
-        "BoundedSemaphore",
-        "ThreadPoolExecutor",
-        "ProcessPoolExecutor",
-        "TrackedLock",
-        "make_lock",
     }
 )
 
@@ -311,67 +293,6 @@ def check_rep001(module: _Module) -> list[Finding]:
                         "explicitly ordered sequence",
                     )
                 )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# REP002 -- lock owners must be pickle-deliberate
-# ---------------------------------------------------------------------------
-
-
-def check_rep002(module: _Module) -> list[Finding]:
-    """Classes owning locks/executors must define ``__getstate__``.
-
-    Process-backend jobs carry fusers (and their caches) across pickle;
-    a raw ``threading.Lock`` or executor in ``__dict__``/``__slots__``
-    makes that a ``TypeError`` at the worst possible moment (PR 4).  An
-    explicit ``__getstate__`` -- dropping the lock, or raising a clear
-    error for process-local objects -- makes the pickle story deliberate.
-    """
-    findings = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        has_getstate = any(
-            isinstance(item, ast.FunctionDef) and item.name == "__getstate__"
-            for item in node.body
-        )
-        if has_getstate:
-            continue
-        owning_assigns = []
-        for sub in ast.walk(node):
-            if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                continue
-            if sub.value is None:
-                continue
-            targets = (
-                sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            )
-            assigns_self = any(
-                _self_attr(flat) is not None
-                for target in targets
-                for flat in _target_attrs(target)
-            )
-            if not assigns_self:
-                continue
-            for inner in ast.walk(sub.value):
-                if (
-                    isinstance(inner, ast.Call)
-                    and _call_name(inner.func) in _LOCK_FACTORIES
-                ):
-                    owning_assigns.append(sub)
-                    break
-        for assign in owning_assigns:
-            findings.append(
-                module.finding(
-                    assign,
-                    "REP002",
-                    f"class {node.name!r} owns a lock/executor but defines "
-                    "no __getstate__; define one that drops (or refuses to "
-                    "pickle) process-local state so process-backend jobs "
-                    "fail deliberately, not incidentally",
-                )
-            )
     return findings
 
 
@@ -959,7 +880,6 @@ def check_rep009(module: _Module) -> list[Finding]:
 
 RULE_CHECKERS: dict[str, Callable[[_Module], list[Finding]]] = {
     "REP001": check_rep001,
-    "REP002": check_rep002,
     "REP003": check_rep003,
     "REP004": check_rep004,
     "REP005": check_rep005,
@@ -975,7 +895,7 @@ ALL_RULES = tuple(sorted(RULE_CHECKERS))
 def applicable_rules(path: Union[str, Path]) -> frozenset[str]:
     """Which rules apply to ``path``, from its repo-relative location.
 
-    REP002/REP003 apply everywhere (lock discipline is repo-wide);
+    REP003 applies everywhere (lock discipline is repo-wide);
     REP001 to the bit-identity core modules; REP004 to ``repro/core``;
     REP005 to benchmark scripts; REP006 to the fault-tolerant layers
     (``repro/core``, ``repro/serve``, and ``repro/persist``); REP007 to
@@ -985,7 +905,7 @@ def applicable_rules(path: Union[str, Path]) -> frozenset[str]:
     """
     posix = str(path).replace("\\", "/")
     name = posix.rsplit("/", 1)[-1]
-    rules = {"REP002", "REP003"}
+    rules = {"REP003"}
     if posix.startswith("repro/") or "/repro/" in posix:
         rules.add("REP009")
     if "repro/core/" in posix:
