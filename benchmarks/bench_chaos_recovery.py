@@ -10,8 +10,12 @@ recovery *costs*, not just whether it happens:
 - **score_raise** -- every scoring attempt faults
   (``score:raise:1:0``); the front end must walk the full degradation
   ladder (retry, cold micro-batch, inline serial) for every batch.
-- **dispatch_delay** -- injected stalls at lane dispatch
-  (``dispatch:delay:2:3@0.05``) exercise retries under latency pressure.
+- **dispatch_delay** -- three 50 ms stalls at lane dispatch
+  (``dispatch:delay:2:3@0.05``): dispatcher stalls that retries never
+  see.  The dispatch site trips before the batch enters the resilient
+  scoring call, so no delay there can reach the scoring timeout or
+  retry; the cell shows that stalled lanes still drain with complete
+  accounting and unchanged scores.
 - **refit_fault** -- a generation swap faults mid-refit
   (``refit:raise:1``); the session must roll back to the old generation
   and serve on, and the *next* refit must succeed.
@@ -19,7 +23,8 @@ recovery *costs*, not just whether it happens:
 Gates (any machine): every run terminates with complete accounting
 (``run_serving_load`` raises on hangs, leaks, or accounting gaps), served
 scores are bit-identical to a fault-free cold twin, the raise cell
-actually degraded, and the refit cell rolled back exactly one refit.
+actually degraded, the dispatch cell fired its 3 stalls with 0 retries
+and 0 degraded batches, and the refit cell rolled back exactly one refit.
 
 Emits ``BENCH_chaos_recovery.json``.
 """
@@ -64,6 +69,10 @@ SEED = 7
 #: A fault armed so deep into the trace it can never fire: the baseline
 #: runs the full chaos machinery with zero injected failures.
 INERT_SPEC = "score:raise:1000000"
+
+#: Stalls at lane dispatch, before resilient scoring: hits 2-4 sleep 50 ms.
+DISPATCH_SPEC = "dispatch:delay:2:3@0.05"
+DISPATCH_HITS = 3
 
 
 def _workload(n_sources: int, n_triples: int, seed: int = 17):
@@ -123,7 +132,7 @@ def run_cells(cell=FULL_CELL, requests: int = FULL_REQUESTS) -> list[dict]:
     rows = [
         _chaos(dataset, "baseline", INERT_SPEC, requests),
         _chaos(dataset, "score_raise", "score:raise:1:0", requests),
-        _chaos(dataset, "dispatch_delay", "dispatch:delay:2:3@0.05", requests),
+        _chaos(dataset, "dispatch_delay", DISPATCH_SPEC, requests),
         _chaos(
             dataset, "refit_fault", "refit:raise:1", requests,
             refit_every=max(1, requests // 3),
@@ -137,6 +146,13 @@ def _headline(rows: list[dict]) -> dict:
     return {
         "baseline_duration_seconds": by_kind["baseline"]["duration_seconds"],
         "raise_degraded_batches": by_kind["score_raise"]["degraded_batches"],
+        "dispatch_stalls": by_kind["dispatch_delay"]["faults_fired"].get(
+            "dispatch", 0
+        ),
+        "dispatch_retries": by_kind["dispatch_delay"]["retries"],
+        "dispatch_degraded_batches": by_kind["dispatch_delay"][
+            "degraded_batches"
+        ],
         "refit_failures": by_kind["refit_fault"]["refit_failures"],
         "refits_after_rollback": by_kind["refit_fault"]["refits"],
         "all_terminated": all(
@@ -162,6 +178,8 @@ def _render(rows: list[dict], headline: dict) -> str:
         + f"\n\ninert baseline {headline['baseline_duration_seconds']:.3f}s; "
         f"{headline['raise_degraded_batches']} degraded batch(es) under "
         f"persistent scoring faults; "
+        f"{headline['dispatch_stalls']} dispatch stall(s) with "
+        f"{headline['dispatch_retries']} retries; "
         f"{headline['refit_failures']} refit rolled back then "
         f"{headline['refits_after_rollback']} applied; "
         f"max |served - twin| {headline['max_abs_diff']:.1e}"
@@ -193,6 +211,18 @@ def _check(headline: dict) -> list[str]:
             "score-raise cell never degraded a batch: the ladder was not "
             "exercised"
         )
+    if headline["dispatch_stalls"] != DISPATCH_HITS:
+        errors.append(
+            f"dispatch-delay cell fired {headline['dispatch_stalls']} "
+            f"stall(s); expected exactly {DISPATCH_HITS}"
+        )
+    if headline["dispatch_retries"] or headline["dispatch_degraded_batches"]:
+        errors.append(
+            "dispatch-delay cell retried or degraded: a stall before "
+            "resilient scoring must reach neither (retries "
+            f"{headline['dispatch_retries']}, degraded batches "
+            f"{headline['dispatch_degraded_batches']})"
+        )
     if headline["refit_failures"] != 1:
         errors.append(
             "refit-fault cell rolled back "
@@ -216,6 +246,9 @@ def bench_chaos_recovery(benchmark):
     assert headline["all_terminated"]
     assert headline["max_abs_diff"] == 0.0
     assert headline["raise_degraded_batches"] >= 1
+    assert headline["dispatch_stalls"] == DISPATCH_HITS
+    assert headline["dispatch_retries"] == 0
+    assert headline["dispatch_degraded_batches"] == 0
 
 
 def main(argv=None) -> int:

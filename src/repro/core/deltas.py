@@ -12,7 +12,10 @@ module closes that gap with three reuse levels:
    observation matrices are XORed at the ``uint64`` word level; a request
    whose words all match the previous one returns the previous scores
    outright, and otherwise only the *dirty* triple columns (64-triple
-   word granularity, conservative by construction) are re-examined;
+   word granularity, conservative by construction) are re-examined.  The
+   diff is memoised on the new matrix, so the WAL, this scorer and the
+   lane router diffing one stream step share a single pass, and clean
+   scores are copied over as one prefix;
 2. **per-pattern probability memo** -- every triple's score is a pure
    function of its ``(providers, silent)`` pattern, so dirty columns
    whose patterns were scored before gather their probability from a
@@ -43,12 +46,13 @@ micro-batched fused matrices hit).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core.bitset import WORD_BITS, pack_bool_vector
+from repro.core.bitset import pack_bool_vector
 from repro.core.fusion import ModelBasedFuser
 from repro.core.observations import ObservationMatrix
 from repro.core.patterns import PatternSet, extract_patterns
@@ -68,62 +72,75 @@ def dirty_columns(
     XORs the bit-packed ``provides`` and ``coverage`` words of both
     matrices, OR-reduces the per-source difference words into one
     dirty-bit vector (bit ``j`` of word ``w`` is set iff column
-    ``64 w + j`` differs in *any* source row), and unpacks only the
-    non-zero words back into column ids -- so the diff costs one pass
-    over ``n_sources x n_words`` ``uint64`` words plus work proportional
-    to the number of dirty columns.  Columns beyond the previous matrix's
-    width are always dirty (an appended column has no previous score to
-    reuse even when its packed bits happen to match padding), and a
-    column reported clean is guaranteed bit-identical in both
-    ``provides`` and ``coverage`` -- the property that makes score reuse
-    exact.
+    ``64 w + j`` differs in *any* source row), and unpacks that vector
+    back into column ids -- so the diff costs one pass over
+    ``n_sources x n_words`` ``uint64`` words plus one byte per column.
+    Columns beyond the previous matrix's width are always dirty (an
+    appended column has no previous score to reuse even when its packed
+    bits happen to match padding), and a column reported clean is
+    guaranteed bit-identical in both ``provides`` and ``coverage`` -- the
+    property that makes score reuse exact.  The ids come back sorted.
+
+    Each ``(previous, current)`` pair is diffed once: the result is
+    memoised on ``current`` against a weak reference to ``previous``, so
+    the WAL, the delta scorer and the lane router, which all diff the
+    same stream step, share one pass over the words.  A call with any
+    other ``previous`` recomputes and replaces the memo.  When both
+    matrices hold the same coverage array, its words are not compared and
+    ``current`` shares ``previous``'s packed coverage.  A matrix diffed
+    against itself is clean without reading a word.  The returned ids are
+    read-only.
 
     Returns ``None`` when the matrices are incomparable (different source
     counts).
     """
     if previous.n_sources != current.n_sources:
         return None
+    if previous is current:
+        columns = np.zeros(0, dtype=np.int64)
+        columns.setflags(write=False)
+        return columns
+    memo = current._diff_memo
+    if memo is not None and memo[0]() is previous:
+        return memo[1]
+    columns = _diff_columns(previous, current)
+    columns.setflags(write=False)
+    current._diff_memo = (weakref.ref(previous), columns)
+    return columns
+
+
+def _diff_columns(
+    previous: ObservationMatrix, current: ObservationMatrix
+) -> np.ndarray:
+    """The word-diff kernel behind :func:`dirty_columns` (no memo)."""
     prev_provides = previous.packed_provides.words
     new_provides = current.packed_provides.words
-    prev_coverage = previous.packed_coverage.words
-    new_coverage = current.packed_coverage.words
     shared_words = min(prev_provides.shape[1], new_provides.shape[1])
-    diff_bits = np.bitwise_or.reduce(
-        (prev_provides[:, :shared_words] ^ new_provides[:, :shared_words])
-        | (prev_coverage[:, :shared_words] ^ new_coverage[:, :shared_words]),
-        axis=0,
+    diff_words = (
+        prev_provides[:, :shared_words] ^ new_provides[:, :shared_words]
     )
-    n_current = current.n_triples
-    word_ids = np.flatnonzero(diff_bits)
-    if word_ids.size:
-        # Unpack only the dirty words' bits back into column ids.
-        dirty_bytes = (
-            np.ascontiguousarray(diff_bits[word_ids])
-            .view(np.uint8)
-            .reshape(word_ids.size, 8)
-        )
-        bit_matrix = np.unpackbits(
-            dirty_bytes, axis=1, bitorder="little"
-        ).astype(bool)
-        offsets, bits = np.nonzero(bit_matrix)
-        columns = word_ids[offsets] * WORD_BITS + bits
-        columns = columns[columns < n_current]
+    if current.coverage is previous.coverage:
+        current._adopt_packed_coverage(previous)
     else:
-        columns = np.zeros(0, dtype=np.int64)
-    extra_words = new_provides.shape[1] - shared_words
-    if extra_words > 0:
-        # Words the previous matrix does not even have: every column in
-        # them (below the current width) is dirty.
-        start = shared_words * WORD_BITS
-        columns = np.concatenate(
-            [columns, np.arange(start, n_current, dtype=np.int64)]
+        diff_words |= (
+            previous.packed_coverage.words[:, :shared_words]
+            ^ current.packed_coverage.words[:, :shared_words]
         )
-    if n_current > previous.n_triples:
-        # Appended columns never have a previous score, word match or not.
+    diff_bits = np.bitwise_or.reduce(diff_words, axis=0)
+    # Bit j of word w is column 64 w + j.  Every column past the shared
+    # width is dirty: an appended column has no previous score to reuse,
+    # even where its bits happen to match the old padding.
+    shared = min(previous.n_triples, current.n_triples)
+    columns = np.flatnonzero(
+        np.unpackbits(
+            diff_bits.view(np.uint8), count=shared, bitorder="little"
+        ).view(bool)
+    )
+    if current.n_triples > shared:
         columns = np.concatenate(
-            [columns, np.arange(previous.n_triples, n_current, dtype=np.int64)]
+            [columns, np.arange(shared, current.n_triples, dtype=np.int64)]
         )
-    return np.unique(columns)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -466,14 +483,13 @@ class DeltaScorer:
         inverse = dirty_patterns.inverse
         n_current = observations.n_triples
         scores = np.empty(n_current, dtype=float)
-        clean = np.ones(n_current, dtype=bool)
-        clean[dirty] = False
-        clean_ids = np.flatnonzero(clean)
-        # Every clean column id is < prev.n_triples by construction
-        # (dirty_columns marks all appended columns dirty).
-        scores[clean_ids] = prev.scores[clean_ids]
+        # Copy the shared prefix whole, then overwrite the dirty columns:
+        # dirty_columns marks every appended column dirty, so no column
+        # past the previous width keeps an unwritten slot.
+        shared = min(n_current, prev.scores.size)
+        scores[:shared] = prev.scores[:shared]
         scores[dirty] = probabilities[inverse]
-        self._reused_columns += int(clean_ids.size)
+        self._reused_columns += n_current - int(dirty.size)
         if snapshot:
             self._prev = _Snapshot(observations, scores.copy())
         return scores

@@ -13,6 +13,7 @@ matrix in :class:`repro.data.model.FusionDataset`.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -91,6 +92,14 @@ class ObservationMatrix:
         self._packed_provides: Optional[PackedMatrix] = None
         self._packed_coverage: Optional[PackedMatrix] = None
         self._patterns = None
+        # The last diff against a predecessor, written only by
+        # repro.core.deltas.dirty_columns: (weak reference to the
+        # predecessor, its read-only dirty column ids).  One tuple swapped
+        # by single assignment, so a racing reader sees a whole pair; the
+        # weak reference keeps a long stream from chaining its matrices.
+        self._diff_memo: Optional[
+            tuple[weakref.ref[ObservationMatrix], np.ndarray]
+        ] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -196,6 +205,20 @@ class ObservationMatrix:
         if self._packed_coverage is None:
             self._packed_coverage = PackedMatrix.from_bool(self._coverage)
         return self._packed_coverage
+
+    def _adopt_packed_coverage(self, previous: "ObservationMatrix") -> None:
+        """Share ``previous``'s packed coverage if it holds our coverage array.
+
+        Both arrays are write-locked, so one array object means one set of
+        words; a matrix built on its predecessor's coverage (a stream
+        step) then never packs it again.  An equal but distinct array is
+        left to pack lazily.
+        """
+        if (
+            previous._coverage is self._coverage
+            and self._packed_coverage is None
+        ):
+            self._packed_coverage = previous._packed_coverage
 
     def patterns(self) -> "PatternSet":
         """The distinct ``(providers, silent)`` observation patterns.

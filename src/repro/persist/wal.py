@@ -8,9 +8,11 @@ state:
   block (the column ids that may differ, with their full new ``provides``
   / ``coverage`` slices) plus the packed truth labels.  The diff comes
   from :func:`repro.core.deltas.dirty_columns`, the same word-granularity
-  machinery the delta scorer trusts; because the block stores absolute
-  new values (not XOR deltas), applying a record to a matrix already in
-  the post-state is a no-op -- duplicate replay is idempotent.
+  machinery the delta scorer trusts; it is memoised on the new matrix,
+  so the scorer's diff of the same step reuses the record's.  Because
+  the block stores absolute new values (not XOR deltas), applying a
+  record to a matrix already in the post-state is a no-op -- duplicate
+  replay is idempotent.
 - ``refit_begin`` -- appended *before* a refit is applied.  A begin with
   no matching publish after it means the process died mid-refit; recovery
   drops it, rolling the session back to the last published generation.

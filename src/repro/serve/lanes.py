@@ -11,7 +11,9 @@ of two lanes the front end batches independently:
 
 - ``"delta"`` -- same width as the fitted model and small churn against
   the lane's previous request (measured exactly, via the packed-word
-  XOR diff of :func:`repro.core.deltas.dirty_columns`);
+  XOR diff of :func:`repro.core.deltas.dirty_columns`, which memoises
+  its result on the request so the scorer's diff against the same
+  previous matrix costs no second pass);
 - ``"cold"`` -- everything else: width mismatches, high-churn requests,
   and all traffic for fusers without the ``pattern_batch_invariant``
   guarantee (their batches score individually anyway).

@@ -4,7 +4,10 @@ Five layers of guarantees:
 
 - **diff mechanics** -- word-level matrix diffing reports exactly the
   columns whose ``provides`` / ``coverage`` bits changed (plus appended
-  columns), and ``None`` for incomparable matrices;
+  columns), and ``None`` for incomparable matrices; the result is
+  memoised on the new matrix per previous matrix (held weakly), shared
+  coverage is neither re-packed nor re-compared, and a checkpointed
+  stream runs the diff kernel at most once per step;
 - **memo mechanics** -- the :class:`PatternValueMemo` contract: bounded
   storage, oldest-first eviction, generation-guarded stores, counters;
 - **delta equivalence** -- hypothesis-driven: random mutation sequences
@@ -24,7 +27,10 @@ Five layers of guarantees:
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +49,7 @@ from repro.core import (
     fit_model,
 )
 from repro.core import clustering, deltas, plans
+from repro.core.bitset import PackedMatrix
 from repro.core.patterns import CODE_MAX_MEMBERS
 from repro.data import (
     CorrelationGroup,
@@ -51,6 +58,14 @@ from repro.data import (
     uniform_sources,
 )
 from repro.eval import mutation_trace, run_serving
+from repro.persist import Checkpointer
+from repro.persist.format import (
+    decode_payload,
+    encode_frame,
+    encode_payload,
+    read_frame,
+)
+from repro.persist.wal import RECORD_MUTATION, mutation_record
 
 
 def _dataset(seed=5, n_sources=8, n_triples=240, correlated=True):
@@ -78,6 +93,41 @@ def _matrix(provides, coverage=None):
     return ObservationMatrix(
         np.asarray(provides, dtype=bool), names, coverage=coverage
     )
+
+
+def _fresh(matrix):
+    """A content-equal copy with its own arrays and no cached state."""
+    return ObservationMatrix(
+        matrix.provides.copy(),
+        matrix.source_names,
+        coverage=matrix.coverage.copy(),
+    )
+
+
+def _redraw(matrix, rng, columns):
+    """A stream step: claims in ``columns`` random triples re-drawn inside
+    the unchanged coverage, which the new matrix shares by identity."""
+    picked = rng.choice(matrix.n_triples, size=columns, replace=False)
+    provides = matrix.provides.copy()
+    provides[:, picked] = (
+        rng.random((matrix.n_sources, columns)) < 0.4
+    ) & matrix.coverage[:, picked]
+    return ObservationMatrix(
+        provides, matrix.source_names, coverage=matrix.coverage
+    )
+
+
+def _count_kernel_runs(monkeypatch):
+    """Count runs of the unmemoised diff kernel behind dirty_columns."""
+    runs = []
+    kernel = deltas._diff_columns
+
+    def counting(previous, current):
+        runs.append(1)
+        return kernel(previous, current)
+
+    monkeypatch.setattr(deltas, "_diff_columns", counting)
+    return runs
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +169,11 @@ class TestDirtyColumns:
         after = _matrix(np.zeros((2, 70), dtype=bool), coverage)
         dirty = dirty_columns(before, after)
         assert set(range(64, 70)) <= set(dirty.tolist())
+        # Growth inside one word: no word is added and the new columns'
+        # bits equal the old padding, so only the width rule flags them.
+        narrow = _matrix(np.zeros((2, 60), dtype=bool), np.zeros((2, 60), bool))
+        wider = _matrix(np.zeros((2, 63), dtype=bool), np.zeros((2, 63), bool))
+        assert dirty_columns(narrow, wider).tolist() == [60, 61, 62]
 
     def test_removed_trailing_columns_do_not_dirty_the_shared_prefix(self):
         provides = np.zeros((2, 130), dtype=bool)
@@ -136,6 +191,167 @@ class TestDirtyColumns:
             _matrix(np.zeros((2, 10), dtype=bool)),
             _matrix(np.zeros((3, 10), dtype=bool)),
         ) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_sources=st.integers(1, 5),
+        widths=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+        share_coverage=st.booleans(),
+    )
+    def test_matches_a_boolean_column_reference(
+        self, seed, n_sources, widths, share_coverage
+    ):
+        rng = np.random.default_rng(seed)
+        wide = max(widths)
+        coverage = rng.random((n_sources, wide)) < 0.8
+        provides = (rng.random((n_sources, wide)) < 0.5) & coverage
+        before = _matrix(provides[:, : widths[0]], coverage[:, : widths[0]])
+        changed = provides.copy()
+        flips = rng.random(changed.shape) < 0.02
+        changed[flips] = ~changed[flips]
+        changed &= coverage
+        if share_coverage and widths[0] == widths[1]:
+            new_coverage = before.coverage
+        else:
+            new_coverage = coverage[:, : widths[1]].copy()
+            dropped = rng.random(new_coverage.shape) < 0.02
+            new_coverage[dropped & ~changed[:, : widths[1]]] = False
+        after = _matrix(changed[:, : widths[1]], new_coverage)
+        shared = min(widths)
+        differs = (
+            (before.provides[:, :shared] != after.provides[:, :shared])
+            | (before.coverage[:, :shared] != after.coverage[:, :shared])
+        ).any(axis=0)
+        expected = np.flatnonzero(differs).tolist() + list(
+            range(shared, widths[1])
+        )
+        assert dirty_columns(before, after).tolist() == expected
+
+    def test_a_matrix_against_itself_reads_no_words(self, monkeypatch):
+        runs = _count_kernel_runs(monkeypatch)
+        matrix = _matrix(np.eye(4, 100, dtype=bool))
+        dirty = dirty_columns(matrix, matrix)
+        assert dirty.size == 0 and not dirty.flags.writeable
+        assert runs == []
+        assert matrix._packed_provides is None  # never packed
+
+    def test_same_previous_reuses_the_memo(self, monkeypatch):
+        runs = _count_kernel_runs(monkeypatch)
+        before = _matrix(np.eye(3, 200, dtype=bool))
+        after = _matrix(np.eye(3, 200, k=1, dtype=bool))
+        first = dirty_columns(before, after)
+        assert dirty_columns(before, after) is first
+        assert len(runs) == 1
+
+    def test_equal_but_distinct_previous_recomputes(self, monkeypatch):
+        runs = _count_kernel_runs(monkeypatch)
+        before = _matrix(np.eye(3, 200, dtype=bool))
+        after = _matrix(np.eye(3, 200, k=1, dtype=bool))
+        first = dirty_columns(before, after)
+        second = dirty_columns(_fresh(before), after)
+        assert second is not first
+        assert np.array_equal(second, first)
+        assert len(runs) == 2
+        # The memo now belongs to the clone: the original recomputes too.
+        dirty_columns(before, after)
+        assert len(runs) == 3
+
+    def test_collected_previous_recomputes_and_is_not_kept_alive(
+        self, monkeypatch
+    ):
+        runs = _count_kernel_runs(monkeypatch)
+        after = _matrix(np.eye(3, 200, k=1, dtype=bool))
+        before = _matrix(np.eye(3, 200, dtype=bool))
+        expected = dirty_columns(before, after).copy()
+        alive = weakref.ref(before)
+        del before
+        gc.collect()
+        assert alive() is None  # the memo held its previous weakly
+        again = dirty_columns(_matrix(np.eye(3, 200, dtype=bool)), after)
+        assert np.array_equal(again, expected)
+        assert len(runs) == 2
+
+    def test_result_is_read_only(self):
+        dirty = dirty_columns(
+            _matrix(np.eye(3, 200, dtype=bool)),
+            _matrix(np.eye(3, 200, k=1, dtype=bool)),
+        )
+        assert dirty.size and not dirty.flags.writeable
+        with pytest.raises(ValueError):
+            dirty[0] = 0
+
+    def test_shared_coverage_shares_its_packed_words(self):
+        rng = np.random.default_rng(4)
+        coverage = rng.random((5, 300)) < 0.8
+        provides = (rng.random((5, 300)) < 0.5) & coverage
+        before = _matrix(provides, coverage)
+        packed = before.packed_coverage
+        flipped = provides.copy()
+        flipped[2, 17] = not flipped[2, 17] and coverage[2, 17]
+        flipped[4, 250] = False
+        after = _matrix(flipped, before.coverage)
+        dirty = dirty_columns(before, after)
+        assert after.packed_coverage is packed
+        assert np.array_equal(
+            after.packed_coverage.words,
+            PackedMatrix.from_bool(coverage).words,
+        )
+        assert np.array_equal(dirty, dirty_columns(_fresh(before), after))
+        # An equal but distinct coverage array is packed and diffed anew.
+        copied = _matrix(flipped, coverage.copy())
+        assert np.array_equal(dirty_columns(before, copied), dirty)
+        assert copied.packed_coverage is not packed
+        assert np.array_equal(copied.packed_coverage.words, packed.words)
+
+    def test_threads_diffing_one_matrix_agree_with_the_kernel(self):
+        rng = np.random.default_rng(9)
+        coverage = rng.random((6, 700)) < 0.9
+        current = _matrix((rng.random((6, 700)) < 0.5) & coverage, coverage)
+        previous = []
+        for k in range(8):
+            # Half share current's coverage array, half carry a copy.
+            shared = current.coverage if k % 2 else coverage.copy()
+            provides = current.provides.copy()
+            cols = rng.choice(700, size=5 * (k + 1), replace=False)
+            provides[:, cols] = (rng.random((6, cols.size)) < 0.5) & (
+                coverage[:, cols]
+            )
+            previous.append(_matrix(provides, shared))
+        expected = [
+            deltas._diff_columns(_fresh(prev), _fresh(current))
+            for prev in previous
+        ]
+        barrier = threading.Barrier(len(previous))
+        failures = []
+
+        def hammer(k):
+            barrier.wait()
+            for _ in range(300):
+                got = dirty_columns(previous[k], current)
+                if not np.array_equal(got, expected[k]):
+                    failures.append(k)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,))
+                for k in range(len(previous))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert np.array_equal(
+            current.packed_coverage.words,
+            PackedMatrix.from_bool(coverage).words,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -438,9 +654,10 @@ class TestDeltaEquivalence:
             observations,  # grows back
         ]
         for matrix in trace:
-            assert np.array_equal(
-                session.score(matrix), reference.score(matrix)
-            )
+            served = session.score(matrix)
+            assert np.abs(served - reference.score(matrix)).max() == 0.0
+        # Both width changes went through the delta path's prefix copy.
+        assert session.cache_stats()["delta"]["delta"] == 2
 
 
 class TestDeltaServingBehaviour:
@@ -489,6 +706,63 @@ class TestDeltaServingBehaviour:
         stats = session.cache_stats()
         assert stats["evictions"] == 0
         assert stats["entries"] <= 2  # the seeded workload only
+
+    def test_checkpointed_stream_diffs_each_step_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The WAL and the delta scorer both diff every step against the
+        # same previous matrix; the memo on the new matrix lets them
+        # share one kernel run (the refit's self-diff reads no words).
+        steps, refit_every = 200, 50
+        dataset = _dataset(seed=21, n_triples=320)
+        labels = dataset.labels
+        session = ScoringSession(
+            dataset.observations, labels, method="clustered"
+        )
+        checkpointer = Checkpointer.attach(
+            session, dataset.observations, labels, tmp_path
+        )
+        session.score(dataset.observations)
+        runs = _count_kernel_runs(monkeypatch)
+        rng = np.random.default_rng(21)
+        logged = [dataset.observations]
+        delta_steps = 0
+        try:
+            for step in range(1, steps + 1):
+                current = _redraw(logged[-1], rng, 4)
+                checkpointer.log_mutation(current, step=step - 1)
+                logged.append(current)
+                if step % refit_every == 0:
+                    # A refit swaps in a fresh scorer and its counters.
+                    delta_steps += session.cache_stats()["delta"]["delta"]
+                    session.refit_delta(current, labels)
+                session.score(current)
+        finally:
+            checkpointer.close()
+            session.attach_checkpointer(None)
+        assert len(runs) <= steps
+        assert delta_steps >= steps - 2 * steps // refit_every
+
+        # Every mutation frame is byte-identical to the one built from
+        # fresh copies: no memo, no shared coverage.
+        data = (tmp_path / "wal.log").read_bytes()
+        offset, mutations = 0, 0
+        while offset < len(data):
+            payload, end = read_frame(data, offset)
+            meta, _ = decode_payload(payload)
+            if meta["type"] == RECORD_MUTATION:
+                mutations += 1
+                previous, current = logged[mutations - 1], logged[mutations]
+                record = mutation_record(
+                    _fresh(previous), _fresh(current), labels,
+                    seq=meta["seq"], step=meta["step"],
+                )
+                assert data[offset:end] == encode_frame(
+                    encode_payload(*record)
+                )
+            offset = end
+        assert mutations == steps
+        session.close()
 
     def test_returned_scores_are_decoupled_from_the_snapshot(self):
         dataset = _dataset(seed=19)
