@@ -20,8 +20,8 @@ contingency tables -- bit-unchanged.
   integer counts instead of floats).
 
 The speedup gate is enforced on runners with >= 4 cores and *recorded
-as skipped* below that (same policy as ``bench_delta_serving`` /
-``bench_sharded_engine``: shared 1-core CI boxes time too noisily to
+as skipped* below that (``_helpers.GATE_MIN_CORES``, the policy every
+gated benchmark here shares: shared 1-core CI boxes time too noisily to
 gate on).
 
 Runnable two ways::
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -48,15 +47,15 @@ import numpy as np
 if __name__ == "__main__":  # allow plain `python benchmarks/bench_delta_refit.py`
     sys.path.insert(0, str(Path(__file__).parent))
 
-from _helpers import RESULTS_DIR, emit
+from _helpers import GATE_MIN_CORES, RESULTS_DIR, available_cores, emit
 from bench_clustered_engine import _workload
 from repro.core import ObservationMatrix, ScoringSession
 from repro.eval import format_table
 
 JSON_PATH = RESULTS_DIR / "BENCH_delta_refit.json"
 
-#: The BOOK-like serving cell shared with the clustered / plan-cache /
-#: sharded / delta-serving benchmarks; the gate anchors on (48, 4000).
+#: The BOOK-like serving cell shared with the clustered-engine and
+#: delta-serving benchmarks; the gate anchors on (48, 4000).
 FULL_GRID = ((48, 4000),)
 SMOKE_GRID = ((24, 1200),)
 
@@ -72,15 +71,6 @@ FULL_REFITS = 12
 SMOKE_REFITS = 4
 
 REFIT_GATE = 3.0
-GATE_MIN_CORES = 4
-
-
-def available_cores() -> int:
-    """Cores this process may use (affinity-aware when the OS reports it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def mutate_localized(

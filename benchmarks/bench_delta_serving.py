@@ -1,4 +1,4 @@
-"""Delta scoring + micro-batching vs the PR 4 warm-cache serving path.
+"""Delta scoring vs the warm-cache serving path, and threaded micro-batching.
 
 PR 3/4 made repeated scoring of the *same* matrix nearly free, but a
 streaming workload never repeats a matrix exactly: each request differs
@@ -11,15 +11,19 @@ delivered on top (``repro/core/deltas.py`` + ``ScoringSession.submit``):
   the streaming shape) scored through a ``delta="auto"`` session vs the
   same trace through a ``delta="off"`` session whose plan caches are warm
   (the PR 4 path).  Gate: delta >= 3x on the 48x4000 BOOK-like grid.
-- **micro-batching** -- 8 concurrent small requests scored through
-  ``ScoringSession.submit`` (coalesced into one fused delta-aware pass)
-  vs a sequential loop of individual warm ``score`` calls.  Gate:
-  micro-batched wall-clock >= 2x faster.
+- **micro-batching** -- bursts of 8 small requests started together on
+  8 threads (a barrier), through ``ScoringSession.submit`` (coalesced
+  into fused delta-aware passes) vs the same threads calling ``score``
+  on a delta-on session.  Each arm has its own identically-built
+  session, so neither warms the other's pattern memo, and the arms
+  alternate which goes first per round.  Reported: per-request p50
+  latency and burst wall time per arm.  No speed-up gate: the cell shows
+  whether coalescing beats plain threaded scoring on the host it ran on.
 
-Both gates are enforced on runners with >= 4 cores and *recorded as
-skipped* below that (same policy as ``bench_sharded_engine``: shared
-1-core CI boxes time too noisily to gate on).  **Bit-identity is always
-enforced**: every delta and micro-batched score must equal plain cold
+The delta gate is enforced on runners with >= 4 cores and *recorded as
+skipped* below that (``_helpers.GATE_MIN_CORES``: shared 1-core CI boxes
+time too noisily to gate on).  **Bit-identity is always enforced**:
+every delta, micro-batched and threaded score must equal plain cold
 scoring with max |diff| exactly 0.0 in every configuration.
 
 Runnable two ways::
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import threading
 import time
@@ -47,15 +50,15 @@ import numpy as np
 if __name__ == "__main__":  # allow plain `python benchmarks/bench_delta_serving.py`
     sys.path.insert(0, str(Path(__file__).parent))
 
-from _helpers import RESULTS_DIR, emit
+from _helpers import GATE_MIN_CORES, RESULTS_DIR, available_cores, emit
 from bench_clustered_engine import _workload
 from repro.core import ScoringSession
 from repro.eval import format_table, mutation_trace
 
 JSON_PATH = RESULTS_DIR / "BENCH_delta_serving.json"
 
-#: The BOOK-like serving cell shared with the clustered / plan-cache /
-#: sharded benchmarks; the acceptance gates anchor on (48, 4000).
+#: The BOOK-like serving cell shared with the clustered-engine and
+#: delta-refit benchmarks; the delta gate anchors on (48, 4000).
 FULL_GRID = ((48, 4000),)
 SMOKE_GRID = ((24, 1200),)
 
@@ -66,22 +69,12 @@ MUTATE_FRACS = (0.01, 0.05)
 FULL_STEPS = 10
 SMOKE_STEPS = 4
 
-#: Micro-batching: concurrent small requests per wall-clock round.
+#: Micro-batching: threads (one request each) per burst, and bursts.
 MICRO_REQUESTS = 8
 MICRO_WIDTH = 256
-MICRO_ROUNDS = 3
+MICRO_ROUNDS = 5
 
 DELTA_GATE = 3.0
-MICRO_GATE = 2.0
-GATE_MIN_CORES = 4
-
-
-def available_cores() -> int:
-    """Cores this process may use (affinity-aware when the OS reports it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _sessions(dataset):
@@ -153,13 +146,11 @@ def measure_delta_replay(dataset, mutate_frac: float, steps: int) -> dict:
 
 
 def _micro_rounds(observations):
-    """Per-round batches of 8 small requests, fresh content every round.
+    """Per-round bursts of 8 small requests, fresh content every round.
 
     Each round slices a *mutated* variant of the base matrix, so every
-    request carries a digest the serving process has not seen -- the
-    streaming shape.  (Re-submitting identical requests would let the
-    sequential baseline serve pure digest hits, which is the PR 3 loop,
-    not the workload micro-batching exists for.)
+    request carries patterns the serving process has mostly not seen --
+    the streaming shape, not a loop of digest hits.
     """
     variants = mutation_trace(observations, MICRO_ROUNDS + 1, 0.02, seed=7)
     rounds = []
@@ -176,63 +167,74 @@ def _micro_rounds(observations):
     return rounds
 
 
-def measure_micro_batching(dataset) -> dict:
-    """8 concurrent submits vs a sequential loop of individual scores."""
-    delta_session, plain_session = _sessions(dataset)
-    observations = dataset.observations
-    warmup_round, *rounds = _micro_rounds(observations)
+def run_burst(call, requests) -> tuple[float, list[float], list]:
+    """Start one thread per request together; ``call`` scores each.
 
-    def run_concurrent(requests) -> tuple[float, list[np.ndarray]]:
-        results: list = [None] * len(requests)
-        barrier = threading.Barrier(len(requests) + 1)
+    Returns the burst wall time (barrier release to the last return),
+    each request's own latency, and the per-request scores.
+    """
+    results: list = [None] * len(requests)
+    latencies = [0.0] * len(requests)
+    barrier = threading.Barrier(len(requests) + 1)
 
-        def submit(k):
-            barrier.wait()
-            results[k] = delta_session.submit(requests[k])
-
-        threads = [
-            threading.Thread(target=submit, args=(k,))
-            for k in range(len(requests))
-        ]
-        for thread in threads:
-            thread.start()
+    def worker(k):
         barrier.wait()
         start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        return time.perf_counter() - start, results
+        results[k] = call(requests[k])
+        latencies[k] = time.perf_counter() - start
 
-    # Warm both sessions on the base matrix and one unmeasured round, so
-    # the measured rounds compare steady-state serving: the sequential
-    # path keeps paying per-request extraction + compilation on novel
-    # digests; the batched path coalesces and reuses known patterns.
-    plain_session.score(observations)
-    delta_session.score(observations)
-    for request in warmup_round:
-        plain_session.score(request)
-    run_concurrent(warmup_round)
+    threads = [
+        threading.Thread(target=worker, args=(k,))
+        for k in range(len(requests))
+    ]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
+    start = time.perf_counter()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - start, latencies, results
 
-    sequential_seconds: list[float] = []
-    references: list[list[np.ndarray]] = []
-    for requests in rounds:
-        start = time.perf_counter()
-        round_scores = [plain_session.score(r) for r in requests]
-        sequential_seconds.append(time.perf_counter() - start)
-        references.append(round_scores)
 
-    batched_seconds: list[float] = []
+def measure_micro_batching(dataset) -> dict:
+    """8-thread bursts: coalescing ``submit`` vs threaded ``score``."""
+    observations = dataset.observations
+    batched, threaded = (
+        ScoringSession(
+            observations, dataset.labels, method="precreccorr"
+        )
+        for _ in range(2)
+    )
+    reference = ScoringSession(
+        observations, dataset.labels, method="precreccorr", delta="off"
+    )
+    arms = {"submit": batched.submit, "score": threaded.score}
+    warmup_round, *rounds = _micro_rounds(observations)
+
+    # Warm both sessions on the base matrix and one unmeasured burst, so
+    # the measured rounds compare steady-state serving.
+    for session in (batched, threaded):
+        session.score(observations)
+    for call in arms.values():
+        run_burst(call, warmup_round)
+
+    walls: dict = {name: [] for name in arms}
+    latencies: dict = {name: [] for name in arms}
     max_diff = 0.0
-    for requests, round_references in zip(rounds, references):
-        elapsed, results = run_concurrent(requests)
-        batched_seconds.append(elapsed)
-        for scores, reference in zip(results, round_references):
-            max_diff = max(
-                max_diff, float(np.abs(scores - reference).max())
-            )
+    for index, requests in enumerate(rounds):
+        expected = [reference.score(request) for request in requests]
+        order = list(arms) if index % 2 == 0 else list(arms)[::-1]
+        for name in order:
+            wall, per_request, results = run_burst(arms[name], requests)
+            walls[name].append(wall)
+            latencies[name].extend(per_request)
+            for scores, oracle in zip(results, expected):
+                max_diff = max(max_diff, float(np.abs(scores - oracle).max()))
 
-    sequential_mean = float(np.mean(sequential_seconds))
-    batched_mean = float(np.mean(batched_seconds))
-    batcher_stats = delta_session.micro_batcher.stats
+    def ms(values):
+        return 1000.0 * float(np.median(values))
+
+    batcher_stats = batched.micro_batcher.stats
     return {
         "kind": "micro_batch",
         "n_sources": observations.n_sources,
@@ -240,13 +242,10 @@ def measure_micro_batching(dataset) -> dict:
         "requests": MICRO_REQUESTS,
         "request_triples": MICRO_WIDTH,
         "rounds": len(rounds),
-        "sequential_seconds": sequential_mean,
-        "batched_seconds": batched_mean,
-        "micro_speedup": (
-            sequential_mean / batched_mean
-            if batched_mean > 0
-            else float("inf")
-        ),
+        "submit_p50_ms": ms(latencies["submit"]),
+        "score_p50_ms": ms(latencies["score"]),
+        "submit_burst_ms": ms(walls["submit"]),
+        "score_burst_ms": ms(walls["score"]),
         "batches": batcher_stats["batches"],
         "fused_requests": batcher_stats["fused_requests"],
         "max_abs_diff": max_diff,
@@ -265,14 +264,11 @@ def run_grid(grid=FULL_GRID, steps: int = FULL_STEPS) -> list[dict]:
 
 def _headline(rows: list[dict]) -> dict:
     replays = [r for r in rows if r["kind"] == "delta_replay"]
-    micro = [r for r in rows if r["kind"] == "micro_batch"]
     cores = available_cores()
     worst_delta = min(r["delta_speedup"] for r in replays)
-    worst_micro = min(r["micro_speedup"] for r in micro)
     return {
         "cores": cores,
         "delta_gate": DELTA_GATE,
-        "micro_gate": MICRO_GATE,
         "gate_enforced": cores >= GATE_MIN_CORES,
         "gate_skip_reason": (
             None
@@ -281,7 +277,6 @@ def _headline(rows: list[dict]) -> dict:
             "timings too noisy to gate on"
         ),
         "worst_delta_speedup": worst_delta,
-        "worst_micro_speedup": worst_micro,
         "delta_speedups_by_frac": {
             str(r["mutate_frac"]): r["delta_speedup"] for r in replays
         },
@@ -303,20 +298,19 @@ def _render(rows: list[dict], headline: dict) -> str:
         ],
     )
     micro_table = format_table(
-        ["sources", "triples", "requests", "req-triples", "sequential(s)",
-         "batched(s)", "speedup", "max|diff|"],
+        ["sources", "triples", "threads", "req-triples", "submit p50(ms)",
+         "score p50(ms)", "submit burst(ms)", "score burst(ms)",
+         "batches", "max|diff|"],
         [
             [r["n_sources"], r["n_triples"], r["requests"],
-             r["request_triples"], r["sequential_seconds"],
-             r["batched_seconds"], r["micro_speedup"], r["max_abs_diff"]]
+             r["request_triples"], r["submit_p50_ms"], r["score_p50_ms"],
+             r["submit_burst_ms"], r["score_burst_ms"], r["batches"],
+             r["max_abs_diff"]]
             for r in rows
             if r["kind"] == "micro_batch"
         ],
     )
-    gate = (
-        f"gates (delta >= {headline['delta_gate']}x, micro-batch >= "
-        f"{headline['micro_gate']}x): "
-    )
+    gate = f"gate (delta >= {headline['delta_gate']}x): "
     if headline["gate_enforced"]:
         gate += f"enforced on {headline['cores']} cores"
     else:
@@ -326,7 +320,6 @@ def _render(rows: list[dict], headline: dict) -> str:
         + "\n\n"
         + micro_table
         + f"\n\nworst delta speedup {headline['worst_delta_speedup']:.2f}x, "
-        f"worst micro-batch speedup {headline['worst_micro_speedup']:.2f}x, "
         f"max |score diff| {headline['max_abs_diff']:.1e}\n"
         + gate
     )
@@ -352,7 +345,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="small grid cell and short traces (CI); bit-identity and the "
-             "core-gated speedup checks still apply",
+             "core-gated delta speedup check still apply",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -364,26 +357,21 @@ def main(argv=None) -> int:
     print(_render(rows, headline))
     if headline["max_abs_diff"] != 0.0:
         print(
-            "ERROR: delta / micro-batched scores are not bit-identical to "
-            "plain cold scoring",
+            "ERROR: delta / micro-batched / threaded scores are not "
+            "bit-identical to plain cold scoring",
             file=sys.stderr,
         )
         return 1
-    if headline["gate_enforced"]:
-        if headline["worst_delta_speedup"] < DELTA_GATE:
-            print(
-                f"ERROR: delta speedup fell below the {DELTA_GATE}x "
-                "acceptance bar",
-                file=sys.stderr,
-            )
-            return 1
-        if headline["worst_micro_speedup"] < MICRO_GATE:
-            print(
-                f"ERROR: micro-batch speedup fell below the {MICRO_GATE}x "
-                "acceptance bar",
-                file=sys.stderr,
-            )
-            return 1
+    if (
+        headline["gate_enforced"]
+        and headline["worst_delta_speedup"] < DELTA_GATE
+    ):
+        print(
+            f"ERROR: delta speedup fell below the {DELTA_GATE}x "
+            "acceptance bar",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -48,8 +48,7 @@ from pathlib import Path
 if __name__ == "__main__":  # allow plain `python benchmarks/bench_serving_load.py`
     sys.path.insert(0, str(Path(__file__).parent))
 
-from _helpers import RESULTS_DIR, emit
-from bench_delta_serving import GATE_MIN_CORES, available_cores
+from _helpers import GATE_MIN_CORES, RESULTS_DIR, available_cores, emit
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,

@@ -22,7 +22,6 @@ therefore their compiled-plan caches) alive across many ``score`` calls::
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Optional, Sequence
 
@@ -58,7 +57,7 @@ from repro.core.observations import ObservationMatrix
 from repro.core.precrec import PrecRecFuser
 from repro.core.quality import estimate_prior
 
-#: Valid values for the serving-layer opt-outs (``delta`` / ``micro_batch``).
+#: Valid values for the delta-scoring opt-out (``delta``).
 SERVING_MODES = ("auto", "off")
 
 #: Valid values for the streaming refit strategy (``refit_mode`` knobs).
@@ -75,12 +74,12 @@ def check_refit_mode(value: str) -> str:
     return key
 
 
-def _check_serving_mode(value: str, name: str) -> str:
-    """Validate a ``delta`` / ``micro_batch`` knob."""
+def _check_serving_mode(value: str) -> str:
+    """Validate a ``delta`` knob."""
     key = str(value).lower()
     if key not in SERVING_MODES:
         raise ValueError(
-            f"{name} must be one of {SERVING_MODES}, got {value!r}"
+            f"delta must be one of {SERVING_MODES}, got {value!r}"
         )
     return key
 
@@ -301,18 +300,18 @@ def _build_fuser(
 
 
 class _PendingScore:
-    """One enqueued :meth:`MicroBatcher.submit` request."""
+    """One enqueued :meth:`MicroBatcher.submit` request.
 
-    __slots__ = ("observations", "event", "scores", "error", "promoted")
+    ``done`` is set under ``MicroBatcher._combine`` once its batch scored.
+    """
+
+    __slots__ = ("observations", "scores", "error", "done")
 
     def __init__(self, observations: ObservationMatrix) -> None:
         self.observations = observations
-        self.event = threading.Event()
         self.scores: Optional[np.ndarray] = None
         self.error: Optional[BaseException] = None
-        # Set (under the batcher lock) when a retiring leader wakes this
-        # still-queued request to take over leadership.
-        self.promoted = False
+        self.done = False
 
 
 class BatchScoreOutcome:
@@ -340,38 +339,28 @@ class MicroBatcher:
     """Cross-request micro-batching for concurrent small score requests.
 
     N threads each scoring a small matrix through one session pay N
-    pattern extractions, N digest probes, and N GIL-contended scoring
-    passes.  The batcher turns them into one wide pass: ``submit``
-    enqueues the request, one caller becomes the *leader* (no background
-    thread -- the leader is whichever submitter found no leader active),
-    coalesces the pending requests into a single fused observation matrix
-    (columns concatenated in request order, request-boundary offsets
-    preserved), executes **one** delta-aware session score, and splits
-    the result back per request.
+    pattern extractions and N GIL-contended scoring passes.  The batcher
+    concatenates the queued requests' columns into one fused matrix,
+    scores it with **one** delta-aware session call (one model
+    generation, bound once) and hands each request its slice.  A
+    triple's score depends only on its own pattern, so the slices are
+    bit-identical to individual scoring (``tests/test_microbatch.py``).
+    Requests that cannot fuse (EM, a fuser without
+    ``pattern_batch_invariant``, a mismatched source count) score
+    individually, so ``submit`` is always a drop-in for ``score``.
 
-    Every request in a batch shares one model generation by construction:
-    the fused matrix is scored through a single ``session.score`` call,
-    which binds the live fuser exactly once.  Because each triple's score
-    depends only on its own observation pattern, per-request slices of the
-    fused score vector are bit-identical to scoring the requests
-    individually (pinned by ``tests/test_microbatch.py``).
+    It is a combining lock with no background thread: ``submit`` queues
+    the request and takes ``_combine``, and whoever holds it scores the
+    queue for everyone until its own request is done.  Waiters block on
+    that lock, so nothing is handed over, and a holder that raises
+    leaves the queue to the next one.
 
-    Requests that cannot be coalesced -- an EM session (its scores depend
-    on the whole matrix), a fuser without the ``pattern_batch_invariant``
-    guarantee (PrecRec, aggressive), or mismatched source counts -- are
-    scored individually, so ``submit`` is always a drop-in for ``score``.
-
-    Dispatch is a group commit, the same policy as the async front end's
-    lanes: there is no coalescing window.  A leader ships whatever is
-    queued at once (an uncontended caller scores immediately on its own
-    thread), and submits that arrive while a batch scores queue up and
-    ship together as the next batch, at most ``max_requests`` per batch.
-    Before cutting a batch the leader yields the interpreter lock while
-    the queue keeps growing (``time.sleep(0)``, no timer), so a burst of
-    submitters woken together lands in one batch instead of the first
-    one shipping alone.  Coalescing therefore comes from concurrency
-    itself -- the busier the session, the wider the batches -- and never
-    from holding a request.
+    Dispatch is a group commit, as in the async front end's lanes, with
+    no window: a holder ships what is queued at once (up to
+    ``max_requests``), and arrivals during a batch ship as the next one.
+    Before each cut it yields the interpreter lock (``time.sleep(0)``)
+    while the queue keeps growing, so a burst woken together lands in
+    one batch.  The busier the session, the wider the batches.
     """
 
     def __init__(
@@ -386,30 +375,24 @@ class MicroBatcher:
         self._session = session
         self._max_requests = int(max_requests)
         self._lock = make_lock("MicroBatcher._lock")
+        # Held by the submitter cutting and scoring batches; taken
+        # before _lock, never inside it.
+        self._combine = make_lock("MicroBatcher._combine")
         # guarded-by: _lock
         self._pending: list[_PendingScore] = []
         # guarded-by: _lock
-        self._leader_active = False
-        # guarded-by: _lock
         self._closed = False
         # guarded-by: _lock
-        self._requests = 0
-        # guarded-by: _lock
-        self._batches = 0
-        # guarded-by: _lock
-        self._fused_requests = 0
-        # guarded-by: _lock
-        self._fused_batches = 0
-        # guarded-by: _lock
-        self._largest_batch = 0
-        # guarded-by: _lock
-        self._largest_fused_batch = 0
+        self._counts = dict.fromkeys(
+            ("requests", "batches", "fused_requests", "fused_batches",
+             "largest_batch", "largest_fused_batch"),
+            0,
+        )
 
     def __getstate__(self) -> dict:
         raise TypeError(
-            "MicroBatcher is process-local (it owns a lock and waiter "
-            "events tied to this process's threads); build one per "
-            "process instead of pickling it"
+            "MicroBatcher is process-local (it owns locks); build one "
+            "per process instead of pickling it"
         )
 
     @property
@@ -422,21 +405,16 @@ class MicroBatcher:
         reports reflect real fusion rather than queue depth.
         """
         with self._lock:
-            return {
-                "requests": self._requests,
-                "batches": self._batches,
-                "fused_requests": self._fused_requests,
-                "fused_batches": self._fused_batches,
-                "largest_batch": self._largest_batch,
-                "largest_fused_batch": self._largest_fused_batch,
-                "max_requests": self._max_requests,
-                "closed": self._closed,
-            }
+            return dict(
+                self._counts,
+                max_requests=self._max_requests,
+                closed=self._closed,
+            )
 
     def close(self) -> None:
         """Retire the batcher: stop coalescing new traffic.
 
-        Already-queued requests still ship with the active leader's next
+        Already-queued requests still ship with the next holders'
         batches; submits arriving after close score inline through the
         session (no queue, no fusion).  Idempotent.
         """
@@ -446,131 +424,44 @@ class MicroBatcher:
     def submit(self, observations: ObservationMatrix) -> np.ndarray:
         """Score ``observations``, coalescing with concurrent submitters.
 
-        Blocks until this request's scores are ready; exceptions raised by
-        the underlying scoring land on the requests that caused them.
-        With no leader active the caller leads and scores at once;
-        otherwise it waits for the batch that picks it up.  Latency is
-        bounded: a leader retires once its own request has been served,
-        handing the remaining queue to a waiting submitter, so no caller
-        serves other threads' traffic indefinitely.
+        Blocks until this request's scores are ready; scoring errors land
+        on the requests that caused them.  Uncontended, the caller scores
+        at once; otherwise it takes ``_combine`` after the current holder
+        and finds its request scored or at the head of the queue.
         """
         request = _PendingScore(observations)
         with self._lock:
-            if self._closed:
-                closed = True
-            else:
-                closed = False
+            closed = self._closed
+            if not closed:
                 self._pending.append(request)
-                self._requests += 1
-                leader = not self._leader_active
-                if leader:
-                    self._leader_active = True
+                self._counts["requests"] += 1
         if closed:
             return self._session.score(observations)
-        while True:
-            if leader:
-                self._drain(request)
-                break
-            try:
-                request.event.wait()
-            except BaseException:
-                # Unwinding mid-wait (KeyboardInterrupt lands on the main
-                # thread even inside Event.wait): a promotable husk left
-                # in the queue could be handed leadership nobody will
-                # ever exercise, hanging every other submitter.
-                self._abandon(request)
-                raise
-            if not request.promoted:
-                break
-            # A retiring leader handed us the queue: our own request is
-            # still pending, so lead the next batches (it gets served in
-            # our first one).
-            request.promoted = False
-            leader = True
+        try:
+            with self._combine:
+                while not request.done:
+                    batch = self._take_batch()
+                    if not batch:  # a holder died between dequeue and _execute
+                        raise RuntimeError("micro-batch request was dropped")
+                    self._execute(batch)
+        except BaseException:
+            # Withdraw only our own entry; the queue stays for the next
+            # holder.
+            with self._lock:
+                if request in self._pending:
+                    self._pending.remove(request)
+            raise
         if request.error is not None:
             raise request.error
         return request.scores
 
-    def _abandon(self, request: _PendingScore) -> None:
-        """Withdraw an unwinding waiter's request from the queue.
-
-        If a retiring leader already promoted it, pass the leadership on
-        to another waiter (or release it) so the queue can never be
-        orphaned; once removed here, the request can no longer be
-        promoted (promotion only ever picks queued entries, under the
-        same lock).
-        """
-        with self._lock:
-            try:
-                self._pending.remove(request)
-            except ValueError:
-                pass  # already taken into a batch; scoring it is harmless
-            if not request.promoted:
-                return
-            request.promoted = False
-            if self._pending:
-                successor = self._pending[0]
-                successor.promoted = True
-                successor.event.set()
-            else:
-                self._leader_active = False
-
-    def _drain(self, own: _PendingScore) -> None:
-        """Leader loop (group commit): ship what is queued, up to
-        ``max_requests``, and repeat with whatever arrived meanwhile until
-        the queue empties or, once ``own`` has been served, leadership is
-        handed to a waiting submitter (bounding every caller's time spent
-        serving others)."""
-        batch: list[_PendingScore] = []
-        try:
-            while True:
-                batch = self._take_batch()
-                self._execute(batch)
-                batch = []
-                with self._lock:
-                    if not self._pending:
-                        self._leader_active = False
-                        return
-                    if own.event.is_set():
-                        # Hand the queue to a still-waiting request;
-                        # _leader_active stays True across the transfer so
-                        # no third submitter self-elects in between.
-                        successor = self._pending[0]
-                        successor.promoted = True
-                        successor.event.set()
-                        return
-        except BaseException as error:
-            # _execute routes scoring errors to their requests; this is
-            # the backstop for leader failures outside it (e.g. a
-            # KeyboardInterrupt mid-batch).  Fail everything still queued
-            # -- their submitters are blocked and no successor was named
-            # -- and free the leadership so future submits recover.  The
-            # dequeued in-flight batch is included: its entries are no
-            # longer in _pending, and a leader dying between dequeue and
-            # _execute's event-setting finally would otherwise leave its
-            # followers waiting forever (re-setting an already-set event
-            # is harmless).
-            with self._lock:
-                abandoned, self._pending = self._pending, []
-                self._leader_active = False
-            for request in batch + abandoned:
-                if request.scores is None and request.error is None:
-                    request.error = RuntimeError(
-                        "micro-batch leader failed before scoring this "
-                        "request"
-                    )
-                    request.error.__cause__ = error
-                request.event.set()
-            raise
-
     def _take_batch(self) -> list[_PendingScore]:
         """Dequeue the next batch: everything queued, up to ``max_requests``.
 
-        Not a window -- no timer runs.  ``sleep(0)`` only releases the
-        interpreter lock, so submitters that are already runnable (a
-        burst woken together) enqueue first; the leader keeps yielding
-        while each yield grows the queue and cuts the batch once one
-        brings nobody new.  An uncontended leader pays two such yields.
+        No timer runs: ``sleep(0)`` only releases the interpreter lock so
+        runnable submitters (a burst woken together) enqueue first.  The
+        holder yields while each yield grows the queue; uncontended, it
+        pays two yields.
         """
         queued = 0
         while True:
@@ -585,13 +476,13 @@ class MicroBatcher:
                 return batch
 
     def _execute(self, batch: list[_PendingScore]) -> None:
-        """Score one batch (fused when possible) and wake its requests."""
-        session = self._session
+        """Score one batch (fused when possible) and mark its requests done."""
+        counts = self._counts
         with self._lock:
-            self._batches += 1
-            self._largest_batch = max(self._largest_batch, len(batch))
+            counts["batches"] += 1
+            counts["largest_batch"] = max(counts["largest_batch"], len(batch))
         try:
-            outcome = session.score_batch(
+            outcome = self._session.score_batch(
                 [request.observations for request in batch]
             )
             for request, scores, error in zip(
@@ -599,20 +490,18 @@ class MicroBatcher:
             ):
                 request.scores = scores
                 request.error = error
-            if outcome.fused_requests:
+            fused = outcome.fused_requests
+            if fused:
                 with self._lock:
-                    self._fused_requests += outcome.fused_requests
-                    self._fused_batches += 1
-                    self._largest_fused_batch = max(
-                        self._largest_fused_batch, outcome.fused_requests
+                    counts["fused_requests"] += fused
+                    counts["fused_batches"] += 1
+                    counts["largest_fused_batch"] = max(
+                        counts["largest_fused_batch"], fused
                     )
         except BaseException as error:
-            # BaseException included: a KeyboardInterrupt mid-score must
-            # still mark the batch (a woken request with neither scores
-            # nor error would silently return None), then propagate so
-            # the leader's _drain backstop fails the rest of the queue.
-            # Each request gets its own wrapper: several submitter threads
-            # re-raising one shared instance would race on its traceback.
+            # Even a KeyboardInterrupt must leave every request with scores
+            # or an error before it propagates.  One wrapper per request:
+            # threads re-raising a shared instance race on its traceback.
             for request in batch:
                 if request.scores is None and request.error is None:
                     wrapped = RuntimeError(
@@ -624,7 +513,7 @@ class MicroBatcher:
                 raise
         finally:
             for request in batch:
-                request.event.set()
+                request.done = True
 
 
 class ScoringSession:
@@ -663,8 +552,7 @@ class ScoringSession:
 
     Cross-request micro-batching: :meth:`submit` is a concurrency-aware
     drop-in for :meth:`score` that coalesces simultaneous small requests
-    into one fused delta-aware scoring pass (see :class:`MicroBatcher`);
-    ``micro_batch="off"`` makes it an alias for :meth:`score`.
+    into one fused delta-aware scoring pass (see :class:`MicroBatcher`).
 
     Concurrency: one session may be scored from many threads at once,
     including while :meth:`refit` runs.  Each ``score`` call binds the
@@ -692,8 +580,6 @@ class ScoringSession:
         threshold: float = DEFAULT_THRESHOLD,
         workers: int = 1,
         delta: str = "auto",
-        micro_batch: str = "auto",
-        micro_batch_max_requests: int = 64,
         **options: Any,
     ) -> None:
         self._method = method
@@ -707,14 +593,7 @@ class ScoringSession:
                 f"workers={workers!r}: sharded execution was removed and "
                 "scoring is serial; pass workers=1 or omit it"
             )
-        self._delta = _check_serving_mode(delta, "delta")
-        self._micro_batch = _check_serving_mode(micro_batch, "micro_batch")
-        if micro_batch_max_requests < 1:
-            raise ValueError(
-                "micro_batch_max_requests must be >= 1, got "
-                f"{micro_batch_max_requests}"
-            )
-        self._micro_batch_max = int(micro_batch_max_requests)
+        self._delta = _check_serving_mode(delta)
         self._batcher_lock = make_lock("ScoringSession._batcher_lock")
         # guarded-by: _batcher_lock
         self._batcher: Optional[MicroBatcher] = None
@@ -826,7 +705,6 @@ class ScoringSession:
             "smoothing": self._smoothing,
             "threshold": self._threshold,
             "delta": self._delta,
-            "micro_batch": self._micro_batch,
             "options": options,
             "dropped_options": dropped,
         }
@@ -1026,22 +904,15 @@ class ScoringSession:
     def submit(self, observations: ObservationMatrix) -> np.ndarray:
         """Score with cross-request micro-batching (see :class:`MicroBatcher`).
 
-        Concurrent submitters sharing a model generation are coalesced
-        into one fused delta-aware scoring pass and handed back their
-        per-request slices -- bit-identical to :meth:`score`.  Nothing
-        waits for company: an uncontended call scores at once, and calls
-        that arrive while a batch scores ship together as the next one.
-        With ``micro_batch="off"`` this is an alias for :meth:`score`.
+        Concurrent submitters share one fused delta-aware scoring pass
+        and get back per-request slices bit-identical to :meth:`score`.
+        An uncontended call scores at once.
         """
-        if self._micro_batch == "off":
-            return self.score(observations)
         batcher = self._batcher
         if batcher is None:
             with self._batcher_lock:
                 if self._batcher is None:
-                    self._batcher = MicroBatcher(
-                        self, max_requests=self._micro_batch_max
-                    )
+                    self._batcher = MicroBatcher(self)
                 batcher = self._batcher
         return batcher.submit(observations)
 
@@ -1451,8 +1322,7 @@ class ScoringSession:
     def close(self) -> None:
         """Retire the lazily-built micro-batcher, if any (idempotent).
 
-        Its queued requests flush immediately and later submits score
-        inline.  Scoring keeps working afterwards, so closing a session is
+        Its queued requests still ship; later submits score inline.  Scoring keeps working afterwards, so closing a session is
         always safe.
         """
         batcher = self._batcher

@@ -3,7 +3,7 @@
 The threaded serving stack rests on one prose invariant that no test
 could otherwise *watch* being upheld: **lock ordering is acyclic.**  Every
 component lock (plan cache, joint cache, session refit/count locks,
-micro-batcher queue lock) may be held while acquiring certain others --
+micro-batcher queue and combining locks) may be held while acquiring certain others --
 e.g. a refit holds the session's refit lock while invalidating the retired
 fuser's plan cache.  As long as the "held while acquiring" relation over
 lock *names* stays acyclic, no schedule of threads can deadlock on them.

@@ -205,6 +205,7 @@ class Checkpointer:
             new_labels,
             seq=self._seq + 1,
             step=step,
+            previous_labels=prev_labels,
         )
         if record is None:
             return

@@ -287,9 +287,11 @@ def _build_session(
     Only the session fields below and the fuser options that still exist
     are read.  Snapshots written while sharded execution existed also
     carry a worker count, a shard size and (among the options) a pool
-    backend: they described the host, never the scores, so they are
-    ignored.  A snapshot can only hold options its writer's fusers
-    accepted, so an option no fuser accepts any more is one of those.
+    backend, and ones written while the threaded batcher could be
+    switched off carry a ``micro_batch`` mode: they described the host,
+    never the scores, so they are ignored.  A snapshot can only hold
+    options its writer's fusers accepted, so an option no fuser accepts
+    any more is one of those.
     ``session_overrides`` are passed on as given.
     """
     # Snapshots written before the engine switch was removed carry an
@@ -311,7 +313,6 @@ def _build_session(
             "smoothing",
             "threshold",
             "delta",
-            "micro_batch",
         )
         if key in config
     }

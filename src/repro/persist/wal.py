@@ -71,12 +71,15 @@ def mutation_record(
     *,
     seq: int,
     step: int = -1,
+    previous_labels: Optional[np.ndarray] = None,
 ) -> Optional[Record]:
     """Encode ``previous -> current`` as a dirty-column block.
 
     Returns ``None`` when the matrices are bit-identical at equal width
-    (nothing to log).  ``step`` is an optional trace-step tag (``-1`` =
-    untagged) used by the crash harness to locate its resume point.
+    and ``labels`` equal ``previous_labels`` (if given): nothing to log.
+    A label change alone is a zero-column block.  ``step`` is an optional
+    trace-step tag (``-1`` = untagged) used by the crash harness to
+    locate its resume point.
     """
     if previous.n_sources != current.n_sources:
         raise ValueError(
@@ -89,13 +92,17 @@ def mutation_record(
     else:
         # Width shrink is rare enough that a full-width block is fine.
         columns = np.arange(current.n_triples, dtype=np.int64)
+    labels = np.asarray(labels, dtype=bool)
     if (
         columns.size == 0
         and current.n_triples == previous.n_triples
         and step < 0
+        and (
+            previous_labels is None
+            or np.array_equal(previous_labels, labels)
+        )
     ):
         return None
-    labels = np.asarray(labels, dtype=bool)
     if labels.shape != (current.n_triples,):
         raise ValueError(
             f"labels shape {labels.shape} != ({current.n_triples},)"

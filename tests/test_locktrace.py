@@ -187,7 +187,6 @@ def _serving_workload(monkeypatch):
         dataset.observations,
         dataset.labels,
         method="precreccorr",
-        micro_batch="auto",
     )
     try:
         session.score(dataset.observations)
@@ -221,6 +220,12 @@ def test_serving_stack_lock_order_is_acyclic(monkeypatch):
     # The workload actually exercised tracked locks (the test would pass
     # vacuously if make_lock stopped routing through TrackedLock).
     assert report["edges"], "no lock-order edges recorded"
+    # The combining lock is held across scoring, so the gate must see
+    # it ordered before the session's own locks.
+    assert any(
+        edge.startswith("MicroBatcher._combine -> ScoringSession.")
+        for edge in report["edges"]
+    ), sorted(report["edges"])
 
 
 def test_session_locks_are_tracked_when_enabled(monkeypatch):

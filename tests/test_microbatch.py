@@ -5,7 +5,9 @@
   scoring pass and get back per-request slices bit-identical to
   individual ``score`` calls; an uncontended submit scores at once;
   non-coalescable requests (EM, mismatched widths) degrade to
-  individual scoring with per-request error routing;
+  individual scoring with per-request error routing; a waiter that is
+  interrupted, or a holder that fails, leaves no hung thread and no
+  stale queue entry behind;
 - **lifecycle** -- ``ScoringSession.close`` is idempotent and leaves the
   session scoring, and fused micro-batches leave the streaming delta
   snapshot alone.
@@ -13,6 +15,7 @@
 
 from __future__ import annotations
 
+import signal
 import sys
 import threading
 import time
@@ -63,7 +66,7 @@ def _hold_first_batch(session):
     """Make the session's first ``score_batch`` call wait for a release.
 
     Returns ``(entered, release)`` events: ``entered`` is set once the
-    leader is inside its first batch, which then blocks until the test
+    holder is inside its first batch, which then blocks until the test
     sets ``release``.  Later calls run straight through.
     """
     entered = threading.Event()
@@ -81,9 +84,9 @@ def _hold_first_batch(session):
 
 
 def _held_burst(session, submit, stats, first, followers):
-    """Queue ``followers`` behind a leader held inside its first batch.
+    """Queue ``followers`` behind a holder held inside its first batch.
 
-    ``first`` is submitted alone and its leader is held in
+    ``first`` is submitted alone and its holder is held in
     ``score_batch`` until ``stats()["requests"]`` shows every follower
     queued; then the hold is released.  Group commit must ship all the
     followers together as the next batch.  Returns per-request
@@ -102,7 +105,7 @@ def _held_burst(session, submit, stats, first, followers):
 
     threads = [threading.Thread(target=run, args=(0,))]
     threads[0].start()
-    assert entered.wait(timeout=30), "the leader never started scoring"
+    assert entered.wait(timeout=30), "the holder never started scoring"
     for k in range(1, len(matrices)):
         threads.append(threading.Thread(target=run, args=(k,)))
         threads[-1].start()
@@ -161,16 +164,16 @@ class TestMicroBatching:
             assert np.array_equal(results[k], expected[k])
         stats = session.micro_batcher.stats
         assert stats["requests"] == len(requests)
-        # The leader's solo batch, then every follower in one fused pass.
+        # The holder's solo batch, then every follower in one fused pass.
         assert stats["batches"] == 2
         assert stats["fused_batches"] == 1
         assert stats["fused_requests"] == len(requests) - 1
         assert stats["largest_fused_batch"] == len(requests) - 1
 
     def test_uncontended_submit_scores_at_once(self):
-        # No window: a lone submitter leads, and its batch starts on its
-        # own thread as soon as it is queued -- well under the 2 ms the
-        # old coalescing window held every leader for.
+        # No window: a lone submitter takes the combining lock, and its
+        # batch starts on its own thread as soon as it is queued -- well
+        # under the 2 ms the old coalescing window held every batch for.
         dataset = _dataset(seed=7, n_sources=4, n_triples=60,
                            correlated=False)
         session = ScoringSession(
@@ -195,16 +198,6 @@ class TestMicroBatching:
             delays.append(entered - start)
         assert min(delays) < 0.001, delays
         assert session.micro_batcher.stats["batches"] == 5
-
-    def test_micro_batch_off_is_a_plain_score(self):
-        dataset = _dataset(seed=9)
-        session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            micro_batch="off",
-        )
-        scores = session.submit(dataset.observations)
-        assert session.micro_batcher is None
-        assert np.array_equal(scores, session.score(dataset.observations))
 
     def test_em_sessions_submit_without_coalescing(self):
         dataset = _dataset(seed=11, n_sources=5, correlated=False)
@@ -261,7 +254,7 @@ class TestMicroBatching:
         bad = ObservationMatrix(
             np.zeros((3, 10), dtype=bool), ["a", "b", "c"]
         )
-        # good and bad share the batch that follows the held leader's.
+        # good and bad share the batch that follows the held one.
         results, errors = _held_burst(
             session,
             session.submit,
@@ -281,9 +274,10 @@ class TestMicroBatching:
         assert np.array_equal(results[1], reference.score(good))
 
     def test_sustained_traffic_completes_with_leadership_handoff(self):
-        # Several threads submitting in a loop: leadership must rotate (a
-        # leader retires once its own request is served), every request
-        # must complete, and every result must match plain scoring.
+        # Several threads submitting in a loop: the combining lock must
+        # pass between them (a holder stops once its own request is
+        # served), every request must complete, and every result must
+        # match plain scoring.
         dataset = _dataset(seed=15)
         observations = dataset.observations
         session = ScoringSession(
@@ -358,11 +352,16 @@ class TestMicroBatching:
         with pytest.raises(ValueError, match="sources"):
             session.submit(bad)
 
-    def test_abandoned_promoted_waiter_rehands_leadership(self):
-        # A waiter unwinding mid-wait (KeyboardInterrupt) that was just
-        # handed leadership must pass it on (or release it) -- otherwise
-        # every other submitter hangs forever behind an orphaned queue.
-        from repro.core.api import _PendingScore
+    @pytest.mark.skipif(
+        not hasattr(signal, "setitimer"), reason="needs an interval timer"
+    )
+    def test_interrupted_waiter_leaves_no_queue_entry(self):
+        # A submitter interrupted while blocked on the combining lock
+        # (a signal raising on the main thread) must withdraw its own
+        # queue entry and nothing else: the queued follower still ships,
+        # and later submits complete.
+        class _Interrupted(Exception):
+            pass
 
         dataset = _dataset(seed=33, n_sources=4, n_triples=60,
                            correlated=False)
@@ -370,34 +369,54 @@ class TestMicroBatching:
             dataset.observations, dataset.labels, method="exact"
         )
         batcher = MicroBatcher(session)
-        orphan = _PendingScore(dataset.observations)
-        other = _PendingScore(dataset.observations)
-        with batcher._lock:
-            batcher._pending.extend([orphan, other])
-            batcher._leader_active = True
-        orphan.promoted = True  # a retiring leader handed it the queue
-        orphan.event.set()
-        batcher._abandon(orphan)
-        assert orphan not in batcher._pending
-        assert other.promoted and other.event.is_set()
+        requests = _request_slices(dataset.observations, 3, 20)
+        expected = [session.score(request) for request in requests]
+        entered, release = _hold_first_batch(session)
+        results: list = [None, None]
 
-        # With no other waiter, leadership is released outright and a
-        # fresh submit can self-elect and complete.
-        with batcher._lock:
-            batcher._pending.remove(other)
-        other.promoted = True
-        batcher._abandon(other)
-        assert not batcher._leader_active
-        scores = batcher.submit(dataset.observations)
-        assert scores.shape == (dataset.observations.n_triples,)
+        def run(k):
+            results[k] = batcher.submit(requests[k])
 
-    def test_leader_crash_fails_followers_and_frees_leadership(self):
-        # Regression: a leader dying outside _execute's per-request
-        # error routing (simulated by making _execute itself explode)
-        # must fail every queued follower with a typed error -- not
-        # leave them blocked on events nobody will ever set -- and
-        # release leadership so later submits recover.
-        class _LeaderDeath(Exception):
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        threads[0].start()
+        assert entered.wait(timeout=30)
+        threads[1].start()
+        deadline = time.monotonic() + 30
+        while batcher.stats["requests"] < 2:
+            assert time.monotonic() < deadline, "follower never queued"
+            time.sleep(0.001)
+
+        def interrupt(signum, frame):
+            raise _Interrupted
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(_Interrupted):
+                batcher.submit(requests[2])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        with batcher._lock:
+            queued = [pending.observations for pending in batcher._pending]
+        assert len(queued) == 1 and queued[0] is requests[1]
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "the queued follower never shipped"
+        assert not batcher._pending
+        for k in (0, 1):
+            assert np.array_equal(results[k], expected[k])
+        assert np.array_equal(batcher.submit(requests[2]), expected[2])
+        assert batcher.stats["batches"] == 3
+
+    def test_failed_holder_leaves_no_waiter_hanging(self):
+        # _execute itself exploding (a holder dying outside the
+        # per-request error routing) under a thread burst: every
+        # submitter must return with an error rather than block or spin,
+        # the queue must end empty, and once scoring is restored a fresh
+        # submit completes.
+        class _HolderDeath(Exception):
             pass
 
         dataset = _dataset(seed=35, n_sources=4, n_triples=120,
@@ -409,7 +428,7 @@ class TestMicroBatching:
         real_execute = batcher._execute
 
         def exploding_execute(batch):
-            raise _LeaderDeath("leader died mid-batch")
+            raise _HolderDeath("holder died mid-batch")
 
         batcher._execute = exploding_execute
         requests = _request_slices(dataset.observations, 4, 24)
@@ -432,23 +451,68 @@ class TestMicroBatching:
         for thread in threads:
             thread.join(timeout=10.0)
         assert not any(t.is_alive() for t in threads)  # nobody hangs
-        assert all(error is not None for error in errors)
-        # Whoever led re-raises the original; every follower gets the
-        # typed wrapper with the leader's failure chained as the cause.
-        leaders = [e for e in errors if isinstance(e, _LeaderDeath)]
-        followers = [e for e in errors if not isinstance(e, _LeaderDeath)]
-        assert leaders
-        for error in followers:
-            assert isinstance(error, RuntimeError)
-            assert "leader failed" in str(error)
-            assert isinstance(error.__cause__, _LeaderDeath)
-        assert not batcher._leader_active
+        assert all(
+            isinstance(error, (_HolderDeath, RuntimeError))
+            for error in errors
+        ), errors
         assert not batcher._pending
-        # Leadership was freed: with scoring restored, a fresh submit
-        # self-elects and completes.
         batcher._execute = real_execute
-        scores = batcher.submit(requests[0])
-        assert scores.shape == (requests[0].n_triples,)
+        expected = session.score(requests[0])
+        assert np.array_equal(batcher.submit(requests[0]), expected)
+
+    def test_holder_dying_after_dequeue_fails_the_dropped_request(self):
+        # A holder that dies between dequeuing a batch and scoring it
+        # takes its followers' requests with it.  The next holder must
+        # fail such a request, not spin on an empty queue forever.
+        class _HolderDeath(Exception):
+            pass
+
+        dataset = _dataset(seed=37, n_sources=4, n_triples=60,
+                           correlated=False)
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="exact"
+        )
+        batcher = MicroBatcher(session)
+        real_take_batch = batcher._take_batch
+        calls = []
+
+        def dying_take_batch():
+            calls.append(None)
+            if len(calls) == 1:
+                deadline = time.monotonic() + 30
+                while batcher.stats["requests"] < 2:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                real_take_batch()
+                raise _HolderDeath("holder died after dequeue")
+            return real_take_batch()
+
+        batcher._take_batch = dying_take_batch
+        errors: list = [None, None]
+
+        def run(k):
+            try:
+                batcher.submit(dataset.observations)
+            except BaseException as error:
+                errors[k] = error
+
+        threads = [
+            threading.Thread(target=run, args=(k,), daemon=True)
+            for k in (0, 1)
+        ]
+        threads[0].start()
+        while not calls:
+            time.sleep(0.001)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "a waiter spun on an empty queue"
+        assert isinstance(errors[0], _HolderDeath)
+        assert isinstance(errors[1], RuntimeError)
+        assert "dropped" in str(errors[1])
+        assert not batcher._pending
+        scores = batcher.submit(dataset.observations)
+        assert np.array_equal(scores, session.score(dataset.observations))
 
     def test_batcher_validation(self):
         dataset = _dataset(seed=17, n_sources=4, n_triples=40,
@@ -456,10 +520,6 @@ class TestMicroBatching:
         session = ScoringSession(dataset.observations, dataset.labels)
         with pytest.raises(ValueError, match="max_requests"):
             MicroBatcher(session, max_requests=0)
-        with pytest.raises(ValueError, match="micro_batch"):
-            ScoringSession(
-                dataset.observations, dataset.labels, micro_batch="yes"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -469,13 +529,13 @@ class TestMicroBatching:
 
 class TestBurstLatency:
     def test_zero_window_concurrent_bursts_complete(self):
-        # With no window a leader ships whatever is pending at once, so
-        # concurrent bursts hand leadership around constantly; they must
-        # neither hang nor lose requests.
+        # With no window a holder ships whatever is pending at once, so
+        # concurrent bursts pass the combining lock around constantly;
+        # they must neither hang nor lose requests.
         dataset = _dataset(seed=45)
         observations = dataset.observations
         session = ScoringSession(
-            observations, dataset.labels, method="exact", micro_batch="off"
+            observations, dataset.labels, method="exact"
         )
         batcher = MicroBatcher(session, max_requests=4)
         reference = ScoringSession(
@@ -509,12 +569,11 @@ class TestBurstLatency:
 
     def test_no_lost_wakeups_under_sustained_hammering(self):
         # 8 threads x 100 submits: every submit must complete (a lost
-        # leadership hand-off would strand waiters behind a queue no
-        # leader drains).
+        # wake-up would strand a waiter behind a queue nobody drains).
         dataset = _dataset(seed=47)
         observations = dataset.observations
         session = ScoringSession(
-            observations, dataset.labels, method="exact", micro_batch="off"
+            observations, dataset.labels, method="exact"
         )
         batcher = MicroBatcher(session, max_requests=8)
         requests = _request_slices(observations, 8, 24)
@@ -543,7 +602,7 @@ class TestBurstLatency:
             for thread in threads:
                 thread.join(timeout=120)
                 assert not thread.is_alive(), (
-                    "submitter hung: lost leadership hand-off"
+                    "submitter hung: lost wake-up"
                 )
         finally:
             sys.setswitchinterval(interval)
@@ -551,7 +610,7 @@ class TestBurstLatency:
         assert batcher.stats["requests"] == rounds * len(requests)
 
     def test_stats_split_fused_from_raw_batches(self):
-        # largest_batch counts what the leader drained; the fused
+        # largest_batch counts what the holder drained; the fused
         # counters only count requests that actually shared a fused
         # scoring pass.  A solo batch must not inflate the fused side.
         from repro.core.api import _PendingScore
@@ -559,7 +618,7 @@ class TestBurstLatency:
         dataset = _dataset(seed=49)
         observations = dataset.observations
         session = ScoringSession(
-            observations, dataset.labels, method="exact", micro_batch="off"
+            observations, dataset.labels, method="exact"
         )
         batcher = MicroBatcher(session)
         fused = [
@@ -577,15 +636,14 @@ class TestBurstLatency:
         assert stats["fused_requests"] == 3
 
     def test_close_flushes_pending_and_degrades_to_inline(self):
-        # close() while a leader is mid-batch with a follower queued:
+        # close() while a holder is mid-batch with a follower queued:
         # the queued request still ships with the next batch, and a
         # submit after close scores inline instead of queueing behind
-        # the busy leader.
+        # the busy holder.
         dataset = _dataset(seed=51, n_sources=4, n_triples=60,
                            correlated=False)
         session = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            micro_batch="off",
+            dataset.observations, dataset.labels, method="exact"
         )
         batcher = MicroBatcher(session, max_requests=64)
         entered, release = _hold_first_batch(session)
@@ -604,7 +662,7 @@ class TestBurstLatency:
             time.sleep(0.001)
         batcher.close()
         assert batcher.stats["closed"]
-        # The leader is still held: this returns only if it ran inline.
+        # The holder is still held: this returns only if it ran inline.
         inline = batcher.submit(dataset.observations)
         assert batcher.stats["requests"] == 2
         release.set()

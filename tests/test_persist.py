@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.core import ObservationMatrix, ScoringSession
+from repro.data import get_dataset
 from repro.eval.harness import mutation_trace
 from repro.persist import (
     Checkpointer,
@@ -623,6 +624,29 @@ class TestCheckpointRecovery:
         oracle.close()
         final.session.close()
 
+    @pytest.mark.parametrize("refit", ["refit", "refit_delta"])
+    def test_label_only_refit_is_recovered(self, tmp_path, refit):
+        # A refit on the same matrix with new labels dirties no column:
+        # only the labels say the refit input changed, and recovery must
+        # replay the refit with them.
+        dataset = get_dataset("synthetic-correlated", seed=0)
+        matrix, labels = dataset.observations, dataset.labels
+        session = ScoringSession(matrix, labels)
+        checkpointer = Checkpointer.attach(session, matrix, labels, tmp_path)
+        flipped = labels.copy()
+        flipped[::3] = ~flipped[::3]
+        getattr(session, refit)(matrix, flipped)
+        assert checkpointer.stats["mutations"] == 1
+        checkpointer.close()
+        session.attach_checkpointer(None)
+
+        recovered = RecoveryManager(tmp_path).recover()
+        assert recovered.generation == 1
+        assert np.array_equal(recovered.labels, flipped)
+        _assert_recovered_scores_match(recovered, session, matrix)
+        session.close()
+        recovered.session.close()
+
     def test_em_sessions_are_rejected(self, tmp_path):
         matrix, labels = small_matrix()
         session = ScoringSession(matrix, labels, method="em")
@@ -697,17 +721,22 @@ class TestCheckpointRecovery:
         session.close()
 
     def test_snapshot_with_sharding_settings_recovers(self, tmp_path):
-        # Written while sharded execution existed: the worker count and
-        # shard size at the top level, the pool backend among the options.
+        # Written while sharded execution existed and the threaded batcher
+        # could be switched off: the worker count, shard size and
+        # micro-batch mode at the top level, the pool backend among the
+        # options.  All described the host, never the scores.
         def sharding_era(config):
             options = dict(config["options"], parallel_backend="process")
-            return dict(config, workers=2, shard_size=64, options=options)
+            return dict(
+                config, workers=2, shard_size=64, micro_batch="off",
+                options=options,
+            )
 
         session, matrix = self._checkpoint_written_with(
             tmp_path, sharding_era, max_plan_cache_entries=64
         )
         written = session.persist_config()
-        assert "workers" not in written and "shard_size" not in written
+        assert not {"workers", "shard_size", "micro_batch"} & set(written)
         assert written["options"] == {"max_plan_cache_entries": 64}
         recovered = RecoveryManager(tmp_path).recover()
         assert recovered.statistics_verified

@@ -79,15 +79,13 @@ def _dataset(seed=7, n_sources=8, n_triples=240):
 
 def _session(dataset, **kwargs):
     kwargs.setdefault("method", "exact")
-    kwargs.setdefault("micro_batch", "off")
     return ScoringSession(dataset.observations, dataset.labels, **kwargs)
 
 
 def _reference(dataset, **kwargs):
     kwargs.setdefault("method", "exact")
     return ScoringSession(
-        dataset.observations, dataset.labels, delta="off",
-        micro_batch="off", **kwargs,
+        dataset.observations, dataset.labels, delta="off", **kwargs
     )
 
 
@@ -470,7 +468,7 @@ class TestFrontendResilience:
             0: _reference(dataset),
             1: ScoringSession(
                 refit_matrix, dataset.labels, method="exact",
-                delta="off", micro_batch="off",
+                delta="off",
             ),
         }
         # The failed refit left generation 0 fully intact -- not

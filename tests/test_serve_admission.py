@@ -201,12 +201,10 @@ class TestLaneRouter:
     def test_for_session_reads_the_fuser_guarantee(self):
         dataset = _dataset(seed=15)
         exact = ScoringSession(
-            dataset.observations, dataset.labels, method="exact",
-            micro_batch="off",
+            dataset.observations, dataset.labels, method="exact"
         )
         precrec = ScoringSession(
-            dataset.observations, dataset.labels, method="precrec",
-            micro_batch="off",
+            dataset.observations, dataset.labels, method="precrec"
         )
         assert (
             expected_sources_of(exact) == dataset.observations.n_sources

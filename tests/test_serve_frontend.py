@@ -72,15 +72,13 @@ def _request_slices(observations, n_requests, width):
 
 def _session(dataset, **kwargs):
     kwargs.setdefault("method", "exact")
-    kwargs.setdefault("micro_batch", "off")
     return ScoringSession(dataset.observations, dataset.labels, **kwargs)
 
 
 def _reference(dataset, **kwargs):
     kwargs.setdefault("method", "exact")
     return ScoringSession(
-        dataset.observations, dataset.labels, delta="off",
-        micro_batch="off", **kwargs,
+        dataset.observations, dataset.labels, delta="off", **kwargs
     )
 
 
@@ -446,7 +444,7 @@ class TestRefitDuringTraffic:
             0: _reference(dataset),
             1: ScoringSession(
                 refit_matrix, dataset.labels, method="exact",
-                delta="off", micro_batch="off",
+                delta="off",
             ),
         }
         assert all(result.generation == 0 for result in before)
