@@ -12,19 +12,6 @@ REVERB_SEED = 11
 RESTAURANT_SEED = 23
 BOOK_SEED = 42
 
-#: Speed-up gates are enforced only on runners with at least this many
-#: cores; below it they are recorded as skipped (shared small boxes time
-#: too noisily to gate on).
-GATE_MIN_CORES = 4
-
-
-def available_cores() -> int:
-    """Cores this process may use (affinity-aware when the OS reports it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
 
 def sweep_repetitions() -> int:
     """Repetitions for the synthetic sweeps (paper: 10; default here: 3)."""

@@ -35,8 +35,8 @@ Because each reuse level returns exactly the bits a cold run would compute
 (level 1 reuses a previous request's own output for bit-identical columns,
 levels 2-3 rely on per-pattern independence), delta scores are
 **bit-identical to cold scores** -- pinned by the hypothesis suite in
-``tests/test_deltas.py`` and the zero-diff gate of
-``benchmarks/bench_delta_serving.py``.
+``tests/test_deltas.py``, whose BOOK-like replay also checks that 1-5%
+churn stays on the delta path.
 
 The scorer is deliberately conservative: mismatched source counts or a
 dirty fraction beyond ``churn_fraction`` fall back to the cold path

@@ -61,7 +61,7 @@ def _synthetic_correlated(seed: RngLike = 0, **kwargs: Any) -> FusionDataset:
 
 
 def _synthetic_wide(seed: RngLike = 17, **kwargs: Any) -> FusionDataset:
-    """The chaos/serving benchmark workload: eight sources (three of them
+    """The chaos/serving workload: eight sources (three of them
     correlated) over 960 triples, so request windows carry many distinct
     patterns."""
     config = SyntheticConfig(

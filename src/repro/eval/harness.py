@@ -302,7 +302,7 @@ def mutation_trace(
 
     Each step mutates the previous step's matrix, so consecutive entries
     differ by ``~frac`` of their columns -- the replay input for
-    ``run_serving(mutate_frac=...)`` and the delta-serving benchmark.
+    ``run_serving(mutate_frac=...)`` and the delta-replay tests.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -335,10 +335,10 @@ def run_serving(
 ) -> ServingReport:
     """Fit once on ``dataset`` and score it ``1 + repeats`` times.
 
-    The serving-loop probe behind ``python -m repro fuse --repeat`` and
-    the plan-cache / delta benchmarks: one :class:`ScoringSession` is
-    fitted on the dataset's labels, the first ``score`` is timed cold,
-    and ``repeats`` further calls measure the warm path.
+    The serving-loop probe behind ``python -m repro fuse --repeat``: one
+    :class:`ScoringSession` is fitted on the dataset's labels, the first
+    ``score`` is timed cold, and ``repeats`` further calls measure the
+    warm path.
 
     With ``mutate_frac == 0`` every repeat re-scores the identical matrix
     (the compiled-plan-cache loop; with ``delta="auto"`` the delta engine
@@ -758,7 +758,8 @@ def run_serving_load(
     """
     from repro.serve import AsyncServingFrontend, Overloaded, RetryPolicy
 
-    if rate_qps <= 0.0:
+    # ``not x > 0.0`` refuses NaN too; ``inf`` stays legal (a burst).
+    if not rate_qps > 0.0:
         raise ValueError(f"rate_qps must be positive, got {rate_qps}")
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")
@@ -766,7 +767,7 @@ def run_serving_load(
         raise ValueError(
             f"refit_every must be non-negative, got {refit_every}"
         )
-    if max_seconds <= 0.0:
+    if not max_seconds > 0.0:
         raise ValueError(f"max_seconds must be positive, got {max_seconds}")
     refit_mode = check_refit_mode(refit_mode)
     if refit_every > 0 and method.lower() == "em":

@@ -185,7 +185,8 @@ class AsyncServingFrontend:
             raise ValueError(
                 f"max_batch_requests must be >= 1, got {max_batch_requests}"
             )
-        if default_latency_budget <= 0.0:
+        # ``not x > 0.0`` refuses NaN too; ``inf`` stays legal (no SLO).
+        if not default_latency_budget > 0.0:
             raise ValueError(
                 "default_latency_budget must be positive, got "
                 f"{default_latency_budget}"
@@ -194,7 +195,7 @@ class AsyncServingFrontend:
             raise ValueError(
                 f"executor_workers must be >= 1, got {executor_workers}"
             )
-        if scoring_timeout is not None and scoring_timeout <= 0.0:
+        if scoring_timeout is not None and not scoring_timeout > 0.0:
             raise ValueError(
                 f"scoring_timeout must be positive or None, got "
                 f"{scoring_timeout}"
@@ -364,7 +365,7 @@ class AsyncServingFrontend:
             self._default_budget if latency_budget is None
             else float(latency_budget)
         )
-        if budget <= 0.0:
+        if not budget > 0.0:
             raise ValueError(
                 f"latency_budget must be positive, got {latency_budget}"
             )

@@ -1,4 +1,4 @@
-"""Shared fixtures: the Figure 1 example and small synthetic workloads."""
+"""Shared fixtures: the Figure 1 example and synthetic workloads."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import EmpiricalJointModel, ObservationMatrix, fit_model
 from repro.data import (
+    CorrelationGroup,
     FusionDataset,
     SyntheticConfig,
     figure1_dataset,
@@ -56,6 +57,45 @@ def small_independent() -> FusionDataset:
         true_fraction=0.5,
     )
     return generate(config, seed=1234)
+
+
+@pytest.fixture(scope="session")
+def book_like():
+    """Factory of BOOK-like wide grids: ``book_like(n_sources, n_triples)``.
+
+    Planted correlation groups on both sides (6 true-side and 6
+    false-side members); from 32 sources on, a third, 14-member
+    false-side group is wider than a clustered fuser's
+    ``exact_cluster_limit=12`` and gets an elastic evaluator.
+    """
+
+    def build(n_sources: int, n_triples: int, seed: int = 17):
+        groups = [
+            CorrelationGroup(
+                members=(0, 1, 2, 3, 4, 5), mode="overlap_true",
+                strength=0.9,
+            ),
+            CorrelationGroup(
+                members=(6, 7, 8, 9, 10, 11), mode="overlap_false",
+                strength=0.9,
+            ),
+        ]
+        if n_sources >= 32:
+            groups.append(
+                CorrelationGroup(
+                    members=tuple(range(12, 26)), mode="overlap_false",
+                    strength=0.85,
+                )
+            )
+        config = SyntheticConfig(
+            sources=uniform_sources(n_sources, precision=0.65, recall=0.35),
+            n_triples=n_triples,
+            true_fraction=0.5,
+            groups=tuple(groups),
+        )
+        return generate(config, seed=seed)
+
+    return build
 
 
 @pytest.fixture()

@@ -183,6 +183,15 @@ class TestCli:
         assert code == 1
         assert "without a fault plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ("--rate", "--budget"))
+    def test_serve_bench_refuses_nan(self, capsys, flag):
+        code = main(
+            ["serve-bench", "--dataset", "restaurant", "--requests", "4",
+             flag, "nan"]
+        )
+        assert code == 2
+        assert "must be positive, got nan" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -659,6 +659,32 @@ class TestDeltaEquivalence:
         # Both width changes went through the delta path's prefix copy.
         assert session.cache_stats()["delta"]["delta"] == 2
 
+    @pytest.mark.parametrize("frac", (0.01, 0.05))
+    def test_book_like_replay_takes_the_delta_path_every_step(
+        self, book_like, frac
+    ):
+        dataset = book_like(24, 1200)
+        observations, labels = dataset.observations, dataset.labels
+        session = ScoringSession(observations, labels, method="precreccorr")
+        reference = ScoringSession(
+            observations, labels, method="precreccorr", delta="off"
+        )
+        session.score(observations)
+        before = dict(session.cache_stats()["delta"])
+        trace = mutation_trace(observations, 4, frac, seed=int(frac * 1000))
+        for matrix in trace:
+            assert np.array_equal(
+                session.score(matrix), reference.score(matrix)
+            )
+        after = session.cache_stats()["delta"]
+        # Streaming churn of 1-5% never falls back to cold scoring, and
+        # only the dirty columns' distinct patterns are scored afresh.
+        assert after["delta"] - before["delta"] == len(trace)
+        assert after["cold"] == before["cold"]
+        novel = after["novel_patterns"] - before["novel_patterns"]
+        dirty = after["dirty_columns"] - before["dirty_columns"]
+        assert 0 < novel <= dirty
+
 
 class TestDeltaServingBehaviour:
     def test_empty_delta_runs_zero_plan_executions(self):

@@ -98,6 +98,24 @@ class TestRunServing:
         assert report.max_warm_drift == 0.0
         assert isinstance(report.result, FusionResult)
 
+    def test_checkpointed_loop_logs_every_step_and_never_degrades(
+        self, tmp_path
+    ):
+        report = run_serving(
+            small_dataset(), repeats=12, mutate_frac=0.05, mutate_seed=1,
+            refit_every=4, refit_mode="delta",
+            checkpoint_dir=str(tmp_path), snapshot_every=2,
+        )
+        assert report.max_warm_drift == 0.0
+        stats = report.checkpoint_stats
+        assert not stats["degraded"]
+        # One WAL record per mutation step plus a begin/publish pair per
+        # refit; snapshot 0, then one every ``snapshot_every`` refits.
+        assert stats["mutations"] == 12
+        assert stats["refits"] == 3
+        assert stats["records"] == 12 + 2 * 3
+        assert stats["snapshots"] == 1 + 3 // 2
+
     def test_zero_repeats_allowed(self):
         report = run_serving(small_dataset(), repeats=0)
         assert report.repeats == 0

@@ -34,6 +34,7 @@ from repro.data import (
     generate,
     uniform_sources,
 )
+from repro.eval import mutation_trace
 
 
 def _dataset(seed=7, n_sources=8, n_triples=240, correlated=True):
@@ -169,6 +170,41 @@ class TestMicroBatching:
         assert stats["fused_batches"] == 1
         assert stats["fused_requests"] == len(requests) - 1
         assert stats["largest_fused_batch"] == len(requests) - 1
+
+    def test_book_like_bursts_of_eight_threads_match_plain_scoring(
+        self, book_like
+    ):
+        # Clustered route; each round's eight requests tile a fresh
+        # mutated variant.  One holder plus seven followers per burst,
+        # so group commit ships the seven together.
+        dataset = book_like(24, 1200)
+        observations = dataset.observations
+        session = ScoringSession(
+            observations, dataset.labels, method="precreccorr"
+        )
+        reference = ScoringSession(
+            observations, dataset.labels, method="precreccorr",
+            delta="off",
+        )
+        rounds = mutation_trace(observations, 2, 0.02, seed=7)
+        for index, variant in enumerate(rounds, start=1):
+            requests = _request_slices(variant, 8, 150)
+            expected = [reference.score(request) for request in requests]
+            results, errors = _held_burst(
+                session,
+                session.submit,
+                lambda: session.micro_batcher.stats,
+                requests[0],
+                requests[1:],
+            )
+            assert errors == [None] * len(requests)
+            for scores, oracle in zip(results, expected):
+                assert np.array_equal(scores, oracle)
+            stats = session.micro_batcher.stats
+            assert stats["requests"] == 8 * index
+            assert stats["batches"] == 2 * index
+            assert stats["fused_batches"] == index
+            assert stats["fused_requests"] == 7 * index
 
     def test_uncontended_submit_scores_at_once(self):
         # No window: a lone submitter takes the combining lock, and its

@@ -479,6 +479,39 @@ class TestCheckpointRecovery:
         session.close()
         recovered.session.close()
 
+    def test_long_wal_suffix_replays_to_a_cold_oracle(self, tmp_path):
+        # Snapshot cadence suppressed: everything after snapshot 0 --
+        # 16 mutation records and 4 refits' begin/publish pairs -- must
+        # replay from the WAL.
+        dataset = get_dataset("synthetic-independent", seed=17)
+        labels = dataset.labels
+        trace = mutation_trace(dataset.observations, 16, 0.05, seed=2)
+        session = ScoringSession(dataset.observations, labels)
+        checkpointer = Checkpointer.attach(
+            session, dataset.observations, labels, tmp_path,
+            snapshot_every=10 ** 6,
+        )
+        for step, matrix in enumerate(trace):
+            checkpointer.log_mutation(matrix, step=step)
+            if (step + 1) % 4 == 0:
+                session.refit_delta(matrix, labels)
+        assert checkpointer.stats["snapshots"] == 1
+        checkpointer.close()
+        session.attach_checkpointer(None)
+        session.close()
+
+        recovered = RecoveryManager(tmp_path).recover()
+        assert recovered.records_replayed == 16 + 2 * 4
+        assert recovered.refits_replayed == 4
+        assert recovered.statistics_verified
+        final = trace[-1]
+        oracle = ScoringSession(final, labels)
+        assert np.array_equal(
+            recovered.session.score(final), oracle.score(final)
+        )
+        oracle.close()
+        recovered.session.close()
+
     def test_recovery_without_any_snapshot_raises(self, tmp_path):
         assert not RecoveryManager.has_state(tmp_path)
         with pytest.raises(RecoveryError, match="no valid snapshot"):

@@ -161,6 +161,23 @@ class TestCompiledPlanBitIdentity:
         assert np.array_equal(warm, expected)
         assert fast.plan_cache.hits >= 1
 
+    def test_book_like_warm_equals_cold_through_an_elastic_cluster(
+        self, book_like
+    ):
+        dataset = book_like(32, 800)
+        model = fit_model(dataset.observations, dataset.labels)
+        fuser = ClusteredCorrelationFuser(model, exact_cluster_limit=12)
+        # The planted 14-member false-side group is wider than the
+        # limit, so one evaluator on the path is elastic.
+        assert 14 in fuser.false_partition.sizes
+        assert any(
+            isinstance(e, ElasticFuser) for e in fuser._false_evaluators
+        )
+        cold = fuser.score(dataset.observations)
+        warm = fuser.score(dataset.observations)
+        assert fuser.plan_cache.hits >= 1
+        assert np.array_equal(warm, cold)
+
 
 class TestPatternDigest:
     def test_equal_content_equal_digest(self):

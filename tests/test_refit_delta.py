@@ -362,6 +362,42 @@ class TestSessionRefitDelta:
         assert last is None or last["mode"] in ("delta", "cold")
         assert "significance_memo" in stats
 
+    @pytest.mark.parametrize("frac", (0.01, 0.05))
+    def test_source_local_churn_stays_on_the_delta_path(
+        self, book_like, frac
+    ):
+        # The streaming shape refit_delta exists for: between refits two
+        # sources re-deliver one contiguous window, so most packed words
+        # are clean and every refit transports counts instead of
+        # recounting -- and still equals a cold refit bit for bit.
+        dataset = book_like(24, 1200)
+        labels = dataset.labels
+        session = ScoringSession(
+            dataset.observations, labels, method="precreccorr"
+        )
+        cold = ScoringSession(
+            dataset.observations, labels, method="precreccorr", delta="off"
+        )
+        rng = np.random.default_rng(int(frac * 1000) + 17)
+        window = max(1, round(frac * dataset.observations.n_triples))
+        matrix = dataset.observations
+        refits = 4
+        for _ in range(refits):
+            start = int(rng.integers(0, matrix.n_triples - window + 1))
+            sources = rng.choice(matrix.n_sources, size=2, replace=False)
+            matrix = _mutate_sources(
+                matrix, sources, slice(start, start + window),
+                seed=int(rng.integers(1 << 30)),
+            )
+            session.refit_delta(matrix, labels)
+            cold.refit(matrix, labels)
+            assert np.array_equal(session.score(matrix), cold.score(matrix))
+        stats = session.cache_stats()["refit"]
+        assert stats["delta_refits"] == refits
+        assert stats["cold_refits"] == 0
+        assert len(stats["dirty_word_fractions"]) == refits
+        assert all(f < 1.0 for f in stats["dirty_word_fractions"])
+
     def test_refit_delta_rejects_unknown_overrides(self):
         dataset = _dataset(seed=22, n_triples=120)
         session = ScoringSession(

@@ -291,6 +291,35 @@ class TestWorkConservingDispatch:
         with pytest.raises(RuntimeError, match="start"):
             asyncio.run(unstarted())
 
+    @pytest.mark.parametrize(
+        "parameter",
+        ("rate_qps", "max_seconds", "default_latency_budget",
+         "latency_budget", "scoring_timeout"),
+    )
+    def test_nan_is_refused(self, parameter):
+        # NaN passes a ``<= 0.0`` check, so every positive bound must be
+        # written to refuse it; inf stays legal (a burst, or no SLO).
+        dataset = _dataset(seed=13, n_sources=4, n_triples=60,
+                           correlated=False)
+        session = _session(dataset)
+
+        async def submit():
+            async with AsyncServingFrontend(session) as frontend:
+                await frontend.submit(
+                    dataset.observations, latency_budget=float("nan")
+                )
+
+        with pytest.raises(ValueError, match=parameter):
+            if parameter in ("rate_qps", "max_seconds"):
+                run_serving_load(
+                    dataset, method="exact", requests=1,
+                    **{parameter: float("nan")},
+                )
+            elif parameter == "latency_budget":
+                asyncio.run(submit())
+            else:
+                AsyncServingFrontend(session, **{parameter: float("nan")})
+
 
 class TestAdmission:
     def test_queue_depth_overload_sheds_typed_errors(self):
@@ -644,6 +673,28 @@ class TestServingChaosHarness:
         assert report.stats["admission"]["depth"] == 0
         assert report.stats["admission"]["inflight_bytes"] == 0
         assert faults.active_injector() is None  # the plan was disarmed
+
+    def test_dispatch_stalls_neither_retry_nor_degrade(self):
+        # The dispatch site trips before a batch enters resilient
+        # scoring, so its stalls can reach neither the scoring timeout
+        # nor a retry: stalled lanes just drain late.  100 qps keeps
+        # well over the 4 dispatches the schedule needs.
+        dataset = _dataset(seed=51, n_sources=6, n_triples=160)
+        report = run_serving_load(
+            dataset,
+            method="exact",
+            rate_qps=100.0,
+            requests=24,
+            request_triples=48,
+            fault_plan=faults.FaultPlan.from_spec("dispatch:delay:2:3@0.05"),
+            seed=3,
+        )
+        assert report.terminated == report.requests
+        assert report.failed == 0
+        assert report.fault_stats["fired"] == {"dispatch": 3}
+        assert report.stats["resilience"]["retries"] == 0
+        assert report.stats["resilience"]["degraded_batches"] == 0
+        assert report.max_abs_diff == 0.0
 
     def test_refit_fault_rolls_back_then_recovers(self):
         dataset = _dataset(seed=39, n_sources=6, n_triples=160)

@@ -519,9 +519,9 @@ def check_rep004(module: _Module) -> list[Finding]:
 def check_rep005(module: _Module) -> list[Finding]:
     """Benchmark scripts must seed RNGs explicitly.
 
-    Every committed ``BENCH_*.json`` claims bit-identity and speedup
-    numbers; an unseeded generator makes the run unreproducible and the
-    artifact unverifiable.  Flags argless ``default_rng()`` /
+    The figure benches regenerate the paper's tables and figure series
+    under ``benchmarks/results/``; an unseeded generator makes the run
+    unreproducible and the table unverifiable.  Flags argless ``default_rng()`` /
     ``ensure_rng()`` / ``random.Random()`` and global-stream draws
     (``np.random.rand`` etc.) without a module-level ``seed(...)`` call.
     """
@@ -557,9 +557,8 @@ def check_rep005(module: _Module) -> list[Finding]:
                 module.finding(
                     node,
                     "REP005",
-                    "unseeded default_rng() in a benchmark: committed "
-                    "BENCH artifacts must be reproducible; pass an "
-                    "explicit integer seed",
+                    "unseeded default_rng() in a benchmark: its tables "
+                    "must be reproducible; pass an explicit integer seed",
                 )
             )
         elif name == "ensure_rng" and (argless or none_arg):
