@@ -33,6 +33,7 @@ from repro.eval.harness import (
 )
 from repro.eval.metrics import auc_pr, auc_roc, binary_metrics
 from repro.eval.report import comparison_table, format_table
+from repro.util.validation import check_positive
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,6 +505,9 @@ def _serve_fault_plan(args: argparse.Namespace) -> "Optional[faults.FaultPlan]":
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    # Checked here so the error names the flag, not the keyword it feeds.
+    check_positive(args.rate, "--rate")
+    check_positive(args.budget, "--budget")
     dataset = get_dataset(args.dataset, seed=args.seed)
     try:
         report = run_serving_load(

@@ -7,6 +7,8 @@ those are labelled true?"  Answering it with full-width boolean masks costs
 words makes the same intersection a word-wise AND over ``n_triples / 64``
 words followed by a popcount -- the standard bit-level representation used
 for subset-intersection statistics at scale (cf. correlation sketches).
+Many subsets are intersected at once by :meth:`PackedMatrix.and_reduce_batch`,
+in one pass per member slot of the widest subset.
 
 :class:`PackedMatrix` is the only class here; everything downstream
 (:mod:`repro.core.patterns`, :class:`repro.core.joint.EmpiricalJointModel`)
@@ -175,20 +177,44 @@ class PackedMatrix:
         ``subsets`` is boolean with shape ``(n_subsets, n_rows)``; the result
         has shape ``(n_subsets, n_words)`` where row ``s`` is the word-wise
         AND of the packed rows selected by ``subsets[s]`` (all-ones for an
-        empty selection).  One pass per matrix row that some subset selects,
-        regardless of how many subsets are asked for: a correlation cluster
-        names a handful of sources, and the others are never read.
+        empty selection).
+
+        One pass per *member slot*, so a batch costs as many passes as its
+        widest subset, however many matrix rows the batch selects in all.
+        The subsets are restricted to the columns some subset selects (a
+        correlation cluster names a handful of sources, and the others are
+        never read) and ordered by size, largest first and stably; slot
+        ``j`` then ANDs each subset's ``j``-th member row into the prefix of
+        subsets with more than ``j`` members, and the rows are scattered
+        back to input order.  AND is exact and order-free, so the words
+        equal a per-subset :meth:`and_reduce`.
         """
         subsets = np.asarray(subsets, dtype=bool)
         if subsets.ndim != 2 or subsets.shape[1] != self.n_rows:
             raise ValueError(
                 f"subsets shape {subsets.shape} != (n_subsets, {self.n_rows})"
             )
-        out = np.broadcast_to(
-            self.full_row(), (subsets.shape[0], self.n_words)
-        ).copy()
-        for i in np.flatnonzero(subsets.any(axis=0)):
-            out[subsets[:, i]] &= self._words[i]
+        used = np.flatnonzero(subsets.any(axis=0))
+        restricted = subsets[:, used]
+        sizes = restricted.sum(axis=1)
+        order = np.argsort(-sizes, kind="stable")
+        sizes = sizes[order]
+        # Row-major nonzero: each subset's members, ascending, in size order.
+        members = used[np.nonzero(restricted[order])[1]]
+        starts = np.cumsum(sizes) - sizes
+        width = int(sizes[0]) if sizes.size else 0
+        # prefix[j]: the number of subsets with more than j members.
+        prefix = np.searchsorted(-sizes, -np.arange(width), side="left")
+        ordered = np.empty((subsets.shape[0], self.n_words), dtype=np.uint64)
+        ordered[int(prefix[0]) if width else 0 :] = self.full_row()
+        for slot, count in enumerate(prefix.tolist()):
+            rows = self._words[members[starts[:count] + slot]]
+            if slot:
+                ordered[:count] &= rows
+            else:
+                ordered[:count] = rows
+        out = np.empty_like(ordered)
+        out[order] = ordered
         return out
 
     def __repr__(self) -> str:

@@ -419,7 +419,9 @@ class DeltaScorer:
             )
             self._novel_patterns += int(probabilities.size)
             return probabilities
-        keys = pattern_row_keys(provider_rows, silent_rows)
+        keys = pattern_row_keys(
+            provider_rows, silent_rows, patterns.packed_rows
+        )
         values, novel = self._memo.lookup(keys)
         probabilities = np.empty(len(keys), dtype=float)
         for position, value in enumerate(values):

@@ -24,15 +24,27 @@ so a scipy upgrade that changes either algorithm fails loudly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special
-from scipy.special import _ufuncs
 
-_PMF = _ufuncs._hypergeom_pmf
-_CDF = _ufuncs._hypergeom_cdf
-_SF = _ufuncs._hypergeom_sf
+#: A Boost hypergeometric kernel: ``(k, good, draws, total) -> float``.
+_Kernel = Callable[[float, float, float, float], float]
+
+
+@lru_cache(maxsize=1)
+def _hypergeom_kernels() -> tuple[_Kernel, _Kernel, _Kernel]:
+    """scipy's hypergeometric ``(pmf, cdf, sf)`` ufuncs, imported on the
+    first Fisher test: ``scipy.special`` is about half the time of
+    ``import repro``, and most processes never test a table."""
+    from scipy.special import _ufuncs
+
+    return (
+        _ufuncs._hypergeom_pmf,
+        _ufuncs._hypergeom_cdf,
+        _ufuncs._hypergeom_sf,
+    )
 
 #: Relative tolerance of scipy's "the table is the mode" test, and the
 #: factor it widens the two-sided tail threshold by.
@@ -54,9 +66,10 @@ class _Hypergeom:
     below the lower edge and 0 from the upper edge on.
     """
 
-    __slots__ = ("args", "low", "high")
+    __slots__ = ("args", "low", "high", "_pmf", "_cdf", "_sf")
 
     def __init__(self, total: int, good: int, draws: int) -> None:
+        self._pmf, self._cdf, self._sf = _hypergeom_kernels()
         # Kernel argument order: (k, good, draws, total).
         self.args = (float(good), float(draws), float(total))
         self.low = max(draws - (total - good), 0)
@@ -64,7 +77,7 @@ class _Hypergeom:
 
     def pmf(self, k: int) -> float:
         if self.low <= k <= self.high:
-            return _clip(float(_PMF(float(k), *self.args)))
+            return _clip(float(self._pmf(float(k), *self.args)))
         return 0.0
 
     def cdf(self, k: int) -> float:
@@ -72,14 +85,14 @@ class _Hypergeom:
             return 1.0
         if k < self.low:
             return 0.0
-        return _clip(float(_CDF(float(k), *self.args)))
+        return _clip(float(self._cdf(float(k), *self.args)))
 
     def sf(self, k: int) -> float:
         if k < self.low:
             return 1.0
         if k >= self.high:
             return 0.0
-        return _clip(float(_SF(float(k), *self.args)))
+        return _clip(float(self._sf(float(k), *self.args)))
 
 
 def _binary_search(
@@ -186,7 +199,9 @@ def decide_tables(
         adjustment = np.minimum(0.5, np.abs(difference)) * np.sign(difference)
         adjusted = observed + adjustment
         statistic = ((adjusted - expected_chi) ** 2 / expected_chi).sum(axis=1)
-        p_values = special.chdtrc(1.0, statistic)
+        from scipy.special import chdtrc  # first use: see _hypergeom_kernels
+
+        p_values = chdtrc(1.0, statistic)
         out[ids[chi]] = p_values < alpha
     for k in ids[fisher].tolist():
         p_value = fisher_pvalue(

@@ -36,7 +36,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bitset import pack_bool_vector, popcount, popcount_rows
+from repro.core.bitset import (
+    WORD_BITS,
+    PackedMatrix,
+    pack_bool_vector,
+    popcount,
+    popcount_rows,
+)
 from repro.core.observations import ObservationMatrix
 
 if TYPE_CHECKING:  # deltas imports joint at runtime; annotation-only here
@@ -99,6 +105,11 @@ def _gather_words(words: np.ndarray, word_ids: np.ndarray) -> np.ndarray:
     if in_range.any():
         out[..., in_range] = words[..., word_ids[in_range]]
     return out
+
+
+def _block_popcounts(words: np.ndarray, block: int) -> np.ndarray:
+    """Set bits per ``block``-word run of each row, ``(n_rows, n_blocks)``."""
+    return popcount_rows(words.reshape(-1, block)).reshape(words.shape[0], -1)
 
 
 class _JointCounts:
@@ -478,6 +489,9 @@ class EmpiricalJointModel(JointQualityModel):
         self._fpr_cache: dict[SubsetKey, float] = {}
         self._precision_cache: dict[SubsetKey, float] = {}
         self._coverage_cache: dict[SubsetKey, tuple[int, int]] = {}
+        self._count_rows_cache: Optional[
+            tuple[PackedMatrix, np.ndarray, np.ndarray]
+        ] = None
 
     # -- estimation ----------------------------------------------------
     #
@@ -579,13 +593,13 @@ class EmpiricalJointModel(JointQualityModel):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``(r_{S*}, q_{S*})`` for many subsets in bulk.
 
-        The intersection words of *all* requested subsets are computed with
-        one pass per selected source row
-        (:meth:`PackedMatrix.and_reduce_batch`), the
-        counts with vectorized popcounts, and the Theorem 3.5 derivation
-        element-wise in the same operation order as the scalar path -- so
-        every returned value is bit-identical to the corresponding
-        :meth:`joint_recall` / :meth:`joint_fpr` call.
+        The joint words of *all* requested subsets come from one
+        :meth:`PackedMatrix.and_reduce_batch` call over :meth:`_count_rows`
+        (one pass per member slot), the counts from two masked
+        popcounts, and the Theorem 3.5 derivation runs element-wise in the
+        same operation order as the scalar path -- so every returned value
+        is bit-identical to the corresponding :meth:`joint_recall` /
+        :meth:`joint_fpr` call.
         """
         subsets = self._check_subsets(subsets)
         n_subsets = subsets.shape[0]
@@ -598,24 +612,52 @@ class EmpiricalJointModel(JointQualityModel):
             )
         return recalls, fprs
 
+    def _count_rows(self) -> tuple[PackedMatrix, np.ndarray, np.ndarray]:
+        """``(rows, true mask, false mask)`` that every joint count ANDs.
+
+        Under partial coverage a source's row is its ``[provides |
+        coverage]`` words and each mask repeats the packed labels twice, so
+        one AND over a subset's rows and one masked popcount per label side
+        give its provided and covered counts together
+        (:func:`_block_popcounts` splits the halves).  Under full coverage
+        the rows are the provides words alone.  Built on first use and
+        kept: the model's inputs never change.
+        """
+        cached = self._count_rows_cache
+        if cached is None:
+            provides = self._observations.packed_provides
+            if self._partial_coverage:
+                words = np.concatenate(
+                    [provides.words, self._observations.packed_coverage.words],
+                    axis=1,
+                )
+                cached = (
+                    PackedMatrix(words, words.shape[1] * WORD_BITS),
+                    np.tile(self._true_words, 2),
+                    np.tile(self._false_words, 2),
+                )
+            else:
+                cached = (provides, self._true_words, self._false_words)
+            self._count_rows_cache = cached
+        return cached
+
     def _params_chunk(
         self, subsets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        observations = self._observations
-        intersection = observations.packed_provides.and_reduce_batch(subsets)
-        provided_true = popcount_rows(intersection & self._true_words)
-        provided_false = popcount_rows(intersection & self._false_words)
+        rows, true_mask, false_mask = self._count_rows()
+        joint = rows.and_reduce_batch(subsets)
+        n_words = self._true_words.size
+        trues = _block_popcounts(joint & true_mask, n_words)
+        falses = _block_popcounts(joint & false_mask, n_words)
         if self._partial_coverage:
-            covered = observations.packed_coverage.and_reduce_batch(subsets)
-            covered_true = popcount_rows(covered & self._true_words)
-            covered_false = popcount_rows(covered & self._false_words)
+            covered_true, covered_false = trues[:, 1], falses[:, 1]
         else:
             n_true, n_false = self.evidence_counts()
             covered_true = np.full(len(subsets), n_true, dtype=np.int64)
             covered_false = np.full(len(subsets), n_false, dtype=np.int64)
         return self._params_from_counts(
-            provided_true,
-            provided_false,
+            trues[:, 0],
+            falses[:, 0],
             covered_true,
             covered_false,
             empty=~subsets.any(axis=1),
@@ -686,38 +728,22 @@ class EmpiricalJointModel(JointQualityModel):
     def _build_pair_counts(self, counts: _JointCounts) -> None:
         """Populate the per-pair counters by chunked packed popcounts."""
         ii, jj = pair_indices(self.n_sources)
-        n_pairs = ii.size
-        provides = self._observations.packed_provides.words
-        provided_true = np.empty(n_pairs, dtype=np.int64)
-        provided_false = np.empty(n_pairs, dtype=np.int64)
-        for start in range(0, n_pairs, _BATCH_CHUNK):
-            stop = min(start + _BATCH_CHUNK, n_pairs)
-            intersection = provides[ii[start:stop]] & provides[jj[start:stop]]
-            provided_true[start:stop] = popcount_rows(
-                intersection & self._true_words
-            )
-            provided_false[start:stop] = popcount_rows(
-                intersection & self._false_words
-            )
-        counts.pair_provided_true = provided_true
-        counts.pair_provided_false = provided_false
+        rows, true_mask, false_mask = self._count_rows()
+        words = rows.words
+        n_words = self._true_words.size
+        n_halves = words.shape[1] // n_words
+        trues = np.empty((ii.size, n_halves), dtype=np.int64)
+        falses = np.empty((ii.size, n_halves), dtype=np.int64)
+        for start in range(0, ii.size, _BATCH_CHUNK):
+            stop = min(start + _BATCH_CHUNK, ii.size)
+            joint = words[ii[start:stop]] & words[jj[start:stop]]
+            trues[start:stop] = _block_popcounts(joint & true_mask, n_words)
+            falses[start:stop] = _block_popcounts(joint & false_mask, n_words)
+        counts.pair_provided_true = trues[:, 0]
+        counts.pair_provided_false = falses[:, 0]
         if self._partial_coverage:
-            coverage = self._observations.packed_coverage.words
-            covered_true = np.empty(n_pairs, dtype=np.int64)
-            covered_false = np.empty(n_pairs, dtype=np.int64)
-            for start in range(0, n_pairs, _BATCH_CHUNK):
-                stop = min(start + _BATCH_CHUNK, n_pairs)
-                joint_scope = (
-                    coverage[ii[start:stop]] & coverage[jj[start:stop]]
-                )
-                covered_true[start:stop] = popcount_rows(
-                    joint_scope & self._true_words
-                )
-                covered_false[start:stop] = popcount_rows(
-                    joint_scope & self._false_words
-                )
-            counts.pair_covered_true = covered_true
-            counts.pair_covered_false = covered_false
+            counts.pair_covered_true = trues[:, 1]
+            counts.pair_covered_false = falses[:, 1]
 
     def _pair_coverage_arrays(
         self, counts: _JointCounts
@@ -875,6 +901,7 @@ class EmpiricalJointModel(JointQualityModel):
         new._smoothing = smoothing
         new._max_cache = self._max_cache
         new._partial_coverage = observations.has_partial_coverage
+        new._count_rows_cache = None
         if diff.labels_changed:
             new._true_words = pack_bool_vector(labels)
             new._false_words = pack_bool_vector(~labels)

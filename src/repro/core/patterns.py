@@ -18,7 +18,7 @@ remaining per-triple work a single vectorized gather.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence, Union, overload
 
 import numpy as np
@@ -42,12 +42,19 @@ class PatternSet:
     counts:
         ``(n_patterns,)`` multiplicities: how many triples share each
         pattern.  ``counts.sum() == n_triples``.
+    packed_rows:
+        :func:`packed_pattern_rows` of the two matrices when
+        :func:`extract_patterns` built them for its dedup (the delta memo
+        keys patterns by these rows), else ``None``.
     """
 
     provider_matrix: np.ndarray
     silent_matrix: np.ndarray
     inverse: np.ndarray
     counts: np.ndarray
+    packed_rows: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def n_patterns(self) -> int:
@@ -150,14 +157,16 @@ def extract_patterns(
 
     provider_matrix = provides.T[first_index].copy()
     silent_matrix = silent.T[first_index].copy()
-    provider_matrix.setflags(write=False)
-    silent_matrix.setflags(write=False)
+    packed_rows = combined[first_index]
+    for array in (provider_matrix, silent_matrix, packed_rows):
+        array.setflags(write=False)
     counts = np.bincount(inverse, minlength=first_index.shape[0])
     return PatternSet(
         provider_matrix=provider_matrix,
         silent_matrix=silent_matrix,
         inverse=inverse,
         counts=counts,
+        packed_rows=packed_rows,
     )
 
 

@@ -700,7 +700,9 @@ def pattern_digest(
 
 
 def pattern_row_keys(
-    provider_matrix: np.ndarray, silent_matrix: np.ndarray
+    provider_matrix: np.ndarray,
+    silent_matrix: np.ndarray,
+    packed: Optional[np.ndarray] = None,
 ) -> list[bytes]:
     """One content key per pattern *row* (the delta-memo key).
 
@@ -711,11 +713,12 @@ def pattern_row_keys(
     digests).  Each key is a serialised
     :func:`repro.core.patterns.packed_pattern_rows` row -- identical to
     hashing the full-width boolean row pair, at a fraction of the cost.
+    ``packed`` is that packing when the caller already holds it (a
+    :class:`~repro.core.patterns.PatternSet`'s ``packed_rows``).
     """
-    return [
-        row.tobytes()
-        for row in packed_pattern_rows(provider_matrix, silent_matrix)
-    ]
+    if packed is None:
+        packed = packed_pattern_rows(provider_matrix, silent_matrix)
+    return [row.tobytes() for row in packed]
 
 
 def likelihoods_with_memo(

@@ -78,6 +78,10 @@ class Checkpointer:
         self._refits_since_snapshot = 0
         # guarded-by: _lock
         self._state: Optional[Tuple[ObservationMatrix, np.ndarray]] = None
+        # The last record's packed labels: reused while the labels object
+        # in ``_state`` is logged again, ``None`` until a record is made.
+        # guarded-by: _lock
+        self._labels_words: Optional[np.ndarray] = None
         # guarded-by: _lock
         self._degraded = False
         # guarded-by: _lock
@@ -133,6 +137,7 @@ class Checkpointer:
         with self._lock:
             self._ensure_wal()
             self._state = (observations, np.asarray(labels, dtype=bool))
+            self._labels_words = None
             self._write_snapshot(session)
         session.attach_checkpointer(self)
 
@@ -154,6 +159,7 @@ class Checkpointer:
             self._mutation_steps = int(mutation_steps)
             self._snapshot_index = int(snapshot_index)
             self._state = (observations, np.asarray(labels, dtype=bool))
+            self._labels_words = None
             self._refits_since_snapshot = 0
 
     def close(self) -> None:
@@ -206,12 +212,16 @@ class Checkpointer:
             seq=self._seq + 1,
             step=step,
             previous_labels=prev_labels,
+            labels_words=(
+                self._labels_words if new_labels is prev_labels else None
+            ),
         )
         if record is None:
             return
         if self._append(record[0], record[1]):
             self._counters["mutations"] += 1
             self._state = (observations, new_labels)
+            self._labels_words = record[1]["labels_words"]
             if step >= 0:
                 self._mutation_steps = max(self._mutation_steps, step + 1)
 

@@ -72,6 +72,7 @@ def mutation_record(
     seq: int,
     step: int = -1,
     previous_labels: Optional[np.ndarray] = None,
+    labels_words: Optional[np.ndarray] = None,
 ) -> Optional[Record]:
     """Encode ``previous -> current`` as a dirty-column block.
 
@@ -79,7 +80,10 @@ def mutation_record(
     and ``labels`` equal ``previous_labels`` (if given): nothing to log.
     A label change alone is a zero-column block.  ``step`` is an optional
     trace-step tag (``-1`` = untagged) used by the crash harness to
-    locate its resume point.
+    locate its resume point.  ``labels_words`` is the record's packed
+    ``labels`` when the caller already holds them (the checkpointer
+    reuses its last record's words while the labels object is the
+    same); otherwise the labels are packed here.
     """
     if previous.n_sources != current.n_sources:
         raise ValueError(
@@ -107,7 +111,8 @@ def mutation_record(
         raise ValueError(
             f"labels shape {labels.shape} != ({current.n_triples},)"
         )
-    labels_words, labels_bits = pack_bool_matrix(labels[np.newaxis, :])
+    if labels_words is None:
+        labels_words = pack_bool_matrix(labels[np.newaxis, :])[0][0]
     meta = {
         "type": RECORD_MUTATION,
         "seq": int(seq),
@@ -115,13 +120,13 @@ def mutation_record(
         "n_sources": int(current.n_sources),
         "prev_triples": int(previous.n_triples),
         "n_triples": int(current.n_triples),
-        "labels_bits": int(labels_bits),
+        "labels_bits": int(labels.size),
     }
     arrays = {
         "columns": np.asarray(columns, dtype=np.int64),
         "provides": np.asarray(current.provides[:, columns], dtype=bool),
         "coverage": np.asarray(current.coverage[:, columns], dtype=bool),
-        "labels_words": labels_words[0],
+        "labels_words": labels_words,
     }
     return meta, arrays
 

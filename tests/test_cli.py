@@ -185,12 +185,16 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ("--rate", "--budget"))
     def test_serve_bench_refuses_nan(self, capsys, flag):
-        code = main(
-            ["serve-bench", "--dataset", "restaurant", "--requests", "4",
-             flag, "nan"]
-        )
-        assert code == 2
-        assert "must be positive, got nan" in capsys.readouterr().err
+        for value in ("nan", "0", "-1"):
+            code = main(
+                ["serve-bench", "--dataset", "restaurant", "--requests", "4",
+                 flag, value]
+            )
+            assert code == 2
+            assert (
+                f"{flag} must be positive, got {float(value)!r}"
+                in capsys.readouterr().err
+            )
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

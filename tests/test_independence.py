@@ -10,11 +10,19 @@ correlation edge.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from repro.core.api import fuse
 from repro.core.independence import decide_tables, fisher_pvalue
+from repro.data.registry import get_dataset
 
 
 def _scipy_pvalue(table: tuple[int, int, int, int]) -> float:
@@ -91,3 +99,35 @@ class TestDecideTables:
             else:
                 p_value = stats.chi2_contingency(matrix, correction=True)[1]
             assert decision == (float(p_value) < alpha), table
+
+
+_LAZY_SCIPY_CHILD = """
+import hashlib, sys
+import repro
+assert "scipy.special" not in sys.modules, "scipy.special imported by repro"
+from repro.core.api import fuse
+from repro.data.registry import get_dataset
+data = get_dataset("synthetic-correlated")
+result = fuse(data.observations, data.labels, method="clustered")
+assert "scipy.special" in sys.modules, "no significance test ran"
+print(hashlib.sha1(result.scores.tobytes()).hexdigest())
+"""
+
+
+def test_scipy_special_is_imported_on_the_first_test():
+    """``import repro`` leaves ``scipy.special`` unloaded, and a clustered
+    fit that loads it on its first table gives the in-process scores."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_CHILD],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    data = get_dataset("synthetic-correlated")
+    result = fuse(data.observations, data.labels, method="clustered")
+    want = hashlib.sha1(result.scores.tobytes()).hexdigest()
+    assert child.stdout.strip() == want

@@ -214,7 +214,11 @@ class TestOneClusterIsExact:
 def joint_models(draw, kind):
     n_sources = draw(st.integers(1, 6))
     if kind == "empirical":
-        n_triples = draw(st.integers(1, 40))
+        # Half the draws span more than one packed word (or end on a
+        # word boundary), under partial and full coverage alike.
+        n_triples = draw(
+            st.integers(1, 40) | st.sampled_from([63, 64, 65, 130])
+        )
         provides = draw(arrays(dtype=bool, shape=(n_sources, n_triples)))
         extra = draw(arrays(dtype=bool, shape=(n_sources, n_triples)))
         partial = draw(st.booleans())
@@ -260,7 +264,17 @@ class TestJointParamsBatchIsTotal:
         drawn = data.draw(
             arrays(dtype=bool, shape=(data.draw(st.integers(0, 8)), n))
         )
-        subsets = np.vstack([np.zeros((1, n), dtype=bool), drawn])
+        # A full row among singletons and empty rows: member counts far
+        # apart, so the batch AND's size-sorted slots line up only if the
+        # scatter back to input order is right.
+        skewed = np.vstack(
+            [
+                np.ones((1, n), dtype=bool),
+                np.eye(n, dtype=bool),
+                np.zeros((2, n), dtype=bool),
+            ]
+        )
+        subsets = np.vstack([np.zeros((1, n), dtype=bool), drawn, skewed])
         result = model.joint_params_batch(subsets)
         assert result is not None
         recalls, fprs = result
@@ -273,6 +287,37 @@ class TestJointParamsBatchIsTotal:
         no_rows = model.joint_params_batch(np.zeros((0, n), dtype=bool))
         assert no_rows is not None
         assert no_rows[0].shape == no_rows[1].shape == (0,)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("n_triples", [63, 64, 65, 130])
+    def test_multi_word_batches_equal_scalar_queries(self, partial, n_triples):
+        rng = np.random.default_rng(n_triples)
+        n = 7
+        provides = rng.random((n, n_triples)) < 0.6
+        coverage = provides | (rng.random((n, n_triples)) < 0.5)
+        matrix = ObservationMatrix(
+            provides, [f"s{i}" for i in range(n)],
+            coverage=coverage if partial else None,
+        )
+        assert matrix.has_partial_coverage == partial
+        labels = rng.random(n_triples) < 0.5
+        model = EmpiricalJointModel(matrix, labels, prior=0.4)
+        subsets = np.vstack(
+            [
+                rng.random((20, n)) < 0.5,
+                np.ones((1, n), dtype=bool),
+                np.eye(n, dtype=bool),
+                np.zeros((2, n), dtype=bool),
+            ]
+        )[rng.permutation(30)]
+        recalls, fprs = model.joint_params_batch(subsets)
+        for row, subset in enumerate(subsets):
+            ids = np.flatnonzero(subset).tolist()
+            assert recalls[row] == model.joint_recall(ids)
+            assert fprs[row] == model.joint_fpr(ids)
+            if ids and partial:  # the coverage half is really read
+                scope = model.joint_coverage_counts(ids)
+                assert scope != model.evidence_counts()
 
     def test_rejects_wrong_width(self):
         model = IndependentJointModel(

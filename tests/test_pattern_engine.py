@@ -70,6 +70,32 @@ bool_matrices = st.tuples(
 )
 
 
+#: Like ``bool_matrices`` but with more rows and, half the time, a width
+#: at or across a word boundary.
+word_edge_matrices = st.tuples(
+    st.integers(1, 8),
+    st.sampled_from([63, 64, 65, 130]) | st.integers(1, 150),
+).flatmap(
+    lambda shape: arrays(dtype=bool, shape=shape, elements=st.booleans())
+)
+
+
+def skewed_batch(drawn: np.ndarray, data) -> np.ndarray:
+    """``drawn`` plus a full row, every singleton and up to two empty rows,
+    in a drawn order: sizes far apart, so each member slot ANDs a different
+    prefix of the size-sorted batch."""
+    n_rows = drawn.shape[1]
+    rows = np.vstack(
+        [
+            drawn,
+            np.ones((1, n_rows), dtype=bool),
+            np.eye(n_rows, dtype=bool),
+            np.zeros((data.draw(st.integers(0, 2)), n_rows), dtype=bool),
+        ]
+    )
+    return rows[data.draw(st.permutations(range(rows.shape[0])))]
+
+
 @st.composite
 def observation_cases(draw, max_sources=6, max_triples=40):
     """(matrix, labels) with every triple provided by someone; coverage may
@@ -166,13 +192,16 @@ class TestBitset:
 
 
 class _ReadRecorder(np.ndarray):
-    """Word array that records which rows are read by integer index."""
+    """Word array that records which rows are read by an integer index or
+    an integer-array gather."""
 
     rows_read: set
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             self.rows_read.add(int(key))
+        elif isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            self.rows_read.update(key.ravel().tolist())
         return super().__getitem__(key)
 
 
@@ -690,18 +719,19 @@ class TestJointModelEngines:
             assert recalls[row] == model.joint_recall(ids)
             assert fprs[row] == model.joint_fpr(ids)
 
-    @given(matrix=bool_matrices, data=st.data())
-    @settings(max_examples=40)
+    @given(matrix=word_edge_matrices, data=st.data())
+    @settings(max_examples=60)
     def test_and_reduce_batch_matches_per_subset(self, matrix, data):
         packed = PackedMatrix.from_bool(matrix)
         n_subsets = data.draw(st.integers(1, 5))
-        subsets = data.draw(
+        drawn = data.draw(
             arrays(
                 dtype=bool,
                 shape=(n_subsets, matrix.shape[0]),
                 elements=st.booleans(),
             )
         )
+        subsets = skewed_batch(drawn, data)
         batched = packed.and_reduce_batch(subsets)
         for row in range(n_subsets):
             ids = np.flatnonzero(subsets[row]).tolist()
