@@ -38,23 +38,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Literal, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.elastic import ElasticFuser
-from repro.core.exact import ExactCorrelationFuser
 from repro.core.fusion import ModelBasedFuser
 from repro.core.independence import decide_tables
 from repro.core.joint import JointQualityModel, pair_indices
 from repro.core.locktrace import make_lock
 from repro.core.patterns import (
+    CODE_MAX_MEMBERS,
     PatternSet,
     RestrictionTable,
     restricted_unique_patterns,
 )
 from repro.core.plans import (
     DEFAULT_PLAN_CACHE_ENTRIES,
+    CompiledExactPlan,
     CompiledPlanCache,
     pattern_digest,
 )
@@ -62,8 +63,9 @@ from repro.util.probability import PROBABILITY_FLOOR
 
 Side = Literal["true", "false"]
 
-#: A per-cluster evaluator: exact for small clusters, elastic otherwise.
-ClusterEvaluator = Union[ExactCorrelationFuser, ElasticFuser]
+#: A per-cluster evaluator: an oversized cluster's elastic evaluator, or
+#: ``None`` for a small cluster, scored exactly from its restriction codes.
+ClusterEvaluator = Optional[ElasticFuser]
 #: One evaluator, the clusters it serves, and their restriction table.
 _EvaluatorGroup = tuple[
     ClusterEvaluator, list[frozenset[int]], RestrictionTable
@@ -89,6 +91,60 @@ def _frozen_log_table(
 _EMPTY_LOG_TABLE = _frozen_log_table(
     np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
 )
+
+
+#: Rows of a group's sub-pattern table: every row (``slice(None)``) or an
+#: index array.
+_RowSelection = Union[slice, np.ndarray]
+
+
+def _log_pair(
+    likelihoods: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(logs_true, logs_false)``: one ``math.log`` walk over both sides.
+
+    Each value is floored at ``PROBABILITY_FLOOR`` first, as the
+    per-pattern walk in ``tests/reference.py`` does.
+    """
+    logs = np.array(
+        [
+            math.log(max(value, PROBABILITY_FLOOR))
+            for value in np.concatenate(likelihoods).tolist()
+        ],
+        dtype=float,
+    )
+    n_rows = likelihoods[0].shape[0]
+    return logs[:n_rows], logs[n_rows:]
+
+
+def _check_exact_limit(limit: int, n_sources: int) -> None:
+    """Refuse an ``exact_cluster_limit`` whose exact group could go uncoded.
+
+    The exact group holds the clusters of at most ``limit`` sources of
+    both partitions, and a ``k``-source cluster spans ``4^k`` restriction
+    keys (a provider and a silent bit per member).  Each partition spans
+    the most keys when it has as many full-size clusters as fit, so the
+    group spans at most twice that; it must stay within ``int64``, and no
+    cluster may be wider than :data:`CODE_MAX_MEMBERS`.
+    """
+
+    def fits(width: int) -> bool:
+        full, rest = divmod(n_sources, width)
+        span = full * 4**width + (4**rest if rest else 0)
+        return width <= CODE_MAX_MEMBERS and 2 * span < 2**63
+
+    if limit < 1:
+        raise ValueError(f"exact_cluster_limit must be >= 1, got {limit}")
+    if n_sources and not fits(min(limit, n_sources)):
+        largest = max(
+            width for width in range(1, CODE_MAX_MEMBERS + 1) if fits(width)
+        )
+        raise ValueError(
+            f"exact_cluster_limit must be at most {largest} for "
+            f"{n_sources} sources (an exact cluster of k sources costs 2^k "
+            f"terms, and the exact clusters' restriction codes must fit "
+            f"int64), got {limit}"
+        )
 
 
 def _find_keys(
@@ -698,13 +754,18 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         supplied.
     exact_cluster_limit:
         Clusters with at most this many sources are evaluated exactly;
-        larger ones use :class:`ElasticFuser` at ``elastic_level``.
+        larger ones use :class:`ElasticFuser` at ``elastic_level``.  The
+        exact clusters of both sides are scored together from their
+        integer restriction codes, so the limit must keep every such
+        group's codes within ``int64`` (:func:`_check_exact_limit`); an
+        exact cluster of ``k`` sources costs ``2^k`` terms per
+        restriction anyway.
     elastic_level:
         Elastic ``lambda`` for oversized clusters (paper: level 3).
     max_plan_cache_entries:
         LRU cap for the compiled-plan caches: forwarded to every
-        per-cluster evaluator *and* used for this fuser's own cache of
-        per-cluster decompositions and log-likelihood tables, keyed by the
+        per-cluster elastic evaluator *and* used for this fuser's own cache
+        of per-cluster decompositions and log-likelihood tables, keyed by the
         global pattern digest -- repeated ``score`` calls on a serving
         process skip restriction, collect, compile, model evaluation, and
         the log transform entirely.  ``0`` disables both layers.
@@ -740,10 +801,7 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         ] = None,
     ) -> None:
         super().__init__(model, decision_prior=decision_prior)
-        if exact_cluster_limit < 1:
-            raise ValueError(
-                f"exact_cluster_limit must be >= 1, got {exact_cluster_limit}"
-            )
+        _check_exact_limit(exact_cluster_limit, model.n_sources)
         self._max_plan_cache = int(max_plan_cache_entries)
         self._plan_cache = CompiledPlanCache(max_plan_cache_entries)
         self._delta_serving = False
@@ -761,7 +819,6 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
                 false_partition = state.false_partition
         self._true_partition = true_partition
         self._false_partition = false_partition
-        self._shared_exact: Optional[ExactCorrelationFuser] = None
         self._elastic_by_cluster: dict[frozenset[int], ElasticFuser] = {}
         if carried_elastic:
             # Delta-refit carry: an oversized cluster whose sources are all
@@ -812,18 +869,11 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         self, cluster: frozenset[int], exact_limit: int, level: int
     ) -> ClusterEvaluator:
         if len(cluster) <= exact_limit:
-            # One exact evaluator serves every small cluster on both sides:
-            # it is a pure function of the full model, so per-cluster
-            # instances would be identical copies, each duplicating its
-            # plan cache.  Oversized clusters still get their own elastic
+            # Every small cluster, on either side, joins the one exact
+            # group, scored straight from its restriction codes
+            # (_exact_logs).  Oversized clusters get their own elastic
             # evaluator (its aggressive factors depend on the universe).
-            if self._shared_exact is None:
-                self._shared_exact = ExactCorrelationFuser(
-                    self.model,
-                    max_silent_sources=exact_limit,
-                    max_plan_cache_entries=self._max_plan_cache,
-                )
-            return self._shared_exact
+            return None
         # An oversized cluster appearing in both partitions reuses one
         # elastic evaluator (its aggressive factors depend only on the
         # cluster universe), so _compile_side_terms scores the cluster once
@@ -866,15 +916,13 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         """
         return dict(self._elastic_by_cluster)
 
-    def _distinct_evaluators(self) -> list[ModelBasedFuser]:
-        """Each per-cluster evaluator exactly once (shared ones dedup)."""
-        seen: set[int] = set()
-        distinct: list[ModelBasedFuser] = []
-        for evaluator in self._true_evaluators + self._false_evaluators:
-            if id(evaluator) not in seen:
-                seen.add(id(evaluator))
-                distinct.append(evaluator)
-        return distinct
+    def _distinct_evaluators(self) -> list[ElasticFuser]:
+        """Each per-cluster elastic evaluator exactly once."""
+        return [
+            evaluator
+            for evaluator, _, _ in self._evaluator_groups
+            if evaluator is not None
+        ]
 
     def enable_delta_memo(self, max_entries: int = 200_000) -> None:
         """Opt into per-restriction reuse across requests.
@@ -888,10 +936,11 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         evaluation of the group (:meth:`_evaluate_clusters`) and read by
         key on later digest misses (:meth:`pattern_mu_batch`).  Each table
         holds at most ``max_entries`` restrictions; beyond that, values
-        are computed but not stored.  The table replaces the evaluator's
-        own sub-pattern memo, so only the evaluators of uncoded groups (a
-        cluster of more than :data:`~repro.core.patterns.CODE_MAX_MEMBERS`
-        sources, or keys past ``int64``), which have no key, attach
+        are computed but not stored.  The table replaces an elastic
+        evaluator's own sub-pattern memo, so only the evaluators of
+        uncoded groups (a cluster of more than
+        :data:`~repro.core.patterns.CODE_MAX_MEMBERS` sources, or keys
+        past ``int64``; never the exact group), which have no key, attach
         theirs.  Per-pattern reuse across requests is the score-level
         delta engine's job; this fuser's own digest-keyed decomposition
         cache switches to seed-only storage (see :meth:`pattern_mu_batch`)
@@ -905,10 +954,11 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         self._delta_serving = True
         self._max_log_entries = int(max_entries)
         for index, (evaluator, _, table) in enumerate(self._evaluator_groups):
-            if not table.coded:
+            if table.coded:
+                if self._log_tables[index] is None:
+                    self._log_tables[index] = _EMPTY_LOG_TABLE
+            elif evaluator is not None:
                 evaluator.enable_delta_memo(max_entries)
-            elif self._log_tables[index] is None:
-                self._log_tables[index] = _EMPTY_LOG_TABLE
 
     @property
     def log_tables(self) -> list[Optional[_LogTable]]:
@@ -957,26 +1007,26 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
 
         Each distinct global pattern is decomposed into per-cluster
         sub-patterns (``providers & cluster``, ``silent & cluster``), and
-        the work is grouped by evaluator: all clusters one evaluator serves,
-        on either side, go through one :func:`restricted_unique_patterns`
-        pass over the group's prebuilt :class:`RestrictionTable`, which
-        deduplicates their restrictions together into one shared
-        sub-pattern table; one :meth:`pattern_likelihoods_batch` call
-        evaluates that table (the shared :mod:`repro.core.plans`
-        machinery); and one ``math.log`` walk turns both sides'
-        likelihoods into log tables (:meth:`_evaluate_clusters`).  The
-        shared exact evaluator, which serves every cluster of at most
-        ``exact_cluster_limit`` sources, thus builds one union plan per
-        request; each oversized cluster's elastic evaluator serves its own
-        cluster.  A group with a log table (delta serving, see
-        :meth:`enable_delta_memo`) whose every restriction of ``patterns``
-        is already in the table skips all of that: its terms gather from
-        the table by key (:meth:`_logged_clusters`).  Every cluster
-        contributes one ``(logs, inverse)`` term -- its group's table for
-        the side, gathered through the cluster's inverse -- in partition
-        order, the true-side partition first.  The evaluators are
-        ``pattern_batch_invariant`` (each row's value depends only on its
-        own terms), so sharing a table changes no value.
+        the work is grouped by evaluator (:meth:`_evaluate_clusters`).
+        Every cluster of at most ``exact_cluster_limit`` sources, on
+        either side, is in the one exact group: its distinct restriction
+        keys are scored straight from their integer codes by one
+        :meth:`CompiledExactPlan.from_codes` plan and one joint-model
+        call (:meth:`_exact_logs`), with no sub-pattern table and no
+        union plan.  Each oversized cluster's elastic evaluator serves
+        its own cluster: one :func:`restricted_unique_patterns` pass over
+        the group's prebuilt :class:`RestrictionTable` and one
+        :meth:`pattern_likelihoods_batch` call.  One ``math.log`` walk
+        per group turns both sides' likelihoods into log tables.  A group
+        with a log table (delta serving, see :meth:`enable_delta_memo`)
+        whose every restriction of ``patterns`` is already in the table
+        skips all of that: its terms gather from the table by key
+        (:meth:`_logged_clusters`).  Every cluster contributes one
+        ``(logs, inverse)`` term -- its group's table for the side,
+        gathered through the cluster's inverse -- in partition order, the
+        true-side partition first.  Each restriction's value depends only
+        on its own terms, taken in the paper's order, so how the work is
+        grouped changes no value.
         """
         groups: dict[int, _GroupLogs] = {}
         for index, (evaluator, _, _) in enumerate(self._evaluator_groups):
@@ -1025,33 +1075,88 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
     ) -> _GroupLogs:
         """Group ``index``'s ``((logs_true, logs_false), inverse by cluster)``.
 
-        One restriction pass over the group's table, one likelihood
-        evaluation of the shared sub-pattern table, and one ``math.log``
-        walk over both sides' values (:meth:`_likelihood_logs`).  With a
-        log table, the rows whose restriction key the table holds take
-        its logs, only the other rows are evaluated, and the new keys'
-        logs extend the table (:meth:`_store_logs`).
+        The exact group (no evaluator) deduplicates its restriction keys
+        (:meth:`RestrictionTable.unique_keys`) and scores the distinct
+        keys from their codes (:meth:`_exact_logs`); its terms and their
+        order are the ones a union plan over the decoded sub-patterns
+        would sum, so the logs are bit-identical to that route.  An
+        elastic group runs one restriction pass and one evaluator call
+        over the shared sub-pattern table.  Either way one ``math.log``
+        walk covers both sides' values, and with a log table only the
+        restrictions the table lacks are evaluated (:meth:`_table_logs`).
         """
         evaluator, clusters, table = self._evaluator_groups[index]
-        log_table = self._log_tables[index]
+        provider_matrix = patterns.provider_matrix
+        silent_matrix = patterns.silent_matrix
+        if evaluator is None:
+            keys, inverse = table.unique_keys(provider_matrix, silent_matrix)
+            logs = self._table_logs(
+                index, keys, np.arange(keys.size), keys.size,
+                lambda rows: self._exact_logs(table, keys[rows]),
+            )
+            return logs, dict(zip(clusters, inverse))
+        elastic: ElasticFuser = evaluator
         sub_providers, sub_silent, inverses, restriction_keys = (
             restricted_unique_patterns(
-                patterns.provider_matrix, patterns.silent_matrix, table,
-                return_keys=True,
+                provider_matrix, silent_matrix, table, return_keys=True
             )
         )
-        if log_table is None or restriction_keys is None:
-            logs = self._likelihood_logs(evaluator, sub_providers, sub_silent)
-            return logs, dict(zip(clusters, inverses))
-        keys, rows = restriction_keys
+
+        def evaluate(rows: _RowSelection) -> tuple[np.ndarray, np.ndarray]:
+            return _log_pair(
+                elastic.pattern_likelihoods_batch(
+                    sub_providers[rows], sub_silent[rows]
+                )
+            )
+
+        if restriction_keys is None:
+            logs = evaluate(slice(None))
+        else:
+            keys, rows = restriction_keys
+            logs = self._table_logs(
+                index, keys, rows, sub_providers.shape[0], evaluate
+            )
+        return logs, dict(zip(clusters, inverses))
+
+    def _exact_logs(
+        self, table: RestrictionTable, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(logs_true, logs_false)`` of coded restrictions, scored exactly.
+
+        Theorem 4.2's inclusion-exclusion per restriction: one
+        :meth:`CompiledExactPlan.from_codes` plan, one
+        :meth:`~repro.core.joint.JointQualityModel.joint_params_batch`
+        call over the unions it touches, and its step-major ``accumulate``.
+        """
+        compiled = CompiledExactPlan.from_codes(table, keys)
+        recalls, fprs = self.model.joint_params_batch(compiled.rows)
+        return _log_pair(compiled.accumulate(recalls, fprs))
+
+    def _table_logs(
+        self,
+        index: int,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        n_rows: int,
+        evaluate: Callable[[_RowSelection], tuple[np.ndarray, np.ndarray]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Logs of ``n_rows`` rows, through group ``index``'s log table.
+
+        ``keys`` are the group's distinct restriction keys, ascending, and
+        ``rows`` each key's row; ``evaluate(rows)`` computes the logs of
+        the selected rows.  Without a log table every row is evaluated.
+        With one, the rows whose key the table holds take its logs, only
+        the other rows are evaluated, and the new keys' logs extend the
+        table (:meth:`_store_logs`).
+        """
+        log_table = self._log_tables[index]
+        if log_table is None:
+            return evaluate(slice(None))
         known, known_true, known_false = log_table
         positions, hit = _find_keys(known, keys)
         if not hit.any():  # the seeding batch: nothing to take
-            logs_true, logs_false = self._likelihood_logs(
-                evaluator, sub_providers, sub_silent
-            )
+            logs_true, logs_false = evaluate(slice(None))
         else:
-            n_rows = sub_providers.shape[0]
             logs_true = np.empty(n_rows, dtype=float)
             logs_false = np.empty(n_rows, dtype=float)
             logs_true[rows[hit]] = known_true[positions[hit]]
@@ -1060,35 +1165,13 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             todo[rows[hit]] = False
             todo = np.flatnonzero(todo)
             if todo.size:
-                logs_true[todo], logs_false[todo] = self._likelihood_logs(
-                    evaluator, sub_providers[todo], sub_silent[todo]
-                )
+                logs_true[todo], logs_false[todo] = evaluate(todo)
         novel = ~hit
         self._store_logs(
             index, log_table, positions[novel], keys[novel],
             logs_true[rows[novel]], logs_false[rows[novel]],
         )
-        return (logs_true, logs_false), dict(zip(clusters, inverses))
-
-    def _likelihood_logs(
-        self,
-        evaluator: ClusterEvaluator,
-        sub_providers: np.ndarray,
-        sub_silent: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(logs_true, logs_false)`` of sub-patterns, one evaluator call."""
-        likelihoods = evaluator.pattern_likelihoods_batch(
-            sub_providers, sub_silent
-        )
-        logs = np.array(
-            [
-                math.log(max(value, PROBABILITY_FLOOR))
-                for value in np.concatenate(likelihoods).tolist()
-            ],
-            dtype=float,
-        )
-        n_rows = sub_providers.shape[0]
-        return logs[:n_rows], logs[n_rows:]
+        return logs_true, logs_false
 
     def _store_logs(
         self,
@@ -1124,22 +1207,23 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
         )
 
     def pattern_mu_batch(self, patterns: PatternSet) -> np.ndarray:
-        """Every distinct pattern's ``mu`` through the batched union plans.
+        """Every distinct pattern's ``mu`` from per-cluster log tables.
 
         The compile step (:meth:`_compile_side_terms`) decomposes the
-        global patterns per cluster, runs one batched union plan per
-        evaluator over all its clusters, and freezes the results into
-        per-evaluator log-likelihood tables with per-cluster inverses; it
+        global patterns per cluster, scores the exact group's distinct
+        restrictions from their codes and each elastic evaluator's
+        clusters through its batched union plan, and freezes the results
+        into per-group log-likelihood tables with per-cluster inverses; it
         is memoised in the digest-keyed plan cache, so repeated
         ``score`` calls over the same pattern set -- the serving case --
-        skip restriction, collection, compilation, model evaluation, and
-        the log transform.  Under delta serving (see
+        skip restriction, compilation, model evaluation, and the log
+        transform.  Under delta serving (see
         :meth:`enable_delta_memo`) a digest miss first looks each coded
         group's restrictions up in its log table by key: when every one
         is known, the group's terms are the table's logs gathered at the
-        keys' positions, with no restriction pass and no evaluator call;
-        otherwise the group runs its restriction pass, evaluates only the
-        restrictions the table lacks, and adds them to the table.  The
+        keys' positions, with no dedup and no evaluation; otherwise the
+        group deduplicates its restrictions, evaluates only those the
+        table lacks, and adds them to the table.  The
         execute step recombines per-pattern ``mu`` as a gather-sum of the
         tables: the true-side partition in the numerator, the false-side
         partition in the denominator.

@@ -128,9 +128,7 @@ class ExactCorrelationFuser(ModelBasedFuser):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Floored ``(Pr(Ot | t), Pr(Ot | not t))`` arrays for many patterns.
 
-        The batch entry point the clustered fuser drives once per request
-        for all its small correlation clusters together: rows of
-        ``provider_matrix`` / ``silent_matrix`` (boolean,
+        Rows of ``provider_matrix`` / ``silent_matrix`` (boolean,
         ``(n_patterns, n_sources)``) are evaluated through the
         shared :class:`~repro.core.plans.ExactUnionPlan` -- all subset
         unions collected once, ``(r, q)`` from one vectorized model call,

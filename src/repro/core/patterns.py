@@ -203,13 +203,18 @@ class RestrictionTable:
     then two adds per member slot; clusters are sorted by size, so every
     slot's clusters form a prefix.  Codes use the narrowest unsigned type
     that holds ``2k`` bits, and ``key_space`` is the size of the shared
-    key range.  Wider groups take the masked-word path (``coded`` is
-    ``False``).
+    key range.  :meth:`unique_keys` deduplicates the keys and
+    :meth:`decode` splits them back into cluster-local codes.  A coded
+    table also numbers the subsets of its clusters in ``range(subset_space)``
+    (:meth:`subset_ids`), and :meth:`subset_rows` turns ids back into
+    boolean source rows.  Wider groups take the masked-word path
+    (``coded`` is ``False``).
     """
 
     __slots__ = (
         "n_sources", "masks", "mask_words", "coded", "key_space",
-        "_rows", "_shifts", "_slot_counts", "_unsort", "_offsets",
+        "subset_space", "widest", "_rows", "_shifts", "_slot_counts",
+        "_unsort", "_offsets", "_sizes", "_members", "_subset_offsets",
     )
 
     def __init__(
@@ -251,6 +256,9 @@ class RestrictionTable:
         slot = np.arange(member.size) - np.repeat(
             np.cumsum(sizes[order]) - sizes[order], sizes[order]
         )
+        # Each cluster's members ascending, padded to the widest.
+        members = np.zeros((len(member_lists), widest), dtype=np.intp)
+        members[order[cluster_pos], slot] = member
         by_slot = np.lexsort((cluster_pos, slot))
         member = member[by_slot]
         slot = slot[by_slot]
@@ -260,8 +268,17 @@ class RestrictionTable:
         self._shifts = np.concatenate([slot, width + slot]).astype(code_type)
         self._slot_counts = np.bincount(slot, minlength=widest).tolist()
         self._unsort = np.argsort(order)
-        self._offsets = np.array(offsets[:-1], dtype=np.int64)[:, None]
+        self._offsets = np.array(offsets[:-1], dtype=np.int64)
         self.key_space = offsets[-1]
+        # Cluster-local layout: the members behind each code bit, and
+        # where each cluster's subset ids begin (see subset_ids).
+        self.widest = widest
+        self._sizes = sizes.astype(np.int64)
+        self._members = members
+        subset_offsets = np.zeros(len(member_lists) + 1, dtype=np.int64)
+        np.cumsum(np.left_shift(1, self._sizes) - 1, out=subset_offsets[1:])
+        self._subset_offsets = subset_offsets[:-1]
+        self.subset_space = int(subset_offsets[-1]) + 1
 
     @property
     def n_clusters(self) -> int:
@@ -290,7 +307,77 @@ class RestrictionTable:
             codes[:count] += provider_bits[position:end]
             codes[:count] += silent_bits[position:end]
             position = end
-        return codes[self._unsort].astype(np.int64) + self._offsets
+        return codes[self._unsort].astype(np.int64) + self._offsets[:, None]
+
+    def unique_keys(
+        self, provider_matrix: np.ndarray, silent_matrix: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct restriction keys, ascending, and where each one lands.
+
+        Returns ``(keys, inverse)``: ``inverse[c, p]`` is the position in
+        ``keys`` of pattern ``p``'s restriction to cluster ``c`` (coded
+        only).
+        """
+        keys = self.keys(provider_matrix, silent_matrix)
+        distinct, inverse = unique_codes(keys.reshape(-1), self.key_space)
+        return distinct, inverse.reshape(keys.shape)
+
+    def decode(
+        self, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cluster, provider code, silent code)`` of each key (coded only).
+
+        The codes are cluster-local: bit ``j`` stands for the cluster's
+        ``j``-th smallest member.
+        """
+        cluster = np.searchsorted(self._offsets, keys, side="right") - 1
+        local = keys - self._offsets[cluster]
+        width = self._sizes[cluster]
+        return cluster, local & (np.left_shift(1, width) - 1), local >> width
+
+    def subset_ids(self, cluster: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Ids of cluster-local subset codes (coded only).
+
+        The non-empty subsets of cluster ``c`` take the ids after the
+        ``2^k - 1`` of each earlier cluster, in code order, and the empty
+        subset of every cluster is id 0, so equal sets share an id there
+        too.
+        """
+        return np.where(codes > 0, codes + self._subset_offsets[cluster], 0)
+
+    def subset_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Boolean ``(len(ids), n_sources)`` member rows of subset ids."""
+        cluster = np.maximum(
+            np.searchsorted(self._subset_offsets, ids, side="left") - 1, 0
+        )
+        codes = ids - self._subset_offsets[cluster]
+        row, slot = np.nonzero(
+            np.right_shift.outer(codes, np.arange(self.widest)) & 1
+        )
+        rows = np.zeros((ids.shape[0], self.n_sources), dtype=bool)
+        rows[row, self._members[cluster[row], slot]] = True
+        return rows
+
+
+def unique_codes(
+    codes: np.ndarray, space: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of 1-D integer ``codes`` in ``range(space)``.
+
+    Returns ``(distinct, inverse)``: the distinct codes, ascending, as
+    ``int64``, and each input code's position among them.  Spaces up to
+    :data:`DENSE_KEY_SPACE` are deduplicated through a dense presence
+    table indexed by code, larger ones with one ``np.unique`` sort.
+    """
+    if space <= DENSE_KEY_SPACE:
+        seen = np.zeros(space, dtype=bool)
+        seen[codes] = True
+        distinct = np.flatnonzero(seen)
+        rank = np.empty(space, dtype=np.intp)
+        rank[distinct] = np.arange(distinct.size)
+        return distinct.astype(np.int64, copy=False), rank[codes]
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    return distinct, inverse.reshape(-1)
 
 
 #: A coded restriction's distinct keys, ascending, and each key's row in
@@ -421,20 +508,10 @@ def _coded_unique_rows(
     their rows.
     """
     n_patterns = provider_matrix.shape[0]
-    keys = table.keys(provider_matrix, silent_matrix).reshape(-1)
-    if table.key_space <= DENSE_KEY_SPACE:
-        slot_of = np.full(table.key_space, -1, dtype=np.intp)
-        slot_of[keys] = np.arange(keys.size, dtype=np.intp)
-        seen = slot_of >= 0
-        key_rank = np.cumsum(seen, dtype=np.intp) - 1
-        key_inverse = key_rank[keys]
-        representative = slot_of[seen]
-        distinct = np.flatnonzero(seen).astype(np.int64, copy=False)
-    else:
-        distinct, representative, key_inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        key_inverse = key_inverse.reshape(-1)
+    distinct, key_inverse = table.unique_keys(provider_matrix, silent_matrix)
+    key_inverse = key_inverse.reshape(-1)
+    representative = np.empty(distinct.size, dtype=np.intp)
+    representative[key_inverse] = np.arange(key_inverse.size)
     cluster_of, pattern_of = np.divmod(representative, n_patterns)
     words = packed_pattern_rows(
         provider_matrix[pattern_of], silent_matrix[pattern_of]

@@ -22,9 +22,14 @@ are joint-model look-ups ``r_{S}`` / ``q_{S}`` over subset unions
 
 This module holds the pipeline; :mod:`repro.core.exact` and
 :mod:`repro.core.elastic` wrap it behind ``pattern_likelihoods_batch`` /
-``pattern_mu_batch``, and :mod:`repro.core.clustering` drives those batch
-entry points once per evaluator, over the sub-patterns of all the clusters
-that evaluator serves.
+``pattern_mu_batch``.  :mod:`repro.core.clustering` drives the elastic
+entry point once per oversized cluster, and scores its small clusters
+without a union plan: :meth:`CompiledExactPlan.from_codes` collects their
+terms straight from the integer restriction codes of
+:class:`~repro.core.patterns.RestrictionTable` -- the same terms in the
+same order as :meth:`ExactUnionPlan.build` over the decoded sub-patterns,
+and a union's joint value does not depend on the rest of the batch, so
+the sums are bit-identical -- and the same ``accumulate`` adds them up.
 
 Compile-once, execute-many
 --------------------------
@@ -66,7 +71,12 @@ from repro.core.locktrace import make_lock
 import numpy as np
 
 from repro.core.bitset import pack_bool_rows, unpack_bool_rows
-from repro.core.patterns import packed_pattern_rows, unique_rows
+from repro.core.patterns import (
+    RestrictionTable,
+    packed_pattern_rows,
+    unique_codes,
+    unique_rows,
+)
 from repro.util.probability import PROBABILITY_FLOOR
 from repro.util.subsets import iter_subsets_of_size, subset_parity
 
@@ -86,7 +96,10 @@ class SubsetTable(NamedTuple):
     are the subsets of size ``s``.  Each non-empty subset is its
     ``parents`` row (itself without its largest member, one size down)
     plus member ``lasts``, so a plan builds every size's unions from the
-    size below in one vectorized step.
+    size below in one vectorized step.  A table of *all* the subsets
+    (``max_size == n_items``) also holds each one as an ``int64``
+    bitmask, from which a coded plan builds a group's unions in one
+    product; such a table over more than 62 items would not fit memory.
     """
 
     #: ``(n_subsets,)`` row of each subset minus its largest member.
@@ -97,6 +110,9 @@ class SubsetTable(NamedTuple):
     size_starts: np.ndarray
     #: ``(n_subsets,)`` inclusion-exclusion signs ``(-1)^{|subset|}``.
     signs: np.ndarray
+    #: ``(n_subsets,)`` ``int64`` bitmask of each subset (bit ``j``: item
+    #: ``j``) in a table of all subsets; empty in a size-capped table.
+    masks: np.ndarray
 
     @property
     def n_subsets(self) -> int:
@@ -130,6 +146,7 @@ def subset_table(n_items: int, max_size: Optional[int] = None) -> SubsetTable:
     if table is None:
         parents = [0]
         lasts = [0]
+        masks = [0]
         counts = [1]
         previous: dict[tuple[int, ...], int] = {(): 0}
         for size in range(1, cap + 1):
@@ -138,6 +155,7 @@ def subset_table(n_items: int, max_size: Optional[int] = None) -> SubsetTable:
                 current[subset] = len(parents)
                 parents.append(previous[subset[:-1]])
                 lasts.append(subset[-1])
+                masks.append(masks[parents[-1]] | 1 << subset[-1])
             counts.append(len(current))
             previous = current
         size_starts = np.zeros(cap + 2, dtype=np.intp)
@@ -152,6 +170,7 @@ def subset_table(n_items: int, max_size: Optional[int] = None) -> SubsetTable:
             np.array(lasts, dtype=np.intp),
             size_starts,
             signs,
+            np.array(masks if cap == n_items else [], dtype=np.int64),
         )
         for array in table:
             array.setflags(write=False)
@@ -166,9 +185,13 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
+#: Patterns of one silent-set size: ``(indices, silent ids, subset table)``.
+_SizeGroup = tuple[np.ndarray, np.ndarray, SubsetTable]
+
+
 def _size_groups(
     silent_matrix: np.ndarray, max_size: Optional[int]
-) -> list[tuple[np.ndarray, np.ndarray, SubsetTable]]:
+) -> list[_SizeGroup]:
     """Patterns grouped by silent-set size: ``(indices, silent ids, table)``.
 
     ``silent ids[i]`` lists pattern ``indices[i]``'s silent sources in
@@ -181,7 +204,7 @@ def _size_groups(
     ids = np.nonzero(silent_matrix[order])[1]
     changes = (np.flatnonzero(np.diff(sorted_sizes)) + 1).tolist()
     bounds = [0, *changes, len(order)]
-    groups: list[tuple[np.ndarray, np.ndarray, SubsetTable]] = []
+    groups: list[_SizeGroup] = []
     offset = 0
     for begin, end in zip(bounds[:-1], bounds[1:]):
         if begin == end:
@@ -203,7 +226,7 @@ def _enumerate_unions(
     provider_matrix: np.ndarray,
     silent_matrix: np.ndarray,
     max_size: Optional[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[_SizeGroup], np.ndarray]:
     """Every pattern's subset unions, deduplicated in first-sighting order.
 
     Pattern ``k``'s terms are its providers joined with each subset of its
@@ -213,8 +236,9 @@ def _enumerate_unions(
     its parent's union plus one source bit), and one :func:`unique_rows`
     sort over all terms deduplicates them; the distinct rows are then
     renumbered by first occurrence.  Returns
-    ``(rows, term_index, starts)``: the distinct boolean union rows, each
-    term's row, and each pattern's first term.
+    ``(rows, term_index, groups, lengths)``: the distinct boolean union
+    rows, each term's row, the silent-size groups (silent ids are source
+    ids) and each pattern's term count, which the compile step reuses.
     """
     n_patterns, n_sources = provider_matrix.shape
     # Unions only set columns that some pattern provides or leaves silent
@@ -227,13 +251,16 @@ def _enumerate_unions(
     lengths = np.zeros(n_patterns, dtype=np.intp)
     for indices, _, table in groups:
         lengths[indices] = table.n_subsets
+    source_groups = [
+        (indices, columns[ids], table) for indices, ids, table in groups
+    ]
     starts = _starts(lengths)
     base = pack_bool_rows(provider_matrix[:, columns])
     n_words = base.shape[1]
     words = np.empty((int(lengths.sum()), n_words), dtype=np.uint64)
     if not words.shape[0]:
         no_rows = np.zeros((0, n_sources), dtype=bool)
-        return no_rows, np.zeros(0, dtype=np.intp), starts
+        return no_rows, np.zeros(0, dtype=np.intp), source_groups, lengths
     for indices, ids, table in groups:
         n_group, size = ids.shape
         unions = np.empty((n_group, table.n_subsets, n_words), dtype=np.uint64)
@@ -258,7 +285,7 @@ def _enumerate_unions(
     rank[sighting] = np.arange(sighting.size)
     rows = np.zeros((sighting.size, n_sources), dtype=bool)
     rows[:, columns] = unpack_bool_rows(words[first[sighting]], columns.size)
-    return rows, rank[inverse], starts
+    return rows, rank[inverse], source_groups, lengths
 
 
 class ExactUnionPlan:
@@ -272,17 +299,21 @@ class ExactUnionPlan:
     ``PROBABILITY_FLOOR``.
     """
 
-    __slots__ = ("rows", "silent_matrix", "term_index")
+    __slots__ = ("rows", "silent_matrix", "term_index", "groups", "lengths")
 
     def __init__(
         self,
         rows: np.ndarray,
         silent_matrix: np.ndarray,
         term_index: np.ndarray,
+        groups: list[_SizeGroup],
+        lengths: np.ndarray,
     ) -> None:
         self.rows = rows
         self.silent_matrix = silent_matrix
         self.term_index = term_index
+        self.groups = groups
+        self.lengths = lengths
 
     @classmethod
     def build(
@@ -308,10 +339,10 @@ class ExactUnionPlan:
             distinct, first = np.unique(sizes, return_index=True)
             for size in distinct[np.argsort(first)].tolist():
                 width_check(size)
-        rows, term_index, _ = _enumerate_unions(
+        rows, term_index, groups, lengths = _enumerate_unions(
             provider_matrix, silent_matrix, None
         )
-        return cls(rows, silent_matrix, term_index)
+        return cls(rows, silent_matrix, term_index, groups, lengths)
 
     def compile(self) -> "CompiledExactPlan":
         """Freeze this plan into flat numpy arrays (see module docstring)."""
@@ -328,7 +359,10 @@ class ElasticUnionPlan:
     level) over the batch-evaluated values.
     """
 
-    __slots__ = ("rows", "silent_matrix", "base_index", "term_index", "level")
+    __slots__ = (
+        "rows", "silent_matrix", "base_index", "term_index", "level",
+        "groups", "lengths",
+    )
 
     def __init__(
         self,
@@ -337,12 +371,16 @@ class ElasticUnionPlan:
         base_index: np.ndarray,
         term_index: np.ndarray,
         level: int,
+        groups: list[_SizeGroup],
+        lengths: np.ndarray,
     ) -> None:
         self.rows = rows
         self.silent_matrix = silent_matrix
         self.base_index = base_index
         self.term_index = term_index
         self.level = level
+        self.groups = groups
+        self.lengths = lengths
 
     @classmethod
     def build(
@@ -360,12 +398,16 @@ class ElasticUnionPlan:
         """
         provider_matrix = np.asarray(provider_matrix, dtype=bool)
         silent_matrix = np.asarray(silent_matrix, dtype=bool)
-        rows, index, starts = _enumerate_unions(
+        rows, index, groups, lengths = _enumerate_unions(
             provider_matrix, silent_matrix, level
         )
+        starts = _starts(lengths)
         swap_in = np.ones(index.shape[0], dtype=bool)
         swap_in[starts] = False
-        return cls(rows, silent_matrix, index[starts], index[swap_in], level)
+        return cls(
+            rows, silent_matrix, index[starts], index[swap_in], level,
+            groups, lengths,
+        )
 
     def compile(
         self, eff_recall: Mapping[int, float], eff_fpr: Mapping[int, float]
@@ -450,23 +492,88 @@ class CompiledExactPlan:
 
     @classmethod
     def from_plan(cls, plan: ExactUnionPlan) -> "CompiledExactPlan":
-        groups = _size_groups(plan.silent_matrix, None)
-        lengths = np.zeros(plan.silent_matrix.shape[0], dtype=np.int64)
-        for indices, _, table in groups:
-            lengths[indices] = table.n_subsets
-        order, step_counts, positions, _ = _column_major_layout(lengths)
         # Row-major signs: each silent-size group's table signs, per pattern.
-        signs = np.empty(int(lengths.sum()), dtype=float)
-        starts = _starts(lengths)
-        for indices, _, table in groups:
+        signs = np.empty(int(plan.lengths.sum()), dtype=float)
+        starts = _starts(plan.lengths)
+        for indices, _, table in plan.groups:
             signs[starts[indices, None] + np.arange(table.n_subsets)] = (
                 table.signs
             )
+        return cls._laid_out(plan.rows, plan.lengths, plan.term_index, signs)
+
+    @classmethod
+    def from_codes(
+        cls, table: RestrictionTable, keys: np.ndarray
+    ) -> "CompiledExactPlan":
+        """The exact plan of coded restrictions, one pattern per key.
+
+        ``keys`` are distinct :meth:`RestrictionTable.keys` of a coded
+        table (the clustered fuser's exact group).  Each decodes to a
+        cluster and cluster-local provider and silent codes; its terms
+        are ``provider | subset`` over the silent code's subsets in
+        ``iter_subsets`` order -- per silent-set size, one product of the
+        silent bits with the subset table's membership bits -- each named
+        by its subset id (:meth:`RestrictionTable.subset_ids`).  One
+        :func:`~repro.core.patterns.unique_codes` pass deduplicates
+        the ids, and ``rows`` holds the touched unions in id order.  The
+        terms and their order are those :meth:`ExactUnionPlan.build` finds
+        for the decoded boolean patterns, and a union's joint value does
+        not depend on the rest of the batch, so ``accumulate`` gives the
+        same bits.
+        """
+        cluster, providers, silents = table.decode(keys)
+        silent_bits = np.right_shift.outer(silents, np.arange(table.widest))
+        # Largest silent sets first: the step-major layout's own order, so
+        # the terms are built in the order the sweep reads them.
+        groups = _size_groups((silent_bits & 1).astype(bool), None)[::-1]
+        patterns = np.concatenate(
+            [indices for indices, _, _ in groups] or [np.zeros(0, np.intp)]
+        )
+        lengths = np.repeat(
+            [subsets.n_subsets for _, _, subsets in groups],
+            [indices.shape[0] for indices, _, _ in groups],
+        ).astype(np.intp)
+        local = np.empty(int(lengths.sum()), dtype=np.int64)
+        signs = np.empty(local.shape[0], dtype=float)
+        begin = 0
+        for indices, ids, subsets in groups:
+            end = begin + indices.shape[0] * subsets.n_subsets
+            shape = (indices.shape[0], subsets.n_subsets)
+            members = (
+                np.right_shift.outer(subsets.masks, np.arange(ids.shape[1])).T
+                & 1
+            )
+            unions = local[begin:end].reshape(shape)
+            np.matmul(np.left_shift(1, ids), members, out=unions)
+            unions += providers[indices, None]
+            signs[begin:end].reshape(shape)[...] = subsets.signs
+            begin = end
+        terms = table.subset_ids(np.repeat(cluster[patterns], lengths), local)
+        touched, term_index = unique_codes(terms, table.subset_space)
+        return cls._laid_out(
+            table.subset_rows(touched), lengths, term_index, signs, patterns
+        )
+
+    @classmethod
+    def _laid_out(
+        cls,
+        rows: np.ndarray,
+        lengths: np.ndarray,
+        term_index: np.ndarray,
+        signs: np.ndarray,
+        patterns: Optional[np.ndarray] = None,
+    ) -> "CompiledExactPlan":
+        """Step-major arrays of row-major terms, ``lengths[i]`` per run.
+
+        Run ``i`` holds the terms of pattern ``patterns[i]`` (of pattern
+        ``i`` when ``None``).
+        """
+        order, step_counts, positions, _ = _column_major_layout(lengths)
         return cls(
-            rows=plan.rows,
+            rows=rows,
             n_patterns=lengths.shape[0],
-            order=order,
-            term_gather=np.asarray(plan.term_index, dtype=np.int64)[positions],
+            order=order if patterns is None else patterns[order],
+            term_gather=np.asarray(term_index, dtype=np.int64)[positions],
             term_signs=signs[positions],
             step_counts=step_counts,
         )
@@ -580,10 +687,9 @@ class CompiledElasticPlan:
         level = plan.level
         recall_of = _dense_factors(eff_recall, silent)
         fpr_of = _dense_factors(eff_fpr, silent)
-        groups = _size_groups(silent, level)
-        lengths = np.zeros(n_patterns, dtype=np.int64)
-        for indices, _, table in groups:
-            lengths[indices] = table.n_subsets - 1
+        groups = plan.groups
+        # Swap-in terms only: every subset but the empty one.
+        lengths = plan.lengths - 1
         order, step_counts, positions, lanes = _column_major_layout(lengths)
 
         # Level-0 factors: row j lists sorted pattern j's silent sources.

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -211,21 +211,32 @@ class TestClusteredFuser:
             atol=1e-9,
         )
 
-    def test_small_clusters_share_one_exact_evaluator(self):
-        # Regression: one identical full-model ExactCorrelationFuser used to
-        # be built per small cluster, duplicating its caches per cluster.
+    def test_small_clusters_share_one_exact_group(self, monkeypatch):
+        # Every small cluster of both sides is scored in one exact group,
+        # straight from its restriction codes: no per-cluster evaluator
+        # and no ExactCorrelationFuser at all.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the clustered fuser built an exact fuser")
+
+        monkeypatch.setattr(ExactCorrelationFuser, "__init__", refuse)
         dataset = correlated_dataset()
         model = fit_model(dataset.observations, dataset.labels)
         fuser = ClusteredCorrelationFuser(model, min_phi=0.25)
-        exact_evaluators = [
-            e
-            for e in fuser._true_evaluators + fuser._false_evaluators
-            if isinstance(e, ExactCorrelationFuser)
+        exact_groups = [
+            clusters
+            for evaluator, clusters, _ in fuser._evaluator_groups
+            if evaluator is None
         ]
-        assert len(exact_evaluators) >= 2
-        assert len({id(e) for e in exact_evaluators}) == 1
-        # Sharing must not change scores: the evaluator is a pure function
-        # of the full model.  Compare against the per-triple reference walk.
+        assert len(exact_groups) == 1 and len(exact_groups[0]) >= 2
+        assert set(exact_groups[0]) == {
+            cluster
+            for cluster in fuser.true_partition.clusters
+            + fuser.false_partition.clusters
+            if len(cluster) <= 12
+        }
+        # Grouping must not change scores: each restriction's value is a
+        # pure function of the full model.  Compare against the
+        # per-triple reference walk.
         np.testing.assert_array_equal(
             fuser.score(dataset.observations),
             reference.triple_scores(
@@ -247,8 +258,10 @@ class TestClusteredFuser:
             exact_cluster_limit=2,  # the full cluster routes to elastic
             max_plan_cache_entries=7,
         )
-        for evaluator in fuser._true_evaluators + fuser._false_evaluators:
-            assert evaluator.plan_cache.max_entries == 7
+        evaluators = list(fuser.elastic_evaluators().values())
+        assert len(evaluators) == 1
+        for cache_owner in [fuser, *evaluators]:
+            assert cache_owner.plan_cache.max_entries == 7
 
     def test_batched_scoring_with_differing_partitions_is_bit_identical(self):
         # True-side and false-side partitions that disagree: the numerator
@@ -285,18 +298,31 @@ def _random_partition(rng, sources):
     return clusters
 
 
-def _per_cluster_mu(fuser, patterns):
+def _per_cluster_mu(model, patterns, true_partition, false_partition,
+                    exact_cluster_limit, elastic_level=3):
     """Reference ``mu``: one evaluator call per cluster and side.
 
     Restricts the global patterns to each cluster on its own, dedups them
     with ``np.unique``, evaluates them with one ``pattern_likelihoods_batch``
-    call, and adds the per-cluster ``math.log`` terms in partition order.
+    call of an independent evaluator -- an :class:`ExactCorrelationFuser`
+    over the model up to ``exact_cluster_limit`` sources, an elastic one
+    over the cluster beyond -- and adds the per-cluster ``math.log`` terms
+    in partition order.
     """
     sources = np.arange(patterns.n_sources)
+    exact = ExactCorrelationFuser(model)
 
-    def side_logs(partition, evaluators, side):
+    def evaluator_of(cluster):
+        if len(cluster) <= exact_cluster_limit:
+            return exact
+        return ElasticFuser(
+            model, level=elastic_level, universe=sorted(cluster)
+        )
+
+    def side_logs(partition, side):
         total = np.zeros(patterns.n_patterns)
-        for cluster, evaluator in zip(partition.clusters, evaluators):
+        for cluster in partition.clusters:
+            evaluator = evaluator_of(cluster)
             mask = np.isin(sources, sorted(cluster))
             sub_providers = patterns.provider_matrix & mask
             sub_silent = patterns.silent_matrix & mask
@@ -313,8 +339,8 @@ def _per_cluster_mu(fuser, patterns):
             total += logs[inverse.reshape(-1)]
         return total
 
-    numerator = side_logs(fuser.true_partition, fuser._true_evaluators, 0)
-    denominator = side_logs(fuser.false_partition, fuser._false_evaluators, 1)
+    numerator = side_logs(true_partition, 0)
+    denominator = side_logs(false_partition, 1)
     return np.array([math.exp(v) for v in (numerator - denominator).tolist()])
 
 
@@ -363,16 +389,13 @@ class TestEvaluatorGroupedScoring:
             exact_cluster_limit=exact_cluster_limit,
         )
         fuser = ClusteredCorrelationFuser(model, **kwargs)
-        # A second instance, so the per-cluster walk shares no cache with
-        # the stacked batch it is compared against.
-        per_cluster = ClusteredCorrelationFuser(model, **kwargs)
         if exact_cluster_limit == 2:
             assert any(
                 isinstance(e, ElasticFuser) for e in fuser._true_evaluators
             )
         patterns = observations.patterns()
         mu = fuser.pattern_mu_batch(patterns)
-        assert np.array_equal(mu, _per_cluster_mu(per_cluster, patterns))
+        assert np.array_equal(mu, _per_cluster_mu(model, patterns, **kwargs))
         np.testing.assert_array_equal(
             fuser.score(observations),
             reference.triple_scores(
@@ -424,10 +447,148 @@ class TestEvaluatorGroupedScoring:
             session.score(dataset.observations)
         finally:
             session.close()
-        assert builds["exact"] == 1
+        # The exact group is scored from its restriction codes, without a
+        # union plan; each elastic evaluator builds at most one.
+        assert builds["exact"] == 0
         assert builds["elastic"] <= n_elastic
         if exact_cluster_limit == 2:
             assert n_elastic >= 1 and builds["elastic"] >= 1
+
+
+def _cut(rng, n_sources, limit):
+    """``range(n_sources)`` shuffled and cut into clusters of 1 to
+    ``limit + 1`` sources, the first of exactly ``limit``."""
+    order = rng.permutation(n_sources).tolist()
+    clusters = [frozenset(order[:limit])]
+    order = order[limit:]
+    while order:
+        size = int(rng.integers(1, limit + 2))
+        clusters.append(frozenset(order[:size]))
+        order = order[size:]
+    return SourcePartition(tuple(clusters))
+
+
+class TestExactGroup:
+    """Small clusters, scored straight from their restriction codes."""
+
+    def test_limit_must_keep_the_exact_group_coded(self, figure1_model):
+        n_sources = 70
+        rng = np.random.default_rng(0)
+        matrix = ObservationMatrix(
+            rng.random((n_sources, 40)) < 0.4,
+            [f"s{i}" for i in range(n_sources)],
+        )
+        model = fit_model(matrix, rng.random(40) < 0.5)
+
+        def widest_group(width):
+            # Full-width clusters on both sides, one source apart, so no
+            # cluster is shared: the widest key range the limit allows.
+            def partition(shift):
+                order = np.roll(np.arange(n_sources), -shift).tolist()
+                return SourcePartition(
+                    tuple(
+                        frozenset(order[start : start + width])
+                        for start in range(0, n_sources, width)
+                    )
+                )
+
+            return dict(
+                true_partition=partition(0),
+                false_partition=partition(1),
+                exact_cluster_limit=width,
+            )
+
+        fuser = ClusteredCorrelationFuser(model, **widest_group(30))
+        (table,) = [
+            table
+            for evaluator, _, table in fuser._evaluator_groups
+            if evaluator is None
+        ]
+        assert table.coded and table.n_clusters == 6
+        for limit in (31, 32, 1000):
+            with pytest.raises(
+                ValueError,
+                match="exact_cluster_limit must be at most 30 for 70 sources",
+            ):
+                ClusteredCorrelationFuser(model, **widest_group(limit))
+        # A limit past the model's width binds nothing: figure 1 has five
+        # sources.
+        ClusteredCorrelationFuser(figure1_model, exact_cluster_limit=1000)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_triples=st.sampled_from([63, 64, 65]),
+        partial=st.booleans(),
+        limit=st.integers(1, 4),
+    )
+    def test_scores_and_seeded_logs_match_the_oracles(
+        self, seed, n_triples, partial, limit
+    ):
+        rng = np.random.default_rng(seed)
+        n_sources = 9
+        provides = rng.random((n_sources, n_triples)) < 0.4
+        coverage = (
+            provides | (rng.random(provides.shape) < 0.6) if partial else None
+        )
+        matrix = ObservationMatrix(
+            provides, [f"s{i}" for i in range(n_sources)], coverage=coverage
+        )
+        model = fit_model(matrix, rng.random(n_triples) < 0.5)
+        # Differing partitions, so the exact group holds overlapping
+        # clusters; each has a cluster of exactly the limit, and clusters
+        # one wider go elastic.
+        kwargs = dict(
+            true_partition=_cut(rng, n_sources, limit),
+            false_partition=_cut(rng, n_sources, limit),
+            exact_cluster_limit=limit,
+            elastic_level=1,
+        )
+        assume(kwargs["true_partition"] != kwargs["false_partition"])
+        fuser = ClusteredCorrelationFuser(model, **kwargs)
+        np.testing.assert_array_equal(
+            fuser.score(matrix),
+            reference.triple_scores(matrix, model, "clustered", **kwargs),
+        )
+
+        # A delta-serving fuser's seeded log tables hold, key by key, the
+        # memo-less fuser's logs, and those of an independent evaluator.
+        seeded = ClusteredCorrelationFuser(model, **kwargs)
+        seeded.enable_delta_memo()
+        patterns = matrix.patterns()
+        seeded.pattern_mu_batch(patterns)
+        exact = ExactCorrelationFuser(model)
+        for index, (evaluator, clusters, table) in enumerate(
+            fuser._evaluator_groups
+        ):
+            known, known_true, known_false = seeded.log_tables[index]
+            keys = table.keys(patterns.provider_matrix, patterns.silent_matrix)
+            assert np.array_equal(known, np.unique(keys))
+            (logs_true, logs_false), inverse = fuser._evaluate_clusters(
+                index, patterns
+            )
+            for cluster, cluster_keys in zip(clusters, keys):
+                position = np.searchsorted(known, cluster_keys)
+                got = (known_true[position], known_false[position])
+                assert np.array_equal(got[0], logs_true[inverse[cluster]])
+                assert np.array_equal(got[1], logs_false[inverse[cluster]])
+                oracle = exact if evaluator is None else ElasticFuser(
+                    model, level=1, universe=sorted(cluster)
+                )
+                mask = np.isin(np.arange(n_sources), sorted(cluster))
+                likelihoods = oracle.pattern_likelihoods_batch(
+                    patterns.provider_matrix & mask,
+                    patterns.silent_matrix & mask,
+                )
+                for side, values in enumerate(likelihoods):
+                    assert got[side].tolist() == [
+                        math.log(max(value, PROBABILITY_FLOOR))
+                        for value in values.tolist()
+                    ]
 
 
 class TestRestrictionTables:

@@ -40,7 +40,6 @@ from hypothesis import strategies as st
 from repro.core import (
     ClusteredCorrelationFuser,
     DeltaScorer,
-    ExactCorrelationFuser,
     ObservationMatrix,
     PatternValueMemo,
     ScoringSession,
@@ -50,7 +49,8 @@ from repro.core import (
 )
 from repro.core import clustering, deltas, plans
 from repro.core.bitset import PackedMatrix
-from repro.core.patterns import CODE_MAX_MEMBERS
+from repro.core.elastic import ElasticFuser
+from repro.core.patterns import CODE_MAX_MEMBERS, RestrictionTable
 from repro.data import (
     CorrelationGroup,
     SyntheticConfig,
@@ -586,7 +586,7 @@ def _evaluator_memo_stats(session):
     assert tables and all(keys for keys, _, _ in tables)
     return tables + [
         evaluator.delta_memo.stats
-        for evaluator in fuser._distinct_evaluators()
+        for evaluator in fuser.elastic_evaluators().values()
         if evaluator.delta_memo is not None
     ]
 
@@ -938,24 +938,34 @@ class TestClusteredLogTable:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            clustering, "restricted_unique_patterns",
-            spy("restrict", clustering.restricted_unique_patterns),
-        )
-        monkeypatch.setattr(
-            ExactCorrelationFuser, "pattern_likelihoods_batch",
-            spy("evaluate", ExactCorrelationFuser.pattern_likelihoods_batch),
-        )
-        monkeypatch.setattr(
-            ClusteredCorrelationFuser, "pattern_mu_batch",
-            spy("mu", ClusteredCorrelationFuser.pattern_mu_batch),
-        )
+        # The restriction passes (the exact group's key dedup, an elastic
+        # group's sub-pattern table) and the evaluations (the exact group's
+        # code plan, an elastic evaluator's batch).
+        for owner, name, kind in (
+            (clustering, "restricted_unique_patterns", "restrict"),
+            (RestrictionTable, "unique_keys", "restrict"),
+            (ClusteredCorrelationFuser, "_exact_logs", "evaluate"),
+            (ElasticFuser, "pattern_likelihoods_batch", "evaluate"),
+            (ClusteredCorrelationFuser, "pattern_mu_batch", "mu"),
+        ):
+            monkeypatch.setattr(owner, name, spy(kind, getattr(owner, name)))
         before = _table_entries(fuser)
         scores = session.score(step)
         assert calls == ["mu"]
         assert _table_entries(fuser) == before
+        # The spies do see a restriction the table lacks: a source that
+        # stops covering a triple of this fully covered stream.
+        coverage = step.coverage.copy()
+        source, triple = np.argwhere(~step.provides)[0]
+        coverage[source, triple] = False
+        novel = ObservationMatrix(
+            step.provides, step.source_names, coverage=coverage
+        )
+        novel_scores = session.score(novel)
+        assert {"restrict", "evaluate"} <= set(calls[1:])
         monkeypatch.undo()
         assert np.array_equal(scores, twin.score(step))
+        assert np.array_equal(novel_scores, twin.score(novel))
         session.close()
         twin.close()
 

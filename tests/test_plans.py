@@ -25,7 +25,12 @@ from repro.core import (
     fit_model,
     restricted_unique_patterns,
 )
-from repro.core.plans import _column_major_layout, subset_table
+from repro.core.patterns import RestrictionTable
+from repro.core.plans import (
+    CompiledExactPlan,
+    _column_major_layout,
+    subset_table,
+)
 from repro.data import SyntheticConfig, generate, uniform_sources
 from repro.util.subsets import iter_subsets
 
@@ -318,6 +323,12 @@ class TestArrayPlansMatchOracle:
                 assert table.signs.tolist() == [
                     (-1.0) ** len(s) for s in want
                 ]
+                if max_size >= n_items:
+                    assert table.masks.tolist() == [
+                        sum(1 << item for item in s) for s in want
+                    ]
+                else:
+                    assert table.masks.size == 0
         assert subset_table(4) is subset_table(4, 9)
 
     @given(lengths=st.lists(st.integers(0, 9), max_size=30))
@@ -334,6 +345,88 @@ class TestArrayPlansMatchOracle:
         plan = ElasticUnionPlan.build(provider, silent, 1)
         with pytest.raises(KeyError):
             plan.compile({1: 0.5}, {1: 0.5, 3: 0.5})
+
+
+@st.composite
+def coded_cases(draw):
+    """Clusters (possibly overlapping, like a true and a false partition
+    in one exact group) over up to 9 sources, and random patterns."""
+    n_sources = draw(st.integers(1, 9))
+    clusters = draw(
+        st.lists(
+            st.lists(
+                st.integers(0, n_sources - 1),
+                min_size=1, max_size=n_sources, unique=True,
+            ),
+            min_size=1, max_size=5,
+        )
+    )
+    n_patterns = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    provider = rng.random((n_patterns, n_sources)) < draw(
+        st.sampled_from([0.1, 0.4])
+    )
+    silent = (
+        rng.random((n_patterns, n_sources))
+        < draw(st.sampled_from([0.3, 0.9]))
+    ) & ~provider
+    return clusters, provider, silent
+
+
+def _terms_by_pattern(plan):
+    """Each pattern's ``(union row, sign)`` terms, in summation order."""
+    terms = [[] for _ in range(plan.n_patterns)]
+    position = 0
+    for active in plan.step_counts.tolist():
+        for lane in range(active):
+            row = plan.rows[plan.term_gather[position]]
+            terms[plan.order[lane]].append(
+                (np.flatnonzero(row).tolist(), plan.term_signs[position])
+            )
+            position += 1
+    return terms
+
+
+class TestCodedExactPlans:
+    """``CompiledExactPlan.from_codes`` against ``ExactUnionPlan``."""
+
+    @given(case=coded_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_code_plan_has_the_union_plans_terms(self, case):
+        clusters, provider, silent = case
+        n_patterns, n_sources = provider.shape
+        table = RestrictionTable(clusters, n_sources)
+        keys, inverse = table.unique_keys(provider, silent)
+        assert np.array_equal(keys, np.unique(keys[inverse]))
+        # The decoded boolean sub-pattern of every distinct key.
+        cluster_of = np.empty(keys.size, dtype=np.intp)
+        pattern_of = np.empty(keys.size, dtype=np.intp)
+        cluster_of[inverse] = np.arange(len(clusters))[:, None]
+        pattern_of[inverse] = np.arange(n_patterns)[None, :]
+        masks = table.masks[cluster_of]
+        sub_providers = provider[pattern_of] & masks
+        sub_silent = silent[pattern_of] & masks
+        coded = CompiledExactPlan.from_codes(table, keys)
+        oracle = ExactUnionPlan.build(sub_providers, sub_silent).compile()
+        assert coded.n_patterns == keys.size
+        assert _terms_by_pattern(coded) == _terms_by_pattern(oracle)
+        # Each union once per cluster; the empty set once in all.
+        ids = [np.flatnonzero(row).tolist() for row in coded.rows]
+        assert ids.count([]) <= 1
+        if n_patterns:
+            dataset = _dataset(seed=n_patterns, n_sources=n_sources)
+            model = fit_model(dataset.observations, dataset.labels)
+            got = coded.accumulate(*model.joint_params_batch(coded.rows))
+            want = oracle.accumulate(*model.joint_params_batch(oracle.rows))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_no_keys_make_an_empty_plan(self):
+        table = RestrictionTable([[0, 1], [2]], 3)
+        coded = CompiledExactPlan.from_codes(table, np.zeros(0, np.int64))
+        assert coded.rows.shape == (0, 3)
+        numerators, denominators = coded.accumulate(np.zeros(0), np.zeros(0))
+        assert numerators.shape == denominators.shape == (0,)
 
 
 def _model(kind, dataset):
