@@ -101,20 +101,25 @@ _RowSelection = Union[slice, np.ndarray]
 def _log_pair(
     likelihoods: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(logs_true, logs_false)``: one ``math.log`` walk over both sides.
+    """``(logs_true, logs_false)``: one ``math.log`` map over both sides.
 
     Each value is floored at ``PROBABILITY_FLOOR`` first, as the
-    per-pattern walk in ``tests/reference.py`` does.
+    per-pattern walk in ``tests/reference.py`` does.  ``math.log``, not
+    ``np.log``, whose SIMD kernels may round differently.
     """
-    logs = np.array(
-        [
-            math.log(max(value, PROBABILITY_FLOOR))
-            for value in np.concatenate(likelihoods).tolist()
-        ],
-        dtype=float,
+    values = np.maximum(np.concatenate(likelihoods), PROBABILITY_FLOOR)
+    logs = np.fromiter(
+        map(math.log, values.tolist()), dtype=float, count=values.size
     )
     n_rows = likelihoods[0].shape[0]
     return logs[:n_rows], logs[n_rows:]
+
+
+def _exp_values(values: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each value, through one ``map`` (see :func:`_log_pair`)."""
+    return np.fromiter(
+        map(math.exp, values.tolist()), dtype=float, count=values.size
+    )
 
 
 def _check_exact_limit(limit: int, n_sources: int) -> None:
@@ -267,13 +272,15 @@ class SignificanceMemo:
         }
 
     def lookup(
-        self, tables: Sequence[tuple[int, int, int, int]], alpha: float
+        self,
+        tables: Sequence[tuple[int, int, int, int]],
+        alphas: Sequence[float],
     ) -> list[Optional[bool]]:
-        """Known decisions per table (``None`` where never seen)."""
+        """Known decisions per table at its level (``None`` where never seen)."""
         get = self._decisions.get
         out: list[Optional[bool]] = []
         hits = 0
-        for table in tables:
+        for table, alpha in zip(tables, alphas):
             value = get((*table, alpha))
             out.append(value)
             if value is not None:
@@ -286,11 +293,11 @@ class SignificanceMemo:
         self,
         tables: Sequence[tuple[int, int, int, int]],
         decisions: Sequence[bool],
-        alpha: float,
+        alphas: Sequence[float],
     ) -> None:
         with self._lock:
             memo = self._decisions
-            for table, decision in zip(tables, decisions):
+            for table, decision, alpha in zip(tables, decisions, alphas):
                 if len(memo) >= self._max_entries:
                     break
                 memo[(*table, alpha)] = bool(decision)
@@ -320,7 +327,9 @@ class PartitionDetectionState:
     provably cannot change and is carried; only pairs touching a dirty
     source are re-decided (:func:`refresh_partition_state`).  The
     detection thresholds are recorded so a refresh can refuse to carry
-    across a parameter change.
+    across a parameter change, and so are both sides' Bonferroni
+    denominators: when a dirty source changes one, every clean pair's
+    level moves and the refresh detects afresh.
     """
 
     true_edges: frozenset[tuple[int, int]]
@@ -331,6 +340,8 @@ class PartitionDetectionState:
     min_phi: float
     min_expected: float
     significance: float
+    #: ``(true side, false side)`` pairs the level was divided by.
+    tested_pairs: tuple[int, int]
 
     @classmethod
     def from_edges(
@@ -341,6 +352,7 @@ class PartitionDetectionState:
         min_phi: float,
         min_expected: float,
         significance: float,
+        tested_pairs: tuple[int, int],
     ) -> "PartitionDetectionState":
         return cls(
             true_edges=true_edges,
@@ -351,6 +363,7 @@ class PartitionDetectionState:
             min_phi=min_phi,
             min_expected=min_expected,
             significance=significance,
+            tested_pairs=tested_pairs,
         )
 
     def matches(
@@ -423,7 +436,7 @@ def _components_partition(
 def _pair_joints(model: JointQualityModel, pair_ids: np.ndarray) -> np.ndarray:
     """``(2, k)`` joint recall (row 0) and fpr (row 1) of the selected pairs,
     from the model's memoised all-pairs batch."""
-    _, r_pairs, q_pairs = model.pair_joint_params()
+    r_pairs, q_pairs = model.pair_joint_params()
     return np.stack([r_pairs[pair_ids], q_pairs[pair_ids]])
 
 
@@ -476,7 +489,8 @@ def _decide_pairs(
     pair_ids: np.ndarray,
     min_phi: float,
     min_expected: float,
-    alpha: float,
+    significance: float,
+    tested_pairs: tuple[int, int],
     memo: Optional[SignificanceMemo],
 ) -> np.ndarray:
     """``(2, k)`` edge decisions (true side, false side) for the pairs.
@@ -485,8 +499,10 @@ def _decide_pairs(
     ids, and both sides are screened together -- effect size
     (``|phi| >= min_phi``), then, on models with evidence counts, support
     (expected co-occurrences ``>= min_expected``), then one
-    :func:`_significant_batch` call over both sides' surviving candidates.
-    Each pair is decided independently of which others are selected, so a
+    :func:`_significant_batch` call over both sides' surviving candidates,
+    each at its side's Bonferroni level (``significance`` over the side's
+    ``tested_pairs``).  Each pair is decided
+    independently of which others are selected, so a
     restricted evaluation (the delta-refit refresh) decides every pair
     exactly as a full one does.
     """
@@ -509,15 +525,25 @@ def _decide_pairs(
             rates_i.reshape(-1)[candidates],
             rates_j.reshape(-1)[candidates],
             counts.reshape(-1)[candidates],
-            alpha,
+            (significance / np.maximum(tested_pairs, 1))[
+                candidates // pair_ids.size
+            ],
             memo,
         )
     return keep
 
 
-def _per_pair_alpha(significance: float, n_sources: int) -> float:
-    """Bonferroni level: ``significance`` spread over every source pair."""
-    return significance / max(n_sources * (n_sources - 1) // 2, 1)
+def _tested_pairs(model: JointQualityModel) -> tuple[int, int]:
+    """Per side, the pairs whose two sources both have a rate strictly
+    inside (0, 1) there: the side's Bonferroni denominator.
+
+    A source constant on a side (rate 0 or 1) gives its pairs phi 0 there,
+    so they test nothing.  Appending a source that claims nothing thus
+    leaves every level, and every edge, in place.
+    """
+    rates = model.source_rates()
+    true_side, false_side = ((rates > 0.0) & (rates < 1.0)).sum(axis=1).tolist()
+    return true_side * (true_side - 1) // 2, false_side * (false_side - 1) // 2
 
 
 def detect_partition_state(
@@ -535,10 +561,11 @@ def detect_partition_state(
     coverage, is at least ``min_expected`` (enough support to judge), and
     (c) an independence test of its 2x2 contingency table (chi-square, or
     Fisher's exact test when any expected cell is small) beats
-    ``significance / n_pairs`` (Bonferroni): ``significance`` bounds the
-    expected number of spurious edges in the whole graph, and without the
-    guard wide datasets chain everything into one component through noise
-    pairs.  Parameter-only models have no counts and skip (b) and (c).
+    ``significance / n_pairs`` (Bonferroni), where ``n_pairs`` counts the
+    side's testable pairs (:func:`_tested_pairs`): ``significance`` bounds
+    the expected number of spurious edges in the whole graph, and without
+    the guard wide datasets chain everything into one component through
+    noise pairs.  Parameter-only models have no counts and skip (b) and (c).
     Clusters are the connected components of each side's edges.
 
     ``memo``, when given, caches independence-test decisions by exact
@@ -550,16 +577,18 @@ def detect_partition_state(
     _check_thresholds(min_phi, min_expected, significance)
     n = model.n_sources
     ii, jj = pair_indices(n)
+    tested = _tested_pairs(model)
     keep = _decide_pairs(
         model, np.arange(ii.size), min_phi, min_expected,
-        _per_pair_alpha(significance, n), memo,
+        significance, tested, memo,
     )
     true_edges, false_edges = (
         frozenset(zip(ii[side_keep].tolist(), jj[side_keep].tolist()))
         for side_keep in keep
     )
     return PartitionDetectionState.from_edges(
-        n, true_edges, false_edges, min_phi, min_expected, significance
+        n, true_edges, false_edges, min_phi, min_expected, significance,
+        tested,
     )
 
 
@@ -577,12 +606,21 @@ def refresh_partition_state(
     bit-identical across the two generations -- the condition the session
     checks before taking this path (delta-mode model refit, unchanged
     labels, same prior and smoothing).  Under it the result is exactly
-    what :func:`detect_partition_state` would return.
+    what :func:`detect_partition_state` would return.  A dirty source
+    that turned constant on a side, or stopped being so, moves every
+    pair's level there (:func:`_tested_pairs`), so the full detection
+    runs instead.
     """
     n = model.n_sources
     if previous.n_sources != n:
         raise ValueError(
             f"previous state covers {previous.n_sources} sources, model {n}"
+        )
+    tested = _tested_pairs(model)
+    if tested != previous.tested_pairs:
+        return detect_partition_state(
+            model, previous.min_phi, previous.min_expected,
+            previous.significance, memo,
         )
     dirty = np.zeros(n, dtype=bool)
     dirty[np.asarray(list(dirty_source_ids), dtype=int)] = True
@@ -590,7 +628,7 @@ def refresh_partition_state(
     pair_ids = np.flatnonzero(dirty[ii] | dirty[jj])
     keep = _decide_pairs(
         model, pair_ids, previous.min_phi, previous.min_expected,
-        _per_pair_alpha(previous.significance, n), memo,
+        previous.significance, tested, memo,
     )
     sides: list[frozenset[tuple[int, int]]] = []
     for previous_edges, side_keep in zip(
@@ -605,7 +643,7 @@ def refresh_partition_state(
         sides.append(frozenset(edges))
     return PartitionDetectionState.from_edges(
         n, sides[0], sides[1], previous.min_phi, previous.min_expected,
-        previous.significance,
+        previous.significance, tested,
     )
 
 
@@ -683,7 +721,7 @@ def _significant_batch(
     rates_i: np.ndarray,
     rates_j: np.ndarray,
     trials: np.ndarray,
-    alpha: float,
+    alpha: Union[float, np.ndarray],
     memo: Optional[SignificanceMemo] = None,
 ) -> np.ndarray:
     """Independence decisions for candidate pairs, from their rates.
@@ -691,8 +729,10 @@ def _significant_batch(
     Reconstructs every pair's integer contingency table from its joint and
     marginal rates and its trial count, forces an edge where the margins
     overlap so much that dependence is certain (a negative fourth cell),
-    resolves decisions from ``memo`` where the table was seen before, and
-    decides the rest with :func:`repro.core.independence.decide_tables`.
+    resolves decisions from ``memo`` where the table was seen before at
+    the same level, and decides the rest with
+    :func:`repro.core.independence.decide_tables`.  ``alpha`` is one level
+    or one per pair.
     """
     joint_rates = np.asarray(joint_rates, dtype=float)
     trials = np.asarray(trials, dtype=np.int64)
@@ -703,6 +743,7 @@ def _significant_batch(
     n10 = n1 - n11
     n01 = n2 - n11
     n00 = trials - n1 - n2 + n11
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), n11.shape)
     out = np.zeros(n11.size, dtype=bool)
     out[n00 < 0] = True  # margins overlap so much that dependence is forced
     todo = np.flatnonzero(n00 >= 0)
@@ -714,7 +755,7 @@ def _significant_batch(
             (int(n11[k]), int(n10[k]), int(n01[k]), int(n00[k]))
             for k in todo
         ]
-        cached = memo.lookup(tables, alpha)
+        cached = memo.lookup(tables, alpha[todo].tolist())
         missing: list[int] = []
         for position, value in enumerate(cached):
             if value is None:
@@ -726,11 +767,11 @@ def _significant_batch(
         todo = todo[np.asarray(missing)]
         tables = [tables[position] for position in missing]
     decisions = decide_tables(
-        n11[todo], n10[todo], n01[todo], n00[todo], alpha
+        n11[todo], n10[todo], n01[todo], n00[todo], alpha[todo]
     )
     out[todo] = decisions
     if memo is not None:
-        memo.store(tables, decisions.tolist(), alpha)
+        memo.store(tables, decisions.tolist(), alpha[todo].tolist())
     return out
 
 
@@ -1264,13 +1305,7 @@ class ClusteredCorrelationFuser(ModelBasedFuser):
             log_numerator += logs[inverse]
         for logs, inverse in false_terms:
             log_denominator += logs[inverse]
-        return np.array(
-            [
-                math.exp(value)
-                for value in (log_numerator - log_denominator).tolist()
-            ],
-            dtype=float,
-        )
+        return _exp_values(log_numerator - log_denominator)
 
 
 def discovered_correlation_groups(

@@ -25,7 +25,7 @@ so a scipy upgrade that changes either algorithm fails loudly.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -153,14 +153,16 @@ def decide_tables(
     n10: np.ndarray,
     n01: np.ndarray,
     n00: np.ndarray,
-    alpha: float,
+    alpha: Union[float, np.ndarray],
 ) -> np.ndarray:
     """Reject independence at ``alpha``, per table; degenerate margins never do.
 
-    Tables whose expected counts are all at least 5 take the chi-square
-    test (``chi2_contingency(table, correction=True)``), the rest Fisher's
+    ``alpha`` is one level for every table or one per table.  Tables whose
+    expected counts are all at least 5 take the chi-square test
+    (``chi2_contingency(table, correction=True)``), the rest Fisher's
     exact test (:func:`fisher_pvalue`).
     """
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), n11.shape)
     out = np.zeros(n11.size, dtype=bool)
     row0 = (n11 + n10).astype(float)
     row1 = (n01 + n00).astype(float)
@@ -202,10 +204,10 @@ def decide_tables(
         from scipy.special import chdtrc  # first use: see _hypergeom_kernels
 
         p_values = chdtrc(1.0, statistic)
-        out[ids[chi]] = p_values < alpha
+        out[ids[chi]] = p_values < alpha[ids[chi]]
     for k in ids[fisher].tolist():
         p_value = fisher_pvalue(
             int(n11[k]), int(n10[k]), int(n01[k]), int(n00[k])
         )
-        out[k] = p_value < alpha
+        out[k] = p_value < alpha[k]
     return out

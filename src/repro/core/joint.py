@@ -49,10 +49,10 @@ if TYPE_CHECKING:  # deltas imports joint at runtime; annotation-only here
     from repro.core.deltas import WordDiff
 from repro.core.quality import (
     SourceQuality,
-    false_positive_rate_from_counts,
-    qualities_from_counts,
-    quality_from_counts,
+    rates_from_counts,
+    smoothed_ratios,
     source_counts,
+    source_rates_from_counts,
 )
 from repro.util.probability import safe_divide
 from repro.util.validation import (
@@ -63,8 +63,9 @@ from repro.util.validation import (
 
 SubsetKey = frozenset[int]
 
-#: ``(pairs, r, q)`` of every source pair (see ``pair_joint_params``).
-PairParams = tuple[list[tuple[int, int]], np.ndarray, np.ndarray]
+#: ``(r, q)`` of every source pair in :func:`pair_indices` order (see
+#: ``pair_joint_params``).
+PairParams = tuple[np.ndarray, np.ndarray]
 
 #: Rows per chunk in :meth:`EmpiricalJointModel.joint_params_batch` --
 #: bounds the batched AND accumulator at a few tens of MB even when a fuser
@@ -119,12 +120,11 @@ class _JointCounts:
     these exact integer counts, which is what makes the delta-refit path
     bit-identical to a cold fit: ``refit_delta`` transports the integers
     with popcount add/subtract over dirty words only, then re-derives the
-    floats through the same shared code paths
-    (:func:`~repro.core.quality.quality_from_counts`,
-    :meth:`EmpiricalJointModel._params_from_counts`) a cold build uses.
+    floats through the one array rule a cold build uses
+    (:func:`~repro.core.quality.rates_from_counts`).
 
     The per-source arrays are seeded at construction from the popcounts
-    the singleton qualities are derived from; the per-pair arrays are
+    the singleton rates are derived from; the per-pair arrays are
     built lazily by the first :meth:`EmpiricalJointModel.pair_joint_params`
     call (``None`` until then) and the coverage pair is kept only under
     partial coverage.
@@ -285,16 +285,16 @@ class JointQualityModel(ABC):
     # -- derived quantities (shared by both implementations) ----------
 
     def recall(self, source_id: int) -> float:
-        return self.source_quality(source_id).recall
+        return float(self.source_rates()[0, int(source_id)])
 
     def fpr(self, source_id: int) -> float:
-        return self.source_quality(source_id).false_positive_rate
+        return float(self.source_rates()[1, int(source_id)])
 
     def source_rates(self) -> np.ndarray:
         """``(2, n_sources)`` array: every source's recall, then its fpr.
 
-        Row 0 holds :meth:`recall`, row 1 :meth:`fpr`, in source order
-        (read-only, memoised).
+        Row 0 holds every source's recall, row 1 its fpr, in source
+        order (read-only, memoised).
         """
         rates = self._source_rates_cache
         if rates is None:
@@ -370,14 +370,13 @@ class JointQualityModel(ABC):
         return self.joint_params_batch(rows)
 
     def pair_joint_params(self) -> PairParams:
-        """``(pairs, r, q)`` for every source pair via one batch call.
+        """``(r, q)`` for every source pair via one batch call.
 
-        ``pairs`` lists ``(i, j)`` with ``i < j`` in row-major order and
-        entry ``k`` of the arrays is that pair's joint recall / fpr --
-        values bit-identical to the scalar ``joint_recall``/``joint_fpr``
-        queries.  The batch is memoised: the model's parameters are fixed
-        after construction, and both clustering sides consume the same
-        values.
+        Entry ``k`` of each array is the joint recall / fpr of pair ``k``
+        of :func:`pair_indices` -- values bit-identical to the scalar
+        ``joint_recall``/``joint_fpr`` queries.  The batch is memoised:
+        the model's parameters are fixed after construction, and both
+        clustering sides consume the same values.
         """
         cached = self._pair_params_cache
         if cached is None:
@@ -386,8 +385,7 @@ class JointQualityModel(ABC):
             rows = np.zeros((ii.size, n), dtype=bool)
             rows[np.arange(ii.size), ii] = True
             rows[np.arange(ii.size), jj] = True
-            recalls, fprs = self.joint_params_batch(rows)
-            cached = (list(zip(ii.tolist(), jj.tolist())), recalls, fprs)
+            cached = self.joint_params_batch(rows)
             self._pair_params_cache = cached
         return cached
 
@@ -414,15 +412,18 @@ class JointQualityModel(ABC):
         n = self.n_sources
         c_true = np.ones((n, n))
         c_false = np.ones((n, n))
-        pairs, r_pairs, q_pairs = self.pair_joint_params()
-        for k, (i, j) in enumerate(pairs):
+        ii, jj = pair_indices(n)
+        r_pairs, q_pairs = self.pair_joint_params()
+        for i, j, r_pair, q_pair in zip(
+            ii.tolist(), jj.tolist(), r_pairs.tolist(), q_pairs.tolist()
+        ):
             independent_r = float(np.prod([self.recall(i), self.recall(j)]))
             independent_q = float(np.prod([self.fpr(i), self.fpr(j)]))
             c_true[i, j] = c_true[j, i] = safe_divide(
-                float(r_pairs[k]), independent_r, default=1.0
+                r_pair, independent_r, default=1.0
             )
             c_false[i, j] = c_false[j, i] = safe_divide(
-                float(q_pairs[k]), independent_q, default=1.0
+                q_pair, independent_q, default=1.0
             )
         return c_true, c_false
 
@@ -476,15 +477,12 @@ class EmpiricalJointModel(JointQualityModel):
         self._partial_coverage = observations.has_partial_coverage
         self._true_words = pack_bool_vector(labels)
         self._false_words = pack_bool_vector(~labels)
-        # The singleton qualities and the delta-refit counters come from
-        # the same per-source popcounts.
-        counts = source_counts(
-            observations, self._true_words, self._false_words
+        # The singleton rates and the delta-refit counters come from the
+        # same per-source popcounts.
+        self._counts = _JointCounts(
+            *source_counts(observations, self._true_words, self._false_words)
         )
-        self._singletons = qualities_from_counts(
-            observations.source_names, counts, prior=prior, smoothing=smoothing
-        )
-        self._counts = _JointCounts(*counts)
+        self._derive_source_rates()
         self._recall_cache: dict[SubsetKey, float] = {}
         self._fpr_cache: dict[SubsetKey, float] = {}
         self._precision_cache: dict[SubsetKey, float] = {}
@@ -524,7 +522,9 @@ class EmpiricalJointModel(JointQualityModel):
         if cached is not None:
             return cached
         provided_true, provided_false = self._intersection_counts(key)
-        value = self._ratio(provided_true, provided_true + provided_false)
+        value = float(smoothed_ratios(
+            provided_true, provided_true + provided_false, self._smoothing
+        ))
         self._store(self._precision_cache, key, value)
         return value
 
@@ -537,7 +537,7 @@ class EmpiricalJointModel(JointQualityModel):
             return cached
         provided_true, _ = self._intersection_counts(key)
         covered_true, _ = self.joint_coverage_counts(key)
-        value = self._ratio(provided_true, covered_true)
+        value = float(smoothed_ratios(provided_true, covered_true, self._smoothing))
         self._store(self._recall_cache, key, value)
         return value
 
@@ -549,8 +549,8 @@ class EmpiricalJointModel(JointQualityModel):
         of jointly-provided false triples -- the only estimate available,
         and exactly the signal that matters for sources correlated on
         mistakes (Scenario 3 of Example 4.1).  Singletons follow the same
-        rule (:func:`~repro.core.quality.false_positive_rate_from_counts`),
-        so ``fpr(i) == joint_fpr({i})``.
+        rule (:func:`~repro.core.quality.rates_from_counts`), so
+        ``fpr(i) == joint_fpr({i})``.
         """
         key = _as_key(source_ids)
         if not key:
@@ -560,14 +560,11 @@ class EmpiricalJointModel(JointQualityModel):
             return cached
         provided_true, provided_false = self._intersection_counts(key)
         covered_true, covered_false = self.joint_coverage_counts(key)
-        value = false_positive_rate_from_counts(
-            self._ratio(provided_true, provided_true + provided_false),
-            self._ratio(provided_true, covered_true),
-            self.prior,
-            provided_false,
-            covered_false,
-            self._smoothing,
+        _, _, fpr = rates_from_counts(
+            provided_true, provided_false, covered_true, covered_false,
+            self.prior, self._smoothing,
         )
+        value = float(fpr)
         self._store(self._fpr_cache, key, value)
         return value
 
@@ -674,35 +671,33 @@ class EmpiricalJointModel(JointQualityModel):
         """``(r, q)`` arrays from integer count arrays -- the shared float path.
 
         Both the batched popcount sweep (:meth:`_params_chunk`) and the
-        delta-maintained pair counters funnel through this one function, so
-        identical integers always produce bit-identical parameters.
+        delta-maintained pair counters funnel through the rule the
+        singletons follow (:func:`~repro.core.quality.rates_from_counts`),
+        so identical integers always produce bit-identical parameters.
         """
-        recall = self._ratio_vec(provided_true, covered_true)
-        precision = self._ratio_vec(provided_true, provided_true + provided_false)
-        # quality.false_positive_rate_from_counts element-wise: Theorem 3.5
-        # with clip=True in the scalar expression's evaluation order
-        # (left-to-right), the direct count at precision 0, so values match
-        # bit-for-bit.
-        prior_ratio = self.prior / (1.0 - self.prior)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            derived = prior_ratio * (1.0 - precision) / precision * recall
-        derived = np.where(derived > 1.0, 1.0, derived)
-        fallback = self._ratio_vec(provided_false, covered_false)
-        fpr = np.where(precision > 0.0, derived, fallback)
+        _, recall, fpr = rates_from_counts(
+            provided_true, provided_false, covered_true, covered_false,
+            self.prior, self._smoothing,
+        )
         if empty is not None:
             recall = np.where(empty, 1.0, recall)
             fpr = np.where(empty, 1.0, fpr)
         return recall, fpr
 
-    def _ratio_vec(
-        self, numerator: np.ndarray, denominator: np.ndarray
-    ) -> np.ndarray:
-        """Element-wise :meth:`_ratio` (same smoothing, same 0/0 rule)."""
-        s = self._smoothing
-        den = denominator + 2.0 * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (numerator + s) / den
-        return np.where(den == 0.0, 0.0, out)
+    def _derive_source_rates(self) -> None:
+        """Every source's ``(p, r, q)`` from the per-source counters, in
+        one array pass; ``source_rates`` serves the ``(r, q)`` rows."""
+        c = self._counts
+        counts = (
+            c.src_provided, c.src_provided_true,
+            c.src_in_scope_true, c.src_in_scope_false,
+        )
+        self._precisions, recalls, fprs = source_rates_from_counts(
+            counts, self.prior, self._smoothing
+        )
+        rates = np.stack([recalls, fprs])
+        rates.setflags(write=False)
+        self._source_rates_cache = rates
 
     # -- updatable count state (delta refit) ---------------------------
 
@@ -760,7 +755,7 @@ class EmpiricalJointModel(JointQualityModel):
         )
 
     def pair_joint_params(self) -> PairParams:
-        """All-pairs ``(pairs, r, q)`` served from the updatable counters.
+        """All-pairs ``(r, q)`` served from the updatable counters.
 
         Same contract (and bit-identical values) as the base-class batch
         path: the counters hold exactly the integers
@@ -777,14 +772,12 @@ class EmpiricalJointModel(JointQualityModel):
         if counts.pair_provided_true is None:
             self._build_pair_counts(counts)
         covered_true, covered_false = self._pair_coverage_arrays(counts)
-        recalls, fprs = self._params_from_counts(
+        cached = self._params_from_counts(
             counts.pair_provided_true,
             counts.pair_provided_false,
             covered_true,
             covered_false,
         )
-        ii, jj = pair_indices(self.n_sources)
-        cached = (list(zip(ii.tolist(), jj.tolist())), recalls, fprs)
         self._pair_params_cache = cached
         return cached
 
@@ -977,33 +970,8 @@ class EmpiricalJointModel(JointQualityModel):
                     - popcount_rows(old_scope & old_false)
                 )
         new._counts = counts
-
-        # Singleton qualities: dirty sources re-derive from the updated
-        # counts; clean sources reuse the previous (identical-by-counts)
-        # objects when nothing that enters the formula changed.
-        reuse_clean = (
-            not diff.labels_changed
-            and prior == self.prior
-            and smoothing == self._smoothing
-        )
+        new._derive_source_rates()  # as a cold build does
         dirty_sources = diff.dirty_sources
-        singletons: list[SourceQuality] = []
-        for i, name in enumerate(new._source_names):
-            if reuse_clean and not dirty_sources[i]:
-                singletons.append(self._singletons[i])
-            else:
-                singletons.append(
-                    quality_from_counts(
-                        name=name,
-                        provided=int(counts.src_provided[i]),
-                        provided_true=int(counts.src_provided_true[i]),
-                        in_scope_true=int(counts.src_in_scope_true[i]),
-                        in_scope_false=int(counts.src_in_scope_false[i]),
-                        prior=prior,
-                        smoothing=smoothing,
-                    )
-                )
-        new._singletons = singletons
 
         # Selective memo carry-over: an entry is valid iff every count and
         # every formula input behind it is unchanged -- its source set must
@@ -1054,21 +1022,23 @@ class EmpiricalJointModel(JointQualityModel):
         return self._smoothing
 
     def source_quality(self, source_id: int) -> SourceQuality:
-        return self._singletons[int(source_id)]
+        """Built on demand from the source-rate arrays."""
+        i = int(source_id)
+        rates = self.source_rates()
+        return SourceQuality(
+            name=self._source_names[i],
+            precision=float(self._precisions[i]),
+            recall=float(rates[0, i]),
+            false_positive_rate=float(rates[1, i]),
+        )
 
     def source_qualities(self) -> list[SourceQuality]:
         """All singleton qualities in row order."""
-        return list(self._singletons)
+        return [self.source_quality(i) for i in range(self.n_sources)]
 
     def evidence_counts(self) -> tuple[int, int]:
         n_false = int((~self._labels).sum())
         return self._n_true, n_false
-
-    def _ratio(self, numerator: int, denominator: int) -> float:
-        s = self._smoothing
-        if denominator + 2.0 * s == 0.0:
-            return 0.0
-        return (numerator + s) / (denominator + 2.0 * s)
 
     def _store(self, cache: dict[SubsetKey, float], key: SubsetKey, value: float) -> None:
         if len(cache) < self._max_cache:

@@ -16,7 +16,6 @@ which is a valid rate (``q_i <= 1``) whenever
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -128,63 +127,71 @@ def derive_false_positive_rate(
     return q
 
 
-def false_positive_rate_from_counts(
-    precision: float,
-    recall: float,
+def rates_from_counts(
+    provided_true: np.ndarray,
+    provided_false: np.ndarray,
+    covered_true: np.ndarray,
+    covered_false: np.ndarray,
     prior: float,
-    provided_false: int,
-    covered_false: int,
     smoothing: float = 0.0,
-) -> float:
-    """``q`` of a source or a source subset -- the one rule both follow.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(precision, recall, q)`` of sources or source subsets -- the one rule.
 
-    Theorem 3.5 (clipped at 1) when ``precision`` is positive.  At
-    precision 0 every provision is false and the derivation degenerates,
-    so the direct count takes over: provided false triples over covered
-    false triples (Laplace-smoothed like every ratio; 0/0 reads as 0).  A
-    source that provides nothing thus gets ``q = 0`` -- with ``r = 0`` its
-    silence factor ``(1 - r) / (1 - q)`` is exactly 1 -- and one that is
-    never right gets its measured false-positive frequency.
+    Element-wise over integer counts of the labelled triples the source
+    (or every member of the subset) provides and of those in its scope,
+    each ratio Laplace-smoothed (:func:`smoothed_ratios`).  ``q`` is
+    Theorem 3.5 clipped at 1 when precision is positive.  At precision 0
+    every provision is false and the derivation degenerates, so the direct
+    count takes over: provided false over covered false.  A source that
+    provides nothing thus gets ``q = 0`` -- with ``r = 0`` its silence
+    factor ``(1 - r) / (1 - q)`` is exactly 1.
+
+    Each value is the scalar expression ``prior / (1 - prior) * (1 - p) /
+    p * r`` evaluated left to right, so singletons, joint batches and
+    delta-maintained pair counters agree bit for bit.
     """
-    if precision > 0.0:
-        return derive_false_positive_rate(precision, recall, prior, clip=True)
-    return _smoothed_ratio(provided_false, covered_false, smoothing)
+    provided = provided_true + provided_false
+    precision = smoothed_ratios(provided_true, provided, smoothing)
+    recall = smoothed_ratios(provided_true, covered_true, smoothing)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        derived = prior / (1.0 - prior) * (1.0 - precision) / precision * recall
+    derived = np.where(derived > 1.0, 1.0, derived)
+    fallback = smoothed_ratios(provided_false, covered_false, smoothing)
+    return precision, recall, np.where(precision > 0.0, derived, fallback)
 
 
-def quality_from_counts(
-    name: str,
-    provided: int,
-    provided_true: int,
-    in_scope_true: int,
-    in_scope_false: int,
-    prior: float = 0.5,
+def smoothed_ratios(
+    numerator: np.ndarray, denominator: np.ndarray, smoothing: float
+) -> np.ndarray:
+    """Element-wise ``(num + s) / (den + 2s)``; 0/0 resolves to 0."""
+    den = np.add(denominator, 2.0 * smoothing)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (numerator + smoothing) / den
+    return np.where(den == 0.0, 0.0, out)
+
+
+def source_rates_from_counts(
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    prior: float,
     smoothing: float = 0.0,
-) -> SourceQuality:
-    """Build a :class:`SourceQuality` from its four sufficient statistics.
-
-    ``estimate_source_quality`` is exactly this applied to the counts it
-    measures per row; the incremental refit path
-    (:meth:`~repro.core.joint.EmpiricalJointModel.refit_delta`) maintains
-    the same integer counts via popcount deltas and re-derives qualities
-    through this shared code path, which is what makes delta-refit models
-    bit-identical to cold ones.
-    """
-    precision = _smoothed_ratio(provided_true, provided, smoothing)
-    recall = _smoothed_ratio(provided_true, in_scope_true, smoothing)
-    fpr = false_positive_rate_from_counts(
-        precision,
-        recall,
-        prior,
-        provided_false=provided - provided_true,
-        covered_false=in_scope_false,
-        smoothing=smoothing,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every source's read-only ``(precision, recall, q)`` arrays, from
+    :func:`source_counts`, each field range-checked once (``ValueError``
+    naming it and the first offending source)."""
+    provided, provided_true, in_scope_true, in_scope_false = counts
+    rates = rates_from_counts(
+        provided_true, provided - provided_true, in_scope_true, in_scope_false,
+        prior, smoothing,
     )
-    return SourceQuality(
-        name=name,
-        precision=precision,
-        recall=recall,
-        false_positive_rate=fpr,
-    )
+    for name, values in zip(("precision", "recall", "false_positive_rate"), rates):
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+        if bad.size:
+            raise ValueError(
+                f"{name} must be in [0, 1], got {float(values[bad[0]])!r} "
+                f"(source {int(bad[0])})"
+            )
+        values.setflags(write=False)
+    return rates
 
 
 def estimate_source_quality(
@@ -225,14 +232,19 @@ def estimate_source_quality(
         raise ValueError(f"smoothing must be non-negative, got {smoothing}")
     check_fraction(prior, "prior")
 
-    return qualities_from_counts(
-        observations.source_names,
+    rates = source_rates_from_counts(
         source_counts(
             observations, pack_bool_vector(labels), pack_bool_vector(~labels)
         ),
         prior=prior,
         smoothing=smoothing,
     )
+    return [
+        SourceQuality(name, *values)
+        for name, values in zip(
+            observations.source_names, np.stack(rates, axis=1).tolist()
+        )
+    ]
 
 
 def source_counts(
@@ -258,28 +270,6 @@ def source_counts(
     )
 
 
-def qualities_from_counts(
-    names: Sequence[str],
-    counts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    prior: float = 0.5,
-    smoothing: float = 0.0,
-) -> list[SourceQuality]:
-    """:func:`quality_from_counts` per source, from :func:`source_counts`."""
-    provided, provided_true, in_scope_true, in_scope_false = counts
-    return [
-        quality_from_counts(
-            name=name,
-            provided=int(provided[i]),
-            provided_true=int(provided_true[i]),
-            in_scope_true=int(in_scope_true[i]),
-            in_scope_false=int(in_scope_false[i]),
-            prior=prior,
-            smoothing=smoothing,
-        )
-        for i, name in enumerate(names)
-    ]
-
-
 def estimate_prior(labels: np.ndarray, smoothing: float = 0.0) -> float:
     """Estimate ``alpha`` as the labelled fraction of true triples.
 
@@ -289,12 +279,5 @@ def estimate_prior(labels: np.ndarray, smoothing: float = 0.0) -> float:
     labels = np.asarray(labels, dtype=bool)
     if labels.size == 0:
         return 0.5
-    alpha = _smoothed_ratio(labels.sum(), labels.size, smoothing)
+    alpha = float(smoothed_ratios(labels.sum(), labels.size, smoothing))
     return clamp_probability(alpha, floor=1e-6)
-
-
-def _smoothed_ratio(numerator: float, denominator: float, smoothing: float) -> float:
-    """``(num + s) / (den + 2s)``; 0/0 resolves to 0 without smoothing."""
-    if denominator + 2.0 * smoothing == 0.0:
-        return 0.0
-    return float((numerator + smoothing) / (denominator + 2.0 * smoothing))

@@ -5,8 +5,8 @@ The recovery argument, end to end:
 1. A snapshot stores the packed observation matrices, packed labels, and
    session config of a published generation.  Every quality parameter
    the session serves is a pure float function of integer sufficient
-   statistics derived from exactly these inputs
-   (``quality_from_counts``), so a session rebuilt cold from a snapshot
+   statistics derived from exactly these inputs (the one array rule,
+   ``quality.rates_from_counts``), so a session rebuilt cold from a snapshot
    is **bit-identical** to the one that wrote it -- the same invariant
    the delta-refit oracle (`run_serving(refit_every=...)`) pins on every
    CI run.  The snapshot additionally stores the writer's integer

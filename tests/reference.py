@@ -12,6 +12,10 @@ production code was optimised away from:
   compiled plans, so they must agree with production exactly; PrecRec and
   the aggressive family vectorise through matrix products and agree to
   1e-9.
+- **Source quality** -- :func:`quality_from_counts` derives one source's
+  precision, recall and Theorem 3.5 ``q`` from its four counts in scalar
+  arithmetic; the array rule (``quality.rates_from_counts``) must return
+  the same floats for every source at once.
 - **Joint statistics** -- :class:`MaskJointModel` counts the scope-aware
   ``r_S`` / ``q_S`` of a subset with full-width boolean masks and derives
   ``q_S`` by Theorem 3.5, falling back to the direct false-triple count
@@ -612,6 +616,67 @@ def triple_scores(
 
 
 # ----------------------------------------------------------------------
+# Source quality from counts, one source at a time
+# ----------------------------------------------------------------------
+
+
+def quality_from_counts(
+    name: str,
+    provided: int,
+    provided_true: int,
+    in_scope_true: int,
+    in_scope_false: int,
+    prior: float = 0.5,
+    smoothing: float = 0.0,
+) -> SourceQuality:
+    """Section 3.2 for one source, in scalar Python arithmetic.
+
+    Precision and recall are ``(n + s) / (d + 2s)`` with 0/0 read as 0;
+    ``q`` is Theorem 3.5 clipped at 1 when precision is positive, else
+    provided false over covered false.  :class:`SourceQuality` checks each
+    field, so an out-of-range count raises ``ValueError`` naming it.
+    """
+
+    def ratio(numerator: int, denominator: int) -> float:
+        if denominator + 2.0 * smoothing == 0.0:
+            return 0.0
+        return (numerator + smoothing) / (denominator + 2.0 * smoothing)
+
+    precision = ratio(provided_true, provided)
+    recall = ratio(provided_true, in_scope_true)
+    if precision > 0.0:
+        q = prior / (1.0 - prior) * (1.0 - precision) / precision * recall
+        fpr = 1.0 if q > 1.0 else q
+    else:
+        fpr = ratio(provided - provided_true, in_scope_false)
+    return SourceQuality(
+        name=name, precision=precision, recall=recall, false_positive_rate=fpr
+    )
+
+
+def qualities_from_counts(
+    names: Sequence[str],
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    prior: float = 0.5,
+    smoothing: float = 0.0,
+) -> list[SourceQuality]:
+    """:func:`quality_from_counts` per source, from ``source_counts``."""
+    provided, provided_true, in_scope_true, in_scope_false = counts
+    return [
+        quality_from_counts(
+            name,
+            int(provided[i]),
+            int(provided_true[i]),
+            int(in_scope_true[i]),
+            int(in_scope_false[i]),
+            prior=prior,
+            smoothing=smoothing,
+        )
+        for i, name in enumerate(names)
+    ]
+
+
+# ----------------------------------------------------------------------
 # Joint statistics by boolean masks
 # ----------------------------------------------------------------------
 
@@ -727,11 +792,20 @@ class MaskJointModel(JointQualityModel):
 def significant(
     joint_rate: float, rate_i: float, rate_j: float, trials: int, alpha: float
 ) -> bool:
-    """Independence test of one pair's 2x2 contingency table.
+    """Does one pair's 2x2 contingency table reject independence at ``alpha``?"""
+    return pair_p_value(joint_rate, rate_i, rate_j, trials) < alpha
+
+
+def pair_p_value(
+    joint_rate: float, rate_i: float, rate_j: float, trials: int
+) -> float:
+    """Independence p-value of one pair's 2x2 contingency table.
 
     Reconstructs integer counts from the rates, then applies the chi-square
     test of independence -- Fisher's exact test when any expected cell
-    count is below 5 (the usual chi-square validity rule).
+    count is below 5 (the usual chi-square validity rule).  Forced
+    dependence reads 0 and a degenerate margin (no evidence either way)
+    reads infinity, so ``p < alpha`` is the decision at every level.
     """
     n11 = int(round(joint_rate * trials))
     n1 = int(round(rate_i * trials))
@@ -741,19 +815,19 @@ def significant(
     n01 = n2 - n11
     n00 = trials - n1 - n2 + n11
     if n00 < 0:
-        return True  # margins overlap so much that dependence is forced
+        return 0.0  # margins overlap so much that dependence is forced
     table = np.array([[n11, n10], [n01, n00]], dtype=float)
     row_sums = table.sum(axis=1, keepdims=True)
     col_sums = table.sum(axis=0, keepdims=True)
     total = table.sum()
     if total <= 0 or (row_sums == 0).any() or (col_sums == 0).any():
-        return False  # degenerate margin: no evidence either way
+        return math.inf  # degenerate margin: no evidence either way
     expected = row_sums @ col_sums / total
     if expected.min() < 5.0:
         _, p_value = stats.fisher_exact(table.astype(int))
     else:
         _, p_value, _, _ = stats.chi2_contingency(table, correction=True)
-    return float(p_value) < alpha
+    return float(p_value)
 
 
 def pairwise_correlations(
@@ -763,9 +837,16 @@ def pairwise_correlations(
     min_expected: float = 2.0,
     significance: float = 0.05,
 ) -> list[tuple[int, int, float, float]]:
-    """One side's edges as ``(i, j, factor, phi)``, row-major, pair by pair."""
+    """One side's edges as ``(i, j, factor, phi)``, row-major, pair by pair.
+
+    The Bonferroni level divides ``significance`` by the side's testable
+    pairs: those whose two sources both have a rate strictly inside
+    (0, 1) on that side.
+    """
     n = model.n_sources
-    alpha = significance / max(n * (n - 1) // 2, 1)
+    rate = model.recall if side == "true" else model.fpr
+    varying = sum(1 for i in range(n) if 0.0 < rate(i) < 1.0)
+    alpha = significance / max(varying * (varying - 1) // 2, 1)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):

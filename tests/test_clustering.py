@@ -25,6 +25,8 @@ from repro.core import (
 )
 from repro.core.api import ScoringSession
 from repro.core.clustering import (
+    _exp_values,
+    _log_pair,
     correlation_edges,
     detect_partition_state,
     refresh_partition_state,
@@ -893,3 +895,48 @@ class TestDetectionState:
         finally:
             session.close()
 
+
+
+class TestLogAndExpMaps:
+    """The C-level ``math.log`` / ``math.exp`` maps make the per-value
+    walks' calls, so every value is bit-equal to them."""
+
+    _values = st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from(
+            [0.0, -0.0, PROBABILITY_FLOOR, PROBABILITY_FLOOR / 2,
+             np.nextafter(PROBABILITY_FLOOR, 1.0), 5e-324, 1.0, -1e-300]
+        ),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(_values, max_size=40), data=st.data()
+    )
+    def test_log_pair_equals_the_per_value_walk(self, values, data):
+        split = data.draw(st.integers(0, len(values)))
+        likelihoods = (
+            np.array(values[:split], dtype=float),
+            np.array(values[split:], dtype=float),
+        )
+        logs_true, logs_false = _log_pair(likelihoods)
+        walk = [math.log(max(value, PROBABILITY_FLOOR)) for value in values]
+        assert logs_true.shape == (split,)
+        assert np.concatenate([logs_true, logs_false]).tobytes() == (
+            np.array(walk, dtype=float).tobytes()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(-745.0, 709.0),
+                st.sampled_from([0.0, -0.0, -np.inf, -27.631021115928547]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_exp_map_equals_the_per_value_walk(self, values):
+        got = _exp_values(np.array(values, dtype=float))
+        walk = [math.exp(value) for value in values]
+        assert got.tobytes() == np.array(walk, dtype=float).tobytes()

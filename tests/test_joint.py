@@ -156,3 +156,86 @@ class TestExplicitJointModel:
     def test_prior_validation(self):
         with pytest.raises(ValueError):
             ExplicitJointModel([quality("a")], prior=0.0)
+
+
+class TestColdFitWork:
+    """A cold fit and score does array work per source, not Python work."""
+
+    N_SOURCES = 32
+
+    def _dataset(self):
+        from repro.data.synthetic import (
+            SyntheticConfig,
+            generate,
+            uniform_sources,
+        )
+
+        config = SyntheticConfig(
+            sources=uniform_sources(self.N_SOURCES, precision=0.7, recall=0.5),
+            n_triples=400,
+        )
+        return generate(config, seed=3)
+
+    def test_no_per_source_objects_or_checks_and_no_pair_tuples(
+        self, monkeypatch
+    ):
+        import gc
+        import sys
+
+        from repro.core import ScoringSession
+        from repro.core.joint import pair_indices
+        from repro.util import validation
+
+        dataset = self._dataset()
+        qualities = []
+        original_post_init = SourceQuality.__post_init__
+
+        def counted_post_init(self):
+            qualities.append(self.name)
+            original_post_init(self)
+
+        monkeypatch.setattr(SourceQuality, "__post_init__", counted_post_init)
+        checks = []
+        original_check = validation.check_probability
+
+        def counted_check(value, name):
+            checks.append(name)
+            return original_check(value, name)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("repro") and (
+                getattr(module, "check_probability", None) is original_check
+            ):
+                monkeypatch.setattr(module, "check_probability", counted_check)
+
+        session = ScoringSession(
+            dataset.observations, dataset.labels, method="precreccorr"
+        )
+        try:
+            scores = session.score(dataset.observations)
+            assert np.isfinite(scores).all()
+            assert qualities == []
+            # The prior is checked where the model and fuser take it; no
+            # check runs once per source.
+            assert len(checks) <= 2
+            r_pairs, q_pairs = session.model.pair_joint_params()
+            n_pairs = pair_indices(self.N_SOURCES)[0].size
+            assert r_pairs.shape == q_pairs.shape == (n_pairs,)
+            pair_lists = [
+                obj
+                for obj in gc.get_objects()
+                if isinstance(obj, list)
+                and len(obj) == n_pairs
+                and isinstance(obj[0], tuple)
+            ]
+            assert pair_lists == []
+        finally:
+            session.close()
+        # Qualities are still there on request, with the served rates.
+        model = session.model
+        built = model.source_qualities()
+        assert len(qualities) == self.N_SOURCES
+        assert [q.recall for q in built] == model.source_rates()[0].tolist()
+        assert [q.false_positive_rate for q in built] == (
+            model.source_rates()[1].tolist()
+        )

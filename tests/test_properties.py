@@ -29,7 +29,6 @@ from repro.core import (
     IndependentJointModel,
     ObservationMatrix,
     PrecRecFuser,
-    SourcePartition,
     SourceQuality,
     derive_false_positive_rate,
     estimate_source_quality,
@@ -37,6 +36,7 @@ from repro.core import (
     fpr_validity_bound,
     fuse,
 )
+from repro.core.clustering import detect_partition_state
 from repro.data import available_datasets, get_dataset
 from repro.eval import auc_roc, binary_metrics, pr_curve, roc_curve
 from repro.util.probability import probability_from_mu
@@ -340,28 +340,22 @@ class TestMuteSourceMovesNoScore:
                 ElasticFuser(muted_model, level=level),
             ),
         ]
-        # Clustered on the detected partitions, the mute source in a
-        # cluster of its own on both sides.  (Detection itself is pinned
-        # because its Bonferroni level divides by the number of source
-        # pairs, which the extra source raises.)
+        # Clustered on each model's own detected partitions: the mute
+        # source is constant on both sides, so it adds no test to either
+        # Bonferroni denominator and ends in a cluster of its own.
         limit = data.draw(st.sampled_from([1, 2, 12]))
         clustered = ClusteredCorrelationFuser(model, exact_cluster_limit=limit)
-        mute = frozenset({matrix.n_sources})
-        pairs.append(
-            (
-                clustered,
-                ClusteredCorrelationFuser(
-                    muted_model,
-                    true_partition=SourcePartition(
-                        clustered.true_partition.clusters + (mute,)
-                    ),
-                    false_partition=SourcePartition(
-                        clustered.false_partition.clusters + (mute,)
-                    ),
-                    exact_cluster_limit=limit,
-                ),
-            )
+        muted_clustered = ClusteredCorrelationFuser(
+            muted_model, exact_cluster_limit=limit
         )
+        mute = frozenset({matrix.n_sources})
+        assert muted_clustered.true_partition.clusters == (
+            clustered.true_partition.clusters + (mute,)
+        )
+        assert muted_clustered.false_partition.clusters == (
+            clustered.false_partition.clusters + (mute,)
+        )
+        pairs.append((clustered, muted_clustered))
         for fuser, muted_fuser in pairs:
             np.testing.assert_allclose(
                 muted_fuser.score(muted),
@@ -370,6 +364,31 @@ class TestMuteSourceMovesNoScore:
                 atol=MUTE_SOURCE_ATOL,
                 err_msg=fuser.name,
             )
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "figure1",
+            "restaurant",
+            "reverb",
+            "synthetic-correlated",
+            "synthetic-independent",
+            "synthetic-wide",
+        ],
+    )
+    def test_registry_datasets_keep_every_detected_edge(self, name):
+        # Regression: synthetic-independent lost its false-side edge (1, 4)
+        # when every pair counted towards the Bonferroni denominator.
+        dataset = get_dataset(name, seed=0)
+        before = detect_partition_state(
+            fit_model(dataset.observations, dataset.labels)
+        )
+        after = detect_partition_state(
+            fit_model(_with_mute_source(dataset.observations), dataset.labels)
+        )
+        assert after.true_edges == before.true_edges
+        assert after.false_edges == before.false_edges
+        assert after.tested_pairs == before.tested_pairs
 
     @pytest.mark.parametrize("name", ["restaurant", "synthetic-correlated"])
     def test_registry_datasets_keep_every_accepted_set(self, name):

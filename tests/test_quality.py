@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference
 from repro.core import (
     ObservationMatrix,
     derive_false_positive_rate,
     estimate_prior,
     estimate_source_quality,
+    fit_model,
     fpr_validity_bound,
 )
-from repro.core.quality import SourceQuality
+from repro.core.bitset import pack_bool_vector
+from repro.core.quality import (
+    SourceQuality,
+    source_counts,
+    source_rates_from_counts,
+)
+from repro.data import get_dataset
 
 
 class TestDeriveFalsePositiveRate:
@@ -141,3 +151,118 @@ class TestEstimatePrior:
     def test_all_true_clamped_inside_unit_interval(self):
         alpha = estimate_prior(np.ones(10, dtype=bool))
         assert 0.0 < alpha < 1.0
+
+
+#: One source's ``(provided_true, provided_false, scope_true_extra,
+#: scope_false_extra)``; small ranges make zero denominators common.
+_valid_counts = st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)
+)
+
+
+def _counts(rows):
+    """``source_counts``-shaped arrays from per-source count tuples."""
+    provided_true = np.array([row[0] for row in rows], dtype=np.int64)
+    provided_false = np.array([row[1] for row in rows], dtype=np.int64)
+    return (
+        provided_true + provided_false,
+        provided_true,
+        provided_true + np.array([row[2] for row in rows], dtype=np.int64),
+        provided_false + np.array([row[3] for row in rows], dtype=np.int64),
+    )
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArrayRuleMatchesScalarReplay:
+    """``source_rates_from_counts`` is ``reference.quality_from_counts``
+    applied to every source, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(_valid_counts, min_size=1, max_size=8),
+        smoothing=st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5]),
+        prior=st.floats(1e-6, 1.0 - 1e-6),
+        at_bound=st.sampled_from([None, -1e-12, 0.0, 1e-12, 1e-9]),
+    )
+    def test_every_field_is_bit_equal(self, rows, smoothing, prior, at_bound):
+        counts = _counts(rows)
+        names = [f"s{i}" for i in range(len(rows))]
+        if at_bound is not None:
+            # A prior at source 0's validity bound, where q reaches 1 and
+            # just past which it clips to 1.
+            first = reference.quality_from_counts(
+                "s0", *(int(c[0]) for c in counts), smoothing=smoothing
+            )
+            p, r = first.precision, first.recall
+            assume(p > 0.0 and p + r - p * r > 0.0)
+            prior = p / (p + r - p * r) + at_bound
+            assume(0.0 < prior < 1.0)
+        expected = reference.qualities_from_counts(
+            names, counts, prior=prior, smoothing=smoothing
+        )
+        precision, recall, fpr = source_rates_from_counts(
+            counts, prior, smoothing
+        )
+        assert _bits(precision) == _bits([q.precision for q in expected])
+        assert _bits(recall) == _bits([q.recall for q in expected])
+        assert _bits(fpr) == _bits([q.false_positive_rate for q in expected])
+
+    def test_edge_cases_are_covered(self):
+        # Zero denominators, precision 0, and a clip to q = 1.
+        counts = _counts([(0, 0, 0, 0), (0, 3, 2, 1), (1, 5, 0, 0), (4, 0, 0, 4)])
+        for smoothing in (0.0, 0.5):
+            expected = reference.qualities_from_counts(
+                "abcd", counts, prior=0.9, smoothing=smoothing
+            )
+            got = source_rates_from_counts(counts, 0.9, smoothing)
+            assert _bits(got[2]) == _bits(
+                [q.false_positive_rate for q in expected]
+            )
+        precision, recall, fpr = source_rates_from_counts(counts, 0.9)
+        assert precision.tolist()[:2] == [0.0, 0.0]
+        assert fpr.tolist()[:3] == [0.0, 0.75, 1.0]
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            # (provided, provided_true, in_scope_true, in_scope_false)
+            ((3, 5, 5, 2), "precision"),
+            ((5, -1, 0, 2), "precision"),
+            ((5, 5, 3, 2), "recall"),
+            ((5, 0, 0, 2), "false_positive_rate"),
+        ],
+    )
+    def test_out_of_range_counts_raise_naming_the_field(self, row, field):
+        counts = tuple(
+            np.array([1, value], dtype=np.int64) for value in row
+        )
+        with pytest.raises(ValueError, match=field):
+            reference.quality_from_counts("s", *row)
+        with pytest.raises(ValueError, match=f"{field}.*source 1"):
+            source_rates_from_counts(counts, 0.5)
+
+    def test_rates_are_read_only(self):
+        for values in source_rates_from_counts(_counts([(1, 1, 1, 1)]), 0.5):
+            assert not values.flags.writeable
+
+    @pytest.mark.parametrize("name", ["figure1", "restaurant", "reverb"])
+    def test_models_serve_the_scalar_replay(self, name):
+        dataset = get_dataset(name)
+        model = fit_model(dataset.observations, dataset.labels)
+        expected = reference.qualities_from_counts(
+            dataset.observations.source_names,
+            source_counts(
+                dataset.observations,
+                pack_bool_vector(dataset.labels),
+                pack_bool_vector(~dataset.labels),
+            ),
+            prior=model.prior,
+            smoothing=model.smoothing,
+        )
+        assert model.source_qualities() == expected
+        assert estimate_source_quality(
+            dataset.observations, dataset.labels, prior=model.prior
+        ) == expected

@@ -594,6 +594,97 @@ class TestPartitionState:
         assert refreshed.true_edges == full.true_edges
         assert refreshed.false_edges == full.false_edges
 
+    def test_refresh_rereads_clean_pairs_when_a_source_falls_silent(self):
+        # A silent source is constant on both sides, so each side's
+        # Bonferroni denominator drops from 14 * 13 / 2 to 13 * 12 / 2
+        # pairs and every level rises.  At a significance that puts a clean
+        # pair's p-value between the two true-side levels, that pair
+        # becomes an edge although neither of its sources changed.
+        dataset = self._wide_dataset()
+        model = fit_model(dataset.observations, dataset.labels)
+        silent = 13
+        assert 0.0 < model.recall(silent) < 1.0
+        provides = dataset.observations.provides.copy()
+        provides[silent] = False
+        new_model, stats = model.refit_delta(
+            ObservationMatrix(provides, dataset.observations.source_names),
+            dataset.labels,
+            max_churn_fraction=1.0,
+        )
+        assert stats.dirty_source_ids == (silent,)
+        i, j = min(
+            edge for edge in detect_partition_state(model).true_edges
+            if silent not in edge
+        )
+        p_value = reference.pair_p_value(
+            model.joint_recall([i, j]),
+            model.recall(i),
+            model.recall(j),
+            model.joint_coverage_counts([i, j])[0],
+        )
+        significance = p_value * (91 + 78) / 2
+        state = detect_partition_state(model, significance=significance)
+        assert state.tested_pairs == (91, 91)
+        assert (i, j) not in state.true_edges
+        full = detect_partition_state(new_model, significance=significance)
+        assert full.tested_pairs == (78, 78)
+        assert (i, j) in full.true_edges
+        assert refresh_partition_state(
+            state, new_model, stats.dirty_source_ids
+        ) == full
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.lists(
+                    st.integers(0, 13), min_size=1, max_size=3, unique=True
+                ),
+                st.sampled_from(["silent", "constant", "restore", "flip"]),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_refresh_equals_detection_as_sources_turn_constant(self, steps):
+        # A source that falls silent (or provides its whole scope) is
+        # constant on a side, which changes that side's Bonferroni
+        # denominator; restoring it changes it back.
+        dataset = self._wide_dataset()
+        original, labels = dataset.observations, dataset.labels
+        model = fit_model(original, labels)
+        state = detect_partition_state(model)
+        current = original
+        for sources, action, seed in steps:
+            if action == "flip":
+                current = _mutate_sources(
+                    current, sources, slice(0, 300), seed=seed
+                )
+            else:
+                provides = current.provides.copy()
+                if action == "silent":
+                    provides[sources] = False
+                elif action == "constant":
+                    provides[sources] = current.coverage[sources]
+                else:
+                    provides[sources] = original.provides[sources]
+                current = ObservationMatrix(
+                    provides, current.source_names, coverage=current.coverage
+                )
+            model, stats = model.refit_delta(
+                current, labels, max_churn_fraction=1.0
+            )
+            assert stats.mode == "delta"
+            state = refresh_partition_state(
+                state, model, stats.dirty_source_ids
+            )
+            assert state == detect_partition_state(model)
+
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 12),
