@@ -1,8 +1,8 @@
 """Baseline fusion methods the paper compares against (Section 5).
 
 - :mod:`repro.baselines.voting` -- UNION-K and majority voting;
-- :mod:`repro.baselines.estimates` -- Cosine / 2-Estimates / 3-Estimates
-  (Galland et al., WSDM 2010);
+- :mod:`repro.baselines.estimates` -- 3-Estimates (Galland et al.,
+  WSDM 2010);
 - :mod:`repro.baselines.ltm` -- the Latent Truth Model (Zhao et al.,
   PVLDB 2012), collapsed Gibbs sampling;
 - :mod:`repro.baselines.accu` -- AccuCopy, accuracy-weighted voting with
@@ -10,21 +10,15 @@
 """
 
 from repro.baselines.accu import AccuCopyFuser
-from repro.baselines.estimates import (
-    CosineFuser,
-    ThreeEstimatesFuser,
-    TwoEstimatesFuser,
-)
+from repro.baselines.estimates import ThreeEstimatesFuser
 from repro.baselines.ltm import LatentTruthModel, LTMPriors
 from repro.baselines.voting import MajorityVoteFuser, UnionKFuser
 
 __all__ = [
     "AccuCopyFuser",
-    "CosineFuser",
     "LTMPriors",
     "LatentTruthModel",
     "MajorityVoteFuser",
     "ThreeEstimatesFuser",
-    "TwoEstimatesFuser",
     "UnionKFuser",
 ]

@@ -1,24 +1,18 @@
-"""The Galland et al. fixed-point baselines: Cosine, 2-Estimates, 3-Estimates.
+"""The Galland et al. fixed-point baseline: 3-Estimates.
 
-Reimplementation of the three corroboration models of [13] (A. Galland,
-S. Abiteboul, A. Marian, P. Senellart, "Corroborating information from
-disagreeing views", WSDM 2010), which the paper compares against (it reports
-3-ESTIMATE, "the best model among the three" on its datasets).
+Reimplementation of 3-Estimates from [13] (A. Galland, S. Abiteboul,
+A. Marian, P. Senellart, "Corroborating information from disagreeing
+views", WSDM 2010), which the paper compares against as "the best model
+among the three" (Cosine, 2-Estimates, 3-Estimates) on its datasets.
 
-All three iterate between an estimated *truth value* per fact and an
-estimated *trust/error* per source:
-
-- **Cosine** scores facts in ``[-1, 1]`` and measures a source's trust as
-  the cosine similarity between its votes and the current fact scores,
-  sharpened cubically as in the original paper.
-- **2-Estimates** models a per-source error rate ``eps_s``; a positive vote
-  contributes ``1 - eps_s`` to the fact's truth estimate and a negative vote
-  ``eps_s``.  After every round estimates are *normalised* (linearly
-  rescaled onto [0, 1]) -- Galland et al. found the fixed point collapses
-  without this step.
-- **3-Estimates** additionally models a per-fact difficulty ``delta_f`` so
-  that the chance source ``s`` errs on fact ``f`` is ``eps_s * delta_f``;
-  the two factors are fit by alternating least squares.
+It iterates between an estimated *truth value* per fact and an estimated
+*error* per source.  The chance that source ``s`` errs on fact ``f`` is
+``eps_s * delta_f``, a per-source error rate times a per-fact difficulty;
+the two factors are fit by alternating least squares.  A positive vote
+contributes ``1 - eps_s * delta_f`` to the fact's truth estimate and a
+negative vote ``eps_s * delta_f``.  After every round the truth estimates
+are *normalised* (linearly rescaled onto [0, 1]) -- Galland et al. found
+the fixed point collapses without this step.
 
 Open-world adaptation: the original models consume explicit negative claims
 (from functional dependencies under closed-world semantics).  Under this
@@ -75,8 +69,14 @@ def _fix_polarity(truth: np.ndarray, vote_share: np.ndarray) -> np.ndarray:
     return truth
 
 
-class TwoEstimatesFuser(TruthFuser):
-    """Galland et al.'s 2-Estimates with full normalisation.
+class ThreeEstimatesFuser(TruthFuser):
+    """Galland et al.'s 3-Estimates: error factored into source x difficulty.
+
+    The per-(source, fact) error probability is ``eps_s * delta_f``; with
+    the current truth estimates the residual error of a vote is
+    ``1 - theta_f`` for a positive vote and ``theta_f`` for a negative one,
+    and ``eps`` / ``delta`` are refit by alternating least squares each
+    round, after the truth estimates are normalised.
 
     Parameters
     ----------
@@ -92,64 +92,8 @@ class TwoEstimatesFuser(TruthFuser):
         ``"rescale"`` (Galland's full normalisation, default) linearly maps
         each round's *truth* estimates onto [0, 1]; ``"clip"`` only clips.
         Rescaling converges faster but can land on the mirrored fixed
-        point, which the polarity guard then flips back.  Source errors are
-        always clipped, never rescaled.
-    """
-
-    name = "2-Estimates"
-
-    def __init__(
-        self,
-        iterations: int = 20,
-        prior_votes: float = 1.0,
-        normalization: str = "rescale",
-    ) -> None:
-        self.iterations = check_positive_int(iterations, "iterations")
-        if prior_votes < 0:
-            raise ValueError(f"prior_votes must be non-negative, got {prior_votes}")
-        if normalization not in ("rescale", "clip"):
-            raise ValueError(
-                f"normalization must be 'rescale' or 'clip', got {normalization!r}"
-            )
-        self.prior_votes = float(prior_votes)
-        self.normalization = normalization
-
-    def score(self, observations: ObservationMatrix) -> np.ndarray:
-        positive, negative = _vote_matrices(observations)
-        votes_per_fact = (positive + negative).sum(axis=0) + self.prior_votes
-        votes_per_fact = np.maximum(votes_per_fact, 1.0)
-        votes_per_source = np.maximum((positive + negative).sum(axis=1), 1.0)
-        errors = np.full(observations.n_sources, 0.2)
-        vote_share = positive.sum(axis=0) / votes_per_fact
-        truth = vote_share  # voting start
-        for _ in range(self.iterations):
-            # theta_f = avg over voters of (1 - eps_s) [pos] / eps_s [neg],
-            # with prior_votes neutral pseudo-votes of value 0.5.
-            truth = (
-                positive.T @ (1.0 - errors)
-                + negative.T @ errors
-                + 0.5 * self.prior_votes
-            ) / votes_per_fact
-            truth = _normalise(truth, self.normalization)
-            # eps_s = avg over voted facts of (1 - theta_f) [pos] / theta_f [neg].
-            # Errors are clipped, never rescaled: with near-equal sources a
-            # full rescale would blow tiny sampling differences up to the
-            # whole [0, 1] range and destroy the fixed point.
-            errors = (
-                positive @ (1.0 - truth) + negative @ truth
-            ) / votes_per_source
-            errors = np.clip(errors, 1e-6, 1.0 - 1e-6)
-        return _fix_polarity(truth, vote_share)
-
-
-class ThreeEstimatesFuser(TruthFuser):
-    """Galland et al.'s 3-Estimates: error factored into source x difficulty.
-
-    The per-(source, fact) error probability is ``eps_s * delta_f``; with
-    the current truth estimates the residual error of a vote is
-    ``1 - theta_f`` for a positive vote and ``theta_f`` for a negative one,
-    and ``eps`` / ``delta`` are refit by alternating least squares each
-    round, followed by the same normalisation as 2-Estimates.
+        point, which the polarity guard then flips back.  Source errors
+        and difficulties are always clipped, never rescaled.
     """
 
     name = "3-Estimates"
@@ -182,8 +126,8 @@ class ThreeEstimatesFuser(TruthFuser):
         truth = vote_share
         for _ in range(self.iterations):
             # Truth update: wrong-vote probability of s on f is eps_s*delta_f;
-            # prior_votes neutral pseudo-votes of value 0.5 damp one-source
-            # electorates (see TwoEstimatesFuser).
+            # prior_votes neutral pseudo-votes of value 0.5 keep a fact
+            # with a one-source electorate from scoring a perfect 1 - eps.
             wrong = np.clip(np.outer(errors, difficulty), 0.0, 1.0)
             contribution = positive * (1.0 - wrong) + negative * wrong
             truth = _normalise(
@@ -211,45 +155,3 @@ class ThreeEstimatesFuser(TruthFuser):
             )
             difficulty = np.clip(difficulty, 1e-6, 1.0)
         return _fix_polarity(truth, vote_share)
-
-
-class CosineFuser(TruthFuser):
-    """Galland et al.'s Cosine model with cubic trust sharpening.
-
-    Facts are scored in ``[-1, 1]``; a source's trust is the cosine between
-    its +/-1 vote vector and the fact scores over the facts it voted on.
-    The returned scores are mapped to ``[0, 1]`` so the common 0.5 threshold
-    corresponds to the model's natural sign test.
-    """
-
-    name = "Cosine"
-
-    def __init__(self, iterations: int = 20, damping: float = 0.2) -> None:
-        self.iterations = check_positive_int(iterations, "iterations")
-        if not 0.0 <= damping < 1.0:
-            raise ValueError(f"damping must be in [0, 1), got {damping}")
-        self.damping = damping
-
-    def score(self, observations: ObservationMatrix) -> np.ndarray:
-        positive, negative = _vote_matrices(observations)
-        votes = positive - negative  # +/-1 on voted cells, 0 elsewhere
-        voted = positive + negative
-        trust = np.full(observations.n_sources, 0.8)
-        theta = np.clip(votes.sum(axis=0) / np.maximum(voted.sum(axis=0), 1.0), -1, 1)
-        for _ in range(self.iterations):
-            weight = trust**3
-            theta_new = np.clip(
-                (votes.T @ weight) / np.maximum(voted.T @ weight, 1e-12), -1.0, 1.0
-            )
-            theta = self.damping * theta + (1.0 - self.damping) * theta_new
-            norms = np.sqrt(voted @ (theta**2)) * np.sqrt(
-                np.maximum(voted.sum(axis=1), 1.0)
-            )
-            trust = np.clip(
-                np.divide(
-                    votes @ theta, norms, out=np.zeros_like(trust), where=norms > 1e-12
-                ),
-                0.0,
-                1.0,
-            )
-        return (theta + 1.0) / 2.0

@@ -67,7 +67,6 @@ from repro.core.confidence import (
     matrix_from_confidences,
 )
 from repro.core.domains import DomainReport, fuse_per_domain
-from repro.core.singletruth import SingleTruthAdapter, single_truth_scores
 from repro.core.clustering import (
     ClusteredCorrelationFuser,
     PairwiseCorrelation,
@@ -82,7 +81,6 @@ from repro.core.em import EMDiagnostics, ExpectationMaximizationFuser
 from repro.core.exact import ExactCorrelationFuser
 from repro.core.fusion import (
     DEFAULT_THRESHOLD,
-    FunctionFuser,
     FusionResult,
     ModelBasedFuser,
     TruthFuser,
@@ -108,7 +106,6 @@ __all__ = [
     "AggressiveFuser",
     "ConfidenceBundle",
     "DomainReport",
-    "SingleTruthAdapter",
     "ClusteredCorrelationFuser",
     "CompiledElasticPlan",
     "CompiledExactPlan",
@@ -126,7 +123,6 @@ __all__ = [
     "ExactCorrelationFuser",
     "ExpectationMaximizationFuser",
     "ExplicitJointModel",
-    "FunctionFuser",
     "FusionResult",
     "IndependentJointModel",
     "JointQualityModel",
@@ -168,5 +164,4 @@ __all__ = [
     "matrix_from_confidences",
     "pairwise_correlations",
     "pairwise_phi",
-    "single_truth_scores",
 ]

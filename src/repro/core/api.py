@@ -56,6 +56,7 @@ from repro.core.joint import (
 from repro.core.observations import ObservationMatrix
 from repro.core.precrec import PrecRecFuser
 from repro.core.quality import estimate_prior
+from repro.util.validation import check_probability
 
 #: Valid values for the delta-scoring opt-out (``delta``).
 SERVING_MODES = ("auto", "off")
@@ -587,7 +588,7 @@ class ScoringSession:
         self._prior = prior
         # guarded-by: _refit_lock
         self._smoothing = smoothing
-        self._threshold = threshold
+        self._threshold = check_probability(threshold, "threshold")
         if isinstance(workers, bool) or workers != 1:
             raise ValueError(
                 f"workers={workers!r}: sharded execution was removed and "
@@ -605,9 +606,6 @@ class ScoringSession:
         # under _refit_lock.
         self._checkpointer: Optional[Any] = None
         self._refit_lock = make_lock("ScoringSession._refit_lock")
-        self._count_lock = make_lock("ScoringSession._count_lock")
-        # guarded-by: _count_lock
-        self._n_scored = 0
         # Streaming-refit diagnostics (see refit_delta / cache_stats):
         # counts of delta vs cold refits, per-refit dirty-word fractions
         # and wall-clock, and the last refit's full ModelRefitStats.
@@ -735,11 +733,6 @@ class ScoringSession:
         return self._threshold
 
     @property
-    def n_scored(self) -> int:
-        """How many batches this session has scored since the last fit."""
-        return self._n_scored
-
-    @property
     def delta(self) -> str:
         """The delta-scoring mode (``"auto"`` or ``"off"``)."""
         return self._delta
@@ -768,12 +761,8 @@ class ScoringSession:
         """
         scorer = self._delta_scorer
         if scorer is not None:
-            scores = scorer.score(observations, snapshot=False)
-        else:
-            scores = self._fuser.score(observations)
-        with self._count_lock:
-            self._n_scored += 1
-        return scores
+            return scorer.score(observations, snapshot=False)
+        return self._fuser.score(observations)
 
     def score(self, observations: ObservationMatrix) -> np.ndarray:
         """One truthfulness score per triple of ``observations``.
@@ -784,10 +773,7 @@ class ScoringSession:
         score vector.  With ``delta="auto"`` the call runs the cheapest
         bit-identical path -- see :class:`~repro.core.deltas.DeltaScorer`.
         """
-        scores = self._compute_scores(observations)
-        with self._count_lock:
-            self._n_scored += 1
-        return scores
+        return self._compute_scores(observations)
 
     def score_cold(self, observations: ObservationMatrix) -> np.ndarray:
         """Score through the live fuser directly, bypassing the delta layer.
@@ -798,10 +784,7 @@ class ScoringSession:
         contract is pinned against.  Serving may fall back to this path
         under faults and lose only latency, never a bit of output.
         """
-        scores = self._fuser.score(observations)
-        with self._count_lock:
-            self._n_scored += 1
-        return scores
+        return self._fuser.score(observations)
 
     def score_batch(
         self,
@@ -930,20 +913,16 @@ class ScoringSession:
         threshold = self._threshold if threshold is None else threshold
         scorer = self._delta_scorer
         if scorer is None:
-            result = self._fuser.fuse(observations, threshold=threshold)
-        else:
-            start = time.perf_counter()
-            scores = scorer.score(observations)
-            elapsed = time.perf_counter() - start
-            result = FusionResult(
-                method=scorer.fuser.name,
-                scores=np.asarray(scores, dtype=float),
-                threshold=threshold,
-                elapsed_seconds=elapsed,
-            )
-        with self._count_lock:
-            self._n_scored += 1
-        return result
+            return self._fuser.fuse(observations, threshold=threshold)
+        start = time.perf_counter()
+        scores = scorer.score(observations)
+        elapsed = time.perf_counter() - start
+        return FusionResult(
+            method=scorer.fuser.name,
+            scores=np.asarray(scores, dtype=float),
+            threshold=threshold,
+            elapsed_seconds=elapsed,
+        )
 
     def refit(
         self,
@@ -1164,8 +1143,6 @@ class ScoringSession:
         self.fit_seconds = time.perf_counter() - start
         self._prior = prior
         self._smoothing = smoothing
-        with self._count_lock:
-            self._n_scored = 0
         if isinstance(retired, ModelBasedFuser):
             retired.invalidate_caches()
 

@@ -41,7 +41,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.core.locktrace import make_lock
 
@@ -81,7 +81,7 @@ ACTION_TORN_WRITE = "torn-write"
 FAULT_ACTIONS = (ACTION_RAISE, ACTION_DELAY, ACTION_TORN_WRITE)
 
 #: A fired-fault instruction: ``(action, delay_seconds, site, hit)``.
-FaultToken = "tuple[str, float, str, int]"
+FaultToken = Tuple[str, float, str, int]
 
 
 class InjectedFault(RuntimeError):
@@ -244,7 +244,7 @@ class FaultPlan:
         return ",".join(rule.spec for rule in self.rules)
 
 
-def perform(token: Any) -> None:
+def perform(token: FaultToken) -> None:
     """Carry out a fired fault token (see :data:`FaultToken`).
 
     ``raise`` raises :class:`InjectedFault`; ``delay`` sleeps.
@@ -282,7 +282,7 @@ class FaultInjector:
     def plan(self) -> FaultPlan:
         return self._plan
 
-    def token(self, site: str) -> Optional[Any]:
+    def token(self, site: str) -> Optional[FaultToken]:
         """Advance ``site``'s hit counter; a token if a rule fires, else None.
 
         The token is a plain tuple (:data:`FaultToken`).
@@ -373,7 +373,7 @@ def trip(site: str) -> None:
     injector.fire(site)
 
 
-def trip_token(site: str) -> Optional[Any]:
+def trip_token(site: str) -> Optional[FaultToken]:
     """Like :func:`trip`, but hand the fired token back instead of acting.
 
     For sites whose actions need call-site context to carry out --
@@ -396,13 +396,3 @@ def _install_from_env() -> None:
 
 
 _install_from_env()
-
-
-def describe(stats: "Mapping[str, Any]") -> str:
-    """One-line human rendering of :attr:`FaultInjector.stats`."""
-    fired = stats.get("fired", {})
-    fired_text = (
-        ", ".join(f"{site}x{n}" for site, n in sorted(fired.items()))
-        or "none"
-    )
-    return f"plan [{stats.get('plan', '')}] fired: {fired_text}"

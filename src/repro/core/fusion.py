@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.core.joint import JointQualityModel
 from repro.core.observations import ObservationMatrix
 from repro.core.patterns import PatternSet
 from repro.util.probability import probability_from_mu_array
+from repro.util.validation import check_probability
 
 #: Decision threshold used throughout the paper: accept when Pr(t | Ot) > 0.5.
 DEFAULT_THRESHOLD = 0.5
@@ -50,7 +51,8 @@ class FusionResult:
     scores:
         Truthfulness score per triple, shape ``(n_triples,)``.
     threshold:
-        Acceptance threshold applied to ``scores``.
+        Acceptance threshold applied to ``scores``, in ``[0, 1]``.  NaN
+        is refused: ``scores >= nan`` would silently accept nothing.
     elapsed_seconds:
         Wall-clock scoring time.
     """
@@ -64,6 +66,7 @@ class FusionResult:
         scores = np.asarray(self.scores, dtype=float)
         if scores.ndim != 1:
             raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
+        check_probability(self.threshold, "threshold")
         object.__setattr__(self, "scores", scores)
 
     @property
@@ -246,21 +249,3 @@ class ModelBasedFuser(TruthFuser):
             np.asarray(self.pattern_mu_batch(patterns), dtype=float),
             self.prior,
         )
-
-
-class FunctionFuser(TruthFuser):
-    """Adapter turning a plain scoring function into a :class:`TruthFuser`.
-
-    Handy for ad-hoc baselines in notebooks and tests.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[ObservationMatrix], np.ndarray],
-        name: str = "custom",
-    ) -> None:
-        self._fn = fn
-        self.name = name
-
-    def score(self, observations: ObservationMatrix) -> np.ndarray:
-        return np.asarray(self._fn(observations), dtype=float)

@@ -7,15 +7,15 @@ are joint-model look-ups ``r_{S}`` / ``q_{S}`` over subset unions
 
 1. **collect** -- enumerate each pattern's unions exactly once, as array
    kernels: patterns are grouped by silent-set size, every group's unions
-   come from one memoised subset table (:func:`subset_table`, in
-   :func:`~repro.util.subsets.iter_subsets` order) as packed words, and one
+   come from one memoised subset table (:func:`subset_table`, by size and
+   then lexicographically) as packed words, and one
    :func:`~repro.core.patterns.unique_rows` sort deduplicates them, re-ranked
    to first-sighting order (most unions repeat across patterns);
 2. **evaluate** -- hand the distinct union rows to
    :meth:`~repro.core.joint.JointQualityModel.joint_params_batch` in one
    vectorized call;
 3. **accumulate** -- sum each pattern's terms in *the paper's term order*
-   (Eq. 10-11 over ``iter_subsets``; Algorithm 1 level by level), gathering
+   (Eq. 10-11 over subsets by size; Algorithm 1 level by level), gathering
    from the batched results, so every score stays bit-identical to the
    per-term walk of the definitions (``tests/reference.py`` keeps that
    walk as the oracle).
@@ -91,8 +91,8 @@ DEFAULT_PLAN_CACHE_ENTRIES = 64
 class SubsetTable(NamedTuple):
     """Subsets of ``range(n_items)`` with at most ``max_size`` members.
 
-    Rows follow :func:`~repro.util.subsets.iter_subsets` order (by size,
-    then lexicographically); rows ``size_starts[s]:size_starts[s + 1]``
+    Rows are ordered by size, then lexicographically (the paper's term
+    order); rows ``size_starts[s]:size_starts[s + 1]``
     are the subsets of size ``s``.  Each non-empty subset is its
     ``parents`` row (itself without its largest member, one size down)
     plus member ``lasts``, so a plan builds every size's unions from the
@@ -230,7 +230,7 @@ def _enumerate_unions(
     """Every pattern's subset unions, deduplicated in first-sighting order.
 
     Pattern ``k``'s terms are its providers joined with each subset of its
-    silent set of at most ``max_size`` members, in ``iter_subsets`` order;
+    silent set of at most ``max_size`` members, in subset-table order;
     terms run pattern by pattern.  Each silent-size group builds its
     unions as packed words, one OR per subset size (a subset's union is
     its parent's union plus one source bit), and one :func:`unique_rows`
@@ -326,7 +326,7 @@ class ExactUnionPlan:
 
         ``rows`` holds the distinct unions in order of first appearance
         and ``term_index`` each term's row, terms running pattern by
-        pattern in ``iter_subsets`` order.  ``width_check`` (when given)
+        pattern in subset-table order.  ``width_check`` (when given)
         receives silent-set sizes before any union is enumerated -- the
         exact fuser passes its ``max_silent_sources`` guard -- in pattern
         order of first appearance, so it raises for the first offending
@@ -511,7 +511,7 @@ class CompiledExactPlan:
         table (the clustered fuser's exact group).  Each decodes to a
         cluster and cluster-local provider and silent codes; its terms
         are ``provider | subset`` over the silent code's subsets in
-        ``iter_subsets`` order -- per silent-set size, one product of the
+        subset-table order -- per silent-set size, one product of the
         silent bits with the subset table's membership bits -- each named
         by its subset id (:meth:`RestrictionTable.subset_ids`).  One
         :func:`~repro.core.patterns.unique_codes` pass deduplicates

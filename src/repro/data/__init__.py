@@ -19,9 +19,7 @@ from repro.data.figure1 import (
     example_parameter_model,
     example_source_qualities,
     figure1_dataset,
-    triple_column,
 )
-from repro.data.io import load_dataset, save_dataset
 from repro.data.model import FusionDataset
 from repro.data.registry import available_datasets, get_dataset
 from repro.data.restaurant import restaurant_dataset
@@ -53,12 +51,9 @@ __all__ = [
     "example_source_qualities",
     "figure1_dataset",
     "generate",
-    "load_dataset",
     "restaurant_dataset",
     "reverb_dataset",
     "run_extractors",
-    "save_dataset",
     "trim_to_counts",
-    "triple_column",
     "uniform_sources",
 ]

@@ -91,20 +91,6 @@ def figure1_dataset() -> FusionDataset:
     )
 
 
-def triple_column(dataset: FusionDataset, ordinal: int) -> int:
-    """Matrix column of triple ``t_{ordinal}`` (1-based, as in the paper).
-
-    Columns are constructed in t1..t10 order, so this is simply
-    ``ordinal - 1``; going through the triple index keeps the lookup honest
-    if the construction ever changes.
-    """
-    if not 1 <= ordinal <= len(TRIPLES):
-        raise ValueError(f"triple ordinal must be in 1..10, got {ordinal}")
-    index = dataset.observations.triple_index
-    assert index is not None
-    return index.id_of(TRIPLES[ordinal - 1])
-
-
 def example_source_qualities() -> list[SourceQuality]:
     """Per-source quality with the q's *stated* in Example 3.3.
 

@@ -655,10 +655,6 @@ class AsyncServingReport:
         return self.completed + self.shed + self.failed
 
     @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.requests if self.requests else 0.0
-
-    @property
     def refits(self) -> int:
         """Generation swaps the front end applied."""
         return int(self.stats["refits"])

@@ -1,16 +1,13 @@
 """Evaluation metrics used in the paper's Section 5.
 
-Three families:
+Two families:
 
 - **Binary metrics** -- precision / recall / F1 of the accept-reject
   decision at a fixed threshold;
 - **Ranking curves** -- the PR-curve and ROC-curve obtained by sorting
   triples by decreasing truthfulness score and sweeping the cut-off, plus
   their areas (AUC-PR, AUC-ROC).  Tied scores are swept as one block so the
-  curves do not depend on an arbitrary intra-tie order;
-- **Probability calibration** (extension) -- Brier score and log-loss, which
-  quantify the paper's observation that correlation-aware fusion improves
-  the *probabilities*, not just the decisions.
+  curves do not depend on an arbitrary intra-tie order.
 """
 
 from __future__ import annotations
@@ -172,20 +169,6 @@ def auc_pr(scores: np.ndarray, labels: np.ndarray) -> float:
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve."""
     return roc_curve(scores, labels).area
-
-
-def brier_score(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean squared error of the probabilities (lower is better)."""
-    scores, labels = _check_ranking_inputs(scores, labels)
-    return float(np.mean((scores - labels.astype(float)) ** 2))
-
-
-def log_loss(scores: np.ndarray, labels: np.ndarray, eps: float = 1e-12) -> float:
-    """Cross-entropy of the probabilities against the labels."""
-    scores, labels = _check_ranking_inputs(scores, labels)
-    clipped = np.clip(scores, eps, 1.0 - eps)
-    y = labels.astype(float)
-    return float(-np.mean(y * np.log(clipped) + (1 - y) * np.log1p(-clipped)))
 
 
 def _check_ranking_inputs(

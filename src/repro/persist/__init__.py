@@ -29,7 +29,6 @@ from repro.persist.atomic import (
     CRASH_POINT_WAL,
     atomic_write,
     crash_hook,
-    reset_crash_points,
 )
 from repro.persist.checkpoint import Checkpointer
 from repro.persist.format import FORMAT_VERSION, PersistFormatError
@@ -62,6 +61,5 @@ __all__ = [
     "iter_snapshot_paths",
     "record_mutation_trace",
     "replay_mutation_trace",
-    "reset_crash_points",
     "scan_wal",
 ]

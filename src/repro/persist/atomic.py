@@ -58,14 +58,6 @@ def _active_crash_spec() -> Optional[Tuple[str, int]]:
     return _crash_spec
 
 
-def reset_crash_points() -> None:
-    """Re-read ``$REPRO_CRASH_POINT`` and zero the hit counters (tests)."""
-    global _crash_spec, _crash_spec_loaded
-    _crash_spec = None
-    _crash_spec_loaded = False
-    _crash_hits.clear()
-
-
 def crash_hook(name: str) -> None:
     """SIGKILL this process if the armed crash point matches this hit.
 

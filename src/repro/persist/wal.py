@@ -244,7 +244,6 @@ class WriteAheadLog:
         if scan.torn_bytes:
             truncate_file(self._path, scan.valid_bytes, fsync=fsync)
         self._offset = scan.valid_bytes
-        self._records = len(scan.records)
         self._handle: Optional[IO[bytes]] = open_for_append(self._path)
 
     @property
@@ -255,11 +254,6 @@ class WriteAheadLog:
     def offset(self) -> int:
         """Current append offset (== byte length of the valid prefix)."""
         return self._offset
-
-    @property
-    def records_appended(self) -> int:
-        """Valid records in the file (pre-existing plus appended here)."""
-        return self._records
 
     def append(
         self,
@@ -282,7 +276,6 @@ class WriteAheadLog:
             self._repair_tail()
             raise
         self._offset += len(frame)
-        self._records += 1
         crash_hook(CRASH_POINT_WAL)
 
     def _repair_tail(self) -> None:

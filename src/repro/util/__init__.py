@@ -14,7 +14,6 @@ from repro.util.probability import (
 )
 from repro.util.rng import ensure_rng
 from repro.util.subsets import (
-    iter_subsets,
     iter_subsets_of_size,
     subset_parity,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "probability_from_mu",
     "safe_divide",
     "ensure_rng",
-    "iter_subsets",
     "iter_subsets_of_size",
     "subset_parity",
     "check_fraction",

@@ -106,14 +106,3 @@ def probability_from_mu_array(mu: np.ndarray, prior: float) -> np.ndarray:
     return np.where(
         np.isnan(mu) | (mu <= 0.0), PROBABILITY_FLOOR, probabilities
     )
-
-
-def log_probability_from_mu(log_mu: float, prior: float) -> float:
-    """Posterior from a log-likelihood-ratio; numerically stable sigmoid."""
-    alpha = clamp_probability(prior)
-    z = math.log(alpha) - math.log1p(-alpha) + log_mu
-    # Stable logistic: avoid overflow in exp for large |z|.
-    if z >= 0:
-        return clamp_probability(1.0 / (1.0 + math.exp(-z)))
-    expz = math.exp(z)
-    return clamp_probability(expz / (1.0 + expz))

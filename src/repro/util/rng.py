@@ -32,15 +32,3 @@ def ensure_rng(seed_or_rng: RngLike = None) -> np.random.Generator:
         "expected an int seed, a numpy Generator, or None; "
         f"got {type(seed_or_rng).__name__}"
     )
-
-
-def spawn_rngs(seed_or_rng: RngLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent generators from one seed or generator.
-
-    Independent streams keep per-source randomness decoupled, so adding a
-    source to a synthetic configuration does not reshuffle the triples that
-    existing sources provide.
-    """
-    root = ensure_rng(seed_or_rng)
-    seeds = root.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -2,26 +2,14 @@
 
 The exact solution (Theorem 4.2) sums over every subset of the non-providing
 sources; the elastic approximation (Algorithm 1) sums over subsets of bounded
-size.  Both loops live here so the fusers read like the paper's equations.
+size.  The compiled plans walk them one size at a time, in
+``itertools.combinations`` order within a size.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterator, Sequence, Tuple
-
-
-def iter_subsets(items: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Yield every subset of ``items`` (including the empty set) as a tuple.
-
-    Subsets are produced in order of increasing size, matching the level
-    structure of the elastic approximation.
-
-    >>> list(iter_subsets([1, 2]))
-    [(), (1,), (2,), (1, 2)]
-    """
-    for size in range(len(items) + 1):
-        yield from combinations(items, size)
 
 
 def iter_subsets_of_size(items: Sequence[int], size: int) -> Iterator[Tuple[int, ...]]:
@@ -34,21 +22,3 @@ def iter_subsets_of_size(items: Sequence[int], size: int) -> Iterator[Tuple[int,
 def subset_parity(subset_size: int) -> int:
     """Return ``(-1) ** subset_size`` -- the inclusion-exclusion sign."""
     return -1 if subset_size % 2 else 1
-
-
-def count_subsets(n_items: int, max_size: int | None = None) -> int:
-    """Number of subsets of an ``n_items``-element set, optionally bounded.
-
-    Used by the fusion API to predict the cost of an exact computation before
-    committing to it (and to fall back to the elastic approximation).
-    """
-    if n_items < 0:
-        raise ValueError(f"n_items must be non-negative, got {n_items}")
-    if max_size is None or max_size >= n_items:
-        return 2 ** n_items
-    total = 0
-    term = 1  # C(n, 0)
-    for k in range(max_size + 1):
-        total += term
-        term = term * (n_items - k) // (k + 1)
-    return total

@@ -24,8 +24,7 @@ production code was optimised away from:
 - **Plan walks** -- :func:`accumulate_exact_plan` /
   :func:`accumulate_elastic_plan` re-run a built union plan's sums one term
   at a time.  Union enumeration has its own per-term oracle: every
-  pattern's unions visited in :func:`~repro.util.subsets.iter_subsets`
-  order and deduplicated by int bitmask in a :class:`UnionCollector`,
+  pattern's unions visited in :func:`iter_subsets` order and deduplicated by int bitmask in a :class:`UnionCollector`,
   together with the per-term loops that froze a plan into flat arrays.
 
 Correlation detection in :mod:`repro.core.clustering` decides both sides
@@ -39,7 +38,7 @@ clusters as ``networkx`` connected components.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -54,12 +53,35 @@ from repro.util.probability import (
     probability_from_mu,
     safe_divide,
 )
-from repro.util.subsets import (
-    count_subsets,
-    iter_subsets,
-    iter_subsets_of_size,
-    subset_parity,
-)
+from repro.util.subsets import iter_subsets_of_size, subset_parity
+
+
+def iter_subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Yield every subset of ``items`` (including the empty set) as a tuple.
+
+    Subsets come in order of increasing size, lexicographic within a size
+    -- the term order of Eq. 10-11 and of Algorithm 1's levels, which the
+    compiled plans follow.
+
+    >>> list(iter_subsets([1, 2]))
+    [(), (1,), (2,), (1, 2)]
+    """
+    for size in range(len(items) + 1):
+        yield from iter_subsets_of_size(items, size)
+
+
+def count_subsets(n_items: int, max_size: int | None = None) -> int:
+    """Number of subsets of an ``n_items``-element set, optionally bounded."""
+    if n_items < 0:
+        raise ValueError(f"n_items must be non-negative, got {n_items}")
+    if max_size is None or max_size >= n_items:
+        return 2 ** n_items
+    total = 0
+    term = 1  # C(n, 0)
+    for k in range(max_size + 1):
+        total += term
+        term = term * (n_items - k) // (k + 1)
+    return total
 
 
 class UnionCollector:

@@ -12,11 +12,11 @@ from repro.core import (
     ExactCorrelationFuser,
     ExpectationMaximizationFuser,
     FusionResult,
+    ScoringSession,
     fit_model,
     fuse,
     make_fuser,
 )
-from repro.core.fusion import FunctionFuser
 from repro.data import SyntheticConfig, generate, uniform_sources
 
 
@@ -251,11 +251,33 @@ class TestFusionResult:
             FusionResult(method="m", scores=np.zeros((2, 2)))
 
 
-class TestFunctionFuser:
-    def test_wraps_callable(self, tiny_matrix):
-        fuser = FunctionFuser(
-            lambda obs: obs.provides.mean(axis=0), name="vote-mean"
+class TestThresholdBoundary:
+    """A threshold outside [0, 1], or NaN, is refused: ``scores >= nan``
+    would otherwise accept nothing without a word."""
+
+    BAD = [float("nan"), -0.1, 1.5, float("inf")]
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_fuse_rejects(self, figure1, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            fuse(figure1.observations, figure1.labels, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_session_rejects(self, figure1, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            ScoringSession(
+                figure1.observations, figure1.labels, threshold=threshold
+            )
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_fuser_fuse_rejects(self, figure1, threshold):
+        fuser = make_fuser(
+            "precrec", fit_model(figure1.observations, figure1.labels)
         )
-        result = fuser.fuse(tiny_matrix)
-        assert result.method == "vote-mean"
-        assert result.scores.shape == (4,)
+        with pytest.raises(ValueError, match="threshold"):
+            fuser.fuse(figure1.observations, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_bounds_are_accepted(self, figure1, threshold):
+        result = fuse(figure1.observations, figure1.labels, threshold=threshold)
+        assert result.threshold == threshold

@@ -66,7 +66,7 @@ class TestWorkersValidation:
         )
 
     @pytest.mark.parametrize("bad", [0, -1, -4])
-    def test_zero_and_negative_workers_raise_value_error(self, bad):
+    def test_nonpositive_workers_raise_value_error(self, bad):
         dataset = _dataset(n_sources=5, n_triples=60, correlated=False)
         with pytest.raises(ValueError, match="sharded execution was removed"):
             ScoringSession(dataset.observations, dataset.labels, workers=bad)

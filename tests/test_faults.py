@@ -162,14 +162,6 @@ class TestInjector:
         with pytest.raises(TypeError, match="process-local"):
             pickle.dumps(injector)
 
-    def test_describe_renders_fired_counters(self):
-        injector = faults.install(FaultPlan.from_spec("score:raise:1"))
-        with pytest.raises(InjectedFault):
-            faults.trip("score")
-        text = faults.describe(injector.stats)
-        assert "score:raise:1:1" in text
-        assert "scorex1" in text
-
 
 class TestPersistFaults:
     """The persist site and its torn-write action (satellite S1)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.figure1 import LABELS, PROVIDES, TRIPLES, figure1_dataset, triple_column
+from repro.data.figure1 import LABELS, PROVIDES, TRIPLES, figure1_dataset
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +69,11 @@ class TestStatedConstraints:
 
 class TestDatasetWiring:
     def test_triple_column_roundtrip(self, figure1):
-        for ordinal in range(1, 11):
-            j = triple_column(figure1, ordinal)
-            assert figure1.observations.triple_index[j] == TRIPLES[ordinal - 1]
-
-    def test_ordinal_bounds(self, figure1):
-        with pytest.raises(ValueError):
-            triple_column(figure1, 0)
-        with pytest.raises(ValueError):
-            triple_column(figure1, 11)
+        """Triple ``t_k`` of the paper lives in matrix column ``k - 1``."""
+        index = figure1.observations.triple_index
+        for column, triple in enumerate(TRIPLES):
+            assert index.id_of(triple) == column
+            assert index[column] == triple
 
     def test_triples_carry_paper_content(self):
         assert TRIPLES[0].obj == "president"

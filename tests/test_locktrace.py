@@ -190,6 +190,9 @@ def _serving_workload(monkeypatch):
     )
     try:
         session.score(dataset.observations)
+        # A lone submit of a different matrix scores through the delta
+        # engine's pattern memo while holding the combining lock.
+        session.submit(_dataset(seed=12).observations)
         threads = [
             threading.Thread(
                 target=session.submit, args=(dataset.observations,)
@@ -221,11 +224,10 @@ def test_serving_stack_lock_order_is_acyclic(monkeypatch):
     # vacuously if make_lock stopped routing through TrackedLock).
     assert report["edges"], "no lock-order edges recorded"
     # The combining lock is held across scoring, so the gate must see
-    # it ordered before the session's own locks.
-    assert any(
-        edge.startswith("MicroBatcher._combine -> ScoringSession.")
-        for edge in report["edges"]
-    ), sorted(report["edges"])
+    # it ordered before the pattern memo's lock, which scoring takes.
+    assert "MicroBatcher._combine -> PatternValueMemo._lock" in report[
+        "edges"
+    ], sorted(report["edges"])
 
 
 def test_session_locks_are_tracked_when_enabled(monkeypatch):
@@ -233,7 +235,7 @@ def test_session_locks_are_tracked_when_enabled(monkeypatch):
     dataset = _dataset(n_triples=80)
     with ScoringSession(dataset.observations, dataset.labels) as session:
         assert isinstance(session._refit_lock, TrackedLock)
-        assert isinstance(session._count_lock, TrackedLock)
+        assert isinstance(session._batcher_lock, TrackedLock)
 
 
 def test_session_locks_plain_by_default(monkeypatch):

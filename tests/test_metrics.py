@@ -1,4 +1,4 @@
-"""Binary metrics, ranking curves, AUC, and calibration scores."""
+"""Binary metrics, ranking curves and AUC."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro.eval import (
     auc_pr,
     auc_roc,
     binary_metrics,
-    brier_score,
-    log_loss,
     pr_curve,
     roc_curve,
 )
@@ -97,22 +95,3 @@ class TestPrCurve:
     def test_nan_scores_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             pr_curve(np.array([np.nan]), np.array([True]))
-
-
-class TestCalibration:
-    def test_brier(self):
-        scores = np.array([1.0, 0.0])
-        labels = np.array([True, False])
-        assert brier_score(scores, labels) == 0.0
-        assert brier_score(1 - scores, labels) == 1.0
-
-    def test_log_loss_ordering(self):
-        labels = np.array([True, False, True, False])
-        good = np.array([0.9, 0.1, 0.8, 0.2])
-        bad = np.array([0.6, 0.4, 0.55, 0.45])
-        assert log_loss(good, labels) < log_loss(bad, labels)
-
-    def test_log_loss_clipping(self):
-        # Exact 0/1 scores must not produce infinities.
-        value = log_loss(np.array([0.0, 1.0]), np.array([True, False]))
-        assert np.isfinite(value)

@@ -265,7 +265,6 @@ class TestScoringSessionLifecycle:
         assert np.array_equal(
             session.score(dataset.observations), one_shot.scores
         )
-        assert session.n_scored == 1
 
     def test_warm_session_hits_the_plan_cache(self):
         # delta="off" pins the PR 3/4 serving path: a repeated identical
@@ -312,7 +311,6 @@ class TestScoringSessionLifecycle:
         session.refit(dataset.observations, flipped)
         assert session.fuser is not retired
         assert len(retired.plan_cache) == 0  # the explicit hook fired
-        assert session.n_scored == 0
 
         # Post-refit scores equal a fresh fit on the new labels, bitwise.
         fresh = ScoringSession(

@@ -32,10 +32,9 @@ from repro.core.plans import (
     subset_table,
 )
 from repro.data import SyntheticConfig, generate, uniform_sources
-from repro.util.subsets import iter_subsets
 
 import reference
-from reference import UnionCollector
+from reference import UnionCollector, iter_subsets
 
 
 def _dataset(seed=21, n_sources=5, n_triples=80):

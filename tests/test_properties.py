@@ -468,23 +468,3 @@ class TestMetricProperties:
             # a float tolerance.
             assert min(metrics.precision, metrics.recall) <= metrics.f1 + 1e-12
             assert metrics.f1 <= max(metrics.precision, metrics.recall) + 1e-12
-
-
-# ----------------------------------------------------------------------
-# Serialization round-trip
-# ----------------------------------------------------------------------
-
-
-class TestSerializationProperties:
-    @given(case=observation_matrices())
-    @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
-    def test_save_load_roundtrip(self, case, tmp_path_factory):
-        from repro.data import FusionDataset, load_dataset, save_dataset
-
-        matrix, labels = case
-        dataset = FusionDataset(name="prop", observations=matrix, labels=labels)
-        target = tmp_path_factory.mktemp("roundtrip")
-        save_dataset(dataset, target)
-        loaded = load_dataset(target)
-        assert np.array_equal(loaded.observations.provides, matrix.provides)
-        assert np.array_equal(loaded.labels, labels)

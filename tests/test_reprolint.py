@@ -530,6 +530,163 @@ def test_rep009_allow_comment_suppresses():
 
 
 # ----------------------------------------------------------------------
+# REP010 -- every public name has a production caller
+# ----------------------------------------------------------------------
+
+
+def _write_tree(root, files):
+    for relative, source in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+
+
+@pytest.fixture
+def census_tree(tmp_path):
+    _write_tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": """
+                from repro.lib import exported
+
+                __all__ = ["exported"]
+            """,
+            "src/repro/lib.py": """
+                def exported():
+                    return _private()
+
+
+                def _private():
+                    return 1
+
+
+                def used_in_src():
+                    return 2
+
+
+                def test_only():
+                    return 3
+
+
+                def doc_only():
+                    return 4
+
+
+                def example_only():
+                    return 5
+
+
+                def helper_of_dead_code():
+                    return 6
+
+
+                def dead_caller():
+                    return helper_of_dead_code()
+
+
+                def recursive(n):
+                    return recursive(n - 1) if n else 0
+
+
+                def chain_a():
+                    return chain_b()
+
+
+                def chain_b():
+                    return chain_c()
+
+
+                def chain_c():
+                    return 9
+            """,
+            "src/repro/app.py": """
+                '''Mentions doc_only and test_only in prose only.'''
+
+                from repro.lib import chain_a, doc_only, used_in_src
+
+                _SIZE = used_in_src() + chain_a()
+                VALUE = 8
+            """,
+            "src/repro/eval/crash.py": """
+                def run_serving_crash():
+                    return 7
+            """,
+            "examples/demo.py": """
+                from repro import lib
+
+                lib.example_only()
+            """,
+            "tests/test_lib.py": """
+                from repro.lib import test_only
+
+                def test_it():
+                    assert test_only() == 3
+            """,
+        },
+    )
+    return tmp_path
+
+
+def _rep010_names(findings):
+    assert {finding.code for finding in findings} <= {"REP010"}
+    return sorted(
+        finding.message.split("`")[1] for finding in findings
+    )
+
+
+def test_rep010_census_on_a_fixture_tree(census_tree):
+    findings = lint_paths([census_tree / "src"], rules=["REP010"])
+    # A test caller and a docstring mention do not count; a helper whose
+    # only caller is itself unused, and a self-recursive function, are
+    # flagged too, and so is VALUE, a public assignment nothing reads.
+    assert _rep010_names(findings) == [
+        "VALUE",
+        "dead_caller",
+        "doc_only",
+        "helper_of_dead_code",
+        "recursive",
+        "test_only",
+    ]
+    # Not flagged: exported is in repro.__all__, run_serving_crash is on
+    # the allow-list, example_only has an examples/ caller, used_in_src a
+    # src/ caller, chain_c is reached through chain_a and chain_b, and
+    # _private is private.
+    assert {finding.path for finding in findings} == {
+        str(census_tree / "src" / "repro" / "app.py"),
+        str(census_tree / "src" / "repro" / "lib.py"),
+    }
+
+
+def test_rep010_runs_only_when_src_repro_is_linted(census_tree):
+    for covering in (census_tree, census_tree / "src",
+                     census_tree / "src" / "repro"):
+        assert lint_paths([covering], rules=["REP010"])
+    assert lint_paths([census_tree / "examples"], rules=["REP010"]) == []
+    assert lint_paths(
+        [census_tree / "src" / "repro" / "lib.py"], rules=["REP010"]
+    ) == []
+    # Other rules selected: the census does not run.
+    assert lint_paths([census_tree / "src"], rules=["REP003"]) == []
+
+
+def test_rep010_cli_exit_code(census_tree, capsys):
+    assert reprolint_main(["--select", "REP010", str(census_tree / "src")]) == 1
+    assert "REP010" in capsys.readouterr().out
+
+
+def test_rep010_allow_list_names_exist():
+    """Every allow-list entry names a live definition, with a reason."""
+    import importlib
+
+    from tools.reprolint.rules import REP010_ALLOWED
+
+    for dotted, reason in REP010_ALLOWED.items():
+        module_name, _, name = dotted.rpartition(".")
+        assert hasattr(importlib.import_module(module_name), name), dotted
+        assert reason.strip(), dotted
+
+
+# ----------------------------------------------------------------------
 # suppression
 # ----------------------------------------------------------------------
 

@@ -13,8 +13,10 @@ from typing import Optional, Sequence
 from tools.reprolint.rules import (
     ALL_RULES,
     RULE_CHECKERS,
+    TREE_CHECKERS,
     iter_python_files,
     lint_file,
+    lint_trees,
 )
 
 #: Default lint targets when the CLI is run with no path arguments.
@@ -30,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "(REP004), seeded benchmarks (REP005), deliberate fault "
             "barriers (REP006), atomic durable writes (REP007), one "
             "row-dedup path (REP008), one correlation-detection path "
-            "(REP009).  See "
-            "docs/static-analysis.md."
+            "(REP009), a production caller for every public name "
+            "(REP010).  See docs/static-analysis.md."
         ),
     )
     parser.add_argument(
@@ -64,7 +66,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
         for code in ALL_RULES:
-            doc = (RULE_CHECKERS[code].__doc__ or "").strip().splitlines()
+            checker = RULE_CHECKERS.get(code) or TREE_CHECKERS[code]
+            doc = (checker.__doc__ or "").strip().splitlines()
             summary = doc[0] if doc else ""
             print(f"{code}  {summary}")
         return 0
@@ -89,6 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for path in iter_python_files(args.paths):
             n_files += 1
             findings.extend(lint_file(path, rules=rules))
+        findings.extend(lint_trees(args.paths, rules=rules))
     except FileNotFoundError as error:
         print(f"reprolint: {error}", file=sys.stderr)
         return 2

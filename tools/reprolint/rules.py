@@ -20,6 +20,9 @@ REP008  no ``np.unique(..., axis=...)`` in ``repro.core`` -- row dedup has
 REP009  no ``networkx`` imports and no ``fisher_exact`` /
         ``chi2_contingency`` in ``repro`` -- correlation detection has one
         path, on :mod:`repro.core.independence`'s kernel replays
+REP010  every public top-level name in ``src/repro`` has a caller outside
+        ``tests/`` -- a tree-level census, run when the linted paths
+        cover ``src/repro``
 
 Suppression: a finding is silenced by ``# reprolint: allow`` (all rules)
 or ``# reprolint: allow[REP004]`` (listed rules) on the finding's line or
@@ -873,6 +876,173 @@ def check_rep009(module: _Module) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# REP010 -- every public name has a production caller (tree-level)
+# ---------------------------------------------------------------------------
+
+#: Trees, relative to the repository root, whose code counts as a caller.
+#: ``tests/`` is not one of them: a name only a test calls is not shipped
+#: for anyone.
+CALLER_TREES = ("src", "benchmarks", "perfbench", "tools", "examples")
+
+#: Public names kept without a caller in :data:`CALLER_TREES`, each with
+#: the reason it stays.  Everything in ``repro.__all__`` (the documented
+#: library API) is kept as well.
+REP010_ALLOWED: dict[str, str] = {
+    "repro.eval.crash.run_serving_crash":
+        "CI's crash-recovery smoke step calls it",
+    "repro.eval.crash.CrashRecoveryReport":
+        "the result type of run_serving_crash, read by CI's smoke step",
+    "repro.core.locktrace.held_tracked_locks":
+        "CI's lock-order step reads it through tests/test_locktrace.py",
+    "repro.core.locktrace.detected_cycles":
+        "CI's lock-order step reads it through tests/test_locktrace.py",
+    "repro.core.locktrace.lock_order_report":
+        "CI's lock-order step reads it through tests/test_locktrace.py",
+    "repro.core.locktrace.reset_lock_tracking":
+        "CI's lock-order step reads it through tests/test_locktrace.py",
+    "repro.persist.format.frame_header_size":
+        "tests corrupt the bytes just past a frame header, whose struct "
+        "stays private",
+}
+
+
+def _census_root(entry: Path) -> Optional[Path]:
+    """The repository root if the linted ``entry`` covers its ``src/repro``.
+
+    ``entry`` may be the root itself, its ``src`` or ``src/repro``.
+    """
+    for package in (entry / "src" / "repro", entry / "repro", entry):
+        if (
+            package.name == "repro"
+            and package.parent.name == "src"
+            and package.is_dir()
+        ):
+            return package.parent.parent
+    return None
+
+
+def _referenced_names(statement: ast.stmt) -> set[str]:
+    """Names a top-level statement reads, except the names it defines.
+
+    Only ``Name`` and ``Attribute`` nodes count: an import, an
+    ``__all__`` string or a docstring mention is not a call.  A
+    definition that refers to itself (recursion, a classmethod building
+    its own class) does not call itself into use.
+    """
+    used: set[str] = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used - set(_defined_names(statement))
+
+
+def _defined_names(statement: ast.stmt) -> Iterator[str]:
+    """Public names a top-level statement defines."""
+    if isinstance(
+        statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    ):
+        candidates: list[str] = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        candidates = [
+            target.id for target in statement.targets
+            if isinstance(target, ast.Name)
+        ]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(
+        statement.target, ast.Name
+    ):
+        candidates = [statement.target.id]
+    else:
+        candidates = []
+    for name in candidates:
+        if not name.startswith("_"):
+            yield name
+
+
+def _package_all(root: Path) -> frozenset[str]:
+    """The string entries of ``__all__`` in ``src/repro/__init__.py``."""
+    init = root / "src" / "repro" / "__init__.py"
+    if not init.is_file():
+        return frozenset()
+    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in statement.targets
+        ):
+            value = ast.literal_eval(statement.value)
+            return frozenset(str(entry) for entry in value)
+    return frozenset()
+
+
+def check_rep010(root: Path) -> list[Finding]:
+    """Every public top-level name in ``src/repro`` has a production caller.
+
+    The census reads the code of :data:`CALLER_TREES` under ``root``
+    (never ``tests/``) for ``Name`` and ``Attribute`` references, and
+    flags each public function, class or module-level assignment of a
+    ``src/repro`` module (``__init__.py`` re-exports aside) that no live
+    code reads.  Code is live unless it is such a definition: names in
+    ``repro.__all__`` and :data:`REP010_ALLOWED` are live, and so is a
+    definition that live code reads, so a helper whose only caller is
+    itself unused is flagged too.  Tree-level: it runs once per
+    repository whose ``src/repro`` is among the linted paths.  Keepers
+    go on the allow-list, not behind ``# reprolint: allow`` comments.
+    """
+    exported = _package_all(root)
+    # Top-level statements: (module, statement, public names it defines
+    # and must earn a caller for, names it reads).
+    units: list[tuple[_Module, ast.stmt, list[str], set[str]]] = []
+    for tree_name in CALLER_TREES:
+        tree_root = root / tree_name
+        if not tree_root.is_dir():
+            continue
+        for path in iter_python_files([tree_root]):
+            module = _Module(path.read_text(encoding="utf-8"), str(path))
+            dotted = ".".join(path.relative_to(tree_root).with_suffix("").parts)
+            defines_names = (
+                tree_name == "src"
+                and dotted.startswith("repro.")
+                and path.name != "__init__.py"
+            )
+            for statement in module.tree.body:
+                names = list(_defined_names(statement)) if defines_names else []
+                kept = any(
+                    name in exported or f"{dotted}.{name}" in REP010_ALLOWED
+                    for name in names
+                )
+                units.append((
+                    module,
+                    statement,
+                    [] if kept else names,
+                    _referenced_names(statement),
+                ))
+    live: set[str] = set()
+    for _, _, names, reads in units:
+        if not names:
+            live |= reads
+    pending = [unit for unit in units if unit[2]]
+    while True:
+        woken = [unit for unit in pending if live.intersection(unit[2])]
+        if not woken:
+            break
+        pending = [unit for unit in pending if not live.intersection(unit[2])]
+        for unit in woken:
+            live |= unit[3]
+    return [
+        module.finding(
+            statement,
+            "REP010",
+            f"public name `{names[0]}` has no caller outside tests/; call "
+            f"it from {', '.join(CALLER_TREES)}, move it into tests/, or "
+            "delete it",
+        )
+        for module, statement, names, _ in pending
+    ]
+
+
+# ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
 
@@ -888,7 +1058,12 @@ RULE_CHECKERS: dict[str, Callable[[_Module], list[Finding]]] = {
     "REP009": check_rep009,
 }
 
-ALL_RULES = tuple(sorted(RULE_CHECKERS))
+#: Rules that read a whole repository rather than one file.
+TREE_CHECKERS: dict[str, Callable[[Path], list[Finding]]] = {
+    "REP010": check_rep010,
+}
+
+ALL_RULES = tuple(sorted({**RULE_CHECKERS, **TREE_CHECKERS}))
 
 
 def applicable_rules(path: Union[str, Path]) -> frozenset[str]:
@@ -934,11 +1109,11 @@ def check_source(
     selected = (
         applicable_rules(path) if rules is None else frozenset(rules)
     )
-    unknown = selected - set(RULE_CHECKERS)
+    unknown = selected - set(ALL_RULES)
     if unknown:
         raise ValueError(f"unknown reprolint rule(s): {sorted(unknown)}")
     findings: list[Finding] = []
-    for code in sorted(selected):
+    for code in sorted(selected & RULE_CHECKERS.keys()):
         findings.extend(RULE_CHECKERS[code](module))
     findings = [
         finding
@@ -989,12 +1164,31 @@ def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
             yield candidate
 
 
+def lint_trees(
+    paths: Iterable[Union[str, Path]],
+    rules: Optional[Iterable[str]] = None,
+) -> list[Finding]:
+    """Run the tree-level rules once per repository whose ``src/repro``
+    one of ``paths`` covers."""
+    selected = frozenset(ALL_RULES if rules is None else rules)
+    candidates = (_census_root(Path(path)) for path in paths)
+    roots = sorted({root for root in candidates if root is not None})
+    findings: list[Finding] = []
+    for code in sorted(selected & TREE_CHECKERS.keys()):
+        for root in roots:
+            findings.extend(TREE_CHECKERS[code](root))
+    return findings
+
+
 def lint_paths(
     paths: Iterable[Union[str, Path]],
     rules: Optional[Iterable[str]] = None,
 ) -> list[Finding]:
-    """Lint every Python file under ``paths`` (files or directories)."""
+    """Lint every Python file under ``paths`` (files or directories), then
+    the tree-level rules."""
+    paths = list(paths)
     findings: list[Finding] = []
     for path in iter_python_files(paths):
         findings.extend(lint_file(path, rules=rules))
+    findings.extend(lint_trees(paths, rules=rules))
     return findings
